@@ -240,7 +240,7 @@ fn rehome_federation() -> Federation {
 }
 
 /// Pushes `total` packets through a plain host, returning how many came
-/// back out (counting overflow drops as "out" so the caller sees loss).
+/// back out.
 fn pump_host_quantum(host: &ThreadedHost, total: usize) -> usize {
     let mut sent = 0usize;
     let mut received = 0usize;
@@ -259,8 +259,7 @@ fn pump_host_quantum(host: &ThreadedHost, total: usize) -> usize {
         if !pending.is_empty() {
             let outcome = host.inject_burst(std::mem::take(&mut pending));
             admitted_now = outcome.admitted;
-            sent += outcome.admitted + outcome.dropped;
-            received += outcome.dropped;
+            sent += outcome.admitted;
             pending = outcome.throttled;
         }
         let drained = host.poll_egress_burst(64).len();
@@ -273,14 +272,13 @@ fn pump_host_quantum(host: &ThreadedHost, total: usize) -> usize {
 }
 
 /// Pushes `total` packets through the federation's ingress + pump loop.
-/// Returns `(egressed, dropped)`.
-fn pump_fed_quantum(fed: &mut Federation, total: usize) -> (usize, usize) {
+/// Returns how many egressed.
+fn pump_fed_quantum(fed: &mut Federation, total: usize) -> usize {
     let mut sent = 0usize;
     let mut received = 0usize;
-    let mut dropped = 0usize;
     let mut flow: u16 = 0;
     let deadline = Instant::now() + Duration::from_secs(30);
-    while received + dropped < total && Instant::now() < deadline {
+    while received < total && Instant::now() < deadline {
         let mut progressed = false;
         for _ in 0..64 {
             if sent >= total {
@@ -292,10 +290,6 @@ fn pump_fed_quantum(fed: &mut Federation, total: usize) -> (usize, usize) {
                     progressed = true;
                 }
                 InjectResult::Throttled(_) => break,
-                InjectResult::Dropped => {
-                    sent += 1;
-                    dropped += 1;
-                }
             }
             flow = flow.wrapping_add(1);
         }
@@ -305,7 +299,7 @@ fn pump_fed_quantum(fed: &mut Federation, total: usize) -> (usize, usize) {
             std::thread::yield_now();
         }
     }
-    (received, dropped)
+    received
 }
 
 /// Injects `packets` through the federation and pumps until all of them
@@ -324,7 +318,6 @@ fn drain_fed(fed: &mut Federation, packets: Vec<Packet>) {
                     queue.push_front(p);
                     break;
                 }
-                InjectResult::Dropped => panic!("setup traffic must not drop"),
             }
         }
         let outs = fed.pump().len();
@@ -418,27 +411,22 @@ fn surviving_nf_states(fed: &mut Federation) -> usize {
 
 /// Pumps `total` packets through the federation while `bucket` re-homes to
 /// host `to`, measuring the pause (initiate → handshake complete).
-/// Returns `(egressed, dropped, pause)`.
+/// Returns `(egressed, pause)`.
 fn pump_through_fed_rehome(
     fed: &mut Federation,
     total: usize,
     bucket: usize,
     to: HostId,
     pen_flow: Option<u16>,
-) -> (usize, usize, Duration) {
+) -> (usize, Duration) {
     let mut sent = 0usize;
     let mut received = 0usize;
-    let mut dropped = 0usize;
     let mut flow: u16 = 0;
     // Prime in-flight traffic so the move catches a busy host.
     while sent < 128.min(total) {
         match fed.inject(packet(flow % FLOWS)) {
             InjectResult::Admitted => sent += 1,
             InjectResult::Throttled(_) => break,
-            InjectResult::Dropped => {
-                sent += 1;
-                dropped += 1;
-            }
         }
         flow = flow.wrapping_add(1);
     }
@@ -455,16 +443,12 @@ fn pump_through_fed_rehome(
             match fed.inject(packet(flow)) {
                 InjectResult::Admitted => sent += 1,
                 InjectResult::Throttled(_) => break,
-                InjectResult::Dropped => {
-                    sent += 1;
-                    dropped += 1;
-                }
             }
         }
     }
     let mut pause = None;
     let deadline = Instant::now() + Duration::from_secs(30);
-    while (received + dropped < total || fed.pending_rehomes() > 0) && Instant::now() < deadline {
+    while (received < total || fed.pending_rehomes() > 0) && Instant::now() < deadline {
         if fed.pending_rehomes() == 0 && pause.is_none() {
             pause = Some(started.elapsed());
         }
@@ -479,10 +463,6 @@ fn pump_through_fed_rehome(
                     progressed = true;
                 }
                 InjectResult::Throttled(_) => break,
-                InjectResult::Dropped => {
-                    sent += 1;
-                    dropped += 1;
-                }
             }
             flow = flow.wrapping_add(1);
         }
@@ -493,7 +473,7 @@ fn pump_through_fed_rehome(
         }
     }
     let pause = pause.unwrap_or_else(|| started.elapsed());
-    (received, dropped, pause)
+    (received, pause)
 }
 
 /// The buckets bounced between hosts 0 and 2 each round: the wildcard
@@ -534,13 +514,11 @@ fn bench_federation(c: &mut Criterion) {
     let mut fed = federated_chain();
     group.bench_function("three_host_chain", |b| {
         b.iter(|| {
-            let (received, dropped) = pump_fed_quantum(&mut fed, total);
-            assert_eq!(received + dropped, total, "federated chain quiesces");
-            assert_eq!(dropped, 0, "federated chain loses nothing");
+            let received = pump_fed_quantum(&mut fed, total);
+            assert_eq!(received, total, "federated chain loses nothing");
             black_box(received)
         })
     });
-    assert_eq!(fed.report().frames_dropped, 0, "interconnect drops nothing");
     fed.shutdown();
     group.finish();
 }
@@ -567,16 +545,13 @@ fn emit_federation_json() {
     let mut fed = federated_chain();
     let started = Instant::now();
     for _ in 0..tp_rounds {
-        let (received, dropped) = pump_fed_quantum(&mut fed, total);
-        assert_eq!(received + dropped, total);
-        assert_eq!(dropped, 0);
+        assert_eq!(pump_fed_quantum(&mut fed, total), total);
     }
     let fed_pps = (total * tp_rounds) as f64 / started.elapsed().as_secs_f64();
     let chain_wires = fed.wire_stats();
     let chain_frames: u64 = chain_wires.iter().map(|w| w.transferred).sum();
     let chain_depth = chain_wires.iter().map(|w| w.max_depth).max().unwrap_or(0);
     let chain_report = fed.report();
-    assert_eq!(chain_report.frames_dropped, 0, "chain interconnect drops");
     fed.shutdown();
 
     // Cross-host re-home rounds on a fresh three-host federation.
@@ -586,7 +561,6 @@ fn emit_federation_json() {
     let movers = mover_flows();
     let mut pauses_us: Vec<f64> = Vec::with_capacity(rehome_rounds);
     let mut drained = 0usize;
-    let mut dropped = 0usize;
     let mut expected = 0usize;
     for round in 0..rehome_rounds {
         let bucket = bucket_of(movers[round % movers.len()]);
@@ -599,17 +573,15 @@ fn emit_federation_json() {
         // designated floor so no pin fires): its mid-move packets exercise
         // the pen → interconnect forwarding path.
         let pen_flow = (2000u16..5000).find(|f| bucket_of(*f) == bucket);
-        let (received, drops, pause) =
-            pump_through_fed_rehome(&mut fed, total, bucket, to, pen_flow);
+        let (received, pause) = pump_through_fed_rehome(&mut fed, total, bucket, to, pen_flow);
         drained += received;
-        dropped += drops;
         expected += total;
         pauses_us.push(pause.as_secs_f64() * 1e6);
     }
     let nf_state_lost = STATEFUL_FLOWS.len() - surviving_nf_states(&mut fed);
     let wildcard_rules_lost = usize::from(!wildcard_survived(&fed));
     let rules_lost = rules_installed - surviving_rules(&fed);
-    let packets_lost = expected.saturating_sub(drained) + dropped;
+    let packets_lost = expected.saturating_sub(drained);
     let ledger = fed.global_rehome_report();
     let report = fed.report();
     let rehome_wires = fed.wire_stats();
@@ -637,7 +609,7 @@ fn emit_federation_json() {
          \"buckets_rehomed\": {}, \"rules_rehomed\": {}, \"wildcard_mutations_rehomed\": {}, \
          \"wildcard_conflicts\": {}, \"nf_flow_states_rehomed\": {}, \"packets_penned\": {}, \
          \"buckets_handed_off\": {}, \"buckets_adopted\": {}, \"pen_packets_forwarded\": {}, \
-         \"frames_delivered\": {}, \"frames_dropped\": {}, \
+         \"frames_delivered\": {}, \
          \"rehome_pause_us_p50\": {:.1}, \"rehome_pause_us_p90\": {:.1}, \
          \"rehome_pause_us_max\": {:.1}}}\n  ]\n}}\n",
         single_pps / fed_pps,
@@ -653,7 +625,6 @@ fn emit_federation_json() {
         ledger.buckets_adopted,
         report.pen_packets_forwarded,
         chain_report.frames_delivered + report.frames_delivered,
-        chain_report.frames_dropped + report.frames_dropped,
         percentile_of(&mut pauses, 0.5),
         percentile_of(&mut pauses, 0.9),
         percentile_of(&mut pauses, 1.0),
@@ -675,7 +646,6 @@ fn emit_federation_json() {
         ledger.buckets_handed_off, ledger.buckets_adopted,
         "every handed-off bucket must be adopted"
     );
-    assert_eq!(report.frames_dropped, 0, "the interconnect must not drop");
     match std::fs::write(&path, &json) {
         Ok(()) => println!("wrote federation report to {path}"),
         Err(err) => eprintln!("failed to write {path}: {err}"),

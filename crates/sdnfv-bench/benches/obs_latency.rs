@@ -44,21 +44,22 @@ fn quantum() -> usize {
 /// A 2-NF sequential compute chain at `num_shards` shards, burst 32, with
 /// hash-sampled tracing at `1/sample_every` (0 = off).
 fn latency_host(num_shards: usize, sample_every: u64) -> ThreadedHost {
-    build_sharded_host(
+    let host = build_sharded_host(
         2,
         Composition::Sequential,
         Workload::Compute(8),
         ThreadedHostConfig {
             num_shards,
             burst_size: BURST,
-            trace_sample_every: sample_every,
             // Each traced packet emits 4 spans on the 2-NF chain (RX, one
             // per NF stage, egress); size the rings for a full un-drained
             // quantum of them.
             trace_ring_capacity: 16_384,
             ..ThreadedHostConfig::default()
         },
-    )
+    );
+    host.set_trace_sampling(sample_every);
+    host
 }
 
 fn bench_obs_latency(c: &mut Criterion) {
@@ -128,7 +129,7 @@ fn emit_latency_json() {
             .join(", ");
         entries.push(format!(
             "    {{\"num_shards\": {num_shards}, \"burst\": {BURST}, \
-             \"packets_per_sec\": {pps:.0}, \"trace_sample_every\": 4, \
+             \"packets_per_sec\": {pps:.0}, \"trace_sampling\": 4, \
              \"spans_dropped\": {spans_dropped}, \"latency_ns\": {{{stages}}}}}"
         ));
     }

@@ -311,8 +311,7 @@ fn pump_through_rehome(host: &ThreadedHost, total: usize, skew: bool) -> (usize,
             })
             .collect();
         let outcome = host.inject_burst(burst);
-        sent += outcome.admitted + outcome.dropped;
-        received += outcome.dropped;
+        sent += outcome.admitted;
         pending.extend(outcome.throttled);
     }
     let rehome_started = Instant::now();
@@ -333,8 +332,7 @@ fn pump_through_rehome(host: &ThreadedHost, total: usize, skew: bool) -> (usize,
         if !pending.is_empty() {
             let outcome = host.inject_burst(std::mem::take(&mut pending));
             admitted_now = outcome.admitted;
-            sent += outcome.admitted + outcome.dropped;
-            received += outcome.dropped;
+            sent += outcome.admitted;
             pending = outcome.throttled;
         }
         let drained = host.poll_egress_burst(64).len();

@@ -125,9 +125,7 @@ pub fn pump_packets_with(
             admitted_now = outcome.admitted;
             sent += outcome.admitted;
             // Throttled packets are retried on the next pass, after egress
-            // has been drained; dropped ones (Drop policy) are gone.
-            sent += outcome.dropped;
-            received += outcome.dropped;
+            // has been drained.
             pending = outcome.throttled;
         }
         let drained = host.poll_egress_burst(BURST.max(64)).len();

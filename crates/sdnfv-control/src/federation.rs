@@ -112,10 +112,6 @@ pub struct WireStat {
 pub struct FederationReport {
     /// Frames delivered across the interconnect into a destination host.
     pub frames_delivered: u64,
-    /// Frames dropped at delivery because the destination host runs a
-    /// drop overflow policy and its gate was full. Zero under the default
-    /// backpressure policy.
-    pub frames_dropped: u64,
     /// Cross-host bucket re-homes completed.
     pub buckets_rehomed: u64,
     /// Penned packets forwarded to a bucket's new host after its release.
@@ -546,10 +542,6 @@ impl Federation {
                 key,
                 ingress_port,
             }),
-            InjectResult::Dropped => {
-                self.report.frames_dropped += 1;
-                None
-            }
         }
     }
 
@@ -769,7 +761,6 @@ mod tests {
         assert_eq!(outputs.len(), 50, "every packet crossed both hosts");
         assert!(outputs.iter().all(|o| o.host == 1 && o.port == 9));
         assert_eq!(fed.report().frames_delivered, 50);
-        assert_eq!(fed.report().frames_dropped, 0);
         // Both hosts actually ran their NF.
         assert_eq!(fed.host(0).stats().snapshot().nf_invocations, 50);
         assert_eq!(fed.host(1).stats().snapshot().nf_invocations, 50);

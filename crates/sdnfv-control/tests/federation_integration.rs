@@ -59,15 +59,6 @@ const VIDEO_REMOTE: u16 = 41;
 
 const PKTS_PER_FLOW: usize = 8;
 
-fn host_config() -> ThreadedHostConfig {
-    ThreadedHostConfig {
-        // Trace every flow so the span ↔ 5-tuple join can be asserted on
-        // both sides of a cross-host chain.
-        trace_sample_every: 1,
-        ..ThreadedHostConfig::default()
-    }
-}
-
 fn security_packet(src_ip: [u8; 4], src_port: u16, body: &str) -> Packet {
     PacketBuilder::tcp()
         .src_ip(src_ip)
@@ -120,7 +111,6 @@ fn inject_all(fed: &mut Federation, packets: Vec<Packet>, outputs: &mut Vec<Fede
                     outputs.extend(fed.pump());
                     std::thread::yield_now();
                 }
-                InjectResult::Dropped => panic!("default policy never drops"),
             }
         }
     }
@@ -171,7 +161,14 @@ fn start_federation() -> Federation {
 
     let hosts: Vec<ThreadedHost> = [nfs_host0, nfs_host1, nfs_host2]
         .into_iter()
-        .map(|nfs| ThreadedHost::start(SharedFlowTable::new(), nfs, host_config()))
+        .map(|nfs| {
+            let host =
+                ThreadedHost::start(SharedFlowTable::new(), nfs, ThreadedHostConfig::default());
+            // Trace every flow so the span ↔ 5-tuple join can be asserted
+            // on both sides of a cross-host chain.
+            host.set_trace_sampling(1);
+            host
+        })
         .collect();
     let mut fed = Federation::new(hosts, FederationConfig::default());
 
@@ -384,11 +381,6 @@ fn three_host_federation_survives_cross_host_rehome_with_zero_loss() {
     assert!(ledger.packets_penned >= 3, "mid-move arrivals were penned");
     assert_eq!(fed.report().buckets_rehomed, 1);
     assert_eq!(fed.report().pen_packets_forwarded, 3);
-    assert_eq!(
-        fed.report().frames_dropped,
-        0,
-        "the interconnect never drops"
-    );
     for host in 0..fed.num_hosts() {
         assert_eq!(
             fed.host(host).stats().snapshot().overflow_drops,

@@ -19,6 +19,10 @@ use std::collections::HashMap;
 use sdnfv_flowtable::{Decision, RulePort, SharedFlowTable};
 use sdnfv_proto::flow::FlowKey;
 
+/// Entries in each engine's [`LookupCache`] (one per `NfManager`, one per
+/// shard worker).
+pub(crate) const LOOKUP_CACHE_ENTRIES: usize = 4096;
+
 /// The cached-lookup protocol both engines share: consult `cache` (tagged
 /// with the table's generation, expired after `ttl_ns`) when `enabled`,
 /// fall back to the table, and remember the result. The single definition

@@ -1,5 +1,6 @@
 //! Resolution of conflicting verdicts from parallel NFs (paper §4.2).
 
+use sdnfv_flowtable::{Action, Decision};
 use sdnfv_nf::Verdict;
 
 /// Resolves the verdicts requested by NFs that processed the same packet in
@@ -21,6 +22,23 @@ pub fn resolve_parallel_verdicts(verdicts: &[Verdict]) -> Verdict {
         return *v;
     }
     Verdict::Default
+}
+
+/// Validates an NF's explicit steering request (`ToPort` / `ToService`)
+/// against the rule at the NF's own step — the one definition both engines
+/// use, so an NF can never steer where the service graph did not allow.
+///
+/// A request the rule allows is honoured; a disallowed one falls back to
+/// the rule's default action (or drop if there is none). With no rule at
+/// the step the request cannot be checked, so it is punted to the
+/// controller — except a drop, which is always honoured.
+pub(crate) fn validate_steering(decision: Option<&Decision>, requested: Action) -> Action {
+    match decision {
+        Some(decision) if decision.allows(requested) => requested,
+        Some(decision) => decision.default_action().unwrap_or(Action::Drop),
+        None if requested == Action::Drop => Action::Drop,
+        None => Action::ToController,
+    }
 }
 
 #[cfg(test)]

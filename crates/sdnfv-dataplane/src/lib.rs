@@ -19,7 +19,8 @@
 //! * [`loadbalance`] — round-robin, shortest-queue and flow-hash balancing
 //!   across NF instances of the same service (§4.2),
 //! * [`conflict`] — resolution of conflicting verdicts from NFs processing
-//!   one packet in parallel (§4.2),
+//!   one packet in parallel, and validation of an NF's explicit steering
+//!   request against the rule at its step (§4.2),
 //! * [`cache`] — per-thread caching of flow-table lookups (§4.2),
 //! * [`messages`] — application of NF cross-layer messages (SkipMe,
 //!   RequestMe, ChangeDefault) to the host flow table (§3.4),
@@ -46,8 +47,8 @@ pub use manager::{NfManager, NfManagerConfig, PacketOutcome};
 pub use messages::{apply_nf_message, apply_nf_message_tracked, AppliedChange, NfManagerMessage};
 pub use rehome::{BucketHandout, RehomeEvent, RehomeReport, RehomeStep};
 pub use runtime::{
-    shard_for_flow, BurstInjection, HostOutput, InjectResult, OverflowPolicy, RehomeOrdering,
-    ReplicaDispatch, ThreadedHost, ThreadedHostConfig, STEER_BUCKETS,
+    shard_for_flow, BurstInjection, HostOutput, InjectResult, ThreadedHost, ThreadedHostConfig,
+    STEER_BUCKETS,
 };
 pub use sim::{SimActorInfo, SimActorKind, SimHandle};
 pub use stats::{HostStats, HostStatsSnapshot, ShardStats};

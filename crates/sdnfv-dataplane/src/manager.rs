@@ -20,12 +20,15 @@ use sdnfv_proto::flow::FlowKey;
 use sdnfv_proto::packet::Port;
 use sdnfv_proto::Packet;
 
-use crate::cache::{cached_lookup, LookupCache};
-use crate::conflict::resolve_parallel_verdicts;
+use crate::cache::{cached_lookup, LookupCache, LOOKUP_CACHE_ENTRIES};
+use crate::conflict::{resolve_parallel_verdicts, validate_steering};
 use crate::loadbalance::{LoadBalancePolicy, LoadBalancer};
 use crate::messages::{apply_nf_message, AppliedChange, NfManagerMessage};
 use crate::scratch::recycle;
 use crate::stats::HostStats;
+
+/// Upper bound on hops a packet may take inside one host (cycle guard).
+const MAX_CHAIN_HOPS: usize = 64;
 
 /// Configuration of an [`NfManager`].
 #[derive(Debug, Clone)]
@@ -34,13 +37,6 @@ pub struct NfManagerConfig {
     pub load_balance: LoadBalancePolicy,
     /// Whether flow-table lookups are cached per flow and step.
     pub enable_lookup_cache: bool,
-    /// Capacity of the lookup cache.
-    pub lookup_cache_capacity: usize,
-    /// Upper bound on hops a packet may take inside one host (cycle guard).
-    pub max_chain_hops: usize,
-    /// Whether NFs are trusted: trusted NFs may change defaults to actions
-    /// outside the service graph (`force` in `ChangeDefault`).
-    pub trusted_nfs: bool,
 }
 
 impl Default for NfManagerConfig {
@@ -48,9 +44,6 @@ impl Default for NfManagerConfig {
         NfManagerConfig {
             load_balance: LoadBalancePolicy::MinQueue,
             enable_lookup_cache: true,
-            lookup_cache_capacity: 4096,
-            max_chain_hops: 64,
-            trusted_nfs: false,
         }
     }
 }
@@ -144,13 +137,12 @@ impl Default for NfManager {
 impl NfManager {
     /// Creates a manager with the given configuration.
     pub fn new(config: NfManagerConfig) -> Self {
-        let cache = LookupCache::new(config.lookup_cache_capacity.max(1));
         NfManager {
             config,
             table: SharedFlowTable::new(),
             instances: HashMap::new(),
             balancers: HashMap::new(),
-            cache,
+            cache: LookupCache::new(LOOKUP_CACHE_ENTRIES),
             stats: HostStats::new(),
             outbox: Vec::new(),
             round: RoundScratch::new(),
@@ -239,10 +231,11 @@ impl NfManager {
     /// Applies a cross-layer message on behalf of `from`, exactly as if an
     /// attached NF had emitted it (used by the control plane and tests).
     pub fn apply_message(&mut self, from: ServiceId, message: &NfMessage) -> AppliedChange {
-        let force = self.config.trusted_nfs;
+        // NFs are untrusted (`force = false`): the SDNFV Application decides
+        // whether to re-apply a rejected `ChangeDefault` with force.
         let change = self
             .table
-            .with_write(|table| apply_nf_message(table, from, message, force));
+            .with_write(|table| apply_nf_message(table, from, message, false));
         self.stats.add_nf_messages(1);
         self.outbox.push(NfManagerMessage {
             from,
@@ -343,7 +336,7 @@ impl NfManager {
         let mut forced: Option<Action> = None;
         let mut hops = 0usize;
         loop {
-            if hops >= self.config.max_chain_hops {
+            if hops >= MAX_CHAIN_HOPS {
                 // The hop bound was exceeded (mis-configured rules).
                 self.stats.add_dropped(1);
                 return PacketOutcome::Dropped;
@@ -418,7 +411,7 @@ impl NfManager {
         let mut memo: BurstMemo<(RulePort, FlowKey), Option<Decision>> = BurstMemo::new();
         let mut plans: Vec<Plan> = Vec::with_capacity(active.len());
         for flight in active.iter_mut() {
-            if flight.hops >= self.config.max_chain_hops {
+            if flight.hops >= MAX_CHAIN_HOPS {
                 // The hop bound was exceeded (mis-configured rules).
                 plans.push(Plan::Drop);
                 continue;
@@ -717,7 +710,7 @@ impl NfManager {
             // next round's table lookups.
             for message in round.ctx.take_messages() {
                 stats.add_nf_messages(1);
-                table.with_write(|t| apply_nf_message(t, service, &message, config.trusted_nfs));
+                table.with_write(|t| apply_nf_message(t, service, &message, false));
                 outbox.push(NfManagerMessage {
                     from: service,
                     message,
@@ -882,13 +875,8 @@ fn validate_requested_in(
     key: &FlowKey,
     requested: Action,
 ) -> Action {
-    match cached_lookup(table, cache, enable_cache, step, key, 0, 0) {
-        Some(decision) if decision.allows(requested) => requested,
-        Some(decision) => decision.default_action().unwrap_or(Action::Drop),
-        // Drop requests are always honoured even without a rule.
-        None if requested == Action::Drop => Action::Drop,
-        None => Action::ToController,
-    }
+    let decision = cached_lookup(table, cache, enable_cache, step, key, 0, 0);
+    validate_steering(decision.as_ref(), requested)
 }
 
 enum ParallelOutcome {
@@ -919,7 +907,7 @@ struct InFlight {
     step: RulePort,
     /// A validated action from an NF verdict, overriding the next lookup.
     forced: Option<Action>,
-    /// Rounds consumed so far (bounded by `max_chain_hops`).
+    /// Rounds consumed so far (bounded by [`MAX_CHAIN_HOPS`]).
     hops: usize,
 }
 
@@ -1141,10 +1129,7 @@ mod tests {
     fn hop_bound_prevents_infinite_loops() {
         // A rule that points a service at itself would loop forever without
         // the hop guard.
-        let mut manager = NfManager::new(NfManagerConfig {
-            max_chain_hops: 8,
-            ..NfManagerConfig::default()
-        });
+        let mut manager = NfManager::default();
         let svc = ServiceId::new(1);
         manager.install_rule(FlowRule::new(
             FlowMatch::at_step(RulePort::Nic(0)),

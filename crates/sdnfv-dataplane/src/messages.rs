@@ -26,8 +26,8 @@ pub enum AppliedChange {
 }
 
 /// Timeouts stamped onto exact per-flow pin rules installed by
-/// `ChangeDefault` messages (the host's `pin_idle_timeout_ns` /
-/// `pin_hard_timeout_ns` knobs). `NONE` keeps pins forever — the
+/// `ChangeDefault` messages (the threaded host sets `idle_ns` from its
+/// `pin_idle_timeout_ns` knob). `NONE` keeps pins forever — the
 /// pre-lifecycle behavior and the default.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PinTimeouts {

@@ -47,10 +47,8 @@ use sdnfv_proto::Packet;
 /// Per-bucket in-flight packet counts, shared between the injection side
 /// (increments on admission) and every shard worker (decrements when a
 /// packet makes its last possible flow-state touch: staged for egress,
-/// dropped, or punted — or, under
-/// [`RehomeOrdering::Strict`](crate::runtime::RehomeOrdering::Strict), when
-/// the packet fully leaves the host). A bucket with a zero count has no
-/// packet anywhere between its shard's ingress ring and the release point.
+/// dropped, or punted). A bucket with a zero count has no packet anywhere
+/// between its shard's ingress ring and the release point.
 #[derive(Debug)]
 pub struct BucketTracker {
     in_flight: Vec<AtomicUsize>,

@@ -38,8 +38,7 @@
 //! one producer and one consumer — including the egress ring, which needs no
 //! lock at all.
 //!
-//! **Ingress backpressure** (the default,
-//! [`OverflowPolicy::Backpressure`]): each shard holds a
+//! **Ingress backpressure**: each shard holds a
 //! [`CreditGate`] of `shard_credits` packet slots. [`ThreadedHost::inject`]
 //! acquires one credit per packet and returns
 //! [`InjectResult::Throttled`] — handing the packet back — when the shard is
@@ -47,8 +46,7 @@
 //! terminal state (egress, drop verdict, punt). Credits are clamped to the
 //! smallest internal ring, so no ring inside the pipeline can overflow and
 //! nothing is ever silently dropped: overload is always surfaced to the
-//! injector. The legacy drop-on-overflow behavior remains available as the
-//! explicit [`OverflowPolicy::Drop`].
+//! injector.
 //!
 //! Packets are never copied between threads — descriptors reference the same
 //! [`SharedPacket`] buffer — except once at egress when the frame leaves the
@@ -91,9 +89,10 @@
 //! the new owner's partition, the steering entry flips, the NF state is
 //! imported into the new shard's replicas, and only then is the pen
 //! released — so neither packets, flow-table state, wildcard-rule
-//! mutations nor NF flow state are lost. The
-//! [`RehomeOrdering`] knob additionally offers strict per-flow egress
-//! ordering across the move. Completed transitions are published as
+//! mutations nor NF flow state are lost. A bucket's in-flight count drops
+//! when each packet reaches *egress staging* (past which it can no longer
+//! touch flow state), so bucket drain never waits on the consumer polling
+//! egress. Completed transitions are published as
 //! [`ShardLifecycleEvent`]s via [`ThreadedHost::take_shard_events`].
 
 use std::cell::{Cell, RefCell};
@@ -121,8 +120,8 @@ use sdnfv_telemetry::{
     SpanVerdict, TelemetrySnapshot, TelemetrySource, TraceSpan, TraceStage,
 };
 
-use crate::cache::{cached_lookup, LookupCache};
-use crate::conflict::resolve_parallel_verdicts;
+use crate::cache::{cached_lookup, LookupCache, LOOKUP_CACHE_ENTRIES};
+use crate::conflict::{resolve_parallel_verdicts, validate_steering};
 use crate::messages::{apply_nf_message_tracked_with, PinTimeouts};
 use crate::rehome::{
     BucketHandout, BucketTracker, HandoutPhase, ImportDelivery, MovePhase, RehomeEvent,
@@ -131,58 +130,13 @@ use crate::rehome::{
 use crate::scratch::recycle;
 use crate::stats::{HostStats, ShardStats};
 
-/// When a moving bucket may be released to its new shard, relative to its
-/// packets' progress through the old shard — the per-flow egress-ordering
-/// knob of the re-home handshake.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RehomeOrdering {
-    /// A bucket's in-flight count drops when each packet reaches *egress
-    /// staging* (past which it can no longer touch flow state). Short
-    /// re-home pauses, but a flow's last old-shard packets may still sit in
-    /// the old shard's egress ring while its first new-shard packets come
-    /// out — per-flow egress order can briefly interleave across the move.
-    #[default]
-    Relaxed,
-    /// A bucket's in-flight count drops only when each packet *fully
-    /// egresses* (is polled out of the host). Strict per-flow egress
-    /// ordering across the move, at the cost of a longer bucket pause (the
-    /// drain now waits on the host's egress polling) and a flow-key parse
-    /// per polled packet.
-    Strict,
-}
+/// Capacity of each shard's control-command ring (commands the worker
+/// applies between bursts).
+const CONTROL_RING_CAPACITY: usize = 16;
 
-/// How a shard worker distributes packets among multiple replicas of one
-/// service.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReplicaDispatch {
-    /// Flow-sticky (the default): a flow's stable 5-tuple hash picks one
-    /// replica, so **every packet of the flow — including packets of the
-    /// same burst — visits the same replica** and per-flow NF state stays
-    /// exact. Keyless packets fall back to the least-loaded replica.
-    /// Replica churn (add/remove) remaps a fraction of flows; the re-home
-    /// import path merges any state the old replica exported.
-    #[default]
-    Sticky,
-    /// Least-loaded: each packet goes to the replica with the shortest
-    /// input queue. Best instantaneous balance, but one flow's burst can be
-    /// split across replicas, leaving per-flow NF state (counters,
-    /// detection windows) fragmented. Kept for stateless service chains.
-    LeastLoaded,
-}
-
-/// What the host does when an ingress packet cannot be admitted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OverflowPolicy {
-    /// Credit-based backpressure: injection beyond the per-shard credit
-    /// budget is rejected with [`InjectResult::Throttled`] (the packet is
-    /// handed back for retry) and nothing inside the pipeline is silently
-    /// dropped.
-    #[default]
-    Backpressure,
-    /// Legacy behavior: packets that do not fit a ring are dropped and
-    /// counted as overflow drops.
-    Drop,
-}
+/// Eviction budget of one rule sweep: at most this many rules are evicted
+/// per sweep pass, bounding the work injected between bursts.
+const MAX_EVICTIONS_PER_SWEEP: usize = 256;
 
 /// Configuration of a [`ThreadedHost`].
 #[derive(Debug, Clone)]
@@ -202,70 +156,31 @@ pub struct ThreadedHostConfig {
     /// by 5-tuple flow hash, so all packets of one flow stay on one shard.
     /// The default of 1 preserves the single-pipeline topology.
     pub num_shards: usize,
-    /// Per-shard credit budget under [`OverflowPolicy::Backpressure`]: the
-    /// maximum number of packets one shard holds in flight. Clamped to the
-    /// smallest internal ring capacity so in-pipeline overflow is
-    /// impossible.
+    /// Per-shard credit budget: the maximum number of packets one shard
+    /// holds in flight. Clamped to the smallest internal ring capacity so
+    /// in-pipeline overflow is impossible.
     pub shard_credits: usize,
-    /// What to do when ingress outruns the pipeline (see [`OverflowPolicy`]).
-    pub overflow_policy: OverflowPolicy,
-    /// Whether the worker threads cache flow-table lookups (§4.2).
-    pub enable_lookup_cache: bool,
-    /// Whether NFs are trusted when applying `ChangeDefault` messages.
-    pub trusted_nfs: bool,
     /// How often each shard's worker publishes a [`TelemetrySnapshot`]
     /// (nanoseconds). `0` disables the exporter.
     pub telemetry_interval_ns: u64,
-    /// Capacity of each shard's control-command ring (commands the worker
-    /// applies between bursts).
-    pub control_ring_capacity: usize,
     /// Capacity of the per-bucket pen that holds arrivals while a steering
     /// bucket is mid-re-home (quiesced). A full pen surfaces as ordinary
-    /// backpressure (or an overflow drop under [`OverflowPolicy::Drop`]).
+    /// backpressure.
     pub rehome_pen: usize,
-    /// Whether a re-homed bucket is released at egress *staging* (fast,
-    /// default) or only at *full egress* (strict per-flow ordering across
-    /// the move) — see [`RehomeOrdering`].
-    pub rehome_ordering: RehomeOrdering,
-    /// Entry floor of the per-burst lookup memo's probe cap: below this
-    /// many memoized entries the memo never bypasses. Defaults to
-    /// [`BurstMemo::BYPASS_MIN_ENTRIES`]; raise it for traffic mixes whose
-    /// bursts legitimately carry many distinct flows, lower it to shed
-    /// memo overhead sooner under spoofed-source (fig9-style DDoS) floods.
-    pub memo_bypass_min_entries: usize,
-    /// Hit-rate divisor of the memo's probe cap: memoization is abandoned
-    /// while fewer than one probe in this many hits. Defaults to
-    /// [`BurstMemo::BYPASS_HIT_DIVISOR`]; `0` disables bypassing entirely.
-    pub memo_bypass_hit_divisor: u32,
     /// How often each shard sweeps its flow-table partition for expired
     /// rules, in nanoseconds of the host clock (identical under the
     /// simulated runtime). `0` disables the amortized sweeper — rules then
     /// expire only lazily, when a lookup touches them.
     pub rule_sweep_interval_ns: u64,
-    /// Eviction budget of one sweep: at most this many rules are evicted
-    /// per sweep pass, bounding the work injected between bursts.
-    pub max_evictions_per_sweep: usize,
     /// OpenFlow-style idle timeout stamped onto exact per-flow rules
     /// installed by NF `ChangeDefault` pins: the pin is evicted once this
     /// many nanoseconds pass without its flow sending a packet. `None`
     /// (the default) keeps pins forever, the pre-lifecycle behavior.
     pub pin_idle_timeout_ns: Option<u64>,
-    /// OpenFlow-style hard timeout stamped onto exact per-flow pin rules:
-    /// evicted this long after installation regardless of traffic.
-    pub pin_hard_timeout_ns: Option<u64>,
-    /// Flow-trace sampling: one of every `trace_sample_every` flows (by
-    /// stable flow hash) emits per-stage [`TraceSpan`]s. `0` (the default)
-    /// turns hash sampling off; flows pinned by an
-    /// [`Action::Trace`](sdnfv_flowtable::Action) rule are always traced.
-    /// Adjustable at run time via [`ThreadedHost::set_trace_sampling`].
-    pub trace_sample_every: u64,
     /// Capacity of each shard's lossy trace-span ring. A full ring drops
     /// the span (counted in `spans_dropped`) — tracing never blocks the
     /// packet path.
     pub trace_ring_capacity: usize,
-    /// How packets are distributed among multiple replicas of one service
-    /// (see [`ReplicaDispatch`]). Defaults to flow-sticky.
-    pub replica_dispatch: ReplicaDispatch,
 }
 
 impl Default for ThreadedHostConfig {
@@ -277,22 +192,11 @@ impl Default for ThreadedHostConfig {
             burst_size: 32,
             num_shards: 1,
             shard_credits: 1024,
-            overflow_policy: OverflowPolicy::Backpressure,
-            enable_lookup_cache: true,
-            trusted_nfs: false,
             telemetry_interval_ns: 1_000_000,
-            control_ring_capacity: 16,
             rehome_pen: 32,
-            rehome_ordering: RehomeOrdering::Relaxed,
-            memo_bypass_min_entries: BurstMemo::<u32, u32>::BYPASS_MIN_ENTRIES,
-            memo_bypass_hit_divisor: BurstMemo::<u32, u32>::BYPASS_HIT_DIVISOR,
             rule_sweep_interval_ns: 1_000_000,
-            max_evictions_per_sweep: 256,
             pin_idle_timeout_ns: None,
-            pin_hard_timeout_ns: None,
-            trace_sample_every: 0,
             trace_ring_capacity: 1024,
-            replica_dispatch: ReplicaDispatch::Sticky,
         }
     }
 }
@@ -300,11 +204,10 @@ impl Default for ThreadedHostConfig {
 /// A packet that left the host: the egress port, the frame, and the flow
 /// key parsed at ingress.
 ///
-/// Carrying the ingress-time key through egress means the
-/// [`RehomeOrdering::Strict`] release path never re-parses the frame — and
-/// never *mis*-parses it: an NF that rewrites the 5-tuple mid-chain (NAT)
-/// no longer breaks the bucket-drain accounting, because the key that was
-/// admitted is the key that is released.
+/// Carrying the ingress-time key through egress means a consumer that
+/// forwards the packet onward (the federation wire) never re-parses the
+/// frame — and never *mis*-parses it when an NF rewrote the 5-tuple
+/// mid-chain (NAT): the key that was admitted is the key that leaves.
 #[derive(Debug, Clone)]
 pub struct HostOutput {
     /// The NIC port the packet left on.
@@ -350,7 +253,7 @@ enum ShardCommand {
     /// is never retired.
     RemoveNf { service: ServiceId },
     /// Re-budget the shard's credit gate (clamped to the internal ring
-    /// capacities; no-op under [`OverflowPolicy::Drop`]).
+    /// capacities).
     ResizeCredits { credits: usize },
     /// Collect NF-internal per-flow state for the given (quiesced) steering
     /// buckets from every NF replica on this shard; reply with a
@@ -584,9 +487,6 @@ pub enum InjectResult {
     /// Backpressure: the shard is saturated. The packet is handed back so
     /// the caller can retry after draining egress.
     Throttled(Packet),
-    /// [`OverflowPolicy::Drop`] only: the ring was full, the packet was
-    /// discarded and counted as an overflow drop.
-    Dropped,
 }
 
 impl InjectResult {
@@ -599,7 +499,7 @@ impl InjectResult {
     pub fn into_throttled(self) -> Option<Packet> {
         match self {
             InjectResult::Throttled(packet) => Some(packet),
-            _ => None,
+            InjectResult::Admitted => None,
         }
     }
 }
@@ -609,11 +509,8 @@ impl InjectResult {
 pub struct BurstInjection {
     /// Packets admitted into the pipelines.
     pub admitted: usize,
-    /// Packets rejected by backpressure, handed back for retry (empty under
-    /// [`OverflowPolicy::Drop`]).
+    /// Packets rejected by backpressure, handed back for retry.
     pub throttled: Vec<Packet>,
-    /// Packets dropped at ingress ([`OverflowPolicy::Drop`] only).
-    pub dropped: usize,
 }
 
 /// A packet on its way from injection to a shard worker, with its flow key
@@ -686,7 +583,7 @@ impl ShardLatency {
 struct ShardPorts {
     ingress: Producer<IngressFrame>,
     egress: Consumer<HostOutput>,
-    gate: Option<Arc<CreditGate>>,
+    gate: Arc<CreditGate>,
     control: Producer<ShardCommand>,
     telemetry: Consumer<TelemetrySnapshot>,
     /// NF-state exports flowing back from the worker (replies to
@@ -733,8 +630,6 @@ pub struct ThreadedHost {
     /// How pipelines execute (threads vs simulation registry); retained so
     /// shards spawned mid-run join the same driver.
     runtime: PipelineRuntime,
-    policy: OverflowPolicy,
-    credit_capacity: usize,
     /// The (normalized) configuration, retained so shards spawned mid-run
     /// get identical pipelines.
     config: ThreadedHostConfig,
@@ -839,13 +734,12 @@ impl ThreadedHost {
         config.nf_ring_capacity = config.nf_ring_capacity.max(1);
         config.ingress_capacity = config.ingress_capacity.max(1);
         config.egress_capacity = config.egress_capacity.max(1);
-        config.control_ring_capacity = config.control_ring_capacity.max(1);
         config.rehome_pen = config.rehome_pen.max(1);
         config.trace_ring_capacity = config.trace_ring_capacity.max(1);
         // Clamping the credit budget to the smallest internal ring makes
         // in-pipeline overflow impossible: a shard never holds more packets
         // in flight than any one ring could absorb.
-        let credit_capacity = config
+        config.shard_credits = config
             .shard_credits
             .max(1)
             .min(config.nf_ring_capacity)
@@ -855,7 +749,7 @@ impl ThreadedHost {
         let running = Arc::new(AtomicBool::new(true));
         let tables = FlowTablePartitions::new(&table, num_shards);
         let tracker = Arc::new(BucketTracker::new(STEER_BUCKETS));
-        let trace_sampling = Arc::new(AtomicU64::new(config.trace_sample_every));
+        let trace_sampling = Arc::new(AtomicU64::new(0));
         let mut handles = Vec::new();
         let mut shards = Vec::with_capacity(num_shards);
 
@@ -870,7 +764,6 @@ impl ThreadedHost {
                 &tracker,
                 clock.clone(),
                 &config,
-                credit_capacity,
                 &runtime,
                 &trace_sampling,
             );
@@ -892,8 +785,6 @@ impl ThreadedHost {
             handles: RefCell::new(handles),
             clock,
             runtime,
-            policy: config.overflow_policy,
-            credit_capacity,
             config,
             egress_cursor: Cell::new(0),
             steering: RefCell::new(steering),
@@ -941,43 +832,29 @@ impl ThreadedHost {
             .unwrap_or(0)
     }
 
-    /// The overflow policy the host runs under.
-    pub fn overflow_policy(&self) -> OverflowPolicy {
-        self.policy
+    /// The effective per-shard credit budget a shard starts with.
+    pub fn credit_capacity(&self) -> usize {
+        self.config.shard_credits
     }
 
-    /// The effective per-shard credit budget, or `None` under
-    /// [`OverflowPolicy::Drop`].
-    pub fn credit_capacity(&self) -> Option<usize> {
-        matches!(self.policy, OverflowPolicy::Backpressure).then_some(self.credit_capacity)
-    }
-
-    /// Credits currently available on `shard`, or `None` under
-    /// [`OverflowPolicy::Drop`].
+    /// Credits currently available on `shard`.
     ///
     /// # Panics
     ///
     /// Panics if `shard` is out of range.
-    pub fn available_credits(&self, shard: usize) -> Option<usize> {
-        self.shards.borrow()[shard]
-            .gate
-            .as_ref()
-            .map(|g| g.available())
+    pub fn available_credits(&self, shard: usize) -> usize {
+        self.shards.borrow()[shard].gate.available()
     }
 
     /// The current credit budget of `shard` (it may differ from
     /// [`ThreadedHost::credit_capacity`] after a
-    /// [`resize_credits`](ThreadedHost::resize_credits)), or `None` under
-    /// [`OverflowPolicy::Drop`].
+    /// [`resize_credits`](ThreadedHost::resize_credits)).
     ///
     /// # Panics
     ///
     /// Panics if `shard` is out of range.
-    pub fn credit_budget(&self, shard: usize) -> Option<usize> {
-        self.shards.borrow()[shard]
-            .gate
-            .as_ref()
-            .map(|g| g.capacity())
+    pub fn credit_budget(&self, shard: usize) -> usize {
+        self.shards.borrow()[shard].gate.capacity()
     }
 
     /// The shard a flow hash steers to under the current bucket table.
@@ -1002,8 +879,8 @@ impl ThreadedHost {
     }
 
     /// Injects a packet into the host, stamping its receive timestamp, and
-    /// reports the admission outcome. Under backpressure a rejected packet
-    /// is handed back inside [`InjectResult::Throttled`] for retry.
+    /// reports the admission outcome. A rejected packet is handed back
+    /// inside [`InjectResult::Throttled`] for retry.
     ///
     /// Packets of a steering bucket that is mid-re-home are parked in the
     /// bucket's pen (still [`InjectResult::Admitted`] — they are released
@@ -1026,11 +903,9 @@ impl ThreadedHost {
         };
         let shards = self.shards.borrow();
         let ports = &shards[shard];
-        if let Some(gate) = &ports.gate {
-            if !gate.try_acquire(1) {
-                ports.stats.add_throttled(1);
-                return InjectResult::Throttled(packet);
-            }
+        if !ports.gate.try_acquire(1) {
+            ports.stats.add_throttled(1);
+            return InjectResult::Throttled(packet);
         }
         match ports.ingress.push(IngressFrame { packet, key }) {
             Ok(()) => {
@@ -1039,17 +914,11 @@ impl ThreadedHost {
                 }
                 InjectResult::Admitted
             }
-            Err(PushError(frame)) => match &ports.gate {
-                Some(gate) => {
-                    gate.release(1);
-                    ports.stats.add_throttled(1);
-                    InjectResult::Throttled(frame.packet)
-                }
-                None => {
-                    ports.stats.add_overflow_drops(1);
-                    InjectResult::Dropped
-                }
-            },
+            Err(PushError(frame)) => {
+                ports.gate.release(1);
+                ports.stats.add_throttled(1);
+                InjectResult::Throttled(frame.packet)
+            }
         }
     }
 
@@ -1087,17 +956,8 @@ impl ThreadedHost {
             Some((shard, packet)) => {
                 state.report.pen_throttled += 1;
                 drop(state);
-                let shards = self.shards.borrow();
-                match self.policy {
-                    OverflowPolicy::Backpressure => {
-                        shards[shard].stats.add_throttled(1);
-                        InjectResult::Throttled(packet)
-                    }
-                    OverflowPolicy::Drop => {
-                        shards[shard].stats.add_overflow_drops(1);
-                        InjectResult::Dropped
-                    }
-                }
+                self.shards.borrow()[shard].stats.add_throttled(1);
+                InjectResult::Throttled(packet)
             }
         }
     }
@@ -1127,12 +987,10 @@ impl ThreadedHost {
             for mut packet in packets {
                 packet.timestamp_ns = now;
                 let key = packet.flow_key();
-                if let Some(gate) = &ports.gate {
-                    if !gate.try_acquire(1) {
-                        ports.stats.add_throttled(1);
-                        result.throttled.push(packet);
-                        continue;
-                    }
+                if !ports.gate.try_acquire(1) {
+                    ports.stats.add_throttled(1);
+                    result.throttled.push(packet);
+                    continue;
                 }
                 frames.push(IngressFrame { packet, key });
             }
@@ -1154,7 +1012,6 @@ impl ThreadedHost {
                             match self.park(bucket, packet, *k) {
                                 InjectResult::Admitted => result.admitted += 1,
                                 InjectResult::Throttled(p) => result.throttled.push(p),
-                                InjectResult::Dropped => result.dropped += 1,
                             }
                             continue;
                         }
@@ -1163,12 +1020,10 @@ impl ThreadedHost {
                 }
                 None => keyless_shard,
             };
-            if let Some(gate) = &shards[shard].gate {
-                if !gate.try_acquire(1) {
-                    shards[shard].stats.add_throttled(1);
-                    result.throttled.push(packet);
-                    continue;
-                }
+            if !shards[shard].gate.try_acquire(1) {
+                shards[shard].stats.add_throttled(1);
+                result.throttled.push(packet);
+                continue;
             }
             staged[shard].push(IngressFrame { packet, key });
         }
@@ -1181,7 +1036,7 @@ impl ThreadedHost {
 
     /// Pushes a shard's framed (credit-holding) packets with one ring
     /// operation, folding the outcome into `result`: leftovers that did not
-    /// fit the ring are throttled back (backpressure) or counted as drops.
+    /// fit the ring are throttled back.
     fn push_shard_frames(
         &self,
         shard: usize,
@@ -1212,19 +1067,11 @@ impl ThreadedHost {
                 self.tracker.finish(key);
             }
         }
-        match &ports.gate {
-            Some(gate) => {
-                gate.release(leftover);
-                ports.stats.add_throttled(leftover as u64);
-                result
-                    .throttled
-                    .extend(frames.into_iter().map(|f| f.packet));
-            }
-            None => {
-                ports.stats.add_overflow_drops(leftover as u64);
-                result.dropped += leftover;
-            }
-        }
+        ports.gate.release(leftover);
+        ports.stats.add_throttled(leftover as u64);
+        result
+            .throttled
+            .extend(frames.into_iter().map(|f| f.packet));
     }
 
     /// Nanoseconds since the host started (the clock used for packet
@@ -1234,39 +1081,20 @@ impl ThreadedHost {
         self.clock.now_ns()
     }
 
-    /// Under [`RehomeOrdering::Strict`] a packet's bucket in-flight count
-    /// is released only here, when it fully leaves the host (no-op under
-    /// the default [`RehomeOrdering::Relaxed`], where the shard worker
-    /// released it at egress staging). The key carried from ingress is
-    /// released — not a re-parse of the (possibly NF-rewritten) frame.
-    fn finish_on_full_egress(&self, out: &HostOutput) {
-        if matches!(self.config.rehome_ordering, RehomeOrdering::Strict) {
-            self.tracker.finish(&out.key);
-        }
-    }
-
     /// Retrieves one transmitted packet, if any, polling shards round-robin.
     pub fn poll_egress(&self) -> Option<HostOutput> {
         self.advance_rehoming();
-        let polled = {
-            let shards = self.shards.borrow();
-            let n = shards.len();
-            let start = self.egress_cursor.get();
-            let mut polled = None;
-            for offset in 0..n {
-                let shard = (start + offset) % n;
-                if let Some(out) = shards[shard].egress.pop() {
-                    self.egress_cursor.set((shard + 1) % n);
-                    polled = Some(out);
-                    break;
-                }
+        let shards = self.shards.borrow();
+        let n = shards.len();
+        let start = self.egress_cursor.get();
+        for offset in 0..n {
+            let shard = (start + offset) % n;
+            if let Some(out) = shards[shard].egress.pop() {
+                self.egress_cursor.set((shard + 1) % n);
+                return Some(out);
             }
-            polled
-        };
-        if let Some(out) = &polled {
-            self.finish_on_full_egress(out);
         }
-        polled
+        None
     }
 
     /// Retrieves up to `max` transmitted packets, draining shards
@@ -1274,25 +1102,18 @@ impl ThreadedHost {
     pub fn poll_egress_burst(&self, max: usize) -> Vec<HostOutput> {
         self.advance_rehoming();
         let mut out = Vec::new();
-        {
-            let shards = self.shards.borrow();
-            let n = shards.len();
-            let start = self.egress_cursor.get();
-            for offset in 0..n {
-                if out.len() >= max {
-                    break;
-                }
-                let shard = (start + offset) % n;
-                let room = max - out.len();
-                shards[shard].egress.pop_n(&mut out, room);
+        let shards = self.shards.borrow();
+        let n = shards.len();
+        let start = self.egress_cursor.get();
+        for offset in 0..n {
+            if out.len() >= max {
+                break;
             }
-            self.egress_cursor.set((start + 1) % n);
+            let shard = (start + offset) % n;
+            let room = max - out.len();
+            shards[shard].egress.pop_n(&mut out, room);
         }
-        if matches!(self.config.rehome_ordering, RehomeOrdering::Strict) {
-            for polled in &out {
-                self.finish_on_full_egress(polled);
-            }
-        }
+        self.egress_cursor.set((start + 1) % n);
         out
     }
 
@@ -1475,16 +1296,15 @@ impl ThreadedHost {
     }
 
     /// Asks `shard`'s worker to re-budget its credit gate to `credits`
-    /// (clamped to the internal ring capacities). Returns `false` under
-    /// [`OverflowPolicy::Drop`] (there is no gate) or if the control ring
-    /// is full.
+    /// (clamped to the internal ring capacities). Returns `false` for a
+    /// retired shard or if the control ring is full.
     ///
     /// # Panics
     ///
     /// Panics if `shard` is out of range.
     pub fn resize_credits(&self, shard: usize, credits: usize) -> bool {
         let shards = self.shards.borrow();
-        if shards[shard].gate.is_none() || shards[shard].retired.get() {
+        if shards[shard].retired.get() {
             return false;
         }
         shards[shard]
@@ -1645,11 +1465,9 @@ impl ThreadedHost {
             let shards = self.shards.borrow();
             let ports = &shards[mv.to];
             while let Some((packet, key)) = mv.pen.pop_front() {
-                if let Some(gate) = &ports.gate {
-                    if !gate.try_acquire(1) {
-                        mv.pen.push_front((packet, key));
-                        return true;
-                    }
+                if !ports.gate.try_acquire(1) {
+                    mv.pen.push_front((packet, key));
+                    return true;
                 }
                 let age_ns = now_ns.saturating_sub(packet.timestamp_ns);
                 match ports.ingress.push(IngressFrame {
@@ -1664,9 +1482,7 @@ impl ThreadedHost {
                         ports.latency.pen_dwell.record(age_ns);
                     }
                     Err(PushError(frame)) => {
-                        if let Some(gate) = &ports.gate {
-                            gate.release(1);
-                        }
+                        ports.gate.release(1);
                         let key = frame.key.expect("penned packets are keyed");
                         mv.pen.push_front((frame.packet, key));
                         return true;
@@ -2014,7 +1830,6 @@ impl ThreadedHost {
             &self.tracker,
             self.clock.clone(),
             &self.config,
-            self.credit_capacity,
             &self.runtime,
             &self.trace_sampling,
         );
@@ -2355,18 +2170,16 @@ fn launch_pipeline(
     tracker: &Arc<BucketTracker>,
     clock: HostClock,
     config: &ThreadedHostConfig,
-    credit_capacity: usize,
     runtime: &PipelineRuntime,
     trace_sampling: &Arc<AtomicU64>,
 ) -> (ShardPorts, TaskHandle) {
-    let gate = matches!(config.overflow_policy, OverflowPolicy::Backpressure)
-        .then(|| Arc::new(CreditGate::new(credit_capacity)));
+    let gate = Arc::new(CreditGate::new(config.shard_credits));
     let stop = Arc::new(AtomicBool::new(false));
     let latency = Arc::new(ShardLatency::default());
 
     let (ingress_tx, ingress_rx) = spsc_ring::<IngressFrame>(config.ingress_capacity);
     let (egress_tx, egress_rx) = spsc_ring::<HostOutput>(config.egress_capacity);
-    let (control_tx, control_rx) = spsc_ring::<ShardCommand>(config.control_ring_capacity);
+    let (control_tx, control_rx) = spsc_ring::<ShardCommand>(CONTROL_RING_CAPACITY);
     let (telemetry_tx, telemetry_rx) = spsc_ring::<TelemetrySnapshot>(16);
     let (exports_tx, exports_rx) = spsc_ring::<BucketStateExport>(16);
     let (traces_tx, traces_rx) = spsc_ring::<TraceSpan>(config.trace_ring_capacity);
@@ -2382,28 +2195,21 @@ fn launch_pipeline(
         phase: EnginePhase::Running,
         slots: Vec::new(),
         service_instances: HashMap::new(),
-        replica_dispatch: config.replica_dispatch,
         egress: egress_tx,
-        gate: gate.clone(),
+        gate: Arc::clone(&gate),
         table,
         mutation_log,
         stats: stats.clone(),
         running: Arc::clone(running),
         stop: Arc::clone(&stop),
         tracker: Arc::clone(tracker),
-        enable_cache: config.enable_lookup_cache,
         burst_size: config.burst_size,
         nf_ring_capacity: config.nf_ring_capacity,
         credit_clamp: config.nf_ring_capacity.min(config.ingress_capacity),
-        trusted: config.trusted_nfs,
-        ordering: config.rehome_ordering,
         clock,
         spawner,
-        cache: LookupCache::new(4096),
-        memo: BurstLookupMemo::with_thresholds(
-            config.memo_bypass_min_entries,
-            config.memo_bypass_hit_divisor,
-        ),
+        cache: LookupCache::new(LOOKUP_CACHE_ENTRIES),
+        memo: BurstMemo::new(),
         staging: BurstStaging::new(0, config.burst_size),
         rx_burst: Vec::with_capacity(config.burst_size),
         done_burst: Vec::with_capacity(config.burst_size),
@@ -2420,7 +2226,6 @@ fn launch_pipeline(
         telemetry_check: 0,
         telemetry_seq: 0,
         rule_sweep_interval_ns: config.rule_sweep_interval_ns,
-        max_evictions_per_sweep: config.max_evictions_per_sweep,
         last_sweep_ns: 0,
         sweep_check: 0,
         approx_now_ns: 0,
@@ -2430,7 +2235,7 @@ fn launch_pipeline(
         cache_ttl_ns: config.rule_sweep_interval_ns / 2,
         pin_timeouts: PinTimeouts {
             idle_ns: config.pin_idle_timeout_ns,
-            hard_ns: config.pin_hard_timeout_ns,
+            hard_ns: None,
         },
         applied_commands: 0,
         draining: 0,
@@ -2560,48 +2365,6 @@ impl BurstStaging {
     }
 }
 
-/// A burst-local memo of flow-table lookups: one table probe per distinct
-/// `(step, flow)` pair per burst, on top of the per-thread [`LookupCache`].
-/// Cleared at every burst boundary so that cross-layer messages applied
-/// between bursts are always visible to the next burst's lookups.
-#[derive(Default)]
-struct BurstLookupMemo {
-    entries: BurstMemo<(RulePort, FlowKey), Option<Decision>>,
-}
-
-impl BurstLookupMemo {
-    /// Builds the memo with the host's configured probe-cap thresholds
-    /// ([`ThreadedHostConfig::memo_bypass_min_entries`] /
-    /// [`ThreadedHostConfig::memo_bypass_hit_divisor`]).
-    fn with_thresholds(bypass_min_entries: usize, bypass_hit_divisor: u32) -> Self {
-        BurstLookupMemo {
-            entries: BurstMemo::with_thresholds(bypass_min_entries, bypass_hit_divisor),
-        }
-    }
-
-    fn clear(&mut self) {
-        self.entries.clear();
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn lookup(
-        &mut self,
-        table: &SharedFlowTable,
-        cache: &mut LookupCache,
-        enable_cache: bool,
-        step: RulePort,
-        key: &FlowKey,
-        now_ns: u64,
-        ttl_ns: u64,
-    ) -> Option<Decision> {
-        self.entries
-            .get_or_insert_with((step, *key), |(step, key)| {
-                cached_lookup(table, cache, enable_cache, *step, key, now_ns, ttl_ns)
-            })
-            .clone()
-    }
-}
-
 /// Where a [`ShardEngine`] is in its lifecycle. The engine is a
 /// step-callable state machine: the threaded runtime calls
 /// [`ShardEngine::step`] in a spin loop, the deterministic simulator calls
@@ -2639,11 +2402,10 @@ pub(crate) struct ShardEngine {
     phase: EnginePhase,
     slots: Vec<NfSlot>,
     service_instances: HashMap<ServiceId, Vec<usize>>,
-    /// How packets are spread over multiple replicas of one service (see
-    /// [`ReplicaDispatch`]).
-    replica_dispatch: ReplicaDispatch,
     egress: Producer<HostOutput>,
-    gate: Option<Arc<CreditGate>>,
+    /// The shard's credit gate: one credit is released exactly once per
+    /// admitted packet, when it reaches a terminal state.
+    gate: Arc<CreditGate>,
     /// This shard's flow-table partition.
     table: SharedFlowTable,
     /// The partition's wildcard-mutation provenance log (shared with the
@@ -2658,14 +2420,10 @@ pub(crate) struct ShardEngine {
     /// possible flow-state touch (egress staging, drop, punt) — the drain
     /// condition of the bucket re-home handshake.
     tracker: Arc<BucketTracker>,
-    enable_cache: bool,
     burst_size: usize,
     nf_ring_capacity: usize,
     /// Upper bound for credit resizes: the smallest internal ring capacity.
     credit_clamp: usize,
-    trusted: bool,
-    /// When bucket in-flight counts drop (egress staging vs full egress).
-    ordering: RehomeOrdering,
     /// Host clock (real or virtual); the epoch for every timestamp the
     /// engine publishes or compares.
     clock: HostClock,
@@ -2673,7 +2431,11 @@ pub(crate) struct ShardEngine {
     /// simulation actors under the deterministic harness.
     spawner: Box<dyn ReplicaSpawner>,
     cache: LookupCache,
-    memo: BurstLookupMemo,
+    /// Burst-local memo of flow-table lookups: one table probe per distinct
+    /// `(step, flow)` pair per burst, on top of `cache`. Cleared at every
+    /// burst boundary so that cross-layer messages applied between bursts
+    /// are always visible to the next burst's lookups.
+    memo: BurstMemo<(RulePort, FlowKey), Option<Decision>>,
     staging: BurstStaging,
     /// Reused RX burst buffer (popped ingress frames).
     rx_burst: Vec<IngressFrame>,
@@ -2704,8 +2466,6 @@ pub(crate) struct ShardEngine {
     /// How often the worker sweeps the flow table for rules whose
     /// idle/hard timeout elapsed (0 disables the sweep).
     rule_sweep_interval_ns: u64,
-    /// Eviction budget per sweep, bounding the per-step pause.
-    max_evictions_per_sweep: usize,
     /// Host-clock instant of the last timeout sweep.
     last_sweep_ns: u64,
     /// Loop-iteration countdown between sweep clock checks (same pattern
@@ -2849,7 +2609,7 @@ impl ShardEngine {
                     let now_ns = self.clock.now_ns();
                     while let Some(frame) = ingress.pop() {
                         self.stats.add_overflow_drops(1);
-                        self.release_credits(1);
+                        self.gate.release(1);
                         if let Some(key) = &frame.key {
                             self.tracker.finish(key);
                             // Straggler drops still terminate the traces of
@@ -3062,14 +2822,12 @@ impl ShardEngine {
             running: Arc::clone(&self.running),
             stop: Arc::clone(&stop),
             stats: self.stats.clone(),
-            gate: self.gate.clone(),
             tracker: Arc::clone(&self.tracker),
             table: self.table.clone(),
             mutation_log: Arc::clone(&self.mutation_log),
             channel: Arc::clone(&channel),
             probe: Arc::clone(&probe),
             measure: self.telemetry_interval_ns != 0,
-            trusted: self.trusted,
             clock: self.clock.clone(),
             burst_size: self.burst_size,
             pin_timeouts: self.pin_timeouts,
@@ -3174,9 +2932,7 @@ impl ShardEngine {
             ShardCommand::AddNf { service, nf } => self.spawn_nf(service, nf),
             ShardCommand::RemoveNf { service } => self.begin_remove_nf(service),
             ShardCommand::ResizeCredits { credits } => {
-                if let Some(gate) = &self.gate {
-                    gate.resize(credits.clamp(1, self.credit_clamp));
-                }
+                self.gate.resize(credits.clamp(1, self.credit_clamp));
             }
             ShardCommand::ExportBucketState {
                 id,
@@ -3473,7 +3229,7 @@ impl ShardEngine {
         let tracker = Arc::clone(&self.tracker);
         let evicted = self
             .table
-            .sweep_expired(now_ns, self.max_evictions_per_sweep, |(_, key)| {
+            .sweep_expired(now_ns, MAX_EVICTIONS_PER_SWEEP, |(_, key)| {
                 tracker.is_parked(tracker.bucket_of(key))
             });
         if evicted.is_empty() {
@@ -3568,8 +3324,8 @@ impl ShardEngine {
             ingress_capacity: ingress.capacity(),
             egress_depth: self.egress.len(),
             egress_capacity: self.egress.capacity(),
-            credits_in_flight: self.gate.as_ref().map_or(0, |g| g.in_flight()),
-            credit_capacity: self.gate.as_ref().map_or(0, |g| g.capacity()),
+            credits_in_flight: self.gate.in_flight(),
+            credit_capacity: self.gate.capacity(),
             nfs,
             nf_slots_allocated: self.slots.len(),
             received: self.stats.received(),
@@ -3631,15 +3387,6 @@ impl ShardEngine {
         self.staging.egress.push(out);
     }
 
-    /// Releases `n` packet credits back to the shard's gate (no-op under
-    /// [`OverflowPolicy::Drop`]). Called exactly once per admitted packet,
-    /// when it reaches a terminal state.
-    fn release_credits(&self, n: usize) {
-        if let Some(gate) = &self.gate {
-            gate.release(n);
-        }
-    }
-
     /// Records a keyed packet's last possible flow-state touch: it was
     /// staged for egress, dropped or punted, so it can no longer read or
     /// write this shard's flow table. Called exactly once per tracked
@@ -3648,33 +3395,17 @@ impl ShardEngine {
         self.tracker.finish(key);
     }
 
-    /// The bucket-count release point for packets bound for egress: under
-    /// the default [`RehomeOrdering::Relaxed`] the count drops here (egress
-    /// staging — the packet can no longer touch flow state); under
-    /// [`RehomeOrdering::Strict`] it drops only when the host polls the
-    /// packet out, so a moving bucket's release waits for full egress and
-    /// per-flow egress order is preserved across the move.
-    fn finish_at_egress_staging(&self, key: &FlowKey) {
-        if matches!(self.ordering, RehomeOrdering::Relaxed) {
-            self.tracker.finish(key);
-        }
-    }
-
-    /// Accounts the staged-egress packets that will never reach the host
-    /// (drop policy overflow, shutdown mid-stall) as overflow drops, and —
-    /// under [`RehomeOrdering::Strict`], where their bucket counts are
-    /// still held — releases those counts here.
-    fn drop_staged_egress(&mut self) {
+    /// Accounts staged egress at engine shutdown: the host is gone, so the
+    /// packets that will never reach it release their credits and are
+    /// counted as overflow drops. Their bucket counts were already released
+    /// at staging.
+    fn abort_staged_egress(&mut self) {
         let leftover = self.staging.egress.len();
         if leftover == 0 {
             return;
         }
+        self.gate.release(leftover);
         self.stats.add_overflow_drops(leftover as u64);
-        if matches!(self.ordering, RehomeOrdering::Strict) {
-            for out in &self.staging.egress {
-                self.tracker.finish(&out.key);
-            }
-        }
         self.staging.egress.clear();
         if self.staging.egress_meta.iter().any(|m| m.traced) {
             let now_ns = self.clock.now_ns();
@@ -3695,26 +3426,14 @@ impl ShardEngine {
         self.staging.egress_meta.clear();
     }
 
-    /// Accounts staged egress at engine shutdown: the host is gone, so the
-    /// packets' credits are released and the remainder dropped and counted.
-    fn abort_staged_egress(&mut self) {
-        let leftover = self.staging.egress.len();
-        if leftover > 0 {
-            self.release_credits(leftover);
-            self.drop_staged_egress();
-        }
-    }
-
     fn lookup(&mut self, step: RulePort, key: &FlowKey) -> Option<Decision> {
-        self.memo.lookup(
-            &self.table,
-            &mut self.cache,
-            self.enable_cache,
-            step,
-            key,
-            self.approx_now_ns,
-            self.cache_ttl_ns,
-        )
+        let (table, cache) = (&self.table, &mut self.cache);
+        let (now_ns, ttl_ns) = (self.approx_now_ns, self.cache_ttl_ns);
+        self.memo
+            .get_or_insert_with((step, *key), |(step, key)| {
+                cached_lookup(table, cache, true, *step, key, now_ns, ttl_ns)
+            })
+            .clone()
     }
 
     /// RX role: first lookup per distinct flow, then dispatch into NF rings.
@@ -3733,7 +3452,7 @@ impl ShardEngine {
                 .record(now_ns.saturating_sub(packet.timestamp_ns));
             let Some(key) = key else {
                 self.stats.add_dropped(1);
-                self.release_credits(1);
+                self.gate.release(1);
                 continue;
             };
             let sampled = sample_every != 0 && key.stable_hash() % sample_every == 0;
@@ -3742,7 +3461,7 @@ impl ShardEngine {
                 // No controller thread is attached in the threaded runtime;
                 // a miss is counted and the packet is dropped.
                 self.stats.add_controller_punts(1);
-                self.release_credits(1);
+                self.gate.release(1);
                 self.finish_flow(&key);
                 if sampled {
                     self.emit_span(
@@ -3804,38 +3523,25 @@ impl ShardEngine {
                 .collect();
             if targets.is_empty() {
                 self.stats.add_dropped(1);
-                self.release_credits(1);
+                self.gate.release(1);
                 self.finish_flow(&key);
                 rx_span(self, SpanVerdict::Dropped);
                 return;
             }
             let indices: Vec<usize> = targets
                 .iter()
-                .filter_map(|s| {
-                    pick_instance(
-                        &self.service_instances,
-                        &self.slots,
-                        &self.staging,
-                        *s,
-                        self.replica_dispatch,
-                        &key,
-                    )
-                })
+                .filter_map(|s| pick_instance(&self.service_instances, *s, &key))
                 .collect();
-            if indices.len() != targets.len() {
-                self.stats.add_overflow_drops(1);
-                self.release_credits(1);
-                self.finish_flow(&key);
-                rx_span(self, SpanVerdict::Dropped);
-                return;
-            }
             // All-or-nothing: a parallel packet must reach *every* target NF
             // or none — partial delivery would let a packet bypass e.g. a
-            // firewall whose ring happened to be full and still be forwarded
-            // on the other NFs' verdicts alone.
-            if !parallel_fits(&self.staging, &self.slots, &indices) {
+            // firewall that has no replica here (or whose ring happened to
+            // be full) and still be forwarded on the other NFs' verdicts
+            // alone.
+            if indices.len() != targets.len()
+                || !parallel_fits(&self.staging, &self.slots, &indices)
+            {
                 self.stats.add_overflow_drops(1);
-                self.release_credits(1);
+                self.gate.release(1);
                 self.finish_flow(&key);
                 rx_span(self, SpanVerdict::Dropped);
                 return;
@@ -3859,14 +3565,7 @@ impl ShardEngine {
 
         match actions.first().copied() {
             Some(Action::ToService(service)) => {
-                match pick_instance(
-                    &self.service_instances,
-                    &self.slots,
-                    &self.staging,
-                    service,
-                    self.replica_dispatch,
-                    &key,
-                ) {
+                match pick_instance(&self.service_instances, service, &key) {
                     Some(index) => {
                         let shared = SharedPacket::new(packet, 1);
                         self.staging.per_ring[index].push(WorkItem {
@@ -3880,7 +3579,7 @@ impl ShardEngine {
                     }
                     None => {
                         self.stats.add_dropped(1);
-                        self.release_credits(1);
+                        self.gate.release(1);
                         self.finish_flow(&key);
                         rx_span(self, SpanVerdict::Dropped);
                     }
@@ -3890,20 +3589,20 @@ impl ShardEngine {
                 // Transmitted accounting (and credit release) happens at
                 // flush, when the egress push lands; the packet's
                 // flow-state work is already over, so its bucket count
-                // drops here (or at full egress under strict ordering).
-                self.finish_at_egress_staging(&key);
+                // drops here.
+                self.finish_flow(&key);
                 self.stage_egress(HostOutput { port, packet, key }, now_ns, traced);
                 rx_span(self, SpanVerdict::Forwarded);
             }
             Some(Action::ToController) => {
                 self.stats.add_controller_punts(1);
-                self.release_credits(1);
+                self.gate.release(1);
                 self.finish_flow(&key);
                 rx_span(self, SpanVerdict::Punted);
             }
             Some(Action::Drop) | Some(Action::Trace) | None => {
                 self.stats.add_dropped(1);
-                self.release_credits(1);
+                self.gate.release(1);
                 self.finish_flow(&key);
                 rx_span(self, SpanVerdict::Dropped);
             }
@@ -3949,11 +3648,8 @@ impl ShardEngine {
                 }
                 other => {
                     let requested = other.as_action().expect("non-default verdict");
-                    match self.lookup(step, &item.key) {
-                        Some(decision) if decision.allows(requested) => requested,
-                        Some(decision) => decision.default_action().unwrap_or(Action::Drop),
-                        None => requested,
-                    }
+                    let decision = self.lookup(step, &item.key);
+                    validate_steering(decision.as_ref(), requested)
                 }
             };
             self.forward_decision(item, &[action], false, now_ns);
@@ -3987,7 +3683,7 @@ impl ShardEngine {
         if !parallel {
             match actions.first().copied() {
                 Some(Action::ToPort(port)) => {
-                    self.finish_at_egress_staging(&item.key);
+                    self.finish_flow(&item.key);
                     let packet = item.shared.clone_packet();
                     self.stage_egress(
                         HostOutput {
@@ -4002,14 +3698,14 @@ impl ShardEngine {
                 }
                 Some(Action::Drop) | Some(Action::Trace) | None => {
                     self.stats.add_dropped(1);
-                    self.release_credits(1);
+                    self.gate.release(1);
                     self.finish_flow(&item.key);
                     tx_span(self, &item, SpanVerdict::Dropped);
                     return;
                 }
                 Some(Action::ToController) => {
                     self.stats.add_controller_punts(1);
-                    self.release_credits(1);
+                    self.gate.release(1);
                     self.finish_flow(&item.key);
                     tx_span(self, &item, SpanVerdict::Punted);
                     return;
@@ -4028,38 +3724,22 @@ impl ShardEngine {
             .collect();
         if targets.is_empty() {
             self.stats.add_dropped(1);
-            self.release_credits(1);
+            self.gate.release(1);
             self.finish_flow(&item.key);
             tx_span(self, &item, SpanVerdict::Dropped);
             return;
         }
         let indices: Vec<usize> = targets
             .iter()
-            .filter_map(|s| {
-                pick_instance(
-                    &self.service_instances,
-                    &self.slots,
-                    &self.staging,
-                    *s,
-                    self.replica_dispatch,
-                    &item.key,
-                )
-            })
+            .filter_map(|s| pick_instance(&self.service_instances, *s, &item.key))
             .collect();
-        if indices.len() != targets.len() {
-            self.stats.add_overflow_drops(1);
-            self.release_credits(1);
-            self.finish_flow(&item.key);
-            tx_span(self, &item, SpanVerdict::Dropped);
-            return;
-        }
         // All-or-nothing for any multi-target re-dispatch (parallel or a
         // sequential rule listing several services): partial delivery would
         // let the packet's fate be decided by a subset of the NFs it was
         // meant to visit. See the matching check in `dispatch`.
-        if !parallel_fits(&self.staging, &self.slots, &indices) {
+        if indices.len() != targets.len() || !parallel_fits(&self.staging, &self.slots, &indices) {
             self.stats.add_overflow_drops(1);
-            self.release_credits(1);
+            self.gate.release(1);
             self.finish_flow(&item.key);
             tx_span(self, &item, SpanVerdict::Dropped);
             return;
@@ -4084,13 +3764,11 @@ impl ShardEngine {
 
     /// Flushes every staged descriptor with one batched push per ring.
     ///
-    /// Under backpressure a full egress ring parks the remainder in
-    /// `staging.egress` — retried at the top of every subsequent
-    /// [`ShardEngine::step`] until the host drains the ring (this is
-    /// exactly the backpressure the credits propagate to `inject`, and it
-    /// keeps `step` non-blocking so a simulator can interleave the host's
-    /// drain with the worker's retry). Under [`OverflowPolicy::Drop`]
-    /// leftovers are dropped and counted, matching the legacy runtime.
+    /// A full egress ring parks the remainder in `staging.egress` — retried
+    /// at the top of every subsequent [`ShardEngine::step`] until the host
+    /// drains the ring (this is exactly the backpressure the credits
+    /// propagate to `inject`, and it keeps `step` non-blocking so a
+    /// simulator can interleave the host's drain with the worker's retry).
     fn flush(&mut self) {
         for ring_index in 0..self.staging.per_ring.len() {
             if self.staging.per_ring[ring_index].is_empty() {
@@ -4099,61 +3777,31 @@ impl ShardEngine {
             self.slots[ring_index]
                 .ring
                 .push_n(&mut self.staging.per_ring[ring_index]);
-            if self.staging.per_ring[ring_index].is_empty() {
-                continue;
-            }
-            // Leftovers mean the ring was full at flush time. Unreachable
-            // under backpressure (credits are clamped below every ring
-            // capacity); under the drop policy this mirrors the legacy
-            // push-failure path.
-            let mut dropped_items = 0u64;
-            let mut dead_packets = 0usize;
-            let mut dead_keys: Vec<FlowKey> = Vec::new();
-            let mut dead_traced: Vec<FlowKey> = Vec::new();
-            for item in self.staging.per_ring[ring_index].drain(..) {
-                dropped_items += 1;
-                if item.shared.complete_one() {
-                    dead_packets += 1;
-                    dead_keys.push(item.key);
-                    if item.traced {
-                        dead_traced.push(item.key);
-                    }
-                }
-            }
-            self.stats.add_overflow_drops(dropped_items);
-            self.release_credits(dead_packets);
-            for key in dead_keys {
-                self.finish_flow(&key);
-            }
-            // Terminal span for traced packets that died at a full NF ring:
-            // the packet never reached the NF, so the Tx span is zero-width
-            // at the drop instant.
-            let now_ns = self.approx_now_ns;
-            for key in dead_traced {
-                self.emit_span(
-                    TraceStage::Tx,
-                    0,
-                    key.stable_hash(),
-                    now_ns,
-                    now_ns,
-                    SpanVerdict::Dropped,
-                );
-            }
+            // The zero-loss invariant: a shard holds at most `credits`
+            // packets in flight and credits are clamped to the NF ring
+            // capacity, so a flush always fits (multi-target dispatch checks
+            // `parallel_fits` before staging). A leftover here would be a
+            // silently lost packet — fail loudly instead.
+            assert!(
+                self.staging.per_ring[ring_index].is_empty(),
+                "shard {}: NF ring {ring_index} overflowed at flush ({} left staged)",
+                self.shard,
+                self.staging.per_ring[ring_index].len(),
+            );
         }
         self.flush_staged_egress();
     }
 
     /// Pushes staged egress packets to the host's egress ring (batched).
-    /// Whatever does not fit stays staged under backpressure (retried next
-    /// step; bounded by the credit clamp) and is dropped and counted under
-    /// the drop policy. Returns whether any packet was transmitted.
+    /// Whatever does not fit stays staged (retried next step; bounded by
+    /// the credit clamp). Returns whether any packet was transmitted.
     fn flush_staged_egress(&mut self) -> bool {
         if self.staging.egress.is_empty() {
             return false;
         }
         let pushed = self.egress.push_n(&mut self.staging.egress);
         self.stats.add_transmitted(pushed as u64);
-        self.release_credits(pushed);
+        self.gate.release(pushed);
         if pushed > 0 {
             // One clock read covers the whole egress batch: record
             // end-to-end and egress-wait latency for every pushed packet
@@ -4179,9 +3827,6 @@ impl ShardEngine {
                 }
             }
             self.staging.egress_meta.drain(..pushed);
-        }
-        if !self.staging.egress.is_empty() && self.gate.is_none() {
-            self.drop_staged_egress();
         }
         pushed > 0
     }
@@ -4215,19 +3860,12 @@ fn parallel_fits(staging: &BurstStaging, slots: &[NfSlot], indices: &[usize]) ->
     })
 }
 
-/// Picks the replica of a service that serves this packet.
-///
-/// Under [`ReplicaDispatch::Sticky`] the flow's stable hash indexes the
-/// (insertion-ordered) replica list, so every packet of a flow reaches the
-/// same replica and per-flow NF state never splinters across instances. The
-/// credit clamp (budget ≤ smallest internal ring) keeps the pinned ring
-/// from overflowing even when the hash distribution is unlucky.
-///
-/// Under [`ReplicaDispatch::LeastLoaded`] the replica with the fewest
-/// queued-plus-staged items wins, counting both the ring's occupancy and
-/// the items already staged for it this burst (staged items are invisible
-/// to `len()` until flush, so ignoring them would send a whole burst to the
-/// instance that merely looked emptiest at burst start).
+/// Picks the replica of a service that serves this packet: the flow's
+/// stable hash indexes the (insertion-ordered) replica list, so every packet
+/// of a flow reaches the same replica and per-flow NF state never splinters
+/// across instances. The credit clamp (budget ≤ smallest internal ring)
+/// keeps the pinned ring from overflowing even when the hash distribution is
+/// unlucky.
 ///
 /// Only [`SlotState::Active`] slots appear in `service_instances`, so
 /// draining replicas receive no new work. Replica churn (scale up/down)
@@ -4235,25 +3873,14 @@ fn parallel_fits(staging: &BurstStaging, slots: &[NfSlot], indices: &[usize]) ->
 /// flows a drained replica was serving.
 fn pick_instance(
     service_instances: &HashMap<ServiceId, Vec<usize>>,
-    slots: &[NfSlot],
-    staging: &BurstStaging,
     service: ServiceId,
-    dispatch: ReplicaDispatch,
     key: &FlowKey,
 ) -> Option<usize> {
     let candidates = service_instances.get(&service)?;
     if candidates.is_empty() {
         return None;
     }
-    match dispatch {
-        ReplicaDispatch::Sticky => {
-            Some(candidates[(key.stable_hash() % candidates.len() as u64) as usize])
-        }
-        ReplicaDispatch::LeastLoaded => candidates
-            .iter()
-            .copied()
-            .min_by_key(|index| slots[*index].ring.len() + staging.per_ring[*index].len()),
-    }
+    Some(candidates[(key.stable_hash() % candidates.len() as u64) as usize])
 }
 
 /// Everything one NF replica thread needs, bundled for
@@ -4268,10 +3895,8 @@ pub(crate) struct NfThread {
     /// Scale-down signal: exit once the input ring is empty.
     stop: Arc<AtomicBool>,
     stats: ShardStats,
-    gate: Option<Arc<CreditGate>>,
-    /// Per-bucket in-flight counts, for the (drop-policy-only) done-ring
-    /// overflow path where this thread terminates a packet itself, and for
-    /// attributing wildcard mutations to the mutating flow's bucket.
+    /// Bucket mapping, for attributing wildcard mutations to the mutating
+    /// flow's bucket and selecting a bucket's flows on state export.
     tracker: Arc<BucketTracker>,
     /// The owning shard's flow-table partition.
     table: SharedFlowTable,
@@ -4283,7 +3908,6 @@ pub(crate) struct NfThread {
     /// Whether to measure service times into the probe (off when the
     /// host's telemetry exporter is disabled — nothing would read them).
     measure: bool,
-    trusted: bool,
     clock: HostClock,
     burst_size: usize,
     /// Idle/hard timeouts stamped onto the exact-pin rules this replica's
@@ -4304,21 +3928,21 @@ impl NfThread {
 /// recording every wildcard mutation in the partition's provenance log
 /// keyed by the mutating flow's steering bucket (unattributed messages are
 /// logged bucket-less and travel with every departing bucket).
-#[allow(clippy::too_many_arguments)]
 fn apply_ctx_messages(
     ctx: &mut NfContext,
     service: ServiceId,
     table: &SharedFlowTable,
     mutation_log: &MutationLog,
     tracker: &BucketTracker,
-    trusted: bool,
     stats: &ShardStats,
     pin_timeouts: PinTimeouts,
 ) {
     for attributed in ctx.take_attributed_messages() {
         stats.add_nf_messages(1);
         let (_, wildcard) = table.with_write(|t| {
-            apply_nf_message_tracked_with(t, service, &attributed.message, trusted, pin_timeouts)
+            // NFs are untrusted: `ChangeDefault` may only pick a next hop the
+            // service graph allows (`force = false`).
+            apply_nf_message_tracked_with(t, service, &attributed.message, false, pin_timeouts)
         });
         if let Some(mutation) = wildcard {
             let bucket = attributed.flow.as_ref().map(|key| tracker.bucket_of(key));
@@ -4364,14 +3988,12 @@ pub(crate) struct NfEngine {
     /// Scale-down signal: exit once the input ring is empty.
     stop: Arc<AtomicBool>,
     stats: ShardStats,
-    gate: Option<Arc<CreditGate>>,
     tracker: Arc<BucketTracker>,
     table: SharedFlowTable,
     mutation_log: Arc<MutationLog>,
     channel: Arc<NfStateChannel>,
     probe: Arc<NfProbe>,
     measure: bool,
-    trusted: bool,
     clock: HostClock,
     burst_size: usize,
     pin_timeouts: PinTimeouts,
@@ -4400,14 +4022,12 @@ impl NfEngine {
             running,
             stop,
             stats,
-            gate,
             tracker,
             table,
             mutation_log,
             channel,
             probe,
             measure,
-            trusted,
             clock,
             burst_size,
             pin_timeouts,
@@ -4421,7 +4041,6 @@ impl NfEngine {
             &table,
             &mutation_log,
             &tracker,
-            trusted,
             &stats,
             pin_timeouts,
         );
@@ -4434,14 +4053,12 @@ impl NfEngine {
             running,
             stop,
             stats,
-            gate,
             tracker,
             table,
             mutation_log,
             channel,
             probe,
             measure,
-            trusted,
             clock,
             burst_size,
             pin_timeouts,
@@ -4658,7 +4275,6 @@ impl NfEngine {
             &self.table,
             &self.mutation_log,
             &self.tracker,
-            self.trusted,
             &self.stats,
             self.pin_timeouts,
         );
@@ -4678,26 +4294,15 @@ impl NfEngine {
         }
         self.items = items;
         self.done.push_n(&mut self.done_staging);
-        // Whatever did not fit the done ring is dropped — unreachable under
-        // backpressure (credits are clamped below the done-ring capacity),
-        // and mirroring the legacy push-failure path under the drop policy.
-        if !self.done_staging.is_empty() {
-            let leftover = self.done_staging.len();
-            self.stats.add_overflow_drops(leftover as u64);
-            if let Some(gate) = &self.gate {
-                // Each DoneItem is the sole owner of its packet.
-                gate.release(leftover);
-            }
-            for item in self.done_staging.drain(..) {
-                self.tracker.finish(&item.key);
-                // This thread is not the trace ring's producer, so a traced
-                // packet dying here cannot emit its terminal span — account
-                // it as a dropped span so conservation checks stay honest.
-                if item.traced {
-                    self.stats.add_spans_dropped(1);
-                }
-            }
-        }
+        // Same zero-loss invariant as the worker's flush: every packet in
+        // flight holds a credit and credits are clamped to the done-ring
+        // capacity, so a completion always fits.
+        assert!(
+            self.done_staging.is_empty(),
+            "NF {}: done ring overflowed ({} completions left staged)",
+            self.service,
+            self.done_staging.len(),
+        );
         true
     }
 }
@@ -4888,7 +4493,6 @@ mod tests {
         let outcome = host.inject_burst(burst);
         assert_eq!(outcome.admitted, 64);
         assert!(outcome.throttled.is_empty());
-        assert_eq!(outcome.dropped, 0);
         let outputs = collect_outputs(&host, 64);
         assert_eq!(outputs.len(), 64);
         host.shutdown();
@@ -4995,6 +4599,53 @@ mod tests {
         host.shutdown();
     }
 
+    /// An NF whose verdict steers every packet straight out of a port.
+    struct SteerToPortNf(Port);
+
+    impl NetworkFunction for SteerToPortNf {
+        fn name(&self) -> &str {
+            "steer-to-port"
+        }
+
+        fn process(&mut self, _packet: &Packet, _ctx: &mut NfContext) -> Verdict {
+            Verdict::ToPort(self.0)
+        }
+    }
+
+    #[test]
+    fn unvalidated_nf_steering_is_punted_not_transmitted() {
+        // The graph sends NIC 0 to the NF but has no rule at the NF's own
+        // step, so nothing says where the NF may steer. Its `ToPort` request
+        // must go to the controller (as `NfManager` does), not onto the wire.
+        let service = ServiceId::new(1);
+        let table = SharedFlowTable::new();
+        table.insert(FlowRule::new(
+            FlowMatch::at_step(RulePort::Nic(0)),
+            vec![Action::ToService(service)],
+        ));
+        let host = ThreadedHost::start(
+            table,
+            vec![(
+                service,
+                Box::new(SteerToPortNf(7)) as Box<dyn NetworkFunction>,
+            )],
+            ThreadedHostConfig::default(),
+        );
+        for i in 0..10 {
+            assert!(host.inject(packet(i)).is_admitted());
+        }
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while host.stats().snapshot().controller_punts < 10 && Instant::now() < deadline {
+            assert!(host.poll_egress().is_none(), "steered past the graph");
+            std::thread::yield_now();
+        }
+        let snap = host.stats().snapshot();
+        assert_eq!(snap.controller_punts, 10);
+        assert_eq!(snap.transmitted, 0);
+        assert!(host.poll_egress().is_none());
+        host.shutdown();
+    }
+
     #[test]
     fn timestamps_allow_latency_measurement() {
         let host = ThreadedHost::start(forward_table(), vec![], ThreadedHostConfig::default());
@@ -5088,14 +4739,13 @@ mod tests {
                 ..ThreadedHostConfig::default()
             },
         );
-        assert_eq!(host.credit_capacity(), Some(16));
+        assert_eq!(host.credit_capacity(), 16);
         let mut admitted = 0u64;
         let mut throttled = 0u64;
         for i in 0..200u16 {
             match host.inject(packet(i)) {
                 InjectResult::Admitted => admitted += 1,
                 InjectResult::Throttled(_) => throttled += 1,
-                InjectResult::Dropped => panic!("backpressure must not drop"),
             }
         }
         assert!(throttled > 0, "flood without draining must throttle");
@@ -5109,37 +4759,10 @@ mod tests {
         assert_eq!(snap.throttled, throttled);
         // After the drain every credit is back.
         let deadline = Instant::now() + Duration::from_secs(2);
-        while host.available_credits(0) != Some(16) && Instant::now() < deadline {
+        while host.available_credits(0) != 16 && Instant::now() < deadline {
             std::thread::yield_now();
         }
-        assert_eq!(host.available_credits(0), Some(16));
-        host.shutdown();
-    }
-
-    #[test]
-    fn drop_policy_keeps_legacy_overflow_drops() {
-        let host = ThreadedHost::start(
-            forward_table(),
-            vec![],
-            ThreadedHostConfig {
-                ingress_capacity: 8,
-                egress_capacity: 8,
-                overflow_policy: OverflowPolicy::Drop,
-                ..ThreadedHostConfig::default()
-            },
-        );
-        assert_eq!(host.credit_capacity(), None);
-        assert_eq!(host.available_credits(0), None);
-        let mut dropped = 0u64;
-        for i in 0..500u16 {
-            match host.inject(packet(i)) {
-                InjectResult::Dropped => dropped += 1,
-                InjectResult::Admitted => {}
-                InjectResult::Throttled(_) => panic!("drop policy never throttles"),
-            }
-        }
-        assert!(dropped > 0, "flooding a tiny ring must drop");
-        assert!(host.stats().snapshot().overflow_drops >= dropped);
+        assert_eq!(host.available_credits(0), 16);
         host.shutdown();
     }
 
@@ -5333,7 +4956,6 @@ mod tests {
                         pen_admitted += 1;
                     }
                     InjectResult::Throttled(_) => pen_throttled += 1,
-                    InjectResult::Dropped => panic!("backpressure must not drop"),
                 }
             }
         }
@@ -5647,11 +5269,11 @@ mod tests {
             forward_table(),
             vec![],
             ThreadedHostConfig {
-                trace_sample_every: 1, // trace every flow
                 trace_ring_capacity: 4096,
                 ..ThreadedHostConfig::default()
             },
         );
+        host.set_trace_sampling(1); // trace every flow
         for i in 0..50 {
             assert!(host.inject(packet(i)).is_admitted());
         }
@@ -5684,14 +5306,8 @@ mod tests {
     #[test]
     fn rule_miss_emits_punted_span_for_sampled_flows() {
         use sdnfv_telemetry::{SpanVerdict, TraceStage};
-        let host = ThreadedHost::start(
-            forward_table(),
-            vec![],
-            ThreadedHostConfig {
-                trace_sample_every: 1,
-                ..ThreadedHostConfig::default()
-            },
-        );
+        let host = ThreadedHost::start(forward_table(), vec![], ThreadedHostConfig::default());
+        host.set_trace_sampling(1);
         // Ingress port 1 has no rule: the lookup misses and the packet is
         // punted — its trace must still terminate.
         let stray = PacketBuilder::udp()
@@ -5731,7 +5347,7 @@ mod tests {
         let host = ThreadedHost::start(
             table,
             vec![],
-            ThreadedHostConfig::default(), // trace_sample_every = 0
+            ThreadedHostConfig::default(), // hash sampling starts off
         );
         assert_eq!(host.trace_sampling(), 0);
         let build = |port: u8, src_port: u16| {
@@ -5764,11 +5380,11 @@ mod tests {
             forward_table(),
             vec![],
             ThreadedHostConfig {
-                trace_sample_every: 1,
                 trace_ring_capacity: 4, // deliberately tiny, never drained
                 ..ThreadedHostConfig::default()
             },
         );
+        host.set_trace_sampling(1);
         for i in 0..100 {
             assert!(host.inject(packet(i)).is_admitted());
         }
@@ -5807,11 +5423,11 @@ mod tests {
             table,
             nfs,
             ThreadedHostConfig {
-                trace_sample_every: 1,
                 trace_ring_capacity: 8192,
                 ..ThreadedHostConfig::default()
             },
         );
+        host.set_trace_sampling(1);
         for i in 0..30 {
             assert!(host.inject(packet(i)).is_admitted());
         }
@@ -5944,10 +5560,11 @@ mod tests {
         }
     }
 
-    /// Runs 3 flows x 8 packets through a two-replica service and returns
-    /// how many distinct (replica, flow) owner pairs appeared — the number
+    /// Runs 3 flows x 8 packets through a two-replica service and counts
+    /// the distinct (replica, flow) owner pairs that appeared — the number
     /// of per-flow state copies a stateful NF would have ended up with.
-    fn replica_owner_pairs(dispatch: ReplicaDispatch) -> usize {
+    #[test]
+    fn sticky_dispatch_keeps_each_flow_on_one_replica() {
         let service = ServiceId::new(1);
         let table = SharedFlowTable::new();
         table.insert(FlowRule::new(
@@ -5975,13 +5592,10 @@ mod tests {
                     })
                     .collect()
             },
-            ThreadedHostConfig {
-                replica_dispatch: dispatch,
-                ..ThreadedHostConfig::default()
-            },
+            ThreadedHostConfig::default(),
         );
         // One interleaved burst: the whole burst stages before any replica
-        // drains, so least-loaded balancing alternates replicas mid-flow.
+        // drains, so per-packet balancing would alternate replicas mid-flow.
         let burst: Vec<Packet> = (0..8u16).flat_map(|_| (0..3).map(packet)).collect();
         let outcome = host.inject_burst(burst);
         assert_eq!(outcome.admitted, 24);
@@ -5991,20 +5605,7 @@ mod tests {
         assert_eq!(host.poll_egress_burst(64).len(), 24);
         host.shutdown();
         let owners = seen.lock().len();
-        owners
-    }
-
-    #[test]
-    fn sticky_dispatch_keeps_each_flow_on_one_replica() {
-        assert_eq!(
-            replica_owner_pairs(ReplicaDispatch::Sticky),
-            3,
-            "sticky: exactly one state owner per flow"
-        );
-        assert!(
-            replica_owner_pairs(ReplicaDispatch::LeastLoaded) > 3,
-            "least-loaded splits a flow's state across replicas"
-        );
+        assert_eq!(owners, 3, "sticky: exactly one state owner per flow");
     }
 
     #[test]

@@ -35,9 +35,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use sdnfv_control::{ElasticNfManager, ElasticPolicy, NfvOrchestrator, ShardPolicy};
-use sdnfv_dataplane::{
-    InjectResult, RehomeOrdering, SimActorKind, ThreadedHost, ThreadedHostConfig,
-};
+use sdnfv_dataplane::{InjectResult, SimActorKind, ThreadedHost, ThreadedHostConfig};
 use sdnfv_flowtable::{Action, FlowMatch, FlowRule, RulePort, ServiceId, SharedFlowTable};
 use sdnfv_nf::{NetworkFunction, NfContext, NfFlowState, NfMessage, NfRegistry, Verdict};
 use sdnfv_obs::FlightRecorder;
@@ -296,7 +294,6 @@ pub fn run_seed(config: &DstConfig) -> RunReport {
         }
     };
 
-    let strict = config.seed % 2 == 1;
     let host_config = ThreadedHostConfig {
         num_shards: 2,
         burst_size: 8,
@@ -311,24 +308,16 @@ pub fn run_seed(config: &DstConfig) -> RunReport {
         // outrun it.
         rule_sweep_interval_ns: 200_000,
         pin_idle_timeout_ns: Some(30_000_000),
-        rehome_ordering: if strict {
-            RehomeOrdering::Strict
-        } else {
-            RehomeOrdering::Relaxed
-        },
-        // Observability rides along on every schedule: hash-sampled flow
-        // tracing plus a ring deep enough that no span is shed between the
+        // A trace ring deep enough that no span is shed between the
         // per-tick drains (a shed span would weaken the conservation
         // oracle, and `spans_dropped` reports it if it ever happens).
-        trace_sample_every: TRACE_SAMPLE_EVERY,
         trace_ring_capacity: 4096,
         ..ThreadedHostConfig::default()
     };
     trace_event!(trace, "seed {:#x}: {}", config.seed, plan.summary());
     trace_event!(
         trace,
-        "host: shards=2 credits=64 ordering={} trace-sampling=1/{}",
-        if strict { "strict" } else { "relaxed" },
+        "host: shards=2 credits=64 trace-sampling=1/{}",
         TRACE_SAMPLE_EVERY
     );
 
@@ -337,6 +326,9 @@ pub fn run_seed(config: &DstConfig) -> RunReport {
         |_shard| vec![(service, make_nf())],
         host_config,
     );
+    // Observability rides along on every schedule: hash-sampled flow
+    // tracing, switched on before the first packet.
+    host.set_trace_sampling(TRACE_SAMPLE_EVERY);
 
     // The elastic manager drives the same host through the TelemetrySource
     // seam; virtual-time cooldowns are short so decisions happen within
@@ -545,7 +537,6 @@ pub fn run_seed(config: &DstConfig) -> RunReport {
                     }
                 }
                 InjectResult::Throttled(_) => throttled += 1,
-                InjectResult::Dropped => {}
             }
         }
         if packets > 0 {
@@ -625,12 +616,8 @@ pub fn run_seed(config: &DstConfig) -> RunReport {
         for event in host.take_rehome_events() {
             recorder.record_rehome(&event);
         }
-        let credits_ok = (0..host.num_shards()).all(|s| {
-            match (host.available_credits(s), host.credit_budget(s)) {
-                (Some(available), Some(budget)) => available == budget,
-                _ => true,
-            }
-        });
+        let credits_ok =
+            (0..host.num_shards()).all(|s| host.available_credits(s) == host.credit_budget(s));
         let idle = work == 0
             && polled.is_empty()
             && host.pending_rehomes() == 0
@@ -652,14 +639,11 @@ pub fn run_seed(config: &DstConfig) -> RunReport {
         ));
     }
     for shard in 0..host.num_shards() {
-        if let (Some(available), Some(budget)) =
-            (host.available_credits(shard), host.credit_budget(shard))
-        {
-            if available != budget {
-                violations.push(format!(
-                    "credit conservation: shard {shard} has {available}/{budget} after quiescence"
-                ));
-            }
+        let (available, budget) = (host.available_credits(shard), host.credit_budget(shard));
+        if available != budget {
+            violations.push(format!(
+                "credit conservation: shard {shard} has {available}/{budget} after quiescence"
+            ));
         }
     }
     let steering = host.steering_table();

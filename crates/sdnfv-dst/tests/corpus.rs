@@ -25,11 +25,11 @@ fn replay_pinned(seed: u64) -> sdnfv_dst::RunReport {
     report
 }
 
-/// Strict re-home ordering under the full fault mix (all telemetry faults,
-/// stalls, credit resizes, rebalances racing shard scale and replica
-/// churn), with replica scale-downs handing off NF state mid-schedule.
+/// The full fault mix (all telemetry faults, stalls, credit resizes,
+/// rebalances racing shard scale and replica churn), with replica
+/// scale-downs handing off NF state mid-schedule.
 #[test]
-fn pinned_seed_0x1_strict_ordering_full_fault_mix() {
+fn pinned_seed_0x1_full_fault_mix() {
     let report = replay_pinned(0x1);
     assert!(report.stats.nf_state_handoffs > 0);
     assert!(report.pins > 0);

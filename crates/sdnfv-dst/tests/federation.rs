@@ -108,7 +108,6 @@ fn run_schedule(seed: u64) -> (Vec<String>, u64, u64) {
                         injected += 1;
                     }
                     InjectResult::Throttled(_) => break, // retry next tick
-                    InjectResult::Dropped => panic!("backpressure never drops"),
                 }
             }
         }
@@ -152,7 +151,6 @@ fn run_schedule(seed: u64) -> (Vec<String>, u64, u64) {
         "seed {seed:#x} lost a bucket handout"
     );
     assert_eq!(ledger.wildcard_conflicts, 0, "seed {seed:#x} wildcard loss");
-    assert_eq!(fed.report().frames_dropped, 0, "seed {seed:#x} wire drops");
     let rehomed = fed.report().buckets_rehomed;
     trace.push(format!(
         "census admitted={admitted} egressed={egressed} rehomed={rehomed} \

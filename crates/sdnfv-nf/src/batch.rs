@@ -208,11 +208,11 @@ impl<K: PartialEq, V> BurstMemo<K, V> {
         BurstMemo::with_thresholds(Self::BYPASS_MIN_ENTRIES, Self::BYPASS_HIT_DIVISOR)
     }
 
-    /// Creates an empty memo with explicit probe-cap thresholds — the knobs
-    /// DDoS-style profiles tune when the defaults mis-fire (a
+    /// Creates an empty memo with explicit probe-cap thresholds (a
     /// `bypass_hit_divisor` of 0 disables bypassing entirely; a
-    /// `bypass_min_entries` of 0 is clamped to 1).
-    pub fn with_thresholds(bypass_min_entries: usize, bypass_hit_divisor: u32) -> Self {
+    /// `bypass_min_entries` of 0 is clamped to 1). Private: callers get the
+    /// defaults; the unit tests exercise the heuristic's edges through it.
+    fn with_thresholds(bypass_min_entries: usize, bypass_hit_divisor: u32) -> Self {
         BurstMemo {
             entries: Vec::with_capacity(8),
             probes: 0,
@@ -346,7 +346,7 @@ mod tests {
     }
 
     #[test]
-    fn burst_memo_bypasses_under_all_distinct_keys() {
+    fn burst_memo_stops_memoizing_all_distinct_keys() {
         // All-distinct traffic: the memo must stop growing (and scanning)
         // once the probe cap is reached with a zero hit rate.
         let mut memo: BurstMemo<u32, u32> = BurstMemo::new();

@@ -104,10 +104,9 @@ pub struct TelemetrySnapshot {
     pub egress_depth: usize,
     /// Capacity of the egress ring.
     pub egress_capacity: usize,
-    /// Credits currently held by in-flight packets (0 under the drop
-    /// policy).
+    /// Credits currently held by in-flight packets.
     pub credits_in_flight: usize,
-    /// The shard's current credit budget (0 under the drop policy).
+    /// The shard's current credit budget.
     pub credit_capacity: usize,
     /// Per-NF-instance telemetry, one entry per live replica.
     pub nfs: Vec<NfTelemetry>,
@@ -201,8 +200,8 @@ impl TelemetrySnapshot {
         (self.ingress_depth as f64 / self.ingress_capacity as f64).min(1.0)
     }
 
-    /// Credit occupancy as a fraction of the budget, in `[0, 1]` (0 under
-    /// the drop policy).
+    /// Credit occupancy as a fraction of the budget, in `[0, 1]` (0 for a
+    /// zero budget).
     pub fn credit_fill(&self) -> f64 {
         if self.credit_capacity == 0 {
             return 0.0;

@@ -106,9 +106,9 @@ fn main() {
         }
     };
     // No hand-tuned in-flight bound: the host runs under credit-based
-    // backpressure (the default `OverflowPolicy::Backpressure`), so a
-    // saturated pipeline hands packets back as `Throttled` instead of
-    // silently dropping them — we just retry after draining egress.
+    // backpressure, so a saturated pipeline hands packets back as
+    // `Throttled` instead of silently dropping them — we just retry after
+    // draining egress.
     let mut pending: Vec<_> = Vec::new();
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
     while injected < 5_000 && std::time::Instant::now() < deadline {

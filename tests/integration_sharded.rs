@@ -1,12 +1,10 @@
 //! End-to-end tests of the sharded threaded runtime: flow-hash steering
 //! invariants and credit-based ingress backpressure.
 
-use sdnfv::dataplane::{
-    shard_for_flow, InjectResult, OverflowPolicy, ThreadedHost, ThreadedHostConfig,
-};
-use sdnfv::flowtable::{ServiceId, SharedFlowTable};
+use sdnfv::dataplane::{shard_for_flow, ThreadedHost, ThreadedHostConfig};
+use sdnfv::flowtable::SharedFlowTable;
 use sdnfv::graph::{catalog, CompileOptions};
-use sdnfv::nf::nfs::ComputeNf;
+use sdnfv::nf::nfs::{ComputeNf, NoOpNf};
 use sdnfv::nf::{NetworkFunction, NfContext, Verdict};
 use sdnfv::proto::flow::FlowKey;
 use sdnfv::proto::packet::{Packet, PacketBuilder};
@@ -191,11 +189,10 @@ fn flooded_host_throttles_instead_of_dropping() {
             nf_ring_capacity: 128,
             shard_credits: 64,
             egress_capacity: 128,
-            overflow_policy: OverflowPolicy::Backpressure,
             ..ThreadedHostConfig::default()
         },
     );
-    assert_eq!(host.credit_capacity(), Some(64));
+    assert_eq!(host.credit_capacity(), 64);
 
     let mut admitted = 0u64;
     let mut throttled_returns = 0u64;
@@ -220,7 +217,6 @@ fn flooded_host_throttles_instead_of_dropping() {
         let outcome = host.inject_burst(burst);
         admitted += outcome.admitted as u64;
         throttled_returns += outcome.throttled.len() as u64;
-        assert_eq!(outcome.dropped, 0, "backpressure must never drop");
         if round % 8 == 0 {
             drained += host.poll_egress_burst(64).len() as u64;
         }
@@ -248,8 +244,7 @@ fn flooded_host_throttles_instead_of_dropping() {
     // With the pipeline idle again, every credit is back in both gates.
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
-        let restored =
-            (0..host.num_shards()).all(|shard| host.available_credits(shard) == Some(64));
+        let restored = (0..host.num_shards()).all(|shard| host.available_credits(shard) == 64);
         if restored || Instant::now() > deadline {
             break;
         }
@@ -258,45 +253,74 @@ fn flooded_host_throttles_instead_of_dropping() {
     for shard in 0..host.num_shards() {
         assert_eq!(
             host.available_credits(shard),
-            Some(64),
+            64,
             "credits leaked on shard {shard}"
         );
     }
     host.shutdown();
 }
 
-/// The explicit drop policy still drops (and counts) instead of throttling.
+/// Rings at their minimum: every NF ring holds exactly one credit budget,
+/// which is exactly one burst. The credit clamp alone must keep the
+/// parallel fan-out (three ring copies per packet) from ever overflowing an
+/// NF ring — the engine asserts that a flush leaves nothing staged — and the
+/// packet ledger must balance with zero overflow drops.
 #[test]
-fn drop_policy_surfaces_ingress_drops() {
+fn minimum_rings_lose_nothing_on_the_parallel_chain() {
+    const TOTAL: usize = 100_000;
+    const BURST: usize = 8;
+    let (graph, ids) = catalog::chain(&[("a", true), ("b", true), ("c", true)]);
     let table = SharedFlowTable::new();
-    table.insert(sdnfv::flowtable::FlowRule::new(
-        sdnfv::flowtable::FlowMatch::at_step(sdnfv::flowtable::RulePort::Nic(0)),
-        vec![sdnfv::flowtable::Action::ToPort(1)],
-    ));
-    let host = ThreadedHost::start(
+    let parallel = CompileOptions {
+        enable_parallel: true,
+        ..CompileOptions::default()
+    };
+    for rule in graph.compile(&parallel) {
+        table.insert(rule);
+    }
+    let host = ThreadedHost::start_sharded(
         table,
-        vec![] as Vec<(ServiceId, Box<dyn NetworkFunction>)>,
+        |_shard| {
+            ids.iter()
+                .map(|id| (*id, Box::new(NoOpNf::new()) as Box<dyn NetworkFunction>))
+                .collect()
+        },
         ThreadedHostConfig {
-            ingress_capacity: 8,
-            egress_capacity: 8,
-            overflow_policy: OverflowPolicy::Drop,
+            num_shards: 2,
+            burst_size: BURST,
+            nf_ring_capacity: BURST,
+            shard_credits: BURST,
             ..ThreadedHostConfig::default()
         },
     );
-    let mut dropped = 0u64;
-    for i in 0..400u16 {
-        match host.inject(
-            PacketBuilder::udp()
-                .src_port(1024 + i)
-                .ingress_port(0)
-                .build(),
-        ) {
-            InjectResult::Dropped => dropped += 1,
-            InjectResult::Admitted => {}
-            InjectResult::Throttled(_) => panic!("drop policy never throttles"),
+    assert_eq!(host.credit_capacity(), BURST);
+
+    let mut lcg = Lcg(0x5eed);
+    let mut sent = 0usize;
+    let mut received = 0usize;
+    let mut pending: Vec<Packet> = Vec::new();
+    let deadline = Instant::now() + Duration::from_secs(120);
+    while received < TOTAL && Instant::now() < deadline {
+        if pending.is_empty() && sent < TOTAL {
+            pending = (0..BURST.min(TOTAL - sent))
+                .map(|_| random_packet(&mut lcg))
+                .collect();
+        }
+        let outcome = host.inject_burst(std::mem::take(&mut pending));
+        sent += outcome.admitted;
+        pending = outcome.throttled;
+        let drained = host.poll_egress_burst(64).len();
+        received += drained;
+        if drained == 0 && outcome.admitted == 0 {
+            std::thread::yield_now();
         }
     }
-    assert!(dropped > 0);
-    assert!(host.stats().snapshot().overflow_drops >= dropped);
+    assert_eq!(received, TOTAL, "every packet came back out");
+
+    let snap = host.stats().snapshot();
+    assert_eq!(snap.overflow_drops, 0, "no ring overflowed");
+    assert_eq!(snap.received, snap.transmitted + snap.dropped);
+    assert_eq!(snap.transmitted, TOTAL as u64);
+    assert_eq!(snap.parallel_dispatches, TOTAL as u64);
     host.shutdown();
 }
