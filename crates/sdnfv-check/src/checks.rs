@@ -248,6 +248,24 @@ pub fn shared_completion(opts: CheckOpts) -> u64 {
     })
 }
 
+/// Three parallel NFs merge their verdicts into one descriptor, the final
+/// completer reads the word, the TX role re-arms and a second round runs:
+/// on every interleaving the word read equals the resolver's answer for
+/// the list-ordered verdicts — the `Relaxed` merge, the read through the
+/// refcount chain and the reset in `re_arm` are what this vouches for.
+pub fn verdict_cell(opts: CheckOpts) -> u64 {
+    model::check("verdict_cell", opts, || {
+        crate::mutants::verdict_rounds(
+            SharedPacket::new(pkt(), 3),
+            |sp, key| {
+                sp.merge_verdict(key);
+                sp.complete_one().then(|| sp.verdict())
+            },
+            SharedPacket::re_arm,
+        );
+    })
+}
+
 /// One clean check: `(name, entry point, search options)`.
 pub type Check = (&'static str, fn(CheckOpts) -> u64, CheckOpts);
 
@@ -263,5 +281,6 @@ pub fn all() -> Vec<Check> {
         ("hist_record_merge", hist_record_merge, default),
         ("pool_occupancy", pool_occupancy, default),
         ("shared_completion", shared_completion, default),
+        ("verdict_cell", verdict_cell, default),
     ]
 }

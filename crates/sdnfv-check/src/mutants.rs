@@ -5,7 +5,8 @@
 //! enum knob — the textbook mistakes the checker exists to catch: a
 //! `Release` publish weakened to `Relaxed`, a weakened `Acquire` observe,
 //! an off-by-one in the ring's free-slot computation, a dropped credit
-//! release, and torn (load-then-store) read-modify-writes. The `None`
+//! release, torn (load-then-store) read-modify-writes, and a descriptor
+//! re-arm that forgets to reset the verdict word. The `None`
 //! variant of every knob is the faithful algorithm and must pass
 //! exhaustively; every other variant must produce a violation. The
 //! mutation self-tests in `tests/model_mutants.rs` assert both directions,
@@ -19,7 +20,8 @@
 use std::sync::Arc;
 
 use sdnfv_ring::model::{self, CheckOpts, CheckReport};
-use sdnfv_ring::sync::{AtomicIsize, AtomicU64, AtomicUsize, Ordering, Slot};
+use sdnfv_ring::sync::{AtomicIsize, AtomicU32, AtomicU64, AtomicUsize, Ordering, Slot};
+use sdnfv_ring::{verdict_key, verdict_parts, VerdictClass};
 
 /// Which bug (if any) to seed into the miniature SPSC ring.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -294,6 +296,135 @@ pub fn hist_scenario(bug: HistBug, opts: CheckOpts) -> CheckReport {
             bucket.load(Ordering::Acquire),
             2,
             "bucket lost an increment"
+        );
+    })
+}
+
+/// One NF's request in a verdict round: class and payload (the position is
+/// the index in the round).
+type Request = (VerdictClass, u32);
+
+/// The two dispatch rounds of the verdict-cell scenario, as list-ordered
+/// requests. Round one mixes all three explicit classes with two competing
+/// ports; round two's answer is *lower* than round one's, so a verdict that
+/// survives the re-arm cannot hide behind the new maximum.
+const VERDICT_ROUNDS: [[Request; 3]; 2] = [
+    [
+        (VerdictClass::ToService, 7),
+        (VerdictClass::ToPort, 2),
+        (VerdictClass::ToPort, 1),
+    ],
+    [
+        (VerdictClass::Default, 0),
+        (VerdictClass::ToService, 9),
+        (VerdictClass::Default, 0),
+    ],
+];
+
+/// `resolve_parallel_verdicts`, restated over [`Request`]s (this crate sits
+/// below the data plane): a drop wins, then the first listed transmit, then
+/// the first listed steer, then the default. `sdnfv-dataplane`'s conflict
+/// tests pin `Verdict` ⇄ key to the real function.
+fn resolve(list: &[Request]) -> Request {
+    [
+        VerdictClass::Discard,
+        VerdictClass::ToPort,
+        VerdictClass::ToService,
+    ]
+    .iter()
+    .find_map(|class| list.iter().find(|(c, _)| c == class).copied())
+    .unwrap_or((VerdictClass::Default, 0))
+}
+
+/// The verdict-cell program, over any descriptor: per round, three NFs
+/// each merge their request and complete; whichever performs the final
+/// completion reads the merged word, which must equal [`resolve`] of the
+/// list-ordered requests on every interleaving. The root thread (the TX
+/// role, which happens-after the round through the joins) re-arms the
+/// descriptor between rounds.
+pub(crate) fn verdict_rounds<D: Clone + Send + 'static>(
+    descriptor: D,
+    merge_and_complete: fn(&D, u64) -> Option<u64>,
+    re_arm: fn(&D, u32),
+) {
+    for (round, requests) in VERDICT_ROUNDS.iter().enumerate() {
+        if round > 0 {
+            re_arm(&descriptor, requests.len() as u32);
+        }
+        let nfs: Vec<_> = requests
+            .iter()
+            .enumerate()
+            .map(|(position, &(class, payload))| {
+                let descriptor = descriptor.clone();
+                let key = verdict_key(class, position as u16, payload);
+                model::spawn(move || merge_and_complete(&descriptor, key))
+            })
+            .collect();
+        let read: Vec<u64> = nfs.into_iter().filter_map(|nf| nf.join()).collect();
+        assert_eq!(read.len(), 1, "exactly one NF sees the final completion");
+        assert_eq!(
+            verdict_parts(read[0]),
+            resolve(requests),
+            "round {round}: merged word is not the resolved verdict"
+        );
+    }
+}
+
+/// Which bug (if any) to seed into the miniature packet descriptor.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum VerdictBug {
+    /// Faithful algorithm; must pass.
+    None,
+    /// The merge is a load-then-store instead of a `fetch_max`: two NFs
+    /// merging concurrently can overwrite each other — a lost verdict.
+    TornMerge,
+    /// `re_arm` re-arms the counter but forgets to reset the verdict word:
+    /// the next hop inherits the previous hop's verdict.
+    StaleReArm,
+}
+
+/// The descriptor's two atomics (completion counter and verdict word) with
+/// a seeded-bug knob, mirroring [`sdnfv_ring::SharedPacket`].
+struct MiniDescriptor {
+    remaining: AtomicU32,
+    verdict: AtomicU64,
+    bug: VerdictBug,
+}
+
+impl MiniDescriptor {
+    fn merge_and_complete(&self, key: u64) -> Option<u64> {
+        if self.bug == VerdictBug::TornMerge {
+            // Seeded bug: a non-atomic read-modify-write.
+            let current = self.verdict.load(Ordering::Relaxed);
+            self.verdict.store(current.max(key), Ordering::Relaxed);
+        } else {
+            self.verdict.fetch_max(key, Ordering::Relaxed);
+        }
+        (self.remaining.fetch_sub(1, Ordering::AcqRel) == 1)
+            .then(|| self.verdict.load(Ordering::Relaxed))
+    }
+
+    fn re_arm(&self, readers: u32) {
+        if self.bug != VerdictBug::StaleReArm {
+            self.verdict.store(0, Ordering::Relaxed);
+        }
+        self.remaining.swap(readers, Ordering::AcqRel);
+    }
+}
+
+/// Runs [`verdict_rounds`] over [`MiniDescriptor`] with the given seeded
+/// bug. `VerdictBug::None` must pass exhaustively; both seeded bugs must
+/// fail the merged-word assertion.
+pub fn verdict_scenario(bug: VerdictBug, opts: CheckOpts) -> CheckReport {
+    model::explore(opts, move || {
+        verdict_rounds(
+            Arc::new(MiniDescriptor {
+                remaining: AtomicU32::new(3),
+                verdict: AtomicU64::new(0),
+                bug,
+            }),
+            |d, key| d.merge_and_complete(key),
+            |d, readers| d.re_arm(readers),
         );
     })
 }

@@ -6,7 +6,7 @@
 //! must pass exhaustively — that pins down that the detections below come
 //! from the seeded bug, not from a broken scenario.
 
-use sdnfv_check::mutants::{self, GateBug, HistBug, RingBug};
+use sdnfv_check::mutants::{self, GateBug, HistBug, RingBug, VerdictBug};
 use sdnfv_ring::model::{CheckOpts, CheckReport, ViolationKind};
 
 fn opts() -> CheckOpts {
@@ -111,4 +111,28 @@ fn unmutated_histogram_passes_exhaustively() {
 fn torn_histogram_record_is_caught() {
     let report = mutants::hist_scenario(HistBug::TornRecord, opts());
     assert_caught(&report, &[ViolationKind::Panic], "TornRecord");
+}
+
+#[test]
+fn torn_verdict_merge_is_caught() {
+    // The unmutated descriptor must pass, so the detections below come from
+    // the seeded bugs and not from the scenario.
+    let clean = mutants::verdict_scenario(VerdictBug::None, opts());
+    assert!(
+        clean.exhaustive_pass(),
+        "clean mini-descriptor must pass: {:?}",
+        clean.violation
+    );
+    // load+store instead of fetch_max: a concurrent merge is overwritten
+    // and the final completer reads a word missing the winning verdict.
+    let report = mutants::verdict_scenario(VerdictBug::TornMerge, opts());
+    assert_caught(&report, &[ViolationKind::Panic], "TornMerge");
+}
+
+#[test]
+fn re_arm_without_verdict_reset_is_caught() {
+    // The second hop's lower verdict can never displace the first hop's
+    // stale maximum.
+    let report = mutants::verdict_scenario(VerdictBug::StaleReArm, opts());
+    assert_caught(&report, &[ViolationKind::Panic], "StaleReArm");
 }

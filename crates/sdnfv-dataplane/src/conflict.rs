@@ -1,7 +1,9 @@
 //! Resolution of conflicting verdicts from parallel NFs (paper §4.2).
 
-use sdnfv_flowtable::{Action, Decision};
+use sdnfv_flowtable::{Action, Decision, ServiceId};
 use sdnfv_nf::Verdict;
+use sdnfv_proto::packet::Port;
+use sdnfv_ring::{verdict_key, verdict_parts, VerdictClass};
 
 /// Resolves the verdicts requested by NFs that processed the same packet in
 /// parallel into the single action the TX thread will perform.
@@ -24,6 +26,33 @@ pub fn resolve_parallel_verdicts(verdicts: &[Verdict]) -> Verdict {
     Verdict::Default
 }
 
+/// The descriptor key the NF at `position` of the dispatched action list
+/// merges for `verdict` ([`sdnfv_ring::SharedPacket::merge_verdict`]). The
+/// key order is [`resolve_parallel_verdicts`]' priority order, so the
+/// maximum over a packet's NFs decodes ([`verdict_from_word`]) to exactly
+/// what that function returns for the list-ordered verdicts.
+pub(crate) fn verdict_to_key(verdict: Verdict, position: u16) -> u64 {
+    match verdict {
+        Verdict::Default => verdict_key(VerdictClass::Default, position, 0),
+        Verdict::Discard => verdict_key(VerdictClass::Discard, position, 0),
+        Verdict::ToService(service) => {
+            verdict_key(VerdictClass::ToService, position, service.value())
+        }
+        Verdict::ToPort(port) => verdict_key(VerdictClass::ToPort, position, u32::from(port)),
+    }
+}
+
+/// Decodes a descriptor's merged verdict word.
+pub(crate) fn verdict_from_word(word: u64) -> Verdict {
+    match verdict_parts(word) {
+        (VerdictClass::Default, _) => Verdict::Default,
+        (VerdictClass::Discard, _) => Verdict::Discard,
+        (VerdictClass::ToService, service) => Verdict::ToService(ServiceId::new(service)),
+        // Only `verdict_to_key` builds ToPort keys, from a `Port`.
+        (VerdictClass::ToPort, port) => Verdict::ToPort(port as Port),
+    }
+}
+
 /// Validates an NF's explicit steering request (`ToPort` / `ToService`)
 /// against the rule at the NF's own step — the one definition both engines
 /// use, so an NF can never steer where the service graph did not allow.
@@ -44,7 +73,6 @@ pub(crate) fn validate_steering(decision: Option<&Decision>, requested: Action) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdnfv_flowtable::ServiceId;
 
     #[test]
     fn drop_wins_over_everything() {
@@ -80,6 +108,42 @@ mod tests {
             ]),
             Verdict::ToService(ServiceId::new(7))
         );
+    }
+
+    #[test]
+    fn merged_descriptor_word_equals_the_resolver_for_every_list_and_order() {
+        let alphabet = [
+            Verdict::Default,
+            Verdict::Discard,
+            Verdict::ToPort(1),
+            Verdict::ToPort(2),
+            Verdict::ToService(ServiceId::new(7)),
+            Verdict::ToService(ServiceId::new(u32::MAX)),
+        ];
+        let orders: [[usize; 3]; 6] = [
+            [0, 1, 2],
+            [0, 2, 1],
+            [1, 0, 2],
+            [1, 2, 0],
+            [2, 0, 1],
+            [2, 1, 0],
+        ];
+        for a in alphabet {
+            for b in alphabet {
+                for c in alphabet {
+                    let list = [a, b, c];
+                    let expected = resolve_parallel_verdicts(&list);
+                    for order in orders {
+                        // `fetch_max` in completion order `order`.
+                        let word = order.iter().fold(0u64, |word, &position| {
+                            word.max(verdict_to_key(list[position], position as u16))
+                        });
+                        assert_eq!(verdict_from_word(word), expected, "{list:?} via {order:?}");
+                    }
+                }
+            }
+        }
+        assert_eq!(verdict_from_word(0), resolve_parallel_verdicts(&[]));
     }
 
     #[test]

@@ -121,7 +121,7 @@ use sdnfv_telemetry::{
 };
 
 use crate::cache::{cached_lookup, LookupCache, LOOKUP_CACHE_ENTRIES};
-use crate::conflict::{resolve_parallel_verdicts, validate_steering};
+use crate::conflict::{validate_steering, verdict_from_word, verdict_to_key};
 use crate::messages::{apply_nf_message_tracked_with, PinTimeouts};
 use crate::rehome::{
     BucketHandout, BucketTracker, HandoutPhase, ImportDelivery, MovePhase, RehomeEvent,
@@ -526,7 +526,9 @@ struct WorkItem {
     /// The step used for the lookup after this dispatch completes (the last
     /// service in the dispatched action list).
     exit_service: ServiceId,
-    collector: Arc<Mutex<Vec<Verdict>>>,
+    /// This item's target's position in the dispatched action list: the
+    /// priority its NF's verdict merges into the descriptor with.
+    position: u16,
     /// Whether the packet is trace-sampled (hash-sampled or rule-pinned):
     /// the NF replica stamps its burst window onto the [`DoneItem`] and the
     /// worker emits spans at each stage.
@@ -537,7 +539,6 @@ struct DoneItem {
     shared: SharedPacket,
     key: FlowKey,
     exit_service: ServiceId,
-    collector: Arc<Mutex<Vec<Verdict>>>,
     traced: bool,
     /// Host-clock window of the NF burst that completed the packet (the
     /// last replica, for parallel dispatch). Stamped by the NF thread so
@@ -3548,14 +3549,13 @@ impl ShardEngine {
             }
             self.stats.add_parallel_dispatches(1);
             let shared = SharedPacket::new(packet, indices.len() as u32);
-            let collector = Arc::new(Mutex::new(Vec::with_capacity(indices.len())));
             let exit_service = *targets.last().expect("targets is non-empty");
-            for index in indices {
+            for (position, index) in indices.into_iter().enumerate() {
                 self.staging.per_ring[index].push(WorkItem {
                     shared: shared.clone(),
                     key,
                     exit_service,
-                    collector: Arc::clone(&collector),
+                    position: position as u16,
                     traced,
                 });
             }
@@ -3572,7 +3572,7 @@ impl ShardEngine {
                             shared,
                             key,
                             exit_service: service,
-                            collector: Arc::new(Mutex::new(Vec::with_capacity(1))),
+                            position: 0,
                             traced,
                         });
                         rx_span(self, SpanVerdict::Forwarded);
@@ -3629,8 +3629,7 @@ impl ShardEngine {
                     SpanVerdict::Forwarded,
                 );
             }
-            let verdicts = item.collector.lock().clone();
-            let resolved = resolve_parallel_verdicts(&verdicts);
+            let resolved = verdict_from_word(item.shared.verdict());
             let step = RulePort::Service(item.exit_service);
             let action = match resolved {
                 Verdict::Discard => Action::Drop,
@@ -3748,14 +3747,13 @@ impl ShardEngine {
             self.stats.add_parallel_dispatches(1);
         }
         item.shared.re_arm(indices.len() as u32);
-        let collector = Arc::new(Mutex::new(Vec::with_capacity(indices.len())));
         let exit_service = *targets.last().expect("targets is non-empty");
-        for index in indices {
+        for (position, index) in indices.into_iter().enumerate() {
             self.staging.per_ring[index].push(WorkItem {
                 shared: item.shared.clone(),
                 key: item.key,
                 exit_service,
-                collector: Arc::clone(&collector),
+                position: position as u16,
                 traced: item.traced,
             });
         }
@@ -4279,13 +4277,15 @@ impl NfEngine {
             self.pin_timeouts,
         );
         for (index, item) in items.drain(..).enumerate() {
-            item.collector.lock().push(self.verdicts.as_slice()[index]);
+            item.shared.merge_verdict(verdict_to_key(
+                self.verdicts.as_slice()[index],
+                item.position,
+            ));
             if item.shared.complete_one() {
                 self.done_staging.push(DoneItem {
                     shared: item.shared,
                     key: item.key,
                     exit_service: item.exit_service,
-                    collector: item.collector,
                     traced: item.traced,
                     nf_started_ns: burst_started_ns,
                     nf_ended_ns: burst_ended_ns,
@@ -4415,7 +4415,7 @@ mod tests {
             shared: shared.clone(),
             key: packet(1).flow_key().unwrap(),
             exit_service: ServiceId::new(1),
-            collector: Arc::new(Mutex::new(Vec::new())),
+            position: 0,
             traced: false,
         };
         let a = SharedPacket::new(packet(1), 2);
@@ -4463,7 +4463,7 @@ mod tests {
             shared: shared.clone(),
             key: packet(9).flow_key().unwrap(),
             exit_service: ServiceId::new(1),
-            collector: Arc::new(Mutex::new(Vec::new())),
+            position: 0,
             traced: false,
         });
         assert!(parallel_fits(&staging, &slots, &[0]));

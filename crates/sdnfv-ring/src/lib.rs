@@ -13,8 +13,9 @@
 //! * [`pool`] — a bounded packet pool modelling the shared huge-page region
 //!   DPDK DMAs packets into; exhaustion translates to packet drops exactly
 //!   like a full mbuf pool,
-//! * [`shared`] — reference-counted packet handles used when the manager
-//!   dispatches one packet to several read-only NFs in parallel (§4.2),
+//! * [`shared`] — reference-counted packet descriptors used when the manager
+//!   dispatches one packet to several read-only NFs in parallel (§4.2); the
+//!   descriptor carries the completion counter and the NFs' merged verdict,
 //! * [`credit`] — credit gates implementing ingress backpressure: a bounded
 //!   pipeline stage admits a packet only while it holds a credit, and the
 //!   egress side replenishes the credit when the packet leaves, so overload
@@ -37,5 +38,5 @@ pub mod sync;
 
 pub use credit::CreditGate;
 pub use pool::{PacketPool, PoolStats, PooledPacket};
-pub use shared::SharedPacket;
+pub use shared::{verdict_key, verdict_parts, SharedPacket, VerdictClass};
 pub use spsc::{spsc_ring, Consumer, Producer, PushError};

@@ -7,16 +7,74 @@
 //! initializes it to the parallelization factor and each NF decrements it on
 //! completion; whoever performs the final decrement learns that the packet is
 //! ready for the TX thread's conflict-resolution step.
+//!
+//! The descriptor also carries the NFs' requested actions (§4.2): one
+//! atomic **verdict word** that every NF merges its request into with a
+//! single `fetch_max`. The word is a priority key ([`verdict_key`]) ordered
+//! drop > transmit > steer > default, an earlier position in the action
+//! list beating a later one — so the merged word *is* the resolved verdict,
+//! whatever order the parallel NFs finish in, with no lock and no per-packet
+//! collection to allocate.
 
-use crate::sync::{AtomicU32, Ordering};
+use crate::sync::{AtomicU32, AtomicU64, Ordering};
 use parking_lot::RwLock;
 use std::sync::Arc;
 
 use sdnfv_proto::Packet;
 
+/// What an NF asks the TX thread to do with a packet, by conflict
+/// priority (paper §4.2): a drop beats an explicit transmit, which beats an
+/// explicit steer, which beats following the flow table's default.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[repr(u8)]
+pub enum VerdictClass {
+    /// Follow the flow table (the word's reset state).
+    Default = 0,
+    /// Steer to a service; the payload is the service id.
+    ToService = 1,
+    /// Transmit out a NIC port; the payload is the port.
+    ToPort = 2,
+    /// Drop the packet.
+    Discard = 3,
+}
+
+const VERDICT_CLASS_SHIFT: u32 = 48;
+const VERDICT_POSITION_SHIFT: u32 = 32;
+
+/// Packs one NF's request into the key [`SharedPacket::merge_verdict`]
+/// maximises: class in the top bits, then the *inverted* position of the NF
+/// in the dispatched action list (so position 0 is the largest), then the
+/// payload. [`VerdictClass::Default`] is always key 0 and every
+/// [`VerdictClass::Discard`] is the same key — neither has a payload to
+/// tell apart.
+pub fn verdict_key(class: VerdictClass, position: u16, payload: u32) -> u64 {
+    match class {
+        VerdictClass::Default => 0,
+        VerdictClass::Discard => (class as u64) << VERDICT_CLASS_SHIFT,
+        VerdictClass::ToService | VerdictClass::ToPort => {
+            (class as u64) << VERDICT_CLASS_SHIFT
+                | u64::from(u16::MAX - position) << VERDICT_POSITION_SHIFT
+                | u64::from(payload)
+        }
+    }
+}
+
+/// Splits a merged verdict word back into its class and payload.
+pub fn verdict_parts(word: u64) -> (VerdictClass, u32) {
+    let class = match word >> VERDICT_CLASS_SHIFT {
+        0 => VerdictClass::Default,
+        1 => VerdictClass::ToService,
+        2 => VerdictClass::ToPort,
+        _ => VerdictClass::Discard,
+    };
+    (class, word as u32)
+}
+
 struct SharedInner {
     packet: RwLock<Packet>,
     remaining: AtomicU32,
+    /// The largest [`verdict_key`] merged since the last (re-)arm.
+    verdict: AtomicU64,
     readers: u32,
 }
 
@@ -47,6 +105,7 @@ impl SharedPacket {
             inner: Arc::new(SharedInner {
                 packet: RwLock::new(packet),
                 remaining: AtomicU32::new(readers),
+                verdict: AtomicU64::new(0),
                 readers,
             }),
         }
@@ -98,6 +157,30 @@ impl SharedPacket {
         prev == 1
     }
 
+    /// Merges one NF's requested action (a [`verdict_key`]) into the
+    /// descriptor. Must precede that NF's [`SharedPacket::complete_one`].
+    pub fn merge_verdict(&self, key: u64) {
+        if key == 0 {
+            // Default never raises the maximum: skip the RMW entirely.
+            return;
+        }
+        // ORDER: Relaxed — RMW atomicity alone makes the merge lossless;
+        // publication rides the release half of the `complete_one` that
+        // follows on the same thread. Model-checked (`verdict_cell`).
+        self.inner.verdict.fetch_max(key, Ordering::Relaxed);
+    }
+
+    /// The merged verdict word of the current dispatch round. Meaningful
+    /// once the final [`SharedPacket::complete_one`] returned `true`, on the
+    /// thread that saw it or one the descriptor was handed to afterwards.
+    pub fn verdict(&self) -> u64 {
+        // ORDER: Relaxed — the reader happens-after every merge through the
+        // `remaining` refcount chain (each merger's `complete_one` releases,
+        // the final one acquires) and the ring hand-off, and coherence then
+        // forbids observing anything older than the last merge.
+        self.inner.verdict.load(Ordering::Relaxed)
+    }
+
     /// Number of parallel NFs that have not yet completed.
     pub fn remaining(&self) -> u32 {
         // ORDER: Acquire — pairs with the release half of `complete_one`,
@@ -106,9 +189,10 @@ impl SharedPacket {
         self.inner.remaining.load(Ordering::Acquire)
     }
 
-    /// Re-arms the completion counter for another dispatch of the same
-    /// packet (the TX thread does this when forwarding a packet to the next
-    /// NF in a sequential chain, so the buffer is never copied).
+    /// Re-arms the completion counter — and resets the verdict word — for
+    /// another dispatch of the same packet (the TX thread does this when
+    /// forwarding a packet to the next NF in a sequential chain, so the
+    /// buffer is never copied).
     ///
     /// # Panics
     ///
@@ -116,6 +200,10 @@ impl SharedPacket {
     /// `readers` is zero.
     pub fn re_arm(&self, readers: u32) {
         assert!(readers > 0, "a shared packet needs at least one reader");
+        // ORDER: Relaxed — the previous round's verdict was read by this
+        // (TX) thread already; the reset is published to the next readers
+        // by the release half of the `remaining` swap below.
+        self.inner.verdict.store(0, Ordering::Relaxed);
         // ORDER: AcqRel — acquire so re-arming happens-after the previous
         // round's final `complete_one` (whose work the next readers may
         // read), release so the new readers' first decrement happens-after
@@ -231,6 +319,42 @@ mod tests {
         assert_eq!(sp.remaining(), 2);
         assert!(!sp.complete_one());
         assert!(sp.complete_one());
+    }
+
+    #[test]
+    fn verdict_word_orders_class_then_position() {
+        use VerdictClass::*;
+        // Class dominates position and payload.
+        assert!(verdict_key(Discard, 9, 0) > verdict_key(ToPort, 0, u32::MAX));
+        assert!(verdict_key(ToPort, 9, 0) > verdict_key(ToService, 0, u32::MAX));
+        assert!(verdict_key(ToService, u16::MAX, 0) > verdict_key(Default, 0, 7));
+        // Within a class the earlier position wins whatever the payload.
+        assert!(verdict_key(ToPort, 0, 1) > verdict_key(ToPort, 1, 2));
+        assert_eq!(verdict_parts(verdict_key(ToPort, 3, 80)), (ToPort, 80));
+        assert_eq!(verdict_parts(verdict_key(ToService, 0, 7)), (ToService, 7));
+        assert_eq!(verdict_parts(verdict_key(Discard, 5, 0)), (Discard, 0));
+        assert_eq!(verdict_parts(0), (Default, 0));
+    }
+
+    #[test]
+    fn merged_verdict_is_order_independent_and_reset_by_re_arm() {
+        use VerdictClass::*;
+        let keys = [
+            verdict_key(ToPort, 1, 2),
+            verdict_key(ToPort, 0, 1),
+            verdict_key(ToService, 2, 9),
+        ];
+        for order in [[0, 1, 2], [2, 1, 0], [1, 2, 0]] {
+            let sp = SharedPacket::new(pkt(), 3);
+            assert_eq!(sp.verdict(), 0, "a fresh descriptor asks for the default");
+            for index in order {
+                sp.merge_verdict(keys[index]);
+                sp.complete_one();
+            }
+            assert_eq!(verdict_parts(sp.verdict()), (ToPort, 1));
+            sp.re_arm(1);
+            assert_eq!(sp.verdict(), 0, "re_arm clears the previous hop's verdict");
+        }
     }
 
     #[test]

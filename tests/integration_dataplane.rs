@@ -2,9 +2,10 @@
 //! tables, NFs attached, packets pushed through both engines.
 
 use sdnfv::dataplane::{
-    LoadBalancePolicy, NfManager, NfManagerConfig, PacketOutcome, ThreadedHost, ThreadedHostConfig,
+    LoadBalancePolicy, NfManager, NfManagerConfig, PacketOutcome, SimActorKind, ThreadedHost,
+    ThreadedHostConfig,
 };
-use sdnfv::flowtable::{FlowMatch, ServiceId, SharedFlowTable};
+use sdnfv::flowtable::{Action, FlowMatch, FlowRule, RulePort, ServiceId, SharedFlowTable};
 use sdnfv::graph::{catalog, CompileOptions};
 use sdnfv::nf::nfs::{ComputeNf, FirewallNf, IdsNf, NoOpNf, SamplerNf, ScrubberNf};
 use sdnfv::nf::{NetworkFunction, NfContext, NfMessage, Verdict};
@@ -329,5 +330,66 @@ fn threaded_host_handles_mixed_chain_with_rewriting_nf() {
             std::net::Ipv4Addr::new(1, 2, 3, 4)
         );
     }
+    host.shutdown();
+}
+
+/// Parallel NFs that ask for different ports: the earliest NF in the action
+/// list wins (`resolve_parallel_verdicts`), whichever replica finishes
+/// first. Stepped, so "B finishes before A" is forced, not hoped for.
+#[test]
+fn parallel_port_conflict_is_won_by_list_position_not_completion_order() {
+    struct SteerTo(u16);
+    impl NetworkFunction for SteerTo {
+        fn name(&self) -> &str {
+            "steer-to"
+        }
+        fn process(&mut self, _packet: &Packet, _ctx: &mut NfContext) -> Verdict {
+            Verdict::ToPort(self.0)
+        }
+    }
+    let (a, b) = (ServiceId::new(1), ServiceId::new(2));
+    let table = SharedFlowTable::new();
+    table.insert(FlowRule::parallel(
+        FlowMatch::at_step(RulePort::Nic(0)),
+        vec![Action::ToService(a), Action::ToService(b)],
+    ));
+    // The exit step (the last listed service) allows both requested ports.
+    table.insert(FlowRule::new(
+        FlowMatch::at_step(RulePort::Service(b)),
+        vec![Action::Drop, Action::ToPort(1), Action::ToPort(2)],
+    ));
+    let (host, sim) = ThreadedHost::start_sim_sharded(
+        table,
+        |_shard| {
+            vec![
+                (a, Box::new(SteerTo(1)) as Box<dyn NetworkFunction>),
+                (b, Box::new(SteerTo(2)) as Box<dyn NetworkFunction>),
+            ]
+        },
+        ThreadedHostConfig::default(),
+    );
+    assert!(host.inject(web_packet(1000, "x")).is_admitted());
+    let worker = sim.actors()[0].id;
+    assert!(sim.step(worker), "RX dispatch fans the packet out");
+    // Replicas register in `nfs_for_shard` order: A, then B.
+    let nfs: Vec<u64> = sim
+        .actors()
+        .into_iter()
+        .filter(|actor| actor.kind == SimActorKind::Nf)
+        .map(|actor| actor.id)
+        .collect();
+    assert_eq!(nfs.len(), 2);
+    assert!(sim.step(nfs[1]), "B completes first");
+    assert!(
+        sim.step(nfs[0]),
+        "A completes last and hands the packet back"
+    );
+    assert!(sim.step(worker), "TX resolves the conflict");
+    let out = host.poll_egress_burst(8);
+    assert_eq!(out.len(), 1);
+    assert_eq!(
+        out[0].port, 1,
+        "A is first in the action list, so A's port wins"
+    );
     host.shutdown();
 }
