@@ -2212,6 +2212,7 @@ fn launch_pipeline(
         cache: LookupCache::new(LOOKUP_CACHE_ENTRIES),
         memo: BurstMemo::new(),
         staging: BurstStaging::new(0, config.burst_size),
+        free_descriptors: Vec::with_capacity(config.shard_credits),
         rx_burst: Vec::with_capacity(config.burst_size),
         done_burst: Vec::with_capacity(config.burst_size),
         control: control_rx,
@@ -2438,6 +2439,11 @@ pub(crate) struct ShardEngine {
     /// are always visible to the next burst's lookups.
     memo: BurstMemo<(RulePort, FlowKey), Option<Decision>>,
     staging: BurstStaging,
+    /// Emptied packet descriptors awaiting reuse: a packet that leaves the
+    /// pipeline parks its descriptor here and RX dispatch refills it, so
+    /// the steady state allocates no descriptor. Never grows past the
+    /// capacity it was created with (the shard's credit budget).
+    free_descriptors: Vec<SharedPacket>,
     /// Reused RX burst buffer (popped ingress frames).
     rx_burst: Vec<IngressFrame>,
     /// Reused TX burst buffer (popped done items).
@@ -3427,6 +3433,30 @@ impl ShardEngine {
         self.staging.egress_meta.clear();
     }
 
+    /// Wraps an admitted packet in a descriptor for `readers` NFs, reusing
+    /// a parked one when it is provably unshared.
+    fn descriptor(&mut self, packet: Packet, readers: u32) -> SharedPacket {
+        let packet = match self.free_descriptors.pop() {
+            Some(parked) => match parked.recycle(packet, readers) {
+                Ok(descriptor) => return descriptor,
+                Err(packet) => packet,
+            },
+            None => packet,
+        };
+        SharedPacket::new(packet, readers)
+    }
+
+    /// Ends a descriptor's trip through the pipeline: moves the frame out
+    /// (zero-copy — every NF completed and dropped its guard) and parks the
+    /// emptied descriptor for reuse.
+    fn reclaim(&mut self, shared: SharedPacket) -> Packet {
+        let packet = shared.take_packet();
+        if self.free_descriptors.len() < self.free_descriptors.capacity() {
+            self.free_descriptors.push(shared);
+        }
+        packet
+    }
+
     fn lookup(&mut self, step: RulePort, key: &FlowKey) -> Option<Decision> {
         let (table, cache) = (&self.table, &mut self.cache);
         let (now_ns, ttl_ns) = (self.approx_now_ns, self.cache_ttl_ns);
@@ -3548,7 +3578,7 @@ impl ShardEngine {
                 return;
             }
             self.stats.add_parallel_dispatches(1);
-            let shared = SharedPacket::new(packet, indices.len() as u32);
+            let shared = self.descriptor(packet, indices.len() as u32);
             let exit_service = *targets.last().expect("targets is non-empty");
             for (position, index) in indices.into_iter().enumerate() {
                 self.staging.per_ring[index].push(WorkItem {
@@ -3567,7 +3597,7 @@ impl ShardEngine {
             Some(Action::ToService(service)) => {
                 match pick_instance(&self.service_instances, service, &key) {
                     Some(index) => {
-                        let shared = SharedPacket::new(packet, 1);
+                        let shared = self.descriptor(packet, 1);
                         self.staging.per_ring[index].push(WorkItem {
                             shared,
                             key,
@@ -3683,7 +3713,7 @@ impl ShardEngine {
             match actions.first().copied() {
                 Some(Action::ToPort(port)) => {
                     self.finish_flow(&item.key);
-                    let packet = item.shared.clone_packet();
+                    let packet = self.reclaim(item.shared);
                     self.stage_egress(
                         HostOutput {
                             port,
@@ -3700,6 +3730,7 @@ impl ShardEngine {
                     self.gate.release(1);
                     self.finish_flow(&item.key);
                     tx_span(self, &item, SpanVerdict::Dropped);
+                    self.reclaim(item.shared);
                     return;
                 }
                 Some(Action::ToController) => {
@@ -3707,6 +3738,7 @@ impl ShardEngine {
                     self.gate.release(1);
                     self.finish_flow(&item.key);
                     tx_span(self, &item, SpanVerdict::Punted);
+                    self.reclaim(item.shared);
                     return;
                 }
                 Some(Action::ToService(_)) => {}

@@ -235,9 +235,37 @@ impl SharedPacket {
         }
     }
 
-    /// Clones the underlying frame (used when a copy must outlive the pool).
-    pub fn clone_packet(&self) -> Packet {
-        self.inner.packet.read().clone()
+    /// Moves the frame out of the descriptor, leaving an empty packet
+    /// behind — how a packet leaves the host without being copied. Called
+    /// by the TX thread after the final [`SharedPacket::complete_one`]:
+    /// every NF dropped its guard before completing, so the write lock is
+    /// free.
+    pub fn take_packet(&self) -> Packet {
+        std::mem::replace(
+            &mut *self.inner.packet.write(),
+            Packet::from_bytes(Vec::new()),
+        )
+    }
+
+    /// Re-initialises an emptied descriptor for a new packet and dispatch
+    /// round, reusing its allocation. Only a handle proven unique can be
+    /// recycled: if an NF still holds a clone (it completed but has not
+    /// dropped its handle yet) the packet is handed back and the caller
+    /// allocates a fresh descriptor.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `readers` is zero.
+    pub fn recycle(mut self, packet: Packet, readers: u32) -> Result<SharedPacket, Packet> {
+        assert!(readers > 0, "a shared packet needs at least one reader");
+        let Some(inner) = Arc::get_mut(&mut self.inner) else {
+            return Err(packet);
+        };
+        *inner.packet.get_mut() = packet;
+        *inner.remaining.get_mut() = readers;
+        *inner.verdict.get_mut() = 0;
+        inner.readers = readers;
+        Ok(self)
     }
 }
 
@@ -365,9 +393,42 @@ mod tests {
     }
 
     #[test]
-    fn clone_packet_copies_frame() {
-        let sp = SharedPacket::new(pkt(), 1);
-        let copy = sp.clone_packet();
-        assert_eq!(copy.l4_payload().unwrap(), b"shared");
+    fn take_packet_moves_the_frame_without_copying() {
+        let packet = pkt();
+        let frame = packet.data().as_ptr();
+        let sp = SharedPacket::new(packet, 1);
+        assert!(sp.complete_one());
+        let out = sp.take_packet();
+        assert_eq!(out.data().as_ptr(), frame, "same buffer, not a copy");
+        assert!(sp.with_read(|p| p.is_empty()), "descriptor left empty");
+    }
+
+    #[test]
+    fn recycle_reuses_a_unique_descriptor_and_refuses_a_shared_one() {
+        let sp = SharedPacket::new(pkt(), 2);
+        sp.merge_verdict(verdict_key(VerdictClass::Discard, 0, 0));
+        sp.complete_one();
+        sp.complete_one();
+        drop(sp.take_packet());
+        // A clone is still out (an NF that has not dropped its handle).
+        let straggler = sp.clone();
+        let sp = match sp.recycle(pkt(), 1) {
+            Err(packet) => {
+                assert_eq!(packet.l4_payload().unwrap(), b"shared");
+                straggler
+            }
+            Ok(_) => panic!("a shared descriptor must not be recycled"),
+        };
+        // Unique now: recycled in place, counters and verdict reset.
+        let before = sp.clone();
+        drop(sp);
+        let sp = before.recycle(pkt(), 3).expect("unique handle recycles");
+        assert_eq!(sp.remaining(), 3);
+        assert_eq!(sp.readers(), 3);
+        assert_eq!(sp.verdict(), 0);
+        assert_eq!(
+            sp.with_read(|p| p.l4_payload().unwrap().to_vec()),
+            b"shared"
+        );
     }
 }
