@@ -548,6 +548,10 @@ struct DoneItem {
     nf_ended_ns: u64,
 }
 
+// A ring slot stays one cache line.
+const _: () = assert!(std::mem::size_of::<WorkItem>() <= 64);
+const _: () = assert!(std::mem::size_of::<DoneItem>() <= 64);
+
 /// Per-shard latency recorders: lock-free log-linear histograms shared by
 /// the shard's worker (end-to-end, ingress wait, egress wait), its NF
 /// threads (service time) and the host (re-home pen dwell). Snapshots ride
@@ -2213,6 +2217,7 @@ fn launch_pipeline(
         memo: BurstMemo::new(),
         staging: BurstStaging::new(0, config.burst_size),
         free_descriptors: Vec::with_capacity(config.shard_credits),
+        targets: Vec::new(),
         rx_burst: Vec::with_capacity(config.burst_size),
         done_burst: Vec::with_capacity(config.burst_size),
         control: control_rx,
@@ -2444,6 +2449,8 @@ pub(crate) struct ShardEngine {
     /// the steady state allocates no descriptor. Never grows past the
     /// capacity it was created with (the shard's credit budget).
     free_descriptors: Vec<SharedPacket>,
+    /// Reused scratch: the NF slot indices of the dispatch being staged.
+    targets: Vec<usize>,
     /// Reused RX burst buffer (popped ingress frames).
     rx_burst: Vec<IngressFrame>,
     /// Reused TX burst buffer (popped done items).
@@ -3545,50 +3552,22 @@ impl ShardEngine {
             }
         };
         if parallel {
-            let targets: Vec<ServiceId> = actions
-                .iter()
-                .filter_map(|a| match a {
-                    Action::ToService(s) => Some(*s),
-                    _ => None,
-                })
-                .collect();
-            if targets.is_empty() {
-                self.stats.add_dropped(1);
-                self.gate.release(1);
-                self.finish_flow(&key);
-                rx_span(self, SpanVerdict::Dropped);
-                return;
-            }
-            let indices: Vec<usize> = targets
-                .iter()
-                .filter_map(|s| pick_instance(&self.service_instances, *s, &key))
-                .collect();
-            // All-or-nothing: a parallel packet must reach *every* target NF
-            // or none — partial delivery would let a packet bypass e.g. a
-            // firewall that has no replica here (or whose ring happened to
-            // be full) and still be forwarded on the other NFs' verdicts
-            // alone.
-            if indices.len() != targets.len()
-                || !parallel_fits(&self.staging, &self.slots, &indices)
-            {
-                self.stats.add_overflow_drops(1);
-                self.gate.release(1);
-                self.finish_flow(&key);
-                rx_span(self, SpanVerdict::Dropped);
-                return;
-            }
+            let exit_service = match self.resolve_targets(actions, &key) {
+                Targets::Ready(exit_service) => exit_service,
+                unplaced => {
+                    match unplaced {
+                        Targets::None => self.stats.add_dropped(1),
+                        _ => self.stats.add_overflow_drops(1),
+                    }
+                    self.gate.release(1);
+                    self.finish_flow(&key);
+                    rx_span(self, SpanVerdict::Dropped);
+                    return;
+                }
+            };
             self.stats.add_parallel_dispatches(1);
-            let shared = self.descriptor(packet, indices.len() as u32);
-            let exit_service = *targets.last().expect("targets is non-empty");
-            for (position, index) in indices.into_iter().enumerate() {
-                self.staging.per_ring[index].push(WorkItem {
-                    shared: shared.clone(),
-                    key,
-                    exit_service,
-                    position: position as u16,
-                    traced,
-                });
-            }
+            let shared = self.descriptor(packet, self.targets.len() as u32);
+            self.stage_targets(shared, key, exit_service, traced);
             rx_span(self, SpanVerdict::Forwarded);
             return;
         }
@@ -3744,52 +3723,87 @@ impl ShardEngine {
                 Some(Action::ToService(_)) => {}
             }
         }
-        // Re-dispatch to one or more NFs: re-arm the shared buffer (all
+        // Re-dispatch to one or more NFs (a parallel rule, or a sequential
+        // rule listing several services): re-arm the shared buffer (all
         // previous readers have completed) and reuse the zero-copy path.
-        let targets: Vec<ServiceId> = actions
-            .iter()
-            .filter_map(|a| match a {
-                Action::ToService(s) => Some(*s),
-                _ => None,
-            })
-            .collect();
-        if targets.is_empty() {
-            self.stats.add_dropped(1);
-            self.gate.release(1);
-            self.finish_flow(&item.key);
-            tx_span(self, &item, SpanVerdict::Dropped);
-            return;
-        }
-        let indices: Vec<usize> = targets
-            .iter()
-            .filter_map(|s| pick_instance(&self.service_instances, *s, &item.key))
-            .collect();
-        // All-or-nothing for any multi-target re-dispatch (parallel or a
-        // sequential rule listing several services): partial delivery would
-        // let the packet's fate be decided by a subset of the NFs it was
-        // meant to visit. See the matching check in `dispatch`.
-        if indices.len() != targets.len() || !parallel_fits(&self.staging, &self.slots, &indices) {
-            self.stats.add_overflow_drops(1);
-            self.gate.release(1);
-            self.finish_flow(&item.key);
-            tx_span(self, &item, SpanVerdict::Dropped);
-            return;
-        }
+        let exit_service = match self.resolve_targets(actions, &item.key) {
+            Targets::Ready(exit_service) => exit_service,
+            unplaced => {
+                match unplaced {
+                    Targets::None => self.stats.add_dropped(1),
+                    _ => self.stats.add_overflow_drops(1),
+                }
+                self.gate.release(1);
+                self.finish_flow(&item.key);
+                tx_span(self, &item, SpanVerdict::Dropped);
+                return;
+            }
+        };
         if parallel {
             self.stats.add_parallel_dispatches(1);
         }
-        item.shared.re_arm(indices.len() as u32);
-        let exit_service = *targets.last().expect("targets is non-empty");
-        for (position, index) in indices.into_iter().enumerate() {
-            self.staging.per_ring[index].push(WorkItem {
-                shared: item.shared.clone(),
-                key: item.key,
-                exit_service,
-                position: position as u16,
-                traced: item.traced,
-            });
-        }
         tx_span(self, &item, SpanVerdict::Forwarded);
+        item.shared.re_arm(self.targets.len() as u32);
+        self.stage_targets(item.shared, item.key, exit_service, item.traced);
+    }
+
+    /// Picks the replica of every service `actions` lists into the
+    /// `targets` scratch, in list order. All-or-nothing: the packet must
+    /// reach *every* listed NF or none — partial delivery would let it
+    /// bypass e.g. a firewall that has no replica here (or whose ring
+    /// happened to be full) and be forwarded on the other NFs' verdicts
+    /// alone.
+    fn resolve_targets(&mut self, actions: &[Action], key: &FlowKey) -> Targets {
+        self.targets.clear();
+        let mut exit_service = None;
+        let mut placeable = true;
+        for action in actions {
+            let Action::ToService(service) = *action else {
+                continue;
+            };
+            exit_service = Some(service);
+            match pick_instance(&self.service_instances, service, key) {
+                Some(index) => self.targets.push(index),
+                None => placeable = false,
+            }
+        }
+        match exit_service {
+            None => Targets::None,
+            Some(exit_service)
+                if placeable && parallel_fits(&self.staging, &self.slots, &self.targets) =>
+            {
+                Targets::Ready(exit_service)
+            }
+            Some(_) => Targets::Unplaceable,
+        }
+    }
+
+    /// Stages one handle on `shared` for each resolved target (the last
+    /// target takes the caller's handle, so a single-target hop touches no
+    /// reference count); the target's position in the list is the priority
+    /// of its NF's verdict.
+    fn stage_targets(
+        &mut self,
+        shared: SharedPacket,
+        key: FlowKey,
+        exit_service: ServiceId,
+        traced: bool,
+    ) {
+        let item = |shared: SharedPacket, position: usize| WorkItem {
+            shared,
+            key,
+            exit_service,
+            position: u16::try_from(position).unwrap_or(u16::MAX),
+            traced,
+        };
+        let (&last, rest) = self
+            .targets
+            .split_last()
+            .expect("resolved targets are non-empty");
+        for (position, &index) in rest.iter().enumerate() {
+            self.staging.per_ring[index].push(item(shared.clone(), position));
+        }
+        self.staging.per_ring[last].push(item(shared, rest.len()));
     }
 
     /// Flushes every staged descriptor with one batched push per ring.
@@ -3860,6 +3874,18 @@ impl ShardEngine {
         }
         pushed > 0
     }
+}
+
+/// What [`ShardEngine::resolve_targets`] made of an action list.
+enum Targets {
+    /// The list names no service.
+    None,
+    /// A listed service has no replica on this shard, or a target ring has
+    /// no room for its copies.
+    Unplaceable,
+    /// Every target's slot index is in the `targets` scratch; the packet
+    /// exits the dispatch at this (the last listed) service.
+    Ready(ServiceId),
 }
 
 /// Length of the longest prefix of `items` in which no two work items share
