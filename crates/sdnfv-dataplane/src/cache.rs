@@ -3,9 +3,14 @@
 //!
 //! Extracting match fields and walking the rule table at every hop of a long
 //! service chain is wasteful; the paper caches lookup results so the TX
-//! thread can avoid repeated hash lookups. Here the cache is a bounded map
-//! from `(flow, step)` to the previously computed [`Decision`], tagged with
-//! the flow-table generation so any rule change invalidates stale entries.
+//! thread can avoid repeated hash lookups. Here the cache is a
+//! **direct-mapped array**: the flow hash computed once at admission, mixed
+//! with the step, indexes one slot, and the slot holds the full
+//! `(flow, step)` it was filled for plus the [`Decision`] — a hit is an
+//! index and a compare, never a second hash. The slot answers only for
+//! exactly that flow and step (a hash collision is a miss that replaces the
+//! slot, never another flow's decision), and is tagged with the flow-table
+//! generation so any rule change invalidates stale entries.
 //!
 //! Cached entries also carry their insertion time and honour a TTL: with
 //! idle timeouts in play, a hot flow served forever from the cache would
@@ -14,12 +19,10 @@
 //! fall-through to the table, refreshing the winning rule's idle timer.
 //! A TTL of zero disables expiry (the pre-timeout behavior).
 
-use std::collections::HashMap;
-
 use sdnfv_flowtable::{Decision, RulePort, SharedFlowTable};
 use sdnfv_proto::flow::FlowKey;
 
-/// Entries in each engine's [`LookupCache`] (one per `NfManager`, one per
+/// Slots in each engine's [`LookupCache`] (one per `NfManager`, one per
 /// shard worker).
 pub(crate) const LOOKUP_CACHE_ENTRIES: usize = 4096;
 
@@ -38,30 +41,56 @@ pub fn cached_lookup(
     ttl_ns: u64,
 ) -> Option<Decision> {
     if enabled {
-        let generation = table.generation();
-        if let Some(hit) = cache.get(key, step, generation, now_ns, ttl_ns) {
-            return Some(hit);
-        }
-        let decision = table.lookup(step, key)?;
-        cache.put(key, step, generation, now_ns, decision.clone());
-        Some(decision)
+        cached_lookup_hashed(table, cache, key.stable_hash(), step, key, now_ns, ttl_ns)
     } else {
         table.lookup(step, key)
     }
 }
 
-/// A bounded, generation-checked, TTL-bounded cache of flow-table decisions.
+/// [`cached_lookup`] for a caller that already holds `key.stable_hash()`
+/// (the shard worker: the hash rides the packet from admission).
+pub(crate) fn cached_lookup_hashed(
+    table: &SharedFlowTable,
+    cache: &mut LookupCache,
+    hash: u64,
+    step: RulePort,
+    key: &FlowKey,
+    now_ns: u64,
+    ttl_ns: u64,
+) -> Option<Decision> {
+    let generation = table.generation();
+    if let Some(hit) = cache.get_hashed(hash, key, step, generation, now_ns, ttl_ns) {
+        return Some(hit);
+    }
+    let decision = table.lookup(step, key)?;
+    cache.put_hashed(hash, key, step, generation, now_ns, decision.clone());
+    Some(decision)
+}
+
+/// One direct-mapped slot: the flow and step it answers for, the table
+/// generation and time it was filled at, and the decision.
+#[derive(Debug)]
+struct CacheSlot {
+    key: FlowKey,
+    step: RulePort,
+    generation: u64,
+    inserted_at_ns: u64,
+    decision: Decision,
+}
+
+/// A direct-mapped, generation-checked, TTL-bounded cache of flow-table
+/// decisions.
 #[derive(Debug)]
 pub struct LookupCache {
-    capacity: usize,
-    /// `(flow hash, step)` → `(table generation, inserted at, decision)`.
-    entries: HashMap<(u64, RulePort), (u64, u64, Decision)>,
+    slots: Box<[Option<CacheSlot>]>,
+    /// Occupied slots.
+    live: usize,
     hits: u64,
     misses: u64,
 }
 
 impl LookupCache {
-    /// Creates a cache holding at most `capacity` decisions.
+    /// Creates a cache of `capacity` slots (it never holds more decisions).
     ///
     /// # Panics
     ///
@@ -69,11 +98,25 @@ impl LookupCache {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "cache capacity must be non-zero");
         LookupCache {
-            capacity,
-            entries: HashMap::with_capacity(capacity),
+            slots: (0..capacity).map(|_| None).collect(),
+            live: 0,
             hits: 0,
             misses: 0,
         }
+    }
+
+    /// The slot `(hash, step)` maps to: the step is folded into the flow
+    /// hash, one multiply spreads the result over all 64 bits, and the high
+    /// half of a widening multiply scales it to the slot count (no division,
+    /// any capacity).
+    fn slot_index(&self, hash: u64, step: RulePort) -> usize {
+        let step_bits = match step {
+            RulePort::Nic(port) => u64::from(port),
+            RulePort::Service(service) => 1 << 32 | u64::from(service.value()),
+        };
+        let mixed = (hash ^ step_bits.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+            .wrapping_mul(0xd6e8_feb8_6659_fd93);
+        ((u128::from(mixed) * self.slots.len() as u128) >> 64) as usize
     }
 
     /// Looks up a cached decision for `(key, step)` valid at `generation`
@@ -86,13 +129,28 @@ impl LookupCache {
         now_ns: u64,
         ttl_ns: u64,
     ) -> Option<Decision> {
-        match self.entries.get(&(key.stable_hash(), step)) {
-            Some((cached_generation, inserted_at_ns, decision))
-                if *cached_generation == generation
-                    && (ttl_ns == 0 || now_ns < inserted_at_ns.saturating_add(ttl_ns)) =>
+        self.get_hashed(key.stable_hash(), key, step, generation, now_ns, ttl_ns)
+    }
+
+    /// [`LookupCache::get`] with `key.stable_hash()` supplied by the caller.
+    pub(crate) fn get_hashed(
+        &mut self,
+        hash: u64,
+        key: &FlowKey,
+        step: RulePort,
+        generation: u64,
+        now_ns: u64,
+        ttl_ns: u64,
+    ) -> Option<Decision> {
+        match &self.slots[self.slot_index(hash, step)] {
+            Some(slot)
+                if slot.key == *key
+                    && slot.step == step
+                    && slot.generation == generation
+                    && (ttl_ns == 0 || now_ns < slot.inserted_at_ns.saturating_add(ttl_ns)) =>
             {
                 self.hits += 1;
-                Some(decision.clone())
+                Some(slot.decision.clone())
             }
             _ => {
                 self.misses += 1;
@@ -110,23 +168,41 @@ impl LookupCache {
         now_ns: u64,
         decision: Decision,
     ) {
-        if self.entries.len() >= self.capacity {
-            // Simple wholesale eviction: correctness comes from the
-            // generation check, and the cache refills within a few packets.
-            self.entries.clear();
+        self.put_hashed(key.stable_hash(), key, step, generation, now_ns, decision);
+    }
+
+    /// [`LookupCache::put`] with `key.stable_hash()` supplied by the caller.
+    /// Replaces whatever flow held the slot.
+    pub(crate) fn put_hashed(
+        &mut self,
+        hash: u64,
+        key: &FlowKey,
+        step: RulePort,
+        generation: u64,
+        now_ns: u64,
+        decision: Decision,
+    ) {
+        let slot = &mut self.slots[self.slot_index(hash, step)];
+        if slot.is_none() {
+            self.live += 1;
         }
-        self.entries
-            .insert((key.stable_hash(), step), (generation, now_ns, decision));
+        *slot = Some(CacheSlot {
+            key: *key,
+            step,
+            generation,
+            inserted_at_ns: now_ns,
+            decision,
+        });
     }
 
     /// Number of cached entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.live
     }
 
     /// Returns `true` if the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.live == 0
     }
 
     /// Cache hits so far.
@@ -224,12 +300,42 @@ mod tests {
     }
 
     #[test]
-    fn capacity_bound_is_respected() {
-        let mut cache = LookupCache::new(4);
-        for port in 0..20 {
-            cache.put(&key(port), RulePort::Nic(0), 0, 0, decision(1));
-            assert!(cache.len() <= 4);
+    fn never_holds_more_than_its_slot_count() {
+        for slots in [1, 4, 5] {
+            let mut cache = LookupCache::new(slots);
+            for port in 0..200 {
+                cache.put(&key(port), RulePort::Nic(0), 0, 0, decision(1));
+                assert!(cache.len() <= slots);
+            }
+            assert_eq!(cache.len(), slots, "200 flows fill {slots} slots");
         }
+    }
+
+    #[test]
+    fn colliding_flows_never_answer_for_each_other() {
+        // Two distinct flows forced onto one 64-bit hash share a slot; the
+        // slot's stored key is what tells them apart.
+        let (first, second, hash) = (key(1), key(2), 0xdead_beef);
+        let step = RulePort::Nic(0);
+        let mut cache = LookupCache::new(8);
+        cache.put_hashed(hash, &first, step, 0, 0, decision(1));
+        assert_eq!(
+            cache.get_hashed(hash, &first, step, 0, 0, 0),
+            Some(decision(1))
+        );
+        assert_eq!(
+            cache.get_hashed(hash, &second, step, 0, 0, 0),
+            None,
+            "the second flow must not be steered by the first flow's decision"
+        );
+        // The miss is followed by a put, which replaces the slot.
+        cache.put_hashed(hash, &second, step, 0, 0, decision(2));
+        assert_eq!(
+            cache.get_hashed(hash, &second, step, 0, 0, 0),
+            Some(decision(2))
+        );
+        assert_eq!(cache.get_hashed(hash, &first, step, 0, 0, 0), None);
+        assert_eq!(cache.len(), 1, "one slot, replaced in place");
     }
 
     #[test]

@@ -77,7 +77,13 @@ impl BucketTracker {
 
     /// The bucket a flow belongs to.
     pub fn bucket_of(&self, key: &FlowKey) -> usize {
-        (key.stable_hash() % self.in_flight.len() as u64) as usize
+        self.bucket_of_hash(key.stable_hash())
+    }
+
+    /// [`BucketTracker::bucket_of`] for a caller that already holds the
+    /// flow's `stable_hash` (the packet path: it rides the descriptor).
+    pub fn bucket_of_hash(&self, hash: u64) -> usize {
+        (hash % self.in_flight.len() as u64) as usize
     }
 
     /// Records one packet of `bucket` entering a shard pipeline.
@@ -85,12 +91,12 @@ impl BucketTracker {
         self.in_flight[bucket].fetch_add(1, Ordering::Release);
     }
 
-    /// Records one packet of `key`'s bucket leaving flow-state scope
-    /// (egress-staged, dropped or punted). Release ordering pairs with the
-    /// [`BucketTracker::in_flight`] acquire load, so a drain observer that
-    /// reads zero also observes every table write the packet caused.
-    pub fn finish(&self, key: &FlowKey) {
-        let bucket = self.bucket_of(key);
+    /// Records one packet of the flow hashing to `hash` leaving flow-state
+    /// scope (egress-staged, dropped or punted). Release ordering pairs with
+    /// the [`BucketTracker::in_flight`] acquire load, so a drain observer
+    /// that reads zero also observes every table write the packet caused.
+    pub fn finish(&self, hash: u64) {
+        let bucket = self.bucket_of_hash(hash);
         let previous = self.in_flight[bucket].fetch_sub(1, Ordering::Release);
         debug_assert!(previous > 0, "bucket {bucket} finished more than admitted");
     }
@@ -523,9 +529,9 @@ mod tests {
         tracker.admit(bucket);
         tracker.admit(bucket);
         assert_eq!(tracker.in_flight(bucket), 2);
-        tracker.finish(&k);
+        tracker.finish(k.stable_hash());
         assert_eq!(tracker.in_flight(bucket), 1);
-        tracker.finish(&k);
+        tracker.finish(k.stable_hash());
         assert_eq!(tracker.in_flight(bucket), 0);
     }
 

@@ -108,8 +108,7 @@ use sdnfv_flowtable::{
     RulePort, ServiceId, SharedFlowTable,
 };
 use sdnfv_nf::{
-    BurstMemo, NetworkFunction, NfContext, NfFlowState, PacketBatch, PacketBatchMut, Verdict,
-    VerdictSlice,
+    NetworkFunction, NfContext, NfFlowState, PacketBatch, PacketBatchMut, Verdict, VerdictSlice,
 };
 use sdnfv_proto::flow::FlowKey;
 use sdnfv_proto::packet::Port;
@@ -120,7 +119,7 @@ use sdnfv_telemetry::{
     SpanVerdict, TelemetrySnapshot, TelemetrySource, TraceSpan, TraceStage,
 };
 
-use crate::cache::{cached_lookup, LookupCache, LOOKUP_CACHE_ENTRIES};
+use crate::cache::{cached_lookup_hashed, LookupCache, LOOKUP_CACHE_ENTRIES};
 use crate::conflict::{validate_steering, verdict_from_word, verdict_to_key};
 use crate::messages::{apply_nf_message_tracked_with, PinTimeouts};
 use crate::rehome::{
@@ -514,15 +513,22 @@ pub struct BurstInjection {
 }
 
 /// A packet on its way from injection to a shard worker, with its flow key
-/// parsed once at admission.
+/// parsed — and hashed — once at admission. The hash rides the packet
+/// through every hop ([`WorkItem`], [`DoneItem`]): bucket tracking, replica
+/// pick, lookup-cache index and trace sampling all read it instead of
+/// re-hashing the key.
 pub(crate) struct IngressFrame {
     packet: Packet,
     key: Option<FlowKey>,
+    /// `key.stable_hash()` (0 for keyless frames, which are dropped at RX).
+    hash: u64,
 }
 
 struct WorkItem {
     shared: SharedPacket,
     key: FlowKey,
+    /// `key.stable_hash()`, computed at admission.
+    hash: u64,
     /// The step used for the lookup after this dispatch completes (the last
     /// service in the dispatched action list).
     exit_service: ServiceId,
@@ -538,6 +544,7 @@ struct WorkItem {
 struct DoneItem {
     shared: SharedPacket,
     key: FlowKey,
+    hash: u64,
     exit_service: ServiceId,
     traced: bool,
     /// Host-clock window of the NF burst that completed the packet (the
@@ -895,9 +902,9 @@ impl ThreadedHost {
         self.advance_rehoming();
         packet.timestamp_ns = self.now_ns();
         let key = packet.flow_key();
+        let hash = key.as_ref().map_or(0, FlowKey::stable_hash);
         let (shard, tracked) = match &key {
             Some(k) => {
-                let hash = k.stable_hash();
                 let bucket = (hash % STEER_BUCKETS as u64) as usize;
                 if self.rehome.borrow().is_parked(bucket) {
                     return self.park(bucket, packet, *k);
@@ -912,7 +919,7 @@ impl ThreadedHost {
             ports.stats.add_throttled(1);
             return InjectResult::Throttled(packet);
         }
-        match ports.ingress.push(IngressFrame { packet, key }) {
+        match ports.ingress.push(IngressFrame { packet, key, hash }) {
             Ok(()) => {
                 if let Some(bucket) = tracked {
                     self.tracker.admit(bucket);
@@ -997,7 +1004,8 @@ impl ThreadedHost {
                     result.throttled.push(packet);
                     continue;
                 }
-                frames.push(IngressFrame { packet, key });
+                let hash = key.as_ref().map_or(0, FlowKey::stable_hash);
+                frames.push(IngressFrame { packet, key, hash });
             }
             drop(shards);
             self.push_shard_frames(0, frames, &mut result);
@@ -1008,9 +1016,9 @@ impl ThreadedHost {
         for mut packet in packets {
             packet.timestamp_ns = now;
             let key = packet.flow_key();
+            let hash = key.as_ref().map_or(0, FlowKey::stable_hash);
             let shard = match &key {
                 Some(k) => {
-                    let hash = k.stable_hash();
                     if rehoming {
                         let bucket = (hash % STEER_BUCKETS as u64) as usize;
                         if self.rehome.borrow().is_parked(bucket) {
@@ -1030,7 +1038,7 @@ impl ThreadedHost {
                 result.throttled.push(packet);
                 continue;
             }
-            staged[shard].push(IngressFrame { packet, key });
+            staged[shard].push(IngressFrame { packet, key, hash });
         }
         drop(shards);
         for (shard, frames) in staged.into_iter().enumerate() {
@@ -1058,8 +1066,8 @@ impl ThreadedHost {
         // leftovers the ring rejected (same management thread: the
         // transient is never observed by a drain check).
         for frame in &frames {
-            if let Some(key) = &frame.key {
-                self.tracker.admit(self.tracker.bucket_of(key));
+            if frame.key.is_some() {
+                self.tracker.admit(self.tracker.bucket_of_hash(frame.hash));
             }
         }
         result.admitted += ports.ingress.push_n(&mut frames);
@@ -1068,8 +1076,8 @@ impl ThreadedHost {
         }
         let leftover = frames.len();
         for frame in &frames {
-            if let Some(key) = &frame.key {
-                self.tracker.finish(key);
+            if frame.key.is_some() {
+                self.tracker.finish(frame.hash);
             }
         }
         ports.gate.release(leftover);
@@ -1478,6 +1486,7 @@ impl ThreadedHost {
                 match ports.ingress.push(IngressFrame {
                     packet,
                     key: Some(key),
+                    hash: key.stable_hash(),
                 }) {
                     Ok(()) => {
                         self.tracker.admit(mv.bucket);
@@ -2199,7 +2208,7 @@ fn launch_pipeline(
         started: false,
         phase: EnginePhase::Running,
         slots: Vec::new(),
-        service_instances: HashMap::new(),
+        service_instances: Vec::new(),
         egress: egress_tx,
         gate: Arc::clone(&gate),
         table,
@@ -2214,7 +2223,6 @@ fn launch_pipeline(
         clock,
         spawner,
         cache: LookupCache::new(LOOKUP_CACHE_ENTRIES),
-        memo: BurstMemo::new(),
         staging: BurstStaging::new(0, config.burst_size),
         free_descriptors: Vec::with_capacity(config.shard_credits),
         targets: Vec::new(),
@@ -2350,7 +2358,7 @@ struct EgressMeta {
     staged_ns: u64,
     /// Whether the packet is trace-sampled (an egress span is emitted).
     traced: bool,
-    /// Stable flow hash (span correlation; 0 when not traced).
+    /// Stable flow hash (span correlation).
     flow_hash: u64,
 }
 
@@ -2408,7 +2416,9 @@ pub(crate) struct ShardEngine {
     started: bool,
     phase: EnginePhase,
     slots: Vec<NfSlot>,
-    service_instances: HashMap<ServiceId, Vec<usize>>,
+    /// Active replica slots per service, in spawn order (one entry per
+    /// service this shard has ever run).
+    service_instances: Vec<(ServiceId, Vec<usize>)>,
     egress: Producer<HostOutput>,
     /// The shard's credit gate: one credit is released exactly once per
     /// admitted packet, when it reaches a terminal state.
@@ -2438,11 +2448,6 @@ pub(crate) struct ShardEngine {
     /// simulation actors under the deterministic harness.
     spawner: Box<dyn ReplicaSpawner>,
     cache: LookupCache,
-    /// Burst-local memo of flow-table lookups: one table probe per distinct
-    /// `(step, flow)` pair per burst, on top of `cache`. Cleared at every
-    /// burst boundary so that cross-layer messages applied between bursts
-    /// are always visible to the next burst's lookups.
-    memo: BurstMemo<(RulePort, FlowKey), Option<Decision>>,
     staging: BurstStaging,
     /// Emptied packet descriptors awaiting reuse: a packet that leaves the
     /// pipeline parks its descriptor here and RX dispatch refills it, so
@@ -2624,16 +2629,16 @@ impl ShardEngine {
                     while let Some(frame) = ingress.pop() {
                         self.stats.add_overflow_drops(1);
                         self.gate.release(1);
-                        if let Some(key) = &frame.key {
-                            self.tracker.finish(key);
+                        if frame.key.is_some() {
+                            self.tracker.finish(frame.hash);
                             // Straggler drops still terminate the traces of
                             // hash-sampled flows, so span conservation holds
                             // across a teardown.
-                            if sample_every != 0 && key.stable_hash() % sample_every == 0 {
+                            if sample_every != 0 && frame.hash % sample_every == 0 {
                                 self.emit_span(
                                     TraceStage::Rx,
                                     0,
-                                    key.stable_hash(),
+                                    frame.hash,
                                     frame.packet.timestamp_ns,
                                     now_ns,
                                     SpanVerdict::Dropped,
@@ -2778,7 +2783,7 @@ impl ShardEngine {
         }
         self.slots = kept;
         self.staging.per_ring = kept_staging;
-        for indices in self.service_instances.values_mut() {
+        for (_, indices) in &mut self.service_instances {
             indices.retain_mut(|index| match remap[*index] {
                 Some(new_index) => {
                     *index = new_index;
@@ -2881,10 +2886,14 @@ impl ShardEngine {
                 self.slots.len() - 1
             }
         };
-        self.service_instances
-            .entry(service)
-            .or_default()
-            .push(index);
+        match self
+            .service_instances
+            .iter_mut()
+            .find(|(id, _)| *id == service)
+        {
+            Some((_, replicas)) => replicas.push(index),
+            None => self.service_instances.push((service, vec![index])),
+        }
     }
 
     /// Begins retiring the most recently added replica of `service`:
@@ -2897,7 +2906,11 @@ impl ShardEngine {
     /// [`ShardEngine::poll_state_exchanges`] re-imports the answer into a
     /// surviving replica of the same service.
     fn begin_remove_nf(&mut self, service: ServiceId) {
-        let Some(instances) = self.service_instances.get_mut(&service) else {
+        let Some((_, instances)) = self
+            .service_instances
+            .iter_mut()
+            .find(|(id, _)| *id == service)
+        else {
             return;
         };
         if instances.len() <= 1 {
@@ -3018,11 +3031,7 @@ impl ShardEngine {
         // deterministic for the simulation harness's replay guarantee.
         let mut per_slot: Vec<(usize, Vec<(FlowKey, NfFlowState)>)> = Vec::new();
         for (service, key, state) in states {
-            let Some(&slot) = self
-                .service_instances
-                .get(&service)
-                .and_then(|indices| indices.first())
-            else {
+            let Some(&slot) = replicas_of(&self.service_instances, service).first() else {
                 // No replica of the service on this shard: the migrated
                 // state cannot be absorbed. Count the loss — this is the
                 // one gap in the zero-NF-state-loss contract, and it must
@@ -3056,11 +3065,7 @@ impl ShardEngine {
         if states.is_empty() {
             return;
         }
-        let Some(&slot) = self
-            .service_instances
-            .get(&service)
-            .and_then(|indices| indices.first())
-        else {
+        let Some(&slot) = replicas_of(&self.service_instances, service).first() else {
             self.stats.add_nf_state_import_drops(states.len() as u64);
             return;
         };
@@ -3390,8 +3395,7 @@ impl ShardEngine {
 
     /// Stages a packet for egress together with its latency/trace metadata
     /// (kept index-aligned with `staging.egress` — see [`EgressMeta`]).
-    fn stage_egress(&mut self, out: HostOutput, staged_ns: u64, traced: bool) {
-        let flow_hash = if traced { out.key.stable_hash() } else { 0 };
+    fn stage_egress(&mut self, out: HostOutput, flow_hash: u64, staged_ns: u64, traced: bool) {
         self.staging.egress_meta.push(EgressMeta {
             ingress_ns: out.packet.timestamp_ns,
             staged_ns,
@@ -3405,8 +3409,8 @@ impl ShardEngine {
     /// staged for egress, dropped or punted, so it can no longer read or
     /// write this shard's flow table. Called exactly once per tracked
     /// packet — the decrement side of the bucket-drain handshake.
-    fn finish_flow(&self, key: &FlowKey) {
-        self.tracker.finish(key);
+    fn finish_flow(&self, hash: u64) {
+        self.tracker.finish(hash);
     }
 
     /// Accounts staged egress at engine shutdown: the host is gone, so the
@@ -3464,27 +3468,28 @@ impl ShardEngine {
         packet
     }
 
-    fn lookup(&mut self, step: RulePort, key: &FlowKey) -> Option<Decision> {
-        let (table, cache) = (&self.table, &mut self.cache);
-        let (now_ns, ttl_ns) = (self.approx_now_ns, self.cache_ttl_ns);
-        self.memo
-            .get_or_insert_with((step, *key), |(step, key)| {
-                cached_lookup(table, cache, true, *step, key, now_ns, ttl_ns)
-            })
-            .clone()
+    fn lookup(&mut self, step: RulePort, key: &FlowKey, hash: u64) -> Option<Decision> {
+        cached_lookup_hashed(
+            &self.table,
+            &mut self.cache,
+            hash,
+            step,
+            key,
+            self.approx_now_ns,
+            self.cache_ttl_ns,
+        )
     }
 
     /// RX role: first lookup per distinct flow, then dispatch into NF rings.
     fn rx_round(&mut self, burst: &mut Vec<IngressFrame>) {
         self.stats.add_received(burst.len() as u64);
-        self.memo.clear();
         // One clock read per burst covers the ingress-wait records, the
         // trace-span stamps, and (as `approx_now_ns`) the lookup-cache TTL.
         let now_ns = self.clock.now_ns();
         self.approx_now_ns = now_ns;
         let sample_every = self.trace_sampling.load(Ordering::Relaxed);
         for frame in burst.drain(..) {
-            let IngressFrame { packet, key } = frame;
+            let IngressFrame { packet, key, hash } = frame;
             self.latency
                 .ingress_wait
                 .record(now_ns.saturating_sub(packet.timestamp_ns));
@@ -3493,19 +3498,19 @@ impl ShardEngine {
                 self.gate.release(1);
                 continue;
             };
-            let sampled = sample_every != 0 && key.stable_hash() % sample_every == 0;
+            let sampled = sample_every != 0 && hash % sample_every == 0;
             let step = RulePort::Nic(packet.ingress_port);
-            let Some(decision) = self.lookup(step, &key) else {
+            let Some(decision) = self.lookup(step, &key, hash) else {
                 // No controller thread is attached in the threaded runtime;
                 // a miss is counted and the packet is dropped.
                 self.stats.add_controller_punts(1);
                 self.gate.release(1);
-                self.finish_flow(&key);
+                self.finish_flow(hash);
                 if sampled {
                     self.emit_span(
                         TraceStage::Rx,
                         0,
-                        key.stable_hash(),
+                        hash,
                         packet.timestamp_ns,
                         now_ns,
                         SpanVerdict::Punted,
@@ -3514,45 +3519,32 @@ impl ShardEngine {
                 continue;
             };
             let traced = sampled || decision.trace;
-            self.dispatch(
-                packet,
-                key,
-                &decision.actions,
-                decision.parallel,
-                traced,
-                now_ns,
-            );
+            self.dispatch(packet, key, hash, &decision, traced, now_ns);
         }
         self.flush();
     }
 
-    /// Stages a packet according to an action list (first dispatch),
+    /// Stages a packet according to its ingress decision (first dispatch),
     /// emitting the packet's RX span if it is traced: `Forwarded` when the
     /// packet continues toward an NF or egress, terminal otherwise.
     fn dispatch(
         &mut self,
         packet: Packet,
         key: FlowKey,
-        actions: &[Action],
-        parallel: bool,
+        hash: u64,
+        decision: &Decision,
         traced: bool,
         now_ns: u64,
     ) {
+        let actions: &[Action] = &decision.actions;
         let ingress_ns = packet.timestamp_ns;
         let rx_span = |engine: &mut Self, verdict: SpanVerdict| {
             if traced {
-                engine.emit_span(
-                    TraceStage::Rx,
-                    0,
-                    key.stable_hash(),
-                    ingress_ns,
-                    now_ns,
-                    verdict,
-                );
+                engine.emit_span(TraceStage::Rx, 0, hash, ingress_ns, now_ns, verdict);
             }
         };
-        if parallel {
-            let exit_service = match self.resolve_targets(actions, &key) {
+        if decision.parallel {
+            let exit_service = match self.resolve_targets(actions, hash) {
                 Targets::Ready(exit_service) => exit_service,
                 unplaced => {
                     match unplaced {
@@ -3560,26 +3552,27 @@ impl ShardEngine {
                         _ => self.stats.add_overflow_drops(1),
                     }
                     self.gate.release(1);
-                    self.finish_flow(&key);
+                    self.finish_flow(hash);
                     rx_span(self, SpanVerdict::Dropped);
                     return;
                 }
             };
             self.stats.add_parallel_dispatches(1);
             let shared = self.descriptor(packet, self.targets.len() as u32);
-            self.stage_targets(shared, key, exit_service, traced);
+            self.stage_targets(shared, key, hash, exit_service, traced);
             rx_span(self, SpanVerdict::Forwarded);
             return;
         }
 
         match actions.first().copied() {
             Some(Action::ToService(service)) => {
-                match pick_instance(&self.service_instances, service, &key) {
+                match pick_instance(&self.service_instances, service, hash) {
                     Some(index) => {
                         let shared = self.descriptor(packet, 1);
                         self.staging.per_ring[index].push(WorkItem {
                             shared,
                             key,
+                            hash,
                             exit_service: service,
                             position: 0,
                             traced,
@@ -3589,7 +3582,7 @@ impl ShardEngine {
                     None => {
                         self.stats.add_dropped(1);
                         self.gate.release(1);
-                        self.finish_flow(&key);
+                        self.finish_flow(hash);
                         rx_span(self, SpanVerdict::Dropped);
                     }
                 }
@@ -3599,20 +3592,20 @@ impl ShardEngine {
                 // flush, when the egress push lands; the packet's
                 // flow-state work is already over, so its bucket count
                 // drops here.
-                self.finish_flow(&key);
-                self.stage_egress(HostOutput { port, packet, key }, now_ns, traced);
+                self.finish_flow(hash);
+                self.stage_egress(HostOutput { port, packet, key }, hash, now_ns, traced);
                 rx_span(self, SpanVerdict::Forwarded);
             }
             Some(Action::ToController) => {
                 self.stats.add_controller_punts(1);
                 self.gate.release(1);
-                self.finish_flow(&key);
+                self.finish_flow(hash);
                 rx_span(self, SpanVerdict::Punted);
             }
             Some(Action::Drop) | Some(Action::Trace) | None => {
                 self.stats.add_dropped(1);
                 self.gate.release(1);
-                self.finish_flow(&key);
+                self.finish_flow(hash);
                 rx_span(self, SpanVerdict::Dropped);
             }
         }
@@ -3621,7 +3614,6 @@ impl ShardEngine {
     /// TX role: resolve verdicts of a done burst, look up next hops, and
     /// either re-stage, stage for egress, or drop.
     fn tx_round(&mut self, burst: &mut Vec<DoneItem>) {
-        self.memo.clear();
         let now_ns = self.clock.now_ns();
         self.approx_now_ns = now_ns;
         for item in burst.drain(..) {
@@ -3632,7 +3624,7 @@ impl ShardEngine {
                 self.emit_span(
                     TraceStage::Nf,
                     item.exit_service.value(),
-                    item.key.stable_hash(),
+                    item.hash,
                     item.nf_started_ns,
                     item.nf_ended_ns,
                     SpanVerdict::Forwarded,
@@ -3643,7 +3635,7 @@ impl ShardEngine {
             let action = match resolved {
                 Verdict::Discard => Action::Drop,
                 Verdict::Default => {
-                    match self.lookup(step, &item.key) {
+                    match self.lookup(step, &item.key, item.hash) {
                         Some(decision) => {
                             // Follow the whole decision (it may itself be a
                             // parallel rule or a multi-action list).
@@ -3656,7 +3648,7 @@ impl ShardEngine {
                 }
                 other => {
                     let requested = other.as_action().expect("non-default verdict");
-                    let decision = self.lookup(step, &item.key);
+                    let decision = self.lookup(step, &item.key, item.hash);
                     validate_steering(decision.as_ref(), requested)
                 }
             };
@@ -3680,7 +3672,7 @@ impl ShardEngine {
                 engine.emit_span(
                     TraceStage::Tx,
                     item.exit_service.value(),
-                    item.key.stable_hash(),
+                    item.hash,
                     item.nf_ended_ns,
                     now_ns,
                     verdict,
@@ -3691,7 +3683,7 @@ impl ShardEngine {
         if !parallel {
             match actions.first().copied() {
                 Some(Action::ToPort(port)) => {
-                    self.finish_flow(&item.key);
+                    self.finish_flow(item.hash);
                     let packet = self.reclaim(item.shared);
                     self.stage_egress(
                         HostOutput {
@@ -3699,6 +3691,7 @@ impl ShardEngine {
                             packet,
                             key: item.key,
                         },
+                        item.hash,
                         now_ns,
                         item.traced,
                     );
@@ -3707,7 +3700,7 @@ impl ShardEngine {
                 Some(Action::Drop) | Some(Action::Trace) | None => {
                     self.stats.add_dropped(1);
                     self.gate.release(1);
-                    self.finish_flow(&item.key);
+                    self.finish_flow(item.hash);
                     tx_span(self, &item, SpanVerdict::Dropped);
                     self.reclaim(item.shared);
                     return;
@@ -3715,7 +3708,7 @@ impl ShardEngine {
                 Some(Action::ToController) => {
                     self.stats.add_controller_punts(1);
                     self.gate.release(1);
-                    self.finish_flow(&item.key);
+                    self.finish_flow(item.hash);
                     tx_span(self, &item, SpanVerdict::Punted);
                     self.reclaim(item.shared);
                     return;
@@ -3726,7 +3719,7 @@ impl ShardEngine {
         // Re-dispatch to one or more NFs (a parallel rule, or a sequential
         // rule listing several services): re-arm the shared buffer (all
         // previous readers have completed) and reuse the zero-copy path.
-        let exit_service = match self.resolve_targets(actions, &item.key) {
+        let exit_service = match self.resolve_targets(actions, item.hash) {
             Targets::Ready(exit_service) => exit_service,
             unplaced => {
                 match unplaced {
@@ -3734,7 +3727,7 @@ impl ShardEngine {
                     _ => self.stats.add_overflow_drops(1),
                 }
                 self.gate.release(1);
-                self.finish_flow(&item.key);
+                self.finish_flow(item.hash);
                 tx_span(self, &item, SpanVerdict::Dropped);
                 return;
             }
@@ -3744,7 +3737,7 @@ impl ShardEngine {
         }
         tx_span(self, &item, SpanVerdict::Forwarded);
         item.shared.re_arm(self.targets.len() as u32);
-        self.stage_targets(item.shared, item.key, exit_service, item.traced);
+        self.stage_targets(item.shared, item.key, item.hash, exit_service, item.traced);
     }
 
     /// Picks the replica of every service `actions` lists into the
@@ -3753,7 +3746,7 @@ impl ShardEngine {
     /// bypass e.g. a firewall that has no replica here (or whose ring
     /// happened to be full) and be forwarded on the other NFs' verdicts
     /// alone.
-    fn resolve_targets(&mut self, actions: &[Action], key: &FlowKey) -> Targets {
+    fn resolve_targets(&mut self, actions: &[Action], hash: u64) -> Targets {
         self.targets.clear();
         let mut exit_service = None;
         let mut placeable = true;
@@ -3762,7 +3755,7 @@ impl ShardEngine {
                 continue;
             };
             exit_service = Some(service);
-            match pick_instance(&self.service_instances, service, key) {
+            match pick_instance(&self.service_instances, service, hash) {
                 Some(index) => self.targets.push(index),
                 None => placeable = false,
             }
@@ -3786,12 +3779,14 @@ impl ShardEngine {
         &mut self,
         shared: SharedPacket,
         key: FlowKey,
+        hash: u64,
         exit_service: ServiceId,
         traced: bool,
     ) {
         let item = |shared: SharedPacket, position: usize| WorkItem {
             shared,
             key,
+            hash,
             exit_service,
             position: u16::try_from(position).unwrap_or(u16::MAX),
             traced,
@@ -3928,15 +3923,25 @@ fn parallel_fits(staging: &BurstStaging, slots: &[NfSlot], indices: &[usize]) ->
 /// changes the sticky mapping — the NF state-handoff machinery covers the
 /// flows a drained replica was serving.
 fn pick_instance(
-    service_instances: &HashMap<ServiceId, Vec<usize>>,
+    service_instances: &[(ServiceId, Vec<usize>)],
     service: ServiceId,
-    key: &FlowKey,
+    hash: u64,
 ) -> Option<usize> {
-    let candidates = service_instances.get(&service)?;
+    let candidates = replicas_of(service_instances, service);
     if candidates.is_empty() {
         return None;
     }
-    Some(candidates[(key.stable_hash() % candidates.len() as u64) as usize])
+    Some(candidates[(hash % candidates.len() as u64) as usize])
+}
+
+/// The active replica slots of `service` (empty if it has none here). A
+/// shard runs a handful of services, so scanning the dense list beats
+/// hashing the id.
+fn replicas_of(service_instances: &[(ServiceId, Vec<usize>)], service: ServiceId) -> &[usize] {
+    service_instances
+        .iter()
+        .find(|(id, _)| *id == service)
+        .map_or(&[], |(_, replicas)| replicas)
 }
 
 /// Everything one NF replica thread needs, bundled for
@@ -4343,6 +4348,7 @@ impl NfEngine {
                 self.done_staging.push(DoneItem {
                     shared: item.shared,
                     key: item.key,
+                    hash: item.hash,
                     exit_service: item.exit_service,
                     traced: item.traced,
                     nf_started_ns: burst_started_ns,
@@ -4472,6 +4478,7 @@ mod tests {
         let item = |shared: &SharedPacket| WorkItem {
             shared: shared.clone(),
             key: packet(1).flow_key().unwrap(),
+            hash: 0,
             exit_service: ServiceId::new(1),
             position: 0,
             traced: false,
@@ -4520,6 +4527,7 @@ mod tests {
         staging.per_ring[0].push(WorkItem {
             shared: shared.clone(),
             key: packet(9).flow_key().unwrap(),
+            hash: 0,
             exit_service: ServiceId::new(1),
             position: 0,
             traced: false,
