@@ -20,19 +20,19 @@
 //! Per shard, one **worker thread** runs both ends of the pipeline:
 //!
 //! * its *RX role* pops the shard's ingress ring a burst at a time, performs
-//!   the first flow-table lookup **once per distinct flow in the burst**,
-//!   and stages packet descriptors per NF ring (several rings at once for
-//!   parallel rules), flushing each ring with one batched push;
+//!   the first flow-table lookup (lookup cache → exact index → tuple-space
+//!   search), wraps the packet in a descriptor taken from the shard's free
+//!   list, and stages it per NF ring (several rings at once for parallel
+//!   rules), flushing each ring with one batched push;
 //! * each **NF thread** models one network-function VM pinned to the shard:
 //!   it polls its input ring for a burst, runs the NF's batch entry point,
 //!   applies cross-layer messages to the shared flow table *before*
-//!   completed packets are handed onward, and pushes completions to its
-//!   done ring in one burst;
-//! * the worker's *TX role* drains the done rings in bursts, resolves
-//!   conflicting verdicts, performs the next flow-table lookup (memoized per
-//!   distinct flow in the burst, on top of a per-thread lookup cache), and
-//!   either re-stages the descriptor for the next NF, stages the packet for
-//!   egress, or drops it.
+//!   completed packets are handed onward, merges each packet's verdict into
+//!   its descriptor, and pushes completions to its done ring in one burst;
+//! * the worker's *TX role* drains the done rings in bursts, reads the
+//!   resolved verdict out of each descriptor, performs the next flow-table
+//!   lookup, and either re-arms and re-stages the descriptor for the next
+//!   NF, moves the frame out for egress, or drops it.
 //!
 //! Because one thread plays both roles, every ring in a shard has exactly
 //! one producer and one consumer — including the egress ring, which needs no
@@ -48,9 +48,19 @@
 //! nothing is ever silently dropped: overload is always surfaced to the
 //! injector.
 //!
-//! Packets are never copied between threads — descriptors reference the same
-//! [`SharedPacket`] buffer — except once at egress when the frame leaves the
-//! host.
+//! **What a hop costs** (paper §4.2): a packet has one [`SharedPacket`]
+//! descriptor from RX to egress and is never copied — a hop re-arms the
+//! descriptor, egress *moves* the frame out and parks the emptied
+//! descriptor on the shard's free list for RX to refill, so the worker
+//! allocates nothing per packet. The NFs' requested actions ride the
+//! descriptor too: each NF merges its verdict with one `fetch_max` keyed by
+//! its position in the dispatched action list
+//! ([`crate::conflict::resolve_parallel_verdicts`] is the specification of
+//! the merged word), so no lock is taken on the packet path. And the flow
+//! hash is computed once, at admission: it rides `IngressFrame` →
+//! `WorkItem` → `DoneItem` and feeds the bucket tracker, the sticky replica
+//! pick, trace sampling and the direct-mapped
+//! [`LookupCache`](crate::cache::LookupCache).
 //!
 //! **Per-shard flow tables**: the table handed to `start_sharded` is the
 //! *template*; each shard works against its own
@@ -3480,7 +3490,7 @@ impl ShardEngine {
         )
     }
 
-    /// RX role: first lookup per distinct flow, then dispatch into NF rings.
+    /// RX role: first lookup of each packet, then dispatch into NF rings.
     fn rx_round(&mut self, burst: &mut Vec<IngressFrame>) {
         self.stats.add_received(burst.len() as u64);
         // One clock read per burst covers the ingress-wait records, the
@@ -3639,8 +3649,12 @@ impl ShardEngine {
                         Some(decision) => {
                             // Follow the whole decision (it may itself be a
                             // parallel rule or a multi-action list).
-                            let actions = decision.actions.clone();
-                            self.forward_decision(item, &actions, decision.parallel, now_ns);
+                            self.forward_decision(
+                                item,
+                                &decision.actions,
+                                decision.parallel,
+                                now_ns,
+                            );
                             continue;
                         }
                         None => Action::ToController,

@@ -25,7 +25,7 @@ use sdnfv_proto::Packet;
 /// What an NF asks the TX thread to do with a packet, by conflict
 /// priority (paper §4.2): a drop beats an explicit transmit, which beats an
 /// explicit steer, which beats following the flow table's default.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum VerdictClass {
     /// Follow the flow table (the word's reset state).
