@@ -1,0 +1,587 @@
+//! Differential test: the classifier agrees with a linear scan.
+//!
+//! A seeded random schedule of inserts (every mask shape, with and without
+//! a step), exact pins and their replacement, removes, the three bulk
+//! default rewrites, clock advances, sweeps and lookups is applied to a
+//! [`FlowTable`] and to a reference that keeps the live rules in a `Vec`,
+//! filters `matches()` over it and takes the maximum by
+//! (priority, exactness, specificity, id). The two are compared after
+//! every operation.
+//!
+//! Which expired rules a lookup happens to meet (and so evicts lazily) is
+//! the classifier's business; the reference only requires that every rule
+//! the table reports evicted had in fact expired, and that a full sweep
+//! leaves no expired rule behind.
+
+use sdnfv_flowtable::{
+    Action, EvictReason, FlowMatch, FlowRule, FlowTable, IpPrefix, RuleId, RulePort, ServiceId,
+};
+use sdnfv_proto::flow::{FlowKey, IpProtocol};
+use std::collections::HashMap;
+use std::net::Ipv4Addr;
+
+const SEEDS: u64 = 256;
+const OPS_PER_SEED: usize = 160;
+const CHURN_ROUNDS: usize = 12;
+
+struct SplitMix64(u64);
+
+impl SplitMix64 {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `0..n`.
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+
+    fn chance(&mut self, one_in: u64) -> bool {
+        self.below(one_in) == 0
+    }
+
+    fn maybe<T>(&mut self, one_in: u64, make: impl FnOnce(&mut Self) -> T) -> Option<T> {
+        self.chance(one_in).then(|| make(self))
+    }
+}
+
+fn protocol(rng: &mut SplitMix64) -> IpProtocol {
+    if rng.chance(2) {
+        IpProtocol::Tcp
+    } else {
+        IpProtocol::Udp
+    }
+}
+
+/// A small universe of keys, so rules and lookups collide.
+fn key(rng: &mut SplitMix64) -> FlowKey {
+    FlowKey::new(
+        Ipv4Addr::new(10, 0, rng.below(2) as u8, rng.below(4) as u8),
+        Ipv4Addr::new(10, 1, rng.below(2) as u8, rng.below(4) as u8),
+        1000 + rng.below(3) as u16,
+        80 + rng.below(3) as u16,
+        protocol(rng),
+    )
+}
+
+fn step(rng: &mut SplitMix64) -> RulePort {
+    if rng.chance(2) {
+        RulePort::Nic(rng.below(2) as u16)
+    } else {
+        RulePort::Service(ServiceId::new(1 + rng.below(3) as u32))
+    }
+}
+
+fn prefix(rng: &mut SplitMix64, second: u8) -> IpPrefix {
+    let len = [0, 8, 16, 24, 30, 32][rng.below(6) as usize];
+    let addr = Ipv4Addr::new(10, second, rng.below(2) as u8, rng.below(4) as u8);
+    IpPrefix::new(addr, len)
+}
+
+fn wildcard(rng: &mut SplitMix64) -> FlowMatch {
+    FlowMatch {
+        // Three in four rules name a step, as compiled graphs do.
+        step: (!rng.chance(4)).then(|| step(rng)),
+        src_ip: rng.maybe(3, |r| prefix(r, 0)),
+        dst_ip: rng.maybe(3, |r| prefix(r, 1)),
+        src_port: rng.maybe(4, |r| 1000 + r.below(3) as u16),
+        dst_port: rng.maybe(3, |r| 80 + r.below(3) as u16),
+        protocol: rng.maybe(3, protocol),
+    }
+}
+
+fn actions(rng: &mut SplitMix64) -> Vec<Action> {
+    let service = |r: &mut SplitMix64| Action::ToService(ServiceId::new(1 + r.below(4) as u32));
+    let mut list = vec![service(rng)];
+    if rng.chance(2) {
+        list.push(Action::ToPort(rng.below(2) as u16));
+    }
+    if rng.chance(3) {
+        let extra = service(rng);
+        if !list.contains(&extra) {
+            list.push(extra);
+        }
+    }
+    if rng.chance(8) {
+        list.insert(rng.below(list.len() as u64 + 1) as usize, Action::Trace);
+    }
+    list
+}
+
+fn rule(rng: &mut SplitMix64, matcher: FlowMatch) -> FlowRule {
+    let mut rule = if rng.chance(5) {
+        FlowRule::parallel(matcher, actions(rng))
+    } else {
+        FlowRule::new(matcher, actions(rng))
+    };
+    rule.priority = rng.below(3) as u16;
+    rule.idle_timeout_ns = rng.maybe(4, |r| 20 + r.below(200));
+    rule.hard_timeout_ns = rng.maybe(5, |r| 20 + r.below(400));
+    rule
+}
+
+struct RefRule {
+    id: RuleId,
+    rule: FlowRule,
+    installed_at: u64,
+    last_hit: u64,
+    hits: u64,
+}
+
+impl RefRule {
+    fn expiry(&self, now: u64) -> Option<EvictReason> {
+        if self
+            .rule
+            .hard_timeout_ns
+            .is_some_and(|t| now >= self.installed_at + t)
+        {
+            return Some(EvictReason::Hard);
+        }
+        if self
+            .rule
+            .idle_timeout_ns
+            .is_some_and(|t| now >= self.last_hit + t)
+        {
+            return Some(EvictReason::Idle);
+        }
+        None
+    }
+
+    /// The match-order key: higher wins.
+    fn rank(&self) -> (u16, bool, u32, RuleId) {
+        let matcher = &self.rule.matcher;
+        (
+            self.rule.priority,
+            matcher.is_exact(),
+            matcher.specificity(),
+            self.id,
+        )
+    }
+}
+
+/// The linear-scan oracle, plus the tallies the table's counters must match.
+#[derive(Default)]
+struct Reference {
+    rules: Vec<RefRule>,
+    now: u64,
+    lookups: u64,
+    hits: u64,
+    evicted_idle: u64,
+    evicted_hard: u64,
+}
+
+impl Reference {
+    fn insert(&mut self, id: RuleId, rule: FlowRule) {
+        if let Some(exact) = rule.matcher.exact_key() {
+            self.rules
+                .retain(|r| r.rule.matcher.exact_key() != Some(exact));
+        }
+        self.rules.push(RefRule {
+            id,
+            rule,
+            installed_at: self.now,
+            last_hit: self.now,
+            hits: 0,
+        });
+    }
+
+    fn remove(&mut self, id: RuleId) -> Option<FlowRule> {
+        let at = self.rules.iter().position(|r| r.id == id)?;
+        Some(self.rules.remove(at).rule)
+    }
+
+    fn winner(&self, step: RulePort, key: &FlowKey) -> Option<usize> {
+        (0..self.rules.len())
+            .filter(|&i| {
+                let r = &self.rules[i];
+                r.expiry(self.now).is_none() && r.rule.matcher.matches(step, key)
+            })
+            .max_by_key(|&i| self.rules[i].rank())
+    }
+
+    /// Removes a rule the table reported evicted, checking it was due.
+    fn evicted(&mut self, id: RuleId, reason: EvictReason, context: &str) -> RefRule {
+        let at = self
+            .rules
+            .iter()
+            .position(|r| r.id == id)
+            .unwrap_or_else(|| {
+                panic!("{context}: evicted {id}, which the reference does not hold")
+            });
+        let dead = self.rules.remove(at);
+        assert_eq!(
+            dead.expiry(self.now),
+            Some(reason),
+            "{context}: {id} evicted early or for the wrong reason"
+        );
+        match reason {
+            EvictReason::Idle => self.evicted_idle += 1,
+            EvictReason::Hard => self.evicted_hard += 1,
+        }
+        dead
+    }
+}
+
+/// One table under test next to its reference.
+struct Pair {
+    table: FlowTable,
+    reference: Reference,
+    /// Every id ever issued, live or dead (removal targets).
+    issued: Vec<RuleId>,
+    seed: u64,
+    op: usize,
+}
+
+impl Pair {
+    fn context(&self, what: &str) -> String {
+        format!("seed {} op {} ({what})", self.seed, self.op)
+    }
+
+    fn insert(&mut self, rule: FlowRule) -> RuleId {
+        let id = self.table.insert(rule.clone());
+        assert!(
+            self.issued.iter().all(|&old| old < id),
+            "{}",
+            self.context("ids grow")
+        );
+        self.issued.push(id);
+        self.reference.insert(id, rule);
+        id
+    }
+
+    fn remove(&mut self, id: RuleId) {
+        let got = self.table.remove(id);
+        let expected = self.reference.remove(id);
+        assert_eq!(got, expected, "{}", self.context("remove"));
+    }
+
+    fn advance(&mut self, by: u64) {
+        self.reference.now += by;
+        self.table.advance_clock(self.reference.now);
+        assert_eq!(self.table.clock_ns(), self.reference.now);
+    }
+
+    /// Folds the table's queued eviction events into the reference.
+    fn drain_evictions(&mut self, what: &str) -> usize {
+        let context = self.context(what);
+        let events = self.table.take_evicted();
+        for event in &events {
+            let dead = self.reference.evicted(event.id, event.reason, &context);
+            assert_eq!(event.rule, dead.rule, "{context}: evicted rule body");
+            assert_eq!(
+                event.exact,
+                dead.rule.matcher.exact_key(),
+                "{context}: exact key"
+            );
+        }
+        events.len()
+    }
+
+    fn lookup(&mut self, step: RulePort, key: &FlowKey) {
+        let context = self.context("lookup");
+        let expected = self.reference.winner(step, key);
+        let peeked = self.table.peek(step, key);
+        assert_eq!(
+            peeked,
+            expected.map(|i| &self.reference.rules[i].rule),
+            "{context}: peek at {step} {key:?}"
+        );
+        let got = self.table.lookup(step, key);
+        self.reference.lookups += 1;
+        match (got, expected) {
+            (None, None) => {}
+            (Some(decision), Some(i)) => {
+                let now = self.reference.now;
+                let r = &mut self.reference.rules[i];
+                r.hits += 1;
+                r.last_hit = now;
+                self.reference.hits += 1;
+                assert_eq!(
+                    decision.rule_id, r.id,
+                    "{context}: winner at {step} {key:?}"
+                );
+                let forwarding: Vec<Action> = r
+                    .rule
+                    .actions
+                    .iter()
+                    .copied()
+                    .filter(|a| *a != Action::Trace)
+                    .collect();
+                assert_eq!(&decision.actions[..], &forwarding[..], "{context}: actions");
+                assert_eq!(decision.parallel, r.rule.parallel, "{context}: parallel");
+                assert_eq!(
+                    decision.trace,
+                    r.rule.actions.contains(&Action::Trace),
+                    "{context}: trace"
+                );
+                assert_eq!(self.table.hit_count(r.id), r.hits, "{context}: hit count");
+            }
+            (got, expected) => panic!(
+                "{context}: table {got:?} vs reference {:?} at {step} {key:?}",
+                expected.map(|i| &self.reference.rules[i].rule)
+            ),
+        }
+        self.drain_evictions("lazy eviction");
+    }
+
+    /// Sweeps without bound; afterwards no unprotected expired rule is left.
+    fn sweep(&mut self, protect_odd_sources: bool) {
+        let protected =
+            |(_, key): &(RulePort, FlowKey)| protect_odd_sources && key.src_ip.octets()[3] % 2 == 1;
+        let evicted = self.table.sweep(usize::MAX, protected);
+        let drained = self.drain_evictions("sweep");
+        assert_eq!(drained, evicted, "{}", self.context("sweep count"));
+        let now = self.reference.now;
+        for r in &self.reference.rules {
+            let shielded = r.rule.matcher.exact_key().is_some_and(|k| protected(&k));
+            assert!(
+                r.expiry(now).is_none() || shielded,
+                "{}: {} expired but survived the sweep",
+                self.context("sweep"),
+                r.id
+            );
+        }
+    }
+
+    /// The whole observable state: listing order, exact index, counters.
+    fn check_state(&self, what: &str) {
+        let context = self.context(what);
+        let mut expected: Vec<&RefRule> = self.reference.rules.iter().collect();
+        expected.sort_by_key(|r| {
+            std::cmp::Reverse((r.rule.priority, r.rule.matcher.specificity(), r.id))
+        });
+        let listed: Vec<(RuleId, &FlowRule)> = self.table.rules().collect();
+        let expected_list: Vec<(RuleId, &FlowRule)> =
+            expected.iter().map(|r| (r.id, &r.rule)).collect();
+        assert_eq!(listed, expected_list, "{context}: rules() listing");
+        assert_eq!(self.table.len(), expected.len(), "{context}: len");
+        assert_eq!(
+            self.table.is_empty(),
+            expected.is_empty(),
+            "{context}: is_empty"
+        );
+
+        let mut exact: Vec<(RuleId, (RulePort, FlowKey))> =
+            self.table.exact_rules().map(|(id, k, _)| (id, k)).collect();
+        exact.sort();
+        let mut expected_exact: Vec<(RuleId, (RulePort, FlowKey))> = expected
+            .iter()
+            .filter_map(|r| Some((r.id, r.rule.matcher.exact_key()?)))
+            .collect();
+        expected_exact.sort();
+        assert_eq!(exact, expected_exact, "{context}: exact_rules()");
+        for (id, (step, key)) in &exact {
+            assert_eq!(self.table.exact_rule_id(*step, key), Some(*id), "{context}");
+        }
+        let live: HashMap<RuleId, &FlowRule> = expected_list.iter().copied().collect();
+        for id in &self.issued {
+            assert_eq!(
+                self.table.rule(*id),
+                live.get(id).copied(),
+                "{context}: rule({id})"
+            );
+        }
+
+        let stats = self.table.stats();
+        assert_eq!(stats.lookups, self.reference.lookups, "{context}: lookups");
+        assert_eq!(stats.hits, self.reference.hits, "{context}: hits");
+        assert_eq!(
+            stats.misses,
+            stats.lookups - stats.hits,
+            "{context}: misses"
+        );
+        assert_eq!(
+            stats.evicted_idle, self.reference.evicted_idle,
+            "{context}: idle evictions"
+        );
+        assert_eq!(
+            stats.evicted_hard, self.reference.evicted_hard,
+            "{context}: hard evictions"
+        );
+        assert_eq!(
+            self.table.pending_evictions(),
+            0,
+            "{context}: events drained"
+        );
+    }
+
+    /// Applies one of the three bulk default rewrites to both sides.
+    fn rewrite_defaults(&mut self, rng: &mut SplitMix64) {
+        let service = ServiceId::new(1 + rng.below(3) as u32);
+        let flows = if rng.chance(2) {
+            FlowMatch::any()
+        } else {
+            FlowMatch {
+                step: None,
+                ..wildcard(rng)
+            }
+        };
+        let target = if rng.chance(3) {
+            Action::ToPort(rng.below(2) as u16)
+        } else {
+            Action::ToService(ServiceId::new(1 + rng.below(4) as u32))
+        };
+        let mut rewrite = |applies: &dyn Fn(&FlowRule) -> bool| {
+            let mut updated = 0;
+            for r in &mut self.reference.rules {
+                if applies(&r.rule) {
+                    r.rule.set_default_action(target);
+                    updated += 1;
+                }
+            }
+            updated
+        };
+        let (got, expected) = match rng.below(3) {
+            0 => {
+                let force = rng.chance(4);
+                let expected = rewrite(&|rule| {
+                    rule.matcher.step == Some(RulePort::Service(service))
+                        && rule.matcher.intersects(&flows)
+                        && (force || rule.allows(target))
+                });
+                (
+                    self.table.change_default(service, &flows, target, force),
+                    expected,
+                )
+            }
+            1 => {
+                let expected = rewrite(&|rule| {
+                    rule.default_action() == Some(Action::ToService(service))
+                        && target != Action::ToService(service)
+                        && rule.matcher.intersects(&flows)
+                });
+                (
+                    self.table.retarget_defaults(service, &flows, target),
+                    expected,
+                )
+            }
+            _ => {
+                let expected = rewrite(&|rule| {
+                    rule.allows(target)
+                        && rule.default_action() != Some(target)
+                        && rule.matcher.intersects(&flows)
+                });
+                (self.table.promote_where_allowed(&flows, target), expected)
+            }
+        };
+        assert_eq!(got, expected, "{}", self.context("bulk default rewrite"));
+    }
+
+    fn random_op(&mut self, rng: &mut SplitMix64) {
+        match rng.below(16) {
+            0..=4 => {
+                let matcher = wildcard(rng);
+                self.insert(rule(rng, matcher));
+            }
+            5..=7 => {
+                let matcher = FlowMatch::exact(step(rng), &key(rng));
+                self.insert(rule(rng, matcher));
+            }
+            8..=9 if !self.issued.is_empty() => {
+                // Mostly live rules, sometimes one long gone.
+                let id = self.issued[rng.below(self.issued.len() as u64) as usize];
+                self.remove(id);
+            }
+            10 => self.rewrite_defaults(rng),
+            11..=12 => self.advance(1 + rng.below(120)),
+            13 => self.sweep(rng.chance(3)),
+            _ => {}
+        }
+        self.check_state("after the operation");
+        for _ in 0..4 {
+            self.lookup(step(rng), &key(rng));
+        }
+        self.check_state("after the lookups");
+    }
+
+    /// Recycles slab slots while deadlines naming their former tenants are
+    /// still queued: short-lived pins are installed, half are removed by id
+    /// (or replaced in place) before they are due, longer-lived rules move
+    /// into the freed slots, and the clock then passes the dead rules'
+    /// deadlines. No tenant may be evicted on its predecessor's deadline.
+    fn churn_round(&mut self, rng: &mut SplitMix64) {
+        let ingress = RulePort::Nic(0);
+        let pins: Vec<RuleId> = (0..12)
+            .map(|_| {
+                let pin = FlowRule::new(FlowMatch::exact(ingress, &key(rng)), actions(rng))
+                    .with_idle_timeout_ns(Some(30 + rng.below(30)))
+                    .with_hard_timeout_ns(rng.maybe(3, |r| 40 + r.below(40)));
+                self.insert(pin)
+            })
+            .collect();
+        self.check_state("churn: pins installed");
+        for id in pins.iter().step_by(2) {
+            self.remove(*id);
+        }
+        for _ in 0..8 {
+            let matcher = if rng.chance(2) {
+                FlowMatch::exact(ingress, &key(rng))
+            } else {
+                wildcard(rng)
+            };
+            let tenant = FlowRule::new(matcher, actions(rng))
+                .with_hard_timeout_ns(rng.maybe(2, |r| 500 + r.below(500)));
+            self.insert(tenant);
+        }
+        self.check_state("churn: slots recycled");
+        self.advance(100);
+        if rng.chance(2) {
+            for _ in 0..6 {
+                self.lookup(ingress, &key(rng));
+            }
+        }
+        self.sweep(false);
+        self.check_state("churn: swept past the dead deadlines");
+        for _ in 0..6 {
+            self.lookup(step(rng), &key(rng));
+        }
+    }
+}
+
+#[test]
+fn classifier_agrees_with_a_linear_scan() {
+    for seed in 0..SEEDS {
+        let mut rng = SplitMix64(seed);
+        let mut pair = Pair {
+            table: FlowTable::new(),
+            reference: Reference::default(),
+            issued: Vec::new(),
+            seed,
+            op: 0,
+        };
+        for op in 0..OPS_PER_SEED {
+            pair.op = op;
+            pair.random_op(&mut rng);
+        }
+        for round in 0..CHURN_ROUNDS {
+            pair.op = OPS_PER_SEED + round;
+            pair.churn_round(&mut rng);
+        }
+        // Everything with a timeout eventually goes; the rest stays.
+        pair.advance(10_000);
+        pair.sweep(false);
+        pair.check_state("final sweep");
+        assert!(pair.reference.rules.iter().all(|r| !r.rule.has_timeout()));
+    }
+}
+
+#[test]
+fn default_change_preserves_action_set_membership() {
+    for seed in 0..SEEDS {
+        let mut rng = SplitMix64(seed);
+        let mut rule = rule(&mut rng, FlowMatch::any());
+        let new_action = Action::ToService(ServiceId::new(1 + rng.below(7) as u32));
+        let before = rule.actions.clone();
+        rule.set_default_action(new_action);
+        assert_eq!(rule.default_action(), Some(new_action));
+        // Every previously-allowed action is still allowed, exactly once.
+        for action in before {
+            assert_eq!(rule.actions.iter().filter(|a| **a == action).count(), 1);
+        }
+        assert_eq!(rule.actions.iter().filter(|a| **a == new_action).count(), 1);
+    }
+}
