@@ -86,6 +86,9 @@ pub struct EvictedRule {
 /// the timeout lifecycle runs on.
 #[derive(Debug, Clone)]
 struct RuleEntry {
+    /// The rule's id: indexes name entries by slab slot, so the id travels
+    /// with the entry (decisions, eviction events, stale-deadline checks).
+    id: RuleId,
     rule: FlowRule,
     /// `rule.actions` shared as an `Arc` so lookups are allocation-free;
     /// rebuilt whenever a bulk mutation changes the action list. The
@@ -114,9 +117,10 @@ fn forwarding_actions(actions: &[Action]) -> (Arc<[Action]>, bool) {
 }
 
 impl RuleEntry {
-    fn new(rule: FlowRule, now_ns: u64) -> Self {
+    fn new(id: RuleId, rule: FlowRule, now_ns: u64) -> Self {
         let (shared_actions, trace) = forwarding_actions(&rule.actions);
         RuleEntry {
+            id,
             rule,
             shared_actions,
             trace,
@@ -253,9 +257,9 @@ struct ShapeBucket {
     /// Creation sequence — the deterministic tiebreak when two shapes have
     /// the same max priority.
     seq: u64,
-    /// Masked tuple → `(priority, id)` candidates, sorted descending so
-    /// the first live entry is the bucket's best match.
-    rules: HashMap<MaskedTuple, Vec<(u16, RuleId)>>,
+    /// Masked tuple → `(priority, id, slot)` candidates, sorted descending
+    /// so the first live entry is the bucket's best match.
+    rules: HashMap<MaskedTuple, Vec<(u16, RuleId, Slot)>>,
     /// Priority histogram over every rule in the bucket; the last key is
     /// the shape's max priority (the probe-order / early-exit key).
     priorities: std::collections::BTreeMap<u16, usize>,
@@ -281,7 +285,7 @@ struct TupleSpace {
 }
 
 impl TupleSpace {
-    fn insert(&mut self, id: RuleId, rule: &FlowRule) {
+    fn insert(&mut self, id: RuleId, slot: Slot, rule: &FlowRule) {
         let shape = MaskShape::of(&rule.matcher);
         let tuple = shape.mask_rule(&rule.matcher);
         let index = match self.shapes.iter().position(|b| b.shape == shape) {
@@ -301,13 +305,13 @@ impl TupleSpace {
         let bucket = &mut self.shapes[index];
         let ids = bucket.rules.entry(tuple).or_default();
         // Keep (priority desc, id desc): the first live entry wins.
-        let at = ids.partition_point(|&(p, other)| (p, other.0) > (rule.priority, id.0));
-        ids.insert(at, (rule.priority, id));
+        let at = ids.partition_point(|&(p, other, _)| (p, other) > (rule.priority, id));
+        ids.insert(at, (rule.priority, id, slot));
         *bucket.priorities.entry(rule.priority).or_insert(0) += 1;
         self.resort();
     }
 
-    fn remove(&mut self, id: RuleId, rule: &FlowRule) {
+    fn remove(&mut self, slot: Slot, rule: &FlowRule) {
         let shape = MaskShape::of(&rule.matcher);
         let tuple = shape.mask_rule(&rule.matcher);
         let Some(index) = self.shapes.iter().position(|b| b.shape == shape) else {
@@ -315,7 +319,7 @@ impl TupleSpace {
         };
         let bucket = &mut self.shapes[index];
         if let Some(ids) = bucket.rules.get_mut(&tuple) {
-            if let Some(at) = ids.iter().position(|&(_, other)| other == id) {
+            if let Some(at) = ids.iter().position(|&(_, _, other)| other == slot) {
                 ids.remove(at);
                 if let Some(count) = bucket.priorities.get_mut(&rule.priority) {
                     *count -= 1;
@@ -346,6 +350,9 @@ impl TupleSpace {
     }
 }
 
+/// Index of a rule's entry in the [`FlowTable`] slab.
+type Slot = u32;
+
 /// The flow table held by one NF Manager.
 ///
 /// Rules are matched by priority (highest first), then by match
@@ -355,22 +362,37 @@ impl TupleSpace {
 /// the classifier layout and the timeout lifecycle.
 #[derive(Debug, Default, Clone)]
 pub struct FlowTable {
-    rules: HashMap<RuleId, RuleEntry>,
-    exact: HashMap<(RulePort, FlowKey), RuleId>,
+    /// The rule slab. Every index below names an entry by its slot, so a
+    /// lookup reaches the entries it inspects by array index.
+    slots: Vec<Option<RuleEntry>>,
+    /// Vacant slots, reused before the slab grows: a table that churns
+    /// rules at a steady population stays at steady memory.
+    free: Vec<Slot>,
+    /// `RuleId → slot`, for the id-addressed control calls only.
+    ids: HashMap<RuleId, Slot>,
+    exact: HashMap<(RulePort, FlowKey), Slot>,
     wildcard: TupleSpace,
     next_id: u64,
     /// The table's notion of "now" (monotone, advanced by the owner's
     /// clock). All timeout comparisons use this, so behavior is identical
     /// under the real and the simulated clock.
     now_ns: u64,
-    /// Lazy-deletion deadline heap: `(earliest possible expiry, rule id)`.
-    /// Entries are not updated when traffic refreshes an idle deadline;
-    /// a popped entry whose rule is gone or not yet expired is re-armed or
-    /// discarded.
-    deadlines: BinaryHeap<Reverse<(u64, u64)>>,
+    /// Lazy-deletion deadline heap: `(earliest possible expiry, rule id,
+    /// slot)`. Entries are not updated when traffic refreshes an idle
+    /// deadline; a popped entry whose rule is gone (the slot is vacant or
+    /// holds another id) or not yet expired is discarded or re-armed.
+    deadlines: BinaryHeap<Reverse<(u64, u64, Slot)>>,
     /// Eviction events not yet drained by [`FlowTable::take_evicted`].
     evicted: Vec<EvictedRule>,
     stats: TableStats,
+}
+
+/// What [`FlowTable::probe`] found.
+struct Probe {
+    /// Slot of the winning live rule.
+    winner: Option<Slot>,
+    /// Expired rules met on the way, which the caller may evict.
+    expired: Vec<(Slot, EvictReason)>,
 }
 
 impl FlowTable {
@@ -391,6 +413,23 @@ impl FlowTable {
         self.now_ns
     }
 
+    /// The live entry in `slot`. Indexes only ever hold occupied slots.
+    fn entry(&self, slot: Slot) -> &RuleEntry {
+        self.slots[slot as usize]
+            .as_ref()
+            .expect("indexed slots are occupied")
+    }
+
+    /// Vacates `slot` and forgets its id; the caller unindexes the rule.
+    fn release(&mut self, slot: Slot) -> RuleEntry {
+        let entry = self.slots[slot as usize]
+            .take()
+            .expect("indexed slots are occupied");
+        self.ids.remove(&entry.id);
+        self.free.push(slot);
+        entry
+    }
+
     /// Installs a rule and returns its id.
     ///
     /// Exact rules go to the exact index only and wildcard rules to their
@@ -400,69 +439,66 @@ impl FlowTable {
     pub fn insert(&mut self, rule: FlowRule) -> RuleId {
         let id = RuleId(self.next_id);
         self.next_id += 1;
-        let entry = RuleEntry::new(rule, self.now_ns);
+        let entry = RuleEntry::new(id, rule, self.now_ns);
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(None);
+            Slot::try_from(self.slots.len() - 1).expect("fewer than 2^32 rules")
+        });
         if let Some(step_key) = entry.rule.matcher.exact_key() {
-            if let Some(old) = self.exact.insert(step_key, id) {
+            if let Some(old) = self.exact.insert(step_key, slot) {
                 // The old rule would be unreachable (exact rules are only
                 // found through the index); drop it rather than leak it.
-                self.rules.remove(&old);
+                self.release(old);
             }
         } else {
-            self.wildcard.insert(id, &entry.rule);
+            self.wildcard.insert(id, slot, &entry.rule);
         }
         if let Some(deadline) = entry.earliest_deadline() {
-            self.deadlines.push(Reverse((deadline, id.0)));
+            self.deadlines.push(Reverse((deadline, id.0, slot)));
         }
-        self.rules.insert(id, entry);
+        self.ids.insert(id, slot);
+        self.slots[slot as usize] = Some(entry);
         id
     }
 
     /// Removes a rule. O(1) for exact rules; O(shape bucket) for
     /// wildcards.
     pub fn remove(&mut self, id: RuleId) -> Option<FlowRule> {
-        let entry = self.rules.remove(&id)?;
-        self.unindex(id, &entry.rule);
-        Some(entry.rule)
+        let slot = *self.ids.get(&id)?;
+        Some(self.unlink(slot).0.rule)
     }
 
-    fn unindex(&mut self, id: RuleId, rule: &FlowRule) {
-        if let Some(step_key) = rule.matcher.exact_key() {
-            if self.exact.get(&step_key) == Some(&id) {
-                self.exact.remove(&step_key);
-            }
-        } else {
-            self.wildcard.remove(id, rule);
-        }
-    }
-
-    /// Evicts a rule for `reason`: removes it from every index and queues
-    /// the [`EvictedRule`] event.
-    fn evict(&mut self, id: RuleId, reason: EvictReason) {
-        let Some(entry) = self.rules.remove(&id) else {
-            return;
-        };
+    /// Takes the rule in `slot` out of the slab and out of its index.
+    /// Returns the entry and, for an exact rule, its index key.
+    fn unlink(&mut self, slot: Slot) -> (RuleEntry, Option<(RulePort, FlowKey)>) {
+        let entry = self.release(slot);
         let exact = entry.rule.matcher.exact_key();
-        self.unindex_removed(id, &entry.rule, exact);
+        match exact {
+            Some(step_key) => {
+                // A replaced exact rule is released on the spot, so the
+                // index always names the one live rule of its key.
+                let indexed = self.exact.remove(&step_key);
+                debug_assert_eq!(indexed, Some(slot));
+            }
+            None => self.wildcard.remove(slot, &entry.rule),
+        }
+        (entry, exact)
+    }
+
+    /// Evicts the rule in `slot` for `reason`: removes it from every
+    /// index and queues the [`EvictedRule`] event.
+    fn evict(&mut self, slot: Slot, reason: EvictReason) {
+        let (entry, exact) = self.unlink(slot);
         match reason {
             EvictReason::Idle => self.stats.evicted_idle += 1,
             EvictReason::Hard => self.stats.evicted_hard += 1,
         }
         self.evicted.push(EvictedRule {
-            id,
+            id: entry.id,
             rule: entry.rule,
             exact,
             reason,
         });
-    }
-
-    fn unindex_removed(&mut self, id: RuleId, rule: &FlowRule, exact: Option<(RulePort, FlowKey)>) {
-        if let Some(step_key) = exact {
-            if self.exact.get(&step_key) == Some(&id) {
-                self.exact.remove(&step_key);
-            }
-        } else {
-            self.wildcard.remove(id, rule);
-        }
     }
 
     /// Looks up the rule governing a packet of flow `key` at `step`,
@@ -470,114 +506,95 @@ impl FlowTable {
     /// Expired rules encountered on the way are evicted lazily.
     pub fn lookup(&mut self, step: RulePort, key: &FlowKey) -> Option<Decision> {
         self.stats.lookups += 1;
-        let (winner, expired) = self.probe(step, key);
-        for (id, reason) in expired {
-            self.evict(id, reason);
+        let Probe { winner, expired } = self.probe(step, key);
+        for (slot, reason) in expired {
+            self.evict(slot, reason);
         }
-        match winner {
-            Some(id) => {
-                self.stats.hits += 1;
-                let now_ns = self.now_ns;
-                let entry = self.rules.get_mut(&id).expect("probe returns live ids");
-                entry.hits += 1;
-                entry.last_hit_ns = now_ns;
-                Some(Decision {
-                    rule_id: id,
-                    actions: Arc::clone(&entry.shared_actions),
-                    parallel: entry.rule.parallel,
-                    trace: entry.trace,
-                })
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
+        let Some(slot) = winner else {
+            self.stats.misses += 1;
+            return None;
+        };
+        self.stats.hits += 1;
+        let now_ns = self.now_ns;
+        let entry = self.slots[slot as usize]
+            .as_mut()
+            .expect("probe returns occupied slots");
+        entry.hits += 1;
+        entry.last_hit_ns = now_ns;
+        Some(Decision {
+            rule_id: entry.id,
+            actions: Arc::clone(&entry.shared_actions),
+            parallel: entry.rule.parallel,
+            trace: entry.trace,
+        })
     }
 
     /// Read-only lookup that does not update statistics or idle timers
     /// (used by tests and by the control plane when validating messages).
     /// Expired rules are skipped but not evicted (no `&mut`).
     pub fn peek(&self, step: RulePort, key: &FlowKey) -> Option<&FlowRule> {
-        let (winner, _expired) = self.probe(step, key);
-        winner.map(|id| &self.rules[&id].rule)
+        let slot = self.probe(step, key).winner?;
+        Some(&self.entry(slot).rule)
     }
 
     /// The classifier core: exact fast path + tuple-space probe.
     ///
-    /// Returns the winning live rule id (if any) and the expired rules
-    /// encountered, which the caller may evict. Win order: priority desc,
-    /// then specificity desc, then insertion id desc; an exact rule beats
-    /// any wildcard of equal priority.
-    fn probe(&self, step: RulePort, key: &FlowKey) -> (Option<RuleId>, Vec<(RuleId, EvictReason)>) {
+    /// Win order: priority desc, then specificity desc, then insertion id
+    /// desc; an exact rule beats any wildcard of equal priority.
+    fn probe(&self, step: RulePort, key: &FlowKey) -> Probe {
         let now_ns = self.now_ns;
-        let mut expired: Vec<(RuleId, EvictReason)> = Vec::new();
-        let exact = match self.exact.get(&(step, *key)).copied() {
-            Some(id) => match self.rules[&id].expiry(now_ns) {
-                Some(reason) => {
-                    expired.push((id, reason));
-                    None
-                }
-                None => Some(id),
-            },
-            None => None,
-        };
-        let exact_priority = exact.map(|id| self.rules[&id].rule.priority);
-        let mut best: Option<(u16, u32, RuleId)> = None;
+        let mut expired: Vec<(Slot, EvictReason)> = Vec::new();
+        // The live exact rule of this flow at this step: (priority, slot).
+        let mut exact: Option<(u16, Slot)> = None;
+        if let Some(&slot) = self.exact.get(&(step, *key)) {
+            let entry = self.entry(slot);
+            match entry.expiry(now_ns) {
+                Some(reason) => expired.push((slot, reason)),
+                None => exact = Some((entry.rule.priority, slot)),
+            }
+        }
+        // The best live wildcard so far: (priority, specificity, id, slot).
+        let mut best: Option<(u16, u32, RuleId, Slot)> = None;
         for bucket in &self.wildcard.shapes {
             let ceiling = bucket.max_priority();
             // Shapes are sorted by max priority: once no remaining shape
             // can beat the best candidate (or tie with the exact rule,
             // which wins ties), stop probing.
-            if let Some((best_priority, _, _)) = best {
-                if ceiling < best_priority {
-                    break;
-                }
-            }
-            if let Some(exact_priority) = exact_priority {
-                if ceiling <= exact_priority {
-                    break;
-                }
+            if best.is_some_and(|(best_priority, ..)| ceiling < best_priority)
+                || exact.is_some_and(|(exact_priority, _)| ceiling <= exact_priority)
+            {
+                break;
             }
             let tuple = bucket.shape.project(step, key);
-            let Some(ids) = bucket.rules.get(&tuple) else {
+            let Some(candidates) = bucket.rules.get(&tuple) else {
                 continue;
             };
-            for &(priority, id) in ids {
-                let entry = &self.rules[&id];
+            for &(priority, id, slot) in candidates {
+                let entry = self.entry(slot);
                 if let Some(reason) = entry.expiry(now_ns) {
-                    expired.push((id, reason));
+                    expired.push((slot, reason));
                     continue;
                 }
                 debug_assert!(entry.rule.matcher.matches(step, key));
-                if exact_priority.is_some_and(|ep| priority <= ep) {
-                    break;
-                }
-                let candidate = (priority, bucket.specificity, id);
-                if best.is_none_or(|(bp, bs, bi)| {
-                    (priority, bucket.specificity, id.0) > (bp, bs, bi.0)
-                }) {
+                // Candidates are sorted (priority desc, id desc): the first
+                // live one is this bucket's best.
+                let candidate = (priority, bucket.specificity, id, slot);
+                if best.is_none_or(|held| candidate > held) {
                     best = Some(candidate);
                 }
-                // Entries are sorted (priority desc, id desc): the first
-                // live one is this bucket's best.
                 break;
             }
         }
         let winner = match (exact, best) {
-            (Some(exact_id), Some((best_priority, _, best_id))) => {
-                let exact_priority = self.rules[&exact_id].rule.priority;
-                if best_priority > exact_priority {
-                    Some(best_id)
-                } else {
-                    Some(exact_id)
-                }
+            (Some((exact_priority, _)), Some((priority, _, _, slot)))
+                if priority > exact_priority =>
+            {
+                Some(slot)
             }
-            (Some(exact_id), None) => Some(exact_id),
-            (None, Some((_, _, best_id))) => Some(best_id),
+            (Some((_, slot)), _) | (None, Some((_, _, _, slot))) => Some(slot),
             (None, None) => None,
         };
-        (winner, expired)
+        Probe { winner, expired }
     }
 
     /// Evicts up to `max_evictions` expired rules whose deadline has
@@ -593,35 +610,39 @@ impl FlowTable {
     ) -> usize {
         let now_ns = self.now_ns;
         let mut evictions = 0;
-        let mut deferred: Vec<Reverse<(u64, u64)>> = Vec::new();
+        let mut deferred: Vec<Reverse<(u64, u64, Slot)>> = Vec::new();
         while evictions < max_evictions {
-            let Some(&Reverse((deadline, raw))) = self.deadlines.peek() else {
+            let Some(&Reverse((deadline, raw, slot))) = self.deadlines.peek() else {
                 break;
             };
             if deadline > now_ns {
                 break;
             }
             self.deadlines.pop();
-            let id = RuleId(raw);
-            let Some(entry) = self.rules.get(&id) else {
+            // A slot is recycled, an id never: the id check keeps a dead
+            // rule's deadline from evicting the slot's next tenant.
+            let Some(entry) = self.slots[slot as usize]
+                .as_ref()
+                .filter(|entry| entry.id.0 == raw)
+            else {
                 continue; // stale heap entry: the rule is already gone
             };
             match entry.expiry(now_ns) {
                 Some(reason) => {
                     if let Some(step_key) = entry.rule.matcher.exact_key() {
                         if protected(&step_key) {
-                            deferred.push(Reverse((deadline, raw)));
+                            deferred.push(Reverse((deadline, raw, slot)));
                             continue;
                         }
                     }
-                    self.evict(id, reason);
+                    self.evict(slot, reason);
                     evictions += 1;
                 }
                 None => {
                     // Traffic pushed the idle deadline forward since this
                     // heap entry was armed: re-arm at the new deadline.
                     if let Some(next) = entry.earliest_deadline() {
-                        self.deadlines.push(Reverse((next, raw)));
+                        self.deadlines.push(Reverse((next, raw, slot)));
                     }
                 }
             }
@@ -643,37 +664,43 @@ impl FlowTable {
 
     /// Returns the rule with the given id.
     pub fn rule(&self, id: RuleId) -> Option<&FlowRule> {
-        self.rules.get(&id).map(|entry| &entry.rule)
+        self.ids.get(&id).map(|&slot| &self.entry(slot).rule)
     }
 
     /// Returns the id of the exact per-flow rule installed for `(step, key)`,
     /// if one exists (wildcard rules are not considered).
     pub fn exact_rule_id(&self, step: RulePort, key: &FlowKey) -> Option<RuleId> {
-        self.exact.get(&(step, *key)).copied()
+        self.exact
+            .get(&(step, *key))
+            .map(|&slot| self.entry(slot).id)
     }
 
-    /// Rule ids sorted in match order (priority desc, specificity desc,
-    /// insertion desc) — computed on demand; the hot path no longer
-    /// maintains a global order.
-    fn sorted_ids(&self) -> Vec<RuleId> {
-        let mut ids: Vec<RuleId> = self.rules.keys().copied().collect();
-        ids.sort_by(|a, b| {
-            let ra = &self.rules[a].rule;
-            let rb = &self.rules[b].rule;
-            rb.priority
-                .cmp(&ra.priority)
-                .then(rb.matcher.specificity().cmp(&ra.matcher.specificity()))
-                .then(b.0.cmp(&a.0))
+    /// The installed entries, in slab order.
+    fn entries(&self) -> impl Iterator<Item = &RuleEntry> {
+        self.slots.iter().flatten()
+    }
+
+    /// The installed entries sorted in match order (priority desc,
+    /// specificity desc, insertion desc) — computed on demand; the hot
+    /// path maintains no global order.
+    fn sorted_entries(&self) -> Vec<&RuleEntry> {
+        let mut entries: Vec<&RuleEntry> = self.entries().collect();
+        entries.sort_by_key(|entry| {
+            Reverse((
+                entry.rule.priority,
+                entry.rule.matcher.specificity(),
+                entry.id,
+            ))
         });
-        ids
+        entries
     }
 
     /// Iterates over all installed rules in match order (a control-plane
     /// convenience; the order is computed on demand).
     pub fn rules(&self) -> impl Iterator<Item = (RuleId, &FlowRule)> {
-        self.sorted_ids()
+        self.sorted_entries()
             .into_iter()
-            .map(move |id| (id, &self.rules[&id].rule))
+            .map(|entry| (entry.id, &entry.rule))
     }
 
     /// Iterates over the exact per-flow rules, yielding each rule's id, its
@@ -682,29 +709,30 @@ impl FlowTable {
     pub fn exact_rules(
         &self,
     ) -> impl Iterator<Item = (RuleId, (RulePort, FlowKey), &FlowRule)> + '_ {
-        self.exact
-            .iter()
-            .map(move |(step_key, id)| (*id, *step_key, &self.rules[id].rule))
+        self.exact.iter().map(move |(step_key, &slot)| {
+            let entry = self.entry(slot);
+            (entry.id, *step_key, &entry.rule)
+        })
     }
 
     /// Number of installed rules.
     pub fn len(&self) -> usize {
-        self.rules.len()
+        self.ids.len()
     }
 
     /// Returns `true` if the table has no rules.
     pub fn is_empty(&self) -> bool {
-        self.rules.is_empty()
+        self.ids.is_empty()
     }
 
     /// Number of times rule `id` has been hit.
     pub fn hit_count(&self, id: RuleId) -> u64 {
-        self.rules.get(&id).map_or(0, |entry| entry.hits)
+        self.ids.get(&id).map_or(0, |&slot| self.entry(slot).hits)
     }
 
     /// Resets every rule's hit counter (partition forks start fresh).
     fn reset_hit_counts(&mut self) {
-        for entry in self.rules.values_mut() {
+        for entry in self.slots.iter_mut().flatten() {
             entry.hits = 0;
         }
     }
@@ -712,6 +740,20 @@ impl FlowTable {
     /// Lookup/hit/miss/eviction counters.
     pub fn stats(&self) -> TableStats {
         self.stats
+    }
+
+    /// Rewrites the default action of every rule `applies` selects and
+    /// returns how many it selected.
+    fn set_defaults(&mut self, new_default: Action, applies: impl Fn(&FlowRule) -> bool) -> usize {
+        let mut updated = 0;
+        for entry in self.slots.iter_mut().flatten() {
+            if applies(&entry.rule) {
+                entry.rule.set_default_action(new_default);
+                entry.refresh_shared_actions();
+                updated += 1;
+            }
+        }
+        updated
     }
 
     /// Updates the default action of every rule for service `service` whose
@@ -728,20 +770,11 @@ impl FlowTable {
         new_default: Action,
         force: bool,
     ) -> usize {
-        let mut updated = 0;
-        for entry in self.rules.values_mut() {
-            let applies = entry.rule.matcher.step == Some(RulePort::Service(service))
-                && matches_intersect(&entry.rule.matcher, flows);
-            if !applies {
-                continue;
-            }
-            if entry.rule.allows(new_default) || force {
-                entry.rule.set_default_action(new_default);
-                entry.refresh_shared_actions();
-                updated += 1;
-            }
-        }
-        updated
+        self.set_defaults(new_default, |rule| {
+            rule.matcher.step == Some(RulePort::Service(service))
+                && rule.matcher.intersects(flows)
+                && (force || rule.allows(new_default))
+        })
     }
 
     /// Retargets rules whose default currently points at `service` so that
@@ -755,18 +788,13 @@ impl FlowTable {
         flows: &FlowMatch,
         new_default: Action,
     ) -> usize {
-        let mut updated = 0;
-        for entry in self.rules.values_mut() {
-            if entry.rule.default_action() == Some(Action::ToService(pointing_at))
-                && matches_intersect(&entry.rule.matcher, flows)
-                && new_default != Action::ToService(pointing_at)
-            {
-                entry.rule.set_default_action(new_default);
-                entry.refresh_shared_actions();
-                updated += 1;
-            }
+        if new_default == Action::ToService(pointing_at) {
+            return 0;
         }
-        updated
+        self.set_defaults(new_default, |rule| {
+            rule.default_action() == Some(Action::ToService(pointing_at))
+                && rule.matcher.intersects(flows)
+        })
     }
 
     /// Makes `action` the default of every rule that already lists it as an
@@ -776,34 +804,19 @@ impl FlowTable {
     ///
     /// Returns the number of rules updated.
     pub fn promote_where_allowed(&mut self, flows: &FlowMatch, action: Action) -> usize {
-        let mut updated = 0;
-        for entry in self.rules.values_mut() {
-            if entry.rule.allows(action)
-                && entry.rule.default_action() != Some(action)
-                && matches_intersect(&entry.rule.matcher, flows)
-            {
-                entry.rule.set_default_action(action);
-                entry.refresh_shared_actions();
-                updated += 1;
-            }
-        }
-        updated
+        self.set_defaults(action, |rule| {
+            rule.allows(action)
+                && rule.default_action() != Some(action)
+                && rule.matcher.intersects(flows)
+        })
     }
 
     /// Rules whose step is the given service (the out-edges installed for it).
     pub fn rules_for_service(&self, service: ServiceId) -> Vec<(RuleId, &FlowRule)> {
-        self.sorted_ids()
-            .into_iter()
-            .filter(|id| self.rules[id].rule.matcher.step == Some(RulePort::Service(service)))
-            .map(|id| (id, &self.rules[&id].rule))
+        self.rules()
+            .filter(|(_, rule)| rule.matcher.step == Some(RulePort::Service(service)))
             .collect()
     }
-}
-
-/// Conservative intersection test between an installed rule's matcher and a
-/// message's flow filter (see [`FlowMatch::intersects`]).
-fn matches_intersect(rule: &FlowMatch, filter: &FlowMatch) -> bool {
-    rule.intersects(filter)
 }
 
 /// A [`FlowTable`] shareable between the NF Manager threads.
