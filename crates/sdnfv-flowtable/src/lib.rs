@@ -21,6 +21,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod hash;
 pub mod matching;
 pub mod partition;
 pub mod provenance;

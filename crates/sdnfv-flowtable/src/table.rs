@@ -35,6 +35,7 @@ use std::sync::Arc;
 
 use sdnfv_proto::flow::{FlowKey, IpProtocol};
 
+use crate::hash::TableHashKey;
 use crate::matching::FlowMatch;
 use crate::rule::{Action, Decision, FlowRule, RuleId};
 use crate::types::{RulePort, ServiceId};
@@ -259,7 +260,7 @@ struct ShapeBucket {
     seq: u64,
     /// Masked tuple → `(priority, id, slot)` candidates, sorted descending
     /// so the first live entry is the bucket's best match.
-    rules: HashMap<MaskedTuple, Vec<(u16, RuleId, Slot)>>,
+    rules: HashMap<MaskedTuple, Vec<(u16, RuleId, Slot)>, TableHashKey>,
     /// Priority histogram over every rule in the bucket; the last key is
     /// the shape's max priority (the probe-order / early-exit key).
     priorities: std::collections::BTreeMap<u16, usize>,
@@ -278,13 +279,23 @@ impl ShapeBucket {
 /// The tuple-space classifier over all wildcard rules: one
 /// [`ShapeBucket`] per distinct mask shape, kept sorted by descending max
 /// priority (ties broken by creation order) for early-exit probing.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct TupleSpace {
     shapes: Vec<ShapeBucket>,
     next_seq: u64,
+    /// The owning table's hash key, handed to every bucket's map.
+    hash_key: TableHashKey,
 }
 
 impl TupleSpace {
+    fn new(hash_key: TableHashKey) -> Self {
+        TupleSpace {
+            shapes: Vec::new(),
+            next_seq: 0,
+            hash_key,
+        }
+    }
+
     fn insert(&mut self, id: RuleId, slot: Slot, rule: &FlowRule) {
         let shape = MaskShape::of(&rule.matcher);
         let tuple = shape.mask_rule(&rule.matcher);
@@ -295,7 +306,7 @@ impl TupleSpace {
                     shape,
                     specificity: rule.matcher.specificity(),
                     seq: self.next_seq,
-                    rules: HashMap::new(),
+                    rules: HashMap::with_hasher(self.hash_key),
                     priorities: std::collections::BTreeMap::new(),
                 });
                 self.next_seq += 1;
@@ -360,7 +371,7 @@ type Slot = u32;
 /// take precedence over wildcard rules of equal priority; a
 /// strictly-higher-priority wildcard still wins. See the module docs for
 /// the classifier layout and the timeout lifecycle.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Clone)]
 pub struct FlowTable {
     /// The rule slab. Every index below names an entry by its slot, so a
     /// lookup reaches the entries it inspects by array index.
@@ -369,8 +380,8 @@ pub struct FlowTable {
     /// rules at a steady population stays at steady memory.
     free: Vec<Slot>,
     /// `RuleId → slot`, for the id-addressed control calls only.
-    ids: HashMap<RuleId, Slot>,
-    exact: HashMap<(RulePort, FlowKey), Slot>,
+    ids: HashMap<RuleId, Slot, TableHashKey>,
+    exact: HashMap<(RulePort, FlowKey), Slot, TableHashKey>,
     wildcard: TupleSpace,
     next_id: u64,
     /// The table's notion of "now" (monotone, advanced by the owner's
@@ -395,10 +406,28 @@ struct Probe {
     expired: Vec<(Slot, EvictReason)>,
 }
 
+impl Default for FlowTable {
+    fn default() -> Self {
+        FlowTable::new()
+    }
+}
+
 impl FlowTable {
-    /// Creates an empty table.
+    /// Creates an empty table. Its maps share one freshly drawn hash key.
     pub fn new() -> Self {
-        FlowTable::default()
+        let hash_key = TableHashKey::default();
+        FlowTable {
+            slots: Vec::new(),
+            free: Vec::new(),
+            ids: HashMap::with_hasher(hash_key),
+            exact: HashMap::with_hasher(hash_key),
+            wildcard: TupleSpace::new(hash_key),
+            next_id: 0,
+            now_ns: 0,
+            deadlines: BinaryHeap::new(),
+            evicted: Vec::new(),
+            stats: TableStats::default(),
+        }
     }
 
     /// Advances the table clock (monotone). Timeouts only ever fire
