@@ -173,12 +173,13 @@ impl RuleEntry {
     }
 }
 
-/// Which [`FlowMatch`] fields a wildcard rule constrains — the tuple-space
-/// grouping key. Two rules share a shape iff they mask the same fields
-/// with the same prefix lengths, which also fixes their specificity.
+/// Which 5-tuple fields a wildcard rule constrains — the grouping key
+/// inside one [`TupleSpace`]. Two rules of a tuple space share a shape iff
+/// they mask the same fields with the same prefix lengths, which also
+/// fixes their specificity. The step is not part of the shape: rules are
+/// partitioned by step before they are grouped by shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct MaskShape {
-    has_step: bool,
     /// `None` = source IP unconstrained; `Some(len)` = prefix of that
     /// length (0 is a legal, match-all prefix with its own specificity).
     src_len: Option<u8>,
@@ -193,7 +194,6 @@ struct MaskShape {
 /// identically for every packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct MaskedTuple {
-    step: Option<RulePort>,
     src: u32,
     dst: u32,
     src_port: u16,
@@ -211,7 +211,6 @@ fn mask_addr(addr: Ipv4Addr, len: u8) -> u32 {
 impl MaskShape {
     fn of(m: &FlowMatch) -> Self {
         MaskShape {
-            has_step: m.step.is_some(),
             src_len: m.src_ip.map(|p| p.len),
             dst_len: m.dst_ip.map(|p| p.len),
             has_src_port: m.src_port.is_some(),
@@ -223,7 +222,6 @@ impl MaskShape {
     /// The masked tuple of a rule with this shape.
     fn mask_rule(&self, m: &FlowMatch) -> MaskedTuple {
         MaskedTuple {
-            step: m.step,
             src: m.src_ip.map_or(0, |p| mask_addr(p.addr, p.len)),
             dst: m.dst_ip.map_or(0, |p| mask_addr(p.addr, p.len)),
             src_port: m.src_port.unwrap_or(0),
@@ -232,11 +230,10 @@ impl MaskShape {
         }
     }
 
-    /// Projects a packet's `(step, key)` onto this shape: the resulting
-    /// tuple equals a rule's masked tuple iff the rule matches the packet.
-    fn project(&self, step: RulePort, key: &FlowKey) -> MaskedTuple {
+    /// Projects a packet's key onto this shape: the resulting tuple equals
+    /// a rule's masked tuple iff the rule's 5-tuple fields match the packet.
+    fn project(&self, key: &FlowKey) -> MaskedTuple {
         MaskedTuple {
-            step: self.has_step.then_some(step),
             src: self.src_len.map_or(0, |len| mask_addr(key.src_ip, len)),
             dst: self.dst_len.map_or(0, |len| mask_addr(key.dst_ip, len)),
             src_port: if self.has_src_port { key.src_port } else { 0 },
@@ -276,9 +273,10 @@ impl ShapeBucket {
     }
 }
 
-/// The tuple-space classifier over all wildcard rules: one
-/// [`ShapeBucket`] per distinct mask shape, kept sorted by descending max
-/// priority (ties broken by creation order) for early-exit probing.
+/// A tuple-space classifier over the wildcard rules of one step (or over
+/// those that name no step): one [`ShapeBucket`] per distinct mask shape,
+/// kept sorted by descending max priority (ties broken by creation order)
+/// for early-exit probing.
 #[derive(Debug, Clone)]
 struct TupleSpace {
     shapes: Vec<ShapeBucket>,
@@ -382,7 +380,12 @@ pub struct FlowTable {
     /// `RuleId → slot`, for the id-addressed control calls only.
     ids: HashMap<RuleId, Slot, TableHashKey>,
     exact: HashMap<(RulePort, FlowKey), Slot, TableHashKey>,
-    wildcard: TupleSpace,
+    /// The wildcard rules that name a step — every compiled graph rule and
+    /// every NF-installed one — each in its step's own tuple space, so a
+    /// lookup never probes a shape that only holds another step's rules.
+    stepped: HashMap<RulePort, TupleSpace, TableHashKey>,
+    /// The wildcard rules with `step: None`, probed at every step.
+    any_step: TupleSpace,
     next_id: u64,
     /// The table's notion of "now" (monotone, advanced by the owner's
     /// clock). All timeout comparisons use this, so behavior is identical
@@ -421,7 +424,8 @@ impl FlowTable {
             free: Vec::new(),
             ids: HashMap::with_hasher(hash_key),
             exact: HashMap::with_hasher(hash_key),
-            wildcard: TupleSpace::new(hash_key),
+            stepped: HashMap::with_hasher(hash_key),
+            any_step: TupleSpace::new(hash_key),
             next_id: 0,
             now_ns: 0,
             deadlines: BinaryHeap::new(),
@@ -480,7 +484,16 @@ impl FlowTable {
                 self.release(old);
             }
         } else {
-            self.wildcard.insert(id, slot, &entry.rule);
+            let space = match entry.rule.matcher.step {
+                Some(step) => {
+                    let hash_key = self.any_step.hash_key;
+                    self.stepped
+                        .entry(step)
+                        .or_insert_with(|| TupleSpace::new(hash_key))
+                }
+                None => &mut self.any_step,
+            };
+            space.insert(id, slot, &entry.rule);
         }
         if let Some(deadline) = entry.earliest_deadline() {
             self.deadlines.push(Reverse((deadline, id.0, slot)));
@@ -509,7 +522,17 @@ impl FlowTable {
                 let indexed = self.exact.remove(&step_key);
                 debug_assert_eq!(indexed, Some(slot));
             }
-            None => self.wildcard.remove(slot, &entry.rule),
+            None => match entry.rule.matcher.step {
+                Some(step) => {
+                    if let Some(space) = self.stepped.get_mut(&step) {
+                        space.remove(slot, &entry.rule);
+                        if space.shapes.is_empty() {
+                            self.stepped.remove(&step);
+                        }
+                    }
+                }
+                None => self.any_step.remove(slot, &entry.rule),
+            },
         }
         (entry, exact)
     }
@@ -584,34 +607,40 @@ impl FlowTable {
         }
         // The best live wildcard so far: (priority, specificity, id, slot).
         let mut best: Option<(u16, u32, RuleId, Slot)> = None;
-        for bucket in &self.wildcard.shapes {
-            let ceiling = bucket.max_priority();
-            // Shapes are sorted by max priority: once no remaining shape
-            // can beat the best candidate (or tie with the exact rule,
-            // which wins ties), stop probing.
-            if best.is_some_and(|(best_priority, ..)| ceiling < best_priority)
-                || exact.is_some_and(|(exact_priority, _)| ceiling <= exact_priority)
-            {
-                break;
-            }
-            let tuple = bucket.shape.project(step, key);
-            let Some(candidates) = bucket.rules.get(&tuple) else {
-                continue;
-            };
-            for &(priority, id, slot) in candidates {
-                let entry = self.entry(slot);
-                if let Some(reason) = entry.expiry(now_ns) {
-                    expired.push((slot, reason));
+        // This step's own tuple space, then the one shared by all steps.
+        for space in [self.stepped.get(&step), Some(&self.any_step)]
+            .into_iter()
+            .flatten()
+        {
+            for bucket in &space.shapes {
+                let ceiling = bucket.max_priority();
+                // Shapes are sorted by max priority: once no remaining
+                // shape of this space can beat the best candidate (or tie
+                // with the exact rule, which wins ties), stop probing it.
+                if best.is_some_and(|(best_priority, ..)| ceiling < best_priority)
+                    || exact.is_some_and(|(exact_priority, _)| ceiling <= exact_priority)
+                {
+                    break;
+                }
+                let tuple = bucket.shape.project(key);
+                let Some(candidates) = bucket.rules.get(&tuple) else {
                     continue;
+                };
+                for &(priority, id, slot) in candidates {
+                    let entry = self.entry(slot);
+                    if let Some(reason) = entry.expiry(now_ns) {
+                        expired.push((slot, reason));
+                        continue;
+                    }
+                    debug_assert!(entry.rule.matcher.matches(step, key));
+                    // Candidates are sorted (priority desc, id desc): the
+                    // first live one is this bucket's best.
+                    let candidate = (priority, bucket.specificity, id, slot);
+                    if best.is_none_or(|held| candidate > held) {
+                        best = Some(candidate);
+                    }
+                    break;
                 }
-                debug_assert!(entry.rule.matcher.matches(step, key));
-                // Candidates are sorted (priority desc, id desc): the first
-                // live one is this bucket's best.
-                let candidate = (priority, bucket.specificity, id, slot);
-                if best.is_none_or(|held| candidate > held) {
-                    best = Some(candidate);
-                }
-                break;
             }
         }
         let winner = match (exact, best) {
