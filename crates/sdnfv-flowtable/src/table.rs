@@ -29,7 +29,7 @@
 
 use parking_lot::RwLock;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -244,8 +244,8 @@ impl MaskShape {
 }
 
 /// All wildcard rules of one mask shape: a hash table keyed by masked
-/// tuple, plus the shape's current priority ceiling, which the probe loop
-/// orders and cuts its search by.
+/// tuple, plus a priority histogram so the probe loop knows the shape's
+/// current ceiling without scanning.
 #[derive(Debug, Clone)]
 struct ShapeBucket {
     shape: MaskShape,
@@ -258,13 +258,19 @@ struct ShapeBucket {
     /// Masked tuple → `(priority, id, slot)` candidates, sorted descending
     /// so the first live entry is the bucket's best match.
     rules: HashMap<MaskedTuple, Vec<(u16, RuleId, Slot)>, TableHashKey>,
-    /// The highest priority of any rule in the bucket (the probe-order /
-    /// early-exit key), kept current by insert and remove so a lookup
-    /// reads it without walking the histogram.
-    max_priority: u16,
-    /// Priority histogram over every rule in the bucket: what remove needs
-    /// to tell whether the ceiling just dropped, and to what.
-    priorities: BTreeMap<u16, usize>,
+    /// Priority histogram over every rule in the bucket; the last key is
+    /// the shape's max priority (the probe-order / early-exit key).
+    priorities: std::collections::BTreeMap<u16, usize>,
+}
+
+impl ShapeBucket {
+    fn max_priority(&self) -> u16 {
+        self.priorities.keys().next_back().copied().unwrap_or(0)
+    }
+
+    fn is_empty(&self) -> bool {
+        self.priorities.is_empty()
+    }
 }
 
 /// A tuple-space classifier over the wildcard rules of one step (or over
@@ -291,30 +297,27 @@ impl TupleSpace {
     fn insert(&mut self, id: RuleId, slot: Slot, rule: &FlowRule) {
         let shape = MaskShape::of(&rule.matcher);
         let tuple = shape.mask_rule(&rule.matcher);
-        let existing = self.shapes.iter().position(|b| b.shape == shape);
-        let index = existing.unwrap_or_else(|| {
-            self.shapes.push(ShapeBucket {
-                shape,
-                specificity: rule.matcher.specificity(),
-                seq: self.next_seq,
-                rules: HashMap::with_hasher(self.hash_key),
-                max_priority: rule.priority,
-                priorities: BTreeMap::new(),
-            });
-            self.next_seq += 1;
-            self.shapes.len() - 1
-        });
+        let index = match self.shapes.iter().position(|b| b.shape == shape) {
+            Some(index) => index,
+            None => {
+                self.shapes.push(ShapeBucket {
+                    shape,
+                    specificity: rule.matcher.specificity(),
+                    seq: self.next_seq,
+                    rules: HashMap::with_hasher(self.hash_key),
+                    priorities: std::collections::BTreeMap::new(),
+                });
+                self.next_seq += 1;
+                self.shapes.len() - 1
+            }
+        };
         let bucket = &mut self.shapes[index];
         let ids = bucket.rules.entry(tuple).or_default();
         // Keep (priority desc, id desc): the first live entry wins.
         let at = ids.partition_point(|&(p, other, _)| (p, other) > (rule.priority, id));
         ids.insert(at, (rule.priority, id, slot));
         *bucket.priorities.entry(rule.priority).or_insert(0) += 1;
-        let raised = rule.priority > bucket.max_priority;
-        bucket.max_priority = bucket.max_priority.max(rule.priority);
-        if raised || existing.is_none() {
-            self.resort();
-        }
+        self.resort();
     }
 
     fn remove(&mut self, slot: Slot, rule: &FlowRule) {
@@ -338,23 +341,21 @@ impl TupleSpace {
                 bucket.rules.remove(&tuple);
             }
         }
-        match bucket.priorities.keys().next_back() {
-            // Taking a bucket out of a sorted list leaves it sorted.
-            None => drop(self.shapes.remove(index)),
-            Some(&ceiling) if ceiling < bucket.max_priority => {
-                bucket.max_priority = ceiling;
-                self.resort();
-            }
-            Some(_) => {}
+        if bucket.is_empty() {
+            self.shapes.remove(index);
         }
+        self.resort();
     }
 
     /// Restores the probe order (max priority desc, creation seq asc).
     /// The shape count is small by construction — this is O(S log S) per
     /// rule-churn event, not per lookup.
     fn resort(&mut self) {
-        self.shapes
-            .sort_by(|a, b| b.max_priority.cmp(&a.max_priority).then(a.seq.cmp(&b.seq)));
+        self.shapes.sort_by(|a, b| {
+            b.max_priority()
+                .cmp(&a.max_priority())
+                .then(a.seq.cmp(&b.seq))
+        });
     }
 }
 
@@ -612,7 +613,7 @@ impl FlowTable {
             .flatten()
         {
             for bucket in &space.shapes {
-                let ceiling = bucket.max_priority;
+                let ceiling = bucket.max_priority();
                 // Shapes are sorted by max priority: once no remaining
                 // shape of this space can beat the best candidate (or tie
                 // with the exact rule, which wins ties), stop probing it.
