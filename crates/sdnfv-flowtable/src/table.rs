@@ -53,6 +53,9 @@ pub struct TableStats {
     pub evicted_idle: u64,
     /// Rules evicted because their hard timeout elapsed.
     pub evicted_hard: u64,
+    /// Hash probes of wildcard shape buckets made by lookups — what a
+    /// lookup costs beyond its one exact-index probe.
+    pub shape_probes: u64,
 }
 
 /// Why a rule was evicted from the table.
@@ -407,6 +410,8 @@ struct Probe {
     winner: Option<Slot>,
     /// Expired rules met on the way, which the caller may evict.
     expired: Vec<(Slot, EvictReason)>,
+    /// Shape buckets probed.
+    shape_probes: u64,
 }
 
 impl Default for FlowTable {
@@ -558,7 +563,12 @@ impl FlowTable {
     /// Expired rules encountered on the way are evicted lazily.
     pub fn lookup(&mut self, step: RulePort, key: &FlowKey) -> Option<Decision> {
         self.stats.lookups += 1;
-        let Probe { winner, expired } = self.probe(step, key);
+        let Probe {
+            winner,
+            expired,
+            shape_probes,
+        } = self.probe(step, key);
+        self.stats.shape_probes += shape_probes;
         for (slot, reason) in expired {
             self.evict(slot, reason);
         }
@@ -607,6 +617,7 @@ impl FlowTable {
         }
         // The best live wildcard so far: (priority, specificity, id, slot).
         let mut best: Option<(u16, u32, RuleId, Slot)> = None;
+        let mut shape_probes = 0;
         // This step's own tuple space, then the one shared by all steps.
         for space in [self.stepped.get(&step), Some(&self.any_step)]
             .into_iter()
@@ -622,6 +633,7 @@ impl FlowTable {
                 {
                     break;
                 }
+                shape_probes += 1;
                 let tuple = bucket.shape.project(key);
                 let Some(candidates) = bucket.rules.get(&tuple) else {
                     continue;
@@ -652,7 +664,11 @@ impl FlowTable {
             (Some((_, slot)), _) | (None, Some((_, _, _, slot))) => Some(slot),
             (None, None) => None,
         };
-        Probe { winner, expired }
+        Probe {
+            winner,
+            expired,
+            shape_probes,
+        }
     }
 
     /// Evicts up to `max_evictions` expired rules whose deadline has
@@ -910,14 +926,12 @@ impl SharedFlowTable {
 
     /// Installs a rule.
     pub fn insert(&self, rule: FlowRule) -> RuleId {
-        self.bump();
-        self.inner.write().insert(rule)
+        self.with_write(|table| table.insert(rule))
     }
 
     /// Removes a rule.
     pub fn remove(&self, id: RuleId) -> Option<FlowRule> {
-        self.bump();
-        self.inner.write().remove(id)
+        self.with_write(|table| table.remove(id))
     }
 
     /// Looks up the decision for a flow at a step. If the lookup lazily
@@ -927,9 +941,7 @@ impl SharedFlowTable {
         let mut guard = self.inner.write();
         let before = guard.stats.evicted_idle + guard.stats.evicted_hard;
         let decision = guard.lookup(step, key);
-        let evicted = guard.stats.evicted_idle + guard.stats.evicted_hard > before;
-        drop(guard);
-        if evicted {
+        if guard.stats.evicted_idle + guard.stats.evicted_hard > before {
             self.bump();
         }
         decision
@@ -951,7 +963,6 @@ impl SharedFlowTable {
         guard.advance_clock(now_ns);
         guard.sweep(max_evictions, protected);
         let events = guard.take_evicted();
-        drop(guard);
         if !events.is_empty() {
             self.bump();
         }
@@ -965,9 +976,16 @@ impl SharedFlowTable {
 
     /// Runs `f` with write access to the underlying table. The table
     /// generation is bumped, so only use this for mutations.
+    ///
+    /// The bump comes after `f` and before the lock is released: a reader
+    /// that sees the new generation is then certain to find the mutated
+    /// table behind the lock. Bumping first would let it pair the new
+    /// generation with the old table and cache that for good.
     pub fn with_write<R>(&self, f: impl FnOnce(&mut FlowTable) -> R) -> R {
+        let mut guard = self.inner.write();
+        let result = f(&mut guard);
         self.bump();
-        f(&mut self.inner.write())
+        result
     }
 
     /// Number of installed rules.
@@ -1282,6 +1300,24 @@ mod tests {
     }
 
     #[test]
+    fn generation_moves_only_once_the_mutation_is_visible() {
+        // A reader that sees the new generation must find the new table.
+        // Bumping before taking the write lock let it pair the new
+        // generation with the old table; so the generation read from
+        // inside the mutation must still be the old one.
+        let shared = SharedFlowTable::new();
+        let observer = shared.clone();
+        let inside = shared.with_write(|table| {
+            table.insert(FlowRule::new(FlowMatch::any(), vec![Action::Drop]));
+            observer.generation()
+        });
+        assert!(
+            shared.generation() > inside,
+            "the bump belongs after the mutation, under the lock"
+        );
+    }
+
+    #[test]
     fn shared_table_is_usable_from_clones() {
         let shared = SharedFlowTable::new();
         let clone = shared.clone();
@@ -1560,5 +1596,90 @@ mod tests {
                 .default_action(),
             Some(Action::ToPort(0))
         );
+    }
+
+    /// A table shaped like the benchmark's `flows64k`: a three-NF chain,
+    /// exact pins at ingress, and six more ingress mask shapes one
+    /// priority above the pins.
+    fn crowded_table(pinned: &[FlowKey]) -> FlowTable {
+        let ingress = RulePort::Nic(0);
+        let mut table = FlowTable::new();
+        table.insert(FlowRule::new(
+            FlowMatch::at_step(ingress),
+            vec![Action::ToService(svc(1))],
+        ));
+        for hop in 1..=3 {
+            let next = if hop < 3 {
+                Action::ToService(svc(hop + 1))
+            } else {
+                Action::ToPort(1)
+            };
+            table.insert(FlowRule::new(FlowMatch::at_step(svc(hop)), vec![next]));
+        }
+        for key in pinned {
+            table.insert(FlowRule::new(
+                FlowMatch::exact(ingress, key),
+                vec![Action::ToService(svc(1))],
+            ));
+        }
+        let at = || FlowMatch::at_step(ingress);
+        let shapes = [
+            at().with_src_ip(IpPrefix::new(Ipv4Addr::new(10, 8, 0, 0), 16)),
+            at().with_dst_ip(IpPrefix::host(Ipv4Addr::new(172, 16, 0, 4))),
+            at().with_dst_port(8080),
+            at().with_src_ip(IpPrefix::new(Ipv4Addr::new(10, 0, 0, 0), 8))
+                .with_dst_port(8443),
+            at().with_protocol(IpProtocol::Udp)
+                .with_dst_ip(IpPrefix::new(Ipv4Addr::new(172, 16, 1, 0), 24)),
+            at().with_src_port(100),
+        ];
+        for matcher in shapes {
+            table.insert(FlowRule::new(matcher, vec![Action::ToService(svc(1))]).with_priority(1));
+        }
+        table
+    }
+
+    #[test]
+    fn shape_probes_per_lookup_on_a_crowded_table() {
+        let ingress = RulePort::Nic(0);
+        let flow = |src: [u8; 4]| {
+            FlowKey::new(
+                Ipv4Addr::from(src),
+                Ipv4Addr::new(192, 168, 1, 1),
+                1000,
+                80,
+                IpProtocol::Tcp,
+            )
+        };
+        let pinned = flow([11, 0, 0, 1]);
+        let in_a_shape = flow([10, 8, 3, 3]); // inside 10.8.0.0/16
+        let in_none = flow([11, 0, 0, 2]);
+        let cases = [
+            // The step-only shape cannot outrank the pin: six probes.
+            (ingress, pinned, 6),
+            // A priority-1 match cuts the search before the step-only shape.
+            (ingress, in_a_shape, 6),
+            // No priority-1 match: all seven shapes of the ingress step.
+            (ingress, in_none, 7),
+            // A service step has one shape, and the ingress step's seven
+            // are not its business.
+            (RulePort::Service(svc(1)), pinned, 1),
+            (RulePort::Service(svc(3)), in_none, 1),
+        ];
+        // Every table draws its own hash seed; the counts may not care.
+        for _ in 0..4 {
+            let mut table = crowded_table(&[pinned, flow([11, 0, 0, 3])]);
+            for _ in 0..2 {
+                for (step, key, expected) in cases {
+                    let before = table.stats().shape_probes;
+                    assert!(table.lookup(step, &key).is_some());
+                    assert_eq!(
+                        table.stats().shape_probes - before,
+                        expected,
+                        "{step} {key:?}"
+                    );
+                }
+            }
+        }
     }
 }
