@@ -6,17 +6,24 @@
 //! and the NF replicas push 10 000 packets through a 3-NF chain —
 //! sequential, then the same chain compiled parallel — without a single
 //! heap allocation, and every frame leaves `poll_egress_burst` in the very
-//! buffer it was injected in.
+//! buffer it was injected in. A third case crowds the table (more flows
+//! than the lookup cache holds, exact pins, several mask shapes), so that
+//! every lookup is answered by the flow table itself: its miss path must
+//! not allocate either.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use sdnfv::dataplane::{SimActorKind, SimHandle, ThreadedHost, ThreadedHostConfig};
-use sdnfv::flowtable::{ServiceId, SharedFlowTable};
+use sdnfv::flowtable::{
+    Action, FlowMatch, FlowRule, IpPrefix, RulePort, ServiceId, SharedFlowTable,
+};
 use sdnfv::graph::{catalog, CompileOptions};
 use sdnfv::nf::nfs::NoOpNf;
 use sdnfv::nf::NetworkFunction;
+use sdnfv::proto::flow::{FlowKey, IpProtocol};
 use sdnfv::proto::packet::{Packet, PacketBuilder};
+use std::net::Ipv4Addr;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -57,27 +64,70 @@ fn allocations() -> u64 {
 }
 
 const BURST: usize = 32;
-const FLOWS: u16 = 64;
+/// Flows of the plain cases: they all sit in the worker's lookup cache.
+const FLOWS: usize = 64;
+/// Flows of the crowded case: twice the worker's 4096-entry lookup cache
+/// (`LOOKUP_CACHE_ENTRIES`, crate-private), sent round-robin, so a flow's
+/// cache slot has been taken over by the time its next packet arrives.
+const CROWD_FLOWS: usize = 8192;
+/// How many of those flows carry an exact pin at ingress.
+const CROWD_PINS: usize = 6000;
+const SRC_IP: [u8; 4] = [10, 0, 0, 1];
+const DST_IP: [u8; 4] = [10, 0, 0, 2];
+const FIRST_SRC_PORT: u16 = 1024;
 /// Virtual time per round, as the benchmark drives it (1 µs per packet),
 /// so cache TTLs and rule sweeps fire during the measured run.
 const ROUND_NS: u64 = 1_000 * BURST as u64;
 
-fn packet(seq: usize) -> Packet {
+fn packet(seq: usize, flows: usize) -> Packet {
     PacketBuilder::udp()
-        .src_ip([10, 0, 0, 1])
-        .dst_ip([10, 0, 0, 2])
-        .src_port(1024 + (seq as u16 % FLOWS))
+        .src_ip(SRC_IP)
+        .dst_ip(DST_IP)
+        .src_port(FIRST_SRC_PORT + (seq % flows) as u16)
         .dst_port(80)
         .ingress_port(0)
         .total_size(64)
         .build()
 }
 
+/// Crowds `table` the way the benchmark's `flows64k` does: exact pins at
+/// ingress for most flows, and five more ingress mask shapes one priority
+/// above them. Every added rule forwards to the chain's first NF, as the
+/// compiled ingress rule does, so no packet's path changes.
+fn crowd(table: &SharedFlowTable, first: ServiceId) {
+    let ingress = RulePort::Nic(0);
+    let to_chain = || vec![Action::ToService(first)];
+    let at = || FlowMatch::at_step(ingress);
+    let shapes = [
+        at().with_src_ip(IpPrefix::new(Ipv4Addr::from(SRC_IP), 16)),
+        at().with_dst_ip(IpPrefix::host(Ipv4Addr::new(10, 0, 0, 3))),
+        at().with_dst_port(443),
+        at().with_protocol(IpProtocol::Udp)
+            .with_dst_ip(IpPrefix::new(Ipv4Addr::new(172, 16, 1, 0), 24)),
+        at().with_src_port(100),
+    ];
+    table.with_write(|t| {
+        for flow in 0..CROWD_PINS {
+            let key = FlowKey::new(
+                Ipv4Addr::from(SRC_IP),
+                Ipv4Addr::from(DST_IP),
+                FIRST_SRC_PORT + flow as u16,
+                80,
+                IpProtocol::Udp,
+            );
+            t.insert(FlowRule::new(FlowMatch::exact(ingress, &key), to_chain()));
+        }
+        for matcher in shapes {
+            t.insert(FlowRule::new(matcher, to_chain()).with_priority(1));
+        }
+    });
+}
+
 /// A stepped single-shard host running a 3-`NoOpNf` chain, with the
 /// telemetry exporter (which allocates a snapshot per interval by design)
 /// off. Returns the host, its scheduler handle and the actor ids in
 /// pipeline order (worker first).
-fn chain_host(parallel: bool) -> (ThreadedHost, SimHandle, Vec<u64>) {
+fn chain_host(parallel: bool, crowded: bool) -> (ThreadedHost, SimHandle, Vec<u64>) {
     let (graph, ids) = catalog::chain(&[("a", true), ("b", true), ("c", true)]);
     let table = SharedFlowTable::new();
     for rule in graph.compile(&CompileOptions {
@@ -85,6 +135,9 @@ fn chain_host(parallel: bool) -> (ThreadedHost, SimHandle, Vec<u64>) {
         ..CompileOptions::default()
     }) {
         table.insert(rule);
+    }
+    if crowded {
+        crowd(&table, ids[0]);
     }
     let (host, sim) = ThreadedHost::start_sim_sharded(
         table,
@@ -113,18 +166,18 @@ fn chain_host(parallel: bool) -> (ThreadedHost, SimHandle, Vec<u64>) {
     (host, sim, actors)
 }
 
-/// Pushes `packets` packets through the host in bursts of [`BURST`] and
-/// returns how many heap allocations happened inside the worker and NF
-/// steps. Every egressed frame must be a buffer that was injected and has
-/// not come out yet.
-fn pump(host: &ThreadedHost, sim: &SimHandle, actors: &[u64], packets: usize) -> u64 {
+/// Pushes `packets` packets of `flows` round-robin flows through the host
+/// in bursts of [`BURST`] and returns how many heap allocations happened
+/// inside the worker and NF steps. Every egressed frame must be a buffer
+/// that was injected and has not come out yet.
+fn pump(host: &ThreadedHost, sim: &SimHandle, actors: &[u64], packets: usize, flows: usize) -> u64 {
     let mut in_engines = 0;
     let mut in_flight: Vec<*const u8> = Vec::with_capacity(16 * BURST);
     let (mut sent, mut received) = (0, 0);
     let mut idle_rounds = 0;
     while received < packets {
         if sent < packets && in_flight.len() < 8 * BURST {
-            let burst: Vec<Packet> = (sent..sent + BURST).map(packet).collect();
+            let burst: Vec<Packet> = (sent..sent + BURST).map(|seq| packet(seq, flows)).collect();
             in_flight.extend(burst.iter().map(|p| p.data().as_ptr()));
             let outcome = host.inject_burst(burst);
             assert!(outcome.throttled.is_empty(), "window is below the credits");
@@ -153,16 +206,29 @@ fn pump(host: &ThreadedHost, sim: &SimHandle, actors: &[u64], packets: usize) ->
     in_engines
 }
 
-fn assert_hot_path_is_allocation_free(parallel: bool) {
-    let (host, sim, actors) = chain_host(parallel);
+fn assert_hot_path_is_allocation_free(parallel: bool, crowded: bool) {
+    let (host, sim, actors) = chain_host(parallel, crowded);
+    let flows = if crowded { CROWD_FLOWS } else { FLOWS };
     // Warm-up: fills the descriptor free list, the lookup cache, and grows
     // every reused scratch buffer to its working size.
-    pump(&host, &sim, &actors, 64 * BURST);
-    let during = pump(&host, &sim, &actors, 10_000usize.next_multiple_of(BURST));
+    pump(&host, &sim, &actors, (64 * BURST).max(flows), flows);
+    let packets = 10_000usize.next_multiple_of(BURST);
+    let lookups_before = host.shard_table(0).stats().lookups;
+    let during = pump(&host, &sim, &actors, packets, flows);
     assert_eq!(
         during, 0,
-        "worker and NF steps must not allocate in steady state (parallel = {parallel})"
+        "worker and NF steps must not allocate in steady state \
+         (parallel = {parallel}, crowded = {crowded})"
     );
+    if crowded {
+        // Ingress and three NF returns, none of them answered by the cache.
+        let lookups = host.shard_table(0).stats().lookups - lookups_before;
+        assert_eq!(
+            lookups,
+            4 * packets as u64,
+            "every lookup reaches the table"
+        );
+    }
     let stats = host.stats().snapshot();
     assert_eq!(stats.transmitted, stats.received);
     assert_eq!(stats.dropped + stats.overflow_drops, 0);
@@ -171,10 +237,15 @@ fn assert_hot_path_is_allocation_free(parallel: bool) {
 
 #[test]
 fn sequential_chain_allocates_and_copies_nothing_per_packet() {
-    assert_hot_path_is_allocation_free(false);
+    assert_hot_path_is_allocation_free(false, false);
 }
 
 #[test]
 fn parallel_chain_allocates_and_copies_nothing_per_packet() {
-    assert_hot_path_is_allocation_free(true);
+    assert_hot_path_is_allocation_free(true, false);
+}
+
+#[test]
+fn crowded_table_lookups_allocate_nothing_per_packet() {
+    assert_hot_path_is_allocation_free(false, true);
 }
