@@ -2,20 +2,41 @@
 //!
 //! # Classifier layout
 //!
-//! The table keeps two structures, matching how OpenFlow switches split
+//! Rules live in a **slab**: a `Vec` of slots with a free list, so a table
+//! that churns rules at a steady population stays at steady memory. Every
+//! index below stores a rule's slot, and a lookup reaches the entries it
+//! inspects — for expiry, for priority, for the winner's actions — by
+//! array index. A `RuleId → slot` map exists only for the id-addressed
+//! control calls (`remove`, `rule`, `hit_count`). Slots are recycled, ids
+//! never: whatever outlives a rule (a deadline-heap entry) names it by
+//! both, and is dropped when the slot holds another id.
+//!
+//! Over the slab sit two indexes, matching how OpenFlow switches split
 //! their TCAM from their exact-match tables:
 //!
 //! * **Exact index** — fully-specified `/32` five-tuple rules live in a
 //!   hash map keyed by `(step, flow key)`. The common case (a packet of an
 //!   established flow at a service) is one hash probe; exact insert/remove
 //!   is O(1) and never touches the wildcard structure.
-//! * **Tuple space** — wildcard rules are grouped by *mask shape* (which
-//!   [`FlowMatch`] fields are constrained, plus the two prefix lengths).
-//!   Each shape owns a hash table keyed by the rule's masked tuple, so a
-//!   lookup probes each shape with one hash of the packet's masked fields.
-//!   Shapes are kept sorted by their highest-priority rule, so the probe
-//!   loop exits as soon as no remaining shape can beat the best candidate.
-//!   Lookup cost is O(distinct mask shapes), not O(rules).
+//! * **Per-step tuple spaces** — wildcard rules are first partitioned by
+//!   the step they name (every compiled graph rule and every NF-installed
+//!   rule names one; rules with `step: None` share one more partition),
+//!   and within a partition grouped by *mask shape* (which 5-tuple fields
+//!   are constrained, plus the two prefix lengths). Each shape owns a hash
+//!   table keyed by the rule's masked tuple. A lookup probes the shapes of
+//!   its own step and of the shared partition — never a shape that only
+//!   holds another step's rules — with one hash of the packet's masked
+//!   fields per shape. Shapes are kept sorted by their highest-priority
+//!   rule, so the probe loop exits as soon as no remaining shape can beat
+//!   the best candidate (or tie with the exact rule, which wins ties).
+//!   Lookup cost is O(distinct mask shapes at this step), not O(rules);
+//!   [`TableStats::shape_probes`] counts the probes.
+//!
+//! All of these maps hash with the crate's keyed multiply-mix hasher
+//! (`hash.rs`) — one multiply per word against SipHash's dozens of rounds
+//! — seeded per table, because exact pins are installed for 5-tuples
+//! taken off the wire. Nothing may depend on the iteration order of the
+//! maps; listings sort ([`FlowTable::rules`]).
 //!
 //! # Lifecycle
 //!
@@ -398,7 +419,7 @@ pub struct FlowTable {
     /// slot)`. Entries are not updated when traffic refreshes an idle
     /// deadline; a popped entry whose rule is gone (the slot is vacant or
     /// holds another id) or not yet expired is discarded or re-armed.
-    deadlines: BinaryHeap<Reverse<(u64, u64, Slot)>>,
+    deadlines: BinaryHeap<Reverse<(u64, RuleId, Slot)>>,
     /// Eviction events not yet drained by [`FlowTable::take_evicted`].
     evicted: Vec<EvictedRule>,
     stats: TableStats,
@@ -501,7 +522,7 @@ impl FlowTable {
             space.insert(id, slot, &entry.rule);
         }
         if let Some(deadline) = entry.earliest_deadline() {
-            self.deadlines.push(Reverse((deadline, id.0, slot)));
+            self.deadlines.push(Reverse((deadline, id, slot)));
         }
         self.ids.insert(id, slot);
         self.slots[slot as usize] = Some(entry);
@@ -684,9 +705,9 @@ impl FlowTable {
     ) -> usize {
         let now_ns = self.now_ns;
         let mut evictions = 0;
-        let mut deferred: Vec<Reverse<(u64, u64, Slot)>> = Vec::new();
+        let mut deferred: Vec<Reverse<(u64, RuleId, Slot)>> = Vec::new();
         while evictions < max_evictions {
-            let Some(&Reverse((deadline, raw, slot))) = self.deadlines.peek() else {
+            let Some(&Reverse((deadline, id, slot))) = self.deadlines.peek() else {
                 break;
             };
             if deadline > now_ns {
@@ -697,7 +718,7 @@ impl FlowTable {
             // rule's deadline from evicting the slot's next tenant.
             let Some(entry) = self.slots[slot as usize]
                 .as_ref()
-                .filter(|entry| entry.id.0 == raw)
+                .filter(|entry| entry.id == id)
             else {
                 continue; // stale heap entry: the rule is already gone
             };
@@ -705,7 +726,7 @@ impl FlowTable {
                 Some(reason) => {
                     if let Some(step_key) = entry.rule.matcher.exact_key() {
                         if protected(&step_key) {
-                            deferred.push(Reverse((deadline, raw, slot)));
+                            deferred.push(Reverse((deadline, id, slot)));
                             continue;
                         }
                     }
@@ -716,7 +737,7 @@ impl FlowTable {
                     // Traffic pushed the idle deadline forward since this
                     // heap entry was armed: re-arm at the new deadline.
                     if let Some(next) = entry.earliest_deadline() {
-                        self.deadlines.push(Reverse((next, raw, slot)));
+                        self.deadlines.push(Reverse((next, id, slot)));
                     }
                 }
             }
@@ -749,16 +770,11 @@ impl FlowTable {
             .map(|&slot| self.entry(slot).id)
     }
 
-    /// The installed entries, in slab order.
-    fn entries(&self) -> impl Iterator<Item = &RuleEntry> {
-        self.slots.iter().flatten()
-    }
-
     /// The installed entries sorted in match order (priority desc,
     /// specificity desc, insertion desc) — computed on demand; the hot
     /// path maintains no global order.
     fn sorted_entries(&self) -> Vec<&RuleEntry> {
-        let mut entries: Vec<&RuleEntry> = self.entries().collect();
+        let mut entries: Vec<&RuleEntry> = self.slots.iter().flatten().collect();
         entries.sort_by_key(|entry| {
             Reverse((
                 entry.rule.priority,
@@ -895,10 +911,18 @@ impl FlowTable {
 
 /// A [`FlowTable`] shareable between the NF Manager threads.
 ///
-/// The lock sits outside the per-packet fast path in the paper's design
-/// (lookups are cached in packet descriptors); here a reader/writer lock
-/// keeps the table consistent between the RX thread, TX threads and the Flow
-/// Controller thread.
+/// In the paper's design the table lock sits outside the per-packet path
+/// (lookups are cached in packet descriptors). Here it is *on* the miss
+/// path: [`SharedFlowTable::lookup`] takes the **write** lock, because a
+/// lookup counts the hit, refreshes the winner's idle timer and evicts
+/// expired rules it meets. A lookup that the worker's cache answers never
+/// comes here; one that misses pays an uncontended lock/unlock pair
+/// (a few tens of nanoseconds, part of `flowtable.lookup.ns`) on top of
+/// the probes. Who contends: each shard looks up in its own partition
+/// ([`FlowTablePartitions`](crate::partition::FlowTablePartitions)), so
+/// the only other parties on a shard's lock are that shard's rule sweep,
+/// NF messages applied to it, and the control plane installing rules or
+/// exporting a bucket — never another shard's packets.
 #[derive(Debug, Clone, Default)]
 pub struct SharedFlowTable {
     inner: Arc<RwLock<FlowTable>>,
