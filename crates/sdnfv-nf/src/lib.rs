@@ -25,8 +25,10 @@
 pub mod api;
 pub mod batch;
 pub mod nfs;
+pub mod pattern;
 pub mod registry;
 
 pub use api::{AttributedNfMessage, NetworkFunction, NfContext, NfFlowState, NfMessage, Verdict};
 pub use batch::{BurstMemo, PacketBatch, PacketBatchMut, VerdictSlice};
+pub use pattern::PatternSet;
 pub use registry::NfRegistry;

@@ -6,6 +6,11 @@ use sdnfv_proto::Packet;
 use std::collections::HashSet;
 
 use crate::api::{NetworkFunction, NfContext, NfFlowState, NfMessage, Verdict};
+use crate::pattern::PatternSet;
+
+/// The signatures [`IdsNf::new`] looks for.
+pub(crate) const DEFAULT_SIGNATURES: [&[u8]; 4] =
+    [b"' OR '1'='1", b"UNION SELECT", b"/etc/passwd", b"<script>"];
 
 /// Scans packet payloads for malicious signatures (e.g. SQL exploits in HTTP
 /// requests). When a signature is found the offending packet is diverted to
@@ -18,7 +23,9 @@ pub struct IdsNf {
     /// `ChangeDefault` can name whose default rule to rewrite).
     own_service: ServiceId,
     scrubber: ServiceId,
-    signatures: Vec<Vec<u8>>,
+    /// Compiled once here, so a packet's payload is read once however many
+    /// signatures there are.
+    signatures: PatternSet,
     /// Flows pinned to the scrubber. Keyed by the full [`FlowKey`] (not a
     /// bare hash) so the re-home handshake can enumerate and migrate the
     /// set when a flow's steering bucket changes shards.
@@ -33,12 +40,7 @@ impl IdsNf {
         IdsNf::with_signatures(
             own_service,
             scrubber,
-            vec![
-                b"' OR '1'='1".to_vec(),
-                b"UNION SELECT".to_vec(),
-                b"/etc/passwd".to_vec(),
-                b"<script>".to_vec(),
-            ],
+            DEFAULT_SIGNATURES.iter().map(|sig| sig.to_vec()).collect(),
         )
     }
 
@@ -51,7 +53,7 @@ impl IdsNf {
         IdsNf {
             own_service,
             scrubber,
-            signatures,
+            signatures: PatternSet::new(signatures),
             flagged_flows: HashSet::new(),
             alerts: 0,
             inspected: 0,
@@ -74,17 +76,10 @@ impl IdsNf {
     }
 
     fn payload_matches(&self, packet: &Packet) -> bool {
-        let Ok(payload) = packet.l4_payload() else {
-            return false;
-        };
-        self.signatures
-            .iter()
-            .any(|sig| !sig.is_empty() && contains(payload, sig))
+        packet
+            .l4_payload()
+            .is_ok_and(|payload| self.signatures.is_match(payload))
     }
-}
-
-fn contains(haystack: &[u8], needle: &[u8]) -> bool {
-    haystack.windows(needle.len()).any(|w| w == needle)
 }
 
 impl NetworkFunction for IdsNf {
