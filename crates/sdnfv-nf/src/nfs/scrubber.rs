@@ -4,6 +4,7 @@ use sdnfv_flowtable::{FlowMatch, IpPrefix};
 use sdnfv_proto::Packet;
 
 use crate::api::{NetworkFunction, NfContext, NfMessage, Verdict};
+use crate::pattern::PatternSet;
 
 /// Drops traffic from configured malicious prefixes (or carrying malicious
 /// payload signatures) and passes everything else along the default path.
@@ -15,8 +16,8 @@ use crate::api::{NetworkFunction, NfContext, NfMessage, Verdict};
 pub struct ScrubberNf {
     /// Prefixes whose traffic is dropped.
     malicious_prefixes: Vec<IpPrefix>,
-    /// Payload signatures that are dropped.
-    signatures: Vec<Vec<u8>>,
+    /// Payload signatures that are dropped, compiled into one automaton.
+    signatures: PatternSet,
     /// Flow filter announced in the startup `RequestMe` message.
     request_filter: FlowMatch,
     announce_on_start: bool,
@@ -47,9 +48,12 @@ impl ScrubberNf {
         self
     }
 
-    /// Adds a payload signature to drop.
+    /// Adds a payload signature to drop (recompiles the signature set, so
+    /// this belongs where the scrubber is built, not on the packet path).
     pub fn with_signature(mut self, signature: Vec<u8>) -> Self {
-        self.signatures.push(signature);
+        let mut signatures = self.signatures.patterns().to_vec();
+        signatures.push(signature);
+        self.signatures = PatternSet::new(signatures);
         self
     }
 
@@ -73,16 +77,9 @@ impl ScrubberNf {
                 return true;
             }
         }
-        if let Ok(payload) = packet.l4_payload() {
-            if self
-                .signatures
-                .iter()
-                .any(|sig| !sig.is_empty() && payload.windows(sig.len()).any(|w| w == &sig[..]))
-            {
-                return true;
-            }
-        }
-        false
+        packet
+            .l4_payload()
+            .is_ok_and(|payload| self.signatures.is_match(payload))
     }
 }
 
