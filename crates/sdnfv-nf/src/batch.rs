@@ -176,7 +176,10 @@ impl VerdictSlice {
 /// per-burst work O(burst²). The `compute` callback must therefore be pure
 /// (it already had to be: which probe computes and which hits is
 /// order-dependent); bypassing only re-runs it, never changes results.
-#[derive(Debug)]
+///
+/// An NF that memoizes per burst keeps its memo as a field and clears it at
+/// each burst, so the entry storage is allocated once.
+#[derive(Debug, Clone)]
 pub struct BurstMemo<K, V> {
     entries: Vec<(K, V)>,
     /// Probes (`get_or_insert_with` calls) since the last `clear`.

@@ -43,6 +43,10 @@ impl FirewallRule {
 pub struct FirewallNf {
     rules: Vec<FirewallRule>,
     default_allow: bool,
+    /// Rule verdicts of the burst in hand, one per distinct flow. Cleared
+    /// at every burst and kept between them, so that its storage is
+    /// allocated once and not per burst.
+    memo: BurstMemo<(RulePort, FlowKey), bool>,
     passed: u64,
     dropped: u64,
 }
@@ -79,15 +83,16 @@ impl FirewallNf {
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
+}
 
-    /// Evaluates the rule list for one flow (first match wins).
-    fn evaluate(&self, step: RulePort, key: &FlowKey) -> bool {
-        self.rules
-            .iter()
-            .find(|r| r.matcher.matches(step, key))
-            .map(|r| r.allow)
-            .unwrap_or(self.default_allow)
-    }
+/// Evaluates the rule list for one flow: first match wins, and
+/// `default_allow` answers for a flow no rule matches.
+fn evaluate(rules: &[FirewallRule], default_allow: bool, step: RulePort, key: &FlowKey) -> bool {
+    rules
+        .iter()
+        .find(|r| r.matcher.matches(step, key))
+        .map(|r| r.allow)
+        .unwrap_or(default_allow)
 }
 
 impl NetworkFunction for FirewallNf {
@@ -104,7 +109,7 @@ impl NetworkFunction for FirewallNf {
         // The firewall's own rules are independent of the flow-table step, so
         // match with the packet's ingress port as the step.
         let step = RulePort::Nic(packet.ingress_port);
-        if self.evaluate(step, &key) {
+        if evaluate(&self.rules, self.default_allow, step, &key) {
             self.passed += 1;
             Verdict::Default
         } else {
@@ -116,7 +121,8 @@ impl NetworkFunction for FirewallNf {
     /// Native batch path: the rule list is evaluated **once per distinct
     /// flow in the burst** instead of once per packet — bursts of line-rate
     /// traffic are dominated by a few flows, so this collapses the
-    /// first-match scan to a memo probe for most packets.
+    /// first-match scan to a memo probe for most packets. With no rules
+    /// there is nothing to memoize and the default answers directly.
     fn process_batch(
         &mut self,
         batch: &PacketBatch<'_>,
@@ -124,22 +130,33 @@ impl NetworkFunction for FirewallNf {
         _ctx: &mut NfContext,
     ) {
         debug_assert_eq!(batch.len(), verdicts.len());
-        let mut memo: BurstMemo<(RulePort, FlowKey), bool> = BurstMemo::new();
+        let FirewallNf {
+            rules,
+            default_allow,
+            memo,
+            passed,
+            dropped,
+        } = self;
+        memo.clear();
         for (slot, packet) in verdicts.iter_mut().zip(batch.iter()) {
             let Some(key) = packet.flow_key() else {
-                self.dropped += 1;
+                *dropped += 1;
                 *slot = Verdict::Discard;
                 continue;
             };
-            let step = RulePort::Nic(packet.ingress_port);
-            let evaluated = &*self;
-            let allow =
-                *memo.get_or_insert_with((step, key), |(step, key)| evaluated.evaluate(*step, key));
+            let allow = if rules.is_empty() {
+                *default_allow
+            } else {
+                let step = RulePort::Nic(packet.ingress_port);
+                *memo.get_or_insert_with((step, key), |(step, key)| {
+                    evaluate(rules, *default_allow, *step, key)
+                })
+            };
             if allow {
-                self.passed += 1;
+                *passed += 1;
                 // `slot` is already Verdict::Default per the batch contract.
             } else {
-                self.dropped += 1;
+                *dropped += 1;
                 *slot = Verdict::Discard;
             }
         }
@@ -234,6 +251,28 @@ mod tests {
         assert_eq!(verdicts.as_slice(), expected.as_slice());
         assert_eq!(batched.passed(), scalar.passed());
         assert_eq!(batched.dropped(), scalar.dropped());
+    }
+
+    #[test]
+    fn a_firewall_without_rules_answers_its_default_without_the_memo() {
+        use crate::batch::{PacketBatch, VerdictSlice};
+        let packets: Vec<Packet> = (0..40).map(|host| pkt_from([10, 0, 0, host])).collect();
+        let refs: Vec<&Packet> = packets.iter().collect();
+        let mut ctx = NfContext::new(0);
+        for (mut fw, expected) in [
+            (FirewallNf::allow_by_default(), Verdict::Default),
+            (FirewallNf::deny_by_default(), Verdict::Discard),
+        ] {
+            let mut verdicts = VerdictSlice::new();
+            fw.process_batch(
+                &PacketBatch::new(&refs),
+                verdicts.reset(refs.len()),
+                &mut ctx,
+            );
+            assert!(verdicts.as_slice().iter().all(|v| *v == expected));
+            assert_eq!(fw.passed() + fw.dropped(), 40);
+            assert!(fw.memo.is_empty(), "nothing to memoize without rules");
+        }
     }
 
     #[test]

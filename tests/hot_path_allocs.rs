@@ -9,7 +9,9 @@
 //! buffer it was injected in. A third case crowds the table (more flows
 //! than the lookup cache holds, exact pins, several mask shapes), so that
 //! every lookup is answered by the flow table itself: its miss path must
-//! not allocate either.
+//! not allocate either. A fourth runs the anomaly-detection spine —
+//! firewall → IDS → scrubber — on benign HTTP-like traffic: the firewall's
+//! per-burst memo and the IDS's payload scan must not allocate.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -18,8 +20,8 @@ use sdnfv::dataplane::{SimActorKind, SimHandle, ThreadedHost, ThreadedHostConfig
 use sdnfv::flowtable::{
     Action, FlowMatch, FlowRule, IpPrefix, RulePort, ServiceId, SharedFlowTable,
 };
-use sdnfv::graph::{catalog, CompileOptions};
-use sdnfv::nf::nfs::NoOpNf;
+use sdnfv::graph::{catalog, CompileOptions, GraphNode, ServiceGraph, ServiceGraphBuilder};
+use sdnfv::nf::nfs::{FirewallNf, FirewallRule, IdsNf, NoOpNf, ScrubberNf};
 use sdnfv::nf::NetworkFunction;
 use sdnfv::proto::flow::{FlowKey, IpProtocol};
 use sdnfv::proto::packet::{Packet, PacketBuilder};
@@ -123,29 +125,71 @@ fn crowd(table: &SharedFlowTable, first: ServiceId) {
     });
 }
 
-/// A stepped single-shard host running a 3-`NoOpNf` chain, with the
-/// telemetry exporter (which allocates a snapshot per interval by design)
-/// off. Returns the host, its scheduler handle and the actor ids in
-/// pipeline order (worker first).
+/// A stepped single-shard host running a 3-`NoOpNf` chain. Returns the
+/// host, its scheduler handle and the actor ids in pipeline order (worker
+/// first).
 fn chain_host(parallel: bool, crowded: bool) -> (ThreadedHost, SimHandle, Vec<u64>) {
     let (graph, ids) = catalog::chain(&[("a", true), ("b", true), ("c", true)]);
-    let table = SharedFlowTable::new();
-    for rule in graph.compile(&CompileOptions {
+    let options = CompileOptions {
         enable_parallel: parallel,
         ..CompileOptions::default()
-    }) {
-        table.insert(rule);
-    }
+    };
+    let table = compiled_table(&graph, &options);
     if crowded {
         crowd(&table, ids[0]);
     }
+    stepped_host(table, &ids, |_id| Box::new(NoOpNf::new()))
+}
+
+/// The same host running the firewall → IDS → scrubber spine of
+/// `catalog::anomaly_detection` (as the benchmark's `churn_ids` does). The
+/// firewall carries a rule, so every burst goes through its memo.
+fn ids_chain_host() -> (ThreadedHost, SimHandle, Vec<u64>) {
+    let mut b = ServiceGraphBuilder::new("ids-chain");
+    let firewall = b.add_service("firewall", true);
+    let ids = b.add_service("ids", true);
+    let scrubber = b.add_service("scrubber", true);
+    b.add_default_edge(GraphNode::Source, firewall);
+    b.add_default_edge(firewall, ids);
+    b.add_default_edge(ids, GraphNode::Sink);
+    b.add_edge(ids, scrubber);
+    b.add_default_edge(scrubber, GraphNode::Sink);
+    let graph = b.build().expect("the graph is well formed");
+    let table = compiled_table(&graph, &CompileOptions::default());
+    let elsewhere = IpPrefix::new(Ipv4Addr::new(192, 168, 0, 0), 16);
+    stepped_host(table, &[firewall, ids, scrubber], |id| {
+        if id == firewall {
+            Box::new(
+                FirewallNf::allow_by_default()
+                    .with_rule(FirewallRule::deny(FlowMatch::any().with_src_ip(elsewhere))),
+            )
+        } else if id == ids {
+            Box::new(IdsNf::new(ids, scrubber))
+        } else {
+            Box::new(ScrubberNf::new().with_signature(b"UNION SELECT".to_vec()))
+        }
+    })
+}
+
+fn compiled_table(graph: &ServiceGraph, options: &CompileOptions) -> SharedFlowTable {
+    let table = SharedFlowTable::new();
+    for rule in graph.compile(options) {
+        table.insert(rule);
+    }
+    table
+}
+
+/// Starts a stepped single-shard host over `table` with one NF per service,
+/// the telemetry exporter (which allocates a snapshot per interval by
+/// design) off.
+fn stepped_host(
+    table: SharedFlowTable,
+    services: &[ServiceId],
+    nf: impl Fn(ServiceId) -> Box<dyn NetworkFunction>,
+) -> (ThreadedHost, SimHandle, Vec<u64>) {
     let (host, sim) = ThreadedHost::start_sim_sharded(
         table,
-        |_shard| {
-            ids.iter()
-                .map(|id: &ServiceId| (*id, Box::new(NoOpNf::new()) as Box<dyn NetworkFunction>))
-                .collect()
-        },
+        |_shard| services.iter().map(|id| (*id, nf(*id))).collect(),
         ThreadedHostConfig {
             telemetry_interval_ns: 0,
             ..ThreadedHostConfig::default()
@@ -166,18 +210,40 @@ fn chain_host(parallel: bool, crowded: bool) -> (ThreadedHost, SimHandle, Vec<u6
     (host, sim, actors)
 }
 
-/// Pushes `packets` packets of `flows` round-robin flows through the host
-/// in bursts of [`BURST`] and returns how many heap allocations happened
-/// inside the worker and NF steps. Every egressed frame must be a buffer
-/// that was injected and has not come out yet.
-fn pump(host: &ThreadedHost, sim: &SimHandle, actors: &[u64], packets: usize, flows: usize) -> u64 {
+/// A benign 512-byte HTTP-like TCP request of flow `seq % FLOWS`: its
+/// slashes make the IDS's automaton leave its root state, and nothing in it
+/// is a signature.
+fn http_packet(seq: usize) -> Packet {
+    let mut payload = b"GET /catalog/item?id=42 HTTP/1.1\r\nHost: shop.example\r\nX-Pad: ".to_vec();
+    payload.resize(512 - 54, b'x');
+    PacketBuilder::tcp()
+        .src_ip(SRC_IP)
+        .dst_ip(DST_IP)
+        .src_port(FIRST_SRC_PORT + (seq % FLOWS) as u16)
+        .dst_port(80)
+        .ingress_port(0)
+        .payload(&payload)
+        .build()
+}
+
+/// Pushes `packets` packets, the `seq`-th built by `packet(seq)`, through
+/// the host in bursts of [`BURST`] and returns how many heap allocations
+/// happened inside the worker and NF steps. Every egressed frame must be a
+/// buffer that was injected and has not come out yet.
+fn pump(
+    host: &ThreadedHost,
+    sim: &SimHandle,
+    actors: &[u64],
+    packets: usize,
+    packet: impl Fn(usize) -> Packet,
+) -> u64 {
     let mut in_engines = 0;
     let mut in_flight: Vec<*const u8> = Vec::with_capacity(16 * BURST);
     let (mut sent, mut received) = (0, 0);
     let mut idle_rounds = 0;
     while received < packets {
         if sent < packets && in_flight.len() < 8 * BURST {
-            let burst: Vec<Packet> = (sent..sent + BURST).map(|seq| packet(seq, flows)).collect();
+            let burst: Vec<Packet> = (sent..sent + BURST).map(&packet).collect();
             in_flight.extend(burst.iter().map(|p| p.data().as_ptr()));
             let outcome = host.inject_burst(burst);
             assert!(outcome.throttled.is_empty(), "window is below the credits");
@@ -211,10 +277,12 @@ fn assert_hot_path_is_allocation_free(parallel: bool, crowded: bool) {
     let flows = if crowded { CROWD_FLOWS } else { FLOWS };
     // Warm-up: fills the descriptor free list, the lookup cache, and grows
     // every reused scratch buffer to its working size.
-    pump(&host, &sim, &actors, (64 * BURST).max(flows), flows);
+    pump(&host, &sim, &actors, (64 * BURST).max(flows), |seq| {
+        packet(seq, flows)
+    });
     let packets = 10_000usize.next_multiple_of(BURST);
     let lookups_before = host.shard_table(0).stats().lookups;
-    let during = pump(&host, &sim, &actors, packets, flows);
+    let during = pump(&host, &sim, &actors, packets, |seq| packet(seq, flows));
     assert_eq!(
         during, 0,
         "worker and NF steps must not allocate in steady state \
@@ -248,4 +316,21 @@ fn parallel_chain_allocates_and_copies_nothing_per_packet() {
 #[test]
 fn crowded_table_lookups_allocate_nothing_per_packet() {
     assert_hot_path_is_allocation_free(false, true);
+}
+
+#[test]
+fn firewall_ids_scrubber_chain_allocates_nothing_on_benign_traffic() {
+    let (host, sim, actors) = ids_chain_host();
+    // Warm-up grows the firewall's memo to a burst's worth of flows.
+    pump(&host, &sim, &actors, 64 * BURST, http_packet);
+    let packets = 10_000usize.next_multiple_of(BURST);
+    let during = pump(&host, &sim, &actors, packets, http_packet);
+    assert_eq!(
+        during, 0,
+        "worker and NF steps must not allocate on traffic that raises no alert"
+    );
+    let stats = host.stats().snapshot();
+    assert_eq!(stats.transmitted, stats.received);
+    assert_eq!(stats.dropped + stats.overflow_drops, 0);
+    host.shutdown();
 }
