@@ -124,14 +124,14 @@ impl PatternSet {
         }
 
         // Renumber so that the accepting states come last and "is this a
-        // match" is one comparison. The root is not accepting and keeps 0.
-        let mut renumbered = vec![ROOT; accepting.len()];
-        let rejecting = order.iter().filter(|&&s| !accepting[usize::from(s)]);
-        let accepted = order.iter().filter(|&&s| accepting[usize::from(s)]);
-        for (new, &old) in rejecting.chain(accepted).enumerate() {
+        // match" is one comparison. The sort is stable and the root is not
+        // accepting, so it keeps 0.
+        order.sort_by_key(|&state| accepting[usize::from(state)]);
+        let mut renumbered = vec![ROOT; order.len()];
+        for (new, &old) in order.iter().enumerate() {
             renumbered[usize::from(old)] = new as u16;
         }
-        let first_accepting = accepting.iter().filter(|&&a| !a).count() as u16;
+        let first_accepting = accepting.iter().filter(|&&accepts| !accepts).count() as u16;
         let mut dense = vec![ROOT; next.len()];
         for (old, &new) in renumbered.iter().enumerate() {
             for byte in 0..256 {

@@ -138,7 +138,11 @@ fn chain_host(parallel: bool, crowded: bool) -> (ThreadedHost, SimHandle, Vec<u6
     if crowded {
         crowd(&table, ids[0]);
     }
-    stepped_host(table, &ids, |_id| Box::new(NoOpNf::new()))
+    stepped_host(table, || {
+        ids.iter()
+            .map(|id| (*id, Box::new(NoOpNf::new()) as Box<dyn NetworkFunction>))
+            .collect()
+    })
 }
 
 /// The same host running the firewall → IDS → scrubber spine of
@@ -157,17 +161,19 @@ fn ids_chain_host() -> (ThreadedHost, SimHandle, Vec<u64>) {
     let graph = b.build().expect("the graph is well formed");
     let table = compiled_table(&graph, &CompileOptions::default());
     let elsewhere = IpPrefix::new(Ipv4Addr::new(192, 168, 0, 0), 16);
-    stepped_host(table, &[firewall, ids, scrubber], |id| {
-        if id == firewall {
-            Box::new(
-                FirewallNf::allow_by_default()
-                    .with_rule(FirewallRule::deny(FlowMatch::any().with_src_ip(elsewhere))),
-            )
-        } else if id == ids {
-            Box::new(IdsNf::new(ids, scrubber))
-        } else {
-            Box::new(ScrubberNf::new().with_signature(b"UNION SELECT".to_vec()))
-        }
+    let deny_elsewhere = FirewallRule::deny(FlowMatch::any().with_src_ip(elsewhere));
+    stepped_host(table, || {
+        vec![
+            (
+                firewall,
+                Box::new(FirewallNf::allow_by_default().with_rule(deny_elsewhere.clone())),
+            ),
+            (ids, Box::new(IdsNf::new(ids, scrubber))),
+            (
+                scrubber,
+                Box::new(ScrubberNf::new().with_signature(b"UNION SELECT".to_vec())),
+            ),
+        ]
     })
 }
 
@@ -179,17 +185,16 @@ fn compiled_table(graph: &ServiceGraph, options: &CompileOptions) -> SharedFlowT
     table
 }
 
-/// Starts a stepped single-shard host over `table` with one NF per service,
-/// the telemetry exporter (which allocates a snapshot per interval by
-/// design) off.
+/// Starts a stepped single-shard host over `table` running the three NFs
+/// `nfs` makes, the telemetry exporter (which allocates a snapshot per
+/// interval by design) off.
 fn stepped_host(
     table: SharedFlowTable,
-    services: &[ServiceId],
-    nf: impl Fn(ServiceId) -> Box<dyn NetworkFunction>,
+    nfs: impl Fn() -> Vec<(ServiceId, Box<dyn NetworkFunction>)>,
 ) -> (ThreadedHost, SimHandle, Vec<u64>) {
     let (host, sim) = ThreadedHost::start_sim_sharded(
         table,
-        |_shard| services.iter().map(|id| (*id, nf(*id))).collect(),
+        |_shard| nfs(),
         ThreadedHostConfig {
             telemetry_interval_ns: 0,
             ..ThreadedHostConfig::default()
