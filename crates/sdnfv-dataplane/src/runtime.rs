@@ -123,7 +123,7 @@ use sdnfv_nf::{
 use sdnfv_proto::flow::FlowKey;
 use sdnfv_proto::packet::Port;
 use sdnfv_proto::Packet;
-use sdnfv_ring::{spsc_ring, Consumer, CreditGate, Producer, PushError, SharedPacket};
+use sdnfv_ring::{spsc_ring, Consumer, CreditGate, Exclusive, Producer, PushError, SharedPacket};
 use sdnfv_telemetry::{
     Ewma, HostClock, LatencyHistogram, LatencyReport, NfTelemetry, ShardLifecycleEvent,
     SpanVerdict, TelemetrySnapshot, TelemetrySource, TraceSpan, TraceStage,
@@ -549,6 +549,12 @@ struct WorkItem {
     /// the NF replica stamps its burst window onto the [`DoneItem`] and the
     /// worker emits spans at each stage.
     traced: bool,
+    /// Sole target: the worker proved `shared` the descriptor's only handle
+    /// and moved it here, so it still is (nobody can clone a handle they do
+    /// not hold) and the NF serves it through [`SharedPacket::exclusive`].
+    /// Implies one reader and `position == 0`. Fan-out handles carry
+    /// `false` and never pay the uniqueness test.
+    sole: bool,
 }
 
 struct DoneItem {
@@ -3468,10 +3474,14 @@ impl ShardEngine {
     }
 
     /// Ends a descriptor's trip through the pipeline: moves the frame out
-    /// (zero-copy — every NF completed and dropped its guard) and parks the
+    /// (zero-copy — as plain memory when the handle is the only one left,
+    /// else through the lock every NF already released) and parks the
     /// emptied descriptor for reuse.
-    fn reclaim(&mut self, shared: SharedPacket) -> Packet {
-        let packet = shared.take_packet();
+    fn reclaim(&mut self, mut shared: SharedPacket) -> Packet {
+        let packet = match shared.exclusive() {
+            Some(descriptor) => descriptor.take_packet(),
+            None => shared.take_packet(),
+        };
         if self.free_descriptors.len() < self.free_descriptors.capacity() {
             self.free_descriptors.push(shared);
         }
@@ -3569,7 +3579,7 @@ impl ShardEngine {
             };
             self.stats.add_parallel_dispatches(1);
             let shared = self.descriptor(packet, self.targets.len() as u32);
-            self.stage_targets(shared, key, hash, exit_service, traced);
+            self.stage_targets(shared, true, key, hash, exit_service, traced);
             rx_span(self, SpanVerdict::Forwarded);
             return;
         }
@@ -3586,6 +3596,7 @@ impl ShardEngine {
                             exit_service: service,
                             position: 0,
                             traced,
+                            sole: true,
                         });
                         rx_span(self, SpanVerdict::Forwarded);
                     }
@@ -3750,8 +3761,28 @@ impl ShardEngine {
             self.stats.add_parallel_dispatches(1);
         }
         tx_span(self, &item, SpanVerdict::Forwarded);
-        item.shared.re_arm(self.targets.len() as u32);
-        self.stage_targets(item.shared, item.key, item.hash, exit_service, item.traced);
+        let readers = self.targets.len() as u32;
+        let mut shared = item.shared;
+        // A straggler of a finished fan-out may still hold its clone for a
+        // moment; then the counters stay atomic for this hop too.
+        let unique = match shared.exclusive() {
+            Some(descriptor) => {
+                descriptor.re_arm(readers);
+                true
+            }
+            None => {
+                shared.re_arm(readers);
+                false
+            }
+        };
+        self.stage_targets(
+            shared,
+            unique,
+            item.key,
+            item.hash,
+            exit_service,
+            item.traced,
+        );
     }
 
     /// Picks the replica of every service `actions` lists into the
@@ -3787,16 +3818,22 @@ impl ShardEngine {
 
     /// Stages one handle on `shared` for each resolved target (the last
     /// target takes the caller's handle, so a single-target hop touches no
-    /// reference count); the target's position in the list is the priority
+    /// reference count — and, when the caller proved the handle `unique`,
+    /// tells its NF so); the target's position in the list is the priority
     /// of its NF's verdict.
     fn stage_targets(
         &mut self,
         shared: SharedPacket,
+        unique: bool,
         key: FlowKey,
         hash: u64,
         exit_service: ServiceId,
         traced: bool,
     ) {
+        let (&last, rest) = self
+            .targets
+            .split_last()
+            .expect("resolved targets are non-empty");
         let item = |shared: SharedPacket, position: usize| WorkItem {
             shared,
             key,
@@ -3804,11 +3841,8 @@ impl ShardEngine {
             exit_service,
             position: u16::try_from(position).unwrap_or(u16::MAX),
             traced,
+            sole: unique && rest.is_empty(),
         };
-        let (&last, rest) = self
-            .targets
-            .split_last()
-            .expect("resolved targets are non-empty");
         for (position, &index) in rest.iter().enumerate() {
             self.staging.per_ring[index].push(item(shared.clone(), position));
         }
@@ -3899,16 +3933,17 @@ enum Targets {
 
 /// Length of the longest prefix of `items` in which no two work items share
 /// a packet buffer (always ≥ 1 for a non-empty slice). Used to split bursts
-/// that would otherwise write-lock the same buffer twice.
+/// that would otherwise lock the same buffer twice. A sole-target item
+/// holds its buffer's only handle, so it aliases nothing and is not
+/// compared: a burst of them costs one flag test each.
 fn distinct_buffer_prefix(items: &[WorkItem]) -> usize {
-    if items.is_empty() {
-        return 0;
-    }
-    let mut end = 1;
+    let mut end = 0;
     'grow: while end < items.len() {
-        for earlier in &items[..end] {
-            if earlier.shared.same_buffer(&items[end].shared) {
-                break 'grow;
+        if !items[end].sole {
+            for earlier in items[..end].iter().filter(|item| !item.sole) {
+                if earlier.shared.same_buffer(&items[end].shared) {
+                    break 'grow;
+                }
             }
         }
         end += 1;
@@ -4033,10 +4068,61 @@ fn apply_ctx_messages(
 /// in a thread-local (not on [`NfEngine`]) because lock guards are not
 /// `Send` and the engine must be, for the simulation registry.
 struct GuardScratch {
-    read_guards: Vec<std::sync::RwLockReadGuard<'static, Packet>>,
+    read_guards: Vec<Access<'static, std::sync::RwLockReadGuard<'static, Packet>>>,
     read_refs: Vec<&'static Packet>,
-    write_guards: Vec<std::sync::RwLockWriteGuard<'static, Packet>>,
+    write_guards: Vec<Access<'static, std::sync::RwLockWriteGuard<'static, Packet>>>,
     write_refs: Vec<&'static mut Packet>,
+}
+
+/// How an NF burst reaches one packet's frame: as plain memory for a
+/// sole-target item, through the descriptor's lock (guard `G`) for a
+/// fan-out one.
+enum Access<'a, G> {
+    Sole(Exclusive<'a>),
+    Locked(G),
+}
+
+impl<'a, G> Access<'a, G> {
+    /// Opens `item`'s frame; `lock` takes the guard of a shared descriptor.
+    fn open(item: &'a mut WorkItem, lock: impl FnOnce(&'a SharedPacket) -> G) -> Self {
+        if item.sole {
+            Access::Sole(
+                item.shared
+                    .exclusive()
+                    .expect("a sole-target handle stays unique in flight"),
+            )
+        } else {
+            Access::Locked(lock(&item.shared))
+        }
+    }
+
+    /// Ends the access. A sole-target item is completed here, in plain
+    /// memory, with its NF's `verdict`; a fan-out one only unlocks (its
+    /// handle merges and completes atomically afterwards).
+    fn close(self, verdict: Verdict) {
+        if let Access::Sole(descriptor) = self {
+            let last = descriptor.complete(verdict_to_key(verdict, 0));
+            assert!(last, "a sole-target descriptor has one reader");
+        }
+    }
+}
+
+impl<G: std::ops::Deref<Target = Packet>> Access<'_, G> {
+    fn packet(&self) -> &Packet {
+        match self {
+            Access::Sole(descriptor) => descriptor.packet(),
+            Access::Locked(guard) => guard,
+        }
+    }
+}
+
+impl<G: std::ops::DerefMut<Target = Packet>> Access<'_, G> {
+    fn packet_mut(&mut self) -> &mut Packet {
+        match self {
+            Access::Sole(descriptor) => descriptor.packet_mut(),
+            Access::Locked(guard) => guard,
+        }
+    }
 }
 
 thread_local! {
@@ -4264,23 +4350,27 @@ impl NfEngine {
         self.ctx.set_now_ns(burst_started_ns);
         let slots = self.verdicts.reset(items.len());
         if self.read_only {
-            // Lock the whole burst for reading and hand the NF one batch.
-            // Parallel NFs on other threads can hold read guards on the same
-            // descriptors simultaneously. Bursts are still split on repeated
-            // buffers: two read guards on one lock from this thread could
-            // deadlock against a queued writer (std's RwLock is
-            // writer-preferring), and a repeated buffer is possible with
+            // Open the whole burst for reading and hand the NF one batch:
+            // sole-target items as plain memory, fan-out items under read
+            // guards (parallel NFs on other threads can hold read guards on
+            // the same descriptors simultaneously). Bursts are still split
+            // on repeated buffers: two read guards on one lock from this
+            // thread could deadlock against a queued writer (std's RwLock
+            // is writer-preferring), and a repeated buffer is possible with
             // hand-installed action lists naming one service twice.
             GUARD_SCRATCH.with(|scratch| {
                 let scratch = &mut *scratch.borrow_mut();
                 let mut start = 0;
                 while start < items.len() {
                     let end = start + distinct_buffer_prefix(&items[start..]);
-                    let chunk = &items[start..end];
                     let mut guards = recycle(std::mem::take(&mut scratch.read_guards));
-                    guards.extend(chunk.iter().map(|item| item.shared.read_guard()));
+                    guards.extend(
+                        items[start..end]
+                            .iter_mut()
+                            .map(|item| Access::open(item, SharedPacket::read_guard)),
+                    );
                     let mut refs: Vec<&Packet> = recycle(std::mem::take(&mut scratch.read_refs));
-                    refs.extend(guards.iter().map(|guard| &**guard));
+                    refs.extend(guards.iter().map(Access::packet));
                     self.nf.process_batch(
                         &PacketBatch::new(&refs),
                         &mut slots[start..end],
@@ -4288,36 +4378,43 @@ impl NfEngine {
                     );
                     refs.clear();
                     scratch.read_refs = recycle(refs);
-                    guards.clear();
+                    for (guard, verdict) in guards.drain(..).zip(&slots[start..end]) {
+                        guard.close(*verdict);
+                    }
                     scratch.read_guards = recycle(guards);
                     start = end;
                 }
             });
         } else {
             // A mutating NF is the sole owner of every descriptor it is
-            // handed (never scheduled in parallel with other NFs), so the
-            // write locks are uncontended — except when a (hand-installed)
-            // action list names the same service twice, which puts two
-            // WorkItems over one buffer into the same burst. Write-locking
-            // those together would self-deadlock, so the burst is split into
-            // chunks with no repeated buffer.
+            // handed (never scheduled in parallel with other NFs), so a
+            // write lock, where one is still taken, is uncontended — except
+            // when a (hand-installed) action list names the same service
+            // twice, which puts two WorkItems over one buffer into the same
+            // burst. Write-locking those together would self-deadlock, so
+            // the burst is split into chunks with no repeated buffer.
             GUARD_SCRATCH.with(|scratch| {
                 let scratch = &mut *scratch.borrow_mut();
                 let mut start = 0;
                 while start < items.len() {
                     let end = start + distinct_buffer_prefix(&items[start..]);
-                    let chunk = &items[start..end];
                     let mut guards = recycle(std::mem::take(&mut scratch.write_guards));
-                    guards.extend(chunk.iter().map(|item| item.shared.write_guard()));
+                    guards.extend(
+                        items[start..end]
+                            .iter_mut()
+                            .map(|item| Access::open(item, SharedPacket::write_guard)),
+                    );
                     let mut refs: Vec<&mut Packet> =
                         recycle(std::mem::take(&mut scratch.write_refs));
-                    refs.extend(guards.iter_mut().map(|guard| &mut **guard));
+                    refs.extend(guards.iter_mut().map(Access::packet_mut));
                     let mut batch = PacketBatchMut::new(&mut refs);
                     self.nf
                         .process_batch_mut(&mut batch, &mut slots[start..end], &mut self.ctx);
                     refs.clear();
                     scratch.write_refs = recycle(refs);
-                    guards.clear();
+                    for (guard, verdict) in guards.drain(..).zip(&slots[start..end]) {
+                        guard.close(*verdict);
+                    }
                     scratch.write_guards = recycle(guards);
                     start = end;
                 }
@@ -4354,21 +4451,26 @@ impl NfEngine {
             self.pin_timeouts,
         );
         for (index, item) in items.drain(..).enumerate() {
-            item.shared.merge_verdict(verdict_to_key(
-                self.verdicts.as_slice()[index],
-                item.position,
-            ));
-            if item.shared.complete_one() {
-                self.done_staging.push(DoneItem {
-                    shared: item.shared,
-                    key: item.key,
-                    hash: item.hash,
-                    exit_service: item.exit_service,
-                    traced: item.traced,
-                    nf_started_ns: burst_started_ns,
-                    nf_ended_ns: burst_ended_ns,
-                });
+            // A sole-target item was completed in place when its access
+            // closed; a fan-out handle merges and counts down atomically.
+            if !item.sole {
+                item.shared.merge_verdict(verdict_to_key(
+                    self.verdicts.as_slice()[index],
+                    item.position,
+                ));
+                if !item.shared.complete_one() {
+                    continue;
+                }
             }
+            self.done_staging.push(DoneItem {
+                shared: item.shared,
+                key: item.key,
+                hash: item.hash,
+                exit_service: item.exit_service,
+                traced: item.traced,
+                nf_started_ns: burst_started_ns,
+                nf_ended_ns: burst_ended_ns,
+            });
         }
         self.items = items;
         self.done.push_n(&mut self.done_staging);
@@ -4489,14 +4591,17 @@ mod tests {
 
     #[test]
     fn distinct_buffer_prefix_splits_on_repeated_buffers() {
-        let item = |shared: &SharedPacket| WorkItem {
-            shared: shared.clone(),
+        let work = |shared: SharedPacket, sole: bool| WorkItem {
+            shared,
             key: packet(1).flow_key().unwrap(),
             hash: 0,
             exit_service: ServiceId::new(1),
             position: 0,
             traced: false,
+            sole,
         };
+        let item = |shared: &SharedPacket| work(shared.clone(), false);
+        let sole = |port: u16| work(SharedPacket::new(packet(port), 1), true);
         let a = SharedPacket::new(packet(1), 2);
         let b = SharedPacket::new(packet(2), 1);
         assert_eq!(distinct_buffer_prefix(&[]), 0);
@@ -4505,6 +4610,13 @@ mod tests {
         assert_eq!(distinct_buffer_prefix(&[item(&a), item(&b), item(&a)]), 2);
         // a, a: even adjacent repeats split.
         assert_eq!(distinct_buffer_prefix(&[item(&a), item(&a)]), 1);
+        // Sole-target items alias nothing and never split a burst, but a
+        // repeat among the fan-out items between them still does.
+        assert_eq!(distinct_buffer_prefix(&[sole(3), sole(4), sole(5)]), 3);
+        assert_eq!(
+            distinct_buffer_prefix(&[sole(3), item(&a), sole(4), item(&b), item(&a), sole(5)]),
+            4
+        );
     }
 
     /// Builds an inert NF slot (no thread) plus the handles that keep its
@@ -4526,6 +4638,176 @@ mod tests {
         (slot, input, done_tx)
     }
 
+    /// A stand-alone NF replica engine over fresh rings: the test plays the
+    /// worker, pushing work items and popping completions.
+    fn test_nf_engine(
+        nf: Box<dyn NetworkFunction>,
+        capacity: usize,
+    ) -> (NfEngine, Producer<WorkItem>, Consumer<DoneItem>) {
+        let (ring, input) = spsc_ring::<WorkItem>(capacity);
+        let (done, completions) = spsc_ring::<DoneItem>(capacity);
+        let tables = FlowTablePartitions::new(&SharedFlowTable::new(), 1);
+        let engine = NfEngine::new(NfThread {
+            shard: 0,
+            service: ServiceId::new(1),
+            nf,
+            input,
+            done,
+            running: Arc::new(AtomicBool::new(true)),
+            stop: Arc::new(AtomicBool::new(false)),
+            stats: ShardStats::new(),
+            tracker: Arc::new(BucketTracker::new(STEER_BUCKETS)),
+            table: tables.shard(0),
+            mutation_log: tables.mutation_log(0),
+            channel: Arc::new(NfStateChannel::default()),
+            probe: Arc::new(NfProbe::default()),
+            measure: true,
+            clock: HostClock::real(),
+            burst_size: capacity,
+            pin_timeouts: PinTimeouts::NONE,
+            latency: Arc::new(ShardLatency::default()),
+        });
+        (engine, ring, completions)
+    }
+
+    /// Asks for a verdict chosen by the packet's first payload byte, and —
+    /// as a mutating NF — counts its visits in the second.
+    struct StampNf {
+        mutate: bool,
+    }
+
+    impl NetworkFunction for StampNf {
+        fn name(&self) -> &str {
+            "stamp"
+        }
+
+        fn read_only(&self) -> bool {
+            !self.mutate
+        }
+
+        fn process(&mut self, packet: &Packet, _ctx: &mut NfContext) -> Verdict {
+            match packet.l4_payload().unwrap()[0] % 4 {
+                0 => Verdict::Default,
+                1 => Verdict::ToService(ServiceId::new(9)),
+                2 => Verdict::ToPort(7),
+                _ => Verdict::Discard,
+            }
+        }
+
+        fn process_mut(&mut self, packet: &mut Packet, ctx: &mut NfContext) -> Verdict {
+            packet.l4_payload_mut().unwrap()[1] += 1;
+            self.process(packet, ctx)
+        }
+    }
+
+    /// What one descriptor looked like after the mixed burst.
+    #[derive(Debug, PartialEq)]
+    struct Served {
+        hash: u64,
+        remaining: u32,
+        verdict: u64,
+        payload_head: [u8; 2],
+    }
+
+    /// One [`NfEngine`] burst of eight items over six descriptors, in ring
+    /// order: sole, fan-out, twice-named (first), sole, twice-named
+    /// (second), sole, fan-out, sole. `hinted == false` serves the same
+    /// burst with every hint cleared, i.e. down the shared path alone —
+    /// the parent's behaviour. Returns the completions in done-ring order,
+    /// then the two fan-out descriptors.
+    fn serve_mixed_burst(mutate: bool, hinted: bool) -> Vec<Served> {
+        let (mut engine, ring, done) = test_nf_engine(Box::new(StampNf { mutate }), 8);
+        let descriptor = |selector: u8, readers: u32| {
+            let mut frame = packet(u16::from(selector));
+            frame.l4_payload_mut().unwrap()[..2].copy_from_slice(&[selector, 0]);
+            SharedPacket::new(frame, readers)
+        };
+        let work = |shared: SharedPacket, hash: u64, position: u16, sole: bool| WorkItem {
+            shared,
+            key: packet(1).flow_key().unwrap(),
+            hash,
+            exit_service: ServiceId::new(1),
+            position,
+            traced: false,
+            sole: sole && hinted,
+        };
+        // Fan-out of a parallel rule: three readers, this NF is the second;
+        // the test plays the other two and merges a steer of its own.
+        let fan_out: Vec<SharedPacket> = [1, 2].map(|selector| descriptor(selector, 3)).into();
+        // A hand-installed sequential list naming this service twice.
+        let twice = descriptor(3, 2);
+        let mut burst = vec![
+            work(descriptor(0, 1), 10, 0, true),
+            work(fan_out[0].clone(), 20, 1, false),
+            work(twice.clone(), 30, 0, false),
+            work(descriptor(1, 1), 11, 0, true),
+            work(twice, 30, 1, false),
+            work(descriptor(2, 1), 12, 0, true),
+            work(fan_out[1].clone(), 21, 1, false),
+            work(descriptor(3, 1), 13, 0, true),
+        ];
+        assert_eq!(ring.push_n(&mut burst), 8);
+        assert!(engine.step());
+
+        let served = |hash: u64, shared: &SharedPacket| Served {
+            hash,
+            remaining: shared.remaining(),
+            verdict: shared.verdict(),
+            payload_head: shared.with_read(|p| p.l4_payload().unwrap()[..2].try_into().unwrap()),
+        };
+        let mut completions = Vec::new();
+        done.pop_n(&mut completions, 8);
+        let mut out: Vec<Served> = completions
+            .iter()
+            .map(|item| served(item.hash, &item.shared))
+            .collect();
+        for (hash, shared) in [20, 21].into_iter().zip(&fan_out) {
+            // The NF was one of three readers: its handle is gone, its
+            // request merged, and the descriptor still waits for the rest.
+            assert_eq!(shared.remaining(), 2);
+            shared.merge_verdict(verdict_to_key(Verdict::ToService(ServiceId::new(5)), 0));
+            assert!(!shared.complete_one());
+            assert!(shared.complete_one());
+            out.push(served(hash, shared));
+        }
+        out
+    }
+
+    #[test]
+    fn a_mixed_burst_is_served_as_the_shared_path_alone_serves_it() {
+        for mutate in [false, true] {
+            let hinted = serve_mixed_burst(mutate, true);
+            assert_eq!(hinted, serve_mixed_burst(mutate, false), "mutate {mutate}");
+            let visits = |n: u8| if mutate { n } else { 0 };
+            let key = verdict_to_key;
+            let steer = Verdict::ToService(ServiceId::new(9));
+            let expected = [
+                // The four sole-target items and the twice-named descriptor
+                // (complete at its second item), in ring order …
+                (10, key(Verdict::Default, 0), [0, visits(1)]),
+                (11, key(steer, 0), [1, visits(1)]),
+                (30, key(Verdict::Discard, 0), [3, visits(2)]),
+                (12, key(Verdict::ToPort(7), 0), [2, visits(1)]),
+                (13, key(Verdict::Discard, 0), [3, visits(1)]),
+                // … then the fan-out descriptors: position 0's steer beats
+                // this NF's steer at position 1, its port request beats both.
+                (
+                    20,
+                    key(Verdict::ToService(ServiceId::new(5)), 0),
+                    [1, visits(1)],
+                ),
+                (21, key(Verdict::ToPort(7), 1), [2, visits(1)]),
+            ]
+            .map(|(hash, verdict, payload_head)| Served {
+                hash,
+                remaining: 0,
+                verdict,
+                payload_head,
+            });
+            assert_eq!(hinted, expected, "mutate {mutate}");
+        }
+    }
+
     #[test]
     fn parallel_fits_accounts_for_staged_items_and_multiplicity() {
         let (slot_a, _keep_a, _keep_da) = test_slot(2);
@@ -4545,6 +4827,7 @@ mod tests {
             exit_service: ServiceId::new(1),
             position: 0,
             traced: false,
+            sole: false,
         });
         assert!(parallel_fits(&staging, &slots, &[0]));
         assert!(!parallel_fits(&staging, &slots, &[0, 0]));

@@ -38,5 +38,5 @@ pub mod sync;
 
 pub use credit::CreditGate;
 pub use pool::{PacketPool, PoolStats, PooledPacket};
-pub use shared::{verdict_key, verdict_parts, SharedPacket, VerdictClass};
+pub use shared::{verdict_key, verdict_parts, Exclusive, SharedPacket, VerdictClass};
 pub use spsc::{spsc_ring, Consumer, Producer, PushError};

@@ -15,6 +15,31 @@
 //! list beating a later one — so the merged word *is* the resolved verdict,
 //! whatever order the parallel NFs finish in, with no lock and no per-packet
 //! collection to allocate.
+//!
+//! # Ownership rule
+//!
+//! The paper's descriptor is asymmetric on purpose: a packet on a
+//! *sequential* chain is owned by one NF at a time, and only a *parallel*
+//! dispatch pays for a reference counter. The same rule holds here:
+//!
+//! * **sole handle ⇒ plain access.** [`SharedPacket::exclusive`] yields the
+//!   frame, the verdict word and the completion counter as ordinary memory
+//!   when the handle it is called on is the only one. A sequential hop
+//!   moves its one handle from ring to ring, so serving it takes no lock
+//!   and no read-modify-write beyond the uniqueness test itself.
+//! * **any clone alive ⇒ lock + atomic word.** `exclusive` answers `None`
+//!   and every party goes through the `RwLock`, [`SharedPacket::merge_verdict`]
+//!   and [`SharedPacket::complete_one`] — the fan-out path, unchanged.
+//!
+//! This is sound in safe Rust because it is built on `Arc::get_mut`,
+//! `RwLock::get_mut` and the atomics' `get_mut`: `Arc::get_mut` hands out
+//! `&mut` only after proving no other strong or weak handle exists, and
+//! while that borrow lives the `&mut self` it came from forbids cloning
+//! this one — so nobody can observe the plain writes concurrently. The
+//! writes reach the next owner through whatever moves the handle there (a
+//! ring push/pop is a release/acquire pair). Uniqueness is also *stable*:
+//! a handle proven unique stays unique until its owner clones it, which is
+//! what lets the dispatcher prove it once and tell the NF in a hint bit.
 
 use crate::sync::{AtomicU32, AtomicU64, Ordering};
 use parking_lot::RwLock;
@@ -84,6 +109,66 @@ pub struct SharedPacket {
     inner: Arc<SharedInner>,
 }
 
+/// Plain-memory view of a descriptor whose handle is provably the only one
+/// (see the module docs' ownership rule): what [`SharedPacket::exclusive`]
+/// returns. Its methods are the lock-free, RMW-free twins of the shared
+/// ones and leave the descriptor in exactly the state those would.
+pub struct Exclusive<'a> {
+    packet: &'a mut Packet,
+    remaining: &'a mut u32,
+    verdict: &'a mut u64,
+}
+
+impl Exclusive<'_> {
+    /// The frame (twin of [`SharedPacket::read_guard`]).
+    pub fn packet(&self) -> &Packet {
+        self.packet
+    }
+
+    /// The frame, writable (twin of [`SharedPacket::write_guard`]).
+    pub fn packet_mut(&mut self) -> &mut Packet {
+        self.packet
+    }
+
+    /// [`SharedPacket::merge_verdict`] followed by
+    /// [`SharedPacket::complete_one`]: merges one NF's request and records
+    /// its completion. Returns `true` for the final completion.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no reader is outstanding.
+    pub fn complete(self, key: u64) -> bool {
+        *self.verdict = (*self.verdict).max(key);
+        assert!(
+            *self.remaining > 0,
+            "complete_one called more times than readers"
+        );
+        *self.remaining -= 1;
+        *self.remaining == 0
+    }
+
+    /// [`SharedPacket::re_arm`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if called while previous readers are still outstanding or if
+    /// `readers` is zero.
+    pub fn re_arm(self, readers: u32) {
+        assert!(readers > 0, "a shared packet needs at least one reader");
+        let previous = std::mem::replace(self.remaining, readers);
+        assert_eq!(
+            previous, 0,
+            "re_arm called while {previous} readers are still outstanding"
+        );
+        *self.verdict = 0;
+    }
+
+    /// [`SharedPacket::take_packet`].
+    pub fn take_packet(self) -> Packet {
+        std::mem::replace(self.packet, Packet::from_bytes(Vec::new()))
+    }
+}
+
 impl std::fmt::Debug for SharedPacket {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SharedPacket")
@@ -109,6 +194,19 @@ impl SharedPacket {
                 readers,
             }),
         }
+    }
+
+    /// The descriptor as plain memory, if this handle is the only one —
+    /// `None` while any clone is alive, including one whose NF completed
+    /// but has not dropped it yet. Costs one compare-and-swap (the
+    /// uniqueness test of `Arc::get_mut`) whatever the answer.
+    pub fn exclusive(&mut self) -> Option<Exclusive<'_>> {
+        let inner = Arc::get_mut(&mut self.inner)?;
+        Some(Exclusive {
+            packet: inner.packet.get_mut(),
+            remaining: inner.remaining.get_mut(),
+            verdict: inner.verdict.get_mut(),
+        })
     }
 
     /// Runs `f` with read access to the packet. Multiple NFs may hold read
@@ -401,6 +499,97 @@ mod tests {
         let out = sp.take_packet();
         assert_eq!(out.data().as_ptr(), frame, "same buffer, not a copy");
         assert!(sp.with_read(|p| p.is_empty()), "descriptor left empty");
+    }
+
+    #[test]
+    fn exclusive_is_refused_while_any_clone_is_alive() {
+        let mut sp = SharedPacket::new(pkt(), 2);
+        assert!(sp.exclusive().is_some(), "a fresh handle is the only one");
+        let straggler = sp.clone();
+        assert!(sp.exclusive().is_none());
+        // The clone's NF completing is not enough: it still holds the
+        // handle, and could still be reading the frame through it.
+        assert!(!straggler.complete_one());
+        assert!(sp.complete_one());
+        assert!(sp.exclusive().is_none());
+        drop(straggler);
+        let mut descriptor = sp.exclusive().expect("the clone is gone");
+        assert_eq!(descriptor.packet().l4_payload().unwrap(), b"shared");
+        descriptor.packet_mut().l4_payload_mut().unwrap()[0] = b'X';
+        assert_eq!(sp.with_read(|p| p.l4_payload().unwrap()[0]), b'X');
+    }
+
+    #[test]
+    fn an_exclusive_round_leaves_the_descriptor_as_a_shared_round_does() {
+        use VerdictClass::*;
+        for class in [Default, ToService, ToPort, Discard] {
+            let key = verdict_key(class, 0, 7);
+            let shared = SharedPacket::new(pkt(), 1);
+            shared.merge_verdict(key);
+            assert!(shared.complete_one());
+
+            let mut sole = SharedPacket::new(pkt(), 1);
+            assert!(sole.exclusive().unwrap().complete(key));
+            assert_eq!(sole.remaining(), 0);
+            assert_eq!(sole.verdict(), shared.verdict(), "{class:?}");
+            assert_eq!(sole.verdict(), key);
+
+            // The next round starts from the same state either way: re-armed
+            // through the atomics or in place, then recycled.
+            shared.re_arm(2);
+            sole.exclusive().unwrap().re_arm(2);
+            for handle in [&shared, &sole] {
+                assert_eq!(handle.remaining(), 2);
+                assert_eq!(handle.verdict(), 0);
+                handle.merge_verdict(verdict_key(ToPort, 1, 9));
+                assert!(!handle.complete_one());
+                assert!(handle.complete_one());
+                assert_eq!(verdict_parts(handle.verdict()), (ToPort, 9));
+            }
+            assert_eq!(
+                sole.exclusive()
+                    .unwrap()
+                    .take_packet()
+                    .l4_payload()
+                    .unwrap(),
+                b"shared"
+            );
+            assert!(sole.with_read(|p| p.is_empty()), "descriptor left empty");
+            let sole = sole.recycle(pkt(), 3).expect("unique handle recycles");
+            assert_eq!(
+                (sole.remaining(), sole.readers(), sole.verdict()),
+                (3, 3, 0)
+            );
+        }
+    }
+
+    #[test]
+    fn exclusive_merges_like_fetch_max_and_counts_like_complete_one() {
+        use VerdictClass::*;
+        // Two readers served one after the other through the plain view:
+        // the higher-priority request wins whichever comes first.
+        for order in [[0, 1], [1, 0]] {
+            let keys = [verdict_key(ToPort, 1, 2), verdict_key(Discard, 0, 0)];
+            let mut sp = SharedPacket::new(pkt(), 2);
+            assert!(!sp.exclusive().unwrap().complete(keys[order[0]]));
+            assert!(sp.exclusive().unwrap().complete(keys[order[1]]));
+            assert_eq!(verdict_parts(sp.verdict()), (Discard, 0));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "more times than readers")]
+    fn exclusive_over_completion_panics() {
+        let mut sp = SharedPacket::new(pkt(), 1);
+        assert!(sp.exclusive().unwrap().complete(0));
+        sp.exclusive().unwrap().complete(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "still outstanding")]
+    fn exclusive_re_arm_with_outstanding_readers_panics() {
+        let mut sp = SharedPacket::new(pkt(), 2);
+        sp.exclusive().unwrap().re_arm(1);
     }
 
     #[test]
