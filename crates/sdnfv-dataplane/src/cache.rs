@@ -7,7 +7,10 @@
 //! **direct-mapped array**: the flow hash computed once at admission, mixed
 //! with the step, indexes one slot, and the slot holds the full
 //! `(flow, step)` it was filled for plus the [`Decision`] — a hit is an
-//! index and a compare, never a second hash. The slot answers only for
+//! index and a compare, never a second hash — and never a copy: a lookup
+//! answers with a *borrow* of the slot's decision, and a miss moves the
+//! table's answer into the slot, so the action list's reference count is
+//! touched once per fill, not twice per packet. The slot answers only for
 //! exactly that flow and step (a hash collision is a miss that replaces the
 //! slot, never another flow's decision), and is tagged with the flow-table
 //! generation so any rule change invalidates stale entries.
@@ -30,7 +33,8 @@ pub(crate) const LOOKUP_CACHE_ENTRIES: usize = 4096;
 /// with the table's generation, expired after `ttl_ns`) when `enabled`,
 /// fall back to the table, and remember the result. The single definition
 /// keeps the inline `NfManager` and the threaded runtime's lookup semantics
-/// identical.
+/// identical; this by-value form (one clone of the decision) is the
+/// `NfManager`'s.
 pub fn cached_lookup(
     table: &SharedFlowTable,
     cache: &mut LookupCache,
@@ -41,30 +45,34 @@ pub fn cached_lookup(
     ttl_ns: u64,
 ) -> Option<Decision> {
     if enabled {
-        cached_lookup_hashed(table, cache, key.stable_hash(), step, key, now_ns, ttl_ns)
+        cached_lookup_hashed(table, cache, key.stable_hash(), step, key, now_ns, ttl_ns).cloned()
     } else {
         table.lookup(step, key)
     }
 }
 
 /// [`cached_lookup`] for a caller that already holds `key.stable_hash()`
-/// (the shard worker: the hash rides the packet from admission).
-pub(crate) fn cached_lookup_hashed(
+/// (the shard worker: the hash rides the packet from admission). Answers
+/// with a borrow of the slot that hit or was just filled.
+pub(crate) fn cached_lookup_hashed<'c>(
     table: &SharedFlowTable,
-    cache: &mut LookupCache,
+    cache: &'c mut LookupCache,
     hash: u64,
     step: RulePort,
     key: &FlowKey,
     now_ns: u64,
     ttl_ns: u64,
-) -> Option<Decision> {
+) -> Option<&'c Decision> {
     let generation = table.generation();
-    if let Some(hit) = cache.get_hashed(hash, key, step, generation, now_ns, ttl_ns) {
-        return Some(hit);
-    }
-    let decision = table.lookup(step, key)?;
-    cache.put_hashed(hash, key, step, generation, now_ns, decision.clone());
-    Some(decision)
+    let index = match cache.probe(hash, key, step, generation, now_ns, ttl_ns) {
+        Ok(hit) => hit,
+        Err(missed) => {
+            let decision = table.lookup(step, key)?;
+            cache.fill(missed, key, step, generation, now_ns, decision);
+            missed
+        }
+    };
+    cache.decision_at(index)
 }
 
 /// One direct-mapped slot: the flow and step it answers for, the table
@@ -119,6 +127,18 @@ impl LookupCache {
         ((u128::from(mixed) * self.slots.len() as u128) >> 64) as usize
     }
 
+    /// An empty stand-in with no slots, left in an engine's field while
+    /// the real cache is taken out for a round (so that decisions borrowed
+    /// from it can outlive calls on the engine). Never looked up.
+    pub(crate) fn parked() -> Self {
+        LookupCache {
+            slots: Box::default(),
+            live: 0,
+            hits: 0,
+            misses: 0,
+        }
+    }
+
     /// Looks up a cached decision for `(key, step)` valid at `generation`
     /// and no older than `ttl_ns` at `now_ns` (`ttl_ns == 0` = no expiry).
     pub fn get(
@@ -128,7 +148,7 @@ impl LookupCache {
         generation: u64,
         now_ns: u64,
         ttl_ns: u64,
-    ) -> Option<Decision> {
+    ) -> Option<&Decision> {
         self.get_hashed(key.stable_hash(), key, step, generation, now_ns, ttl_ns)
     }
 
@@ -141,8 +161,28 @@ impl LookupCache {
         generation: u64,
         now_ns: u64,
         ttl_ns: u64,
-    ) -> Option<Decision> {
-        match &self.slots[self.slot_index(hash, step)] {
+    ) -> Option<&Decision> {
+        let hit = self
+            .probe(hash, key, step, generation, now_ns, ttl_ns)
+            .ok()?;
+        self.decision_at(hit)
+    }
+
+    /// Counts a hit or a miss for `(key, step)` and says which slot it was:
+    /// `Ok` holds the answer, `Err` is where a fill belongs. Indices rather
+    /// than borrows, so a caller can fill the missed slot and still answer
+    /// with a borrow of it.
+    fn probe(
+        &mut self,
+        hash: u64,
+        key: &FlowKey,
+        step: RulePort,
+        generation: u64,
+        now_ns: u64,
+        ttl_ns: u64,
+    ) -> Result<usize, usize> {
+        let index = self.slot_index(hash, step);
+        match &self.slots[index] {
             Some(slot)
                 if slot.key == *key
                     && slot.step == step
@@ -150,13 +190,17 @@ impl LookupCache {
                     && (ttl_ns == 0 || now_ns < slot.inserted_at_ns.saturating_add(ttl_ns)) =>
             {
                 self.hits += 1;
-                Some(slot.decision.clone())
+                Ok(index)
             }
             _ => {
                 self.misses += 1;
-                None
+                Err(index)
             }
         }
+    }
+
+    fn decision_at(&self, index: usize) -> Option<&Decision> {
+        self.slots[index].as_ref().map(|slot| &slot.decision)
     }
 
     /// Stores a decision computed at `generation` at time `now_ns`.
@@ -182,7 +226,21 @@ impl LookupCache {
         now_ns: u64,
         decision: Decision,
     ) {
-        let slot = &mut self.slots[self.slot_index(hash, step)];
+        let index = self.slot_index(hash, step);
+        self.fill(index, key, step, generation, now_ns, decision);
+    }
+
+    /// Replaces whatever slot `index` held.
+    fn fill(
+        &mut self,
+        index: usize,
+        key: &FlowKey,
+        step: RulePort,
+        generation: u64,
+        now_ns: u64,
+        decision: Decision,
+    ) {
+        let slot = &mut self.slots[index];
         if slot.is_none() {
             self.live += 1;
         }
@@ -248,7 +306,7 @@ mod tests {
         let step = RulePort::Nic(0);
         assert!(cache.get(&key(1), step, 0, 0, 0).is_none());
         cache.put(&key(1), step, 0, 0, decision(5));
-        assert_eq!(cache.get(&key(1), step, 0, 0, 0), Some(decision(5)));
+        assert_eq!(cache.get(&key(1), step, 0, 0, 0), Some(&decision(5)));
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);
         assert_eq!(cache.len(), 1);
@@ -291,11 +349,11 @@ mod tests {
         );
         assert_eq!(
             cache.get(&key(1), RulePort::Nic(0), 0, 0, 0),
-            Some(decision(1))
+            Some(&decision(1))
         );
         assert_eq!(
             cache.get(&key(1), RulePort::Service(ServiceId::new(1)), 0, 0, 0),
-            Some(decision(2))
+            Some(&decision(2))
         );
     }
 
@@ -321,7 +379,7 @@ mod tests {
         cache.put_hashed(hash, &first, step, 0, 0, decision(1));
         assert_eq!(
             cache.get_hashed(hash, &first, step, 0, 0, 0),
-            Some(decision(1))
+            Some(&decision(1))
         );
         assert_eq!(
             cache.get_hashed(hash, &second, step, 0, 0, 0),
@@ -332,7 +390,7 @@ mod tests {
         cache.put_hashed(hash, &second, step, 0, 0, decision(2));
         assert_eq!(
             cache.get_hashed(hash, &second, step, 0, 0, 0),
-            Some(decision(2))
+            Some(&decision(2))
         );
         assert_eq!(cache.get_hashed(hash, &first, step, 0, 0, 0), None);
         assert_eq!(cache.len(), 1, "one slot, replaced in place");

@@ -3488,10 +3488,19 @@ impl ShardEngine {
         packet
     }
 
-    fn lookup(&mut self, step: RulePort, key: &FlowKey, hash: u64) -> Option<Decision> {
+    /// One cached lookup. `cache` is the engine's own, taken out of `self`
+    /// for the round so that the borrowed decision can be followed through
+    /// `&mut self` calls without a copy.
+    fn lookup<'c>(
+        &self,
+        cache: &'c mut LookupCache,
+        step: RulePort,
+        key: &FlowKey,
+        hash: u64,
+    ) -> Option<&'c Decision> {
         cached_lookup_hashed(
             &self.table,
-            &mut self.cache,
+            cache,
             hash,
             step,
             key,
@@ -3508,6 +3517,7 @@ impl ShardEngine {
         let now_ns = self.clock.now_ns();
         self.approx_now_ns = now_ns;
         let sample_every = self.trace_sampling.load(Ordering::Relaxed);
+        let mut cache = std::mem::replace(&mut self.cache, LookupCache::parked());
         for frame in burst.drain(..) {
             let IngressFrame { packet, key, hash } = frame;
             self.latency
@@ -3520,7 +3530,7 @@ impl ShardEngine {
             };
             let sampled = sample_every != 0 && hash % sample_every == 0;
             let step = RulePort::Nic(packet.ingress_port);
-            let Some(decision) = self.lookup(step, &key, hash) else {
+            let Some(decision) = self.lookup(&mut cache, step, &key, hash) else {
                 // No controller thread is attached in the threaded runtime;
                 // a miss is counted and the packet is dropped.
                 self.stats.add_controller_punts(1);
@@ -3539,8 +3549,9 @@ impl ShardEngine {
                 continue;
             };
             let traced = sampled || decision.trace;
-            self.dispatch(packet, key, hash, &decision, traced, now_ns);
+            self.dispatch(packet, key, hash, decision, traced, now_ns);
         }
+        self.cache = cache;
         self.flush();
     }
 
@@ -3637,6 +3648,7 @@ impl ShardEngine {
     fn tx_round(&mut self, burst: &mut Vec<DoneItem>) {
         let now_ns = self.clock.now_ns();
         self.approx_now_ns = now_ns;
+        let mut cache = std::mem::replace(&mut self.cache, LookupCache::parked());
         for item in burst.drain(..) {
             if item.traced {
                 // The NF span covers the burst window the NF thread stamped;
@@ -3656,7 +3668,7 @@ impl ShardEngine {
             let action = match resolved {
                 Verdict::Discard => Action::Drop,
                 Verdict::Default => {
-                    match self.lookup(step, &item.key, item.hash) {
+                    match self.lookup(&mut cache, step, &item.key, item.hash) {
                         Some(decision) => {
                             // Follow the whole decision (it may itself be a
                             // parallel rule or a multi-action list).
@@ -3673,12 +3685,13 @@ impl ShardEngine {
                 }
                 other => {
                     let requested = other.as_action().expect("non-default verdict");
-                    let decision = self.lookup(step, &item.key, item.hash);
-                    validate_steering(decision.as_ref(), requested)
+                    let decision = self.lookup(&mut cache, step, &item.key, item.hash);
+                    validate_steering(decision, requested)
                 }
             };
             self.forward_decision(item, &[action], false, now_ns);
         }
+        self.cache = cache;
         self.flush();
     }
 
