@@ -16,7 +16,7 @@
 //! | `timestamp` | no `Instant::now`/`SystemTime::now` outside tests, benches, shims and the sanctioned `HostClock::Real` site — everything on a decision path must go through the injected clock so the deterministic simulation stays deterministic |
 //! | `safety-comment` | every `unsafe` is preceded by a `// SAFETY:` (or `# Safety` doc section) explaining why it is sound |
 //! | `atomic-order` | every atomic operation in the lock-free core (`sdnfv-ring`, the telemetry histogram) names an explicit `Ordering::` *and* carries an `// ORDER:` comment justifying it |
-//! | `hot-path-block` | no `thread::sleep` / `.lock()` inside the engine's per-packet hot paths (`step`, the state-mailbox accessors) |
+//! | `hot-path-block` | no `thread::sleep` / `.lock()` / `.read()` / `.write()` inside the engine's per-packet hot paths (`step`, the worker's round, dispatch and flush fns, the state-mailbox accessors) |
 //! | `no-todo`   | no `todo!` / `unimplemented!` outside tests |
 //!
 //! Suppressions live in a checked-in allowlist (see [`Allowlist`]): one
@@ -388,10 +388,23 @@ fn classify(path: &Path) -> Scope {
 }
 
 /// Engine functions that run per packet (or per step-slice) and must stay
-/// free of blocking calls. `step` is the shard worker's main loop body;
-/// the rest are the NF state-mailbox accessors it calls.
+/// free of blocking calls. `step` is the loop body of the shard worker and
+/// of an NF replica; then the worker's per-packet fns (RX and TX rounds,
+/// dispatch, staging, flush, descriptor reuse, lookup); the rest are the NF
+/// state-mailbox accessors `step` calls.
 const HOT_PATH_FNS: &[&str] = &[
     "step",
+    "rx_round",
+    "tx_round",
+    "dispatch",
+    "forward_decision",
+    "resolve_targets",
+    "stage_targets",
+    "flush",
+    "flush_staged_egress",
+    "descriptor",
+    "reclaim",
+    "lookup",
     "serve_state_requests",
     "take_requests",
     "drain_responses",
@@ -503,7 +516,7 @@ pub fn scan_source(path: &Path, source: &str) -> Vec<Finding> {
             if in_regions(&tests, line) || !in_regions(&hot, line) {
                 continue;
             }
-            for pattern in ["thread::sleep", ".lock()"] {
+            for pattern in ["thread::sleep", ".lock()", ".read()", ".write()"] {
                 if mline.contains(pattern) {
                     push(
                         "hot-path-block",

@@ -3989,11 +3989,12 @@ fn pick_instance(
     service: ServiceId,
     hash: u64,
 ) -> Option<usize> {
-    let candidates = replicas_of(service_instances, service);
-    if candidates.is_empty() {
-        return None;
+    match replicas_of(service_instances, service) {
+        [] => None,
+        // One replica (the usual case): no 64-bit division per hop.
+        [only] => Some(*only),
+        candidates => Some(candidates[(hash % candidates.len() as u64) as usize]),
     }
-    Some(candidates[(hash % candidates.len() as u64) as usize])
 }
 
 /// The active replica slots of `service` (empty if it has none here). A
@@ -4603,6 +4604,31 @@ mod tests {
     }
 
     #[test]
+    fn pick_instance_is_the_hash_modulo_the_replica_count() {
+        // Stickiness is a correctness property: the single-replica shortcut
+        // must pick exactly what `hash % len` picks.
+        let service = ServiceId::new(4);
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for replicas in [vec![7], vec![7, 2], vec![7, 2, 9]] {
+            let instances = vec![(ServiceId::new(1), vec![0]), (service, replicas.clone())];
+            for _ in 0..10_000 {
+                // SplitMix64.
+                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut hash = state;
+                hash = (hash ^ (hash >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                hash = (hash ^ (hash >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                hash ^= hash >> 31;
+                assert_eq!(
+                    pick_instance(&instances, service, hash),
+                    Some(replicas[(hash % replicas.len() as u64) as usize])
+                );
+            }
+            assert_eq!(pick_instance(&instances, ServiceId::new(5), state), None);
+        }
+        assert_eq!(pick_instance(&[(service, vec![])], service, 1), None);
+    }
+
+    #[test]
     fn distinct_buffer_prefix_splits_on_repeated_buffers() {
         let work = |shared: SharedPacket, sole: bool| WorkItem {
             shared,
@@ -4895,6 +4921,70 @@ mod tests {
         assert_eq!(snap.nf_invocations, 300);
         assert_eq!(snap.transmitted, 100);
         assert_eq!(snap.dropped, 0);
+        host.shutdown();
+    }
+
+    #[test]
+    fn every_snapshot_carries_one_latency_record_per_counted_packet() {
+        // The worker records and publishes on one thread: whatever batching
+        // its recorders do, a snapshot's histogram totals must already hold
+        // every packet its counters count, and so must the live report
+        // once the host is quiet.
+        let (graph, ids) = catalog::chain(&[("a", true), ("b", true)]);
+        let table = SharedFlowTable::new();
+        for rule in graph.compile(&CompileOptions::default()) {
+            table.insert(rule);
+        }
+        let (host, sim) = ThreadedHost::start_sim_sharded(
+            table,
+            move |_shard| {
+                ids.iter()
+                    .map(|id| (*id, Box::new(NoOpNf::new()) as Box<dyn NetworkFunction>))
+                    .collect()
+            },
+            ThreadedHostConfig {
+                telemetry_interval_ns: 1_000,
+                ..ThreadedHostConfig::default()
+            },
+        );
+        let mut snapshots = 0;
+        let mut egressed = 0;
+        for round in 0..60u16 {
+            // Bursts of 1 to 40 packets, some waiting across several clock
+            // advances, so one burst spreads over histogram buckets.
+            let burst = (0..=round % 40).map(|i| packet(round * 64 + i)).collect();
+            assert!(host.inject_burst(burst).throttled.is_empty());
+            for _ in 0..round % 3 {
+                sim.advance_clock_ns(700);
+            }
+            // (The worker looks at the export clock every 32nd step.)
+            for _ in 0..16 {
+                sim.step_all();
+            }
+            sim.advance_clock_ns(2_000);
+            egressed += host.poll_egress_burst(64).len();
+            for snapshot in host.poll_telemetry() {
+                snapshots += 1;
+                let latency = &snapshot.latency;
+                assert_eq!(latency.ingress_wait.count(), snapshot.received);
+                assert_eq!(latency.end_to_end.count(), snapshot.transmitted);
+                assert_eq!(latency.egress_wait.count(), snapshot.transmitted);
+            }
+        }
+        while sim.step_all() > 0 {
+            sim.advance_clock_ns(2_000);
+            egressed += host.poll_egress_burst(64).len();
+        }
+        let received: u64 = (0..60u64).map(|round| round % 40 + 1).sum();
+        assert_eq!(egressed as u64, received);
+        assert!(snapshots > 10, "{snapshots} snapshots published");
+        let stats = host.stats().snapshot();
+        assert_eq!((stats.received, stats.transmitted), (received, received));
+        let report = host.latency_report();
+        assert_eq!(report.ingress_wait.count(), received);
+        assert_eq!(report.end_to_end.count(), received);
+        assert_eq!(report.egress_wait.count(), received);
+        assert_eq!(report.nf_service.count(), 2 * received);
         host.shutdown();
     }
 

@@ -12,12 +12,12 @@
 //! connection.
 
 use std::net::Ipv4Addr;
-use std::time::Instant;
 
 use sdnfv_nf::nfs::{Backend, MemcachedProxyNf};
 use sdnfv_nf::{NetworkFunction, NfContext};
 use sdnfv_proto::memcached::get_request;
 use sdnfv_proto::packet::PacketBuilder;
+use sdnfv_telemetry::HostClock;
 
 use crate::series::TimeSeries;
 
@@ -111,13 +111,12 @@ pub fn measure_proxy_ns_per_request(samples: usize) -> f64 {
                 .build()
         })
         .collect();
-    let start = Instant::now();
+    let clock = HostClock::real();
     for i in 0..samples {
         let mut pkt = packets[i % packets.len()].clone();
         let _ = proxy.process_mut(&mut pkt, &mut ctx);
     }
-    let elapsed = start.elapsed().as_nanos() as f64;
-    (elapsed / samples as f64).max(1.0)
+    (clock.now_ns() as f64 / samples as f64).max(1.0)
 }
 
 /// Output of the Figure 12 sweep.

@@ -108,16 +108,4 @@ mod tests {
         assert!(tsv.starts_with("# test"));
         assert!(tsv.contains("1.0000\t3.0000"));
     }
-
-    // Gated: requires the real serde_json crate, unavailable offline (see
-    // shims/README.md and ROADMAP.md "Open items").
-    #[cfg(feature = "json-tests")]
-    #[test]
-    fn serde_roundtrip() {
-        let mut s = TimeSeries::new("curve");
-        s.push(1.0, 2.0);
-        let json = serde_json::to_string(&s).unwrap();
-        let back: TimeSeries = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, s);
-    }
 }
