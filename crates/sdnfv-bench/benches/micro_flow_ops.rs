@@ -70,7 +70,12 @@ fn bench_micro(c: &mut Criterion) {
         decision,
     );
     group.bench_function("cached_lookup", |b| {
-        b.iter(|| black_box(cache.get(&key(1000), RulePort::Service(ServiceId::new(3)), 0, 0, 0)))
+        // A hit is a borrow of the slot's decision; it cannot leave the
+        // closure, so its rule id does.
+        b.iter(|| {
+            let step = RulePort::Service(ServiceId::new(3));
+            black_box(cache.get(&key(1000), step, 0, 0, 0).map(|hit| hit.rule_id))
+        })
     });
 
     let mut balancer = LoadBalancer::new(LoadBalancePolicy::MinQueue);
