@@ -3947,17 +3947,18 @@ enum Targets {
 /// Length of the longest prefix of `items` in which no two work items share
 /// a packet buffer (always ≥ 1 for a non-empty slice). Used to split bursts
 /// that would otherwise lock the same buffer twice. A sole-target item
-/// holds its buffer's only handle, so it aliases nothing and is not
-/// compared: a burst of them costs one flag test each.
+/// holds its buffer's only handle, so it aliases nothing: it is not looked
+/// for (a burst of them costs one flag test each) and never found.
 fn distinct_buffer_prefix(items: &[WorkItem]) -> usize {
     let mut end = 0;
-    'grow: while end < items.len() {
-        if !items[end].sole {
-            for earlier in items[..end].iter().filter(|item| !item.sole) {
-                if earlier.shared.same_buffer(&items[end].shared) {
-                    break 'grow;
-                }
-            }
+    while end < items.len() {
+        let item = &items[end];
+        if !item.sole
+            && items[..end]
+                .iter()
+                .any(|earlier| earlier.shared.same_buffer(&item.shared))
+        {
+            break;
         }
         end += 1;
     }
@@ -4110,10 +4111,10 @@ impl<'a, G> Access<'a, G> {
         }
     }
 
-    /// Ends the access. A sole-target item is completed here, in plain
-    /// memory, with its NF's `verdict`; a fan-out one only unlocks (its
-    /// handle merges and completes atomically afterwards).
-    fn close(self, verdict: Verdict) {
+    /// Completes a sole-target item with its NF's `verdict`, in plain
+    /// memory. A fan-out item is left alone: its handle merges and
+    /// completes atomically once the guard is dropped.
+    fn complete_sole(&mut self, verdict: Verdict) {
         if let Access::Sole(descriptor) = self {
             let last = descriptor.complete(verdict_to_key(verdict, 0));
             assert!(last, "a sole-target descriptor has one reader");
@@ -4392,9 +4393,10 @@ impl NfEngine {
                     );
                     refs.clear();
                     scratch.read_refs = recycle(refs);
-                    for (guard, verdict) in guards.drain(..).zip(&slots[start..end]) {
-                        guard.close(*verdict);
+                    for (guard, verdict) in guards.iter_mut().zip(&slots[start..end]) {
+                        guard.complete_sole(*verdict);
                     }
+                    guards.clear();
                     scratch.read_guards = recycle(guards);
                     start = end;
                 }
@@ -4426,9 +4428,10 @@ impl NfEngine {
                         .process_batch_mut(&mut batch, &mut slots[start..end], &mut self.ctx);
                     refs.clear();
                     scratch.write_refs = recycle(refs);
-                    for (guard, verdict) in guards.drain(..).zip(&slots[start..end]) {
-                        guard.close(*verdict);
+                    for (guard, verdict) in guards.iter_mut().zip(&slots[start..end]) {
+                        guard.complete_sole(*verdict);
                     }
+                    guards.clear();
                     scratch.write_guards = recycle(guards);
                     start = end;
                 }

@@ -137,7 +137,7 @@ impl Exclusive<'_> {
     /// # Panics
     ///
     /// Panics if no reader is outstanding.
-    pub fn complete(self, key: u64) -> bool {
+    pub fn complete(&mut self, key: u64) -> bool {
         *self.verdict = (*self.verdict).max(key);
         assert!(
             *self.remaining > 0,
