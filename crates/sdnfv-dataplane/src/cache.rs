@@ -86,6 +86,15 @@ struct CacheSlot {
     decision: Decision,
 }
 
+impl CacheSlot {
+    /// Whether the TTL lets the slot answer at `now_ns`. Only a timed
+    /// rule's decision ages: the fall-through exists to refresh an idle
+    /// timer or meet a hard cutoff, and a permanent rule has neither.
+    fn fresh(&self, now_ns: u64, ttl_ns: u64) -> bool {
+        !self.decision.timed || ttl_ns == 0 || now_ns < self.inserted_at_ns.saturating_add(ttl_ns)
+    }
+}
+
 /// A direct-mapped, generation-checked, TTL-bounded cache of flow-table
 /// decisions.
 #[derive(Debug)]
@@ -187,7 +196,7 @@ impl LookupCache {
                 if slot.key == *key
                     && slot.step == step
                     && slot.generation == generation
-                    && (ttl_ns == 0 || now_ns < slot.inserted_at_ns.saturating_add(ttl_ns)) =>
+                    && slot.fresh(now_ns, ttl_ns) =>
             {
                 self.hits += 1;
                 Ok(index)
@@ -277,7 +286,7 @@ impl LookupCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdnfv_flowtable::{Action, RuleId, ServiceId};
+    use sdnfv_flowtable::{Action, FlowMatch, FlowRule, RuleId, ServiceId};
     use sdnfv_proto::flow::IpProtocol;
     use std::net::Ipv4Addr;
 
@@ -297,6 +306,15 @@ mod tests {
             actions: vec![Action::ToService(ServiceId::new(svc))].into(),
             parallel: false,
             trace: false,
+            timed: false,
+        }
+    }
+
+    /// The decision of a rule that carries a timeout.
+    fn timed_decision(svc: u32) -> Decision {
+        Decision {
+            timed: true,
+            ..decision(svc)
         }
     }
 
@@ -323,10 +341,23 @@ mod tests {
     }
 
     #[test]
-    fn ttl_expires_entries() {
+    fn a_permanent_rules_decision_outlives_the_ttl() {
         let mut cache = LookupCache::new(8);
         let step = RulePort::Nic(0);
         cache.put(&key(1), step, 0, 1_000, decision(5));
+        assert_eq!(
+            cache.get(&key(1), step, 0, 1_000 + 10 * 500, 500),
+            Some(&decision(5)),
+            "no timer to refresh, so nothing sends the lookup to the table"
+        );
+        assert!(cache.get(&key(1), step, 1, 1_001, 500).is_none());
+    }
+
+    #[test]
+    fn ttl_expires_a_timed_rules_entries() {
+        let mut cache = LookupCache::new(8);
+        let step = RulePort::Nic(0);
+        cache.put(&key(1), step, 0, 1_000, timed_decision(5));
         // Within the TTL the entry is served.
         assert!(cache.get(&key(1), step, 0, 1_400, 500).is_some());
         // Past insertion + TTL the entry misses (forcing a table touch that
@@ -334,6 +365,35 @@ mod tests {
         assert!(cache.get(&key(1), step, 0, 1_500, 500).is_none());
         // TTL 0 disables expiry entirely.
         assert!(cache.get(&key(1), step, 0, u64::MAX, 0).is_some());
+    }
+
+    #[test]
+    fn only_a_timed_rule_sends_its_flow_back_to_the_table() {
+        let table = SharedFlowTable::new();
+        let step = RulePort::Nic(0);
+        let rule =
+            |port| FlowRule::new(FlowMatch::exact(step, &key(port)), vec![Action::ToPort(1)]);
+        table.insert(rule(1));
+        table.insert(rule(2).with_idle_timeout_ns(Some(1_000_000)));
+        table.insert(rule(3).with_hard_timeout_ns(Some(1_000_000)));
+        let mut cache = LookupCache::new(8);
+        let (inserted, ttl) = (1_000, 500);
+        // (flow, table lookups after the fill): the permanent rule's entry
+        // is still served ten TTLs on, a timed rule's misses at its TTL.
+        for (port, refetches) in [(1, 0), (2, 1), (3, 1)] {
+            let before = table.stats().lookups;
+            for now_ns in [inserted, inserted + ttl - 1, inserted + ttl] {
+                assert!(
+                    cached_lookup(&table, &mut cache, true, step, &key(port), now_ns, ttl)
+                        .is_some()
+                );
+            }
+            assert_eq!(table.stats().lookups - before, 1 + refetches, "flow {port}");
+        }
+        let before = table.stats().lookups;
+        let late = inserted + 10 * ttl;
+        assert!(cached_lookup(&table, &mut cache, true, step, &key(1), late, ttl).is_some());
+        assert_eq!(table.stats().lookups, before);
     }
 
     #[test]

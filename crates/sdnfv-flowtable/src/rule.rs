@@ -165,6 +165,12 @@ pub struct Decision {
     /// Whether the matched rule pins this flow for span tracing (it carried
     /// an [`Action::Trace`] marker).
     pub trace: bool,
+    /// Whether the matched rule carries an idle or hard timeout
+    /// ([`FlowRule::has_timeout`]). A cached copy of a timed decision must
+    /// fall through to the table now and then — to refresh the idle timer,
+    /// to meet the hard cutoff; a permanent rule's decision is good until
+    /// the table changes.
+    pub timed: bool,
 }
 
 impl Decision {
@@ -243,6 +249,7 @@ mod tests {
             actions: vec![Action::Drop, Action::ToPort(1)].into(),
             parallel: false,
             trace: false,
+            timed: false,
         };
         assert_eq!(d.default_action(), Some(Action::Drop));
         assert!(d.allows(Action::ToPort(1)));

@@ -609,6 +609,7 @@ impl FlowTable {
             actions: Arc::clone(&entry.shared_actions),
             parallel: entry.rule.parallel,
             trace: entry.trace,
+            timed: entry.rule.has_timeout(),
         })
     }
 
@@ -1473,6 +1474,21 @@ mod tests {
         assert_eq!(events[0].id, id);
         assert_eq!(events[0].reason, EvictReason::Hard);
         assert_eq!(table.stats().evicted_hard, 1);
+    }
+
+    #[test]
+    fn a_decision_says_whether_its_rule_can_expire() {
+        let mut table = FlowTable::new();
+        let at = |last| FlowMatch::exact(RulePort::Nic(0), &key(last));
+        let rule = |last| FlowRule::new(at(last), vec![Action::ToPort(1)]);
+        table.insert(rule(1));
+        table.insert(rule(2).with_idle_timeout_ns(Some(100)));
+        table.insert(rule(3).with_hard_timeout_ns(Some(100)));
+        let timed =
+            |table: &mut FlowTable, last| table.lookup(RulePort::Nic(0), &key(last)).unwrap().timed;
+        assert!(!timed(&mut table, 1), "a permanent rule");
+        assert!(timed(&mut table, 2), "an idle timeout");
+        assert!(timed(&mut table, 3), "a hard timeout");
     }
 
     #[test]
