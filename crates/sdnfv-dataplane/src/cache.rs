@@ -75,7 +75,7 @@ pub(crate) fn cached_lookup_hashed<'c>(
     cache.decision_at(index)
 }
 
-/// One direct-mapped slot: the flow and step it answers for, the table
+/// One way of a set: the flow and step it answers for, the table
 /// generation and time it was filled at, and the decision.
 #[derive(Debug)]
 struct CacheSlot {
@@ -95,11 +95,19 @@ impl CacheSlot {
     }
 }
 
-/// A direct-mapped, generation-checked, TTL-bounded cache of flow-table
-/// decisions.
+/// Ways per set.
+const WAYS: usize = 2;
+
+/// A two-way set-associative, generation-checked cache of flow-table
+/// decisions, with a TTL on the decisions of rules that can expire.
 #[derive(Debug)]
 pub struct LookupCache {
+    /// The ways, a set's side by side: set `s` is `slots[2s..2s + 2]` (an
+    /// odd capacity leaves the last set one way).
     slots: Box<[Option<CacheSlot>]>,
+    /// Per set, which of its ways hit or was filled last; the other one is
+    /// the way a fill may take over.
+    recent: Box<[u8]>,
     /// Occupied slots.
     live: usize,
     hits: u64,
@@ -116,24 +124,26 @@ impl LookupCache {
         assert!(capacity > 0, "cache capacity must be non-zero");
         LookupCache {
             slots: (0..capacity).map(|_| None).collect(),
+            recent: vec![0; capacity.div_ceil(WAYS)].into(),
             live: 0,
             hits: 0,
             misses: 0,
         }
     }
 
-    /// The slot `(hash, step)` maps to: the step is folded into the flow
-    /// hash, one multiply spreads the result over all 64 bits, and the high
-    /// half of a widening multiply scales it to the slot count (no division,
-    /// any capacity).
-    fn slot_index(&self, hash: u64, step: RulePort) -> usize {
+    /// The slots of the set `(hash, step)` maps to: the step is folded into
+    /// the flow hash, one multiply spreads the result over all 64 bits, and
+    /// the high half of a widening multiply scales it to the set count (no
+    /// division, any capacity).
+    fn set_of(&self, hash: u64, step: RulePort) -> std::ops::Range<usize> {
         let step_bits = match step {
             RulePort::Nic(port) => u64::from(port),
             RulePort::Service(service) => 1 << 32 | u64::from(service.value()),
         };
         let mixed = (hash ^ step_bits.wrapping_mul(0x9e37_79b9_7f4a_7c15))
             .wrapping_mul(0xd6e8_feb8_6659_fd93);
-        ((u128::from(mixed) * self.slots.len() as u128) >> 64) as usize
+        let set = ((u128::from(mixed) * self.recent.len() as u128) >> 64) as usize;
+        WAYS * set..(WAYS * set + WAYS).min(self.slots.len())
     }
 
     /// An empty stand-in with no slots, left in an engine's field while
@@ -142,6 +152,7 @@ impl LookupCache {
     pub(crate) fn parked() -> Self {
         LookupCache {
             slots: Box::default(),
+            recent: Box::default(),
             live: 0,
             hits: 0,
             misses: 0,
@@ -149,7 +160,8 @@ impl LookupCache {
     }
 
     /// Looks up a cached decision for `(key, step)` valid at `generation`
-    /// and no older than `ttl_ns` at `now_ns` (`ttl_ns == 0` = no expiry).
+    /// and, if its rule can expire, no older than `ttl_ns` at `now_ns`
+    /// (`ttl_ns == 0` = no expiry).
     pub fn get(
         &mut self,
         key: &FlowKey,
@@ -177,10 +189,41 @@ impl LookupCache {
         self.decision_at(hit)
     }
 
+    /// The slot of `set` that holds `(key, step)`, whatever generation and
+    /// age the entry has: it is refilled where it sits, so a set never
+    /// holds one `(key, step)` twice.
+    #[inline]
+    fn holder(&self, set: std::ops::Range<usize>, key: &FlowKey, step: RulePort) -> Option<usize> {
+        set.into_iter().find(|&index| {
+            matches!(&self.slots[index], Some(slot) if slot.key == *key && slot.step == step)
+        })
+    }
+
+    /// The slot of `set` a new flow's fill takes over: a way that is empty
+    /// or left over from an older generation, failing that the less
+    /// recently used one.
+    fn victim(&self, set: std::ops::Range<usize>, generation: u64) -> usize {
+        let lru = usize::from(self.recent[set.start / WAYS] ^ 1) & (set.len() - 1);
+        set.clone()
+            .find(
+                |&index| !matches!(&self.slots[index], Some(slot) if slot.generation == generation),
+            )
+            .unwrap_or(set.start + lru)
+    }
+
+    /// Notes that slot `index` is its set's most recently used way.
+    fn touch(&mut self, index: usize) {
+        let (recent, way) = (&mut self.recent[index / WAYS], (index % WAYS) as u8);
+        if *recent != way {
+            *recent = way;
+        }
+    }
+
     /// Counts a hit or a miss for `(key, step)` and says which slot it was:
     /// `Ok` holds the answer, `Err` is where a fill belongs. Indices rather
     /// than borrows, so a caller can fill the missed slot and still answer
     /// with a borrow of it.
+    #[inline]
     fn probe(
         &mut self,
         hash: u64,
@@ -190,20 +233,20 @@ impl LookupCache {
         now_ns: u64,
         ttl_ns: u64,
     ) -> Result<usize, usize> {
-        let index = self.slot_index(hash, step);
-        match &self.slots[index] {
-            Some(slot)
-                if slot.key == *key
-                    && slot.step == step
-                    && slot.generation == generation
-                    && slot.fresh(now_ns, ttl_ns) =>
+        let set = self.set_of(hash, step);
+        match self.holder(set.clone(), key, step) {
+            Some(index)
+                if self.slots[index].as_ref().is_some_and(|slot| {
+                    slot.generation == generation && slot.fresh(now_ns, ttl_ns)
+                }) =>
             {
                 self.hits += 1;
+                self.touch(index);
                 Ok(index)
             }
-            _ => {
+            held => {
                 self.misses += 1;
-                Err(index)
+                Err(held.unwrap_or_else(|| self.victim(set, generation)))
             }
         }
     }
@@ -225,7 +268,8 @@ impl LookupCache {
     }
 
     /// [`LookupCache::put`] with `key.stable_hash()` supplied by the caller.
-    /// Replaces whatever flow held the slot.
+    /// Replaces the flow's own entry, else a dead way of its set, else the
+    /// set's less recently used flow.
     pub(crate) fn put_hashed(
         &mut self,
         hash: u64,
@@ -235,11 +279,15 @@ impl LookupCache {
         now_ns: u64,
         decision: Decision,
     ) {
-        let index = self.slot_index(hash, step);
+        let set = self.set_of(hash, step);
+        let index = self
+            .holder(set.clone(), key, step)
+            .unwrap_or_else(|| self.victim(set, generation));
         self.fill(index, key, step, generation, now_ns, decision);
     }
 
-    /// Replaces whatever slot `index` held.
+    /// Replaces whatever slot `index` held and makes it its set's most
+    /// recently used way.
     fn fill(
         &mut self,
         index: usize,
@@ -249,6 +297,7 @@ impl LookupCache {
         now_ns: u64,
         decision: Decision,
     ) {
+        self.touch(index);
         let slot = &mut self.slots[index];
         if slot.is_none() {
             self.live += 1;
@@ -431,29 +480,45 @@ mod tests {
 
     #[test]
     fn colliding_flows_never_answer_for_each_other() {
-        // Two distinct flows forced onto one 64-bit hash share a slot; the
-        // slot's stored key is what tells them apart.
-        let (first, second, hash) = (key(1), key(2), 0xdead_beef);
+        // Three distinct flows forced onto one 64-bit hash share a set of
+        // two ways; the stored key is what tells them apart, and the way
+        // used longest ago is the one that makes room.
+        let (flows, hash) = ([key(1), key(2), key(3)], 0xdead_beef);
         let step = RulePort::Nic(0);
         let mut cache = LookupCache::new(8);
-        cache.put_hashed(hash, &first, step, 0, 0, decision(1));
+        let get = |cache: &mut LookupCache, flow: usize| {
+            cache.get_hashed(hash, &flows[flow], step, 0, 0, 0).cloned()
+        };
+        cache.put_hashed(hash, &flows[0], step, 0, 0, decision(1));
+        assert_eq!(get(&mut cache, 0), Some(decision(1)));
         assert_eq!(
-            cache.get_hashed(hash, &first, step, 0, 0, 0),
-            Some(&decision(1))
-        );
-        assert_eq!(
-            cache.get_hashed(hash, &second, step, 0, 0, 0),
+            get(&mut cache, 1),
             None,
             "the second flow must not be steered by the first flow's decision"
         );
-        // The miss is followed by a put, which replaces the slot.
-        cache.put_hashed(hash, &second, step, 0, 0, decision(2));
+        cache.put_hashed(hash, &flows[1], step, 0, 0, decision(2));
+        assert_eq!(get(&mut cache, 1), Some(decision(2)));
+        // Using the first flow again makes the second the one to go.
+        assert_eq!(get(&mut cache, 0), Some(decision(1)));
+        assert_eq!(get(&mut cache, 2), None);
+        cache.put_hashed(hash, &flows[2], step, 0, 0, decision(3));
+        assert_eq!(get(&mut cache, 0), Some(decision(1)));
+        assert_eq!(get(&mut cache, 2), Some(decision(3)));
+        assert_eq!(get(&mut cache, 1), None, "the least recently used way");
+        assert_eq!(cache.len(), 2, "one set, both ways");
+        // A way left over from an older generation goes before a live one,
+        // even when it is the one used last.
+        cache.put_hashed(hash, &flows[0], step, 1, 0, decision(4));
+        assert_eq!(get(&mut cache, 2), Some(decision(3)));
+        cache.put_hashed(hash, &flows[1], step, 1, 0, decision(5));
         assert_eq!(
-            cache.get_hashed(hash, &second, step, 0, 0, 0),
-            Some(&decision(2))
+            cache.get_hashed(hash, &flows[0], step, 1, 0, 0),
+            Some(&decision(4))
         );
-        assert_eq!(cache.get_hashed(hash, &first, step, 0, 0, 0), None);
-        assert_eq!(cache.len(), 1, "one slot, replaced in place");
+        assert_eq!(
+            cache.get_hashed(hash, &flows[1], step, 1, 0, 0),
+            Some(&decision(5))
+        );
     }
 
     #[test]
