@@ -171,23 +171,62 @@ pub fn credit_conservation(opts: CheckOpts) -> u64 {
     })
 }
 
-/// Two concurrent recorders into one histogram (sharing a bucket, so the
-/// `fetch_add`s genuinely contend), snapshot after quiescence. Verifies the
-/// all-`Relaxed` recording loses no counts and the running max is exact.
-pub fn hist_record_merge(opts: CheckOpts) -> u64 {
-    model::check("hist_record_merge", opts, || {
+/// The single-recorder rule: one thread records through the plain
+/// load + store [`LatencyHistogram::record`] while another snapshots. No
+/// second writer exists, so every bucket count and maximum the snapshot
+/// reads is a value the recorder wrote (or the initial zero) — never a
+/// torn or invented one — and the snapshot taken after the join is exact.
+pub fn hist_single_recorder(opts: CheckOpts) -> u64 {
+    model::check("hist_single_recorder", opts, || {
+        let hist = Arc::new(LatencyHistogram::new());
+        let recorder = {
+            let hist = Arc::clone(&hist);
+            model::spawn(move || {
+                hist.record(3);
+                hist.record(3);
+                hist.record(100);
+            })
+        };
+        let reader = {
+            let hist = Arc::clone(&hist);
+            model::spawn(move || hist.snapshot())
+        };
+        let seen = reader.join();
+        // Bucket 3 went 0 → 1 → 2 and the maximum 0 → 3 → 100; the bucket
+        // of 100 went 0 → 1.
+        assert!(seen.counts.get(3).is_none_or(|&count| count <= 2));
+        assert!(seen.count() <= 3, "a count the recorder never wrote");
+        assert!([0, 3, 100].contains(&seen.max), "max {}", seen.max);
+        recorder.join();
+        // Root happens-after the recorder: the snapshot must be exact.
+        let snap = hist.snapshot();
+        assert_eq!(snap.counts[3], 2, "a plain store lost an increment");
+        assert_eq!(snap.count(), 3);
+        assert_eq!(snap.max, 100);
+    })
+}
+
+/// Two concurrent recorders into one histogram through the shared form
+/// (`record_shared`, sharing a bucket, so the `fetch_add`s genuinely
+/// contend), snapshot after quiescence. Verifies the all-`Relaxed`
+/// read-modify-writes lose no counts and the running max is exact. With
+/// the plain `record` in their place this is the lost update the
+/// `HistBug::TornRecord` mutant exhibits — the reason `record` must never
+/// have two callers.
+pub fn hist_shared_recorders(opts: CheckOpts) -> u64 {
+    model::check("hist_shared_recorders", opts, || {
         let hist = Arc::new(LatencyHistogram::new());
         let a = {
             let hist = Arc::clone(&hist);
             model::spawn(move || {
-                hist.record(3);
-                hist.record(100);
+                hist.record_shared(3, 1);
+                hist.record_shared(100, 1);
             })
         };
         let b = {
             let hist = Arc::clone(&hist);
             model::spawn(move || {
-                hist.record_n(3, 2);
+                hist.record_shared(3, 2);
             })
         };
         a.join();
@@ -278,7 +317,8 @@ pub fn all() -> Vec<Check> {
         ("spsc_wraparound", spsc_wraparound, default),
         ("credit_elastic", credit_elastic, default),
         ("credit_conservation", credit_conservation, default),
-        ("hist_record_merge", hist_record_merge, default),
+        ("hist_single_recorder", hist_single_recorder, default),
+        ("hist_shared_recorders", hist_shared_recorders, default),
         ("pool_occupancy", pool_occupancy, default),
         ("shared_completion", shared_completion, default),
         ("verdict_cell", verdict_cell, default),

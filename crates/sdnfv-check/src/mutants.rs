@@ -271,7 +271,10 @@ pub enum HistBug {
 
 /// Two recorders hit the same bucket of a one-bucket "histogram"; the
 /// total is asserted after quiescence — the lost-update shape the real
-/// histogram's relaxed `fetch_add` is immune to by RMW atomicity.
+/// histogram's shared form (`record_shared`, a relaxed `fetch_add`) is
+/// immune to by RMW atomicity. `TornRecord` is exactly what the
+/// single-recorder `record` does, so this mutant is the reason that
+/// method must never have two callers.
 pub fn hist_scenario(bug: HistBug, opts: CheckOpts) -> CheckReport {
     model::explore(opts, move || {
         let bucket = Arc::new(AtomicU64::new(0));

@@ -575,11 +575,13 @@ struct DoneItem {
 const _: () = assert!(std::mem::size_of::<WorkItem>() <= 64);
 const _: () = assert!(std::mem::size_of::<DoneItem>() <= 64);
 
-/// Per-shard latency recorders: lock-free log-linear histograms shared by
-/// the shard's worker (end-to-end, ingress wait, egress wait), its NF
-/// threads (service time) and the host (re-home pen dwell). Snapshots ride
-/// each [`TelemetrySnapshot`] as a [`LatencyReport`]; the host can also
-/// read them live via [`ThreadedHost::latency_report`].
+/// Per-shard latency recorders: lock-free log-linear histograms, each with
+/// the one thread that records into it — the shard's worker (end-to-end,
+/// ingress wait, egress wait) or the host (re-home pen dwell) — except the
+/// service-time one, which the shard's NF threads share
+/// ([`LatencyHistogram::record_shared`]). Snapshots ride each
+/// [`TelemetrySnapshot`] as a [`LatencyReport`]; the host can also read
+/// them live via [`ThreadedHost::latency_report`].
 #[derive(Debug, Default)]
 pub(crate) struct ShardLatency {
     /// Ingress admission stamp → egress-ring push.
@@ -587,7 +589,8 @@ pub(crate) struct ShardLatency {
     /// Ingress admission stamp → shard worker pop (includes pen dwell for
     /// re-homed packets).
     ingress_wait: LatencyHistogram,
-    /// Per-packet NF burst service time (burst wall time / burst length).
+    /// Per-packet NF burst service time (burst wall time / burst length),
+    /// recorded once per burst by every NF thread of the shard.
     nf_service: LatencyHistogram,
     /// Egress staging → egress-ring push.
     egress_wait: LatencyHistogram,
@@ -4441,7 +4444,7 @@ impl NfEngine {
         let per_packet_ns = burst_ended_ns.saturating_sub(burst_started_ns) / items.len() as u64;
         self.latency
             .nf_service
-            .record_n(per_packet_ns, items.len() as u64);
+            .record_shared(per_packet_ns, items.len() as u64);
         if self.measure {
             self.probe.service_time_ewma_ns.store(
                 self.service_time.update(per_packet_ns as f64) as u64,

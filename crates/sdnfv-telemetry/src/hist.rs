@@ -3,9 +3,19 @@
 //! The data plane records nanosecond latencies on its hot paths, so the
 //! recorder must be cheap and wait-free: [`LatencyHistogram`] is a flat
 //! array of relaxed atomic counters indexed by a log-linear bucketing of
-//! the value — a handful of integer ops and one `fetch_add` per record,
-//! no locks, safe for any number of concurrent recorders (the shard
-//! worker and its NF replica threads share one histogram per stage).
+//! the value — a handful of integer ops and two plain stores per record,
+//! no locks and no lock prefix.
+//!
+//! **The recorder rule.** A histogram is recorded either by one thread for
+//! its whole life, through [`LatencyHistogram::record`] (load, add, store —
+//! two recorders would lose each other's increments, so a debug build
+//! panics on the second thread), or by any number of threads through
+//! [`LatencyHistogram::record_shared`] (an atomic read-modify-write per
+//! bucket), never both. A shard's worker is the one recorder of its
+//! end-to-end, ingress-wait and egress-wait histograms and the host thread
+//! of the pen-dwell one; the NF-service histogram, which every replica
+//! thread of the shard writes once per burst, is the shared kind.
+//! Snapshots may be taken from any thread at any time under either rule.
 //!
 //! Buckets are exact below [`SUB_COUNT`] and sub-divide every power of
 //! two into [`SUB_COUNT`] linear sub-buckets above it, bounding the
@@ -66,12 +76,15 @@ fn bucket_ceil(index: usize) -> u64 {
 }
 
 /// A wait-free log-linear histogram of `u64` values (nanoseconds, by
-/// convention). Recording is a relaxed `fetch_add` on one bucket plus a
-/// `fetch_max` on the running maximum; any number of threads may record
-/// concurrently.
+/// convention), recorded by one thread ([`LatencyHistogram::record`]) or
+/// shared between recorders ([`LatencyHistogram::record_shared`]) — see
+/// the module docs for the rule.
 pub struct LatencyHistogram {
     counts: Box<[AtomicU64]>,
     max: AtomicU64,
+    /// The thread [`LatencyHistogram::record`] was first called on.
+    #[cfg(debug_assertions)]
+    recorder: std::sync::OnceLock<std::thread::ThreadId>,
 }
 
 impl Default for LatencyHistogram {
@@ -87,16 +100,44 @@ impl LatencyHistogram {
         LatencyHistogram {
             counts: counts.into_boxed_slice(),
             max: AtomicU64::new(0),
+            #[cfg(debug_assertions)]
+            recorder: std::sync::OnceLock::new(),
         }
     }
 
-    /// Records one observation.
+    /// Records one observation. **Single recorder:** every call on one
+    /// histogram must come from the same thread (a debug build asserts
+    /// it); a histogram several threads write uses
+    /// [`LatencyHistogram::record_shared`] instead.
     pub fn record(&self, value: u64) {
-        self.record_n(value, 1);
+        #[cfg(debug_assertions)]
+        {
+            let caller = std::thread::current().id();
+            assert_eq!(
+                *self.recorder.get_or_init(|| caller),
+                caller,
+                "LatencyHistogram::record has one recorder; shared histograms use record_shared"
+            );
+        }
+        let bucket = &self.counts[bucket_index(value)];
+        // ORDER: Relaxed load + store, not a read-modify-write — this thread
+        // is the bucket's only writer, so the value loaded is the value last
+        // stored and no increment can be lost; nothing is published through
+        // a bucket. Model-checked against a concurrent `snapshot`, which
+        // only ever reads a value this thread wrote.
+        bucket.store(bucket.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+        // ORDER: Relaxed — same single-writer argument: the running max only
+        // ever grows, by this thread's hand.
+        if value > self.max.load(Ordering::Relaxed) {
+            // ORDER: Relaxed — see the load above.
+            self.max.store(value, Ordering::Relaxed);
+        }
     }
 
-    /// Records `n` observations of the same value (one bucket update).
-    pub fn record_n(&self, value: u64, n: u64) {
+    /// Records `n` observations of the same value (one bucket update) on a
+    /// histogram that several threads record into: the read-modify-write
+    /// form of [`LatencyHistogram::record`].
+    pub fn record_shared(&self, value: u64, n: u64) {
         if n == 0 {
             return;
         }
@@ -104,7 +145,7 @@ impl LatencyHistogram {
         // RMW atomicity alone guarantees no lost increments, and nothing is
         // published through a bucket. Cross-bucket consistency is explicitly
         // not promised (see `snapshot`). Model-checked: concurrent
-        // record/record + record/snapshot interleavings lose no counts.
+        // recorder/recorder + recorder/snapshot interleavings lose no counts.
         self.counts[bucket_index(value)].fetch_add(n, Ordering::Relaxed);
         // ORDER: Relaxed — fetch_max races only with other maxima; the final
         // value is the true max of all recorded values regardless of order.
@@ -112,7 +153,7 @@ impl LatencyHistogram {
     }
 
     /// Freezes the current contents into a mergeable snapshot. Counts are
-    /// read relaxed: concurrent recorders may land an observation just
+    /// read relaxed: a concurrent recorder may land an observation just
     /// before or after the freeze, never corrupt it.
     pub fn snapshot(&self) -> HistogramSnapshot {
         // ORDER: Relaxed throughout — the snapshot is deliberately not a
@@ -121,22 +162,21 @@ impl LatencyHistogram {
         // an exact total (the DST oracle, the hub's end-of-window flush)
         // snapshot only after quiescing recorders, which supplies the
         // happens-before externally.
-        let mut last = 0usize;
-        for (index, bucket) in self.counts.iter().enumerate() {
+        let max = self.max.load(Ordering::Relaxed);
+        // No bucket above the maximum's own holds a count, so one pass up
+        // to there is the whole histogram; what it trims is the zero
+        // buckets below (an empty histogram reads bucket 0 and keeps none).
+        let mut counts: Vec<u64> = self.counts[..=bucket_index(max)]
+            .iter()
             // ORDER: Relaxed — see the snapshot-wide argument above.
-            if bucket.load(Ordering::Relaxed) != 0 {
-                last = index + 1;
-            }
-        }
-        HistogramSnapshot {
-            // ORDER: Relaxed — see the snapshot-wide argument above.
-            counts: self.counts[..last]
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
-            // ORDER: Relaxed — see the snapshot-wide argument above.
-            max: self.max.load(Ordering::Relaxed),
-        }
+            .map(|bucket| bucket.load(Ordering::Relaxed))
+            .collect();
+        let kept = counts
+            .iter()
+            .rposition(|&count| count != 0)
+            .map_or(0, |at| at + 1);
+        counts.truncate(kept);
+        HistogramSnapshot { counts, max }
     }
 }
 
@@ -340,14 +380,58 @@ mod tests {
     }
 
     #[test]
-    fn record_n_matches_repeated_record() {
+    fn record_shared_matches_repeated_record() {
         let a = LatencyHistogram::new();
         let b = LatencyHistogram::new();
-        a.record_n(4242, 7);
+        a.record_shared(4242, 7);
+        a.record_shared(1, 0);
         for _ in 0..7 {
             b.record(4242);
         }
         assert_eq!(a.snapshot(), b.snapshot());
+    }
+
+    /// The two-pass scan `snapshot` used to make: find the last non-zero
+    /// bucket over the whole array, then copy up to it.
+    fn full_scan(hist: &LatencyHistogram) -> HistogramSnapshot {
+        let loads = || hist.counts.iter().map(|b| b.load(Ordering::Relaxed));
+        let kept = loads().rposition(|count| count != 0).map_or(0, |at| at + 1);
+        HistogramSnapshot {
+            counts: loads().take(kept).collect(),
+            max: hist.max.load(Ordering::Relaxed),
+        }
+    }
+
+    #[test]
+    fn snapshot_bounded_by_the_max_equals_the_full_scan() {
+        let hist = LatencyHistogram::new();
+        assert_eq!(hist.snapshot(), full_scan(&hist));
+        assert_eq!(hist.snapshot(), HistogramSnapshot::default());
+        for value in [0, 7, 1_000_000, u64::MAX] {
+            let one = LatencyHistogram::new();
+            one.record(value);
+            assert_eq!(one.snapshot(), full_scan(&one), "{value}");
+            assert_eq!(one.snapshot().counts.len(), bucket_index(value) + 1);
+            hist.record(value);
+            assert_eq!(hist.snapshot(), full_scan(&hist), "up to {value}");
+        }
+        assert_eq!(hist.snapshot().counts.len(), BUCKETS);
+        assert_eq!(hist.snapshot().count(), 4);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    fn a_second_recording_thread_is_caught_in_debug_builds() {
+        let hist = LatencyHistogram::new();
+        hist.record(1);
+        std::thread::scope(|scope| {
+            let second = scope.spawn(|| hist.record(2)).join();
+            assert!(second.is_err(), "record from a second thread must panic");
+            // Snapshots and the shared form are any thread's to call.
+            scope.spawn(|| hist.snapshot()).join().unwrap();
+        });
+        hist.record(3);
+        assert_eq!(hist.snapshot().count(), 2);
     }
 
     #[test]
@@ -359,7 +443,7 @@ mod tests {
                 let hist = Arc::clone(&hist);
                 std::thread::spawn(move || {
                     for i in 0..10_000u64 {
-                        hist.record(t * 1_000 + i % 97);
+                        hist.record_shared(t * 1_000 + i % 97, 1);
                     }
                 })
             })
