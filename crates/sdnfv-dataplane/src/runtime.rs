@@ -2263,9 +2263,9 @@ fn launch_pipeline(
         last_sweep_ns: 0,
         sweep_check: 0,
         approx_now_ns: 0,
-        // Half the sweep period: a cached decision survives at most one
-        // sweep interval before the table is consulted again, so idle
-        // timers keep refreshing under cache-hit traffic.
+        // Half the sweep period: a timed rule's cached decision survives at
+        // most one sweep interval before the table is consulted again, so
+        // idle timers keep refreshing under cache-hit traffic.
         cache_ttl_ns: config.rule_sweep_interval_ns / 2,
         pin_timeouts: PinTimeouts {
             idle_ns: config.pin_idle_timeout_ns,
@@ -2512,8 +2512,9 @@ pub(crate) struct ShardEngine {
     /// Latest clock reading taken by the sweep path; the lookup cache's
     /// TTL checks use it so the hot path never reads the clock itself.
     approx_now_ns: u64,
-    /// TTL for lookup-cache entries, forcing periodic table fall-through
-    /// so idle timers refresh under cached traffic (0 = no TTL).
+    /// TTL for the lookup-cache entries of rules that carry a timeout,
+    /// forcing periodic table fall-through so idle timers refresh under
+    /// cached traffic (0 = no TTL).
     cache_ttl_ns: u64,
     /// Idle/hard timeouts stamped onto NF-requested exact-pin rules.
     pin_timeouts: PinTimeouts,
