@@ -163,19 +163,21 @@ impl LatencyHistogram {
         // snapshot only after quiescing recorders, which supplies the
         // happens-before externally.
         let max = self.max.load(Ordering::Relaxed);
-        // No bucket above the maximum's own holds a count, so one pass up
-        // to there is the whole histogram; what it trims is the zero
-        // buckets below (an empty histogram reads bucket 0 and keeps none).
-        let mut counts: Vec<u64> = self.counts[..=bucket_index(max)]
+        // No bucket above the maximum's own holds a count, and that one
+        // does, so the scan for the last non-zero bucket starts there and
+        // ends at its first probe; what is left is the one copy. (An empty
+        // histogram probes bucket 0, keeps none and allocates nothing;
+        // counters only grow, so a bucket seen non-zero stays so.)
+        let kept = self.counts[..=bucket_index(max)]
+            .iter()
+            // ORDER: Relaxed — see the snapshot-wide argument above.
+            .rposition(|bucket| bucket.load(Ordering::Relaxed) != 0)
+            .map_or(0, |at| at + 1);
+        let counts = self.counts[..kept]
             .iter()
             // ORDER: Relaxed — see the snapshot-wide argument above.
             .map(|bucket| bucket.load(Ordering::Relaxed))
             .collect();
-        let kept = counts
-            .iter()
-            .rposition(|&count| count != 0)
-            .map_or(0, |at| at + 1);
-        counts.truncate(kept);
         HistogramSnapshot { counts, max }
     }
 }
@@ -407,6 +409,7 @@ mod tests {
         let hist = LatencyHistogram::new();
         assert_eq!(hist.snapshot(), full_scan(&hist));
         assert_eq!(hist.snapshot(), HistogramSnapshot::default());
+        assert_eq!(hist.snapshot().counts.capacity(), 0, "no allocation");
         for value in [0, 7, 1_000_000, u64::MAX] {
             let one = LatencyHistogram::new();
             one.record(value);
