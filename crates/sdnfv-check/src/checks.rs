@@ -1,8 +1,8 @@
 //! Bounded-exhaustive interleaving checks of the shipping primitives.
 //!
 //! Every function here builds a *fixed, finite* concurrent program out of
-//! the real `sdnfv-ring` / `sdnfv-telemetry` types — no spin loops, a
-//! bounded number of operations per thread — and hands it to
+//! the real `sdnfv-ring` / `sdnfv-telemetry` / `sdnfv-flowtable` types — no
+//! spin loops, a bounded number of operations per thread — and hands it to
 //! [`sdnfv_ring::model::check`], which enumerates all interleavings up to
 //! the preemption bound and panics with a replayable counterexample on the
 //! first violation (data race, uninitialized read, assertion failure,
@@ -17,12 +17,18 @@
 
 use std::sync::Arc;
 
+use sdnfv_flowtable::table::GenerationCell;
+use sdnfv_flowtable::{Decision, FlowRule, RulePort, SharedFlowTable};
 use sdnfv_ring::model::{self, CheckOpts};
+use sdnfv_ring::sync::{AtomicU64, Ordering};
 use sdnfv_ring::{spsc_ring, CreditGate, PacketPool, SharedPacket};
 use sdnfv_telemetry::hist::LatencyHistogram;
 
+use sdnfv_proto::flow::FlowKey;
 use sdnfv_proto::packet::PacketBuilder;
 use sdnfv_proto::Packet;
+
+use crate::mutants::{self, GenerationTable, ModelLock};
 
 fn pkt() -> Packet {
     PacketBuilder::udp().payload(b"chk").build()
@@ -305,6 +311,62 @@ pub fn verdict_cell(opts: CheckOpts) -> u64 {
     })
 }
 
+/// A partition generation on the model's recording atomic: the cell the
+/// checked `SharedFlowTable` is instantiated with.
+#[derive(Debug)]
+pub struct ModelGeneration(AtomicU64);
+
+impl GenerationCell for ModelGeneration {
+    fn new(value: u64) -> Self {
+        ModelGeneration(AtomicU64::new(value))
+    }
+
+    fn load(&self, order: Ordering) -> u64 {
+        self.0.load(order)
+    }
+
+    fn fetch_add(&self, value: u64, order: Ordering) -> u64 {
+        self.0.fetch_add(value, order)
+    }
+}
+
+/// The shipping table, its lock entered only under a [`ModelLock`].
+struct CheckedTable {
+    lock: ModelLock,
+    table: SharedFlowTable<ModelGeneration>,
+}
+
+impl GenerationTable for CheckedTable {
+    fn generation_for(&self, hash: u64) -> u64 {
+        self.table.generation_for(hash)
+    }
+
+    fn lookup(&self, step: RulePort, key: &FlowKey) -> Option<Option<Decision>> {
+        self.lock.try_with(|| self.table.lookup(step, key))
+    }
+
+    fn pin(&self, pin: FlowRule) {
+        self.lock.try_with(|| self.table.insert(pin));
+    }
+}
+
+/// The table generation ↔ lookup cache protocol on the shipping
+/// `SharedFlowTable` (its partition generations on the recording atomics)
+/// and the worker's `LookupCache`: a writer pins one flow while the worker
+/// tags, looks up, fills and probes that flow. A probe that saw the bump
+/// never answers with the decision from before the pin, no stale decision
+/// outlives the pin, and a flow of another partition stays cached.
+pub fn table_generation(opts: CheckOpts) -> u64 {
+    model::check("table_generation", opts, || {
+        let table = SharedFlowTable::<ModelGeneration>::default();
+        table.insert(mutants::forward_rule());
+        mutants::generation_rounds(Arc::new(CheckedTable {
+            lock: ModelLock::new(),
+            table,
+        }));
+    })
+}
+
 /// One clean check: `(name, entry point, search options)`.
 pub type Check = (&'static str, fn(CheckOpts) -> u64, CheckOpts);
 
@@ -322,5 +384,6 @@ pub fn all() -> Vec<Check> {
         ("pool_occupancy", pool_occupancy, default),
         ("shared_completion", shared_completion, default),
         ("verdict_cell", verdict_cell, default),
+        ("table_generation", table_generation, default),
     ]
 }

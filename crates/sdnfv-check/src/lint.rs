@@ -15,7 +15,7 @@
 //! |-------------|-----------|
 //! | `timestamp` | no `Instant::now`/`SystemTime::now` outside tests, benches, shims and the sanctioned `HostClock::Real` site — everything on a decision path must go through the injected clock so the deterministic simulation stays deterministic |
 //! | `safety-comment` | every `unsafe` is preceded by a `// SAFETY:` (or `# Safety` doc section) explaining why it is sound |
-//! | `atomic-order` | every atomic operation in the lock-free core (`sdnfv-ring`, the telemetry histogram) names an explicit `Ordering::` *and* carries an `// ORDER:` comment justifying it |
+//! | `atomic-order` | every atomic operation in the lock-free core (`sdnfv-ring`, the telemetry histogram, the flow table's partition generations) names an explicit `Ordering::` *and* carries an `// ORDER:` comment justifying it |
 //! | `hot-path-block` | no `thread::sleep` / `.lock()` / `.read()` / `.write()` inside the engine's per-packet hot paths (`step`, the worker's round, dispatch and flush fns, the state-mailbox accessors) |
 //! | `no-todo`   | no `todo!` / `unimplemented!` outside tests |
 //!
@@ -371,14 +371,16 @@ fn classify(path: &Path) -> Scope {
         // The benchmark harness measures wall time by design; routing it
         // through HostClock would measure the shim instead of the code.
         || p.starts_with("crates/sdnfv-bench/");
-    // The measured code: the ring crate's shipping modules and the
-    // histogram. The facade (sync.rs) and the checker itself (model.rs)
-    // are the measuring instrument — their internal orderings are either
-    // the caller's (forwarded verbatim) or documented at module level.
+    // The measured code: the ring crate's shipping modules, the histogram
+    // and the flow table's partition generations. The facade (sync.rs) and
+    // the checker itself (model.rs) are the measuring instrument — their
+    // internal orderings are either the caller's (forwarded verbatim) or
+    // documented at module level.
     let atomic_core = (p.contains("crates/sdnfv-ring/src/")
         && !p.ends_with("/model.rs")
         && !p.ends_with("/sync.rs"))
-        || p.ends_with("crates/sdnfv-telemetry/src/hist.rs");
+        || p.ends_with("crates/sdnfv-telemetry/src/hist.rs")
+        || p.ends_with("crates/sdnfv-flowtable/src/table.rs");
     let hot_path_file = p.ends_with("crates/sdnfv-dataplane/src/runtime.rs");
     Scope {
         test_like,

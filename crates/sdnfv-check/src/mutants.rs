@@ -5,8 +5,10 @@
 //! enum knob — the textbook mistakes the checker exists to catch: a
 //! `Release` publish weakened to `Relaxed`, a weakened `Acquire` observe,
 //! an off-by-one in the ring's free-slot computation, a dropped credit
-//! release, torn (load-then-store) read-modify-writes, and a descriptor
-//! re-arm that forgets to reset the verdict word. The `None`
+//! release, torn (load-then-store) read-modify-writes, a descriptor
+//! re-arm that forgets to reset the verdict word, and a flow-table write
+//! that publishes its generation before the change or to the wrong
+//! partition. The `None`
 //! variant of every knob is the faithful algorithm and must pass
 //! exhaustively; every other variant must produce a violation. The
 //! mutation self-tests in `tests/model_mutants.rs` assert both directions,
@@ -17,8 +19,12 @@
 //! atomic operations per thread — so the bounded-exhaustive search covers
 //! them in milliseconds.
 
-use std::sync::Arc;
+use std::net::Ipv4Addr;
+use std::sync::{Arc, Mutex};
 
+use sdnfv_dataplane::LookupCache;
+use sdnfv_flowtable::{Action, Decision, FlowMatch, FlowRule, FlowTable, RulePort};
+use sdnfv_proto::flow::{FlowKey, IpProtocol};
 use sdnfv_ring::model::{self, CheckOpts, CheckReport};
 use sdnfv_ring::sync::{AtomicIsize, AtomicU32, AtomicU64, AtomicUsize, Ordering, Slot};
 use sdnfv_ring::{verdict_key, verdict_parts, VerdictClass};
@@ -429,5 +435,218 @@ pub fn verdict_scenario(bug: VerdictBug, opts: CheckOpts) -> CheckReport {
             |d, key| d.merge_and_complete(key),
             |d, readers| d.re_arm(readers),
         );
+    })
+}
+
+/// The table lock as the model sees it: a try-lock on one recording atomic
+/// (`Acquire` take, `Release` give-back), held around every use of the
+/// table's own lock so that one is never contended — a model thread blocked
+/// on a real lock would stall the explorer, which runs one thread at a
+/// time. A bounded program cannot wait, so a thread that finds the lock
+/// taken skips its critical section; the schedules in which that section
+/// runs before or after the holder's are explored as their own branches.
+pub(crate) struct ModelLock(AtomicU64);
+
+impl ModelLock {
+    pub(crate) fn new() -> Self {
+        ModelLock(AtomicU64::new(0))
+    }
+
+    /// Runs `f` under the lock; `None` if the lock was busy.
+    pub(crate) fn try_with<R>(&self, f: impl FnOnce() -> R) -> Option<R> {
+        self.0
+            .compare_exchange(0, 1, Ordering::Acquire, Ordering::Relaxed)
+            .ok()?;
+        let result = f();
+        self.0.store(0, Ordering::Release);
+        Some(result)
+    }
+}
+
+/// A flow table as the generation ↔ lookup-cache protocol sees it: the
+/// shipping `SharedFlowTable` in `checks::table_generation`, a seeded-bug
+/// copy in [`table_scenario`].
+pub(crate) trait GenerationTable: Send + Sync + 'static {
+    /// The generation a cached decision for a flow of `hash` is tagged with.
+    fn generation_for(&self, hash: u64) -> u64;
+    /// A lookup under the table lock; `None` if the lock was busy.
+    fn lookup(&self, step: RulePort, key: &FlowKey) -> Option<Option<Decision>>;
+    /// The writer: installs the exact rule `pin` and publishes it, under the
+    /// table lock (nothing if the lock was busy).
+    fn pin(&self, pin: FlowRule);
+}
+
+/// The step every lookup of the table-generation program is made at.
+const STEP: RulePort = RulePort::Nic(0);
+
+/// The rule every flow follows before the writer runs: the only rule a
+/// [`generation_rounds`] table starts with.
+pub(crate) fn forward_rule() -> FlowRule {
+    FlowRule::new(FlowMatch::at_step(STEP), vec![Action::ToPort(1)])
+}
+
+fn flow(src_port: u16) -> FlowKey {
+    FlowKey::new(
+        Ipv4Addr::new(10, 0, 0, 1),
+        Ipv4Addr::new(10, 0, 0, 2),
+        src_port,
+        80,
+        IpProtocol::Tcp,
+    )
+}
+
+/// The table's generation partition of a flow hash: its top six bits.
+fn partition(hash: u64) -> usize {
+    (hash >> 58) as usize
+}
+
+/// The table-generation program, over a table holding [`forward_rule`]:
+/// the root caches flow K′'s decision; then a writer pins flow K (another
+/// partition) while the worker runs the cached-lookup protocol for K — load
+/// K's generation as the tag, look K up under the lock, fill the cache,
+/// then probe again. A probe that saw the writer's bump must not answer
+/// with the decision from before the pin; once both are done, the cache may
+/// answer for K only what the table answers, and K′'s entry is still a hit.
+pub(crate) fn generation_rounds<T: GenerationTable>(table: Arc<T>) {
+    let pinned = flow(1);
+    let other = (2..)
+        .map(flow)
+        .find(|key| partition(key.stable_hash()) != partition(pinned.stable_hash()))
+        .expect("a flow in another partition");
+    let mut cache = LookupCache::new(8);
+    let tag = table.generation_for(other.stable_hash());
+    let before = table
+        .lookup(STEP, &other)
+        .expect("nothing else runs yet")
+        .expect("the forward rule matches");
+    let stale = before.rule_id;
+    cache.put(&other, STEP, tag, 0, before);
+    let untouched = table.generation_for(pinned.stable_hash());
+    let writer = {
+        let table = Arc::clone(&table);
+        model::spawn(move || {
+            table.pin(FlowRule::new(
+                FlowMatch::exact(STEP, &pinned),
+                vec![Action::ToPort(2)],
+            ))
+        })
+    };
+    let worker = {
+        let table = Arc::clone(&table);
+        model::spawn(move || {
+            let hash = pinned.stable_hash();
+            let tag = table.generation_for(hash);
+            if let Some(Some(decision)) = table.lookup(STEP, &pinned) {
+                cache.put(&pinned, STEP, tag, 0, decision);
+            }
+            let seen = table.generation_for(hash);
+            if let Some(answer) = cache.get(&pinned, STEP, seen, 0, 0) {
+                assert!(
+                    seen == untouched || answer.rule_id != stale,
+                    "a probe that saw the bump answered with the decision from before the pin"
+                );
+            }
+            cache
+        })
+    };
+    writer.join();
+    let mut cache = worker.join();
+    // The root happens-after both threads.
+    let now = table
+        .lookup(STEP, &pinned)
+        .expect("quiescent")
+        .expect("a rule matches");
+    let generation = table.generation_for(pinned.stable_hash());
+    if let Some(answer) = cache.get(&pinned, STEP, generation, 0, 0) {
+        assert_eq!(
+            answer.rule_id, now.rule_id,
+            "a stale decision outlived the pin"
+        );
+    }
+    let generation = table.generation_for(other.stable_hash());
+    assert!(
+        cache.get(&other, STEP, generation, 0, 0).is_some(),
+        "the pin invalidated another partition's entry"
+    );
+}
+
+/// Which bug (if any) to seed into the miniature table's write path.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TableBug {
+    /// Faithful: mutate, then publish the pin's partition, under the lock.
+    None,
+    /// The generation moves before the write lock is taken (the window PR
+    /// 15 found by inspection): a reader can pair the new generation with
+    /// the old table and cache that for good.
+    BumpBeforeMutate,
+    /// The pin is published to a partition that is not its key's: the
+    /// pinned flow's stale entry is never invalidated.
+    WrongPartition,
+}
+
+/// `SharedFlowTable`'s write and read paths restated over a plain
+/// [`FlowTable`] and 64 recording atomics, with a seeded-bug knob.
+struct MiniTable {
+    lock: ModelLock,
+    /// Touched only by the [`ModelLock`] holder, so never contended.
+    table: Mutex<FlowTable>,
+    generations: Vec<AtomicU64>,
+    bug: TableBug,
+}
+
+impl MiniTable {
+    fn new(bug: TableBug) -> Self {
+        let mut table = FlowTable::new();
+        table.insert(forward_rule());
+        MiniTable {
+            lock: ModelLock::new(),
+            table: Mutex::new(table),
+            generations: (0..64).map(|_| AtomicU64::new(0)).collect(),
+            bug,
+        }
+    }
+
+    fn table(&self) -> std::sync::MutexGuard<'_, FlowTable> {
+        self.table.lock().expect("no panic while held")
+    }
+
+    fn bump(&self, hash: u64) {
+        self.generations[partition(hash)].fetch_add(1, Ordering::Release);
+    }
+}
+
+impl GenerationTable for MiniTable {
+    fn generation_for(&self, hash: u64) -> u64 {
+        self.generations[partition(hash)].load(Ordering::Acquire)
+    }
+
+    fn lookup(&self, step: RulePort, key: &FlowKey) -> Option<Option<Decision>> {
+        self.lock.try_with(|| self.table().lookup(step, key))
+    }
+
+    fn pin(&self, pin: FlowRule) {
+        let (_, key) = pin.matcher.exact_key().expect("a pin is an exact rule");
+        let hash = key.stable_hash();
+        if self.bug == TableBug::BumpBeforeMutate {
+            self.bump(hash);
+        }
+        self.lock.try_with(|| {
+            self.table().insert(pin);
+            match self.bug {
+                TableBug::None => self.bump(hash),
+                // Seeded bug: the neighbouring partition.
+                TableBug::WrongPartition => self.bump(hash ^ 1 << 58),
+                TableBug::BumpBeforeMutate => {}
+            }
+        });
+    }
+}
+
+/// Runs [`generation_rounds`] over [`MiniTable`] with the given seeded bug.
+/// `TableBug::None` must pass exhaustively; both seeded bugs must fail an
+/// assertion.
+pub fn table_scenario(bug: TableBug, opts: CheckOpts) -> CheckReport {
+    model::explore(opts, move || {
+        generation_rounds(Arc::new(MiniTable::new(bug)));
     })
 }

@@ -11,8 +11,9 @@ use sdnfv_check::checks;
 #[test]
 fn every_clean_check_passes_exhaustively() {
     // Ring (2), credit gate (2), histogram (2: the single-recorder rule and
-    // the shared form), pool, shared completion, verdict cell.
-    assert_eq!(checks::all().len(), 9);
+    // the shared form), pool, shared completion, verdict cell, table
+    // generation.
+    assert_eq!(checks::all().len(), 10);
     for (name, run, opts) in checks::all() {
         let executions = run(opts);
         assert!(

@@ -6,7 +6,7 @@
 //! must pass exhaustively — that pins down that the detections below come
 //! from the seeded bug, not from a broken scenario.
 
-use sdnfv_check::mutants::{self, GateBug, HistBug, RingBug, VerdictBug};
+use sdnfv_check::mutants::{self, GateBug, HistBug, RingBug, TableBug, VerdictBug};
 use sdnfv_ring::model::{CheckOpts, CheckReport, ViolationKind};
 
 fn opts() -> CheckOpts {
@@ -135,4 +135,28 @@ fn re_arm_without_verdict_reset_is_caught() {
     // stale maximum.
     let report = mutants::verdict_scenario(VerdictBug::StaleReArm, opts());
     assert_caught(&report, &[ViolationKind::Panic], "StaleReArm");
+}
+
+#[test]
+fn generation_bumped_before_the_table_change_is_caught() {
+    // The unmutated mini-table must pass, so the detections below come from
+    // the seeded bugs and not from the scenario.
+    let clean = mutants::table_scenario(TableBug::None, opts());
+    assert!(
+        clean.exhaustive_pass(),
+        "clean mini-table must pass: {:?}",
+        clean.violation
+    );
+    // The worker tags with the bumped generation, reads the table before
+    // the pin lands and caches the old decision under the new tag.
+    let report = mutants::table_scenario(TableBug::BumpBeforeMutate, opts());
+    assert_caught(&report, &[ViolationKind::Panic], "BumpBeforeMutate");
+}
+
+#[test]
+fn pin_published_to_the_wrong_partition_is_caught() {
+    // The pinned flow's generation never moves, so its cached pre-pin
+    // decision outlives the pin.
+    let report = mutants::table_scenario(TableBug::WrongPartition, opts());
+    assert_caught(&report, &[ViolationKind::Panic], "WrongPartition");
 }

@@ -12,11 +12,15 @@
 //! the table's answer into a slot, so the action list's reference count is
 //! touched once per fill, not twice per packet. A slot answers only for
 //! exactly that flow and step (a hash collision is never another flow's
-//! decision), and is tagged with the flow-table generation so any rule
-//! change invalidates stale entries. Two flows that collide sit side by
-//! side; a third takes the place of whichever was used longer ago (a slot
-//! that is empty or of an older generation goes first), where one slot per
-//! hash had every colliding pair evict each other on every packet.
+//! decision), and is tagged with the generation of the flow's partition of
+//! the table ([`SharedFlowTable::generation_for`]), so a rule change that
+//! can move this flow's answer invalidates the entry and an exact pin for
+//! another partition's flow leaves it alone. Two flows that collide sit
+//! side by side; a third takes the place of an empty way, else of
+//! whichever was used longer ago, where one slot per hash had every
+//! colliding pair evict each other on every packet. (The two ways' tags
+//! may be different partitions' generations, so neither can be judged dead
+//! by comparing them with the incoming flow's.)
 //!
 //! **Expiry only where a timer exists.** A rule with an idle timeout, served
 //! forever from the cache, would never touch the table and would idle out
@@ -25,8 +29,8 @@
 //! insertion time and honours a TTL (half the rule-sweep interval in the
 //! threaded host), which forces a periodic fall-through to the table that
 //! refreshes the winning rule's idle timer. A permanent rule has no timer
-//! to refresh: its decision is served until the table generation moves. A
-//! TTL of zero disables expiry for every entry.
+//! to refresh: its decision is served until its partition's generation
+//! moves. A TTL of zero disables expiry for every entry.
 
 use sdnfv_flowtable::{Decision, RulePort, SharedFlowTable};
 use sdnfv_proto::flow::FlowKey;
@@ -36,8 +40,8 @@ use sdnfv_proto::flow::FlowKey;
 pub(crate) const LOOKUP_CACHE_ENTRIES: usize = 4096;
 
 /// The cached-lookup protocol both engines share: consult `cache` (tagged
-/// with the table's generation; a timed rule's entry expired after
-/// `ttl_ns`) when `enabled`,
+/// with the generation of the flow's table partition; a timed rule's entry
+/// expired after `ttl_ns`) when `enabled`,
 /// fall back to the table, and remember the result. The single definition
 /// keeps the inline `NfManager` and the threaded runtime's lookup semantics
 /// identical; this by-value form (one clone of the decision) is the
@@ -70,7 +74,7 @@ pub(crate) fn cached_lookup_hashed<'c>(
     now_ns: u64,
     ttl_ns: u64,
 ) -> Option<&'c Decision> {
-    let generation = table.generation();
+    let generation = table.generation_for(hash);
     let index = match cache.probe(hash, key, step, generation, now_ns, ttl_ns) {
         Ok(hit) => hit,
         Err(missed) => {
@@ -82,8 +86,9 @@ pub(crate) fn cached_lookup_hashed<'c>(
     cache.decision_at(index)
 }
 
-/// One way of a set: the flow and step it answers for, the table
-/// generation and time it was filled at, and the decision.
+/// One way of a set: the flow and step it answers for, the generation of
+/// the flow's table partition and the time it was filled at, and the
+/// decision.
 #[derive(Debug)]
 struct CacheSlot {
     key: FlowKey,
@@ -167,8 +172,9 @@ impl LookupCache {
     }
 
     /// Looks up a cached decision for `(key, step)` valid at `generation`
-    /// and, if its rule can expire, no older than `ttl_ns` at `now_ns`
-    /// (`ttl_ns == 0` = no expiry).
+    /// (the flow's partition generation,
+    /// [`SharedFlowTable::generation_for`]) and, if its rule can expire, no
+    /// older than `ttl_ns` at `now_ns` (`ttl_ns == 0` = no expiry).
     pub fn get(
         &mut self,
         key: &FlowKey,
@@ -207,16 +213,14 @@ impl LookupCache {
         })
     }
 
-    /// The slot of `set` a new flow's fill takes over: a way that is empty
-    /// or left over from an older generation, failing that the less
-    /// recently used one.
-    fn victim(&self, set: std::ops::Range<usize>, generation: u64) -> usize {
+    /// The slot of `set` a new flow's fill takes over: an empty way, failing
+    /// that the less recently used one. A way's tag is its own flow's
+    /// partition generation, not comparable with the new flow's.
+    fn victim(&self, set: std::ops::Range<usize>) -> usize {
         // The other way of two; way 0 of a one-way set.
         let lru = usize::from(self.recent[set.start / WAYS] ^ 1) & (set.len() - 1);
         set.clone()
-            .find(
-                |&index| !matches!(&self.slots[index], Some(slot) if slot.generation == generation),
-            )
+            .find(|&index| self.slots[index].is_none())
             .unwrap_or(set.start + lru)
     }
 
@@ -256,7 +260,7 @@ impl LookupCache {
             }
             held => {
                 self.misses += 1;
-                Err(held.unwrap_or_else(|| self.victim(set, generation)))
+                Err(held.unwrap_or_else(|| self.victim(set)))
             }
         }
     }
@@ -278,7 +282,7 @@ impl LookupCache {
     }
 
     /// [`LookupCache::put`] with `key.stable_hash()` supplied by the caller.
-    /// Replaces the flow's own entry, else a dead way of its set, else the
+    /// Replaces the flow's own entry, else an empty way of its set, else the
     /// set's less recently used flow.
     pub(crate) fn put_hashed(
         &mut self,
@@ -292,7 +296,7 @@ impl LookupCache {
         let set = self.set_of(hash, step);
         let index = self
             .holder(set.clone(), key, step)
-            .unwrap_or_else(|| self.victim(set, generation));
+            .unwrap_or_else(|| self.victim(set));
         self.fill(index, key, step, generation, now_ns, decision);
     }
 
@@ -443,6 +447,40 @@ mod tests {
     }
 
     #[test]
+    fn a_pin_invalidates_its_own_flow_not_another_partitions() {
+        let table = SharedFlowTable::new();
+        let step = RulePort::Nic(0);
+        table.insert(FlowRule::new(
+            FlowMatch::at_step(step),
+            vec![Action::ToPort(1)],
+        ));
+        // Generation partitions are the top six bits of the flow hash.
+        let partition = |port| key(port).stable_hash() >> 58;
+        let pinned = 1;
+        let other = (2..)
+            .find(|&port| partition(port) != partition(pinned))
+            .unwrap();
+        let mut cache = LookupCache::new(64);
+        let mut lookup = |port| {
+            let before = table.stats().lookups;
+            let decision = cached_lookup(&table, &mut cache, true, step, &key(port), 0, 0);
+            (decision.unwrap().rule_id, table.stats().lookups - before)
+        };
+        let wildcard = lookup(pinned).0;
+        assert_eq!(lookup(other), (wildcard, 1));
+        let pin = table.insert(FlowRule::new(
+            FlowMatch::exact(step, &key(pinned)),
+            vec![Action::ToPort(2)],
+        ));
+        assert_eq!(
+            lookup(other),
+            (wildcard, 0),
+            "another partition's entry hits"
+        );
+        assert_eq!(lookup(pinned), (pin, 1), "the pinned flow's entry misses");
+    }
+
+    #[test]
     fn different_steps_are_distinct_entries() {
         let mut cache = LookupCache::new(8);
         cache.put(&key(1), RulePort::Nic(0), 0, 0, decision(1));
@@ -503,19 +541,18 @@ mod tests {
         assert_eq!(get(&mut cache, 2), Some(decision(3)));
         assert_eq!(get(&mut cache, 1), None, "the least recently used way");
         assert_eq!(cache.len(), 2, "one set, both ways");
-        // A way left over from an older generation goes before a live one,
-        // even when it is the one used last.
-        cache.put_hashed(hash, &flows[0], step, 1, 0, decision(4));
-        assert_eq!(get(&mut cache, 2), Some(decision(3)));
-        cache.put_hashed(hash, &flows[1], step, 1, 0, decision(5));
+        // A tag is its own flow's partition generation: a way whose tag is
+        // not the incoming flow's generation may be another partition's live
+        // entry, so the less recently used way goes, not the first one with
+        // a different tag — even when the way used last holds one.
+        assert_eq!(get(&mut cache, 0), Some(decision(1)));
+        cache.put_hashed(hash, &flows[1], step, 5, 0, decision(5));
+        assert_eq!(get(&mut cache, 0), Some(decision(1)), "the way used last");
         assert_eq!(
-            cache.get_hashed(hash, &flows[0], step, 1, 0, 0),
-            Some(&decision(4))
-        );
-        assert_eq!(
-            cache.get_hashed(hash, &flows[1], step, 1, 0, 0),
+            cache.get_hashed(hash, &flows[1], step, 5, 0, 0),
             Some(&decision(5))
         );
+        assert_eq!(get(&mut cache, 2), None);
     }
 
     #[test]

@@ -47,11 +47,25 @@
 //! earliest possible deadline has passed). Evictions are queued as
 //! [`EvictedRule`] events for the data plane to drain and forward to the
 //! control plane and to NF flow-state cleanup.
+//!
+//! What a mutation invalidates: the answer for a flow depends on the
+//! wildcard rules and on that flow's own exact rules, nothing else. So the
+//! table records the *scope* of every change where it touches the slab —
+//! [`FlowTable::insert`], the release of a slot (`remove`, an eviction, the
+//! replaced rule of an exact insert) and the default rewrites of
+//! `change_default` / `retarget_defaults` / `promote_where_allowed`: an
+//! exact rule's change is scoped to its key's generation partition (the
+//! top six bits of the key's `stable_hash`), any other change to all 64.
+//! [`SharedFlowTable`] publishes exactly those partitions, so a pin moves
+//! one sixty-fourth of the lookup caches' entries, not all of them, and a
+//! write that changed nothing moves none.
 
 use parking_lot::RwLock;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
+use std::fmt;
 use std::net::Ipv4Addr;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use sdnfv_proto::flow::{FlowKey, IpProtocol};
@@ -386,6 +400,31 @@ impl TupleSpace {
 /// Index of a rule's entry in the [`FlowTable`] slab.
 type Slot = u32;
 
+/// Partitions of the flow-key space with a generation of their own.
+const PARTITIONS: usize = 64;
+
+/// A set of generation partitions, one bit each.
+type Partitions = u64;
+
+/// The scope of a change that is not one exact rule's.
+const EVERY_PARTITION: Partitions = Partitions::MAX;
+
+/// The generation partition of a flow whose `stable_hash()` is `hash`: its
+/// top six bits (shard steering takes the hash modulo, the lookup cache
+/// mixes it, so neither lines up with these).
+fn partition_of(hash: u64) -> usize {
+    (hash >> (u64::BITS - PARTITIONS.trailing_zeros())) as usize
+}
+
+/// The partitions whose answers a change to `rule` can move: an exact rule
+/// matches its own key only, anything else may match every key.
+fn scope(rule: &FlowRule) -> Partitions {
+    match rule.matcher.exact_key() {
+        Some((_, key)) => 1 << partition_of(key.stable_hash()),
+        None => EVERY_PARTITION,
+    }
+}
+
 /// The flow table held by one NF Manager.
 ///
 /// Rules are matched by priority (highest first), then by match
@@ -422,6 +461,10 @@ pub struct FlowTable {
     deadlines: BinaryHeap<Reverse<(u64, RuleId, Slot)>>,
     /// Eviction events not yet drained by [`FlowTable::take_evicted`].
     evicted: Vec<EvictedRule>,
+    /// The partitions the changes since the last `take_touched` are scoped
+    /// to, recorded where a rule enters, leaves or is rewritten in the slab
+    /// (see the module docs).
+    touched: Partitions,
     stats: TableStats,
 }
 
@@ -456,6 +499,7 @@ impl FlowTable {
             now_ns: 0,
             deadlines: BinaryHeap::new(),
             evicted: Vec::new(),
+            touched: 0,
             stats: TableStats::default(),
         }
     }
@@ -479,14 +523,21 @@ impl FlowTable {
             .expect("indexed slots are occupied")
     }
 
-    /// Vacates `slot` and forgets its id; the caller unindexes the rule.
+    /// Vacates `slot`, forgets its id and records the rule's scope; the
+    /// caller unindexes the rule.
     fn release(&mut self, slot: Slot) -> RuleEntry {
         let entry = self.slots[slot as usize]
             .take()
             .expect("indexed slots are occupied");
         self.ids.remove(&entry.id);
         self.free.push(slot);
+        self.touched |= scope(&entry.rule);
         entry
+    }
+
+    /// The partitions recorded since the last call, cleared.
+    fn take_touched(&mut self) -> Partitions {
+        std::mem::take(&mut self.touched)
     }
 
     /// Installs a rule and returns its id.
@@ -498,6 +549,7 @@ impl FlowTable {
     pub fn insert(&mut self, rule: FlowRule) -> RuleId {
         let id = RuleId(self.next_id);
         self.next_id += 1;
+        self.touched |= scope(&rule);
         let entry = RuleEntry::new(id, rule, self.now_ns);
         let slot = self.free.pop().unwrap_or_else(|| {
             self.slots.push(None);
@@ -583,6 +635,21 @@ impl FlowTable {
     /// counting the hit and refreshing the winning rule's idle timer.
     /// Expired rules encountered on the way are evicted lazily.
     pub fn lookup(&mut self, step: RulePort, key: &FlowKey) -> Option<Decision> {
+        self.lookup_then(step, key, |_| ())
+    }
+
+    /// [`FlowTable::lookup`], handing the table to `evicted` right after
+    /// any lazy evictions and before the decision is built: where
+    /// [`SharedFlowTable::lookup`] publishes them. Publishing once the
+    /// decision was returned cost every table miss ≈ 7 ns (the decision,
+    /// held across the publish, was copied back with a store-forwarding
+    /// stall).
+    fn lookup_then(
+        &mut self,
+        step: RulePort,
+        key: &FlowKey,
+        evicted: impl FnOnce(&mut Self),
+    ) -> Option<Decision> {
         self.stats.lookups += 1;
         let Probe {
             winner,
@@ -590,8 +657,11 @@ impl FlowTable {
             shape_probes,
         } = self.probe(step, key);
         self.stats.shape_probes += shape_probes;
-        for (slot, reason) in expired {
-            self.evict(slot, reason);
+        if !expired.is_empty() {
+            for (slot, reason) in expired {
+                self.evict(slot, reason);
+            }
+            evicted(self);
         }
         let Some(slot) = winner else {
             self.stats.misses += 1;
@@ -833,14 +903,15 @@ impl FlowTable {
         self.stats
     }
 
-    /// Rewrites the default action of every rule `applies` selects and
-    /// returns how many it selected.
+    /// Rewrites the default action of every rule `applies` selects, records
+    /// their scopes and returns how many it selected.
     fn set_defaults(&mut self, new_default: Action, applies: impl Fn(&FlowRule) -> bool) -> usize {
         let mut updated = 0;
         for entry in self.slots.iter_mut().flatten() {
             if applies(&entry.rule) {
                 entry.rule.set_default_action(new_default);
                 entry.refresh_shared_actions();
+                self.touched |= scope(&entry.rule);
                 updated += 1;
             }
         }
@@ -924,12 +995,65 @@ impl FlowTable {
 /// the only other parties on a shard's lock are that shard's rule sweep,
 /// NF messages applied to it, and the control plane installing rules or
 /// exporting a bucket — never another shard's packets.
-#[derive(Debug, Clone, Default)]
-pub struct SharedFlowTable {
+///
+/// **Generations.** Lock-free per-thread lookup caches detect staleness
+/// through 64 partition generations: a cached decision for a flow is
+/// tagged with [`SharedFlowTable::generation_for`] its hash — one atomic
+/// load — and discarded once that partition's generation moves. Every
+/// write publishes exactly the partitions its changes were scoped to (see
+/// the module docs): an exact pin bumps its own key's partition, a
+/// wildcard or bulk change all 64, a write that changed nothing none.
+/// The generations live in cells of type `C`, `std`'s `AtomicU64` unless
+/// a model checker supplies its own ([`GenerationCell`]).
+#[derive(Debug)]
+pub struct SharedFlowTable<C: GenerationCell = AtomicU64> {
     inner: Arc<RwLock<FlowTable>>,
-    /// Bumped on every mutation; lets lock-free per-thread lookup caches
-    /// detect staleness cheaply.
-    generation: Arc<std::sync::atomic::AtomicU64>,
+    /// One generation per key-space partition.
+    generations: Arc<[C; PARTITIONS]>,
+}
+
+/// The atomic cell a [`SharedFlowTable`] keeps each partition generation
+/// in: `std`'s `AtomicU64` in the shipping table. `sdnfv-check` implements
+/// it over the model checker's recording atomic (`sdnfv-ring`'s `sync`
+/// facade) and model-checks the very same `SharedFlowTable` code — this
+/// crate does not depend on `sdnfv-ring` itself. The orderings are the
+/// table's, passed through.
+pub trait GenerationCell: fmt::Debug + Send + Sync + 'static {
+    /// A cell holding `value`.
+    fn new(value: u64) -> Self;
+    /// Atomic load.
+    fn load(&self, order: Ordering) -> u64;
+    /// Atomic add; returns the previous value.
+    fn fetch_add(&self, value: u64, order: Ordering) -> u64;
+}
+
+impl GenerationCell for AtomicU64 {
+    fn new(value: u64) -> Self {
+        AtomicU64::new(value)
+    }
+
+    fn load(&self, order: Ordering) -> u64 {
+        AtomicU64::load(self, order)
+    }
+
+    fn fetch_add(&self, value: u64, order: Ordering) -> u64 {
+        AtomicU64::fetch_add(self, value, order)
+    }
+}
+
+impl<C: GenerationCell> Clone for SharedFlowTable<C> {
+    fn clone(&self) -> Self {
+        SharedFlowTable {
+            inner: Arc::clone(&self.inner),
+            generations: Arc::clone(&self.generations),
+        }
+    }
+}
+
+impl<C: GenerationCell> Default for SharedFlowTable<C> {
+    fn default() -> Self {
+        SharedFlowTable::with_table(FlowTable::new())
+    }
 }
 
 impl SharedFlowTable {
@@ -937,16 +1061,49 @@ impl SharedFlowTable {
     pub fn new() -> Self {
         SharedFlowTable::default()
     }
+}
 
-    fn bump(&self) {
-        self.generation
-            .fetch_add(1, std::sync::atomic::Ordering::Release);
+impl<C: GenerationCell> SharedFlowTable<C> {
+    fn with_table(table: FlowTable) -> Self {
+        SharedFlowTable {
+            inner: Arc::new(RwLock::new(table)),
+            generations: Arc::new(std::array::from_fn(|_| C::new(0))),
+        }
     }
 
-    /// A counter that increases on every mutation of the table. Cached
-    /// lookup results tagged with an older generation must be discarded.
+    /// Moves the generation of every partition the write lock holder's
+    /// changes were scoped to. Called after the mutation and before the
+    /// lock is released: a reader that sees the new generation is then
+    /// certain to find the mutated table behind the lock. Bumping first
+    /// would let it pair the new generation with the old table and cache
+    /// that for good.
+    fn publish(&self, table: &mut FlowTable) {
+        let mut touched = table.take_touched();
+        while touched != 0 {
+            let partition = touched.trailing_zeros() as usize;
+            touched &= touched - 1;
+            // ORDER: Release pairs with `generation_for`'s Acquire: a
+            // reader that sees this value also sees the mutation before it.
+            self.generations[partition].fetch_add(1, Ordering::Release);
+        }
+    }
+
+    /// The generation of the partition a flow whose `stable_hash()` is
+    /// `hash` falls in. A cached lookup result tagged with an older value
+    /// must be discarded.
+    pub fn generation_for(&self, hash: u64) -> u64 {
+        // ORDER: Acquire pairs with `publish`'s Release (see there).
+        self.generations[partition_of(hash)].load(Ordering::Acquire)
+    }
+
+    /// A counter that increases on every mutation of the table (the sum
+    /// of the partition generations).
     pub fn generation(&self) -> u64 {
-        self.generation.load(std::sync::atomic::Ordering::Acquire)
+        self.generations
+            .iter()
+            // ORDER: Acquire, as `generation_for`.
+            .map(|generation| generation.load(Ordering::Acquire))
+            .fold(0, u64::wrapping_add)
     }
 
     /// Installs a rule.
@@ -960,24 +1117,20 @@ impl SharedFlowTable {
     }
 
     /// Looks up the decision for a flow at a step. If the lookup lazily
-    /// evicted an expired rule on its way, the generation is bumped so
-    /// stale cached decisions for the dead rule are discarded.
+    /// evicted an expired rule on its way, that rule's partitions are
+    /// published so stale cached decisions for it are discarded.
     pub fn lookup(&self, step: RulePort, key: &FlowKey) -> Option<Decision> {
-        let mut guard = self.inner.write();
-        let before = guard.stats.evicted_idle + guard.stats.evicted_hard;
-        let decision = guard.lookup(step, key);
-        if guard.stats.evicted_idle + guard.stats.evicted_hard > before {
-            self.bump();
-        }
-        decision
+        self.inner
+            .write()
+            .lookup_then(step, key, |table| self.publish(table))
     }
 
     /// Advances the table clock to `now_ns` and evicts up to
     /// `max_evictions` expired rules (see [`FlowTable::sweep`]), skipping
     /// exact rules whose `(step, key)` is `protected` (mid-re-home).
     /// Returns the drained eviction events — including any accumulated
-    /// from lazy lookup expiry since the last sweep — and bumps the
-    /// generation only when there are any.
+    /// from lazy lookup expiry since the last sweep — and publishes the
+    /// partitions of the rules this sweep evicted.
     pub fn sweep_expired(
         &self,
         now_ns: u64,
@@ -987,11 +1140,8 @@ impl SharedFlowTable {
         let mut guard = self.inner.write();
         guard.advance_clock(now_ns);
         guard.sweep(max_evictions, protected);
-        let events = guard.take_evicted();
-        if !events.is_empty() {
-            self.bump();
-        }
-        events
+        self.publish(&mut guard);
+        guard.take_evicted()
     }
 
     /// Runs `f` with read access to the underlying table.
@@ -999,17 +1149,13 @@ impl SharedFlowTable {
         f(&self.inner.read())
     }
 
-    /// Runs `f` with write access to the underlying table. The table
-    /// generation is bumped, so only use this for mutations.
-    ///
-    /// The bump comes after `f` and before the lock is released: a reader
-    /// that sees the new generation is then certain to find the mutated
-    /// table behind the lock. Bumping first would let it pair the new
-    /// generation with the old table and cache that for good.
+    /// Runs `f` with write access to the underlying table, then publishes
+    /// the partitions its changes were scoped to (none if it changed
+    /// nothing), still under the lock.
     pub fn with_write<R>(&self, f: impl FnOnce(&mut FlowTable) -> R) -> R {
         let mut guard = self.inner.write();
         let result = f(&mut guard);
-        self.bump();
+        self.publish(&mut guard);
         result
     }
 
@@ -1030,19 +1176,18 @@ impl SharedFlowTable {
 
     /// Forks an independent deep copy of the table: same rules (ids,
     /// priorities and installation order preserved), its own lock, zeroed
-    /// lookup counters and a fresh generation counter.
+    /// lookup counters, an empty change record and fresh partition
+    /// generations.
     ///
     /// This is the seeding step of per-shard partitioning
     /// ([`FlowTablePartitions`](crate::partition::FlowTablePartitions)):
     /// after the fork, mutations on either side are invisible to the other.
-    pub fn fork(&self) -> SharedFlowTable {
+    pub fn fork(&self) -> Self {
         let mut copy = self.inner.read().clone();
         copy.stats = TableStats::default();
+        copy.touched = 0;
         copy.reset_hit_counts();
-        SharedFlowTable {
-            inner: Arc::new(RwLock::new(copy)),
-            generation: Arc::new(std::sync::atomic::AtomicU64::new(0)),
-        }
+        SharedFlowTable::with_table(copy)
     }
 }
 
@@ -1570,6 +1715,30 @@ mod tests {
         assert_eq!(table.pending_evictions(), 0);
     }
 
+    /// Every partition's generation, in partition order.
+    fn generations(shared: &SharedFlowTable) -> Vec<u64> {
+        (0..PARTITIONS as u64)
+            .map(|partition| shared.generation_for(partition << 58))
+            .collect()
+    }
+
+    /// The partitions whose generation moved from `before` to `after`.
+    fn moved(before: &[u64], after: &[u64]) -> Vec<usize> {
+        (0..PARTITIONS).filter(|&p| after[p] != before[p]).collect()
+    }
+
+    fn own_partition(key: &FlowKey) -> Vec<usize> {
+        vec![partition_of(key.stable_hash())]
+    }
+
+    #[test]
+    fn partitions_are_the_top_six_hash_bits() {
+        assert_eq!(partition_of(0), 0);
+        assert_eq!(partition_of((1 << 58) - 1), 0);
+        assert_eq!(partition_of(1 << 58), 1);
+        assert_eq!(partition_of(u64::MAX), PARTITIONS - 1);
+    }
+
     #[test]
     fn shared_sweep_bumps_generation_only_on_eviction() {
         let shared = SharedFlowTable::new();
@@ -1580,12 +1749,134 @@ mod tests {
             )
             .with_hard_timeout_ns(Some(100)),
         );
-        let g = shared.generation();
+        let (before, g) = (generations(&shared), shared.generation());
         assert!(shared.sweep_expired(50, 16, |_| false).is_empty());
-        assert_eq!(shared.generation(), g, "no eviction, no invalidation");
+        assert_eq!(generations(&shared), before, "no eviction, no invalidation");
         let events = shared.sweep_expired(100, 16, |_| false);
         assert_eq!(events.len(), 1);
+        assert_eq!(
+            moved(&before, &generations(&shared)),
+            own_partition(&key(7)),
+            "the evicted key's partition moves, no other"
+        );
         assert!(shared.generation() > g);
+        // A lookup that evicts an expired pin on its way publishes it too.
+        shared.insert(
+            FlowRule::new(
+                FlowMatch::exact(RulePort::Nic(0), &key(8)),
+                vec![Action::Drop],
+            )
+            .with_hard_timeout_ns(Some(10)),
+        );
+        let before = generations(&shared);
+        shared.with_write(|t| t.advance_clock(200));
+        assert_eq!(generations(&shared), before, "a clock move changes nothing");
+        assert!(shared.lookup(RulePort::Nic(0), &key(8)).is_none());
+        assert_eq!(
+            moved(&before, &generations(&shared)),
+            own_partition(&key(8))
+        );
+    }
+
+    /// Runs `f` through `with_write` and says which partitions it moved.
+    fn moved_by<R>(
+        shared: &SharedFlowTable,
+        f: impl FnOnce(&mut FlowTable) -> R,
+    ) -> (R, Vec<usize>) {
+        let before = generations(shared);
+        let result = shared.with_write(f);
+        (result, moved(&before, &generations(shared)))
+    }
+
+    #[test]
+    fn exact_changes_move_their_partition_and_wildcard_ones_every_partition() {
+        let shared = SharedFlowTable::new();
+        let every: Vec<usize> = (0..PARTITIONS).collect();
+        let pinned = own_partition(&key(7));
+        let actions = || vec![Action::ToPort(0), Action::ToService(svc(2))];
+        let (pin, moved) = moved_by(&shared, |t| {
+            t.insert(FlowRule::new(FlowMatch::exact(svc(1), &key(7)), actions()))
+        });
+        assert_eq!(moved, pinned, "exact insert");
+        let to_scrubber = Action::ToService(svc(2));
+        let change =
+            |t: &mut FlowTable| t.change_default(svc(1), &FlowMatch::any(), to_scrubber, false);
+        assert_eq!(
+            moved_by(&shared, change),
+            (1, pinned.clone()),
+            "exact rewrite"
+        );
+        let wildcard = FlowRule::new(FlowMatch::at_step(svc(3)), actions());
+        assert_eq!(
+            moved_by(&shared, |t| t.insert(wildcard)).1,
+            every,
+            "wildcard insert"
+        );
+        let skip = |t: &mut FlowTable| t.retarget_defaults(svc(2), &FlowMatch::any(), Action::Drop);
+        assert_eq!(
+            moved_by(&shared, skip),
+            (1, pinned.clone()),
+            "SkipMe rewrites the pin"
+        );
+        let request = |t: &mut FlowTable| t.promote_where_allowed(&FlowMatch::any(), to_scrubber);
+        assert_eq!(
+            moved_by(&shared, request),
+            (2, every),
+            "RequestMe rewrites both"
+        );
+        let remove = |t: &mut FlowTable| t.remove(pin).is_some();
+        assert_eq!(moved_by(&shared, remove), (true, pinned), "exact remove");
+    }
+
+    #[test]
+    fn a_write_that_changes_nothing_moves_nothing() {
+        let shared = SharedFlowTable::new();
+        let id = shared.insert(FlowRule::new(
+            FlowMatch::at_step(svc(1)),
+            vec![Action::ToPort(0)],
+        ));
+        let (before, g) = (generations(&shared), shared.generation());
+        shared.with_write(|_| ());
+        // A rejected ChangeDefault: the next hop is not an allowed edge.
+        let rejected =
+            shared.with_write(|t| t.change_default(svc(1), &FlowMatch::any(), Action::Drop, false));
+        assert_eq!(rejected, 0);
+        assert!(shared.remove(RuleId(id.0 + 1)).is_none());
+        assert!(shared.lookup(RulePort::Service(svc(1)), &key(1)).is_some());
+        assert_eq!(generations(&shared), before);
+        assert_eq!(shared.generation(), g);
+    }
+
+    #[test]
+    fn a_fork_starts_with_an_empty_record_and_its_own_partitions() {
+        let shared = SharedFlowTable::new();
+        shared.insert(FlowRule::new(
+            FlowMatch::at_step(RulePort::Nic(0)),
+            vec![Action::ToPort(1)],
+        ));
+        // A change made on the table itself is recorded, not yet published.
+        shared.inner.write().insert(FlowRule::new(
+            FlowMatch::exact(RulePort::Nic(0), &key(7)),
+            vec![Action::Drop],
+        ));
+        let source = generations(&shared);
+        let fork = shared.fork();
+        assert_eq!(fork.inner.read().touched, 0, "the record does not travel");
+        assert_eq!(generations(&fork), vec![0; PARTITIONS]);
+        assert_eq!(fork.len(), 2);
+        fork.insert(FlowRule::new(
+            FlowMatch::exact(RulePort::Nic(0), &key(8)),
+            vec![Action::Drop],
+        ));
+        assert_eq!(
+            moved(&[0; PARTITIONS], &generations(&fork)),
+            own_partition(&key(8))
+        );
+        assert_eq!(
+            generations(&shared),
+            source,
+            "the source's partitions are its own"
+        );
     }
 
     #[test]
