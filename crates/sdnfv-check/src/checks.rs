@@ -17,8 +17,9 @@
 
 use std::sync::Arc;
 
+use sdnfv_dataplane::LookupCache;
 use sdnfv_flowtable::table::GenerationCell;
-use sdnfv_flowtable::{Decision, FlowRule, RulePort, SharedFlowTable};
+use sdnfv_flowtable::{Action, Decision, FlowMatch, FlowRule, RulePort, SharedFlowTable};
 use sdnfv_ring::model::{self, CheckOpts};
 use sdnfv_ring::sync::{AtomicU64, Ordering};
 use sdnfv_ring::{spsc_ring, CreditGate, PacketPool, SharedPacket};
@@ -348,22 +349,35 @@ impl GenerationTable for CheckedTable {
     fn pin(&self, pin: FlowRule) {
         self.lock.try_with(|| self.table.insert(pin));
     }
+
+    fn promote(&self, action: Action) {
+        self.lock.try_with(|| {
+            self.table
+                .with_write(|t| t.promote_where_allowed(&FlowMatch::any(), action))
+        });
+    }
 }
 
 /// The table generation ↔ lookup cache protocol on the shipping
 /// `SharedFlowTable` (its partition generations on the recording atomics)
-/// and the worker's `LookupCache`: a writer pins one flow while the worker
-/// tags, looks up, fills and probes that flow. A probe that saw the bump
-/// never answers with the decision from before the pin, no stale decision
-/// outlives the pin, and a flow of another partition stays cached.
+/// and the worker's `LookupCache`: the first answer, which holds for every
+/// flow, fills the step's memo; then a writer pins one flow while the
+/// worker tags, looks up, fills and probes that flow. A probe that saw the
+/// bump never answers with the decision from before the pin, no stale
+/// decision outlives the pin, the memo no longer answers for the pinned
+/// flow but still does for a flow of another partition, and after a
+/// default change the memo gives the new default.
 pub fn table_generation(opts: CheckOpts) -> u64 {
     model::check("table_generation", opts, || {
         let table = SharedFlowTable::<ModelGeneration>::default();
         table.insert(mutants::forward_rule());
-        mutants::generation_rounds(Arc::new(CheckedTable {
-            lock: ModelLock::new(),
-            table,
-        }));
+        mutants::generation_rounds(
+            Arc::new(CheckedTable {
+                lock: ModelLock::new(),
+                table,
+            }),
+            LookupCache::new(8),
+        );
     })
 }
 

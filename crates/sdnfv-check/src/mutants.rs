@@ -6,9 +6,11 @@
 //! `Release` publish weakened to `Relaxed`, a weakened `Acquire` observe,
 //! an off-by-one in the ring's free-slot computation, a dropped credit
 //! release, torn (load-then-store) read-modify-writes, a descriptor
-//! re-arm that forgets to reset the verdict word, and a flow-table write
+//! re-arm that forgets to reset the verdict word, a flow-table write
 //! that publishes its generation before the change or to the wrong
-//! partition. The `None`
+//! partition, a table answer that claims to hold for every flow while the
+//! step has exact rules, and a step memo that keeps its first decision.
+//! The `None`
 //! variant of every knob is the faithful algorithm and must pass
 //! exhaustively; every other variant must produce a violation. The
 //! mutation self-tests in `tests/model_mutants.rs` assert both directions,
@@ -23,7 +25,10 @@ use std::net::Ipv4Addr;
 use std::sync::{Arc, Mutex};
 
 use sdnfv_dataplane::LookupCache;
-use sdnfv_flowtable::{Action, Decision, FlowMatch, FlowRule, FlowTable, RulePort};
+use sdnfv_flowtable::{
+    generation_partition, Action, Decision, FlowMatch, FlowRule, FlowTable, RulePort,
+    GENERATION_PARTITIONS,
+};
 use sdnfv_proto::flow::{FlowKey, IpProtocol};
 use sdnfv_ring::model::{self, CheckOpts, CheckReport};
 use sdnfv_ring::sync::{AtomicIsize, AtomicU32, AtomicU64, AtomicUsize, Ordering, Slot};
@@ -474,15 +479,59 @@ pub(crate) trait GenerationTable: Send + Sync + 'static {
     /// The writer: installs the exact rule `pin` and publishes it, under the
     /// table lock (nothing if the lock was busy).
     fn pin(&self, pin: FlowRule);
+    /// Makes `action` the default of every rule that allows it (a wildcard
+    /// change: every partition moves), under the table lock.
+    fn promote(&self, action: Action);
+}
+
+/// A lookup cache as the protocol sees it: the shipping `LookupCache`, or a
+/// seeded-bug copy of its step memo in [`memo_scenario`].
+pub(crate) trait GenerationCache: Send + 'static {
+    /// The lookup path for `key` at [`STEP`], tagged `generation` (read
+    /// before `table` runs); `table` gives the table's answer, `None` if it
+    /// has none or was busy. Returns the answer and whether a step memo
+    /// gave it.
+    fn lookup(
+        &mut self,
+        key: &FlowKey,
+        generation: u64,
+        table: impl FnOnce() -> Option<Decision>,
+    ) -> Option<(Decision, bool)>;
+
+    /// Cached answers kept per flow (a step memo is not one).
+    fn per_flow(&self) -> usize;
+}
+
+impl GenerationCache for LookupCache {
+    fn lookup(
+        &mut self,
+        key: &FlowKey,
+        generation: u64,
+        table: impl FnOnce() -> Option<Decision>,
+    ) -> Option<(Decision, bool)> {
+        let memo_hits = self.memo_hits();
+        let answer = self
+            .lookup_with(key.stable_hash(), key, STEP, generation, 0, 0, table)?
+            .clone();
+        Some((answer, self.memo_hits() > memo_hits))
+    }
+
+    fn per_flow(&self) -> usize {
+        self.len()
+    }
 }
 
 /// The step every lookup of the table-generation program is made at.
 const STEP: RulePort = RulePort::Nic(0);
 
 /// The rule every flow follows before the writer runs: the only rule a
-/// [`generation_rounds`] table starts with.
+/// [`generation_rounds`] table starts with. Its second action is the
+/// default the program's last step promotes.
 pub(crate) fn forward_rule() -> FlowRule {
-    FlowRule::new(FlowMatch::at_step(STEP), vec![Action::ToPort(1)])
+    FlowRule::new(
+        FlowMatch::at_step(STEP),
+        vec![Action::ToPort(1), Action::ToPort(3)],
+    )
 }
 
 fn flow(src_port: u16) -> FlowKey {
@@ -495,32 +544,33 @@ fn flow(src_port: u16) -> FlowKey {
     )
 }
 
-/// The table's generation partition of a flow hash: its top six bits.
-fn partition(hash: u64) -> usize {
-    (hash >> 58) as usize
-}
-
-/// The table-generation program, over a table holding [`forward_rule`]:
-/// the root caches flow K′'s decision; then a writer pins flow K (another
+/// The table-generation program, over a table holding [`forward_rule`] and
+/// an empty cache: the root looks up flow K′, whose answer holds for every
+/// flow and so fills the step's memo; then a writer pins flow K (another
 /// partition) while the worker runs the cached-lookup protocol for K — load
-/// K's generation as the tag, look K up under the lock, fill the cache,
-/// then probe again. A probe that saw the writer's bump must not answer
-/// with the decision from before the pin; once both are done, the cache may
-/// answer for K only what the table answers, and K′'s entry is still a hit.
-pub(crate) fn generation_rounds<T: GenerationTable>(table: Arc<T>) {
+/// K's generation as the tag, look K up under the lock, fill the cache, then
+/// probe again. A probe that saw the writer's bump must not answer with the
+/// decision from before the pin; once both are done, K is not answered from
+/// the memo and the cache may answer for K only what the table answers,
+/// while K′ still hits the memo. Last, the root changes the step's default:
+/// K′'s next answer must be the new one.
+pub(crate) fn generation_rounds<T: GenerationTable, C: GenerationCache>(table: Arc<T>, cache: C) {
     let pinned = flow(1);
     let other = (2..)
         .map(flow)
-        .find(|key| partition(key.stable_hash()) != partition(pinned.stable_hash()))
+        .find(|key| {
+            generation_partition(key.stable_hash()) != generation_partition(pinned.stable_hash())
+        })
         .expect("a flow in another partition");
-    let mut cache = LookupCache::new(8);
+    let mut cache = cache;
     let tag = table.generation_for(other.stable_hash());
-    let before = table
-        .lookup(STEP, &other)
-        .expect("nothing else runs yet")
+    let (before, _) = cache
+        .lookup(&other, tag, || {
+            table.lookup(STEP, &other).expect("nothing else runs yet")
+        })
         .expect("the forward rule matches");
+    assert_eq!(cache.per_flow(), 0, "the first fill went to the step memo");
     let stale = before.rule_id;
-    cache.put(&other, STEP, tag, 0, before);
     let untouched = table.generation_for(pinned.stable_hash());
     let writer = {
         let table = Arc::clone(&table);
@@ -536,11 +586,9 @@ pub(crate) fn generation_rounds<T: GenerationTable>(table: Arc<T>) {
         model::spawn(move || {
             let hash = pinned.stable_hash();
             let tag = table.generation_for(hash);
-            if let Some(Some(decision)) = table.lookup(STEP, &pinned) {
-                cache.put(&pinned, STEP, tag, 0, decision);
-            }
+            cache.lookup(&pinned, tag, || table.lookup(STEP, &pinned).flatten());
             let seen = table.generation_for(hash);
-            if let Some(answer) = cache.get(&pinned, STEP, seen, 0, 0) {
+            if let Some((answer, _)) = cache.lookup(&pinned, seen, || None) {
                 assert!(
                     seen == untouched || answer.rule_id != stale,
                     "a probe that saw the bump answered with the decision from before the pin"
@@ -557,16 +605,35 @@ pub(crate) fn generation_rounds<T: GenerationTable>(table: Arc<T>) {
         .expect("quiescent")
         .expect("a rule matches");
     let generation = table.generation_for(pinned.stable_hash());
-    if let Some(answer) = cache.get(&pinned, STEP, generation, 0, 0) {
+    if let Some((answer, from_memo)) = cache.lookup(&pinned, generation, || None) {
         assert_eq!(
             answer.rule_id, now.rule_id,
             "a stale decision outlived the pin"
         );
+        // (Unless the writer found the lock busy and never pinned.)
+        assert!(
+            !from_memo || now.rule_id == stale,
+            "the memo answered for the pinned flow"
+        );
     }
     let generation = table.generation_for(other.stable_hash());
-    assert!(
-        cache.get(&other, STEP, generation, 0, 0).is_some(),
-        "the pin invalidated another partition's entry"
+    let (_, from_memo) = cache
+        .lookup(&other, generation, || None)
+        .expect("the pin invalidated another partition's entry");
+    assert!(from_memo, "another partition's flow missed the memo");
+    // A default change moves every partition, and K′'s next answer is a
+    // new decision for every flow.
+    table.promote(Action::ToPort(3));
+    let generation = table.generation_for(other.stable_hash());
+    let (after, _) = cache
+        .lookup(&other, generation, || {
+            table.lookup(STEP, &other).expect("quiescent")
+        })
+        .expect("the forward rule matches");
+    assert_eq!(
+        after.default_action(),
+        Some(Action::ToPort(3)),
+        "the memo answered with the default from before the change"
     );
 }
 
@@ -582,6 +649,9 @@ pub enum TableBug {
     /// The pin is published to a partition that is not its key's: the
     /// pinned flow's stale entry is never invalidated.
     WrongPartition,
+    /// `Decision::any_flow` ignores the step's exact rules: the pinned
+    /// flow's answer is kept in the step memo, as if every flow had it.
+    AnyFlowIgnoresExact,
 }
 
 /// `SharedFlowTable`'s write and read paths restated over a plain
@@ -601,7 +671,9 @@ impl MiniTable {
         MiniTable {
             lock: ModelLock::new(),
             table: Mutex::new(table),
-            generations: (0..64).map(|_| AtomicU64::new(0)).collect(),
+            generations: (0..GENERATION_PARTITIONS)
+                .map(|_| AtomicU64::new(0))
+                .collect(),
             bug,
         }
     }
@@ -611,17 +683,26 @@ impl MiniTable {
     }
 
     fn bump(&self, hash: u64) {
-        self.generations[partition(hash)].fetch_add(1, Ordering::Release);
+        self.generations[generation_partition(hash)].fetch_add(1, Ordering::Release);
     }
 }
 
 impl GenerationTable for MiniTable {
     fn generation_for(&self, hash: u64) -> u64 {
-        self.generations[partition(hash)].load(Ordering::Acquire)
+        self.generations[generation_partition(hash)].load(Ordering::Acquire)
     }
 
     fn lookup(&self, step: RulePort, key: &FlowKey) -> Option<Option<Decision>> {
-        self.lock.try_with(|| self.table().lookup(step, key))
+        self.lock.try_with(|| {
+            let decision = self.table().lookup(step, key)?;
+            // Seeded bug: the table's one wildcard shape constrains no
+            // field, so without the exact rules every answer is any flow's.
+            let any_flow = decision.any_flow || self.bug == TableBug::AnyFlowIgnoresExact;
+            Some(Decision {
+                any_flow,
+                ..decision
+            })
+        })
     }
 
     fn pin(&self, pin: FlowRule) {
@@ -633,20 +714,116 @@ impl GenerationTable for MiniTable {
         self.lock.try_with(|| {
             self.table().insert(pin);
             match self.bug {
-                TableBug::None => self.bump(hash),
                 // Seeded bug: the neighbouring partition.
                 TableBug::WrongPartition => self.bump(hash ^ 1 << 58),
                 TableBug::BumpBeforeMutate => {}
+                TableBug::None | TableBug::AnyFlowIgnoresExact => self.bump(hash),
+            }
+        });
+    }
+
+    fn promote(&self, action: Action) {
+        self.lock.try_with(|| {
+            self.table()
+                .promote_where_allowed(&FlowMatch::any(), action);
+            for partition in 0..GENERATION_PARTITIONS {
+                self.generations[partition].fetch_add(1, Ordering::Release);
             }
         });
     }
 }
 
-/// Runs [`generation_rounds`] over [`MiniTable`] with the given seeded bug.
-/// `TableBug::None` must pass exhaustively; both seeded bugs must fail an
-/// assertion.
+/// Runs [`generation_rounds`] over [`MiniTable`] with the given seeded bug
+/// and the shipping `LookupCache`. `TableBug::None` must pass exhaustively;
+/// every seeded bug must fail an assertion.
 pub fn table_scenario(bug: TableBug, opts: CheckOpts) -> CheckReport {
     model::explore(opts, move || {
-        generation_rounds(Arc::new(MiniTable::new(bug)));
+        generation_rounds(Arc::new(MiniTable::new(bug)), LookupCache::new(8));
+    })
+}
+
+/// Which bug (if any) to seed into the miniature lookup cache's step memo.
+///
+/// Not seeded: a memo that keeps its tags when a new decision replaces its
+/// own. Every change of a step's any-flow answer moves all 64 partitions
+/// (the answer does not depend on the flow, so only a wildcard or default
+/// change can move it), so a tag taken before the change can never match
+/// again; that mutant is equivalent, and no check can catch it. Dropping
+/// the tags keeps the memo's invariant local: every tag vouches for the
+/// memo's own decision.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MemoBug {
+    /// Faithful: a different decision replaces the memo's and drops its
+    /// tags.
+    None,
+    /// The memo keeps the decision it was created with; a new answer only
+    /// re-tags it, so after a default change it answers with the old one.
+    KeepsDecision,
+}
+
+/// `LookupCache`'s lookup path for one step restated: the step memo (one
+/// decision, a tag per partition) checked first, then one entry per flow,
+/// then the table — with a seeded-bug knob on the memo.
+struct MiniCache {
+    memo: Option<(Decision, [u64; GENERATION_PARTITIONS])>,
+    flows: Vec<(FlowKey, u64, Decision)>,
+    bug: MemoBug,
+}
+
+impl GenerationCache for MiniCache {
+    fn lookup(
+        &mut self,
+        key: &FlowKey,
+        generation: u64,
+        table: impl FnOnce() -> Option<Decision>,
+    ) -> Option<(Decision, bool)> {
+        let partition = generation_partition(key.stable_hash());
+        if let Some((decision, tags)) = &self.memo {
+            if tags[partition] == generation {
+                return Some((decision.clone(), true));
+            }
+        }
+        if let Some((_, _, decision)) = self
+            .flows
+            .iter()
+            .find(|(flow, tag, _)| flow == key && *tag == generation)
+        {
+            return Some((decision.clone(), false));
+        }
+        let decision = table()?;
+        if decision.any_flow && !decision.timed {
+            let (held, tags) = self
+                .memo
+                .get_or_insert_with(|| (decision.clone(), [u64::MAX; GENERATION_PARTITIONS]));
+            if *held != decision && self.bug == MemoBug::None {
+                *held = decision.clone();
+                *tags = [u64::MAX; GENERATION_PARTITIONS];
+            }
+            tags[partition] = generation;
+            return Some((held.clone(), false));
+        }
+        self.flows.retain(|(flow, ..)| flow != key);
+        self.flows.push((*key, generation, decision.clone()));
+        Some((decision, false))
+    }
+
+    fn per_flow(&self) -> usize {
+        self.flows.len()
+    }
+}
+
+/// Runs [`generation_rounds`] over the faithful [`MiniTable`] and a
+/// [`MiniCache`] with the given seeded bug. `MemoBug::None` must pass
+/// exhaustively; the seeded bug must fail an assertion.
+pub fn memo_scenario(bug: MemoBug, opts: CheckOpts) -> CheckReport {
+    model::explore(opts, move || {
+        generation_rounds(
+            Arc::new(MiniTable::new(TableBug::None)),
+            MiniCache {
+                memo: None,
+                flows: Vec::new(),
+                bug,
+            },
+        );
     })
 }

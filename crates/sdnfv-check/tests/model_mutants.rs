@@ -6,7 +6,7 @@
 //! must pass exhaustively — that pins down that the detections below come
 //! from the seeded bug, not from a broken scenario.
 
-use sdnfv_check::mutants::{self, GateBug, HistBug, RingBug, TableBug, VerdictBug};
+use sdnfv_check::mutants::{self, GateBug, HistBug, MemoBug, RingBug, TableBug, VerdictBug};
 use sdnfv_ring::model::{CheckOpts, CheckReport, ViolationKind};
 
 fn opts() -> CheckOpts {
@@ -159,4 +159,29 @@ fn pin_published_to_the_wrong_partition_is_caught() {
     // decision outlives the pin.
     let report = mutants::table_scenario(TableBug::WrongPartition, opts());
     assert_caught(&report, &[ViolationKind::Panic], "WrongPartition");
+}
+
+#[test]
+fn any_flow_answer_despite_the_steps_exact_rules_is_caught() {
+    // The pinned flow's answer is kept in the step memo as if it held for
+    // every flow: the memo answers for the pinned flow, or drops the other
+    // partition's tag when the pin's decision replaces its own.
+    let report = mutants::table_scenario(TableBug::AnyFlowIgnoresExact, opts());
+    assert_caught(&report, &[ViolationKind::Panic], "AnyFlowIgnoresExact");
+}
+
+#[test]
+fn memo_that_keeps_its_first_decision_is_caught() {
+    // The unmutated mini-cache must pass, so the detection below comes from
+    // the seeded bug and not from the scenario.
+    let clean = mutants::memo_scenario(MemoBug::None, opts());
+    assert!(
+        clean.exhaustive_pass(),
+        "clean mini-cache must pass: {:?}",
+        clean.violation
+    );
+    // After the default change, the other partition's flow is re-tagged on
+    // the old decision and answered with the old default.
+    let report = mutants::memo_scenario(MemoBug::KeepsDecision, opts());
+    assert_caught(&report, &[ViolationKind::Panic], "KeepsDecision");
 }

@@ -22,6 +22,24 @@
 //! may be different partitions' generations, so neither can be judged dead
 //! by comparing them with the incoming flow's.)
 //!
+//! **One entry per step where the answer ignores the flow.** Most lookups
+//! land on a service graph's per-step default rules, whose answer is the
+//! same for every flow; the table says so ([`Decision::any_flow`]). The
+//! lookup path keeps such an answer, when its rule is permanent, in the
+//! step's *memo* — one decision and one tag per generation partition — not
+//! in a per-flow way, and checks the memo first: a flow whose partition's
+//! tag is that partition's current generation is answered from it, even a
+//! flow the cache has never seen. That is still one atomic load per lookup.
+//! Why it is sound: a flow's answer can move only by a wildcard or default
+//! change, which moves all 64 partitions, or by a change to the flow's own
+//! exact rule, which moves its partition. So while a partition stays at the
+//! generation read before the lookup that produced the memo's decision,
+//! that decision is every one of its flows' answer. A different decision
+//! replaces the memo's and drops every tag, since they vouched for the old
+//! one. A timed rule's decision never enters a memo: its timer can change
+//! the answer with no generation moving. The public [`LookupCache::put`] /
+//! [`LookupCache::get`] pair is per-flow only and never touches a memo.
+//!
 //! **Expiry only where a timer exists.** A rule with an idle timeout, served
 //! forever from the cache, would never touch the table and would idle out
 //! despite carrying traffic; one with a hard timeout would outlive it. So
@@ -32,7 +50,9 @@
 //! to refresh: its decision is served until its partition's generation
 //! moves. A TTL of zero disables expiry for every entry.
 
-use sdnfv_flowtable::{Decision, RulePort, SharedFlowTable};
+use sdnfv_flowtable::{
+    generation_partition, Decision, RulePort, SharedFlowTable, GENERATION_PARTITIONS,
+};
 use sdnfv_proto::flow::FlowKey;
 
 /// Slots in each engine's [`LookupCache`] (one per `NfManager`, one per
@@ -64,7 +84,7 @@ pub fn cached_lookup(
 
 /// [`cached_lookup`] for a caller that already holds `key.stable_hash()`
 /// (the shard worker: the hash rides the packet from admission). Answers
-/// with a borrow of the slot that hit or was just filled.
+/// with a borrow of the memo or slot that hit or was just filled.
 pub(crate) fn cached_lookup_hashed<'c>(
     table: &SharedFlowTable,
     cache: &'c mut LookupCache,
@@ -75,15 +95,9 @@ pub(crate) fn cached_lookup_hashed<'c>(
     ttl_ns: u64,
 ) -> Option<&'c Decision> {
     let generation = table.generation_for(hash);
-    let index = match cache.probe(hash, key, step, generation, now_ns, ttl_ns) {
-        Ok(hit) => hit,
-        Err(missed) => {
-            let decision = table.lookup(step, key)?;
-            cache.fill(missed, key, step, generation, now_ns, decision);
-            missed
-        }
-    };
-    cache.decision_at(index)
+    cache.lookup_with(hash, key, step, generation, now_ns, ttl_ns, || {
+        table.lookup(step, key)
+    })
 }
 
 /// One way of a set: the flow and step it answers for, the generation of
@@ -107,11 +121,25 @@ impl CacheSlot {
     }
 }
 
+/// A memo tag no partition generation equals.
+const UNSEEN: u64 = u64::MAX;
+
+/// A step's answer for every flow: a permanent [`Decision::any_flow`]
+/// decision, and per generation partition the generation at which it was
+/// the table's answer for a flow of that partition ([`UNSEEN`] if none).
+#[derive(Debug)]
+struct StepMemo {
+    step: RulePort,
+    decision: Decision,
+    tags: [u64; GENERATION_PARTITIONS],
+}
+
 /// Ways per set.
 const WAYS: usize = 2;
 
 /// A two-way set-associative, generation-checked cache of flow-table
-/// decisions, with a TTL on the decisions of rules that can expire.
+/// decisions, with a TTL on the decisions of rules that can expire, and one
+/// memo per step for the answers that hold for every flow.
 #[derive(Debug)]
 pub struct LookupCache {
     /// The ways, a set's side by side: set `s` is `slots[2s..2s + 2]` (an
@@ -120,14 +148,18 @@ pub struct LookupCache {
     /// Per set, which of its ways hit or was filled last; the other one is
     /// the way a fill may take over.
     recent: Box<[u8]>,
+    /// At most one per step the lookup path has memoized an answer for.
+    memos: Vec<StepMemo>,
     /// Occupied slots.
     live: usize,
     hits: u64,
+    memo_hits: u64,
     misses: u64,
 }
 
 impl LookupCache {
-    /// Creates a cache of `capacity` slots (it never holds more decisions).
+    /// Creates a cache of `capacity` slots (it never holds more per-flow
+    /// decisions).
     ///
     /// # Panics
     ///
@@ -137,8 +169,10 @@ impl LookupCache {
         LookupCache {
             slots: (0..capacity).map(|_| None).collect(),
             recent: vec![0; capacity.div_ceil(WAYS)].into(),
+            memos: Vec::new(),
             live: 0,
             hits: 0,
+            memo_hits: 0,
             misses: 0,
         }
     }
@@ -165,16 +199,99 @@ impl LookupCache {
         LookupCache {
             slots: Box::default(),
             recent: Box::default(),
+            memos: Vec::new(),
             live: 0,
             hits: 0,
+            memo_hits: 0,
             misses: 0,
         }
+    }
+
+    /// The lookup path: answers `(key, step)` from the step's memo, else
+    /// from the flow's own way, else asks `table` for the flow table's
+    /// answer and keeps it — in the step's memo if it holds for every flow
+    /// and its rule is permanent, in a way of the flow's set otherwise.
+    /// `hash` is `key.stable_hash()`; `generation` is the flow's partition
+    /// generation ([`SharedFlowTable::generation_for`]), read *before*
+    /// `table` runs, so a change that lands in between leaves the fill
+    /// tagged with a generation that is already gone. A timed rule's way
+    /// answers for `ttl_ns` after its fill at `now_ns` (`0` = no expiry).
+    /// `None` if the cache missed and `table` has no answer.
+    #[allow(clippy::too_many_arguments)]
+    pub fn lookup_with(
+        &mut self,
+        hash: u64,
+        key: &FlowKey,
+        step: RulePort,
+        generation: u64,
+        now_ns: u64,
+        ttl_ns: u64,
+        table: impl FnOnce() -> Option<Decision>,
+    ) -> Option<&Decision> {
+        if let Some(memo) = self.probe_memo(hash, step, generation) {
+            return Some(&self.memos[memo].decision);
+        }
+        let way = match self.probe(hash, key, step, generation, now_ns, ttl_ns) {
+            Ok(hit) => hit,
+            Err(missed) => {
+                let decision = table()?;
+                if decision.any_flow && !decision.timed {
+                    let memo = self.memoize(hash, step, generation, decision);
+                    return Some(&self.memos[memo].decision);
+                }
+                self.fill(missed, key, step, generation, now_ns, decision);
+                missed
+            }
+        };
+        self.decision_at(way)
+    }
+
+    /// The memo of `step`, if it answers for `hash`'s partition at
+    /// `generation` (counted as a hit).
+    #[inline]
+    fn probe_memo(&mut self, hash: u64, step: RulePort, generation: u64) -> Option<usize> {
+        let partition = generation_partition(hash);
+        let memo = self
+            .memos
+            .iter()
+            .position(|memo| memo.step == step && memo.tags[partition] == generation)?;
+        self.hits += 1;
+        self.memo_hits += 1;
+        Some(memo)
+    }
+
+    /// Keeps `decision`, the table's answer for every flow at `step`, as
+    /// seen at `generation` by a flow of `hash`'s partition, and returns
+    /// its memo. A decision other than the memo's replaces it and drops
+    /// every tag: they vouched for the old one.
+    fn memoize(&mut self, hash: u64, step: RulePort, generation: u64, decision: Decision) -> usize {
+        let memo = match self.memos.iter().position(|memo| memo.step == step) {
+            Some(memo) => {
+                let held = &mut self.memos[memo];
+                if held.decision != decision {
+                    held.decision = decision;
+                    held.tags = [UNSEEN; GENERATION_PARTITIONS];
+                }
+                memo
+            }
+            None => {
+                self.memos.push(StepMemo {
+                    step,
+                    decision,
+                    tags: [UNSEEN; GENERATION_PARTITIONS],
+                });
+                self.memos.len() - 1
+            }
+        };
+        self.memos[memo].tags[generation_partition(hash)] = generation;
+        memo
     }
 
     /// Looks up a cached decision for `(key, step)` valid at `generation`
     /// (the flow's partition generation,
     /// [`SharedFlowTable::generation_for`]) and, if its rule can expire, no
-    /// older than `ttl_ns` at `now_ns` (`ttl_ns == 0` = no expiry).
+    /// older than `ttl_ns` at `now_ns` (`ttl_ns == 0` = no expiry). Per-flow
+    /// entries only: a step memo never answers here.
     pub fn get(
         &mut self,
         key: &FlowKey,
@@ -325,19 +442,24 @@ impl LookupCache {
         });
     }
 
-    /// Number of cached entries.
+    /// Number of per-flow entries (step memos are not counted).
     pub fn len(&self) -> usize {
         self.live
     }
 
-    /// Returns `true` if the cache is empty.
+    /// Returns `true` if the cache holds no per-flow entry.
     pub fn is_empty(&self) -> bool {
         self.live == 0
     }
 
-    /// Cache hits so far.
+    /// Cache hits so far, step memos' included.
     pub fn hits(&self) -> u64 {
         self.hits
+    }
+
+    /// Of [`LookupCache::hits`], those a step memo answered.
+    pub fn memo_hits(&self) -> u64 {
+        self.memo_hits
     }
 
     /// Cache misses so far.
@@ -370,6 +492,7 @@ mod tests {
             parallel: false,
             trace: false,
             timed: false,
+            any_flow: false,
         }
     }
 
@@ -446,38 +569,167 @@ mod tests {
         assert_eq!(table.stats().lookups, before);
     }
 
-    #[test]
-    fn a_pin_invalidates_its_own_flow_not_another_partitions() {
+    /// Ports of two flows in one generation partition and one of a third
+    /// flow in another: `(a, b, c)`.
+    fn partition_mates() -> (u16, u16, u16) {
+        let partition = |port: u16| generation_partition(key(port).stable_hash());
+        let mate = (2..).find(|&port| partition(port) == partition(1)).unwrap();
+        let other = (2..).find(|&port| partition(port) != partition(1)).unwrap();
+        (1, mate, other)
+    }
+
+    /// A table with one permanent default rule, at `step`.
+    fn forwarding_table(step: RulePort) -> SharedFlowTable {
         let table = SharedFlowTable::new();
-        let step = RulePort::Nic(0);
         table.insert(FlowRule::new(
             FlowMatch::at_step(step),
             vec![Action::ToPort(1)],
         ));
-        // Generation partitions are the top six bits of the flow hash.
-        let partition = |port| key(port).stable_hash() >> 58;
-        let pinned = 1;
-        let other = (2..)
-            .find(|&port| partition(port) != partition(pinned))
-            .unwrap();
+        table
+    }
+
+    /// A cached lookup of flow `port`: the rule it answers with, and the
+    /// table lookups and memo hits it took.
+    fn counted(
+        table: &SharedFlowTable,
+        cache: &mut LookupCache,
+        step: RulePort,
+        port: u16,
+    ) -> (Option<RuleId>, u64, u64) {
+        let (lookups, memo_hits) = (table.stats().lookups, cache.memo_hits());
+        let decision = cached_lookup(table, cache, true, step, &key(port), 0, 0);
+        (
+            decision.map(|d| d.rule_id),
+            table.stats().lookups - lookups,
+            cache.memo_hits() - memo_hits,
+        )
+    }
+
+    #[test]
+    fn a_memo_answers_unseen_flows_of_a_tagged_partition_only() {
+        let step = RulePort::Nic(0);
+        let table = forwarding_table(step);
         let mut cache = LookupCache::new(64);
-        let mut lookup = |port| {
-            let before = table.stats().lookups;
-            let decision = cached_lookup(&table, &mut cache, true, step, &key(port), 0, 0);
-            (decision.unwrap().rule_id, table.stats().lookups - before)
-        };
-        let wildcard = lookup(pinned).0;
-        assert_eq!(lookup(other), (wildcard, 1));
+        let (a, mate, other) = partition_mates();
+        let (forward, ..) = counted(&table, &mut cache, step, a);
+        assert!(cache.is_empty(), "the answer went to the step's memo");
+        assert_eq!(
+            counted(&table, &mut cache, step, mate),
+            (forward, 0, 1),
+            "a flow never seen, in the tagged partition"
+        );
+        assert_eq!(
+            counted(&table, &mut cache, step, other),
+            (forward, 1, 0),
+            "an untagged partition asks the table"
+        );
+        assert_eq!(counted(&table, &mut cache, step, other), (forward, 0, 1));
+        assert!(cache.is_empty());
+    }
+
+    #[test]
+    fn a_pin_invalidates_its_own_flow_not_another_partitions() {
+        let step = RulePort::Nic(0);
+        let table = forwarding_table(step);
+        let mut cache = LookupCache::new(64);
+        let (pinned, mate, other) = partition_mates();
+        let (wildcard, ..) = counted(&table, &mut cache, step, pinned);
+        assert_eq!(counted(&table, &mut cache, step, other), (wildcard, 1, 0));
         let pin = table.insert(FlowRule::new(
             FlowMatch::exact(step, &key(pinned)),
             vec![Action::ToPort(2)],
         ));
         assert_eq!(
-            lookup(other),
-            (wildcard, 0),
-            "another partition's entry hits"
+            counted(&table, &mut cache, step, other),
+            (wildcard, 0, 1),
+            "another partition's memo tag holds"
         );
-        assert_eq!(lookup(pinned), (pin, 1), "the pinned flow's entry misses");
+        assert_eq!(
+            counted(&table, &mut cache, step, pinned),
+            (Some(pin), 1, 0),
+            "the pinned flow misses"
+        );
+        // So does its partition mate; while the step has an exact rule,
+        // its answers are kept per flow.
+        assert_eq!(counted(&table, &mut cache, step, mate), (wildcard, 1, 0));
+        assert_eq!(counted(&table, &mut cache, step, mate), (wildcard, 0, 0));
+        assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    fn a_timed_answer_for_every_flow_goes_to_a_per_flow_way() {
+        let step = RulePort::Nic(0);
+        let table = SharedFlowTable::new();
+        table.insert(
+            FlowRule::new(FlowMatch::at_step(step), vec![Action::ToPort(1)])
+                .with_idle_timeout_ns(Some(1_000_000)),
+        );
+        let mut cache = LookupCache::new(8);
+        let decision = cached_lookup(&table, &mut cache, true, step, &key(1), 0, 0).unwrap();
+        assert!(decision.any_flow && decision.timed);
+        assert!(cache.memos.is_empty());
+        assert_eq!(cache.len(), 1);
+        assert_eq!(
+            counted(&table, &mut cache, step, 2),
+            (Some(decision.rule_id), 1, 0)
+        );
+    }
+
+    #[test]
+    fn put_never_fills_a_memo() {
+        let step = RulePort::Nic(0);
+        let mut cache = LookupCache::new(8);
+        let every_flow = Decision {
+            any_flow: true,
+            ..decision(5)
+        };
+        cache.put(&key(1), step, 0, 0, every_flow);
+        assert!(cache.memos.is_empty());
+        assert_eq!(cache.len(), 1);
+        assert!(cache.get(&key(2), step, 0, 0, 0).is_none());
+    }
+
+    #[test]
+    fn one_memo_per_step_and_a_new_answer_drops_its_tags() {
+        let table = SharedFlowTable::new();
+        let steps = [1, 2, 3].map(|id| RulePort::Service(ServiceId::new(id)));
+        for step in steps {
+            table.insert(FlowRule::new(
+                FlowMatch::at_step(step),
+                vec![Action::ToPort(1), Action::ToPort(2)],
+            ));
+        }
+        let mut cache = LookupCache::new(8);
+        for port in 0..200 {
+            for step in steps {
+                cached_lookup(&table, &mut cache, true, step, &key(port), 0, 0);
+            }
+        }
+        assert_eq!(cache.memos.len(), steps.len());
+        let tagged = |cache: &LookupCache| {
+            cache.memos[0]
+                .tags
+                .iter()
+                .filter(|&&tag| tag != UNSEEN)
+                .count()
+        };
+        assert!(tagged(&cache) > 1);
+        // A default change moves every partition; the next answer at the
+        // step is a different decision, which keeps only its own tag.
+        let changed = table.with_write(|t| {
+            t.change_default(
+                ServiceId::new(1),
+                &FlowMatch::any(),
+                Action::ToPort(2),
+                false,
+            )
+        });
+        assert_eq!(changed, 1);
+        let answer = cached_lookup(&table, &mut cache, true, steps[0], &key(0), 0, 0);
+        assert_eq!(answer.unwrap().default_action(), Some(Action::ToPort(2)));
+        assert_eq!(cache.memos.len(), steps.len());
+        assert_eq!(tagged(&cache), 1);
+        assert!(cache.is_empty());
     }
 
     #[test]

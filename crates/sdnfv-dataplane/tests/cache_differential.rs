@@ -83,6 +83,8 @@ fn a_hit_is_the_last_decision_put_for_that_flow_and_step() {
                     parallel: false,
                     trace: false,
                     timed: rng.below(2) == 0,
+                    // A put is per flow whatever the decision says.
+                    any_flow: op % 2 == 0,
                 };
                 cache.put(&key, step, generation, now_ns, decision.clone());
                 gets += 1;

@@ -16,11 +16,26 @@
 //! cache TTL, the fall-through that exists for timed rules. A write that
 //! changed nothing — a rejected message, a clock move, removing a rule that
 //! is gone — must move no generation.
+//!
+//! Answers that hold for every flow (`Decision::any_flow`) are kept once
+//! per step, in a memo tagged per partition, so the schedule also makes
+//! steps gain and lose their last exact rule, and puts a key-dependent
+//! shape above a step's other rules and takes it away again; answers the
+//! memos served are counted and must be common. At this writing the test
+//! catches an `any_flow` that ignores the step's exact rules (seed 0 op
+//! 258: a flow pinned at ingress is answered with the step's default from
+//! the memo) and a memo that keeps its first decision (seed 0 op 8: after
+//! a default change at a service step the memo answers with the old action
+//! list). A memo that keeps its tags when a new decision replaces its own
+//! passes all 256 seeds, as it must: every change of a step's any-flow
+//! answer moves all 64 partitions, so no kept tag can match again.
 
 use sdnfv_dataplane::cache::cached_lookup;
 use sdnfv_dataplane::messages::{apply_nf_message_tracked_with, PinTimeouts};
 use sdnfv_dataplane::{AppliedChange, LookupCache};
-use sdnfv_flowtable::{Action, FlowMatch, FlowRule, RuleId, RulePort, ServiceId, SharedFlowTable};
+use sdnfv_flowtable::{
+    generation_partition, Action, FlowMatch, FlowRule, RuleId, RulePort, ServiceId, SharedFlowTable,
+};
 use sdnfv_nf::NfMessage;
 use sdnfv_proto::flow::{FlowKey, IpProtocol};
 use std::collections::HashMap;
@@ -67,11 +82,13 @@ fn flow(src_port: u16) -> FlowKey {
 /// Eight flows, two in each of four generation partitions (the top six
 /// bits of the flow hash).
 fn flows() -> Vec<FlowKey> {
-    let mut by_partition: HashMap<u64, Vec<FlowKey>> = HashMap::new();
+    let mut by_partition: HashMap<usize, Vec<FlowKey>> = HashMap::new();
     let mut picked: Vec<FlowKey> = Vec::new();
     for port in 1000.. {
         let key = flow(port);
-        let mates = by_partition.entry(key.stable_hash() >> 58).or_default();
+        let mates = by_partition
+            .entry(generation_partition(key.stable_hash()))
+            .or_default();
         mates.push(key);
         if mates.len() == 2 {
             picked.extend(mates.iter().copied());
@@ -158,6 +175,7 @@ impl Installed {
 fn every_cached_answer_is_the_tables_answer_at_that_instant() {
     let keys = flows();
     let (mut checked, mut hits, mut scoped_hits, mut silent_writes) = (0u64, 0u64, 0u64, 0u64);
+    let mut memo_answers = 0u64;
     for seed in 0..SEEDS {
         let mut rng = SplitMix64(seed);
         let table = SharedFlowTable::new();
@@ -180,6 +198,8 @@ fn every_cached_answer_is_the_tables_answer_at_that_instant() {
         let capacity = 1 + rng.below(32) as usize;
         let mut cache = LookupCache::new(capacity);
         let mut installed = Installed::default();
+        // Per step, the key-dependent shape above its other rules, if up.
+        let mut guards: HashMap<RulePort, RuleId> = HashMap::new();
         let mut now_ns = 0u64;
         // `generation()` — the sum over partitions — when each entry was filled.
         let mut filled_at: HashMap<(FlowKey, RulePort), u64> = HashMap::new();
@@ -202,16 +222,18 @@ fn every_cached_answer_is_the_tables_answer_at_that_instant() {
             // Mostly lookups and per-flow changes: a bulk or wildcard change
             // flushes every partition, and the hits in between are what
             // scoping could get wrong.
-            match rng.below(80) {
+            match rng.below(84) {
                 0..=55 => {
                     let reference = table.with_read(|t| t.clone().lookup(step, &key));
-                    let hits_before = cache.hits();
+                    let (hits_before, memo_before) = (cache.hits(), cache.memo_hits());
                     let got = cached_lookup(&table, &mut cache, true, step, &key, now_ns, TTL_NS);
                     if cache.hits() > hits_before {
                         hits += 1;
-                        // Some partition moved since the fill: a hit the
-                        // one-generation table would have flushed.
-                        if filled_at.get(&(key, step)) != Some(&table.generation()) {
+                        if cache.memo_hits() > memo_before {
+                            memo_answers += 1;
+                        } else if filled_at.get(&(key, step)) != Some(&table.generation()) {
+                            // Some partition moved since the fill: a hit
+                            // the one-generation table would have flushed.
                             scoped_hits += 1;
                         }
                     } else {
@@ -311,21 +333,51 @@ fn every_cached_answer_is_the_tables_answer_at_that_instant() {
                         true
                     });
                 }
-                _ => {
+                78..=79 => {
                     let max = 1 + rng.below(3) as usize;
                     table.sweep_expired(now_ns, max, |_| false);
+                }
+                80..=81 => {
+                    // The step loses its last exact rule: its answers can
+                    // hold for every flow again.
+                    let pins: Vec<RuleId> = table.with_read(|t| {
+                        t.exact_rules()
+                            .filter(|&(_, (at, _), _)| at == step)
+                            .map(|(id, ..)| id)
+                            .collect()
+                    });
+                    for id in pins {
+                        table.remove(id);
+                    }
+                }
+                _ => {
+                    // A shape that looks at the source port, above every
+                    // other rule of the step, comes or goes: while it is
+                    // there, no answer at the step holds for every flow.
+                    match guards.remove(&step) {
+                        Some(id) => {
+                            table.remove(id);
+                        }
+                        None => {
+                            let matcher = FlowMatch::at_step(step).with_src_port(key.src_port);
+                            let rule = FlowRule::new(matcher, actions(&mut rng)).with_priority(5);
+                            guards.insert(step, table.insert(rule));
+                        }
+                    }
                 }
             }
         }
     }
-    // Dense enough that hits are what gets checked — above all hits across
-    // a change in another partition, the answers scoping could get wrong —
-    // and that silent writes are common.
-    // (At this writing: 18 335 hits of 89 394 lookups, 8 883 of them across
-    // another partition's change, and 16 619 silent writes.)
+    // Dense enough that hits are what gets checked — above all the memos'
+    // answers and per-flow hits across a change in another partition, the
+    // answers scoping could get wrong — and that silent writes are common.
+    // (At this writing: 16 857 hits of 85 346 lookups, 4 328 of them from a
+    // memo and 5 417 per-flow across another partition's change, and
+    // 15 861 silent writes.)
     assert!(
-        hits > 40 * SEEDS && scoped_hits > 20 * SEEDS,
-        "{hits} hits ({scoped_hits} across another partition's change) of {checked} lookups"
+        hits > 40 * SEEDS && scoped_hits > 15 * SEEDS && memo_answers > 10 * SEEDS,
+        "{hits} hits ({memo_answers} from a memo, {scoped_hits} per-flow across another \
+         partition's change) of {checked} lookups"
     );
     assert!(silent_writes > 40 * SEEDS, "{silent_writes} silent writes");
 }

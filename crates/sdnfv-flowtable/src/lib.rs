@@ -33,5 +33,8 @@ pub use matching::{FlowMatch, IpPrefix};
 pub use partition::{BucketStateBundle, BucketStateMoved, FlowTablePartitions};
 pub use provenance::{MutationLog, MutationRecord, WildcardMutation};
 pub use rule::{Action, Decision, FlowRule, RuleId};
-pub use table::{EvictReason, EvictedRule, FlowTable, SharedFlowTable, TableStats};
+pub use table::{
+    generation_partition, EvictReason, EvictedRule, FlowTable, SharedFlowTable, TableStats,
+    GENERATION_PARTITIONS,
+};
 pub use types::{RulePort, ServiceId};

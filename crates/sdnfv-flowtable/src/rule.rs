@@ -171,6 +171,11 @@ pub struct Decision {
     /// to meet the hard cutoff; a permanent rule's decision is good until
     /// the table changes.
     pub timed: bool,
+    /// Whether the answer did not depend on the flow: no exact rule names
+    /// the step, and no wildcard shape the lookup probed constrains a field
+    /// (see [`FlowTable`](crate::FlowTable)'s module docs). Until the table
+    /// changes, every flow gets this decision at this step.
+    pub any_flow: bool,
 }
 
 impl Decision {
@@ -250,6 +255,7 @@ mod tests {
             parallel: false,
             trace: false,
             timed: false,
+            any_flow: false,
         };
         assert_eq!(d.default_action(), Some(Action::Drop));
         assert!(d.allows(Action::ToPort(1)));

@@ -59,6 +59,17 @@
 //! [`SharedFlowTable`] publishes exactly those partitions, so a pin moves
 //! one sixty-fourth of the lookup caches' entries, not all of them, and a
 //! write that changed nothing moves none.
+//!
+//! What an answer promises about other flows: a lookup raises
+//! [`Decision::any_flow`] when its answer could not have depended on the
+//! flow — no exact rule names the step (the table counts them per step, and
+//! skips the exact-index probe at a step that has none) and no shape bucket
+//! it probed constrains a field. A shape the priority early exit skipped
+//! cannot win for any key, so it does not count. Every flow then gets the
+//! same decision at that step until a wildcard change, which moves all 64
+//! partitions, or an exact change for the step, which moves the partition
+//! of the one key whose answer it can move. So a cache may keep such an
+//! answer once per step, tagged per partition.
 
 use parking_lot::RwLock;
 use std::cmp::Reverse;
@@ -268,6 +279,14 @@ impl MaskShape {
         }
     }
 
+    /// Whether every key projects onto this shape alike: no port, no
+    /// protocol, no address prefix longer than `/0`.
+    fn ignores_key(&self) -> bool {
+        self.src_len.unwrap_or(0) == 0
+            && self.dst_len.unwrap_or(0) == 0
+            && !(self.has_src_port || self.has_dst_port || self.has_protocol)
+    }
+
     /// Projects a packet's key onto this shape: the resulting tuple equals
     /// a rule's masked tuple iff the rule's 5-tuple fields match the packet.
     fn project(&self, key: &FlowKey) -> MaskedTuple {
@@ -318,6 +337,11 @@ impl ShapeBucket {
 #[derive(Debug, Clone)]
 struct TupleSpace {
     shapes: Vec<ShapeBucket>,
+    /// How many exact rules (which live in the exact index) name this
+    /// space's step; always 0 in the step-less space. A lookup at a step
+    /// with none skips the exact-index probe, and its answer cannot depend
+    /// on the flow unless a probed shape does.
+    exact_rules: usize,
     next_seq: u64,
     /// The owning table's hash key, handed to every bucket's map.
     hash_key: TableHashKey,
@@ -327,9 +351,15 @@ impl TupleSpace {
     fn new(hash_key: TableHashKey) -> Self {
         TupleSpace {
             shapes: Vec::new(),
+            exact_rules: 0,
             next_seq: 0,
             hash_key,
         }
+    }
+
+    /// Whether no rule, exact or wildcard, names the space's step.
+    fn is_unused(&self) -> bool {
+        self.shapes.is_empty() && self.exact_rules == 0
     }
 
     fn insert(&mut self, id: RuleId, slot: Slot, rule: &FlowRule) {
@@ -400,8 +430,9 @@ impl TupleSpace {
 /// Index of a rule's entry in the [`FlowTable`] slab.
 type Slot = u32;
 
-/// Partitions of the flow-key space with a generation of their own.
-const PARTITIONS: usize = 64;
+/// Partitions of the flow-key space with a generation of their own
+/// ([`SharedFlowTable::generation_for`]).
+pub const GENERATION_PARTITIONS: usize = 64;
 
 /// A set of generation partitions, one bit each.
 type Partitions = u64;
@@ -412,15 +443,15 @@ const EVERY_PARTITION: Partitions = Partitions::MAX;
 /// The generation partition of a flow whose `stable_hash()` is `hash`: its
 /// top six bits (shard steering takes the hash modulo, the lookup cache
 /// mixes it, so neither lines up with these).
-fn partition_of(hash: u64) -> usize {
-    (hash >> (u64::BITS - PARTITIONS.trailing_zeros())) as usize
+pub fn generation_partition(hash: u64) -> usize {
+    (hash >> (u64::BITS - GENERATION_PARTITIONS.trailing_zeros())) as usize
 }
 
 /// The partitions whose answers a change to `rule` can move: an exact rule
 /// matches its own key only, anything else may match every key.
 fn scope(rule: &FlowRule) -> Partitions {
     match rule.matcher.exact_key() {
-        Some((_, key)) => 1 << partition_of(key.stable_hash()),
+        Some((_, key)) => 1 << generation_partition(key.stable_hash()),
         None => EVERY_PARTITION,
     }
 }
@@ -446,6 +477,8 @@ pub struct FlowTable {
     /// The wildcard rules that name a step — every compiled graph rule and
     /// every NF-installed one — each in its step's own tuple space, so a
     /// lookup never probes a shape that only holds another step's rules.
+    /// A step's space also counts its exact rules, and exists while any
+    /// rule names the step.
     stepped: HashMap<RulePort, TupleSpace, TableHashKey>,
     /// The wildcard rules with `step: None`, probed at every step.
     any_step: TupleSpace,
@@ -476,6 +509,8 @@ struct Probe {
     expired: Vec<(Slot, EvictReason)>,
     /// Shape buckets probed.
     shape_probes: u64,
+    /// Whether the answer holds for every flow ([`Decision::any_flow`]).
+    any_flow: bool,
 }
 
 impl Default for FlowTable {
@@ -540,6 +575,14 @@ impl FlowTable {
         std::mem::take(&mut self.touched)
     }
 
+    /// `step`'s tuple space, created empty if no rule named the step yet.
+    fn space_of(&mut self, step: RulePort) -> &mut TupleSpace {
+        let hash_key = self.any_step.hash_key;
+        self.stepped
+            .entry(step)
+            .or_insert_with(|| TupleSpace::new(hash_key))
+    }
+
     /// Installs a rule and returns its id.
     ///
     /// Exact rules go to the exact index only and wildcard rules to their
@@ -556,19 +599,18 @@ impl FlowTable {
             Slot::try_from(self.slots.len() - 1).expect("fewer than 2^32 rules")
         });
         if let Some(step_key) = entry.rule.matcher.exact_key() {
-            if let Some(old) = self.exact.insert(step_key, slot) {
+            match self.exact.insert(step_key, slot) {
                 // The old rule would be unreachable (exact rules are only
                 // found through the index); drop it rather than leak it.
-                self.release(old);
+                // The step keeps its count: one rule replaced another.
+                Some(old) => {
+                    self.release(old);
+                }
+                None => self.space_of(step_key.0).exact_rules += 1,
             }
         } else {
             let space = match entry.rule.matcher.step {
-                Some(step) => {
-                    let hash_key = self.any_step.hash_key;
-                    self.stepped
-                        .entry(step)
-                        .or_insert_with(|| TupleSpace::new(hash_key))
-                }
+                Some(step) => self.space_of(step),
                 None => &mut self.any_step,
             };
             space.insert(id, slot, &entry.rule);
@@ -593,24 +635,25 @@ impl FlowTable {
     fn unlink(&mut self, slot: Slot) -> (RuleEntry, Option<(RulePort, FlowKey)>) {
         let entry = self.release(slot);
         let exact = entry.rule.matcher.exact_key();
-        match exact {
-            Some(step_key) => {
-                // A replaced exact rule is released on the spot, so the
-                // index always names the one live rule of its key.
-                let indexed = self.exact.remove(&step_key);
-                debug_assert_eq!(indexed, Some(slot));
-            }
-            None => match entry.rule.matcher.step {
-                Some(step) => {
-                    if let Some(space) = self.stepped.get_mut(&step) {
-                        space.remove(slot, &entry.rule);
-                        if space.shapes.is_empty() {
-                            self.stepped.remove(&step);
-                        }
+        if let Some(step_key) = exact {
+            // A replaced exact rule is released on the spot, so the index
+            // always names the one live rule of its key.
+            let indexed = self.exact.remove(&step_key);
+            debug_assert_eq!(indexed, Some(slot));
+        }
+        match entry.rule.matcher.step {
+            Some(step) => {
+                if let Some(space) = self.stepped.get_mut(&step) {
+                    match exact {
+                        Some(_) => space.exact_rules -= 1,
+                        None => space.remove(slot, &entry.rule),
+                    }
+                    if space.is_unused() {
+                        self.stepped.remove(&step);
                     }
                 }
-                None => self.any_step.remove(slot, &entry.rule),
-            },
+            }
+            None => self.any_step.remove(slot, &entry.rule),
         }
         (entry, exact)
     }
@@ -655,6 +698,7 @@ impl FlowTable {
             winner,
             expired,
             shape_probes,
+            any_flow,
         } = self.probe(step, key);
         self.stats.shape_probes += shape_probes;
         if !expired.is_empty() {
@@ -680,6 +724,7 @@ impl FlowTable {
             parallel: entry.rule.parallel,
             trace: entry.trace,
             timed: entry.rule.has_timeout(),
+            any_flow,
         })
     }
 
@@ -698,23 +743,25 @@ impl FlowTable {
     fn probe(&self, step: RulePort, key: &FlowKey) -> Probe {
         let now_ns = self.now_ns;
         let mut expired: Vec<(Slot, EvictReason)> = Vec::new();
+        let own_space = self.stepped.get(&step);
+        let exact_rules = own_space.map_or(0, |space| space.exact_rules);
         // The live exact rule of this flow at this step: (priority, slot).
         let mut exact: Option<(u16, Slot)> = None;
-        if let Some(&slot) = self.exact.get(&(step, *key)) {
-            let entry = self.entry(slot);
-            match entry.expiry(now_ns) {
-                Some(reason) => expired.push((slot, reason)),
-                None => exact = Some((entry.rule.priority, slot)),
+        if exact_rules > 0 {
+            if let Some(&slot) = self.exact.get(&(step, *key)) {
+                let entry = self.entry(slot);
+                match entry.expiry(now_ns) {
+                    Some(reason) => expired.push((slot, reason)),
+                    None => exact = Some((entry.rule.priority, slot)),
+                }
             }
         }
+        let mut any_flow = exact_rules == 0;
         // The best live wildcard so far: (priority, specificity, id, slot).
         let mut best: Option<(u16, u32, RuleId, Slot)> = None;
         let mut shape_probes = 0;
         // This step's own tuple space, then the one shared by all steps.
-        for space in [self.stepped.get(&step), Some(&self.any_step)]
-            .into_iter()
-            .flatten()
-        {
+        for space in [own_space, Some(&self.any_step)].into_iter().flatten() {
             for bucket in &space.shapes {
                 let ceiling = bucket.max_priority();
                 // Shapes are sorted by max priority: once no remaining
@@ -726,6 +773,7 @@ impl FlowTable {
                     break;
                 }
                 shape_probes += 1;
+                any_flow &= bucket.shape.ignores_key();
                 let tuple = bucket.shape.project(key);
                 let Some(candidates) = bucket.rules.get(&tuple) else {
                     continue;
@@ -760,6 +808,7 @@ impl FlowTable {
             winner,
             expired,
             shape_probes,
+            any_flow,
         }
     }
 
@@ -1009,7 +1058,7 @@ impl FlowTable {
 pub struct SharedFlowTable<C: GenerationCell = AtomicU64> {
     inner: Arc<RwLock<FlowTable>>,
     /// One generation per key-space partition.
-    generations: Arc<[C; PARTITIONS]>,
+    generations: Arc<[C; GENERATION_PARTITIONS]>,
 }
 
 /// The atomic cell a [`SharedFlowTable`] keeps each partition generation
@@ -1093,7 +1142,7 @@ impl<C: GenerationCell> SharedFlowTable<C> {
     /// must be discarded.
     pub fn generation_for(&self, hash: u64) -> u64 {
         // ORDER: Acquire pairs with `publish`'s Release (see there).
-        self.generations[partition_of(hash)].load(Ordering::Acquire)
+        self.generations[generation_partition(hash)].load(Ordering::Acquire)
     }
 
     /// A counter that increases on every mutation of the table (the sum
@@ -1717,26 +1766,28 @@ mod tests {
 
     /// Every partition's generation, in partition order.
     fn generations(shared: &SharedFlowTable) -> Vec<u64> {
-        (0..PARTITIONS as u64)
+        (0..GENERATION_PARTITIONS as u64)
             .map(|partition| shared.generation_for(partition << 58))
             .collect()
     }
 
     /// The partitions whose generation moved from `before` to `after`.
     fn moved(before: &[u64], after: &[u64]) -> Vec<usize> {
-        (0..PARTITIONS).filter(|&p| after[p] != before[p]).collect()
+        (0..GENERATION_PARTITIONS)
+            .filter(|&p| after[p] != before[p])
+            .collect()
     }
 
     fn own_partition(key: &FlowKey) -> Vec<usize> {
-        vec![partition_of(key.stable_hash())]
+        vec![generation_partition(key.stable_hash())]
     }
 
     #[test]
     fn partitions_are_the_top_six_hash_bits() {
-        assert_eq!(partition_of(0), 0);
-        assert_eq!(partition_of((1 << 58) - 1), 0);
-        assert_eq!(partition_of(1 << 58), 1);
-        assert_eq!(partition_of(u64::MAX), PARTITIONS - 1);
+        assert_eq!(generation_partition(0), 0);
+        assert_eq!(generation_partition((1 << 58) - 1), 0);
+        assert_eq!(generation_partition(1 << 58), 1);
+        assert_eq!(generation_partition(u64::MAX), GENERATION_PARTITIONS - 1);
     }
 
     #[test]
@@ -1791,7 +1842,7 @@ mod tests {
     #[test]
     fn exact_changes_move_their_partition_and_wildcard_ones_every_partition() {
         let shared = SharedFlowTable::new();
-        let every: Vec<usize> = (0..PARTITIONS).collect();
+        let every: Vec<usize> = (0..GENERATION_PARTITIONS).collect();
         let pinned = own_partition(&key(7));
         let actions = || vec![Action::ToPort(0), Action::ToService(svc(2))];
         let (pin, moved) = moved_by(&shared, |t| {
@@ -1862,14 +1913,14 @@ mod tests {
         let source = generations(&shared);
         let fork = shared.fork();
         assert_eq!(fork.inner.read().touched, 0, "the record does not travel");
-        assert_eq!(generations(&fork), vec![0; PARTITIONS]);
+        assert_eq!(generations(&fork), vec![0; GENERATION_PARTITIONS]);
         assert_eq!(fork.len(), 2);
         fork.insert(FlowRule::new(
             FlowMatch::exact(RulePort::Nic(0), &key(8)),
             vec![Action::Drop],
         ));
         assert_eq!(
-            moved(&[0; PARTITIONS], &generations(&fork)),
+            moved(&[0; GENERATION_PARTITIONS], &generations(&fork)),
             own_partition(&key(8))
         );
         assert_eq!(
@@ -1927,6 +1978,151 @@ mod tests {
                 .default_action(),
             Some(Action::ToPort(0))
         );
+    }
+
+    /// `any_flow` of the lookup of `key` at `step`.
+    fn any_flow(table: &mut FlowTable, step: RulePort, key: &FlowKey) -> bool {
+        table.lookup(step, key).expect("a rule matches").any_flow
+    }
+
+    /// Ports whose flows fall in as many different generation partitions.
+    fn partition_spread(count: usize) -> Vec<u8> {
+        let mut seen = std::collections::HashSet::new();
+        (0..=u8::MAX)
+            .filter(|&last| seen.insert(generation_partition(key(last).stable_hash())))
+            .take(count)
+            .collect()
+    }
+
+    #[test]
+    fn one_exact_rule_of_any_partition_makes_its_step_flow_dependent() {
+        let (ingress, other_step) = (RulePort::Nic(0), RulePort::Service(svc(1)));
+        let forward = |step| FlowRule::new(FlowMatch::at_step(step), vec![Action::ToPort(1)]);
+        let spread = partition_spread(3);
+        for pinned in spread.clone() {
+            let mut table = FlowTable::new();
+            table.insert(forward(ingress));
+            table.insert(forward(other_step));
+            assert!(spread
+                .iter()
+                .all(|&last| any_flow(&mut table, ingress, &key(last))));
+            let pin = table.insert(FlowRule::new(
+                FlowMatch::exact(ingress, &key(pinned)),
+                vec![Action::Drop],
+            ));
+            for &last in &spread {
+                assert!(
+                    !any_flow(&mut table, ingress, &key(last)),
+                    "a pin in partition {pinned} and a flow of {last}'s"
+                );
+                assert!(any_flow(&mut table, other_step, &key(last)), "another step");
+            }
+            table.remove(pin);
+            assert!(spread
+                .iter()
+                .all(|&last| any_flow(&mut table, ingress, &key(last))));
+        }
+    }
+
+    #[test]
+    fn a_step_is_flow_independent_again_once_its_last_exact_rule_idles_out() {
+        let ingress = RulePort::Nic(0);
+        let mut table = FlowTable::new();
+        table.insert(FlowRule::new(
+            FlowMatch::at_step(ingress),
+            vec![Action::ToPort(1)],
+        ));
+        table.insert(
+            FlowRule::new(FlowMatch::exact(ingress, &key(7)), vec![Action::Drop])
+                .with_idle_timeout_ns(Some(100)),
+        );
+        assert!(!any_flow(&mut table, ingress, &key(8)));
+        table.advance_clock(100);
+        assert_eq!(table.sweep(16, |_| false), 1);
+        assert!(any_flow(&mut table, ingress, &key(7)));
+        // A step named by exact rules only has no space once they are gone.
+        let mut table = FlowTable::new();
+        let only = table.insert(FlowRule::new(
+            FlowMatch::exact(ingress, &key(7)),
+            vec![Action::Drop],
+        ));
+        assert!(!any_flow(&mut table, ingress, &key(7)));
+        table.remove(only);
+        assert!(table.stepped.is_empty());
+    }
+
+    #[test]
+    fn replacing_an_exact_rule_keeps_its_steps_count() {
+        let ingress = RulePort::Nic(0);
+        let exact_rules = |table: &FlowTable| table.stepped.get(&ingress).map(|s| s.exact_rules);
+        let mut table = FlowTable::new();
+        table.insert(FlowRule::new(
+            FlowMatch::at_step(ingress),
+            vec![Action::ToPort(1)],
+        ));
+        let pin = |action| FlowRule::new(FlowMatch::exact(ingress, &key(7)), vec![action]);
+        table.insert(pin(Action::Drop));
+        let replacement = table.insert(pin(Action::ToPort(2)));
+        assert_eq!(exact_rules(&table), Some(1));
+        assert!(!any_flow(&mut table, ingress, &key(8)));
+        table.remove(replacement);
+        assert_eq!(exact_rules(&table), Some(0));
+        assert!(any_flow(&mut table, ingress, &key(8)));
+    }
+
+    #[test]
+    fn only_a_probed_shape_that_constrains_a_field_makes_an_answer_flow_dependent() {
+        let ingress = RulePort::Nic(0);
+        let by_port = |at: FlowMatch, priority| {
+            FlowRule::new(at.with_src_port(2000), vec![Action::Drop]).with_priority(priority)
+        };
+        let mut table = FlowTable::new();
+        table.insert(
+            FlowRule::new(FlowMatch::at_step(ingress), vec![Action::ToPort(1)]).with_priority(5),
+        );
+        // Below the step's default, the early exit never probes it.
+        table.insert(by_port(FlowMatch::at_step(ingress), 1));
+        table.insert(by_port(FlowMatch::any(), 1));
+        assert!(any_flow(&mut table, ingress, &key(1)));
+        // A `/0` prefix matches every address alike.
+        let everywhere = IpPrefix::new(Ipv4Addr::UNSPECIFIED, 0);
+        table.insert(
+            FlowRule::new(
+                FlowMatch::at_step(ingress).with_src_ip(everywhere),
+                vec![Action::ToPort(2)],
+            )
+            .with_priority(6),
+        );
+        assert!(any_flow(&mut table, ingress, &key(1)));
+        // Probed, in the step's own space or the step-less one, a shape
+        // that looks at a field clears the flag even for a key it misses.
+        for at in [FlowMatch::at_step(ingress), FlowMatch::any()] {
+            let id = table.insert(by_port(at, 9));
+            let answer = table.lookup(ingress, &key(1)).unwrap();
+            assert_eq!(answer.default_action(), Some(Action::ToPort(2)));
+            assert!(!answer.any_flow);
+            table.remove(id);
+            assert!(any_flow(&mut table, ingress, &key(1)));
+        }
+    }
+
+    #[test]
+    fn a_fork_carries_the_exact_rule_counts() {
+        let ingress = RulePort::Nic(0);
+        let shared = SharedFlowTable::new();
+        shared.insert(FlowRule::new(
+            FlowMatch::at_step(ingress),
+            vec![Action::ToPort(1)],
+        ));
+        let pin = shared.insert(FlowRule::new(
+            FlowMatch::exact(ingress, &key(7)),
+            vec![Action::Drop],
+        ));
+        let fork = shared.fork();
+        assert!(!fork.lookup(ingress, &key(8)).unwrap().any_flow);
+        fork.remove(pin);
+        assert!(fork.lookup(ingress, &key(8)).unwrap().any_flow);
+        assert!(!shared.lookup(ingress, &key(8)).unwrap().any_flow);
     }
 
     /// A table shaped like the benchmark's `flows64k`: a three-NF chain,

@@ -8,6 +8,10 @@
 //! (priority, exactness, specificity, id). The two are compared after
 //! every operation.
 //!
+//! A decision that says it holds for every flow (`Decision::any_flow`) must:
+//! no exact rule names its step, and the scan gives a sample of other keys
+//! the same winner.
+//!
 //! Which expired rules a lookup happens to meet (and so evicts lazily) is
 //! the classifier's business; the reference only requires that every rule
 //! the table reports evicted had in fact expired, and that a full sweep
@@ -232,6 +236,8 @@ struct Pair {
     reference: Reference,
     /// Every id ever issued, live or dead (removal targets).
     issued: Vec<RuleId>,
+    /// Lookups whose decision said it holds for every flow.
+    any_flow_answers: u64,
     seed: u64,
     op: usize,
 }
@@ -295,6 +301,9 @@ impl Pair {
         match (got, expected) {
             (None, None) => {}
             (Some(decision), Some(i)) => {
+                if decision.any_flow {
+                    self.check_any_flow(step, self.reference.rules[i].id, &context);
+                }
                 let now = self.reference.now;
                 let r = &mut self.reference.rules[i];
                 r.hits += 1;
@@ -326,6 +335,32 @@ impl Pair {
             ),
         }
         self.drain_evictions("lazy eviction");
+    }
+
+    /// An answer the table says holds for every flow: no exact rule names
+    /// the step (live or expired: the table still indexes it), and the scan
+    /// picks the same rule for a sample of other keys.
+    fn check_any_flow(&mut self, step: RulePort, winner: RuleId, context: &str) {
+        self.any_flow_answers += 1;
+        assert!(
+            self.reference.rules.iter().all(|r| r
+                .rule
+                .matcher
+                .exact_key()
+                .is_none_or(|(at, _)| at != step)),
+            "{context}: any_flow at {step}, which an exact rule names"
+        );
+        let mut sample = SplitMix64(self.any_flow_answers);
+        for _ in 0..8 {
+            let other = key(&mut sample);
+            assert_eq!(
+                self.reference
+                    .winner(step, &other)
+                    .map(|i| self.reference.rules[i].id),
+                Some(winner),
+                "{context}: any_flow at {step}, but not {other:?}'s answer"
+            );
+        }
     }
 
     /// Sweeps without bound; afterwards no unprotected expired rule is left.
@@ -544,12 +579,14 @@ impl Pair {
 
 #[test]
 fn classifier_agrees_with_a_linear_scan() {
+    let mut any_flow_answers = 0;
     for seed in 0..SEEDS {
         let mut rng = SplitMix64(seed);
         let mut pair = Pair {
             table: FlowTable::new(),
             reference: Reference::default(),
             issued: Vec::new(),
+            any_flow_answers: 0,
             seed,
             op: 0,
         };
@@ -566,7 +603,13 @@ fn classifier_agrees_with_a_linear_scan() {
         pair.sweep(false);
         pair.check_state("final sweep");
         assert!(pair.reference.rules.iter().all(|r| !r.rule.has_timeout()));
+        any_flow_answers += pair.any_flow_answers;
     }
+    // (At this writing: 2 268.)
+    assert!(
+        any_flow_answers > 5 * SEEDS,
+        "{any_flow_answers} answers held for every flow"
+    );
 }
 
 #[test]

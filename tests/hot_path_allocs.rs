@@ -8,8 +8,9 @@
 //! heap allocation, and every frame leaves `poll_egress_burst` in the very
 //! buffer it was injected in. A third case crowds the table (more flows
 //! than the lookup cache holds, exact pins, several mask shapes), so that
-//! every lookup is answered by the flow table itself: its miss path must
-//! not allocate either. A fourth runs the anomaly-detection spine —
+//! the ingress lookups are answered by the flow table itself: its miss
+//! path must not allocate either, and the NF steps' per-step answers must
+//! not reach it. A fourth runs the anomaly-detection spine —
 //! firewall → IDS → scrubber — on benign HTTP-like traffic: the firewall's
 //! per-burst memo and the IDS's payload scan must not allocate.
 //!
@@ -19,7 +20,9 @@
 //! under pin churn (as the benchmark's `churn_ids`: every flow new and 16
 //! packets long, one in eight pinned to the scrubber by the IDS, pins
 //! idle-evicted) gates the same count where pins move the table: a pin
-//! invalidates its own flow's cached decisions, not every flow's.
+//! invalidates its own flow's cached decisions, not every flow's, and a
+//! new flow finds the steps that answer every flow alike already cached.
+//! The crowded case gates it too: only ingress reaches the table.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -342,11 +345,14 @@ fn assert_hot_path_is_allocation_free(parallel: bool, crowded: bool) {
     );
     let lookups = host.shard_table(0).stats().lookups - lookups_before;
     if crowded {
-        // Ingress and three NF returns, none of them answered by the cache.
-        assert_eq!(
-            lookups,
-            4 * packets as u64,
-            "every lookup reaches the table"
+        // The three NF returns land on the chain's per-step defaults, which
+        // answer every flow alike: the worker's step memos serve them.
+        // Only ingress, where the pins are, reaches the table, and not on
+        // every packet: twice the cache in flows still leaves some in a
+        // way (0.90 per packet at this writing).
+        assert!(
+            lookups <= packets as u64,
+            "{lookups} table lookups for {packets} packets: only ingress may reach the table"
         );
     } else {
         // One burst a round: the run spans twenty of the worker's cache
@@ -416,14 +422,15 @@ fn a_pin_sends_only_its_own_flows_lookups_back_to_the_table() {
         })
         .count() as u64;
     pump(&host, &sim, &actors, packets, churn_packet);
-    // Every flow is new, so about three lookups per 16-packet flow (one per
-    // step) must reach the table: 0.19 per packet; the rest are flows that
-    // share a pinned or evicted flow's generation partition (0.30 in all).
-    // While every pin and every eviction flushed the whole cache this read
-    // 1.36.
+    // Every flow is new, but the ingress and firewall steps answer every
+    // flow alike, so their step memos serve a new flow's first packet. What
+    // reaches the table is mostly the IDS step, whose answers are per flow
+    // while it holds a pin: 0.14 per packet at this writing. It read 0.30
+    // while a new flow missed at every step, and 1.36 while every pin and
+    // every eviction flushed the whole cache.
     let per_packet = table.stats().lookups as f64 / packets as f64;
     assert!(
-        per_packet <= 0.40,
+        per_packet <= 0.20,
         "{per_packet} table lookups per packet under pin churn"
     );
     let stats = host.stats().snapshot();
