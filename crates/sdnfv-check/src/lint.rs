@@ -16,7 +16,7 @@
 //! | `timestamp` | no `Instant::now`/`SystemTime::now` outside tests, benches, shims and the sanctioned `HostClock::Real` site — everything on a decision path must go through the injected clock so the deterministic simulation stays deterministic |
 //! | `safety-comment` | every `unsafe` is preceded by a `// SAFETY:` (or `# Safety` doc section) explaining why it is sound |
 //! | `atomic-order` | every atomic operation in the lock-free core (`sdnfv-ring`, the telemetry histogram, the flow table's partition generations) names an explicit `Ordering::` *and* carries an `// ORDER:` comment justifying it |
-//! | `hot-path-block` | no `thread::sleep` / `.lock()` / `.read()` / `.write()` inside the engine's per-packet hot paths (`step`, the worker's round, dispatch and flush fns, the state-mailbox accessors) |
+//! | `hot-path-block` | no `thread::sleep` / `.lock()` / `.read()` / `.write()` inside the engine's per-packet hot paths (`step`, the worker's round, dispatch, frame-reuse and flush fns, the state-mailbox accessors) |
 //! | `no-todo`   | no `todo!` / `unimplemented!` outside tests |
 //!
 //! Suppressions live in a checked-in allowlist (see [`Allowlist`]): one
@@ -392,8 +392,8 @@ fn classify(path: &Path) -> Scope {
 /// Engine functions that run per packet (or per step-slice) and must stay
 /// free of blocking calls. `step` is the loop body of the shard worker and
 /// of an NF replica; then the worker's per-packet fns (RX and TX rounds,
-/// dispatch, staging, flush, descriptor reuse, lookup); the rest are the NF
-/// state-mailbox accessors `step` calls.
+/// dispatch, staging, flush, frame and descriptor reuse, lookup); the rest
+/// are the NF state-mailbox accessors `step` calls.
 const HOT_PATH_FNS: &[&str] = &[
     "step",
     "rx_round",
@@ -404,8 +404,12 @@ const HOT_PATH_FNS: &[&str] = &[
     "stage_targets",
     "flush",
     "flush_staged_egress",
+    "frame",
+    "owned_frame",
     "descriptor",
+    "redispatch",
     "reclaim",
+    "park_descriptor",
     "lookup",
     "serve_state_requests",
     "take_requests",

@@ -21,18 +21,18 @@
 //!
 //! * its *RX role* pops the shard's ingress ring a burst at a time, performs
 //!   the first flow-table lookup (lookup cache → exact index → tuple-space
-//!   search), wraps the packet in a descriptor taken from the shard's free
-//!   list, and stages it per NF ring (several rings at once for parallel
+//!   search), wraps the packet in a frame taken from the shard's free
+//!   lists, and stages it per NF ring (several rings at once for parallel
 //!   rules), flushing each ring with one batched push;
 //! * each **NF thread** models one network-function VM pinned to the shard:
 //!   it polls its input ring for a burst, runs the NF's batch entry point,
 //!   applies cross-layer messages to the shared flow table *before*
-//!   completed packets are handed onward, merges each packet's verdict into
-//!   its descriptor, and pushes completions to its done ring in one burst;
+//!   completed packets are handed onward, records each packet's verdict in
+//!   its frame, and pushes completions to its done ring in one burst;
 //! * the worker's *TX role* drains the done rings in bursts, reads the
-//!   resolved verdict out of each descriptor, performs the next flow-table
-//!   lookup, and either re-arms and re-stages the descriptor for the next
-//!   NF, moves the frame out for egress, or drops it.
+//!   resolved verdict out of each frame, performs the next flow-table
+//!   lookup, and either re-arms and re-stages the frame for the next NF,
+//!   moves the packet out for egress, or drops it.
 //!
 //! Because one thread plays both roles, every ring in a shard has exactly
 //! one producer and one consumer — including the egress ring, which needs no
@@ -48,18 +48,21 @@
 //! nothing is ever silently dropped: overload is always surfaced to the
 //! injector.
 //!
-//! **What a hop costs** (paper §4.2): a packet has one [`SharedPacket`]
-//! descriptor from RX to egress and is never copied — a hop re-arms the
-//! descriptor, egress *moves* the frame out and parks the emptied
-//! descriptor on the shard's free list for RX to refill, so the worker
-//! allocates nothing per packet. The NFs' requested actions ride the
-//! descriptor too: each NF merges its verdict with one `fetch_max` keyed by
-//! its position in the dispatched action list
-//! ([`crate::conflict::resolve_parallel_verdicts`] is the specification of
-//! the merged word), so no lock is taken on the packet path. And the flow
-//! hash is computed once, at admission: it rides `IngressFrame` →
-//! `WorkItem` → `DoneItem` and feeds the bucket tracker, the sticky replica
-//! pick, trace sampling and the direct-mapped
+//! **What a hop costs** (paper §4.2): a packet rides one [`Frame`] from RX
+//! to egress and is never copied — owned outright while it goes to one NF
+//! at a time, a [`SharedPacket`] descriptor while a fan-out shares it. A
+//! hop re-arms the frame, egress *moves* the packet out and parks the
+//! emptied frame on the shard's free lists for RX to refill, so the worker
+//! allocates nothing per packet. The NFs' requested actions ride the frame
+//! too: an owned frame stores its NF's verdict, a fan-out's NFs each merge
+//! theirs with one `fetch_max` keyed by position in the dispatched action
+//! list ([`crate::conflict::resolve_parallel_verdicts`] is the
+//! specification of the merged word), so no lock is taken on the
+//! sequential packet path. And the flow hash is computed once, at
+//! admission: it rides `IngressFrame`, then the frame itself (with the
+//! flow key and the trace flag, so the NF rings' `WorkItem` and `DoneItem`
+//! carry only the frame and the hop's own fields), and feeds the bucket
+//! tracker, the sticky replica pick, trace sampling and the direct-mapped
 //! [`LookupCache`](crate::cache::LookupCache).
 //!
 //! **Per-shard flow tables**: the table handed to `start_sharded` is the
@@ -123,7 +126,7 @@ use sdnfv_nf::{
 use sdnfv_proto::flow::FlowKey;
 use sdnfv_proto::packet::Port;
 use sdnfv_proto::Packet;
-use sdnfv_ring::{spsc_ring, Consumer, CreditGate, Exclusive, Producer, PushError, SharedPacket};
+use sdnfv_ring::{spsc_ring, Consumer, CreditGate, Producer, PushError};
 use sdnfv_telemetry::{
     Ewma, HostClock, LatencyHistogram, LatencyReport, NfTelemetry, ShardLifecycleEvent,
     SpanVerdict, TelemetrySnapshot, TelemetrySource, TraceSpan, TraceStage,
@@ -142,6 +145,11 @@ use crate::stats::{HostStats, ShardStats};
 /// Capacity of each shard's control-command ring (commands the worker
 /// applies between bursts).
 const CONTROL_RING_CAPACITY: usize = 16;
+
+/// Capacity of the per-bucket pen that holds arrivals while a steering
+/// bucket is mid-re-home (quiesced). A full pen surfaces as ordinary
+/// backpressure.
+const REHOME_PEN: usize = 32;
 
 /// Eviction budget of one rule sweep: at most this many rules are evicted
 /// per sweep pass, bounding the work injected between bursts.
@@ -172,10 +180,6 @@ pub struct ThreadedHostConfig {
     /// How often each shard's worker publishes a [`TelemetrySnapshot`]
     /// (nanoseconds). `0` disables the exporter.
     pub telemetry_interval_ns: u64,
-    /// Capacity of the per-bucket pen that holds arrivals while a steering
-    /// bucket is mid-re-home (quiesced). A full pen surfaces as ordinary
-    /// backpressure.
-    pub rehome_pen: usize,
     /// How often each shard sweeps its flow-table partition for expired
     /// rules, in nanoseconds of the host clock (identical under the
     /// simulated runtime). `0` disables the amortized sweeper — rules then
@@ -202,7 +206,6 @@ impl Default for ThreadedHostConfig {
             num_shards: 1,
             shard_credits: 1024,
             telemetry_interval_ns: 1_000_000,
-            rehome_pen: 32,
             rule_sweep_interval_ns: 1_000_000,
             pin_idle_timeout_ns: None,
             trace_ring_capacity: 1024,
@@ -524,9 +527,9 @@ pub struct BurstInjection {
 
 /// A packet on its way from injection to a shard worker, with its flow key
 /// parsed — and hashed — once at admission. The hash rides the packet
-/// through every hop ([`WorkItem`], [`DoneItem`]): bucket tracking, replica
-/// pick, lookup-cache index and trace sampling all read it instead of
-/// re-hashing the key.
+/// through every hop (in its frame's [`PacketMeta`]): bucket tracking,
+/// replica pick, lookup-cache index and trace sampling all read it instead
+/// of re-hashing the key.
 pub(crate) struct IngressFrame {
     packet: Packet,
     key: Option<FlowKey>,
@@ -534,35 +537,38 @@ pub(crate) struct IngressFrame {
     hash: u64,
 }
 
-struct WorkItem {
-    shared: SharedPacket,
+/// What the worker keeps with a packet from RX to egress, inside its frame
+/// — so the NF rings move only the frame and the hop's own fields.
+#[derive(Debug, Clone, Copy)]
+struct PacketMeta {
     key: FlowKey,
     /// `key.stable_hash()`, computed at admission.
     hash: u64,
+    /// Whether the packet is trace-sampled (hash-sampled or rule-pinned):
+    /// the worker emits spans at each stage.
+    traced: bool,
+}
+
+/// A packet in flight, carrying its [`PacketMeta`].
+type Frame = sdnfv_ring::Frame<PacketMeta>;
+type SolePacket = sdnfv_ring::SolePacket<PacketMeta>;
+type SharedPacket = sdnfv_ring::SharedPacket<PacketMeta>;
+
+struct WorkItem {
+    /// The packet: [`Frame::Sole`] for a single-target dispatch (then
+    /// `position == 0`), one of the fan-out's handles otherwise.
+    frame: Frame,
     /// The step used for the lookup after this dispatch completes (the last
     /// service in the dispatched action list).
     exit_service: ServiceId,
     /// This item's target's position in the dispatched action list: the
     /// priority its NF's verdict merges into the descriptor with.
     position: u16,
-    /// Whether the packet is trace-sampled (hash-sampled or rule-pinned):
-    /// the NF replica stamps its burst window onto the [`DoneItem`] and the
-    /// worker emits spans at each stage.
-    traced: bool,
-    /// Sole target: the worker proved `shared` the descriptor's only handle
-    /// and moved it here, so it still is (nobody can clone a handle they do
-    /// not hold) and the NF serves it through [`SharedPacket::exclusive`].
-    /// Implies one reader and `position == 0`. Fan-out handles carry
-    /// `false` and never pay the uniqueness test.
-    sole: bool,
 }
 
 struct DoneItem {
-    shared: SharedPacket,
-    key: FlowKey,
-    hash: u64,
+    frame: Frame,
     exit_service: ServiceId,
-    traced: bool,
     /// Host-clock window of the NF burst that completed the packet (the
     /// last replica, for parallel dispatch). Stamped by the NF thread so
     /// the worker — the trace ring's single producer — can emit the NF
@@ -571,9 +577,9 @@ struct DoneItem {
     nf_ended_ns: u64,
 }
 
-// A ring slot stays one cache line.
-const _: () = assert!(std::mem::size_of::<WorkItem>() <= 64);
-const _: () = assert!(std::mem::size_of::<DoneItem>() <= 64);
+// Ring slots: the exact sizes make any growth deliberate.
+const _: () = assert!(std::mem::size_of::<WorkItem>() == 24);
+const _: () = assert!(std::mem::size_of::<DoneItem>() == 40);
 
 /// Per-shard latency recorders: lock-free log-linear histograms, each with
 /// the one thread that records into it — the shard's worker (end-to-end,
@@ -765,7 +771,6 @@ impl ThreadedHost {
         config.nf_ring_capacity = config.nf_ring_capacity.max(1);
         config.ingress_capacity = config.ingress_capacity.max(1);
         config.egress_capacity = config.egress_capacity.max(1);
-        config.rehome_pen = config.rehome_pen.max(1);
         config.trace_ring_capacity = config.trace_ring_capacity.max(1);
         // Clamping the credit budget to the smallest internal ring makes
         // in-pipeline overflow impossible: a shard never holds more packets
@@ -957,12 +962,11 @@ impl ThreadedHost {
     /// to another host) in the bucket's pen.
     fn park(&self, bucket: usize, packet: Packet, key: FlowKey) -> InjectResult {
         let mut state = self.rehome.borrow_mut();
-        let pen_cap = self.config.rehome_pen;
         let report_shard = if state.moves.iter().any(|m| m.bucket == bucket) {
             let mv = state
                 .move_for_bucket_mut(bucket)
                 .expect("a parked bucket has an active move");
-            if mv.pen.len() < pen_cap {
+            if mv.pen.len() < REHOME_PEN {
                 mv.pen.push_back((packet, key));
                 None
             } else {
@@ -972,7 +976,7 @@ impl ThreadedHost {
             let handout = state
                 .outbound_for_bucket_mut(bucket)
                 .expect("a parked bucket has an active move or handout");
-            if handout.pen.len() < pen_cap {
+            if handout.pen.len() < REHOME_PEN {
                 handout.pen.push_back((packet, key));
                 None
             } else {
@@ -2243,7 +2247,7 @@ fn launch_pipeline(
         spawner,
         cache: LookupCache::new(LOOKUP_CACHE_ENTRIES),
         staging: BurstStaging::new(0, config.burst_size),
-        free_descriptors: Vec::with_capacity(config.shard_credits),
+        free: FreeFrames::new(config.shard_credits),
         targets: Vec::new(),
         rx_burst: Vec::with_capacity(config.burst_size),
         done_burst: Vec::with_capacity(config.burst_size),
@@ -2353,7 +2357,7 @@ struct NfSlot {
     channel: Arc<NfStateChannel>,
 }
 
-/// Per-thread staging buffers: descriptors dispatched during a burst are
+/// Per-thread staging buffers: frames dispatched during a burst are
 /// collected here and flushed to each NF ring (and the egress ring) with a
 /// single batched push at burst end.
 struct BurstStaging {
@@ -2468,11 +2472,8 @@ pub(crate) struct ShardEngine {
     spawner: Box<dyn ReplicaSpawner>,
     cache: LookupCache,
     staging: BurstStaging,
-    /// Emptied packet descriptors awaiting reuse: a packet that leaves the
-    /// pipeline parks its descriptor here and RX dispatch refills it, so
-    /// the steady state allocates no descriptor. Never grows past the
-    /// capacity it was created with (the shard's credit budget).
-    free_descriptors: Vec<SharedPacket>,
+    /// Emptied owned frames and descriptors awaiting reuse.
+    free: FreeFrames,
     /// Reused scratch: the NF slot indices of the dispatch being staged.
     targets: Vec<usize>,
     /// Reused RX burst buffer (popped ingress frames).
@@ -3464,34 +3465,6 @@ impl ShardEngine {
         self.staging.egress_meta.clear();
     }
 
-    /// Wraps an admitted packet in a descriptor for `readers` NFs, reusing
-    /// a parked one when it is provably unshared.
-    fn descriptor(&mut self, packet: Packet, readers: u32) -> SharedPacket {
-        let packet = match self.free_descriptors.pop() {
-            Some(parked) => match parked.recycle(packet, readers) {
-                Ok(descriptor) => return descriptor,
-                Err(packet) => packet,
-            },
-            None => packet,
-        };
-        SharedPacket::new(packet, readers)
-    }
-
-    /// Ends a descriptor's trip through the pipeline: moves the frame out
-    /// (zero-copy — as plain memory when the handle is the only one left,
-    /// else through the lock every NF already released) and parks the
-    /// emptied descriptor for reuse.
-    fn reclaim(&mut self, mut shared: SharedPacket) -> Packet {
-        let packet = match shared.exclusive() {
-            Some(descriptor) => descriptor.take_packet(),
-            None => shared.take_packet(),
-        };
-        if self.free_descriptors.len() < self.free_descriptors.capacity() {
-            self.free_descriptors.push(shared);
-        }
-        packet
-    }
-
     /// One cached lookup. `cache` is the engine's own, taken out of `self`
     /// for the round so that the borrowed decision can be followed through
     /// `&mut self` calls without a copy.
@@ -3593,8 +3566,9 @@ impl ShardEngine {
                 }
             };
             self.stats.add_parallel_dispatches(1);
-            let shared = self.descriptor(packet, self.targets.len() as u32);
-            self.stage_targets(shared, true, key, hash, exit_service, traced);
+            let meta = PacketMeta { key, hash, traced };
+            let frame = self.free.frame(packet, meta, self.targets.len() as u32);
+            self.stage_targets(frame, exit_service);
             rx_span(self, SpanVerdict::Forwarded);
             return;
         }
@@ -3603,15 +3577,11 @@ impl ShardEngine {
             Some(Action::ToService(service)) => {
                 match pick_instance(&self.service_instances, service, hash) {
                     Some(index) => {
-                        let shared = self.descriptor(packet, 1);
+                        let meta = PacketMeta { key, hash, traced };
                         self.staging.per_ring[index].push(WorkItem {
-                            shared,
-                            key,
-                            hash,
+                            frame: Frame::Sole(self.free.owned_frame(packet, meta)),
                             exit_service: service,
                             position: 0,
-                            traced,
-                            sole: true,
                         });
                         rx_span(self, SpanVerdict::Forwarded);
                     }
@@ -3654,30 +3624,32 @@ impl ShardEngine {
         self.approx_now_ns = now_ns;
         let mut cache = std::mem::replace(&mut self.cache, LookupCache::parked());
         for item in burst.drain(..) {
-            if item.traced {
+            let meta = *item.frame.meta();
+            if meta.traced {
                 // The NF span covers the burst window the NF thread stamped;
                 // the worker emits it because it is the trace ring's single
                 // producer.
                 self.emit_span(
                     TraceStage::Nf,
                     item.exit_service.value(),
-                    item.hash,
+                    meta.hash,
                     item.nf_started_ns,
                     item.nf_ended_ns,
                     SpanVerdict::Forwarded,
                 );
             }
-            let resolved = verdict_from_word(item.shared.verdict());
+            let resolved = verdict_from_word(item.frame.verdict());
             let step = RulePort::Service(item.exit_service);
             let action = match resolved {
                 Verdict::Discard => Action::Drop,
                 Verdict::Default => {
-                    match self.lookup(&mut cache, step, &item.key, item.hash) {
+                    match self.lookup(&mut cache, step, &meta.key, meta.hash) {
                         Some(decision) => {
                             // Follow the whole decision (it may itself be a
                             // parallel rule or a multi-action list).
                             self.forward_decision(
                                 item,
+                                meta,
                                 &decision.actions,
                                 decision.parallel,
                                 now_ns,
@@ -3689,79 +3661,80 @@ impl ShardEngine {
                 }
                 other => {
                     let requested = other.as_action().expect("non-default verdict");
-                    let decision = self.lookup(&mut cache, step, &item.key, item.hash);
+                    let decision = self.lookup(&mut cache, step, &meta.key, meta.hash);
                     validate_steering(decision, requested)
                 }
             };
-            self.forward_decision(item, &[action], false, now_ns);
+            self.forward_decision(item, meta, &[action], false, now_ns);
         }
         self.cache = cache;
         self.flush();
     }
 
-    /// Forwards a completed packet according to an action list by re-arming
-    /// its shared buffer and staging it again (or staging it for egress /
-    /// dropping it).
+    /// Forwards a completed packet (its frame's `meta` already read out)
+    /// according to an action list by re-arming its frame and staging it
+    /// again (or staging it for egress / dropping it).
     fn forward_decision(
         &mut self,
         item: DoneItem,
+        meta: PacketMeta,
         actions: &[Action],
         parallel: bool,
         now_ns: u64,
     ) {
         let tx_span = |engine: &mut Self, item: &DoneItem, verdict: SpanVerdict| {
-            if item.traced {
+            if meta.traced {
                 engine.emit_span(
                     TraceStage::Tx,
                     item.exit_service.value(),
-                    item.hash,
+                    meta.hash,
                     item.nf_ended_ns,
                     now_ns,
                     verdict,
                 );
             }
         };
-        // Fast paths that do not need to re-dispatch the descriptor.
+        // Fast paths that do not need to re-dispatch the frame.
         if !parallel {
             match actions.first().copied() {
                 Some(Action::ToPort(port)) => {
-                    self.finish_flow(item.hash);
-                    let packet = self.reclaim(item.shared);
+                    self.finish_flow(meta.hash);
+                    let packet = self.free.reclaim(item.frame);
                     self.stage_egress(
                         HostOutput {
                             port,
                             packet,
-                            key: item.key,
+                            key: meta.key,
                         },
-                        item.hash,
+                        meta.hash,
                         now_ns,
-                        item.traced,
+                        meta.traced,
                     );
                     return;
                 }
                 Some(Action::Drop) | Some(Action::Trace) | None => {
                     self.stats.add_dropped(1);
                     self.gate.release(1);
-                    self.finish_flow(item.hash);
+                    self.finish_flow(meta.hash);
                     tx_span(self, &item, SpanVerdict::Dropped);
-                    self.reclaim(item.shared);
+                    self.free.reclaim(item.frame);
                     return;
                 }
                 Some(Action::ToController) => {
                     self.stats.add_controller_punts(1);
                     self.gate.release(1);
-                    self.finish_flow(item.hash);
+                    self.finish_flow(meta.hash);
                     tx_span(self, &item, SpanVerdict::Punted);
-                    self.reclaim(item.shared);
+                    self.free.reclaim(item.frame);
                     return;
                 }
                 Some(Action::ToService(_)) => {}
             }
         }
         // Re-dispatch to one or more NFs (a parallel rule, or a sequential
-        // rule listing several services): re-arm the shared buffer (all
-        // previous readers have completed) and reuse the zero-copy path.
-        let exit_service = match self.resolve_targets(actions, item.hash) {
+        // rule listing several services): re-arm the frame (all previous
+        // readers have completed) and reuse the zero-copy path.
+        let exit_service = match self.resolve_targets(actions, meta.hash) {
             Targets::Ready(exit_service) => exit_service,
             unplaced => {
                 match unplaced {
@@ -3769,8 +3742,9 @@ impl ShardEngine {
                     _ => self.stats.add_overflow_drops(1),
                 }
                 self.gate.release(1);
-                self.finish_flow(item.hash);
+                self.finish_flow(meta.hash);
                 tx_span(self, &item, SpanVerdict::Dropped);
+                self.free.reclaim(item.frame);
                 return;
             }
         };
@@ -3778,28 +3752,8 @@ impl ShardEngine {
             self.stats.add_parallel_dispatches(1);
         }
         tx_span(self, &item, SpanVerdict::Forwarded);
-        let readers = self.targets.len() as u32;
-        let mut shared = item.shared;
-        // A straggler of a finished fan-out may still hold its clone for a
-        // moment; then the counters stay atomic for this hop too.
-        let unique = match shared.exclusive() {
-            Some(descriptor) => {
-                descriptor.re_arm(readers);
-                true
-            }
-            None => {
-                shared.re_arm(readers);
-                false
-            }
-        };
-        self.stage_targets(
-            shared,
-            unique,
-            item.key,
-            item.hash,
-            exit_service,
-            item.traced,
-        );
+        let frame = self.free.redispatch(item.frame, self.targets.len() as u32);
+        self.stage_targets(frame, exit_service);
     }
 
     /// Picks the replica of every service `actions` lists into the
@@ -3833,40 +3787,34 @@ impl ShardEngine {
         }
     }
 
-    /// Stages one handle on `shared` for each resolved target (the last
-    /// target takes the caller's handle, so a single-target hop touches no
-    /// reference count — and, when the caller proved the handle `unique`,
-    /// tells its NF so); the target's position in the list is the priority
-    /// of its NF's verdict.
-    fn stage_targets(
-        &mut self,
-        shared: SharedPacket,
-        unique: bool,
-        key: FlowKey,
-        hash: u64,
-        exit_service: ServiceId,
-        traced: bool,
-    ) {
+    /// Stages `frame` — readied for as many NFs as there are resolved
+    /// targets — to each of them: a fan-out's earlier targets get clones of
+    /// its handle, the last one the caller's handle, so a single-target hop
+    /// takes the owned frame as it is; the target's position in the list is
+    /// the priority of its NF's verdict.
+    fn stage_targets(&mut self, frame: Frame, exit_service: ServiceId) {
         let (&last, rest) = self
             .targets
             .split_last()
             .expect("resolved targets are non-empty");
-        let item = |shared: SharedPacket, position: usize| WorkItem {
-            shared,
-            key,
-            hash,
+        let item = |frame: Frame, position: usize| WorkItem {
+            frame,
             exit_service,
             position: u16::try_from(position).unwrap_or(u16::MAX),
-            traced,
-            sole: unique && rest.is_empty(),
         };
-        for (position, &index) in rest.iter().enumerate() {
-            self.staging.per_ring[index].push(item(shared.clone(), position));
+        match &frame {
+            Frame::Shared(shared) => {
+                for (position, &index) in rest.iter().enumerate() {
+                    self.staging.per_ring[index]
+                        .push(item(Frame::Shared(shared.clone()), position));
+                }
+            }
+            Frame::Sole(_) => assert!(rest.is_empty(), "an owned frame has one target"),
         }
-        self.staging.per_ring[last].push(item(shared, rest.len()));
+        self.staging.per_ring[last].push(item(frame, rest.len()));
     }
 
-    /// Flushes every staged descriptor with one batched push per ring.
+    /// Flushes every staged frame with one batched push per ring.
     ///
     /// A full egress ring parks the remainder in `staging.egress` — retried
     /// at the top of every subsequent [`ShardEngine::step`] until the host
@@ -3950,23 +3898,147 @@ enum Targets {
 
 /// Length of the longest prefix of `items` in which no two work items share
 /// a packet buffer (always ≥ 1 for a non-empty slice). Used to split bursts
-/// that would otherwise lock the same buffer twice. A sole-target item
-/// holds its buffer's only handle, so it aliases nothing: it is not looked
-/// for (a burst of them costs one flag test each) and never found.
+/// that would otherwise lock the same buffer twice. An owned frame aliases
+/// nothing: it is not looked for (a burst of them costs one tag test each)
+/// and never found.
 fn distinct_buffer_prefix(items: &[WorkItem]) -> usize {
     let mut end = 0;
     while end < items.len() {
-        let item = &items[end];
-        if !item.sole
-            && items[..end]
-                .iter()
-                .any(|earlier| earlier.shared.same_buffer(&item.shared))
-        {
-            break;
+        if let Frame::Shared(shared) = &items[end].frame {
+            let repeated = items[..end].iter().any(
+                |earlier| matches!(&earlier.frame, Frame::Shared(seen) if seen.same_buffer(shared)),
+            );
+            if repeated {
+                break;
+            }
         }
         end += 1;
     }
     end
+}
+
+/// Emptied packet holders awaiting reuse: a packet that leaves the pipeline
+/// parks its owned frame or its descriptor here, and dispatch refills one,
+/// so the steady state allocates neither. Each list stops growing at the
+/// capacity it was created with — the shard's credit budget, the most
+/// packets the shard holds in flight.
+struct FreeFrames {
+    #[allow(clippy::vec_box)] // the parked allocations are what is reused
+    owned: Vec<Box<SolePacket>>,
+    descriptors: Vec<SharedPacket>,
+}
+
+impl FreeFrames {
+    fn new(budget: usize) -> Self {
+        FreeFrames {
+            owned: Vec::with_capacity(budget),
+            descriptors: Vec::with_capacity(budget),
+        }
+    }
+
+    /// An admitted packet's frame for a dispatch to `readers` NFs: owned
+    /// outright by a single target, a descriptor shared by a fan-out.
+    fn frame(&mut self, packet: Packet, meta: PacketMeta, readers: u32) -> Frame {
+        if readers == 1 {
+            Frame::Sole(self.owned_frame(packet, meta))
+        } else {
+            Frame::Shared(self.descriptor(packet, meta, readers))
+        }
+    }
+
+    /// Boxes `packet` for a single-target hop, reusing a parked box.
+    fn owned_frame(&mut self, packet: Packet, meta: PacketMeta) -> Box<SolePacket> {
+        let fresh = SolePacket {
+            packet,
+            verdict: 0,
+            meta,
+        };
+        match self.owned.pop() {
+            Some(mut parked) => {
+                *parked = fresh;
+                parked
+            }
+            None => Box::new(fresh),
+        }
+    }
+
+    /// Wraps `packet` in a descriptor for `readers` NFs, reusing a parked
+    /// one when it is provably unshared.
+    fn descriptor(&mut self, packet: Packet, meta: PacketMeta, readers: u32) -> SharedPacket {
+        let (packet, meta) = match self.descriptors.pop() {
+            Some(parked) => match parked.recycle(packet, readers, meta) {
+                Ok(descriptor) => return descriptor,
+                Err(returned) => returned,
+            },
+            None => (packet, meta),
+        };
+        SharedPacket::with_meta(packet, readers, meta)
+    }
+
+    /// Readies a completed frame for its next dispatch, to `readers` NFs.
+    /// An owned frame stays owned for one target (its verdict reset) and
+    /// moves into a descriptor for several. A descriptor leaving a fan-out
+    /// for one target pays the exit test ([`SharedPacket::exclusive`]) and
+    /// becomes an owned frame — unless a straggler NF still holds its clone,
+    /// and then it stays shared and re-armed for this hop, as it does for
+    /// another fan-out.
+    fn redispatch(&mut self, frame: Frame, readers: u32) -> Frame {
+        match frame {
+            Frame::Sole(mut sole) if readers == 1 => {
+                sole.verdict = 0;
+                Frame::Sole(sole)
+            }
+            Frame::Sole(sole) => {
+                let meta = sole.meta;
+                let packet = self.reclaim(Frame::Sole(sole));
+                Frame::Shared(self.descriptor(packet, meta, readers))
+            }
+            Frame::Shared(mut shared) => {
+                let meta = *shared.meta();
+                match shared.exclusive() {
+                    Some(descriptor) if readers == 1 => {
+                        let packet = descriptor.take_packet();
+                        self.park_descriptor(shared);
+                        return Frame::Sole(self.owned_frame(packet, meta));
+                    }
+                    Some(descriptor) => descriptor.re_arm(readers),
+                    None => shared.re_arm(readers),
+                }
+                Frame::Shared(shared)
+            }
+        }
+    }
+
+    /// Ends a frame's trip through the pipeline: moves the packet out
+    /// (zero-copy — from an owned frame or a unique descriptor as plain
+    /// memory, else through the lock every NF already released) and parks
+    /// the emptied holder for reuse.
+    fn reclaim(&mut self, frame: Frame) -> Packet {
+        match frame {
+            Frame::Sole(mut sole) => {
+                let packet = std::mem::replace(&mut sole.packet, Packet::from_bytes(Vec::new()));
+                if self.owned.len() < self.owned.capacity() {
+                    self.owned.push(sole);
+                }
+                packet
+            }
+            Frame::Shared(mut shared) => {
+                let packet = match shared.exclusive() {
+                    Some(descriptor) => descriptor.take_packet(),
+                    None => shared.take_packet(),
+                };
+                self.park_descriptor(shared);
+                packet
+            }
+        }
+    }
+
+    /// Parks an emptied descriptor for reuse, within the budget.
+    fn park_descriptor(&mut self, descriptor: SharedPacket) {
+        if self.descriptors.len() < self.descriptors.capacity() {
+            self.descriptors.push(descriptor);
+        }
+    }
 }
 
 /// Checks that every target ring of a parallel dispatch can take its staged
@@ -4093,35 +4165,19 @@ struct GuardScratch {
     write_refs: Vec<&'static mut Packet>,
 }
 
-/// How an NF burst reaches one packet's frame: as plain memory for a
-/// sole-target item, through the descriptor's lock (guard `G`) for a
-/// fan-out one.
+/// How an NF burst reaches one packet: as plain memory in an owned frame,
+/// through the descriptor's lock (guard `G`) for a fan-out's handle.
 enum Access<'a, G> {
-    Sole(Exclusive<'a>),
+    Sole(&'a mut Packet),
     Locked(G),
 }
 
 impl<'a, G> Access<'a, G> {
     /// Opens `item`'s frame; `lock` takes the guard of a shared descriptor.
     fn open(item: &'a mut WorkItem, lock: impl FnOnce(&'a SharedPacket) -> G) -> Self {
-        if item.sole {
-            Access::Sole(
-                item.shared
-                    .exclusive()
-                    .expect("a sole-target handle stays unique in flight"),
-            )
-        } else {
-            Access::Locked(lock(&item.shared))
-        }
-    }
-
-    /// Completes a sole-target item with its NF's `verdict`, in plain
-    /// memory. A fan-out item is left alone: its handle merges and
-    /// completes atomically once the guard is dropped.
-    fn complete_sole(&mut self, verdict: Verdict) {
-        if let Access::Sole(descriptor) = self {
-            let last = descriptor.complete(verdict_to_key(verdict, 0));
-            assert!(last, "a sole-target descriptor has one reader");
+        match &mut item.frame {
+            Frame::Sole(sole) => Access::Sole(&mut sole.packet),
+            Frame::Shared(shared) => Access::Locked(lock(shared)),
         }
     }
 }
@@ -4129,7 +4185,7 @@ impl<'a, G> Access<'a, G> {
 impl<G: std::ops::Deref<Target = Packet>> Access<'_, G> {
     fn packet(&self) -> &Packet {
         match self {
-            Access::Sole(descriptor) => descriptor.packet(),
+            Access::Sole(packet) => packet,
             Access::Locked(guard) => guard,
         }
     }
@@ -4138,7 +4194,7 @@ impl<G: std::ops::Deref<Target = Packet>> Access<'_, G> {
 impl<G: std::ops::DerefMut<Target = Packet>> Access<'_, G> {
     fn packet_mut(&mut self) -> &mut Packet {
         match self {
-            Access::Sole(descriptor) => descriptor.packet_mut(),
+            Access::Sole(packet) => packet,
             Access::Locked(guard) => guard,
         }
     }
@@ -4370,7 +4426,7 @@ impl NfEngine {
         let slots = self.verdicts.reset(items.len());
         if self.read_only {
             // Open the whole burst for reading and hand the NF one batch:
-            // sole-target items as plain memory, fan-out items under read
+            // owned frames as plain memory, fan-out items under read
             // guards (parallel NFs on other threads can hold read guards on
             // the same descriptors simultaneously). Bursts are still split
             // on repeated buffers: two read guards on one lock from this
@@ -4397,9 +4453,6 @@ impl NfEngine {
                     );
                     refs.clear();
                     scratch.read_refs = recycle(refs);
-                    for (guard, verdict) in guards.iter_mut().zip(&slots[start..end]) {
-                        guard.complete_sole(*verdict);
-                    }
                     guards.clear();
                     scratch.read_guards = recycle(guards);
                     start = end;
@@ -4432,9 +4485,6 @@ impl NfEngine {
                         .process_batch_mut(&mut batch, &mut slots[start..end], &mut self.ctx);
                     refs.clear();
                     scratch.write_refs = recycle(refs);
-                    for (guard, verdict) in guards.iter_mut().zip(&slots[start..end]) {
-                        guard.complete_sole(*verdict);
-                    }
                     guards.clear();
                     scratch.write_guards = recycle(guards);
                     start = end;
@@ -4471,24 +4521,16 @@ impl NfEngine {
             &self.stats,
             self.pin_timeouts,
         );
-        for (index, item) in items.drain(..).enumerate() {
-            // A sole-target item was completed in place when its access
-            // closed; a fan-out handle merges and counts down atomically.
-            if !item.sole {
-                item.shared.merge_verdict(verdict_to_key(
-                    self.verdicts.as_slice()[index],
-                    item.position,
-                ));
-                if !item.shared.complete_one() {
-                    continue;
-                }
+        for (index, mut item) in items.drain(..).enumerate() {
+            // An owned frame stores its verdict and is done; a fan-out
+            // handle merges and counts down atomically.
+            let key = verdict_to_key(self.verdicts.as_slice()[index], item.position);
+            if !item.frame.complete(key) {
+                continue;
             }
             self.done_staging.push(DoneItem {
-                shared: item.shared,
-                key: item.key,
-                hash: item.hash,
+                frame: item.frame,
                 exit_service: item.exit_service,
-                traced: item.traced,
                 nf_started_ns: burst_started_ns,
                 nf_ended_ns: burst_ended_ns,
             });
@@ -4635,29 +4677,43 @@ mod tests {
         assert_eq!(pick_instance(&[(service, vec![])], service, 1), None);
     }
 
+    /// The metadata the worker keeps with a test packet of flow `hash`.
+    fn meta(hash: u64) -> PacketMeta {
+        PacketMeta {
+            key: packet(1).flow_key().unwrap(),
+            hash,
+            traced: false,
+        }
+    }
+
+    /// An owned frame around `packet`, as RX dispatch makes it.
+    fn sole_frame(packet: Packet, hash: u64) -> Frame {
+        Frame::Sole(Box::new(SolePacket {
+            packet,
+            verdict: 0,
+            meta: meta(hash),
+        }))
+    }
+
     #[test]
     fn distinct_buffer_prefix_splits_on_repeated_buffers() {
-        let work = |shared: SharedPacket, sole: bool| WorkItem {
-            shared,
-            key: packet(1).flow_key().unwrap(),
-            hash: 0,
+        let work = |frame: Frame| WorkItem {
+            frame,
             exit_service: ServiceId::new(1),
             position: 0,
-            traced: false,
-            sole,
         };
-        let item = |shared: &SharedPacket| work(shared.clone(), false);
-        let sole = |port: u16| work(SharedPacket::new(packet(port), 1), true);
-        let a = SharedPacket::new(packet(1), 2);
-        let b = SharedPacket::new(packet(2), 1);
+        let item = |shared: &SharedPacket| work(Frame::Shared(shared.clone()));
+        let sole = |port: u16| work(sole_frame(packet(port), 0));
+        let a = SharedPacket::with_meta(packet(1), 2, meta(0));
+        let b = SharedPacket::with_meta(packet(2), 1, meta(0));
         assert_eq!(distinct_buffer_prefix(&[]), 0);
         assert_eq!(distinct_buffer_prefix(&[item(&a)]), 1);
         // a, b, a: the second `a` must start a new chunk.
         assert_eq!(distinct_buffer_prefix(&[item(&a), item(&b), item(&a)]), 2);
         // a, a: even adjacent repeats split.
         assert_eq!(distinct_buffer_prefix(&[item(&a), item(&a)]), 1);
-        // Sole-target items alias nothing and never split a burst, but a
-        // repeat among the fan-out items between them still does.
+        // Owned frames alias nothing and never split a burst, but a repeat
+        // among the fan-out items between them still does.
         assert_eq!(distinct_buffer_prefix(&[sole(3), sole(4), sole(5)]), 3);
         assert_eq!(
             distinct_buffer_prefix(&[sole(3), item(&a), sole(4), item(&b), item(&a), sole(5)]),
@@ -4755,66 +4811,81 @@ mod tests {
         payload_head: [u8; 2],
     }
 
-    /// One [`NfEngine`] burst of eight items over six descriptors, in ring
-    /// order: sole, fan-out, twice-named (first), sole, twice-named
-    /// (second), sole, fan-out, sole. `hinted == false` serves the same
-    /// burst with every hint cleared, i.e. down the shared path alone —
-    /// the parent's behaviour. Returns the completions in done-ring order,
-    /// then the two fan-out descriptors.
-    fn serve_mixed_burst(mutate: bool, hinted: bool) -> Vec<Served> {
+    /// One [`NfEngine`] burst of eight items over six packets, in ring
+    /// order: owned, fan-out, twice-named (first), owned, twice-named
+    /// (second), owned, fan-out, owned. `owned == false` serves the same
+    /// burst with each owned frame a one-reader descriptor instead, i.e.
+    /// down the shared path alone. Returns the completions in done-ring
+    /// order, then the two fan-out descriptors.
+    fn serve_mixed_burst(mutate: bool, owned: bool) -> Vec<Served> {
         let (mut engine, ring, done) = test_nf_engine(Box::new(StampNf { mutate }), 8);
-        let descriptor = |selector: u8, readers: u32| {
+        let stamped = |selector: u8| {
             let mut frame = packet(u16::from(selector));
             frame.l4_payload_mut().unwrap()[..2].copy_from_slice(&[selector, 0]);
-            SharedPacket::new(frame, readers)
+            frame
         };
-        let work = |shared: SharedPacket, hash: u64, position: u16, sole: bool| WorkItem {
-            shared,
-            key: packet(1).flow_key().unwrap(),
-            hash,
+        let descriptor = |selector: u8, readers: u32, hash: u64| {
+            SharedPacket::with_meta(stamped(selector), readers, meta(hash))
+        };
+        let single = |selector: u8, hash: u64| {
+            if owned {
+                sole_frame(stamped(selector), hash)
+            } else {
+                Frame::Shared(descriptor(selector, 1, hash))
+            }
+        };
+        let work = |frame: Frame, position: u16| WorkItem {
+            frame,
             exit_service: ServiceId::new(1),
             position,
-            traced: false,
-            sole: sole && hinted,
         };
         // Fan-out of a parallel rule: three readers, this NF is the second;
         // the test plays the other two and merges a steer of its own.
-        let fan_out: Vec<SharedPacket> = [1, 2].map(|selector| descriptor(selector, 3)).into();
+        let fan_out = [(1, 20), (2, 21)].map(|(selector, hash)| descriptor(selector, 3, hash));
         // A hand-installed sequential list naming this service twice.
-        let twice = descriptor(3, 2);
+        let twice = descriptor(3, 2, 30);
         let mut burst = vec![
-            work(descriptor(0, 1), 10, 0, true),
-            work(fan_out[0].clone(), 20, 1, false),
-            work(twice.clone(), 30, 0, false),
-            work(descriptor(1, 1), 11, 0, true),
-            work(twice, 30, 1, false),
-            work(descriptor(2, 1), 12, 0, true),
-            work(fan_out[1].clone(), 21, 1, false),
-            work(descriptor(3, 1), 13, 0, true),
+            work(single(0, 10), 0),
+            work(Frame::Shared(fan_out[0].clone()), 1),
+            work(Frame::Shared(twice.clone()), 0),
+            work(single(1, 11), 0),
+            work(Frame::Shared(twice), 1),
+            work(single(2, 12), 0),
+            work(Frame::Shared(fan_out[1].clone()), 1),
+            work(single(3, 13), 0),
         ];
         assert_eq!(ring.push_n(&mut burst), 8);
         assert!(engine.step());
 
-        let served = |hash: u64, shared: &SharedPacket| Served {
-            hash,
+        let head = |p: &Packet| -> [u8; 2] { p.l4_payload().unwrap()[..2].try_into().unwrap() };
+        let served = |shared: &SharedPacket| Served {
+            hash: shared.meta().hash,
             remaining: shared.remaining(),
             verdict: shared.verdict(),
-            payload_head: shared.with_read(|p| p.l4_payload().unwrap()[..2].try_into().unwrap()),
+            payload_head: shared.with_read(head),
         };
         let mut completions = Vec::new();
         done.pop_n(&mut completions, 8);
         let mut out: Vec<Served> = completions
             .iter()
-            .map(|item| served(item.hash, &item.shared))
+            .map(|item| match &item.frame {
+                Frame::Sole(sole) => Served {
+                    hash: sole.meta.hash,
+                    remaining: 0,
+                    verdict: sole.verdict,
+                    payload_head: head(&sole.packet),
+                },
+                Frame::Shared(shared) => served(shared),
+            })
             .collect();
-        for (hash, shared) in [20, 21].into_iter().zip(&fan_out) {
+        for shared in &fan_out {
             // The NF was one of three readers: its handle is gone, its
             // request merged, and the descriptor still waits for the rest.
             assert_eq!(shared.remaining(), 2);
             shared.merge_verdict(verdict_to_key(Verdict::ToService(ServiceId::new(5)), 0));
             assert!(!shared.complete_one());
             assert!(shared.complete_one());
-            out.push(served(hash, shared));
+            out.push(served(shared));
         }
         out
     }
@@ -4822,13 +4893,13 @@ mod tests {
     #[test]
     fn a_mixed_burst_is_served_as_the_shared_path_alone_serves_it() {
         for mutate in [false, true] {
-            let hinted = serve_mixed_burst(mutate, true);
-            assert_eq!(hinted, serve_mixed_burst(mutate, false), "mutate {mutate}");
+            let owned = serve_mixed_burst(mutate, true);
+            assert_eq!(owned, serve_mixed_burst(mutate, false), "mutate {mutate}");
             let visits = |n: u8| if mutate { n } else { 0 };
             let key = verdict_to_key;
             let steer = Verdict::ToService(ServiceId::new(9));
             let expected = [
-                // The four sole-target items and the twice-named descriptor
+                // The four owned frames and the twice-named descriptor
                 // (complete at its second item), in ring order …
                 (10, key(Verdict::Default, 0), [0, visits(1)]),
                 (11, key(steer, 0), [1, visits(1)]),
@@ -4850,8 +4921,215 @@ mod tests {
                 verdict,
                 payload_head,
             });
-            assert_eq!(hinted, expected, "mutate {mutate}");
+            assert_eq!(owned, expected, "mutate {mutate}");
         }
+    }
+
+    /// One NF of the mixed chain: asks for what its role does with the
+    /// packet's selector (the first payload byte). The sequential hops `a`
+    /// and `d` mutate, counting their visits in the second byte; the
+    /// fan-out's `b` and `c` only read.
+    struct SelectorNf {
+        role: char,
+    }
+
+    impl NetworkFunction for SelectorNf {
+        fn name(&self) -> &str {
+            "selector"
+        }
+
+        fn read_only(&self) -> bool {
+            matches!(self.role, 'b' | 'c')
+        }
+
+        fn process(&mut self, packet: &Packet, _ctx: &mut NfContext) -> Verdict {
+            match (self.role, packet.l4_payload().unwrap()[0]) {
+                ('a', 5) | ('c', 2) => Verdict::Discard,
+                ('b', 1 | 2) | ('c', 3) => Verdict::ToPort(2),
+                ('b', 3) | ('d', 4) => Verdict::ToPort(3),
+                _ => Verdict::Default,
+            }
+        }
+
+        fn process_mut(&mut self, packet: &mut Packet, ctx: &mut NfContext) -> Verdict {
+            packet.l4_payload_mut().unwrap()[1] += 1;
+            self.process(packet, ctx)
+        }
+    }
+
+    #[test]
+    fn a_mixed_chain_converts_its_frame_at_every_fan_out_boundary() {
+        // a → parallel (b, c) → d → port. RX stages an owned frame for `a`,
+        // `a`'s return moves the packet into a descriptor for the fan-out,
+        // the fan-out's exit test takes it back into an owned frame for `d`,
+        // and egress reclaims that.
+        let [a, b, c, d] = [1, 2, 3, 4].map(ServiceId::new);
+        let table = SharedFlowTable::new();
+        let at = FlowMatch::at_step;
+        table.insert(FlowRule::new(
+            at(RulePort::Nic(0)),
+            vec![Action::ToService(a)],
+        ));
+        table.insert(FlowRule::parallel(
+            at(RulePort::Service(a)),
+            vec![Action::ToService(b), Action::ToService(c)],
+        ));
+        table.insert(FlowRule::new(
+            at(RulePort::Service(c)),
+            vec![Action::ToService(d), Action::ToPort(2), Action::ToPort(3)],
+        ));
+        table.insert(FlowRule::new(
+            at(RulePort::Service(d)),
+            vec![Action::ToPort(1), Action::ToPort(3)],
+        ));
+        const CREDITS: usize = 16;
+        let roles = [(a, 'a'), (b, 'b'), (c, 'c'), (d, 'd')];
+        let (host, sim) = ThreadedHost::start_sim_sharded(
+            table,
+            move |_shard| {
+                roles
+                    .map(|(id, role)| {
+                        (
+                            id,
+                            Box::new(SelectorNf { role }) as Box<dyn NetworkFunction>,
+                        )
+                    })
+                    .into()
+            },
+            ThreadedHostConfig {
+                shard_credits: CREDITS,
+                ..ThreadedHostConfig::default()
+            },
+        );
+        let worker = sim.actors()[0].id;
+        sim.step(worker);
+        let actor = |service: ServiceId| {
+            let label = format!("shard0/nf{service}");
+            sim.actors()
+                .into_iter()
+                .find(|actor| actor.label == label)
+                .expect("every service has a replica")
+                .id
+        };
+        let selected = |seq: u16, selector: u8| {
+            let mut frame = packet(seq);
+            frame.l4_payload_mut().unwrap()[..2].copy_from_slice(&[selector, 0]);
+            frame
+        };
+        // Selector → (egress port, visits by `a` and `d`); `None`: dropped.
+        // 0: every NF follows the table, out `d`'s default port;
+        // 1: `b` asks port 2, honoured from the shared frame;
+        // 2: `b` asks port 2 and `c` a drop, and the drop wins;
+        // 3: `b` (position 0) asks port 3, `c` port 2: the earlier wins;
+        // 4: `d` asks port 3 of the owned frame the exit test made;
+        // 5: `a` drops its owned frame.
+        let expected = [
+            Some((1, 2)),
+            Some((2, 1)),
+            None,
+            Some((3, 1)),
+            Some((3, 2)),
+            None,
+        ];
+        let mut per_selector = [0usize; 6];
+        let mut seq = 0u16;
+        for _ in 0..12 {
+            // A burst of the whole credit budget, drained before the next:
+            // no buffer is freed and reused while its packet is in flight.
+            let burst: Vec<Packet> = (0..CREDITS)
+                .map(|_| {
+                    seq += 1;
+                    selected(seq, (seq % 6) as u8)
+                })
+                .collect();
+            let mut in_flight: HashMap<*const u8, u8> = burst
+                .iter()
+                .map(|frame| (frame.data().as_ptr(), frame.l4_payload().unwrap()[0]))
+                .collect();
+            assert!(host.inject_burst(burst).throttled.is_empty());
+            while sim.step_all() > 0 {}
+            for output in host.poll_egress_burst(2 * CREDITS) {
+                let selector = in_flight
+                    .remove(&output.packet.data().as_ptr())
+                    .expect("the egressed frame is the buffer that was injected");
+                let payload = output.packet.l4_payload().unwrap();
+                assert_eq!(payload[0], selector);
+                let (port, visits) = expected[usize::from(selector)].expect("a dropped selector");
+                assert_eq!(
+                    (output.port, payload[1]),
+                    (port, visits),
+                    "selector {selector}"
+                );
+                per_selector[usize::from(selector)] += 1;
+            }
+            assert!(in_flight
+                .values()
+                .all(|&selector| expected[usize::from(selector)].is_none()));
+        }
+        assert_eq!(per_selector, [32, 32, 0, 32, 32, 0]);
+        let stats = host.stats().snapshot();
+        assert_eq!((stats.received, stats.transmitted), (192, 128));
+        assert_eq!(stats.dropped, 64);
+        assert_eq!(stats.nf_invocations, 32 * (4 + 3 + 3 + 3 + 4 + 1));
+
+        // A straggler: the fan-out's final completion reaches the worker
+        // while another party still holds a clone of its descriptor (here,
+        // the test). The exit test fails, and the packet goes on to `d`
+        // shared, on the locked path.
+        let probe = selected(seq + 1, 4);
+        let buffer = probe.data().as_ptr();
+        assert!(host.inject(probe).is_admitted());
+        for id in [worker, actor(a), worker, actor(b), actor(c)] {
+            assert!(sim.step(id));
+        }
+        let straggler = sim
+            .with_worker(worker, |engine| {
+                let mut done = Vec::new();
+                for slot in &engine.slots {
+                    slot.done.pop_n(&mut done, 1);
+                }
+                assert_eq!(done.len(), 1, "the fan-out completed once");
+                let Frame::Shared(shared) = &done[0].frame else {
+                    panic!("a fan-out completes a shared frame");
+                };
+                let straggler = shared.clone();
+                engine.tx_round(&mut done);
+                straggler
+            })
+            .expect("the worker is running");
+        assert_eq!(straggler.remaining(), 1, "re-armed for `d` alone");
+        assert!(sim.step(actor(d)));
+        assert_eq!(straggler.remaining(), 0);
+        assert_eq!(
+            verdict_from_word(straggler.verdict()),
+            Verdict::ToPort(3),
+            "`d`'s request merged into the descriptor"
+        );
+        while sim.step_all() > 0 {}
+        let out = host.poll_egress_burst(4);
+        assert_eq!(out.len(), 1);
+        assert_eq!((out[0].port, out[0].packet.data().as_ptr()), (3, buffer));
+        assert_eq!(out[0].packet.l4_payload().unwrap()[1], 2);
+        assert!(
+            straggler.with_read(Packet::is_empty),
+            "egress moved the frame out through the lock"
+        );
+        drop(straggler);
+
+        let (owned, descriptors) = sim
+            .with_worker(worker, |engine| {
+                (engine.free.owned.len(), engine.free.descriptors.len())
+            })
+            .expect("the worker is running");
+        assert!(
+            (1..=CREDITS).contains(&owned),
+            "{owned} owned frames parked"
+        );
+        assert!(
+            (1..=CREDITS).contains(&descriptors),
+            "{descriptors} descriptors parked"
+        );
+        host.shutdown();
     }
 
     #[test]
@@ -4865,15 +5143,10 @@ mod tests {
         assert!(parallel_fits(&staging, &slots, &[0, 0]));
         assert!(!parallel_fits(&staging, &slots, &[0, 0, 0]));
         // One item already staged for ring 0 leaves room for one more copy.
-        let shared = SharedPacket::new(packet(9), 1);
         staging.per_ring[0].push(WorkItem {
-            shared: shared.clone(),
-            key: packet(9).flow_key().unwrap(),
-            hash: 0,
+            frame: Frame::Shared(SharedPacket::with_meta(packet(9), 1, meta(0))),
             exit_service: ServiceId::new(1),
             position: 0,
-            traced: false,
-            sole: false,
         });
         assert!(parallel_fits(&staging, &slots, &[0]));
         assert!(!parallel_fits(&staging, &slots, &[0, 0]));
@@ -5399,7 +5672,6 @@ mod tests {
             },
             ThreadedHostConfig {
                 num_shards: 2,
-                rehome_pen: 4,
                 ..ThreadedHostConfig::default()
             },
         );
@@ -5422,7 +5694,7 @@ mod tests {
             if host.pending_rehomes() == 0 {
                 continue; // the bucket was already idle: try again
             }
-            for _ in 0..6 {
+            for _ in 0..REHOME_PEN + 2 {
                 match host.inject(packet(7)) {
                     InjectResult::Admitted => {
                         admitted += 1;

@@ -251,6 +251,23 @@ impl SimHandle {
         }
     }
 
+    /// Runs `f` on the shard worker actor `id` between steps, so a unit
+    /// test can look inside it or play part of its turn by hand. `None` for
+    /// unknown ids, finished actors and NF replicas.
+    #[cfg(test)]
+    pub(crate) fn with_worker<R>(
+        &self,
+        id: u64,
+        f: impl FnOnce(&mut ShardEngine) -> R,
+    ) -> Option<R> {
+        let mut registry = self.registry.lock();
+        let cell = registry.cells.iter_mut().find(|cell| cell.id == id)?;
+        match cell.actor.as_mut()? {
+            SimActor::Worker { engine, .. } => Some(f(engine)),
+            SimActor::Nf(_) => None,
+        }
+    }
+
     /// Steps every unfinished actor once, in registration order. Returns
     /// how many reported work — `0` means the host is quiescent for the
     /// current inputs.

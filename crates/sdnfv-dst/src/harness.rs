@@ -312,7 +312,6 @@ pub fn run_seed(config: &DstConfig) -> RunReport {
         // per-tick drains (a shed span would weaken the conservation
         // oracle, and `spans_dropped` reports it if it ever happens).
         trace_ring_capacity: 4096,
-        ..ThreadedHostConfig::default()
     };
     trace_event!(trace, "seed {:#x}: {}", config.seed, plan.summary());
     trace_event!(

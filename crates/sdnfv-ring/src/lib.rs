@@ -13,9 +13,10 @@
 //! * [`pool`] — a bounded packet pool modelling the shared huge-page region
 //!   DPDK DMAs packets into; exhaustion translates to packet drops exactly
 //!   like a full mbuf pool,
-//! * [`shared`] — reference-counted packet descriptors used when the manager
-//!   dispatches one packet to several read-only NFs in parallel (§4.2); the
-//!   descriptor carries the completion counter and the NFs' merged verdict,
+//! * [`shared`] — packet frames in flight: owned outright on a sequential
+//!   hop, reference-counted descriptors when the manager dispatches one
+//!   packet to several read-only NFs in parallel (§4.2); the descriptor
+//!   carries the completion counter and the NFs' merged verdict,
 //! * [`credit`] — credit gates implementing ingress backpressure: a bounded
 //!   pipeline stage admits a packet only while it holds a credit, and the
 //!   egress side replenishes the credit when the packet leaves, so overload
@@ -38,5 +39,7 @@ pub mod sync;
 
 pub use credit::CreditGate;
 pub use pool::{PacketPool, PoolStats, PooledPacket};
-pub use shared::{verdict_key, verdict_parts, Exclusive, SharedPacket, VerdictClass};
+pub use shared::{
+    verdict_key, verdict_parts, Exclusive, Frame, SharedPacket, SolePacket, VerdictClass,
+};
 pub use spsc::{spsc_ring, Consumer, Producer, PushError};

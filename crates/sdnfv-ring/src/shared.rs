@@ -20,26 +20,33 @@
 //!
 //! The paper's descriptor is asymmetric on purpose: a packet on a
 //! *sequential* chain is owned by one NF at a time, and only a *parallel*
-//! dispatch pays for a reference counter. The same rule holds here:
+//! dispatch pays for a reference counter. A packet in flight is a
+//! [`Frame`], and its variant says which:
 //!
-//! * **sole handle ⇒ plain access.** [`SharedPacket::exclusive`] yields the
-//!   frame, the verdict word and the completion counter as ordinary memory
-//!   when the handle it is called on is the only one. A sequential hop
-//!   moves its one handle from ring to ring, so serving it takes no lock
-//!   and no read-modify-write beyond the uniqueness test itself.
-//! * **any clone alive ⇒ lock + atomic word.** `exclusive` answers `None`
-//!   and every party goes through the `RwLock`, [`SharedPacket::merge_verdict`]
-//!   and [`SharedPacket::complete_one`] — the fan-out path, unchanged.
+//! * **one target ⇒ [`Frame::Sole`]**: the packet and the verdict key of
+//!   its one NF in a boxed [`SolePacket`], plain memory. Whoever holds the
+//!   box owns the packet — the type is the proof — so serving a sequential
+//!   hop takes no lock, no read-modify-write and no test. Completing it is
+//!   a store of the key ([`Frame::complete`]).
+//! * **several targets ⇒ [`Frame::Shared`]**: one [`SharedPacket`] handle
+//!   per target, and every party goes through the `RwLock`,
+//!   [`SharedPacket::merge_verdict`] and [`SharedPacket::complete_one`].
 //!
-//! This is sound in safe Rust because it is built on `Arc::get_mut`,
-//! `RwLock::get_mut` and the atomics' `get_mut`: `Arc::get_mut` hands out
-//! `&mut` only after proving no other strong or weak handle exists, and
-//! while that borrow lives the `&mut self` it came from forbids cloning
-//! this one — so nobody can observe the plain writes concurrently. The
-//! writes reach the next owner through whatever moves the handle there (a
-//! ring push/pop is a release/acquire pair). Uniqueness is also *stable*:
-//! a handle proven unique stays unique until its owner clones it, which is
-//! what lets the dispatcher prove it once and tell the NF in a hint bit.
+//! The dispatcher converts a packet when its next hop's fan-out differs.
+//! Sole → shared moves the packet into a descriptor. Shared → sole needs
+//! every other handle gone, and [`SharedPacket::exclusive`] is that exit
+//! test — the one uniqueness test left on the packet path, paid only by a
+//! packet leaving a fan-out. While a straggler NF still holds its clone
+//! (it completed but has not dropped it yet) the test fails and the packet
+//! stays shared, on the locked path, for one more hop.
+//!
+//! `exclusive` is sound in safe Rust because it is built on
+//! `Arc::get_mut`, `RwLock::get_mut` and the atomics' `get_mut`:
+//! `Arc::get_mut` hands out `&mut` only after proving no other strong or
+//! weak handle exists, and while that borrow lives the `&mut self` it came
+//! from forbids cloning this one — so nobody can observe the plain writes
+//! concurrently. Either kind of frame reaches its next owner through
+//! whatever moves it there (a ring push/pop is a release/acquire pair).
 
 use crate::sync::{AtomicU32, AtomicU64, Ordering};
 use parking_lot::RwLock;
@@ -95,24 +102,100 @@ pub fn verdict_parts(word: u64) -> (VerdictClass, u32) {
     (class, word as u32)
 }
 
-struct SharedInner {
+struct SharedInner<M> {
     packet: RwLock<Packet>,
     remaining: AtomicU32,
     /// The largest [`verdict_key`] merged since the last (re-)arm.
     verdict: AtomicU64,
     readers: u32,
+    meta: M,
 }
 
 /// A packet shared (read-mostly) between several concurrently running NFs.
-#[derive(Clone)]
-pub struct SharedPacket {
-    inner: Arc<SharedInner>,
+/// `M` is what the dispatcher keeps with the packet for its whole trip
+/// (say, its flow key), readable through every handle.
+pub struct SharedPacket<M = ()> {
+    inner: Arc<SharedInner<M>>,
+}
+
+impl<M> Clone for SharedPacket<M> {
+    fn clone(&self) -> Self {
+        SharedPacket {
+            inner: Arc::clone(&self.inner),
+        }
+    }
+}
+
+/// A packet owned by exactly one NF hop (see the module docs' ownership
+/// rule): the frame, the [`verdict_key`] its NF asked for, and the
+/// dispatcher's `meta`, as plain memory.
+#[derive(Debug)]
+pub struct SolePacket<M = ()> {
+    /// The frame.
+    pub packet: Packet,
+    /// The key its NF's verdict merges into the dispatch with; 0 (follow
+    /// the flow table) until the NF answers.
+    pub verdict: u64,
+    /// What the dispatcher keeps with the packet for its whole trip.
+    pub meta: M,
+}
+
+/// A packet in flight between the dispatcher and its NFs: owned outright
+/// by a single-target hop, or shared by a fan-out's handles. Either way it
+/// carries the dispatcher's per-packet `meta`, so a ring slot need not.
+#[derive(Debug)]
+pub enum Frame<M = ()> {
+    /// The one target's packet; no other handle exists.
+    Sole(Box<SolePacket<M>>),
+    /// One of a fan-out's handles on a reference-counted descriptor.
+    Shared(SharedPacket<M>),
+}
+
+impl<M> Frame<M> {
+    /// The dispatcher's per-packet data.
+    #[inline]
+    pub fn meta(&self) -> &M {
+        match self {
+            Frame::Sole(sole) => &sole.meta,
+            Frame::Shared(shared) => shared.meta(),
+        }
+    }
+
+    /// Records that this frame's NF finished with the request `key`.
+    /// Returns `true` when the packet is ready for the dispatcher: at once
+    /// for a sole frame (the key is its verdict), at the final completion
+    /// for a shared one ([`SharedPacket::merge_verdict`] then
+    /// [`SharedPacket::complete_one`]).
+    #[inline]
+    pub fn complete(&mut self, key: u64) -> bool {
+        match self {
+            Frame::Sole(sole) => {
+                sole.verdict = key;
+                true
+            }
+            Frame::Shared(shared) => {
+                shared.merge_verdict(key);
+                shared.complete_one()
+            }
+        }
+    }
+
+    /// The verdict of the dispatch round, once [`Frame::complete`] returned
+    /// `true` (see [`SharedPacket::verdict`]).
+    #[inline]
+    pub fn verdict(&self) -> u64 {
+        match self {
+            Frame::Sole(sole) => sole.verdict,
+            Frame::Shared(shared) => shared.verdict(),
+        }
+    }
 }
 
 /// Plain-memory view of a descriptor whose handle is provably the only one
-/// (see the module docs' ownership rule): what [`SharedPacket::exclusive`]
-/// returns. Its methods are the lock-free, RMW-free twins of the shared
-/// ones and leave the descriptor in exactly the state those would.
+/// — a fan-out's exit test passed (see the module docs' ownership rule):
+/// what [`SharedPacket::exclusive`] returns. Its methods are the lock-free,
+/// RMW-free twins of the shared ones and leave the descriptor in exactly
+/// the state those would.
 pub struct Exclusive<'a> {
     packet: &'a mut Packet,
     remaining: &'a mut u32,
@@ -120,33 +203,6 @@ pub struct Exclusive<'a> {
 }
 
 impl Exclusive<'_> {
-    /// The frame (twin of [`SharedPacket::read_guard`]).
-    pub fn packet(&self) -> &Packet {
-        self.packet
-    }
-
-    /// The frame, writable (twin of [`SharedPacket::write_guard`]).
-    pub fn packet_mut(&mut self) -> &mut Packet {
-        self.packet
-    }
-
-    /// [`SharedPacket::merge_verdict`] followed by
-    /// [`SharedPacket::complete_one`]: merges one NF's request and records
-    /// its completion. Returns `true` for the final completion.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no reader is outstanding.
-    pub fn complete(&mut self, key: u64) -> bool {
-        *self.verdict = (*self.verdict).max(key);
-        assert!(
-            *self.remaining > 0,
-            "complete_one called more times than readers"
-        );
-        *self.remaining -= 1;
-        *self.remaining == 0
-    }
-
     /// [`SharedPacket::re_arm`].
     ///
     /// # Panics
@@ -169,7 +225,7 @@ impl Exclusive<'_> {
     }
 }
 
-impl std::fmt::Debug for SharedPacket {
+impl<M> std::fmt::Debug for SharedPacket<M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SharedPacket")
             .field("remaining", &self.remaining())
@@ -185,6 +241,17 @@ impl SharedPacket {
     ///
     /// Panics if `readers` is zero.
     pub fn new(packet: Packet, readers: u32) -> Self {
+        SharedPacket::with_meta(packet, readers, ())
+    }
+}
+
+impl<M> SharedPacket<M> {
+    /// [`SharedPacket::new`] for a packet the dispatcher keeps `meta` with.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `readers` is zero.
+    pub fn with_meta(packet: Packet, readers: u32, meta: M) -> Self {
         assert!(readers > 0, "a shared packet needs at least one reader");
         SharedPacket {
             inner: Arc::new(SharedInner {
@@ -192,14 +259,21 @@ impl SharedPacket {
                 remaining: AtomicU32::new(readers),
                 verdict: AtomicU64::new(0),
                 readers,
+                meta,
             }),
         }
     }
 
+    /// The dispatcher's per-packet data.
+    pub fn meta(&self) -> &M {
+        &self.inner.meta
+    }
+
     /// The descriptor as plain memory, if this handle is the only one —
     /// `None` while any clone is alive, including one whose NF completed
-    /// but has not dropped it yet. Costs one compare-and-swap (the
-    /// uniqueness test of `Arc::get_mut`) whatever the answer.
+    /// but has not dropped it yet. A fan-out's exit test: costs one
+    /// compare-and-swap (the uniqueness test of `Arc::get_mut`) whatever
+    /// the answer.
     pub fn exclusive(&mut self) -> Option<Exclusive<'_>> {
         let inner = Arc::get_mut(&mut self.inner)?;
         Some(Exclusive {
@@ -320,13 +394,13 @@ impl SharedPacket {
 
     /// Returns `true` if both handles reference the same underlying packet
     /// buffer (used by batch dispatch to avoid locking one buffer twice).
-    pub fn same_buffer(&self, other: &SharedPacket) -> bool {
+    pub fn same_buffer(&self, other: &SharedPacket<M>) -> bool {
         Arc::ptr_eq(&self.inner, &other.inner)
     }
 
     /// Extracts the packet once all handles but this one are gone, or returns
     /// `self` if other NFs still reference it.
-    pub fn try_into_packet(self) -> Result<Packet, SharedPacket> {
+    pub fn try_into_packet(self) -> Result<Packet, SharedPacket<M>> {
         match Arc::try_unwrap(self.inner) {
             Ok(inner) => Ok(inner.packet.into_inner()),
             Err(inner) => Err(SharedPacket { inner }),
@@ -348,21 +422,22 @@ impl SharedPacket {
     /// Re-initialises an emptied descriptor for a new packet and dispatch
     /// round, reusing its allocation. Only a handle proven unique can be
     /// recycled: if an NF still holds a clone (it completed but has not
-    /// dropped its handle yet) the packet is handed back and the caller
-    /// allocates a fresh descriptor.
+    /// dropped its handle yet) the packet and `meta` are handed back and
+    /// the caller allocates a fresh descriptor.
     ///
     /// # Panics
     ///
     /// Panics if `readers` is zero.
-    pub fn recycle(mut self, packet: Packet, readers: u32) -> Result<SharedPacket, Packet> {
+    pub fn recycle(mut self, packet: Packet, readers: u32, meta: M) -> Result<Self, (Packet, M)> {
         assert!(readers > 0, "a shared packet needs at least one reader");
         let Some(inner) = Arc::get_mut(&mut self.inner) else {
-            return Err(packet);
+            return Err((packet, meta));
         };
         *inner.packet.get_mut() = packet;
         *inner.remaining.get_mut() = readers;
         *inner.verdict.get_mut() = 0;
         inner.readers = readers;
+        inner.meta = meta;
         Ok(self)
     }
 }
@@ -513,32 +588,27 @@ mod tests {
         assert!(sp.complete_one());
         assert!(sp.exclusive().is_none());
         drop(straggler);
-        let mut descriptor = sp.exclusive().expect("the clone is gone");
-        assert_eq!(descriptor.packet().l4_payload().unwrap(), b"shared");
-        descriptor.packet_mut().l4_payload_mut().unwrap()[0] = b'X';
-        assert_eq!(sp.with_read(|p| p.l4_payload().unwrap()[0]), b'X');
+        let descriptor = sp.exclusive().expect("the clone is gone");
+        assert_eq!(descriptor.take_packet().l4_payload().unwrap(), b"shared");
+        assert!(sp.with_read(|p| p.is_empty()), "descriptor left empty");
     }
 
     #[test]
     fn an_exclusive_round_leaves_the_descriptor_as_a_shared_round_does() {
         use VerdictClass::*;
         for class in [Default, ToService, ToPort, Discard] {
-            let key = verdict_key(class, 0, 7);
-            let shared = SharedPacket::new(pkt(), 1);
-            shared.merge_verdict(key);
-            assert!(shared.complete_one());
-
-            let mut sole = SharedPacket::new(pkt(), 1);
-            assert!(sole.exclusive().unwrap().complete(key));
-            assert_eq!(sole.remaining(), 0);
-            assert_eq!(sole.verdict(), shared.verdict(), "{class:?}");
-            assert_eq!(sole.verdict(), key);
-
-            // The next round starts from the same state either way: re-armed
-            // through the atomics or in place, then recycled.
+            // Two descriptors at the end of the same finished round …
+            let [shared, mut plain] = [(); 2].map(|_| {
+                let sp = SharedPacket::new(pkt(), 1);
+                sp.merge_verdict(verdict_key(class, 0, 7));
+                assert!(sp.complete_one());
+                sp
+            });
+            // … start the next from the same state: re-armed through the
+            // atomics or in place.
             shared.re_arm(2);
-            sole.exclusive().unwrap().re_arm(2);
-            for handle in [&shared, &sole] {
+            plain.exclusive().unwrap().re_arm(2);
+            for handle in [&shared, &plain] {
                 assert_eq!(handle.remaining(), 2);
                 assert_eq!(handle.verdict(), 0);
                 handle.merge_verdict(verdict_key(ToPort, 1, 9));
@@ -546,43 +616,66 @@ mod tests {
                 assert!(handle.complete_one());
                 assert_eq!(verdict_parts(handle.verdict()), (ToPort, 9));
             }
+            // And it leaves the same way: the frame taken out in place, the
+            // emptied descriptor recycled.
+            let frame = plain.exclusive().unwrap().take_packet();
+            assert_eq!(frame.l4_payload().unwrap(), b"shared");
+            assert!(plain.with_read(|p| p.is_empty()), "descriptor left empty");
+            let plain = plain.recycle(pkt(), 3, ()).expect("unique handle recycles");
             assert_eq!(
-                sole.exclusive()
-                    .unwrap()
-                    .take_packet()
-                    .l4_payload()
-                    .unwrap(),
-                b"shared"
-            );
-            assert!(sole.with_read(|p| p.is_empty()), "descriptor left empty");
-            let sole = sole.recycle(pkt(), 3).expect("unique handle recycles");
-            assert_eq!(
-                (sole.remaining(), sole.readers(), sole.verdict()),
+                (plain.remaining(), plain.readers(), plain.verdict()),
                 (3, 3, 0)
             );
         }
     }
 
     #[test]
-    fn exclusive_merges_like_fetch_max_and_counts_like_complete_one() {
+    fn a_frame_completes_as_the_shared_path_completes() {
         use VerdictClass::*;
-        // Two readers served one after the other through the plain view:
-        // the higher-priority request wins whichever comes first.
+        // A sole frame's one NF answers and the frame is ready: its key is
+        // the verdict, exactly what a one-reader descriptor resolves to.
+        for class in [Default, ToService, ToPort, Discard] {
+            let key = verdict_key(class, 0, 7);
+            let mut sole = Frame::Sole(Box::new(SolePacket {
+                packet: pkt(),
+                verdict: 0,
+                meta: (),
+            }));
+            let mut shared = Frame::Shared(SharedPacket::new(pkt(), 1));
+            assert!(sole.complete(key));
+            assert!(shared.complete(key));
+            assert_eq!(sole.verdict(), shared.verdict(), "{class:?}");
+            assert_eq!(sole.verdict(), key);
+        }
+        // A fan-out's handles merge like `fetch_max` and count down: the
+        // higher-priority request wins whichever completes first.
         for order in [[0, 1], [1, 0]] {
             let keys = [verdict_key(ToPort, 1, 2), verdict_key(Discard, 0, 0)];
-            let mut sp = SharedPacket::new(pkt(), 2);
-            assert!(!sp.exclusive().unwrap().complete(keys[order[0]]));
-            assert!(sp.exclusive().unwrap().complete(keys[order[1]]));
-            assert_eq!(verdict_parts(sp.verdict()), (Discard, 0));
+            let sp = SharedPacket::new(pkt(), 2);
+            let mut handles = [Frame::Shared(sp.clone()), Frame::Shared(sp)];
+            assert!(!handles[0].complete(keys[order[0]]));
+            assert!(handles[1].complete(keys[order[1]]));
+            assert_eq!(verdict_parts(handles[1].verdict()), (Discard, 0));
         }
     }
 
     #[test]
-    #[should_panic(expected = "more times than readers")]
-    fn exclusive_over_completion_panics() {
-        let mut sp = SharedPacket::new(pkt(), 1);
-        assert!(sp.exclusive().unwrap().complete(0));
-        sp.exclusive().unwrap().complete(0);
+    fn meta_rides_either_kind_of_frame_and_recycle_replaces_it() {
+        let sole = Frame::Sole(Box::new(SolePacket {
+            packet: pkt(),
+            verdict: 0,
+            meta: 7u64,
+        }));
+        assert_eq!(*sole.meta(), 7);
+        let shared = SharedPacket::with_meta(pkt(), 1, 8u64);
+        let straggler = shared.clone();
+        assert_eq!(*Frame::Shared(straggler.clone()).meta(), 8);
+        let Err((_, meta)) = shared.recycle(pkt(), 1, 9) else {
+            panic!("a shared descriptor must not be recycled");
+        };
+        assert_eq!(meta, 9, "the new meta comes back with the packet");
+        let recycled = straggler.recycle(pkt(), 1, meta).expect("now unique");
+        assert_eq!(*recycled.meta(), 9);
     }
 
     #[test]
@@ -601,8 +694,8 @@ mod tests {
         drop(sp.take_packet());
         // A clone is still out (an NF that has not dropped its handle).
         let straggler = sp.clone();
-        let sp = match sp.recycle(pkt(), 1) {
-            Err(packet) => {
+        let sp = match sp.recycle(pkt(), 1, ()) {
+            Err((packet, ())) => {
                 assert_eq!(packet.l4_payload().unwrap(), b"shared");
                 straggler
             }
@@ -611,7 +704,9 @@ mod tests {
         // Unique now: recycled in place, counters and verdict reset.
         let before = sp.clone();
         drop(sp);
-        let sp = before.recycle(pkt(), 3).expect("unique handle recycles");
+        let sp = before
+            .recycle(pkt(), 3, ())
+            .expect("unique handle recycles");
         assert_eq!(sp.remaining(), 3);
         assert_eq!(sp.readers(), 3);
         assert_eq!(sp.verdict(), 0);

@@ -20,7 +20,6 @@ fn config_surface_is_pinned() {
         num_shards: _,
         shard_credits: _,
         telemetry_interval_ns: _,
-        rehome_pen: _,
         rule_sweep_interval_ns: _,
         pin_idle_timeout_ns: _,
         trace_ring_capacity: _,

@@ -12,7 +12,11 @@
 //! path must not allocate either, and the NF steps' per-step answers must
 //! not reach it. A fourth runs the anomaly-detection spine —
 //! firewall → IDS → scrubber — on benign HTTP-like traffic: the firewall's
-//! per-burst memo and the IDS's payload scan must not allocate.
+//! per-burst memo and the IDS's payload scan must not allocate. A fifth
+//! mixes the two dispatch kinds — `a` → parallel (`b`, `c`) → `d` — so
+//! every packet's owned frame moves into a descriptor for the fan-out and
+//! back into an owned frame after it: both free lists must serve those
+//! conversions.
 //!
 //! The two plain cases also gate the lookup cache as a count: with 64 flows
 //! and permanent rules, twenty cache TTLs of traffic send all but a few
@@ -163,6 +167,35 @@ fn chain_host(parallel: bool, crowded: bool) -> (ThreadedHost, SimHandle, Vec<u6
     })
 }
 
+/// The same host running `a` → parallel (`b`, `c`) → `d` → port on
+/// `NoOpNf`s, its rules installed by hand.
+fn mixed_chain_host() -> (ThreadedHost, SimHandle, Vec<u64>) {
+    let [a, b, c, d] = [1, 2, 3, 4].map(ServiceId::new);
+    let table = SharedFlowTable::new();
+    let at = FlowMatch::at_step;
+    table.insert(FlowRule::new(
+        at(RulePort::Nic(0)),
+        vec![Action::ToService(a)],
+    ));
+    table.insert(FlowRule::parallel(
+        at(RulePort::Service(a)),
+        vec![Action::ToService(b), Action::ToService(c)],
+    ));
+    table.insert(FlowRule::new(
+        at(RulePort::Service(c)),
+        vec![Action::ToService(d)],
+    ));
+    table.insert(FlowRule::new(
+        at(RulePort::Service(d)),
+        vec![Action::ToPort(1)],
+    ));
+    stepped_host(table, None, || {
+        [a, b, c, d]
+            .map(|id| (id, Box::new(NoOpNf::new()) as Box<dyn NetworkFunction>))
+            .into()
+    })
+}
+
 /// The same host running the firewall → IDS → scrubber spine of
 /// `catalog::anomaly_detection` (as the benchmark's `churn_ids` does, pin
 /// idle timeout included). The firewall carries a rule, so every burst
@@ -204,9 +237,9 @@ fn compiled_table(graph: &ServiceGraph, options: &CompileOptions) -> SharedFlowT
     table
 }
 
-/// Starts a stepped single-shard host over `table` running the three NFs
-/// `nfs` makes, the telemetry exporter (which allocates a snapshot per
-/// interval by design) off.
+/// Starts a stepped single-shard host over `table` running the NFs `nfs`
+/// makes, the telemetry exporter (which allocates a snapshot per interval
+/// by design) off.
 fn stepped_host(
     table: SharedFlowTable,
     pin_idle_timeout_ns: Option<u64>,
@@ -222,6 +255,7 @@ fn stepped_host(
         },
     );
     // The worker's first step spawns (registers) the NF replicas.
+    let replicas = nfs().len();
     let worker = sim.actors()[0].id;
     sim.step(worker);
     let actors: Vec<u64> = sim.actors().iter().map(|actor| actor.id).collect();
@@ -231,7 +265,7 @@ fn stepped_host(
             .iter()
             .filter(|actor| actor.kind == SimActorKind::Nf)
             .count(),
-        3
+        replicas
     );
     (host, sim, actors)
 }
@@ -389,6 +423,24 @@ fn parallel_chain_allocates_and_copies_nothing_per_packet() {
 #[test]
 fn crowded_table_lookups_allocate_nothing_per_packet() {
     assert_hot_path_is_allocation_free(false, true);
+}
+
+#[test]
+fn mixed_chain_converts_frames_and_allocates_nothing_per_packet() {
+    let (host, sim, actors) = mixed_chain_host();
+    // Warm-up fills both free lists: owned frames and descriptors.
+    pump(&host, &sim, &actors, 64 * BURST, |seq| packet(seq, FLOWS));
+    let packets = 10_000usize.next_multiple_of(BURST);
+    let during = pump(&host, &sim, &actors, packets, |seq| packet(seq, FLOWS));
+    assert_eq!(
+        during, 0,
+        "worker and NF steps must not allocate converting frames in steady state"
+    );
+    let stats = host.stats().snapshot();
+    assert_eq!(stats.transmitted, stats.received);
+    assert_eq!(stats.dropped + stats.overflow_drops, 0);
+    assert_eq!(stats.nf_invocations, 4 * stats.received);
+    host.shutdown();
 }
 
 #[test]
