@@ -273,32 +273,45 @@ pub fn pool_occupancy(opts: CheckOpts) -> u64 {
     })
 }
 
-/// Two parallel NFs complete one shared packet: exactly one observes the
-/// final completion (and hands the packet to TX), after which the
-/// descriptor re-arms for the next dispatch — the refcount handoff that
-/// `complete_one`'s `AcqRel` comment promises.
+/// Two parallel NFs complete one shared packet, each reading the immutable
+/// packet through its own handle: exactly one observes the final completion
+/// (and hands the packet to TX). Once both have dropped their handles the
+/// joined one is unique, so `recycle` re-arms it for the next dispatch —
+/// the refcount handoff that `complete_one`'s `AcqRel` comment promises.
 pub fn shared_completion(opts: CheckOpts) -> u64 {
     model::check("shared_completion", opts, || {
         let sp = SharedPacket::new(pkt(), 2);
         let workers: Vec<_> = (0..2)
             .map(|_| {
                 let sp = sp.clone();
-                model::spawn(move || sp.complete_one())
+                model::spawn(move || {
+                    assert_eq!(sp.packet().l4_payload().ok(), Some(&b"chk"[..]));
+                    sp.complete_one()
+                })
             })
             .collect();
         let finals = workers.into_iter().map(|w| w.join()).filter(|&f| f).count();
         assert_eq!(finals, 1, "exactly one completer must see the handoff");
         assert_eq!(sp.remaining(), 0);
-        sp.re_arm(1);
+        let sp = recycled(sp, 1);
+        assert_eq!(sp.remaining(), 1);
         assert!(sp.complete_one(), "re-armed descriptor completes again");
     })
 }
 
+/// Re-arms a descriptor whose fan-out is over (every NF joined, so every
+/// clone dropped) for `readers` NFs, the one way the data plane re-arms.
+fn recycled(sp: SharedPacket, readers: u32) -> SharedPacket {
+    sp.recycle(pkt(), readers, ())
+        .unwrap_or_else(|_| panic!("a joined fan-out leaves one handle"))
+}
+
 /// Three parallel NFs merge their verdicts into one descriptor, the final
-/// completer reads the word, the TX role re-arms and a second round runs:
-/// on every interleaving the word read equals the resolver's answer for
-/// the list-ordered verdicts — the `Relaxed` merge, the read through the
-/// refcount chain and the reset in `re_arm` are what this vouches for.
+/// completer reads the word, the TX role recycles the joined handle and a
+/// second round runs: on every interleaving the word read equals the
+/// resolver's answer for the list-ordered verdicts — the `Relaxed` merge,
+/// the read through the refcount chain and the reset in `recycle` are what
+/// this vouches for.
 pub fn verdict_cell(opts: CheckOpts) -> u64 {
     model::check("verdict_cell", opts, || {
         crate::mutants::verdict_rounds(
@@ -307,7 +320,7 @@ pub fn verdict_cell(opts: CheckOpts) -> u64 {
                 sp.merge_verdict(key);
                 sp.complete_one().then(|| sp.verdict())
             },
-            SharedPacket::re_arm,
+            recycled,
         );
     })
 }

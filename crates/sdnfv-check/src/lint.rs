@@ -16,7 +16,7 @@
 //! | `timestamp` | no `Instant::now`/`SystemTime::now` outside tests, benches, shims and the sanctioned `HostClock::Real` site — everything on a decision path must go through the injected clock so the deterministic simulation stays deterministic |
 //! | `safety-comment` | every `unsafe` is preceded by a `// SAFETY:` (or `# Safety` doc section) explaining why it is sound |
 //! | `atomic-order` | every atomic operation in the lock-free core (`sdnfv-ring`, the telemetry histogram, the flow table's partition generations) names an explicit `Ordering::` *and* carries an `// ORDER:` comment justifying it |
-//! | `hot-path-block` | no `thread::sleep` / `.lock()` / `.read()` / `.write()` inside the engine's per-packet hot paths (`step`, the worker's round, dispatch, frame-reuse and flush fns, the state-mailbox accessors) |
+//! | `hot-path-block` | no `thread::sleep` / `.lock()` / `.read()` / `.write()` inside the engine's per-packet hot paths (`step`, the worker's round, dispatch, frame-reuse and flush fns, the state-mailbox accessors), and no lock type (`RwLock`, `Mutex`) or blocking call anywhere in the packet handles every hop goes through (`sdnfv-ring/src/shared.rs`, tests aside) |
 //! | `no-todo`   | no `todo!` / `unimplemented!` outside tests |
 //!
 //! Suppressions live in a checked-in allowlist (see [`Allowlist`]): one
@@ -358,6 +358,9 @@ struct Scope {
     atomic_core: bool,
     /// The engine file whose hot-path fns the `hot-path-block` rule scans.
     hot_path_file: bool,
+    /// The packet-handle module, lock-free as a whole under
+    /// `hot-path-block`.
+    packet_handle_file: bool,
 }
 
 fn classify(path: &Path) -> Scope {
@@ -382,40 +385,60 @@ fn classify(path: &Path) -> Scope {
         || p.ends_with("crates/sdnfv-telemetry/src/hist.rs")
         || p.ends_with("crates/sdnfv-flowtable/src/table.rs");
     let hot_path_file = p.ends_with("crates/sdnfv-dataplane/src/runtime.rs");
+    let packet_handle_file = p.ends_with("crates/sdnfv-ring/src/shared.rs");
     Scope {
         test_like,
         atomic_core,
         hot_path_file,
+        packet_handle_file,
     }
 }
 
 /// Engine functions that run per packet (or per step-slice) and must stay
 /// free of blocking calls. `step` is the loop body of the shard worker and
 /// of an NF replica; then the worker's per-packet fns (RX and TX rounds,
-/// dispatch, staging, flush, frame and descriptor reuse, lookup); the rest
-/// are the NF state-mailbox accessors `step` calls.
+/// the deferred-completion retry, dispatch, forwarding, staging, flush,
+/// frame and descriptor reuse and a fan-out's exit, lookup); the rest are
+/// the NF state-mailbox accessors `step` calls.
 const HOT_PATH_FNS: &[&str] = &[
     "step",
     "rx_round",
     "tx_round",
+    "retry_deferred",
     "dispatch",
+    "tx_span",
     "forward_decision",
+    "forward_action",
+    "end_short",
     "resolve_targets",
+    "fans_out",
     "stage_targets",
+    "stage_in_order",
+    "next_listed",
     "flush",
     "flush_staged_egress",
-    "frame",
     "owned_frame",
     "descriptor",
-    "redispatch",
+    "share",
+    "unshare",
     "reclaim",
-    "park_descriptor",
     "lookup",
     "serve_state_requests",
     "take_requests",
     "drain_responses",
     "post",
     "respond",
+];
+
+/// What the packet-handle module may not contain at all: a lock type, or a
+/// call that takes or waits on one.
+const PACKET_HANDLE_LOCKS: &[&str] = &[
+    "RwLock",
+    "Mutex",
+    "thread::sleep",
+    ".lock()",
+    ".read()",
+    ".write()",
 ];
 
 /// Scans one file's source and returns all findings (allowlist not yet
@@ -531,6 +554,31 @@ pub fn scan_source(path: &Path, source: &str) -> Vec<Finding> {
                             "`{pattern}` inside an engine hot-path fn \
                              ({}): blocking here stalls the packet path",
                             HOT_PATH_FNS.join("/")
+                        ),
+                    );
+                }
+            }
+        }
+    }
+
+    // hot-path-block, packet handles: every hop and every fan-out NF goes
+    // through these frames, and a fan-out shares an immutable packet — so
+    // the module holds no lock at all.
+    if scope.packet_handle_file {
+        for (idx, &mline) in masked_lines.iter().enumerate() {
+            let line = idx + 1;
+            if in_regions(&tests, line) {
+                continue;
+            }
+            for pattern in PACKET_HANDLE_LOCKS {
+                if mline.contains(pattern) {
+                    push(
+                        "hot-path-block",
+                        line,
+                        format!(
+                            "`{pattern}` in the packet-handle module: frames stay \
+                             lock-free (a fan-out's NFs share an immutable packet; only \
+                             a handle proven unique writes it)"
                         ),
                     );
                 }

@@ -354,16 +354,16 @@ fn resolve(list: &[Request]) -> Request {
 /// each merge their request and complete; whichever performs the final
 /// completion reads the merged word, which must equal [`resolve`] of the
 /// list-ordered requests on every interleaving. The root thread (the TX
-/// role, which happens-after the round through the joins) re-arms the
-/// descriptor between rounds.
+/// role, which happens-after the round through the joins, so its handle is
+/// the only one left) recycles the descriptor between rounds.
 pub(crate) fn verdict_rounds<D: Clone + Send + 'static>(
-    descriptor: D,
+    mut descriptor: D,
     merge_and_complete: fn(&D, u64) -> Option<u64>,
-    re_arm: fn(&D, u32),
+    recycle: fn(D, u32) -> D,
 ) {
     for (round, requests) in VERDICT_ROUNDS.iter().enumerate() {
         if round > 0 {
-            re_arm(&descriptor, requests.len() as u32);
+            descriptor = recycle(descriptor, requests.len() as u32);
         }
         let nfs: Vec<_> = requests
             .iter()
@@ -392,8 +392,8 @@ pub enum VerdictBug {
     /// The merge is a load-then-store instead of a `fetch_max`: two NFs
     /// merging concurrently can overwrite each other — a lost verdict.
     TornMerge,
-    /// `re_arm` re-arms the counter but forgets to reset the verdict word:
-    /// the next hop inherits the previous hop's verdict.
+    /// `recycle` re-arms the counter but forgets to reset the verdict
+    /// word: the next hop inherits the previous hop's verdict.
     StaleReArm,
 }
 
@@ -418,11 +418,15 @@ impl MiniDescriptor {
             .then(|| self.verdict.load(Ordering::Relaxed))
     }
 
-    fn re_arm(&self, readers: u32) {
-        if self.bug != VerdictBug::StaleReArm {
-            self.verdict.store(0, Ordering::Relaxed);
+    /// `SharedPacket::recycle`: plain writes through the handle proven
+    /// unique.
+    fn recycle(mut descriptor: Arc<Self>, readers: u32) -> Arc<Self> {
+        let unique = Arc::get_mut(&mut descriptor).expect("a joined round leaves one handle");
+        *unique.remaining.get_mut() = readers;
+        if unique.bug != VerdictBug::StaleReArm {
+            *unique.verdict.get_mut() = 0;
         }
-        self.remaining.swap(readers, Ordering::AcqRel);
+        descriptor
     }
 }
 
@@ -438,7 +442,7 @@ pub fn verdict_scenario(bug: VerdictBug, opts: CheckOpts) -> CheckReport {
                 bug,
             }),
             |d, key| d.merge_and_complete(key),
-            |d, readers| d.re_arm(readers),
+            MiniDescriptor::recycle,
         );
     })
 }

@@ -92,6 +92,28 @@ fn hot_path_rule_flags_blocking_in_hot_fns_only() {
 }
 
 #[test]
+fn hot_path_rule_keeps_every_lock_out_of_the_packet_handles() {
+    let findings = scan_fixture("handle_lock_bad.rs", "crates/sdnfv-ring/src/shared.rs");
+    assert_eq!(rules(&findings), ["hot-path-block"; 6], "{findings:?}");
+    // Outside any fn as much as inside one: a lock type in an import or a
+    // field is flagged, and so is taking either side of one.
+    let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
+    assert_eq!(lines, [4, 6, 9, 10, 15, 19], "{findings:?}");
+    assert!(findings[4].excerpt.contains(".read()"));
+    assert!(findings[5].excerpt.contains(".write()"));
+    assert!(findings[0].message.contains("immutable packet"));
+}
+
+#[test]
+fn hot_path_rule_spares_the_packet_handles_near_misses_and_other_files() {
+    let findings = scan_fixture("handle_lock_good.rs", "crates/sdnfv-ring/src/shared.rs");
+    assert!(findings.is_empty(), "{findings:?}");
+    // The whole-file scope is the packet-handle module's alone.
+    let findings = scan_fixture("handle_lock_bad.rs", "crates/sdnfv-ring/src/pool.rs");
+    assert!(findings.is_empty(), "{findings:?}");
+}
+
+#[test]
 fn todo_rule_flags_stubs_outside_tests() {
     let findings = scan_fixture("todo_bad.rs", "crates/sdnfv-nf/src/fixture.rs");
     assert_eq!(rules(&findings), ["no-todo", "no-todo"], "{findings:?}");

@@ -29,10 +29,10 @@
 //!   applies cross-layer messages to the shared flow table *before*
 //!   completed packets are handed onward, records each packet's verdict in
 //!   its frame, and pushes completions to its done ring in one burst;
-//! * the worker's *TX role* drains the done rings in bursts, reads the
-//!   resolved verdict out of each frame, performs the next flow-table
-//!   lookup, and either re-arms and re-stages the frame for the next NF,
-//!   moves the packet out for egress, or drops it.
+//! * the worker's *TX role* drains the done rings in bursts, takes each
+//!   completed packet back into an owned frame, reads its resolved verdict,
+//!   performs the next flow-table lookup, and either re-stages the frame
+//!   for the next NF, moves the packet out for egress, or drops it.
 //!
 //! Because one thread plays both roles, every ring in a shard has exactly
 //! one producer and one consumer — including the egress ring, which needs no
@@ -50,20 +50,36 @@
 //!
 //! **What a hop costs** (paper §4.2): a packet rides one [`Frame`] from RX
 //! to egress and is never copied — owned outright while it goes to one NF
-//! at a time, a [`SharedPacket`] descriptor while a fan-out shares it. A
-//! hop re-arms the frame, egress *moves* the packet out and parks the
-//! emptied frame on the shard's free lists for RX to refill, so the worker
-//! allocates nothing per packet. The NFs' requested actions ride the frame
-//! too: an owned frame stores its NF's verdict, a fan-out's NFs each merge
-//! theirs with one `fetch_max` keyed by position in the dispatched action
-//! list ([`crate::conflict::resolve_parallel_verdicts`] is the
-//! specification of the merged word), so no lock is taken on the
-//! sequential packet path. And the flow hash is computed once, at
-//! admission: it rides `IngressFrame`, then the frame itself (with the
-//! flow key and the trace flag, so the NF rings' `WorkItem` and `DoneItem`
-//! carry only the frame and the hop's own fields), and feeds the bucket
-//! tracker, the sticky replica pick, trace sampling and the direct-mapped
-//! [`LookupCache`](crate::cache::LookupCache).
+//! at a time, a [`SharedPacket`] descriptor while a fan-out of read-only
+//! NFs shares it. A hop resets the frame's verdict, egress *moves* the
+//! packet out and parks the emptied frame on the shard's free lists for RX
+//! to refill, so the worker allocates nothing per packet. The NFs'
+//! requested actions ride the frame too: an owned frame stores its NF's
+//! verdict, a fan-out's NFs each merge theirs with one `fetch_max` keyed by
+//! position in the dispatched action list
+//! ([`crate::conflict::resolve_parallel_verdicts`] is the specification of
+//! the merged word). No lock is taken on the packet path: a fan-out's
+//! packet is immutable while shared, and a completed fan-out becomes an
+//! owned frame again before the worker acts on it. And the flow hash is
+//! computed once, at admission: it rides `IngressFrame`, then the frame
+//! itself (with the flow key and the trace flag, so the NF rings'
+//! `WorkItem` and `DoneItem` carry only the frame and the hop's own
+//! fields), and feeds the bucket tracker, the sticky replica pick, trace
+//! sampling and the direct-mapped [`LookupCache`](crate::cache::LookupCache).
+//!
+//! **Which rules fan out**: a sequential rule sends the packet to its
+//! default (first) action only — its other services are steering targets
+//! an NF may ask for, exactly as in [`NfManager`](crate::NfManager). A
+//! parallel rule whose services are all read-only fans out. A parallel
+//! rule that names a mutating service (only a hand-installed one can: the
+//! graph compiler parallelizes read-only runs) runs as owned hops in list
+//! order, each NF seeing the writes of those before it and merging its
+//! verdict by position into the one frame, with the exit at the last
+//! listed service — what `NfManager` does with every parallel rule. A
+//! fan-out's completion waits, deferred to the worker's next step, while a
+//! straggler NF still holds its handle; fan-out completions already reach
+//! the worker through several done rings, so this reorders a flow only as
+//! they could.
 //!
 //! **Per-shard flow tables**: the table handed to `start_sharded` is the
 //! *template*; each shard works against its own
@@ -110,6 +126,7 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
+use std::num::NonZeroU32;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -547,6 +564,9 @@ struct PacketMeta {
     /// Whether the packet is trace-sampled (hash-sampled or rule-pinned):
     /// the worker emits spans at each stage.
     traced: bool,
+    /// The worker's [`ListRun`] slot (its index + 1) while the packet walks
+    /// a parallel rule's services in list order.
+    list_run: Option<NonZeroU32>,
 }
 
 /// A packet in flight, carrying its [`PacketMeta`].
@@ -555,14 +575,14 @@ type SolePacket = sdnfv_ring::SolePacket<PacketMeta>;
 type SharedPacket = sdnfv_ring::SharedPacket<PacketMeta>;
 
 struct WorkItem {
-    /// The packet: [`Frame::Sole`] for a single-target dispatch (then
-    /// `position == 0`), one of the fan-out's handles otherwise.
+    /// The packet: [`Frame::Sole`] for a single-target hop, one of the
+    /// fan-out's handles otherwise.
     frame: Frame,
     /// The step used for the lookup after this dispatch completes (the last
     /// service in the dispatched action list).
     exit_service: ServiceId,
-    /// This item's target's position in the dispatched action list: the
-    /// priority its NF's verdict merges into the descriptor with.
+    /// This item's target's position among the dispatched services: the
+    /// priority its NF's verdict merges into the frame with.
     position: u16,
 }
 
@@ -577,9 +597,33 @@ struct DoneItem {
     nf_ended_ns: u64,
 }
 
-// Ring slots: the exact sizes make any growth deliberate.
+// Ring slots and the per-packet meta every frame carries: the exact sizes
+// make any growth deliberate.
 const _: () = assert!(std::mem::size_of::<WorkItem>() == 24);
 const _: () = assert!(std::mem::size_of::<DoneItem>() == 40);
+const _: () = assert!(std::mem::size_of::<PacketMeta>() == 32);
+
+/// A completed hop the worker owns outright: a fan-out's completion has
+/// passed its exit test and become an owned frame by the time one exists.
+struct Completion {
+    sole: Box<SolePacket>,
+    exit_service: ServiceId,
+    /// When the NF burst that completed the packet ended (the TX span's
+    /// start).
+    nf_ended_ns: u64,
+}
+
+/// A parallel rule that names a mutating service, walked by one packet as
+/// owned hops in list order ([`ShardEngine::stage_in_order`]).
+struct ListRun {
+    /// The rule's action list as it was dispatched.
+    actions: Arc<[Action]>,
+    /// Where in `actions` to look for the next service.
+    next: usize,
+    /// Position among the listed services of the hop in flight: its
+    /// verdict's priority.
+    position: u16,
+}
 
 /// Per-shard latency recorders: lock-free log-linear histograms, each with
 /// the one thread that records into it — the shard's worker (end-to-end,
@@ -2251,6 +2295,8 @@ fn launch_pipeline(
         targets: Vec::new(),
         rx_burst: Vec::with_capacity(config.burst_size),
         done_burst: Vec::with_capacity(config.burst_size),
+        deferred: Vec::new(),
+        list_runs: Vec::new(),
         control: control_rx,
         telemetry: telemetry_tx,
         exports: exports_tx,
@@ -2344,6 +2390,9 @@ const SLOT_COMPACTION_GRACE_NS: u64 = 1_000_000;
 /// probe.
 struct NfSlot {
     service: ServiceId,
+    /// What the replica's NF declared at spawn: only read-only replicas
+    /// may share a fan-out's packet.
+    read_only: bool,
     ring: Producer<WorkItem>,
     done: Consumer<DoneItem>,
     probe: Arc<NfProbe>,
@@ -2480,6 +2529,13 @@ pub(crate) struct ShardEngine {
     rx_burst: Vec<IngressFrame>,
     /// Reused TX burst buffer (popped done items).
     done_burst: Vec<DoneItem>,
+    /// Fan-out completions whose exit test failed — a straggler NF still
+    /// held its handle — retried at the next step ahead of new completions.
+    deferred: Vec<DoneItem>,
+    /// Parallel rules being walked in list order, one slot per packet on
+    /// such a walk (`PacketMeta::list_run` names it); a freed slot is
+    /// `None`.
+    list_runs: Vec<Option<ListRun>>,
     control: Consumer<ShardCommand>,
     telemetry: Producer<TelemetrySnapshot>,
     /// Replies to [`ShardCommand::ExportBucketState`], drained by the host.
@@ -2639,7 +2695,12 @@ impl ShardEngine {
                     .iter()
                     .all(|slot| slot.handle.as_ref().is_none_or(TaskHandle::is_finished));
                 let rings_empty = self.slots.iter().all(|slot| slot.done.is_empty());
-                if !busy && threads_done && rings_empty && self.staging.egress.is_empty() {
+                if !busy
+                    && threads_done
+                    && rings_empty
+                    && self.deferred.is_empty()
+                    && self.staging.egress.is_empty()
+                {
                     // Stragglers in the ingress ring have no pipeline left;
                     // account them as overflow drops and give their credits
                     // and bucket counts back so nothing upstream waits
@@ -2675,10 +2736,11 @@ impl ShardEngine {
         }
     }
 
-    /// Pops and serves every non-retired replica's done ring once.
+    /// Pops and serves every non-retired replica's done ring once, after
+    /// retrying the deferred fan-out completions.
     fn drain_done_rings(&mut self) -> bool {
-        let mut did_work = false;
         let mut done_burst = std::mem::take(&mut self.done_burst);
+        let mut did_work = !self.deferred.is_empty() && self.retry_deferred(&mut done_burst);
         for nf_index in 0..self.slots.len() {
             if self.slots[nf_index].state == SlotState::Retired {
                 continue;
@@ -2696,6 +2758,18 @@ impl ShardEngine {
         }
         self.done_burst = done_burst;
         did_work
+    }
+
+    /// Serves the deferred fan-out completions again (through `burst`, the
+    /// emptied TX burst buffer); one whose straggler still holds its handle
+    /// is deferred once more, so the worker never waits on it. Returns
+    /// whether any went through.
+    fn retry_deferred(&mut self, burst: &mut Vec<DoneItem>) -> bool {
+        burst.clear();
+        burst.append(&mut self.deferred);
+        let waiting = burst.len();
+        self.tx_round(burst);
+        self.deferred.len() < waiting
     }
 
     /// Whether the engine reached its terminal phase (simulation driver).
@@ -2853,6 +2927,7 @@ impl ShardEngine {
         let probe = Arc::new(NfProbe::default());
         let stop = Arc::new(AtomicBool::new(false));
         let channel = Arc::new(NfStateChannel::default());
+        let read_only = nf.read_only();
         let thread = NfThread {
             shard: self.shard,
             service,
@@ -2876,6 +2951,7 @@ impl ShardEngine {
         let handle = self.spawner.spawn_replica(thread);
         let slot = NfSlot {
             service,
+            read_only,
             ring,
             done,
             probe,
@@ -3544,15 +3620,20 @@ impl ShardEngine {
         traced: bool,
         now_ns: u64,
     ) {
-        let actions: &[Action] = &decision.actions;
         let ingress_ns = packet.timestamp_ns;
         let rx_span = |engine: &mut Self, verdict: SpanVerdict| {
             if traced {
                 engine.emit_span(TraceStage::Rx, 0, hash, ingress_ns, now_ns, verdict);
             }
         };
+        let meta = PacketMeta {
+            key,
+            hash,
+            traced,
+            list_run: None,
+        };
         if decision.parallel {
-            let exit_service = match self.resolve_targets(actions, hash) {
+            let exit_service = match self.resolve_targets(&decision.actions, hash) {
                 Targets::Ready(exit_service) => exit_service,
                 unplaced => {
                     match unplaced {
@@ -3566,18 +3647,22 @@ impl ShardEngine {
                 }
             };
             self.stats.add_parallel_dispatches(1);
-            let meta = PacketMeta { key, hash, traced };
-            let frame = self.free.frame(packet, meta, self.targets.len() as u32);
-            self.stage_targets(frame, exit_service);
+            if self.fans_out() {
+                let readers = self.targets.len() as u32;
+                let shared = self.free.descriptor(packet, meta, readers);
+                self.stage_targets(shared, exit_service);
+            } else {
+                let sole = self.free.owned_frame(packet, meta);
+                self.stage_in_order(sole, &decision.actions, exit_service);
+            }
             rx_span(self, SpanVerdict::Forwarded);
             return;
         }
 
-        match actions.first().copied() {
+        match decision.default_action() {
             Some(Action::ToService(service)) => {
                 match pick_instance(&self.service_instances, service, hash) {
                     Some(index) => {
-                        let meta = PacketMeta { key, hash, traced };
                         self.staging.per_ring[index].push(WorkItem {
                             frame: Frame::Sole(self.free.owned_frame(packet, meta)),
                             exit_service: service,
@@ -3617,143 +3702,192 @@ impl ShardEngine {
         }
     }
 
-    /// TX role: resolve verdicts of a done burst, look up next hops, and
-    /// either re-stage, stage for egress, or drop.
+    /// TX role: take each completion of a done burst back into an owned
+    /// frame, resolve its verdict, look up its next hop, and either
+    /// re-stage it, stage it for egress, or drop it.
     fn tx_round(&mut self, burst: &mut Vec<DoneItem>) {
         let now_ns = self.clock.now_ns();
         self.approx_now_ns = now_ns;
         let mut cache = std::mem::replace(&mut self.cache, LookupCache::parked());
         for item in burst.drain(..) {
-            let meta = *item.frame.meta();
+            let DoneItem {
+                frame,
+                exit_service,
+                nf_started_ns,
+                nf_ended_ns,
+            } = item;
+            let sole = match frame {
+                Frame::Sole(sole) => sole,
+                Frame::Shared(shared) => match self.free.unshare(shared) {
+                    Ok(sole) => sole,
+                    Err(shared) => {
+                        // A straggler NF counted down but still holds its
+                        // handle: wait for it, there is no other way out.
+                        self.deferred.push(DoneItem {
+                            frame: Frame::Shared(shared),
+                            exit_service,
+                            nf_started_ns,
+                            nf_ended_ns,
+                        });
+                        continue;
+                    }
+                },
+            };
+            let meta = sole.meta;
             if meta.traced {
                 // The NF span covers the burst window the NF thread stamped;
                 // the worker emits it because it is the trace ring's single
                 // producer.
                 self.emit_span(
                     TraceStage::Nf,
-                    item.exit_service.value(),
+                    exit_service.value(),
                     meta.hash,
-                    item.nf_started_ns,
-                    item.nf_ended_ns,
+                    nf_started_ns,
+                    nf_ended_ns,
                     SpanVerdict::Forwarded,
                 );
             }
-            let resolved = verdict_from_word(item.frame.verdict());
-            let step = RulePort::Service(item.exit_service);
-            let action = match resolved {
-                Verdict::Discard => Action::Drop,
-                Verdict::Default => {
-                    match self.lookup(&mut cache, step, &meta.key, meta.hash) {
-                        Some(decision) => {
-                            // Follow the whole decision (it may itself be a
-                            // parallel rule or a multi-action list).
-                            self.forward_decision(
-                                item,
-                                meta,
-                                &decision.actions,
-                                decision.parallel,
-                                now_ns,
-                            );
-                            continue;
-                        }
-                        None => Action::ToController,
-                    }
+            let mut hop = Completion {
+                sole,
+                exit_service,
+                nf_ended_ns,
+            };
+            if let Some(run) = meta.list_run {
+                if let Some((index, position)) = self.next_listed(run, meta.hash) {
+                    self.tx_span(&hop, now_ns, SpanVerdict::Forwarded);
+                    self.staging.per_ring[index].push(WorkItem {
+                        frame: Frame::Sole(hop.sole),
+                        exit_service,
+                        position,
+                    });
+                    continue;
                 }
+                hop.sole.meta.list_run = None;
+            }
+            let step = RulePort::Service(exit_service);
+            let action = match verdict_from_word(hop.sole.verdict) {
+                Verdict::Discard => Action::Drop,
+                Verdict::Default => match self.lookup(&mut cache, step, &meta.key, meta.hash) {
+                    Some(decision) => {
+                        self.forward_decision(hop, decision, now_ns);
+                        continue;
+                    }
+                    None => Action::ToController,
+                },
                 other => {
                     let requested = other.as_action().expect("non-default verdict");
                     let decision = self.lookup(&mut cache, step, &meta.key, meta.hash);
                     validate_steering(decision, requested)
                 }
             };
-            self.forward_decision(item, meta, &[action], false, now_ns);
+            self.forward_action(hop, action, now_ns);
         }
         self.cache = cache;
         self.flush();
     }
 
-    /// Forwards a completed packet (its frame's `meta` already read out)
-    /// according to an action list by re-arming its frame and staging it
-    /// again (or staging it for egress / dropping it).
-    fn forward_decision(
-        &mut self,
-        item: DoneItem,
-        meta: PacketMeta,
-        actions: &[Action],
-        parallel: bool,
-        now_ns: u64,
-    ) {
-        let tx_span = |engine: &mut Self, item: &DoneItem, verdict: SpanVerdict| {
-            if meta.traced {
-                engine.emit_span(
-                    TraceStage::Tx,
-                    item.exit_service.value(),
-                    meta.hash,
-                    item.nf_ended_ns,
-                    now_ns,
-                    verdict,
-                );
-            }
-        };
-        // Fast paths that do not need to re-dispatch the frame.
-        if !parallel {
-            match actions.first().copied() {
-                Some(Action::ToPort(port)) => {
-                    self.finish_flow(meta.hash);
-                    let packet = self.free.reclaim(item.frame);
-                    self.stage_egress(
-                        HostOutput {
-                            port,
-                            packet,
-                            key: meta.key,
-                        },
-                        meta.hash,
-                        now_ns,
-                        meta.traced,
-                    );
-                    return;
-                }
-                Some(Action::Drop) | Some(Action::Trace) | None => {
-                    self.stats.add_dropped(1);
-                    self.gate.release(1);
-                    self.finish_flow(meta.hash);
-                    tx_span(self, &item, SpanVerdict::Dropped);
-                    self.free.reclaim(item.frame);
-                    return;
-                }
-                Some(Action::ToController) => {
-                    self.stats.add_controller_punts(1);
-                    self.gate.release(1);
-                    self.finish_flow(meta.hash);
-                    tx_span(self, &item, SpanVerdict::Punted);
-                    self.free.reclaim(item.frame);
-                    return;
-                }
-                Some(Action::ToService(_)) => {}
-            }
+    /// Emits a traced completion's TX span: from the end of its NF burst to
+    /// the worker's decision about it.
+    fn tx_span(&mut self, hop: &Completion, now_ns: u64, verdict: SpanVerdict) {
+        if hop.sole.meta.traced {
+            self.emit_span(
+                TraceStage::Tx,
+                hop.exit_service.value(),
+                hop.sole.meta.hash,
+                hop.nf_ended_ns,
+                now_ns,
+                verdict,
+            );
         }
-        // Re-dispatch to one or more NFs (a parallel rule, or a sequential
-        // rule listing several services): re-arm the frame (all previous
-        // readers have completed) and reuse the zero-copy path.
-        let exit_service = match self.resolve_targets(actions, meta.hash) {
+    }
+
+    /// Forwards a completed packet along the decision of its exit step: a
+    /// sequential rule's default action (its other actions are steering
+    /// targets an NF may ask for, not destinations), or every service of a
+    /// parallel rule — one fan-out when they are all read-only, owned hops
+    /// in list order otherwise.
+    fn forward_decision(&mut self, mut hop: Completion, decision: &Decision, now_ns: u64) {
+        if !decision.parallel {
+            let action = decision.default_action().unwrap_or(Action::Drop);
+            self.forward_action(hop, action, now_ns);
+            return;
+        }
+        let hash = hop.sole.meta.hash;
+        let exit_service = match self.resolve_targets(&decision.actions, hash) {
             Targets::Ready(exit_service) => exit_service,
             unplaced => {
                 match unplaced {
                     Targets::None => self.stats.add_dropped(1),
                     _ => self.stats.add_overflow_drops(1),
                 }
-                self.gate.release(1);
-                self.finish_flow(meta.hash);
-                tx_span(self, &item, SpanVerdict::Dropped);
-                self.free.reclaim(item.frame);
+                self.end_short(hop, now_ns, SpanVerdict::Dropped);
                 return;
             }
         };
-        if parallel {
-            self.stats.add_parallel_dispatches(1);
+        self.stats.add_parallel_dispatches(1);
+        self.tx_span(&hop, now_ns, SpanVerdict::Forwarded);
+        if self.fans_out() {
+            let shared = self.free.share(hop.sole, self.targets.len() as u32);
+            self.stage_targets(shared, exit_service);
+        } else {
+            hop.sole.verdict = 0;
+            self.stage_in_order(hop.sole, &decision.actions, exit_service);
         }
-        tx_span(self, &item, SpanVerdict::Forwarded);
-        let frame = self.free.redispatch(item.frame, self.targets.len() as u32);
-        self.stage_targets(frame, exit_service);
+    }
+
+    /// Forwards a completed packet along one action: to its next NF as an
+    /// owned hop (verdict reset), to egress, to the controller, or into a
+    /// drop.
+    fn forward_action(&mut self, mut hop: Completion, action: Action, now_ns: u64) {
+        let PacketMeta {
+            key, hash, traced, ..
+        } = hop.sole.meta;
+        match action {
+            Action::ToService(service) => {
+                match pick_instance(&self.service_instances, service, hash) {
+                    Some(index) => {
+                        self.tx_span(&hop, now_ns, SpanVerdict::Forwarded);
+                        hop.sole.verdict = 0;
+                        self.staging.per_ring[index].push(WorkItem {
+                            frame: Frame::Sole(hop.sole),
+                            exit_service: service,
+                            position: 0,
+                        });
+                    }
+                    None => {
+                        self.stats.add_dropped(1);
+                        self.end_short(hop, now_ns, SpanVerdict::Dropped);
+                    }
+                }
+            }
+            Action::ToPort(port) => {
+                // Transmitted accounting (and credit release) happens at
+                // flush, when the egress push lands; the packet's
+                // flow-state work is already over, so its bucket count
+                // drops here.
+                self.finish_flow(hash);
+                let packet = self.free.reclaim(hop.sole);
+                self.stage_egress(HostOutput { port, packet, key }, hash, now_ns, traced);
+            }
+            Action::ToController => {
+                self.stats.add_controller_punts(1);
+                self.end_short(hop, now_ns, SpanVerdict::Punted);
+            }
+            Action::Drop | Action::Trace => {
+                self.stats.add_dropped(1);
+                self.end_short(hop, now_ns, SpanVerdict::Dropped);
+            }
+        }
+    }
+
+    /// Ends a completed packet's trip short of egress — a drop or a punt
+    /// its caller has counted: gives back its credit and bucket count,
+    /// emits its TX span and parks its frame.
+    fn end_short(&mut self, hop: Completion, now_ns: u64, verdict: SpanVerdict) {
+        self.gate.release(1);
+        self.finish_flow(hop.sole.meta.hash);
+        self.tx_span(&hop, now_ns, verdict);
+        self.free.reclaim(hop.sole);
     }
 
     /// Picks the replica of every service `actions` lists into the
@@ -3787,31 +3921,98 @@ impl ShardEngine {
         }
     }
 
-    /// Stages `frame` — readied for as many NFs as there are resolved
-    /// targets — to each of them: a fan-out's earlier targets get clones of
-    /// its handle, the last one the caller's handle, so a single-target hop
-    /// takes the owned frame as it is; the target's position in the list is
-    /// the priority of its NF's verdict.
-    fn stage_targets(&mut self, frame: Frame, exit_service: ServiceId) {
-        let (&last, rest) = self
-            .targets
-            .split_last()
-            .expect("resolved targets are non-empty");
-        let item = |frame: Frame, position: usize| WorkItem {
-            frame,
+    /// Whether the resolved targets may share one immutable packet: there
+    /// are several, and every one is a read-only replica.
+    fn fans_out(&self) -> bool {
+        self.targets.len() > 1
+            && self
+                .targets
+                .iter()
+                .all(|&index| self.slots[index].read_only)
+    }
+
+    /// Stages a fan-out's handles, one per resolved target: clones for the
+    /// earlier targets, `shared` itself for the last. A target's position
+    /// in the list is the priority of its NF's verdict.
+    fn stage_targets(&mut self, shared: SharedPacket, exit_service: ServiceId) {
+        let (&last, rest) = self.targets.split_last().expect("a fan-out has targets");
+        let item = |shared: SharedPacket, position: usize| WorkItem {
+            frame: Frame::Shared(shared),
             exit_service,
             position: u16::try_from(position).unwrap_or(u16::MAX),
         };
-        match &frame {
-            Frame::Shared(shared) => {
-                for (position, &index) in rest.iter().enumerate() {
-                    self.staging.per_ring[index]
-                        .push(item(Frame::Shared(shared.clone()), position));
-                }
-            }
-            Frame::Sole(_) => assert!(rest.is_empty(), "an owned frame has one target"),
+        for (position, &index) in rest.iter().enumerate() {
+            self.staging.per_ring[index].push(item(shared.clone(), position));
         }
-        self.staging.per_ring[last].push(item(frame, rest.len()));
+        self.staging.per_ring[last].push(item(shared, rest.len()));
+    }
+
+    /// Stages a parallel rule that cannot fan out — one target, or a list
+    /// that names a mutating service — as owned hops in list order: the
+    /// first target now, each next one when the previous returns (a
+    /// [`ListRun`]). Every NF sees the writes of those before it and merges
+    /// its key, by position, into the one frame: `NfManager::run_parallel`'s
+    /// order, and the word a fan-out would resolve to.
+    fn stage_in_order(
+        &mut self,
+        mut sole: Box<SolePacket>,
+        actions: &Arc<[Action]>,
+        exit_service: ServiceId,
+    ) {
+        if self.targets.len() > 1 {
+            let first = actions
+                .iter()
+                .position(|action| matches!(action, Action::ToService(_)))
+                .expect("resolved targets come from listed services");
+            let run = ListRun {
+                actions: Arc::clone(actions),
+                next: first + 1,
+                position: 0,
+            };
+            let slot = match self.list_runs.iter().position(Option::is_none) {
+                Some(slot) => {
+                    self.list_runs[slot] = Some(run);
+                    slot
+                }
+                None => {
+                    self.list_runs.push(Some(run));
+                    self.list_runs.len() - 1
+                }
+            };
+            sole.meta.list_run = NonZeroU32::new(
+                u32::try_from(slot + 1).expect("one list run per packet in flight at most"),
+            );
+        }
+        self.staging.per_ring[self.targets[0]].push(WorkItem {
+            frame: Frame::Sole(sole),
+            exit_service,
+            position: 0,
+        });
+    }
+
+    /// The next hop of the list run in slot `run`: the replica slot of the
+    /// next listed service and that service's position — or `None`, the
+    /// run's slot freed, once the last listed service has answered.
+    fn next_listed(&mut self, run: NonZeroU32, hash: u64) -> Option<(usize, u16)> {
+        let slot = run.get() as usize - 1;
+        let list = self.list_runs[slot]
+            .as_mut()
+            .expect("a packet on a list run holds its slot");
+        while let Some(&action) = list.actions.get(list.next) {
+            list.next += 1;
+            let Action::ToService(service) = action else {
+                continue;
+            };
+            list.position = list.position.saturating_add(1);
+            // Every listed service had a replica when the run began; one
+            // that has none now answers the default, as an absent NF does
+            // in `NfManager::run_parallel`.
+            if let Some(index) = pick_instance(&self.service_instances, service, hash) {
+                return Some((index, list.position));
+            }
+        }
+        self.list_runs[slot] = None;
+        None
     }
 
     /// Flushes every staged frame with one batched push per ring.
@@ -3896,32 +4097,11 @@ enum Targets {
     Ready(ServiceId),
 }
 
-/// Length of the longest prefix of `items` in which no two work items share
-/// a packet buffer (always ≥ 1 for a non-empty slice). Used to split bursts
-/// that would otherwise lock the same buffer twice. An owned frame aliases
-/// nothing: it is not looked for (a burst of them costs one tag test each)
-/// and never found.
-fn distinct_buffer_prefix(items: &[WorkItem]) -> usize {
-    let mut end = 0;
-    while end < items.len() {
-        if let Frame::Shared(shared) = &items[end].frame {
-            let repeated = items[..end].iter().any(
-                |earlier| matches!(&earlier.frame, Frame::Shared(seen) if seen.same_buffer(shared)),
-            );
-            if repeated {
-                break;
-            }
-        }
-        end += 1;
-    }
-    end
-}
-
 /// Emptied packet holders awaiting reuse: a packet that leaves the pipeline
-/// parks its owned frame or its descriptor here, and dispatch refills one,
-/// so the steady state allocates neither. Each list stops growing at the
-/// capacity it was created with — the shard's credit budget, the most
-/// packets the shard holds in flight.
+/// parks its owned frame here, a fan-out's exit its descriptor, and
+/// dispatch refills one, so the steady state allocates neither. Each list
+/// stops growing at the capacity it was created with — the shard's credit
+/// budget, the most packets the shard holds in flight.
 struct FreeFrames {
     #[allow(clippy::vec_box)] // the parked allocations are what is reused
     owned: Vec<Box<SolePacket>>,
@@ -3933,16 +4113,6 @@ impl FreeFrames {
         FreeFrames {
             owned: Vec::with_capacity(budget),
             descriptors: Vec::with_capacity(budget),
-        }
-    }
-
-    /// An admitted packet's frame for a dispatch to `readers` NFs: owned
-    /// outright by a single target, a descriptor shared by a fan-out.
-    fn frame(&mut self, packet: Packet, meta: PacketMeta, readers: u32) -> Frame {
-        if readers == 1 {
-            Frame::Sole(self.owned_frame(packet, meta))
-        } else {
-            Frame::Shared(self.descriptor(packet, meta, readers))
         }
     }
 
@@ -3975,69 +4145,42 @@ impl FreeFrames {
         SharedPacket::with_meta(packet, readers, meta)
     }
 
-    /// Readies a completed frame for its next dispatch, to `readers` NFs.
-    /// An owned frame stays owned for one target (its verdict reset) and
-    /// moves into a descriptor for several. A descriptor leaving a fan-out
-    /// for one target pays the exit test ([`SharedPacket::exclusive`]) and
-    /// becomes an owned frame — unless a straggler NF still holds its clone,
-    /// and then it stays shared and re-armed for this hop, as it does for
-    /// another fan-out.
-    fn redispatch(&mut self, frame: Frame, readers: u32) -> Frame {
-        match frame {
-            Frame::Sole(mut sole) if readers == 1 => {
-                sole.verdict = 0;
-                Frame::Sole(sole)
-            }
-            Frame::Sole(sole) => {
-                let meta = sole.meta;
-                let packet = self.reclaim(Frame::Sole(sole));
-                Frame::Shared(self.descriptor(packet, meta, readers))
-            }
-            Frame::Shared(mut shared) => {
-                let meta = *shared.meta();
-                match shared.exclusive() {
-                    Some(descriptor) if readers == 1 => {
-                        let packet = descriptor.take_packet();
-                        self.park_descriptor(shared);
-                        return Frame::Sole(self.owned_frame(packet, meta));
-                    }
-                    Some(descriptor) => descriptor.re_arm(readers),
-                    None => shared.re_arm(readers),
-                }
-                Frame::Shared(shared)
-            }
-        }
+    /// Moves an owned frame's packet into a descriptor for a fan-out to
+    /// `readers` NFs, parking the emptied box.
+    fn share(&mut self, sole: Box<SolePacket>, readers: u32) -> SharedPacket {
+        let meta = sole.meta;
+        let packet = self.reclaim(sole);
+        self.descriptor(packet, meta, readers)
     }
 
-    /// Ends a frame's trip through the pipeline: moves the packet out
-    /// (zero-copy — from an owned frame or a unique descriptor as plain
-    /// memory, else through the lock every NF already released) and parks
-    /// the emptied holder for reuse.
-    fn reclaim(&mut self, frame: Frame) -> Packet {
-        match frame {
-            Frame::Sole(mut sole) => {
-                let packet = std::mem::replace(&mut sole.packet, Packet::from_bytes(Vec::new()));
-                if self.owned.len() < self.owned.capacity() {
-                    self.owned.push(sole);
-                }
-                packet
-            }
-            Frame::Shared(mut shared) => {
-                let packet = match shared.exclusive() {
-                    Some(descriptor) => descriptor.take_packet(),
-                    None => shared.take_packet(),
-                };
-                self.park_descriptor(shared);
-                packet
-            }
-        }
-    }
-
-    /// Parks an emptied descriptor for reuse, within the budget.
-    fn park_descriptor(&mut self, descriptor: SharedPacket) {
+    /// A completed fan-out's exit test ([`SharedPacket::exclusive`]): once
+    /// every NF has dropped its handle, moves the packet and the merged
+    /// verdict into an owned frame and parks the emptied descriptor. While
+    /// a straggler still holds its clone, hands the descriptor back as it
+    /// came.
+    fn unshare(&mut self, mut shared: SharedPacket) -> Result<Box<SolePacket>, SharedPacket> {
+        let meta = *shared.meta();
+        let Some(descriptor) = shared.exclusive() else {
+            return Err(shared);
+        };
+        let verdict = descriptor.verdict();
+        let packet = descriptor.take_packet();
         if self.descriptors.len() < self.descriptors.capacity() {
-            self.descriptors.push(descriptor);
+            self.descriptors.push(shared);
         }
+        let mut sole = self.owned_frame(packet, meta);
+        sole.verdict = verdict;
+        Ok(sole)
+    }
+
+    /// Ends an owned frame's trip through the pipeline: moves the packet
+    /// out (zero-copy) and parks the emptied box for reuse.
+    fn reclaim(&mut self, mut sole: Box<SolePacket>) -> Packet {
+        let packet = std::mem::replace(&mut sole.packet, Packet::from_bytes(Vec::new()));
+        if self.owned.len() < self.owned.capacity() {
+            self.owned.push(sole);
+        }
+        packet
     }
 }
 
@@ -4152,65 +4295,6 @@ fn apply_ctx_messages(
     }
 }
 
-/// Per-chunk guard and reference scratch vectors for NF burst processing.
-/// Their element types borrow from the burst's items for one chunk only, so
-/// the vectors are parked here empty (at the `'static` type) and re-typed
-/// to the chunk lifetime via `recycle` — no allocation per burst. They live
-/// in a thread-local (not on [`NfEngine`]) because lock guards are not
-/// `Send` and the engine must be, for the simulation registry.
-struct GuardScratch {
-    read_guards: Vec<Access<'static, std::sync::RwLockReadGuard<'static, Packet>>>,
-    read_refs: Vec<&'static Packet>,
-    write_guards: Vec<Access<'static, std::sync::RwLockWriteGuard<'static, Packet>>>,
-    write_refs: Vec<&'static mut Packet>,
-}
-
-/// How an NF burst reaches one packet: as plain memory in an owned frame,
-/// through the descriptor's lock (guard `G`) for a fan-out's handle.
-enum Access<'a, G> {
-    Sole(&'a mut Packet),
-    Locked(G),
-}
-
-impl<'a, G> Access<'a, G> {
-    /// Opens `item`'s frame; `lock` takes the guard of a shared descriptor.
-    fn open(item: &'a mut WorkItem, lock: impl FnOnce(&'a SharedPacket) -> G) -> Self {
-        match &mut item.frame {
-            Frame::Sole(sole) => Access::Sole(&mut sole.packet),
-            Frame::Shared(shared) => Access::Locked(lock(shared)),
-        }
-    }
-}
-
-impl<G: std::ops::Deref<Target = Packet>> Access<'_, G> {
-    fn packet(&self) -> &Packet {
-        match self {
-            Access::Sole(packet) => packet,
-            Access::Locked(guard) => guard,
-        }
-    }
-}
-
-impl<G: std::ops::DerefMut<Target = Packet>> Access<'_, G> {
-    fn packet_mut(&mut self) -> &mut Packet {
-        match self {
-            Access::Sole(packet) => packet,
-            Access::Locked(guard) => guard,
-        }
-    }
-}
-
-thread_local! {
-    static GUARD_SCRATCH: std::cell::RefCell<GuardScratch> = const {
-        std::cell::RefCell::new(GuardScratch {
-            read_guards: Vec::new(),
-            read_refs: Vec::new(),
-            write_guards: Vec::new(),
-            write_refs: Vec::new(),
-        })
-    };
-}
-
 /// One NF replica as a step-callable state machine: the packet-processing
 /// loop body of the old dedicated NF thread, factored out so the threaded
 /// runtime ([`nf_thread_loop`]) and the deterministic simulation harness
@@ -4237,6 +4321,11 @@ pub(crate) struct NfEngine {
     ctx: NfContext,
     read_only: bool,
     items: Vec<WorkItem>,
+    /// The burst's packet references, parked empty between bursts (their
+    /// element type borrows from `items` for one burst only; see
+    /// [`recycle`]).
+    read_refs: Vec<&'static Packet>,
+    write_refs: Vec<&'static mut Packet>,
     verdicts: VerdictSlice,
     done_staging: Vec<DoneItem>,
     service_time: Ewma,
@@ -4302,6 +4391,8 @@ impl NfEngine {
             ctx,
             read_only,
             items: Vec::with_capacity(burst_size),
+            read_refs: Vec::with_capacity(burst_size),
+            write_refs: Vec::with_capacity(burst_size),
             verdicts: VerdictSlice::with_capacity(burst_size),
             done_staging: Vec::with_capacity(burst_size),
             service_time: Ewma::default(),
@@ -4425,71 +4516,37 @@ impl NfEngine {
         self.ctx.set_now_ns(burst_started_ns);
         let slots = self.verdicts.reset(items.len());
         if self.read_only {
-            // Open the whole burst for reading and hand the NF one batch:
-            // owned frames as plain memory, fan-out items under read
-            // guards (parallel NFs on other threads can hold read guards on
-            // the same descriptors simultaneously). Bursts are still split
-            // on repeated buffers: two read guards on one lock from this
-            // thread could deadlock against a queued writer (std's RwLock
-            // is writer-preferring), and a repeated buffer is possible with
-            // hand-installed action lists naming one service twice.
-            GUARD_SCRATCH.with(|scratch| {
-                let scratch = &mut *scratch.borrow_mut();
-                let mut start = 0;
-                while start < items.len() {
-                    let end = start + distinct_buffer_prefix(&items[start..]);
-                    let mut guards = recycle(std::mem::take(&mut scratch.read_guards));
-                    guards.extend(
-                        items[start..end]
-                            .iter_mut()
-                            .map(|item| Access::open(item, SharedPacket::read_guard)),
-                    );
-                    let mut refs: Vec<&Packet> = recycle(std::mem::take(&mut scratch.read_refs));
-                    refs.extend(guards.iter().map(Access::packet));
-                    self.nf.process_batch(
-                        &PacketBatch::new(&refs),
-                        &mut slots[start..end],
-                        &mut self.ctx,
-                    );
-                    refs.clear();
-                    scratch.read_refs = recycle(refs);
-                    guards.clear();
-                    scratch.read_guards = recycle(guards);
-                    start = end;
-                }
-            });
+            // One batch over the whole burst, every packet read through
+            // `&Packet` with no lock: an owned frame is this replica's
+            // alone, and a fan-out's packet is immutable while shared (so a
+            // service a parallel rule names twice simply borrows one buffer
+            // twice).
+            let mut refs: Vec<&Packet> = recycle(std::mem::take(&mut self.read_refs));
+            refs.extend(items.iter().map(|item| item.frame.packet()));
+            self.nf
+                .process_batch(&PacketBatch::new(&refs), slots, &mut self.ctx);
+            refs.clear();
+            self.read_refs = recycle(refs);
         } else {
-            // A mutating NF is the sole owner of every descriptor it is
-            // handed (never scheduled in parallel with other NFs), so a
-            // write lock, where one is still taken, is uncontended — except
-            // when a (hand-installed) action list names the same service
-            // twice, which puts two WorkItems over one buffer into the same
-            // burst. Write-locking those together would self-deadlock, so
-            // the burst is split into chunks with no repeated buffer.
-            GUARD_SCRATCH.with(|scratch| {
-                let scratch = &mut *scratch.borrow_mut();
-                let mut start = 0;
-                while start < items.len() {
-                    let end = start + distinct_buffer_prefix(&items[start..]);
-                    let mut guards = recycle(std::mem::take(&mut scratch.write_guards));
-                    guards.extend(
-                        items[start..end]
-                            .iter_mut()
-                            .map(|item| Access::open(item, SharedPacket::write_guard)),
+            // A mutating replica is only ever handed owned frames: the
+            // worker fans a packet out to read-only replicas alone, and
+            // runs any other parallel rule as owned hops. A shared frame
+            // here would be a write to a packet other NFs are reading —
+            // fail loudly instead.
+            let mut refs: Vec<&mut Packet> = recycle(std::mem::take(&mut self.write_refs));
+            for item in items.iter_mut() {
+                let Frame::Sole(sole) = &mut item.frame else {
+                    panic!(
+                        "NF {}: a mutating replica was handed a shared frame",
+                        self.service
                     );
-                    let mut refs: Vec<&mut Packet> =
-                        recycle(std::mem::take(&mut scratch.write_refs));
-                    refs.extend(guards.iter_mut().map(Access::packet_mut));
-                    let mut batch = PacketBatchMut::new(&mut refs);
-                    self.nf
-                        .process_batch_mut(&mut batch, &mut slots[start..end], &mut self.ctx);
-                    refs.clear();
-                    scratch.write_refs = recycle(refs);
-                    guards.clear();
-                    scratch.write_guards = recycle(guards);
-                    start = end;
-                }
-            });
+                };
+                refs.push(&mut sole.packet);
+            }
+            self.nf
+                .process_batch_mut(&mut PacketBatchMut::new(&mut refs), slots, &mut self.ctx);
+            refs.clear();
+            self.write_refs = recycle(refs);
         }
         let burst_ended_ns = self.clock.now_ns();
         let per_packet_ns = burst_ended_ns.saturating_sub(burst_started_ns) / items.len() as u64;
@@ -4522,8 +4579,9 @@ impl NfEngine {
             self.pin_timeouts,
         );
         for (index, mut item) in items.drain(..).enumerate() {
-            // An owned frame stores its verdict and is done; a fan-out
-            // handle merges and counts down atomically.
+            // An owned frame merges its verdict and is done; a fan-out
+            // handle merges and counts down atomically, and only the final
+            // one goes back to the worker.
             let key = verdict_to_key(self.verdicts.as_slice()[index], item.position);
             if !item.frame.complete(key) {
                 continue;
@@ -4576,6 +4634,7 @@ fn idle_backoff(idle: &mut u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::conflict::resolve_parallel_verdicts;
     use sdnfv_flowtable::{FlowMatch, FlowRule};
     use sdnfv_graph::{catalog, CompileOptions};
     use sdnfv_nf::nfs::{ComputeNf, NoOpNf};
@@ -4683,6 +4742,7 @@ mod tests {
             key: packet(1).flow_key().unwrap(),
             hash,
             traced: false,
+            list_run: None,
         }
     }
 
@@ -4695,32 +4755,6 @@ mod tests {
         }))
     }
 
-    #[test]
-    fn distinct_buffer_prefix_splits_on_repeated_buffers() {
-        let work = |frame: Frame| WorkItem {
-            frame,
-            exit_service: ServiceId::new(1),
-            position: 0,
-        };
-        let item = |shared: &SharedPacket| work(Frame::Shared(shared.clone()));
-        let sole = |port: u16| work(sole_frame(packet(port), 0));
-        let a = SharedPacket::with_meta(packet(1), 2, meta(0));
-        let b = SharedPacket::with_meta(packet(2), 1, meta(0));
-        assert_eq!(distinct_buffer_prefix(&[]), 0);
-        assert_eq!(distinct_buffer_prefix(&[item(&a)]), 1);
-        // a, b, a: the second `a` must start a new chunk.
-        assert_eq!(distinct_buffer_prefix(&[item(&a), item(&b), item(&a)]), 2);
-        // a, a: even adjacent repeats split.
-        assert_eq!(distinct_buffer_prefix(&[item(&a), item(&a)]), 1);
-        // Owned frames alias nothing and never split a burst, but a repeat
-        // among the fan-out items between them still does.
-        assert_eq!(distinct_buffer_prefix(&[sole(3), sole(4), sole(5)]), 3);
-        assert_eq!(
-            distinct_buffer_prefix(&[sole(3), item(&a), sole(4), item(&b), item(&a), sole(5)]),
-            4
-        );
-    }
-
     /// Builds an inert NF slot (no thread) plus the handles that keep its
     /// rings alive, for testing the staging arithmetic.
     fn test_slot(capacity: usize) -> (NfSlot, Consumer<WorkItem>, Producer<DoneItem>) {
@@ -4728,6 +4762,7 @@ mod tests {
         let (done_tx, done) = spsc_ring::<DoneItem>(capacity);
         let slot = NfSlot {
             service: ServiceId::new(1),
+            read_only: true,
             ring,
             done,
             probe: Arc::new(NfProbe::default()),
@@ -4773,9 +4808,20 @@ mod tests {
     }
 
     /// Asks for a verdict chosen by the packet's first payload byte, and —
-    /// as a mutating NF — counts its visits in the second.
+    /// as a mutating NF — counts its visits in the second. Counts the
+    /// batches it is handed in `batches`.
     struct StampNf {
         mutate: bool,
+        batches: Arc<AtomicU64>,
+    }
+
+    impl StampNf {
+        fn new(mutate: bool) -> Self {
+            StampNf {
+                mutate,
+                batches: Arc::default(),
+            }
+        }
     }
 
     impl NetworkFunction for StampNf {
@@ -4800,9 +4846,33 @@ mod tests {
             packet.l4_payload_mut().unwrap()[1] += 1;
             self.process(packet, ctx)
         }
+
+        fn process_batch(
+            &mut self,
+            batch: &PacketBatch<'_>,
+            verdicts: &mut [Verdict],
+            ctx: &mut NfContext,
+        ) {
+            self.batches.fetch_add(1, Ordering::Relaxed);
+            for (slot, packet) in verdicts.iter_mut().zip(batch.iter()) {
+                *slot = self.process(packet, ctx);
+            }
+        }
+
+        fn process_batch_mut(
+            &mut self,
+            batch: &mut PacketBatchMut<'_, '_>,
+            verdicts: &mut [Verdict],
+            ctx: &mut NfContext,
+        ) {
+            self.batches.fetch_add(1, Ordering::Relaxed);
+            for (slot, packet) in verdicts.iter_mut().zip(batch.iter_mut()) {
+                *slot = self.process_mut(packet, ctx);
+            }
+        }
     }
 
-    /// What one descriptor looked like after the mixed burst.
+    /// What one packet looked like after the burst.
     #[derive(Debug, PartialEq)]
     struct Served {
         hash: u64,
@@ -4811,19 +4881,40 @@ mod tests {
         payload_head: [u8; 2],
     }
 
-    /// One [`NfEngine`] burst of eight items over six packets, in ring
-    /// order: owned, fan-out, twice-named (first), owned, twice-named
-    /// (second), owned, fan-out, owned. `owned == false` serves the same
-    /// burst with each owned frame a one-reader descriptor instead, i.e.
-    /// down the shared path alone. Returns the completions in done-ring
-    /// order, then the two fan-out descriptors.
-    fn serve_mixed_burst(mutate: bool, owned: bool) -> Vec<Served> {
-        let (mut engine, ring, done) = test_nf_engine(Box::new(StampNf { mutate }), 8);
-        let stamped = |selector: u8| {
-            let mut frame = packet(u16::from(selector));
-            frame.l4_payload_mut().unwrap()[..2].copy_from_slice(&[selector, 0]);
-            frame
+    /// A test packet whose first payload byte is `selector` and whose
+    /// second (the visit count) is 0.
+    fn stamped(selector: u8) -> Packet {
+        let mut frame = packet(u16::from(selector));
+        frame.l4_payload_mut().unwrap()[..2].copy_from_slice(&[selector, 0]);
+        frame
+    }
+
+    fn served(frame: &Frame) -> Served {
+        let (hash, remaining, verdict) = match frame {
+            Frame::Sole(sole) => (sole.meta.hash, 0, sole.verdict),
+            Frame::Shared(shared) => (shared.meta().hash, shared.remaining(), shared.verdict()),
         };
+        Served {
+            hash,
+            remaining,
+            verdict,
+            payload_head: frame.packet().l4_payload().unwrap()[..2]
+                .try_into()
+                .unwrap(),
+        }
+    }
+
+    /// One burst of a read-only [`StampNf`] over six packets in eight
+    /// items, in ring order: owned, fan-out, twice-named (first), owned,
+    /// twice-named (second), owned, fan-out, owned. `owned == false` serves
+    /// the same burst with each owned frame a one-reader descriptor, i.e.
+    /// down the shared path alone. Returns the completions in done-ring
+    /// order, then the two fan-out descriptors, and the batches the NF was
+    /// handed.
+    fn serve_mixed_burst(owned: bool) -> (Vec<Served>, u64) {
+        let nf = StampNf::new(false);
+        let batches = Arc::clone(&nf.batches);
+        let (mut engine, ring, done) = test_nf_engine(Box::new(nf), 8);
         let descriptor = |selector: u8, readers: u32, hash: u64| {
             SharedPacket::with_meta(stamped(selector), readers, meta(hash))
         };
@@ -4842,7 +4933,8 @@ mod tests {
         // Fan-out of a parallel rule: three readers, this NF is the second;
         // the test plays the other two and merges a steer of its own.
         let fan_out = [(1, 20), (2, 21)].map(|(selector, hash)| descriptor(selector, 3, hash));
-        // A hand-installed sequential list naming this service twice.
+        // A hand-installed parallel rule naming this service twice: two
+        // handles on one buffer in one burst.
         let twice = descriptor(3, 2, 30);
         let mut burst = vec![
             work(single(0, 10), 0),
@@ -4857,72 +4949,97 @@ mod tests {
         assert_eq!(ring.push_n(&mut burst), 8);
         assert!(engine.step());
 
-        let head = |p: &Packet| -> [u8; 2] { p.l4_payload().unwrap()[..2].try_into().unwrap() };
-        let served = |shared: &SharedPacket| Served {
-            hash: shared.meta().hash,
-            remaining: shared.remaining(),
-            verdict: shared.verdict(),
-            payload_head: shared.with_read(head),
-        };
         let mut completions = Vec::new();
         done.pop_n(&mut completions, 8);
-        let mut out: Vec<Served> = completions
-            .iter()
-            .map(|item| match &item.frame {
-                Frame::Sole(sole) => Served {
-                    hash: sole.meta.hash,
-                    remaining: 0,
-                    verdict: sole.verdict,
-                    payload_head: head(&sole.packet),
-                },
-                Frame::Shared(shared) => served(shared),
-            })
-            .collect();
-        for shared in &fan_out {
+        let mut out: Vec<Served> = completions.iter().map(|item| served(&item.frame)).collect();
+        for shared in fan_out {
             // The NF was one of three readers: its handle is gone, its
             // request merged, and the descriptor still waits for the rest.
             assert_eq!(shared.remaining(), 2);
             shared.merge_verdict(verdict_to_key(Verdict::ToService(ServiceId::new(5)), 0));
             assert!(!shared.complete_one());
             assert!(shared.complete_one());
-            out.push(served(shared));
+            out.push(served(&Frame::Shared(shared)));
         }
-        out
+        (out, batches.load(Ordering::Relaxed))
     }
 
     #[test]
     fn a_mixed_burst_is_served_as_the_shared_path_alone_serves_it() {
-        for mutate in [false, true] {
-            let owned = serve_mixed_burst(mutate, true);
-            assert_eq!(owned, serve_mixed_burst(mutate, false), "mutate {mutate}");
-            let visits = |n: u8| if mutate { n } else { 0 };
-            let key = verdict_to_key;
-            let steer = Verdict::ToService(ServiceId::new(9));
-            let expected = [
-                // The four owned frames and the twice-named descriptor
-                // (complete at its second item), in ring order …
-                (10, key(Verdict::Default, 0), [0, visits(1)]),
-                (11, key(steer, 0), [1, visits(1)]),
-                (30, key(Verdict::Discard, 0), [3, visits(2)]),
-                (12, key(Verdict::ToPort(7), 0), [2, visits(1)]),
-                (13, key(Verdict::Discard, 0), [3, visits(1)]),
-                // … then the fan-out descriptors: position 0's steer beats
-                // this NF's steer at position 1, its port request beats both.
-                (
-                    20,
-                    key(Verdict::ToService(ServiceId::new(5)), 0),
-                    [1, visits(1)],
-                ),
-                (21, key(Verdict::ToPort(7), 1), [2, visits(1)]),
-            ]
-            .map(|(hash, verdict, payload_head)| Served {
-                hash,
-                remaining: 0,
-                verdict,
-                payload_head,
-            });
-            assert_eq!(owned, expected, "mutate {mutate}");
-        }
+        let (owned, batches) = serve_mixed_burst(true);
+        assert_eq!(
+            batches, 1,
+            "one batch serves the whole burst, the repeated buffer included"
+        );
+        assert_eq!(owned, serve_mixed_burst(false).0);
+        let key = verdict_to_key;
+        let steer = Verdict::ToService(ServiceId::new(9));
+        let expected = [
+            // The four owned frames and the twice-named descriptor
+            // (complete at its second item), in ring order …
+            (10, key(Verdict::Default, 0), [0, 0]),
+            (11, key(steer, 0), [1, 0]),
+            (30, key(Verdict::Discard, 0), [3, 0]),
+            (12, key(Verdict::ToPort(7), 0), [2, 0]),
+            (13, key(Verdict::Discard, 0), [3, 0]),
+            // … then the fan-out descriptors: position 0's steer beats this
+            // NF's steer at position 1, its port request beats both.
+            (20, key(Verdict::ToService(ServiceId::new(5)), 0), [1, 0]),
+            (21, key(Verdict::ToPort(7), 1), [2, 0]),
+        ]
+        .map(|(hash, verdict, payload_head)| Served {
+            hash,
+            remaining: 0,
+            verdict,
+            payload_head,
+        });
+        assert_eq!(owned, expected);
+
+        // A mutating replica is handed owned frames only, and writes each
+        // as plain memory, in one batch.
+        let nf = StampNf::new(true);
+        let batches = Arc::clone(&nf.batches);
+        let (mut engine, ring, done) = test_nf_engine(Box::new(nf), 8);
+        let mut burst: Vec<WorkItem> = (0..4u8)
+            .map(|selector| WorkItem {
+                frame: sole_frame(stamped(selector), 10 + u64::from(selector)),
+                exit_service: ServiceId::new(1),
+                position: 0,
+            })
+            .collect();
+        assert_eq!(ring.push_n(&mut burst), 4);
+        assert!(engine.step());
+        assert_eq!(batches.load(Ordering::Relaxed), 1);
+        let mut completions = Vec::new();
+        done.pop_n(&mut completions, 8);
+        let written: Vec<Served> = completions.iter().map(|item| served(&item.frame)).collect();
+        let expected = [
+            (10, key(Verdict::Default, 0), [0, 1]),
+            (11, key(steer, 0), [1, 1]),
+            (12, key(Verdict::ToPort(7), 0), [2, 1]),
+            (13, key(Verdict::Discard, 0), [3, 1]),
+        ]
+        .map(|(hash, verdict, payload_head)| Served {
+            hash,
+            remaining: 0,
+            verdict,
+            payload_head,
+        });
+        assert_eq!(written, expected);
+    }
+
+    #[test]
+    #[should_panic(expected = "a mutating replica was handed a shared frame")]
+    fn a_mutating_replica_refuses_a_shared_frame() {
+        let (mut engine, ring, _done) = test_nf_engine(Box::new(StampNf::new(true)), 2);
+        let shared = SharedPacket::with_meta(stamped(0), 2, meta(0));
+        let item = WorkItem {
+            frame: Frame::Shared(shared.clone()),
+            exit_service: ServiceId::new(1),
+            position: 0,
+        };
+        assert!(ring.push(item).is_ok());
+        engine.step();
     }
 
     /// One NF of the mixed chain: asks for what its role does with the
@@ -4961,8 +5078,8 @@ mod tests {
     fn a_mixed_chain_converts_its_frame_at_every_fan_out_boundary() {
         // a → parallel (b, c) → d → port. RX stages an owned frame for `a`,
         // `a`'s return moves the packet into a descriptor for the fan-out,
-        // the fan-out's exit test takes it back into an owned frame for `d`,
-        // and egress reclaims that.
+        // the fan-out's exit test takes it back into an owned frame before
+        // the worker looks up `d`, and egress reclaims that.
         let [a, b, c, d] = [1, 2, 3, 4].map(ServiceId::new);
         let table = SharedFlowTable::new();
         let at = FlowMatch::at_step;
@@ -5074,8 +5191,8 @@ mod tests {
 
         // A straggler: the fan-out's final completion reaches the worker
         // while another party still holds a clone of its descriptor (here,
-        // the test). The exit test fails, and the packet goes on to `d`
-        // shared, on the locked path.
+        // the test). The exit test fails and the completion waits, keeping
+        // its credit, and the worker has nothing to do until the clone goes.
         let probe = selected(seq + 1, 4);
         let buffer = probe.data().as_ptr();
         assert!(host.inject(probe).is_admitted());
@@ -5094,27 +5211,33 @@ mod tests {
                 };
                 let straggler = shared.clone();
                 engine.tx_round(&mut done);
+                assert_eq!(engine.deferred.len(), 1, "the completion waits");
                 straggler
             })
             .expect("the worker is running");
-        assert_eq!(straggler.remaining(), 1, "re-armed for `d` alone");
-        assert!(sim.step(actor(d)));
-        assert_eq!(straggler.remaining(), 0);
         assert_eq!(
-            verdict_from_word(straggler.verdict()),
-            Verdict::ToPort(3),
-            "`d`'s request merged into the descriptor"
+            host.available_credits(0),
+            CREDITS - 1,
+            "it keeps its credit"
         );
+        assert!(!sim.step(worker), "nothing moves while the clone is held");
+        assert_eq!(straggler.remaining(), 0);
+
+        // Once the clone is dropped, the worker's next step takes the packet
+        // back into an owned frame and sends it on to `d` — a mutating NF,
+        // which refuses any other kind of frame.
+        drop(straggler);
+        assert!(sim.step(worker));
+        assert!(sim
+            .with_worker(worker, |engine| engine.deferred.is_empty())
+            .expect("the worker is running"));
+        assert!(sim.step(actor(d)));
         while sim.step_all() > 0 {}
         let out = host.poll_egress_burst(4);
         assert_eq!(out.len(), 1);
         assert_eq!((out[0].port, out[0].packet.data().as_ptr()), (3, buffer));
         assert_eq!(out[0].packet.l4_payload().unwrap()[1], 2);
-        assert!(
-            straggler.with_read(Packet::is_empty),
-            "egress moved the frame out through the lock"
-        );
-        drop(straggler);
+        assert_eq!(host.available_credits(0), CREDITS);
 
         let (owned, descriptors) = sim
             .with_worker(worker, |engine| {
@@ -5129,6 +5252,226 @@ mod tests {
             (1..=CREDITS).contains(&descriptors),
             "{descriptors} descriptors parked"
         );
+        host.shutdown();
+    }
+
+    /// One NF of the hand-installed parallel rule `r` → `w` → `s`: the
+    /// writer `w` counts its visits in the second payload byte, the readers
+    /// drop a packet seen on the wrong side of that write, and the requests
+    /// chosen by the first byte make the resolution by position visible.
+    struct ListNf {
+        role: char,
+    }
+
+    impl NetworkFunction for ListNf {
+        fn name(&self) -> &str {
+            "list"
+        }
+
+        fn read_only(&self) -> bool {
+            self.role != 'w'
+        }
+
+        fn process(&mut self, packet: &Packet, _ctx: &mut NfContext) -> Verdict {
+            let payload = packet.l4_payload().unwrap();
+            match (self.role, payload[0], payload[1]) {
+                ('r', _, 1..) | ('s', _, 0) => Verdict::Discard,
+                ('r', 1, _) => Verdict::ToPort(2),
+                ('w', 1 | 2, _) => Verdict::ToPort(3),
+                ('w', 4, _) => Verdict::Discard,
+                ('s', 2 | 3, _) => Verdict::ToPort(4),
+                _ => Verdict::Default,
+            }
+        }
+
+        fn process_mut(&mut self, packet: &mut Packet, ctx: &mut NfContext) -> Verdict {
+            packet.l4_payload_mut().unwrap()[1] += 1;
+            self.process(packet, ctx)
+        }
+    }
+
+    #[test]
+    fn a_parallel_rule_naming_a_writer_runs_in_list_order_as_the_manager_runs_it() {
+        let [r, w, s] = [1, 2, 3].map(ServiceId::new);
+        let rules = || {
+            let at = FlowMatch::at_step;
+            let listed = [r, w, s].map(Action::ToService).to_vec();
+            [
+                FlowRule::parallel(at(RulePort::Nic(0)), listed),
+                FlowRule::new(
+                    at(RulePort::Service(s)),
+                    (1..=4).map(Action::ToPort).collect(),
+                ),
+            ]
+        };
+        let nfs = || -> Vec<(ServiceId, Box<dyn NetworkFunction>)> {
+            [(r, 'r'), (w, 'w'), (s, 's')]
+                .map(|(id, role)| (id, Box::new(ListNf { role }) as Box<dyn NetworkFunction>))
+                .into()
+        };
+        // Selector (first payload byte) → egress port, or `None`: dropped.
+        // 0: nobody asks, the exit rule's default; 1: `r` (position 0) beats
+        // `w`; 2: `w` (position 1) beats `s`; 3: `s` alone; 4: `w` drops.
+        let expected = [Some(1), Some(2), Some(3), Some(4), None];
+        let packets = || -> Vec<Packet> {
+            (0..10u16)
+                .map(|seq| {
+                    let mut frame = packet(seq);
+                    frame.l4_payload_mut().unwrap()[..2].copy_from_slice(&[(seq % 5) as u8, 0]);
+                    frame
+                })
+                .collect()
+        };
+
+        let mut manager = crate::NfManager::default();
+        for rule in rules() {
+            manager.install_rule(rule);
+        }
+        for (id, nf) in nfs() {
+            manager.add_nf(id, nf);
+        }
+        let by_manager: HashMap<u16, Option<(Port, u8)>> = (0..10u16)
+            .zip(manager.process_burst(packets(), 0))
+            .map(|(seq, outcome)| match outcome {
+                crate::PacketOutcome::Transmitted { port, packet } => {
+                    (seq, Some((port, packet.l4_payload().unwrap()[1])))
+                }
+                _ => (seq, None),
+            })
+            .collect();
+
+        let table = SharedFlowTable::new();
+        for rule in rules() {
+            table.insert(rule);
+        }
+        let (host, sim) = ThreadedHost::start_sim_sharded(
+            table,
+            move |_shard| nfs(),
+            ThreadedHostConfig::default(),
+        );
+        assert!(host.inject_burst(packets()).throttled.is_empty());
+        while sim.step_all() > 0 {}
+        let mut threaded: HashMap<u16, Option<(Port, u8)>> =
+            (0..10u16).map(|seq| (seq, None)).collect();
+        for out in host.poll_egress_burst(32) {
+            let written = out.packet.l4_payload().unwrap()[1];
+            threaded.insert(out.key.src_port, Some((out.port, written)));
+        }
+        assert_eq!(threaded, by_manager);
+        for (seq, outcome) in &threaded {
+            let selector = usize::from(seq % 5);
+            // Every NF after the writer saw its write, and so does egress.
+            assert_eq!(
+                *outcome,
+                expected[selector].map(|port| (port, 1)),
+                "selector {selector}"
+            );
+        }
+        let stats = host.stats().snapshot();
+        assert_eq!(
+            (
+                stats.parallel_dispatches,
+                stats.nf_invocations,
+                stats.dropped
+            ),
+            (10, 30, 2)
+        );
+        // The writer panics on a shared frame; no descriptor was ever even
+        // parked, and every walk gave its slot back.
+        let worker = sim.actors()[0].id;
+        let (descriptors, runs_done) = sim
+            .with_worker(worker, |engine| {
+                (
+                    engine.free.descriptors.len(),
+                    engine.list_runs.iter().all(Option::is_none),
+                )
+            })
+            .expect("the worker is running");
+        assert_eq!((descriptors, runs_done), (0, true));
+        host.shutdown();
+    }
+
+    /// A read-only NF of a three-way fan-out: reads its own two bits of the
+    /// selector (the first payload byte) as a request.
+    struct PickNf {
+        position: u8,
+    }
+
+    fn pick(position: u8, selector: u8) -> Verdict {
+        match (selector >> (2 * position)) & 3 {
+            0 => Verdict::Default,
+            1 => Verdict::ToPort(1 + Port::from(position)),
+            2 => Verdict::ToPort(4 + Port::from(position)),
+            _ => Verdict::Discard,
+        }
+    }
+
+    impl NetworkFunction for PickNf {
+        fn name(&self) -> &str {
+            "pick"
+        }
+
+        fn process(&mut self, packet: &Packet, _ctx: &mut NfContext) -> Verdict {
+            pick(self.position, packet.l4_payload().unwrap()[0])
+        }
+    }
+
+    #[test]
+    fn a_read_only_fan_out_through_threads_loses_nothing_and_resolves_every_verdict() {
+        const PACKETS: u16 = 3000;
+        let ids = [1, 2, 3].map(ServiceId::new);
+        let table = SharedFlowTable::new();
+        let at = FlowMatch::at_step;
+        table.insert(FlowRule::parallel(
+            at(RulePort::Nic(0)),
+            ids.map(Action::ToService).to_vec(),
+        ));
+        table.insert(FlowRule::new(
+            at(RulePort::Service(ids[2])),
+            [9, 1, 2, 3, 4, 5, 6].map(Action::ToPort).to_vec(),
+        ));
+        let nfs: Vec<(ServiceId, Box<dyn NetworkFunction>)> = (0..3u8)
+            .map(|position| {
+                (
+                    ids[usize::from(position)],
+                    Box::new(PickNf { position }) as Box<dyn NetworkFunction>,
+                )
+            })
+            .collect();
+        let host = ThreadedHost::start(table, nfs, ThreadedHostConfig::default());
+        let selected = |seq: u16| {
+            let mut frame = packet(seq);
+            frame.l4_payload_mut().unwrap()[0] = (seq % 64) as u8;
+            frame
+        };
+        let resolved =
+            |selector: u8| match resolve_parallel_verdicts(&[0, 1, 2].map(|p| pick(p, selector))) {
+                Verdict::Default => Some(9),
+                Verdict::ToPort(port) => Some(port),
+                _ => None,
+            };
+        let transmitted = (0..PACKETS)
+            .filter(|&seq| resolved((seq % 64) as u8).is_some())
+            .count();
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let mut injected = 0;
+        let mut outputs = Vec::new();
+        while (injected < PACKETS || outputs.len() < transmitted) && Instant::now() < deadline {
+            if injected < PACKETS && host.inject(selected(injected)).is_admitted() {
+                injected += 1;
+            }
+            outputs.extend(host.poll_egress_burst(64));
+        }
+        assert_eq!(outputs.len(), transmitted);
+        for out in &outputs {
+            let selector = out.packet.l4_payload().unwrap()[0];
+            assert_eq!(Some(out.port), resolved(selector), "selector {selector}");
+        }
+        let stats = host.stats().snapshot();
+        assert_eq!(stats.received, u64::from(PACKETS));
+        assert_eq!(stats.dropped, u64::from(PACKETS) - transmitted as u64);
+        assert_eq!(stats.parallel_dispatches, u64::from(PACKETS));
+        assert_eq!(stats.nf_invocations, 3 * u64::from(PACKETS));
         host.shutdown();
     }
 

@@ -1,21 +1,20 @@
 //! Reusable scratch allocations for borrow-scoped buffers.
 //!
-//! The NF thread's burst loop needs two temporary vectors per burst chunk —
-//! one of packet lock guards and one of packet references — whose element
-//! types borrow from the burst's work items. Those borrows end at the chunk
-//! boundary, so the vectors cannot simply live across iterations: the
-//! borrow checker (correctly) ties their element lifetime to the chunk.
-//! Allocating two fresh `Vec`s per burst was the cost; [`recycle`] removes
-//! it by passing the *allocation* (not any element) across the borrow
-//! scope, re-typing the empty vector at the new, shorter lifetime.
+//! An NF burst loop needs a temporary vector of packet references whose
+//! element type borrows from the burst's work items. That borrow ends with
+//! the burst, so the vector cannot simply live across iterations: the
+//! borrow checker (correctly) ties its element lifetime to the burst.
+//! Allocating a fresh `Vec` per burst was the cost; [`recycle`] removes it
+//! by passing the *allocation* (not any element) across the borrow scope,
+//! re-typing the empty vector at the new, shorter lifetime.
 //!
 //! This is the `recycle_vec` idiom: converting an **empty** `Vec<A>` into an
 //! empty `Vec<B>` is sound when `A` and `B` have identical size and
 //! alignment, because no value of either type exists in the buffer and the
 //! heap allocation's layout (`capacity × size`, `align`) is the same under
 //! both types. The intended use is `A` and `B` being the same generic type
-//! at two different lifetimes (e.g. `Guard<'static>` as the parked type and
-//! `Guard<'chunk>` in use), which trivially satisfies both checks.
+//! at two different lifetimes (e.g. `&'static Packet` as the parked type
+//! and `&'burst Packet` in use), which trivially satisfies both checks.
 
 /// Re-types an empty `Vec<A>` as an empty `Vec<B>`, keeping its allocation.
 ///

@@ -63,6 +63,10 @@
 //!   loads.
 //! * `Debug` formatting of instrumented atomics reads the mirror value
 //!   without a model event.
+//! * A value written through `get_mut` (an exclusive borrow) is, at the
+//!   location's next op, the latest store and visible to every thread —
+//!   the borrow proves nobody else can reach the location until its owner
+//!   hands it on, and that hand-off synchronizes on its own.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -367,6 +371,9 @@ struct State {
     aborting: bool,
     ops: u64,
     atomics: HashMap<usize, AtomicLoc>,
+    /// Registered locations handed out through `get_mut` since their last
+    /// model op: the next op re-seeds them from the mirror.
+    rewritten: Vec<usize>,
     nonatomics: HashMap<usize, NaLoc>,
     trace: Vec<TraceEntry>,
     violation: Option<Violation>,
@@ -546,11 +553,45 @@ fn finish_op(exec: &Exec, mut guard: MutexGuard<'_, State>, me: usize) {
 // ---------------------------------------------------------------------------
 
 impl ThreadCtx {
+    /// Notes that a registered location was handed out through `get_mut`
+    /// (not an op: the running thread holds the token, so taking the state
+    /// lock here cannot race another model thread).
+    fn note_rewrite(&self, addr: usize) {
+        let mut state = lock_state(&self.exec);
+        if state.atomics.contains_key(&addr) && !state.rewritten.contains(&addr) {
+            state.rewritten.push(addr);
+        }
+    }
+
     /// Registers the location on first touch, seeding the history with the
     /// initial value (read from the mirror atomic; no model store has
     /// happened yet, so the mirror still holds the constructor's value,
     /// visible to every thread with no synchronization required).
+    ///
+    /// A location handed out through `get_mut` since its last op is
+    /// re-seeded instead: the mirror's value (what the `&mut` holder left)
+    /// becomes the latest store and every thread's floor. The exclusive
+    /// borrow proved no other thread could reach the location, and whoever
+    /// reaches it next got it from the holder through a hand-off that
+    /// synchronizes anyway.
     fn ensure_atomic(state: &mut State, addr: usize, initial: impl FnOnce() -> u64) {
+        if let Some(at) = state.rewritten.iter().position(|&noted| noted == addr) {
+            state.rewritten.swap_remove(at);
+            let stores = &mut state
+                .atomics
+                .get_mut(&addr)
+                .expect("only registered locations are noted")
+                .stores;
+            let idx = stores.len();
+            stores.push(StoreEvt {
+                value: initial(),
+                release: None,
+            });
+            for thread in &mut state.threads {
+                thread.view.insert(addr, idx);
+            }
+            return;
+        }
         state.atomics.entry(addr).or_insert_with(|| AtomicLoc {
             stores: vec![StoreEvt {
                 value: initial(),
@@ -1166,6 +1207,7 @@ where
                 aborting: false,
                 ops: 0,
                 atomics: HashMap::new(),
+                rewritten: Vec::new(),
                 nonatomics: HashMap::new(),
                 trace: Vec::new(),
                 violation: None,
@@ -1410,8 +1452,12 @@ macro_rules! instrumented_atomic {
             }
 
             /// Exclusive access to the value (`&mut` proves no concurrency;
-            /// the mirror always holds the modification-order-latest value).
+            /// the mirror always holds the modification-order-latest value,
+            /// and the location's next model op re-seeds from it).
             pub fn get_mut(&mut self) -> &mut $prim {
+                if let Some(ctx) = current_ctx() {
+                    ctx.note_rewrite(self.addr());
+                }
                 self.inner.get_mut()
             }
         }

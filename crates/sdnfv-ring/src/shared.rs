@@ -1,4 +1,4 @@
-//! Reference-counted packet handles for parallel NF processing.
+//! Packet frames in flight between the dispatcher and its NFs.
 //!
 //! When the NF Manager dispatches one packet to several read-only NFs at the
 //! same time (paper §4.2), each NF receives a [`SharedPacket`] handle over
@@ -20,36 +20,43 @@
 //!
 //! The paper's descriptor is asymmetric on purpose: a packet on a
 //! *sequential* chain is owned by one NF at a time, and only a *parallel*
-//! dispatch pays for a reference counter. A packet in flight is a
-//! [`Frame`], and its variant says which:
+//! dispatch — which the paper allows for read-only NFs alone — pays for a
+//! reference counter. A packet in flight is a [`Frame`], and its variant
+//! says which:
 //!
 //! * **one target ⇒ [`Frame::Sole`]**: the packet and the verdict key of
-//!   its one NF in a boxed [`SolePacket`], plain memory. Whoever holds the
-//!   box owns the packet — the type is the proof — so serving a sequential
-//!   hop takes no lock, no read-modify-write and no test. Completing it is
-//!   a store of the key ([`Frame::complete`]).
-//! * **several targets ⇒ [`Frame::Shared`]**: one [`SharedPacket`] handle
-//!   per target, and every party goes through the `RwLock`,
-//!   [`SharedPacket::merge_verdict`] and [`SharedPacket::complete_one`].
+//!   its NF in a boxed [`SolePacket`], plain memory. Whoever holds the box
+//!   owns the packet — the type is the proof — so serving the hop takes no
+//!   lock, no read-modify-write and no test, and the NF may write the
+//!   packet. Completing it merges the NF's key into the frame's verdict
+//!   ([`Frame::complete`], a plain `max`).
+//! * **several read-only targets ⇒ [`Frame::Shared`]**: one
+//!   [`SharedPacket`] handle per target over an **immutable** packet. Every
+//!   NF reads it through `&Packet` ([`SharedPacket::packet`]) with no lock,
+//!   merges its request with [`SharedPacket::merge_verdict`] and counts down
+//!   with [`SharedPacket::complete_one`]. No handle can write the packet, so
+//!   a writer is never handed one: the dispatcher runs a parallel rule that
+//!   names a mutating NF as owned hops in list order instead, merging each
+//!   NF's key into the one frame — the same word a fan-out would resolve to.
 //!
-//! The dispatcher converts a packet when its next hop's fan-out differs.
-//! Sole → shared moves the packet into a descriptor. Shared → sole needs
-//! every other handle gone, and [`SharedPacket::exclusive`] is that exit
-//! test — the one uniqueness test left on the packet path, paid only by a
-//! packet leaving a fan-out. While a straggler NF still holds its clone
-//! (it completed but has not dropped it yet) the test fails and the packet
-//! stays shared, on the locked path, for one more hop.
+//! A fan-out's exit is a uniqueness test, [`SharedPacket::exclusive`]: once
+//! every other handle is gone, the holder gets the packet and the merged
+//! verdict as plain memory and moves them into an owned frame. While a
+//! straggler NF still holds its clone (it completed but has not dropped it
+//! yet) the test fails, and the dispatcher defers the completion to a later
+//! turn — there is no locked path to fall back to.
 //!
-//! `exclusive` is sound in safe Rust because it is built on
-//! `Arc::get_mut`, `RwLock::get_mut` and the atomics' `get_mut`:
-//! `Arc::get_mut` hands out `&mut` only after proving no other strong or
-//! weak handle exists, and while that borrow lives the `&mut self` it came
-//! from forbids cloning this one — so nobody can observe the plain writes
-//! concurrently. Either kind of frame reaches its next owner through
-//! whatever moves it there (a ring push/pop is a release/acquire pair).
+//! `exclusive` and [`SharedPacket::recycle`] (the one way to re-arm a
+//! descriptor) are sound in safe Rust because they are built on
+//! `Arc::get_mut` and the atomics' `get_mut`: `Arc::get_mut` hands out
+//! `&mut` only after proving no other strong or weak handle exists — its
+//! acquire pairs with the release every dropped clone performs, so every
+//! read an NF made through its handle happens-before — and while that
+//! borrow lives the `&mut self` it came from forbids cloning this one.
+//! Either kind of frame reaches its next owner through whatever moves it
+//! there (a ring push/pop is a release/acquire pair).
 
 use crate::sync::{AtomicU32, AtomicU64, Ordering};
-use parking_lot::RwLock;
 use std::sync::Arc;
 
 use sdnfv_proto::Packet;
@@ -103,15 +110,16 @@ pub fn verdict_parts(word: u64) -> (VerdictClass, u32) {
 }
 
 struct SharedInner<M> {
-    packet: RwLock<Packet>,
+    /// Immutable while shared: written only through a handle proven unique.
+    packet: Packet,
     remaining: AtomicU32,
-    /// The largest [`verdict_key`] merged since the last (re-)arm.
+    /// The largest [`verdict_key`] merged since the descriptor was armed.
     verdict: AtomicU64,
     readers: u32,
     meta: M,
 }
 
-/// A packet shared (read-mostly) between several concurrently running NFs.
+/// A packet shared, read-only, between several concurrently running NFs.
 /// `M` is what the dispatcher keeps with the packet for its whole trip
 /// (say, its flow key), readable through every handle.
 pub struct SharedPacket<M = ()> {
@@ -133,8 +141,9 @@ impl<M> Clone for SharedPacket<M> {
 pub struct SolePacket<M = ()> {
     /// The frame.
     pub packet: Packet,
-    /// The key its NF's verdict merges into the dispatch with; 0 (follow
-    /// the flow table) until the NF answers.
+    /// The largest key its NFs' verdicts merged into it since the
+    /// dispatcher last reset it; 0 (follow the flow table) until an NF
+    /// answers otherwise.
     pub verdict: u64,
     /// What the dispatcher keeps with the packet for its whole trip.
     pub meta: M,
@@ -152,25 +161,26 @@ pub enum Frame<M = ()> {
 }
 
 impl<M> Frame<M> {
-    /// The dispatcher's per-packet data.
+    /// The packet, for reading — with no lock whichever kind of frame
+    /// carries it.
     #[inline]
-    pub fn meta(&self) -> &M {
+    pub fn packet(&self) -> &Packet {
         match self {
-            Frame::Sole(sole) => &sole.meta,
-            Frame::Shared(shared) => shared.meta(),
+            Frame::Sole(sole) => &sole.packet,
+            Frame::Shared(shared) => shared.packet(),
         }
     }
 
     /// Records that this frame's NF finished with the request `key`.
     /// Returns `true` when the packet is ready for the dispatcher: at once
-    /// for a sole frame (the key is its verdict), at the final completion
-    /// for a shared one ([`SharedPacket::merge_verdict`] then
-    /// [`SharedPacket::complete_one`]).
+    /// for a sole frame (the key merges into its verdict with a plain
+    /// `max`), at the final completion for a shared one
+    /// ([`SharedPacket::merge_verdict`] then [`SharedPacket::complete_one`]).
     #[inline]
     pub fn complete(&mut self, key: u64) -> bool {
         match self {
             Frame::Sole(sole) => {
-                sole.verdict = key;
+                sole.verdict = sole.verdict.max(key);
                 true
             }
             Frame::Shared(shared) => {
@@ -179,47 +189,25 @@ impl<M> Frame<M> {
             }
         }
     }
-
-    /// The verdict of the dispatch round, once [`Frame::complete`] returned
-    /// `true` (see [`SharedPacket::verdict`]).
-    #[inline]
-    pub fn verdict(&self) -> u64 {
-        match self {
-            Frame::Sole(sole) => sole.verdict,
-            Frame::Shared(shared) => shared.verdict(),
-        }
-    }
 }
 
 /// Plain-memory view of a descriptor whose handle is provably the only one
 /// — a fan-out's exit test passed (see the module docs' ownership rule):
-/// what [`SharedPacket::exclusive`] returns. Its methods are the lock-free,
-/// RMW-free twins of the shared ones and leave the descriptor in exactly
-/// the state those would.
+/// what [`SharedPacket::exclusive`] returns.
 pub struct Exclusive<'a> {
     packet: &'a mut Packet,
-    remaining: &'a mut u32,
-    verdict: &'a mut u64,
+    verdict: u64,
 }
 
 impl Exclusive<'_> {
-    /// [`SharedPacket::re_arm`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if called while previous readers are still outstanding or if
-    /// `readers` is zero.
-    pub fn re_arm(self, readers: u32) {
-        assert!(readers > 0, "a shared packet needs at least one reader");
-        let previous = std::mem::replace(self.remaining, readers);
-        assert_eq!(
-            previous, 0,
-            "re_arm called while {previous} readers are still outstanding"
-        );
-        *self.verdict = 0;
+    /// The merged verdict word of the finished round.
+    pub fn verdict(&self) -> u64 {
+        self.verdict
     }
 
-    /// [`SharedPacket::take_packet`].
+    /// Moves the frame out of the descriptor, leaving an empty packet
+    /// behind for [`SharedPacket::recycle`] to replace — how a packet
+    /// leaves a fan-out without being copied.
     pub fn take_packet(self) -> Packet {
         std::mem::replace(self.packet, Packet::from_bytes(Vec::new()))
     }
@@ -255,7 +243,7 @@ impl<M> SharedPacket<M> {
         assert!(readers > 0, "a shared packet needs at least one reader");
         SharedPacket {
             inner: Arc::new(SharedInner {
-                packet: RwLock::new(packet),
+                packet,
                 remaining: AtomicU32::new(readers),
                 verdict: AtomicU64::new(0),
                 readers,
@@ -269,6 +257,14 @@ impl<M> SharedPacket<M> {
         &self.inner.meta
     }
 
+    /// The packet, for reading. Every NF of a fan-out reads through its own
+    /// handle at the same time, with no lock: nobody can write the packet
+    /// while a second handle exists.
+    #[inline]
+    pub fn packet(&self) -> &Packet {
+        &self.inner.packet
+    }
+
     /// The descriptor as plain memory, if this handle is the only one —
     /// `None` while any clone is alive, including one whose NF completed
     /// but has not dropped it yet. A fan-out's exit test: costs one
@@ -277,40 +273,9 @@ impl<M> SharedPacket<M> {
     pub fn exclusive(&mut self) -> Option<Exclusive<'_>> {
         let inner = Arc::get_mut(&mut self.inner)?;
         Some(Exclusive {
-            packet: inner.packet.get_mut(),
-            remaining: inner.remaining.get_mut(),
-            verdict: inner.verdict.get_mut(),
+            packet: &mut inner.packet,
+            verdict: *inner.verdict.get_mut(),
         })
-    }
-
-    /// Runs `f` with read access to the packet. Multiple NFs may hold read
-    /// access simultaneously — this is the parallel fast path.
-    pub fn with_read<R>(&self, f: impl FnOnce(&Packet) -> R) -> R {
-        f(&self.inner.packet.read())
-    }
-
-    /// Acquires a read guard on the packet. Used by the batch dispatch path,
-    /// which locks a whole burst of descriptors before handing the NF one
-    /// [`PacketBatch`](../../sdnfv_nf/batch/struct.PacketBatch.html) over all
-    /// of them.
-    pub fn read_guard(&self) -> std::sync::RwLockReadGuard<'_, Packet> {
-        self.inner.packet.read()
-    }
-
-    /// Acquires a write guard on the packet (batch twin of
-    /// [`SharedPacket::with_write`]). The data plane only write-locks
-    /// descriptors owned by exactly one NF, so the lock is uncontended.
-    pub fn write_guard(&self) -> std::sync::RwLockWriteGuard<'_, Packet> {
-        self.inner.packet.write()
-    }
-
-    /// Runs `f` with exclusive write access to the packet.
-    ///
-    /// The data plane only grants this to NFs that declared themselves
-    /// non-read-only, which are never scheduled in parallel with others, so
-    /// in practice the lock is uncontended.
-    pub fn with_write<R>(&self, f: impl FnOnce(&mut Packet) -> R) -> R {
-        f(&mut self.inner.packet.write())
     }
 
     /// Records that one parallel NF finished with the packet. Returns `true`
@@ -318,12 +283,13 @@ impl<M> SharedPacket<M> {
     /// to the TX thread for conflict resolution.
     pub fn complete_one(&self) -> bool {
         // ORDER: AcqRel — classic refcount-release protocol: the release
-        // half publishes this NF's packet writes before the decrement, the
+        // half publishes this NF's verdict merge before the decrement, the
         // acquire half makes the *final* decrementer (who returns `true` and
         // hands the packet to TX conflict resolution) happen-after every
-        // earlier decrementer's work. The RwLock also orders packet data,
-        // but the descriptor handoff itself must not rely on it (the TX
-        // thread reads the verdict without locking). Model-checked.
+        // earlier decrementer's work. The packet itself is never written
+        // while shared: who takes it out goes through `exclusive`, whose
+        // `Arc::get_mut` orders every clone's reads before the take.
+        // Model-checked.
         let prev = self.inner.remaining.fetch_sub(1, Ordering::AcqRel);
         assert!(prev > 0, "complete_one called more times than readers");
         prev == 1
@@ -357,34 +323,8 @@ impl<M> SharedPacket<M> {
     pub fn remaining(&self) -> u32 {
         // ORDER: Acquire — pairs with the release half of `complete_one`,
         // so a dispatcher that observes 0 also observes all NFs' completed
-        // work before re-arming or reclaiming the descriptor.
+        // work.
         self.inner.remaining.load(Ordering::Acquire)
-    }
-
-    /// Re-arms the completion counter — and resets the verdict word — for
-    /// another dispatch of the same packet (the TX thread does this when
-    /// forwarding a packet to the next NF in a sequential chain, so the
-    /// buffer is never copied).
-    ///
-    /// # Panics
-    ///
-    /// Panics if called while previous readers are still outstanding or if
-    /// `readers` is zero.
-    pub fn re_arm(&self, readers: u32) {
-        assert!(readers > 0, "a shared packet needs at least one reader");
-        // ORDER: Relaxed — the previous round's verdict was read by this
-        // (TX) thread already; the reset is published to the next readers
-        // by the release half of the `remaining` swap below.
-        self.inner.verdict.store(0, Ordering::Relaxed);
-        // ORDER: AcqRel — acquire so re-arming happens-after the previous
-        // round's final `complete_one` (whose work the next readers may
-        // read), release so the new readers' first decrement happens-after
-        // the TX thread's forwarding decision.
-        let previous = self.inner.remaining.swap(readers, Ordering::AcqRel);
-        assert_eq!(
-            previous, 0,
-            "re_arm called while {previous} readers are still outstanding"
-        );
     }
 
     /// The parallelization factor the packet was dispatched with.
@@ -392,48 +332,28 @@ impl<M> SharedPacket<M> {
         self.inner.readers
     }
 
-    /// Returns `true` if both handles reference the same underlying packet
-    /// buffer (used by batch dispatch to avoid locking one buffer twice).
-    pub fn same_buffer(&self, other: &SharedPacket<M>) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
-    }
-
-    /// Extracts the packet once all handles but this one are gone, or returns
-    /// `self` if other NFs still reference it.
-    pub fn try_into_packet(self) -> Result<Packet, SharedPacket<M>> {
-        match Arc::try_unwrap(self.inner) {
-            Ok(inner) => Ok(inner.packet.into_inner()),
-            Err(inner) => Err(SharedPacket { inner }),
-        }
-    }
-
-    /// Moves the frame out of the descriptor, leaving an empty packet
-    /// behind — how a packet leaves the host without being copied. Called
-    /// by the TX thread after the final [`SharedPacket::complete_one`]:
-    /// every NF dropped its guard before completing, so the write lock is
-    /// free.
-    pub fn take_packet(&self) -> Packet {
-        std::mem::replace(
-            &mut *self.inner.packet.write(),
-            Packet::from_bytes(Vec::new()),
-        )
-    }
-
-    /// Re-initialises an emptied descriptor for a new packet and dispatch
-    /// round, reusing its allocation. Only a handle proven unique can be
-    /// recycled: if an NF still holds a clone (it completed but has not
-    /// dropped its handle yet) the packet and `meta` are handed back and
-    /// the caller allocates a fresh descriptor.
+    /// Re-initialises a descriptor for a new packet and dispatch round,
+    /// reusing its allocation — the one way a descriptor is re-armed. Only
+    /// a handle proven unique can be recycled: if an NF still holds a clone
+    /// (it completed but has not dropped its handle yet) the packet and
+    /// `meta` are handed back and the caller allocates a fresh descriptor.
     ///
     /// # Panics
     ///
-    /// Panics if `readers` is zero.
+    /// Panics if `readers` is zero, or if the handle is the only one but
+    /// its round still has readers outstanding (a handle was dropped
+    /// without completing).
     pub fn recycle(mut self, packet: Packet, readers: u32, meta: M) -> Result<Self, (Packet, M)> {
         assert!(readers > 0, "a shared packet needs at least one reader");
         let Some(inner) = Arc::get_mut(&mut self.inner) else {
             return Err((packet, meta));
         };
-        *inner.packet.get_mut() = packet;
+        let outstanding = *inner.remaining.get_mut();
+        assert_eq!(
+            outstanding, 0,
+            "recycle called while {outstanding} readers are still outstanding"
+        );
+        inner.packet = packet;
         *inner.remaining.get_mut() = readers;
         *inner.verdict.get_mut() = 0;
         inner.readers = readers;
@@ -484,7 +404,7 @@ mod tests {
         for _ in 0..4 {
             let sp = sp.clone();
             handles.push(thread::spawn(move || {
-                let payload = sp.with_read(|p| p.l4_payload().unwrap().to_vec());
+                let payload = sp.packet().l4_payload().unwrap().to_vec();
                 sp.complete_one();
                 payload
             }));
@@ -493,33 +413,6 @@ mod tests {
             assert_eq!(h.join().unwrap(), b"shared");
         }
         assert_eq!(sp.remaining(), 0);
-    }
-
-    #[test]
-    fn write_access_mutates_for_all() {
-        let sp = SharedPacket::new(pkt(), 1);
-        sp.with_write(|p| p.l4_payload_mut().unwrap()[0] = b'X');
-        assert_eq!(sp.with_read(|p| p.l4_payload().unwrap()[0]), b'X');
-    }
-
-    #[test]
-    fn into_packet_when_sole_owner() {
-        let sp = SharedPacket::new(pkt(), 2);
-        let clone = sp.clone();
-        let sp = sp.try_into_packet().unwrap_err();
-        drop(clone);
-        let packet = sp.try_into_packet().unwrap();
-        assert_eq!(packet.l4_payload().unwrap(), b"shared");
-    }
-
-    #[test]
-    fn re_arm_allows_sequential_reuse() {
-        let sp = SharedPacket::new(pkt(), 1);
-        assert!(sp.complete_one());
-        sp.re_arm(2);
-        assert_eq!(sp.remaining(), 2);
-        assert!(!sp.complete_one());
-        assert!(sp.complete_one());
     }
 
     #[test]
@@ -538,6 +431,38 @@ mod tests {
     }
 
     #[test]
+    fn into_packet_when_sole_owner() {
+        let mut sp = SharedPacket::new(pkt(), 2);
+        let clone = sp.clone();
+        assert!(sp.exclusive().is_none(), "a clone is alive");
+        drop(clone);
+        let packet = sp.exclusive().expect("the only handle").take_packet();
+        assert_eq!(packet.l4_payload().unwrap(), b"shared");
+    }
+
+    #[test]
+    fn re_arm_allows_sequential_reuse() {
+        // `recycle` is the one re-arm: a finished round's only handle takes
+        // the next round's packet and readers in place.
+        let sp = SharedPacket::new(pkt(), 1);
+        assert!(sp.complete_one());
+        let sp = sp.recycle(pkt(), 2, ()).expect("the only handle");
+        assert_eq!(sp.remaining(), 2);
+        assert!(!sp.complete_one());
+        assert!(sp.complete_one());
+    }
+
+    #[test]
+    #[should_panic(expected = "still outstanding")]
+    fn re_arm_with_outstanding_readers_panics() {
+        // The only handle, but its round never completed: a handle was
+        // dropped without counting down.
+        let sp = SharedPacket::new(pkt(), 2);
+        drop(sp.clone());
+        let _ = sp.recycle(pkt(), 1, ());
+    }
+
+    #[test]
     fn merged_verdict_is_order_independent_and_reset_by_re_arm() {
         use VerdictClass::*;
         let keys = [
@@ -553,27 +478,13 @@ mod tests {
                 sp.complete_one();
             }
             assert_eq!(verdict_parts(sp.verdict()), (ToPort, 1));
-            sp.re_arm(1);
-            assert_eq!(sp.verdict(), 0, "re_arm clears the previous hop's verdict");
+            let sp = sp.recycle(pkt(), 1, ()).expect("the only handle");
+            assert_eq!(
+                sp.verdict(),
+                0,
+                "recycle clears the previous round's verdict"
+            );
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "still outstanding")]
-    fn re_arm_with_outstanding_readers_panics() {
-        let sp = SharedPacket::new(pkt(), 2);
-        sp.re_arm(1);
-    }
-
-    #[test]
-    fn take_packet_moves_the_frame_without_copying() {
-        let packet = pkt();
-        let frame = packet.data().as_ptr();
-        let sp = SharedPacket::new(packet, 1);
-        assert!(sp.complete_one());
-        let out = sp.take_packet();
-        assert_eq!(out.data().as_ptr(), frame, "same buffer, not a copy");
-        assert!(sp.with_read(|p| p.is_empty()), "descriptor left empty");
     }
 
     #[test]
@@ -584,49 +495,45 @@ mod tests {
         assert!(sp.exclusive().is_none());
         // The clone's NF completing is not enough: it still holds the
         // handle, and could still be reading the frame through it.
+        straggler.merge_verdict(verdict_key(VerdictClass::ToPort, 1, 4));
         assert!(!straggler.complete_one());
         assert!(sp.complete_one());
         assert!(sp.exclusive().is_none());
         drop(straggler);
         let descriptor = sp.exclusive().expect("the clone is gone");
+        assert_eq!(
+            verdict_parts(descriptor.verdict()),
+            (VerdictClass::ToPort, 4)
+        );
         assert_eq!(descriptor.take_packet().l4_payload().unwrap(), b"shared");
-        assert!(sp.with_read(|p| p.is_empty()), "descriptor left empty");
+        assert!(sp.packet().is_empty(), "descriptor left empty");
     }
 
     #[test]
-    fn an_exclusive_round_leaves_the_descriptor_as_a_shared_round_does() {
-        use VerdictClass::*;
-        for class in [Default, ToService, ToPort, Discard] {
-            // Two descriptors at the end of the same finished round …
-            let [shared, mut plain] = [(); 2].map(|_| {
-                let sp = SharedPacket::new(pkt(), 1);
-                sp.merge_verdict(verdict_key(class, 0, 7));
-                assert!(sp.complete_one());
-                sp
-            });
-            // … start the next from the same state: re-armed through the
-            // atomics or in place.
-            shared.re_arm(2);
-            plain.exclusive().unwrap().re_arm(2);
-            for handle in [&shared, &plain] {
-                assert_eq!(handle.remaining(), 2);
-                assert_eq!(handle.verdict(), 0);
-                handle.merge_verdict(verdict_key(ToPort, 1, 9));
-                assert!(!handle.complete_one());
-                assert!(handle.complete_one());
-                assert_eq!(verdict_parts(handle.verdict()), (ToPort, 9));
-            }
-            // And it leaves the same way: the frame taken out in place, the
-            // emptied descriptor recycled.
-            let frame = plain.exclusive().unwrap().take_packet();
-            assert_eq!(frame.l4_payload().unwrap(), b"shared");
-            assert!(plain.with_read(|p| p.is_empty()), "descriptor left empty");
-            let plain = plain.recycle(pkt(), 3, ()).expect("unique handle recycles");
-            assert_eq!(
-                (plain.remaining(), plain.readers(), plain.verdict()),
-                (3, 3, 0)
-            );
+    fn take_packet_moves_the_frame_without_copying() {
+        let packet = pkt();
+        let frame = packet.data().as_ptr();
+        let mut sp = SharedPacket::new(packet, 1);
+        assert!(sp.complete_one());
+        let out = sp.exclusive().expect("the only handle").take_packet();
+        assert_eq!(out.data().as_ptr(), frame, "same buffer, not a copy");
+        assert!(sp.packet().is_empty(), "descriptor left empty");
+    }
+
+    /// The verdict word a completed frame carries.
+    fn word(frame: &Frame) -> u64 {
+        match frame {
+            Frame::Sole(sole) => sole.verdict,
+            Frame::Shared(shared) => shared.verdict(),
         }
+    }
+
+    fn sole() -> Frame {
+        Frame::Sole(Box::new(SolePacket {
+            packet: pkt(),
+            verdict: 0,
+            meta: (),
+        }))
     }
 
     #[test]
@@ -636,40 +543,54 @@ mod tests {
         // the verdict, exactly what a one-reader descriptor resolves to.
         for class in [Default, ToService, ToPort, Discard] {
             let key = verdict_key(class, 0, 7);
-            let mut sole = Frame::Sole(Box::new(SolePacket {
-                packet: pkt(),
-                verdict: 0,
-                meta: (),
-            }));
+            let mut sole = sole();
             let mut shared = Frame::Shared(SharedPacket::new(pkt(), 1));
             assert!(sole.complete(key));
             assert!(shared.complete(key));
-            assert_eq!(sole.verdict(), shared.verdict(), "{class:?}");
-            assert_eq!(sole.verdict(), key);
+            assert_eq!(word(&sole), word(&shared), "{class:?}");
+            assert_eq!(word(&sole), key);
         }
         // A fan-out's handles merge like `fetch_max` and count down: the
-        // higher-priority request wins whichever completes first.
+        // higher-priority request wins whichever completes first — and one
+        // owned frame completed by each NF in turn merges to the same word.
         for order in [[0, 1], [1, 0]] {
             let keys = [verdict_key(ToPort, 1, 2), verdict_key(Discard, 0, 0)];
             let sp = SharedPacket::new(pkt(), 2);
             let mut handles = [Frame::Shared(sp.clone()), Frame::Shared(sp)];
             assert!(!handles[0].complete(keys[order[0]]));
             assert!(handles[1].complete(keys[order[1]]));
-            assert_eq!(verdict_parts(handles[1].verdict()), (Discard, 0));
+            assert_eq!(verdict_parts(word(&handles[1])), (Discard, 0));
+            let mut owned = sole();
+            assert!(owned.complete(keys[order[0]]));
+            assert!(owned.complete(keys[order[1]]));
+            assert_eq!(word(&owned), word(&handles[1]));
         }
     }
 
     #[test]
+    fn either_kind_of_frame_reads_its_packet_without_a_lock() {
+        let sole = sole();
+        let sp = SharedPacket::new(pkt(), 2);
+        let handles = [Frame::Shared(sp.clone()), Frame::Shared(sp)];
+        // Two live borrows of one shared buffer, from one thread: nothing
+        // to deadlock on.
+        let (first, second) = (handles[0].packet(), handles[1].packet());
+        assert!(std::ptr::eq(first, second));
+        assert_eq!(first.l4_payload(), sole.packet().l4_payload());
+    }
+
+    #[test]
     fn meta_rides_either_kind_of_frame_and_recycle_replaces_it() {
-        let sole = Frame::Sole(Box::new(SolePacket {
+        let sole = SolePacket {
             packet: pkt(),
             verdict: 0,
             meta: 7u64,
-        }));
-        assert_eq!(*sole.meta(), 7);
+        };
+        assert_eq!(sole.meta, 7);
         let shared = SharedPacket::with_meta(pkt(), 1, 8u64);
         let straggler = shared.clone();
-        assert_eq!(*Frame::Shared(straggler.clone()).meta(), 8);
+        assert_eq!(*straggler.meta(), 8);
+        assert!(straggler.complete_one());
         let Err((_, meta)) = shared.recycle(pkt(), 1, 9) else {
             panic!("a shared descriptor must not be recycled");
         };
@@ -679,19 +600,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "still outstanding")]
-    fn exclusive_re_arm_with_outstanding_readers_panics() {
-        let mut sp = SharedPacket::new(pkt(), 2);
-        sp.exclusive().unwrap().re_arm(1);
-    }
-
-    #[test]
     fn recycle_reuses_a_unique_descriptor_and_refuses_a_shared_one() {
-        let sp = SharedPacket::new(pkt(), 2);
+        let mut sp = SharedPacket::new(pkt(), 2);
         sp.merge_verdict(verdict_key(VerdictClass::Discard, 0, 0));
         sp.complete_one();
         sp.complete_one();
-        drop(sp.take_packet());
+        drop(sp.exclusive().expect("the only handle").take_packet());
         // A clone is still out (an NF that has not dropped its handle).
         let straggler = sp.clone();
         let sp = match sp.recycle(pkt(), 1, ()) {
@@ -702,17 +616,10 @@ mod tests {
             Ok(_) => panic!("a shared descriptor must not be recycled"),
         };
         // Unique now: recycled in place, counters and verdict reset.
-        let before = sp.clone();
-        drop(sp);
-        let sp = before
-            .recycle(pkt(), 3, ())
-            .expect("unique handle recycles");
+        let sp = sp.recycle(pkt(), 3, ()).expect("unique handle recycles");
         assert_eq!(sp.remaining(), 3);
         assert_eq!(sp.readers(), 3);
         assert_eq!(sp.verdict(), 0);
-        assert_eq!(
-            sp.with_read(|p| p.l4_payload().unwrap().to_vec()),
-            b"shared"
-        );
+        assert_eq!(sp.packet().l4_payload().unwrap(), b"shared");
     }
 }

@@ -67,17 +67,25 @@ proptest! {
         prop_assert_eq!(pool.in_use(), 0);
     }
 
-    /// Exactly one of N parallel completions observes "last", regardless of N.
+    /// Exactly one of N parallel completions observes "last", regardless of
+    /// N — in the first round and in one re-armed by `recycle`.
     #[test]
     fn shared_packet_single_last_completion(readers in 1u32..16) {
-        let sp = SharedPacket::new(PacketBuilder::udp().build(), readers);
-        let mut lasts = 0;
-        for _ in 0..readers {
-            if sp.complete_one() {
-                lasts += 1;
+        let mut sp = SharedPacket::new(PacketBuilder::udp().build(), readers);
+        for round in 0..2 {
+            if round > 0 {
+                sp = sp
+                    .recycle(PacketBuilder::udp().build(), readers, ())
+                    .expect("the only handle recycles");
             }
+            let mut lasts = 0;
+            for _ in 0..readers {
+                if sp.complete_one() {
+                    lasts += 1;
+                }
+            }
+            prop_assert_eq!(lasts, 1);
+            prop_assert_eq!(sp.remaining(), 0);
         }
-        prop_assert_eq!(lasts, 1);
-        prop_assert_eq!(sp.remaining(), 0);
     }
 }

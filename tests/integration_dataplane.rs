@@ -10,6 +10,8 @@ use sdnfv::graph::{catalog, CompileOptions};
 use sdnfv::nf::nfs::{ComputeNf, FirewallNf, IdsNf, NoOpNf, SamplerNf, ScrubberNf};
 use sdnfv::nf::{NetworkFunction, NfContext, NfMessage, Verdict};
 use sdnfv::proto::packet::{Packet, PacketBuilder};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn web_packet(src_port: u16, body: &str) -> Packet {
@@ -391,5 +393,100 @@ fn parallel_port_conflict_is_won_by_list_position_not_completion_order() {
         out[0].port, 1,
         "A is first in the action list, so A's port wins"
     );
+    host.shutdown();
+}
+
+/// Counts the packets it is handed: per-service visit counts.
+struct CountingNf {
+    visits: Arc<AtomicU64>,
+    read_only: bool,
+}
+
+impl NetworkFunction for CountingNf {
+    fn name(&self) -> &str {
+        "counting"
+    }
+
+    fn read_only(&self) -> bool {
+        self.read_only
+    }
+
+    fn process(&mut self, _packet: &Packet, _ctx: &mut NfContext) -> Verdict {
+        self.visits.fetch_add(1, Ordering::Relaxed);
+        Verdict::Default
+    }
+}
+
+fn counting_nfs(
+    services: &[(ServiceId, bool)],
+    counters: &[Arc<AtomicU64>],
+) -> Vec<(ServiceId, Box<dyn NetworkFunction>)> {
+    services
+        .iter()
+        .zip(counters)
+        .map(|(&(id, read_only), visits)| {
+            let nf = CountingNf {
+                visits: Arc::clone(visits),
+                read_only,
+            };
+            (id, Box::new(nf) as Box<dyn NetworkFunction>)
+        })
+        .collect()
+}
+
+/// A sequential rule goes to its default service only; the other services
+/// it lists are steering targets. On the paper's video-optimizer graph the
+/// policy engine's rule lists the quality detector (its default) and the
+/// cache, so a packet that every NF lets follow the defaults visits all
+/// seven services — the transcoder included — in both engines.
+#[test]
+fn video_optimizer_visits_every_service_the_same_in_both_engines() {
+    let (graph, svc) = catalog::video_optimizer();
+    let services = [
+        (svc.firewall, true),
+        (svc.video_detector, true),
+        (svc.policy_engine, true),
+        (svc.quality_detector, true),
+        (svc.transcoder, false),
+        (svc.cache, false),
+        (svc.shaper, false),
+    ];
+    let counters = || services.map(|_| Arc::new(AtomicU64::new(0)));
+    let visits = |counters: &[Arc<AtomicU64>]| -> Vec<u64> {
+        counters
+            .iter()
+            .map(|visits| visits.load(Ordering::Relaxed))
+            .collect()
+    };
+    let packets = || -> Vec<Packet> { (0..8).map(|i| web_packet(3000 + i, "clip.mp4")).collect() };
+
+    let managed = counters();
+    let mut manager = NfManager::default();
+    manager.install_graph(&graph, &CompileOptions::default());
+    for (id, nf) in counting_nfs(&services, &managed) {
+        manager.add_nf(id, nf);
+    }
+    let outcomes = manager.process_burst(packets(), 0);
+    assert!(outcomes
+        .iter()
+        .all(|outcome| matches!(outcome, PacketOutcome::Transmitted { .. })));
+
+    let threaded = counters();
+    let table = SharedFlowTable::new();
+    for rule in graph.compile(&CompileOptions::default()) {
+        table.insert(rule);
+    }
+    let for_host = threaded.clone();
+    let (host, sim) = ThreadedHost::start_sim_sharded(
+        table,
+        move |_shard| counting_nfs(&services, &for_host),
+        ThreadedHostConfig::default(),
+    );
+    assert!(host.inject_burst(packets()).throttled.is_empty());
+    while sim.step_all() > 0 {}
+    assert_eq!(host.poll_egress_burst(16).len(), 8);
+    assert_eq!(visits(&threaded), visits(&managed));
+    assert_eq!(visits(&managed), [8; 7]);
+    assert_eq!(host.stats().snapshot().parallel_dispatches, 0);
     host.shutdown();
 }
