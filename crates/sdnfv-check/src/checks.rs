@@ -17,6 +17,7 @@
 
 use std::sync::Arc;
 
+use sdnfv_dataplane::rehome::BucketTracker;
 use sdnfv_dataplane::LookupCache;
 use sdnfv_flowtable::table::GenerationCell;
 use sdnfv_flowtable::{Action, Decision, FlowMatch, FlowRule, RulePort, SharedFlowTable};
@@ -113,8 +114,9 @@ pub fn spsc_wraparound(opts: CheckOpts) -> u64 {
     })
 }
 
-/// Two credit holders race `try_acquire`/`release` against a third thread
-/// resizing the gate (grow then shrink). End-state invariants: credits are
+/// Two credit holders race `try_acquire`/`release` — the second also takes
+/// a partial grant with `acquire_up_to` — against a third thread resizing
+/// the gate (grow then shrink). End-state invariants: credits are
 /// conserved, the gate converges to the final budget, and `release`'s
 /// overflow `debug_assert` (active in this build) never fires under any
 /// interleaving.
@@ -135,6 +137,9 @@ pub fn credit_elastic(opts: CheckOpts) -> u64 {
                 if gate.try_acquire(2) {
                     gate.release(2);
                 }
+                let granted = gate.acquire_up_to(3);
+                assert!(granted <= 3, "granted more than asked");
+                gate.release(granted);
             })
         };
         let r = {
@@ -394,6 +399,17 @@ pub fn table_generation(opts: CheckOpts) -> u64 {
     })
 }
 
+/// The re-home drain on the shipping `BucketTracker` (its counts on the
+/// recording atomics): the host admits a packet and publishes it, a worker
+/// pops it, writes a table cell and finishes it, a gauge reads the count.
+/// The count never reads below zero, and a host that reads the bucket
+/// drained sees the table write.
+pub fn bucket_drain(opts: CheckOpts) -> u64 {
+    model::check("bucket_drain", opts, || {
+        mutants::drain_rounds(Arc::new(BucketTracker::new(4)), false);
+    })
+}
+
 /// One clean check: `(name, entry point, search options)`.
 pub type Check = (&'static str, fn(CheckOpts) -> u64, CheckOpts);
 
@@ -412,5 +428,6 @@ pub fn all() -> Vec<Check> {
         ("shared_completion", shared_completion, default),
         ("verdict_cell", verdict_cell, default),
         ("table_generation", table_generation, default),
+        ("bucket_drain", bucket_drain, default),
     ]
 }

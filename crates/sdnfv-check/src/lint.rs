@@ -15,8 +15,8 @@
 //! |-------------|-----------|
 //! | `timestamp` | no `Instant::now`/`SystemTime::now` outside tests, benches, shims and the sanctioned `HostClock::Real` site — everything on a decision path must go through the injected clock so the deterministic simulation stays deterministic |
 //! | `safety-comment` | every `unsafe` is preceded by a `// SAFETY:` (or `# Safety` doc section) explaining why it is sound |
-//! | `atomic-order` | every atomic operation in the lock-free core (`sdnfv-ring`, the telemetry histogram, the flow table's partition generations) names an explicit `Ordering::` *and* carries an `// ORDER:` comment justifying it |
-//! | `hot-path-block` | no `thread::sleep` / `.lock()` / `.read()` / `.write()` inside the engine's per-packet hot paths (`step`, the worker's round, dispatch, frame-reuse and flush fns, the state-mailbox accessors), and no lock type (`RwLock`, `Mutex`) or blocking call anywhere in the packet handles every hop goes through (`sdnfv-ring/src/shared.rs`, tests aside) |
+//! | `atomic-order` | every atomic operation in the lock-free core (`sdnfv-ring`, the telemetry histogram, the flow table's partition generations, the re-home bucket counts) names an explicit `Ordering::` *and* carries an `// ORDER:` comment justifying it |
+//! | `hot-path-block` | no `thread::sleep` / `.lock()` / `.read()` / `.write()` inside the per-packet hot paths (the engine's `step`, the worker's round, dispatch, frame-reuse and flush fns, the state-mailbox accessors; admission's header walk, credit grant and bucket counts), and no lock type (`RwLock`, `Mutex`) or blocking call anywhere in the packet handles every hop goes through (`sdnfv-ring/src/shared.rs`, tests aside) |
 //! | `no-todo`   | no `todo!` / `unimplemented!` outside tests |
 //!
 //! Suppressions live in a checked-in allowlist (see [`Allowlist`]): one
@@ -356,7 +356,9 @@ struct Scope {
     test_like: bool,
     /// The lock-free core the `atomic-order` rule covers.
     atomic_core: bool,
-    /// The engine file whose hot-path fns the `hot-path-block` rule scans.
+    /// A file whose hot-path fns the `hot-path-block` rule scans: the
+    /// engine, and the header walk, credit gate and bucket counts
+    /// admission runs per packet.
     hot_path_file: bool,
     /// The packet-handle module, lock-free as a whole under
     /// `hot-path-block`.
@@ -374,8 +376,9 @@ fn classify(path: &Path) -> Scope {
         // The benchmark harness measures wall time by design; routing it
         // through HostClock would measure the shim instead of the code.
         || p.starts_with("crates/sdnfv-bench/");
-    // The measured code: the ring crate's shipping modules, the histogram
-    // and the flow table's partition generations. The facade (sync.rs) and
+    // The measured code: the ring crate's shipping modules, the histogram,
+    // the flow table's partition generations and the re-home bucket
+    // counts. The facade (sync.rs) and
     // the checker itself (model.rs) are the measuring instrument — their
     // internal orderings are either the caller's (forwarded verbatim) or
     // documented at module level.
@@ -383,8 +386,16 @@ fn classify(path: &Path) -> Scope {
         && !p.ends_with("/model.rs")
         && !p.ends_with("/sync.rs"))
         || p.ends_with("crates/sdnfv-telemetry/src/hist.rs")
-        || p.ends_with("crates/sdnfv-flowtable/src/table.rs");
-    let hot_path_file = p.ends_with("crates/sdnfv-dataplane/src/runtime.rs");
+        || p.ends_with("crates/sdnfv-flowtable/src/table.rs")
+        || p.ends_with("crates/sdnfv-dataplane/src/rehome.rs");
+    let hot_path_file = [
+        "crates/sdnfv-dataplane/src/runtime.rs",
+        "crates/sdnfv-dataplane/src/rehome.rs",
+        "crates/sdnfv-ring/src/credit.rs",
+        "crates/sdnfv-proto/src/packet.rs",
+    ]
+    .iter()
+    .any(|file| p.ends_with(file));
     let packet_handle_file = p.ends_with("crates/sdnfv-ring/src/shared.rs");
     Scope {
         test_like,
@@ -398,8 +409,10 @@ fn classify(path: &Path) -> Scope {
 /// free of blocking calls. `step` is the loop body of the shard worker and
 /// of an NF replica; then the worker's per-packet fns (RX and TX rounds,
 /// the deferred-completion retry, dispatch, forwarding, staging, flush,
-/// frame and descriptor reuse and a fan-out's exit, lookup); the rest are
-/// the NF state-mailbox accessors `step` calls.
+/// frame and descriptor reuse and a fan-out's exit, lookup); then the NF
+/// state-mailbox accessors `step` calls; last, what admission runs per
+/// packet outside the engine file: the header walk, the burst's credit
+/// grant and the two sides of the bucket count.
 const HOT_PATH_FNS: &[&str] = &[
     "step",
     "rx_round",
@@ -428,6 +441,10 @@ const HOT_PATH_FNS: &[&str] = &[
     "drain_responses",
     "post",
     "respond",
+    "walk_headers",
+    "acquire_up_to",
+    "admit",
+    "finish",
 ];
 
 /// What the packet-handle module may not contain at all: a lock type, or a

@@ -9,7 +9,9 @@
 //! re-arm that forgets to reset the verdict word, a flow-table write
 //! that publishes its generation before the change or to the wrong
 //! partition, a table answer that claims to hold for every flow while the
-//! step has exact rules, and a step memo that keeps its first decision.
+//! step has exact rules, a step memo that keeps its first decision, and a
+//! bucket-drain count whose finish publishes nothing or whose admit comes
+//! after the packet is visible to the worker.
 //! The `None`
 //! variant of every knob is the faithful algorithm and must pass
 //! exhaustively; every other variant must produce a violation. The
@@ -24,6 +26,7 @@
 use std::net::Ipv4Addr;
 use std::sync::{Arc, Mutex};
 
+use sdnfv_dataplane::rehome::BucketTracker;
 use sdnfv_dataplane::LookupCache;
 use sdnfv_flowtable::{
     generation_partition, Action, Decision, FlowMatch, FlowRule, FlowTable, RulePort,
@@ -32,7 +35,7 @@ use sdnfv_flowtable::{
 use sdnfv_proto::flow::{FlowKey, IpProtocol};
 use sdnfv_ring::model::{self, CheckOpts, CheckReport};
 use sdnfv_ring::sync::{AtomicIsize, AtomicU32, AtomicU64, AtomicUsize, Ordering, Slot};
-use sdnfv_ring::{verdict_key, verdict_parts, VerdictClass};
+use sdnfv_ring::{spsc_ring, verdict_key, verdict_parts, VerdictClass};
 
 /// Which bug (if any) to seed into the miniature SPSC ring.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -829,5 +832,153 @@ pub fn memo_scenario(bug: MemoBug, opts: CheckOpts) -> CheckReport {
                 bug,
             },
         );
+    })
+}
+
+/// The two sides of a steering bucket's in-flight count, as the re-home
+/// drain uses them: the host admits, a worker finishes, the host reads.
+pub(crate) trait DrainCounts: Send + Sync + 'static {
+    fn admit(&self, bucket: usize);
+    fn finish(&self, hash: u64);
+    fn in_flight(&self, bucket: usize) -> usize;
+}
+
+impl DrainCounts for BucketTracker {
+    fn admit(&self, bucket: usize) {
+        BucketTracker::admit(self, bucket);
+    }
+
+    fn finish(&self, hash: u64) {
+        BucketTracker::finish(self, hash);
+    }
+
+    fn in_flight(&self, bucket: usize) -> usize {
+        BucketTracker::in_flight(self, bucket)
+    }
+}
+
+/// The one packet of the drain program: its flow hash picks bucket 1 of 4.
+const DRAIN_HASH: u64 = 5;
+const DRAIN_BUCKET: usize = 1;
+
+/// The bucket-drain program: the host admits one packet of a bucket and
+/// publishes it on a ring (or, with `admit_after_publish`, publishes
+/// first); a worker pops it, writes a table cell and finishes it; a gauge
+/// reads the count meanwhile, and the host reads it after publishing. No
+/// read may go below zero (a wrapped count reads above one), and a host
+/// that reads none in flight must see the worker's table write — the
+/// guarantee a re-home's export relies on.
+pub(crate) fn drain_rounds<T: DrainCounts>(tracker: Arc<T>, admit_after_publish: bool) {
+    let (producer, consumer) = spsc_ring::<u64>(2);
+    let cell = Arc::new(AtomicU64::new(0));
+    let worker = {
+        let (tracker, cell) = (Arc::clone(&tracker), Arc::clone(&cell));
+        model::spawn(move || {
+            // Two bounded pop attempts; a packet still queued is finished
+            // by the root below.
+            for _ in 0..2 {
+                if let Some(hash) = consumer.pop() {
+                    cell.store(1, Ordering::Relaxed);
+                    tracker.finish(hash);
+                    return None;
+                }
+            }
+            Some(consumer)
+        })
+    };
+    let gauge = {
+        let tracker = Arc::clone(&tracker);
+        model::spawn(move || {
+            let seen = tracker.in_flight(DRAIN_BUCKET);
+            assert!(seen <= 1, "a gauge read {seen} in flight: below zero");
+        })
+    };
+    let host = {
+        let (tracker, cell) = (Arc::clone(&tracker), Arc::clone(&cell));
+        model::spawn(move || {
+            if !admit_after_publish {
+                tracker.admit(DRAIN_BUCKET);
+            }
+            producer.push(DRAIN_HASH).expect("an empty ring has room");
+            if admit_after_publish {
+                tracker.admit(DRAIN_BUCKET);
+            }
+            let seen = tracker.in_flight(DRAIN_BUCKET);
+            assert!(seen <= 1, "the host read {seen} in flight: below zero");
+            if seen == 0 {
+                assert_eq!(
+                    cell.load(Ordering::Relaxed),
+                    1,
+                    "the bucket read drained before its packet's table write was visible"
+                );
+            }
+        })
+    };
+    host.join();
+    gauge.join();
+    if let Some(consumer) = worker.join() {
+        let hash = consumer.pop().expect("the packet the worker missed");
+        tracker.finish(hash);
+    }
+    // The root happens-after every thread: the bucket is drained.
+    assert_eq!(tracker.in_flight(DRAIN_BUCKET), 0);
+}
+
+/// Which bug (if any) to seed into the bucket-drain protocol.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DrainBug {
+    /// Faithful: admit before publishing, finish with `Release`.
+    None,
+    /// The worker's `finish` is `Relaxed`: a host that reads the bucket
+    /// drained need not see the packet's table write.
+    RelaxedFinish,
+    /// The host admits after the push that publishes the packet: a worker
+    /// can finish the packet before it is counted, and a reader sees the
+    /// count below zero.
+    AdmitAfterPublish,
+}
+
+/// `BucketTracker`'s drain counts restated for one bucket — a host-written
+/// admitted count, a worker-written finished count — with a seeded-bug
+/// knob on the finish.
+struct MiniTracker {
+    admitted: AtomicUsize,
+    finished: AtomicUsize,
+    bug: DrainBug,
+}
+
+impl DrainCounts for MiniTracker {
+    fn admit(&self, _bucket: usize) {
+        let admitted = self.admitted.load(Ordering::Relaxed);
+        self.admitted.store(admitted + 1, Ordering::Relaxed);
+    }
+
+    fn finish(&self, _hash: u64) {
+        let order = if self.bug == DrainBug::RelaxedFinish {
+            Ordering::Relaxed
+        } else {
+            Ordering::Release
+        };
+        self.finished.fetch_add(1, order);
+    }
+
+    fn in_flight(&self, _bucket: usize) -> usize {
+        let finished = self.finished.load(Ordering::Acquire);
+        let admitted = self.admitted.load(Ordering::Acquire);
+        admitted.wrapping_sub(finished)
+    }
+}
+
+/// Runs [`drain_rounds`] over [`MiniTracker`] with the given seeded bug.
+/// `DrainBug::None` must pass exhaustively; every seeded bug must fail an
+/// assertion.
+pub fn drain_scenario(bug: DrainBug, opts: CheckOpts) -> CheckReport {
+    model::explore(opts, move || {
+        let tracker = MiniTracker {
+            admitted: AtomicUsize::new(0),
+            finished: AtomicUsize::new(0),
+            bug,
+        };
+        drain_rounds(Arc::new(tracker), bug == DrainBug::AdmitAfterPublish);
     })
 }

@@ -92,6 +92,24 @@ fn hot_path_rule_flags_blocking_in_hot_fns_only() {
 }
 
 #[test]
+fn hot_path_rule_covers_what_admission_runs_per_packet() {
+    for path in [
+        "crates/sdnfv-proto/src/packet.rs",
+        "crates/sdnfv-ring/src/credit.rs",
+        "crates/sdnfv-dataplane/src/rehome.rs",
+    ] {
+        let findings = scan_fixture("admission_bad.rs", path);
+        // The walk, the credit grant, admit and finish; `resize` is not a
+        // per-packet fn.
+        let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
+        assert_eq!(lines, [13, 17, 22, 26], "{path}: {findings:?}");
+        assert_eq!(rules(&findings), ["hot-path-block"; 4], "{findings:?}");
+    }
+    let findings = scan_fixture("admission_bad.rs", "crates/sdnfv-ring/src/pool.rs");
+    assert!(findings.is_empty(), "{findings:?}");
+}
+
+#[test]
 fn hot_path_rule_keeps_every_lock_out_of_the_packet_handles() {
     let findings = scan_fixture("handle_lock_bad.rs", "crates/sdnfv-ring/src/shared.rs");
     assert_eq!(rules(&findings), ["hot-path-block"; 6], "{findings:?}");

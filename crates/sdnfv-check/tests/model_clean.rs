@@ -12,8 +12,8 @@ use sdnfv_check::checks;
 fn every_clean_check_passes_exhaustively() {
     // Ring (2), credit gate (2), histogram (2: the single-recorder rule and
     // the shared form), pool, shared completion, verdict cell, table
-    // generation.
-    assert_eq!(checks::all().len(), 10);
+    // generation, bucket drain.
+    assert_eq!(checks::all().len(), 11);
     for (name, run, opts) in checks::all() {
         let executions = run(opts);
         assert!(

@@ -6,7 +6,9 @@
 //! must pass exhaustively — that pins down that the detections below come
 //! from the seeded bug, not from a broken scenario.
 
-use sdnfv_check::mutants::{self, GateBug, HistBug, MemoBug, RingBug, TableBug, VerdictBug};
+use sdnfv_check::mutants::{
+    self, DrainBug, GateBug, HistBug, MemoBug, RingBug, TableBug, VerdictBug,
+};
 use sdnfv_ring::model::{CheckOpts, CheckReport, ViolationKind};
 
 fn opts() -> CheckOpts {
@@ -184,4 +186,30 @@ fn memo_that_keeps_its_first_decision_is_caught() {
     // the old decision and answered with the old default.
     let report = mutants::memo_scenario(MemoBug::KeepsDecision, opts());
     assert_caught(&report, &[ViolationKind::Panic], "KeepsDecision");
+}
+
+#[test]
+fn unmutated_drain_passes_exhaustively() {
+    let report = mutants::drain_scenario(DrainBug::None, opts());
+    assert!(
+        report.exhaustive_pass(),
+        "clean mini-tracker must pass: {:?}",
+        report.violation
+    );
+}
+
+#[test]
+fn relaxed_bucket_finish_is_caught() {
+    // The host reads the bucket drained through a finish that published
+    // nothing: the worker's table write can still be invisible.
+    let report = mutants::drain_scenario(DrainBug::RelaxedFinish, opts());
+    assert_caught(&report, &[ViolationKind::Panic], "RelaxedFinish");
+}
+
+#[test]
+fn admit_after_publish_is_caught() {
+    // The worker finishes a packet the count does not hold yet: a reader
+    // that acquired the finish sees the count below zero.
+    let report = mutants::drain_scenario(DrainBug::AdmitAfterPublish, opts());
+    assert_caught(&report, &[ViolationKind::Panic], "AdmitAfterPublish");
 }

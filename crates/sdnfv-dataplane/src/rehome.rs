@@ -12,9 +12,11 @@
 //!    in a small per-bucket pen instead of entering the old shard's
 //!    pipeline (the pen overflows into ordinary backpressure, never into
 //!    drops);
-//! 2. **Drain**: wait until the bucket's in-flight count — maintained by a
-//!    [`BucketTracker`] the injection side increments and the shard workers
-//!    decrement at each packet's last flow-state touchpoint — reaches zero;
+//! 2. **Drain**: wait until the bucket's in-flight count reaches zero. A
+//!    [`BucketTracker`] keeps it as two one-sided counts: the injection side
+//!    counts a packet admitted before the ring push that makes it visible to
+//!    a worker, and the shard worker counts it finished at its last
+//!    flow-state touchpoint; in flight is their difference;
 //! 3. **Collect** ([`MovePhase::Collecting`]): ask the old shard's worker
 //!    to export the bucket's NF-internal per-flow state — every NF replica
 //!    is handed the bucket's flow keys (the partition's exact entries plus
@@ -36,22 +38,35 @@
 //! or NF-internal flow state.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use sdnfv_flowtable::{BucketStateBundle, ServiceId};
 use sdnfv_nf::NfFlowState;
 use sdnfv_proto::flow::FlowKey;
 use sdnfv_proto::Packet;
+// The drain counts take their atomics from the ring crate's facade, so the
+// model checker can run the shipping tracker on its recording atomics.
+use sdnfv_ring::sync::{AtomicUsize, Ordering};
 
-/// Per-bucket in-flight packet counts, shared between the injection side
-/// (increments on admission) and every shard worker (decrements when a
-/// packet makes its last possible flow-state touch: staged for egress,
-/// dropped, or punted). A bucket with a zero count has no packet anywhere
-/// between its shard's ingress ring and the release point.
+/// Per-bucket in-flight packet counts for the drain step of a re-home, kept
+/// as two one-sided counts so no cache line is written by both sides:
+///
+/// * `admitted` — written only by the host (injection) thread, as a plain
+///   load and store, like [`LatencyHistogram::record`](sdnfv_telemetry::hist::LatencyHistogram::record):
+///   counted *before* the ring push that makes the packet visible to a
+///   worker, and taken back when the push hands the packet back;
+/// * `finished` — written only by shard workers (a `fetch_add`), when a
+///   packet makes its last possible flow-state touch: staged for egress,
+///   dropped, or punted.
+///
+/// In flight is `admitted − finished`. A bucket with none in flight has no
+/// packet anywhere between its shard's ingress ring and the release point.
+/// Model-checked (`bucket_drain` in `sdnfv-check`) on the shipping type.
 #[derive(Debug)]
 pub struct BucketTracker {
-    in_flight: Vec<AtomicUsize>,
+    admitted: Vec<AtomicUsize>,
+    finished: Vec<AtomicUsize>,
     /// `true` while the bucket is mid-re-home. Shard workers consult this
     /// before timing out exact-flow rules: a rule of a parked bucket may
     /// be mid-export, and evicting it would race the re-home (the evicted
@@ -63,16 +78,24 @@ pub struct BucketTracker {
 
 impl BucketTracker {
     /// Creates a tracker for `buckets` steering buckets, all idle.
+    /// `buckets` must be a power of two (a flow's bucket is its hash's low
+    /// bits).
     pub fn new(buckets: usize) -> Self {
+        assert!(
+            buckets.is_power_of_two(),
+            "bucket count {buckets} is not a power of two"
+        );
+        let counts = || (0..buckets).map(|_| AtomicUsize::new(0)).collect();
         BucketTracker {
-            in_flight: (0..buckets).map(|_| AtomicUsize::new(0)).collect(),
+            admitted: counts(),
+            finished: counts(),
             parked: (0..buckets).map(|_| AtomicBool::new(false)).collect(),
         }
     }
 
     /// Number of tracked buckets.
     pub fn buckets(&self) -> usize {
-        self.in_flight.len()
+        self.admitted.len()
     }
 
     /// The bucket a flow belongs to.
@@ -83,42 +106,84 @@ impl BucketTracker {
     /// [`BucketTracker::bucket_of`] for a caller that already holds the
     /// flow's `stable_hash` (the packet path: it rides the descriptor).
     pub fn bucket_of_hash(&self, hash: u64) -> usize {
-        (hash % self.in_flight.len() as u64) as usize
+        (hash & (self.admitted.len() as u64 - 1)) as usize
     }
 
-    /// Records one packet of `bucket` entering a shard pipeline.
+    /// Records one packet of `bucket` entering a shard pipeline. Called by
+    /// the host thread only, *before* the push that publishes the packet.
     pub fn admit(&self, bucket: usize) {
-        self.in_flight[bucket].fetch_add(1, Ordering::Release);
+        let admitted = &self.admitted[bucket];
+        // ORDER: Relaxed load + store, not a read-modify-write — the host
+        // thread is the only writer, so the load returns its own last
+        // store. Relaxed suffices: the ring push that follows is a Release
+        // publish, so a worker that pops the packet, and any thread that
+        // acquires that worker's `finish`, sees this count.
+        admitted.store(admitted.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+    }
+
+    /// Takes back a [`BucketTracker::admit`] whose push handed the packet
+    /// back (it never reached a worker). Host thread only.
+    pub fn unadmit(&self, bucket: usize) {
+        let admitted = &self.admitted[bucket];
+        // ORDER: Relaxed load + store — the single-writer argument of
+        // `admit`; the packet was never published, so no worker counts it.
+        admitted.store(admitted.load(Ordering::Relaxed) - 1, Ordering::Relaxed);
     }
 
     /// Records one packet of the flow hashing to `hash` leaving flow-state
-    /// scope (egress-staged, dropped or punted). Release ordering pairs with
-    /// the [`BucketTracker::in_flight`] acquire load, so a drain observer
-    /// that reads zero also observes every table write the packet caused.
+    /// scope (egress-staged, dropped or punted). Called by shard workers.
     pub fn finish(&self, hash: u64) {
         let bucket = self.bucket_of_hash(hash);
-        let previous = self.in_flight[bucket].fetch_sub(1, Ordering::Release);
-        debug_assert!(previous > 0, "bucket {bucket} finished more than admitted");
+        // ORDER: Release — pairs with the Acquire load in
+        // `BucketTracker::in_flight`, so a drain observer that counts this
+        // packet finished also sees every table write it caused.
+        let previous = self.finished[bucket].fetch_add(1, Ordering::Release);
+        if cfg!(debug_assertions) {
+            // ORDER: Acquire, debug builds only — the packet was admitted
+            // before the push this worker's pop acquired, so the count read
+            // here covers it.
+            let admitted = self.admitted[bucket].load(Ordering::Acquire);
+            assert!(
+                previous < admitted,
+                "bucket {bucket} finished more than admitted"
+            );
+        }
     }
 
     /// Packets of `bucket` currently inside a shard pipeline.
     pub fn in_flight(&self, bucket: usize) -> usize {
-        self.in_flight[bucket].load(Ordering::Acquire)
+        // ORDER: Acquire, `finished` first — pairs with `finish`'s Release,
+        // so every packet counted here has its table writes visible; and
+        // each of those packets was admitted before the push its worker
+        // acquired, so the `admitted` load that follows counts it too: the
+        // difference never goes below zero.
+        let finished = self.finished[bucket].load(Ordering::Acquire);
+        // ORDER: Acquire — see the load above.
+        let admitted = self.admitted[bucket].load(Ordering::Acquire);
+        debug_assert!(
+            admitted >= finished,
+            "bucket {bucket}: {finished} finished of {admitted} admitted"
+        );
+        admitted.wrapping_sub(finished)
     }
 
     /// Marks `bucket` as mid-re-home: its exact-flow rules become
     /// ineligible for timeout eviction until [`BucketTracker::unpark`].
     pub fn park(&self, bucket: usize) {
+        // ORDER: Release — pairs with `is_parked`'s Acquire load.
         self.parked[bucket].store(true, Ordering::Release);
     }
 
     /// Clears the mid-re-home mark of `bucket`.
     pub fn unpark(&self, bucket: usize) {
+        // ORDER: Release — pairs with `is_parked`'s Acquire load.
         self.parked[bucket].store(false, Ordering::Release);
     }
 
     /// Whether `bucket` is currently mid-re-home (eviction-protected).
     pub fn is_parked(&self, bucket: usize) -> bool {
+        // ORDER: Acquire — a worker that sees the mark sees the host's
+        // writes made before parking.
         self.parked[bucket].load(Ordering::Acquire)
     }
 }
@@ -533,6 +598,40 @@ mod tests {
         assert_eq!(tracker.in_flight(bucket), 1);
         tracker.finish(k.stable_hash());
         assert_eq!(tracker.in_flight(bucket), 0);
+    }
+
+    #[test]
+    fn a_push_handed_back_takes_its_admission_back() {
+        let tracker = BucketTracker::new(4);
+        tracker.admit(3);
+        tracker.admit(3);
+        tracker.unadmit(3);
+        assert_eq!(tracker.in_flight(3), 1);
+        tracker.finish(3);
+        assert_eq!(tracker.in_flight(3), 0);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "finished more than admitted")]
+    fn finishing_an_uncounted_packet_panics_in_debug_builds() {
+        // A packet the host never counted: what a worker meets if the admit
+        // comes after the push.
+        BucketTracker::new(4).finish(2);
+    }
+
+    #[test]
+    fn a_bucket_is_the_hashs_low_bits() {
+        let tracker = BucketTracker::new(1024);
+        for hash in [0, 1, 1023, 1024, 0xdead_beef, u64::MAX] {
+            assert_eq!(tracker.bucket_of_hash(hash), (hash % 1024) as usize);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not a power of two")]
+    fn a_bucket_count_must_be_a_power_of_two() {
+        BucketTracker::new(6);
     }
 
     #[test]

@@ -973,7 +973,7 @@ impl ThreadedHost {
         let hash = key.as_ref().map_or(0, FlowKey::stable_hash);
         let (shard, tracked) = match &key {
             Some(k) => {
-                let bucket = (hash % STEER_BUCKETS as u64) as usize;
+                let bucket = self.tracker.bucket_of_hash(hash);
                 if self.rehome.borrow().is_parked(bucket) {
                     return self.park(bucket, packet, *k);
                 }
@@ -987,14 +987,16 @@ impl ThreadedHost {
             ports.stats.add_throttled(1);
             return InjectResult::Throttled(packet);
         }
+        // Counted before the push: once pushed, a worker may finish it.
+        if let Some(bucket) = tracked {
+            self.tracker.admit(bucket);
+        }
         match ports.ingress.push(IngressFrame { packet, key, hash }) {
-            Ok(()) => {
-                if let Some(bucket) = tracked {
-                    self.tracker.admit(bucket);
-                }
-                InjectResult::Admitted
-            }
+            Ok(()) => InjectResult::Admitted,
             Err(PushError(frame)) => {
+                if let Some(bucket) = tracked {
+                    self.tracker.unadmit(bucket);
+                }
                 ports.gate.release(1);
                 ports.stats.add_throttled(1);
                 InjectResult::Throttled(frame.packet)
@@ -1041,11 +1043,14 @@ impl ThreadedHost {
         }
     }
 
-    /// Injects a burst of packets — grouped per shard, one ring operation
-    /// per shard — stamping their receive timestamps. The returned
-    /// [`BurstInjection`] hands every throttled packet back for retry.
-    /// Packets of mid-re-home buckets are parked exactly as in
-    /// [`ThreadedHost::inject`] (parked packets count as admitted).
+    /// Injects a burst of packets — grouped per shard, one credit grant and
+    /// one ring operation per shard — stamping their receive timestamps.
+    /// Each shard admits a prefix of its packets (as many as its credits
+    /// and ring allow) and throttles the rest, so a flow's packets are
+    /// never admitted out of order. The returned [`BurstInjection`] hands
+    /// every throttled packet back for retry. Packets of mid-re-home
+    /// buckets are parked exactly as in [`ThreadedHost::inject`] (parked
+    /// packets count as admitted).
     pub fn inject_burst(&self, packets: Vec<Packet>) -> BurstInjection {
         self.advance_rehoming();
         let now = self.now_ns();
@@ -1054,28 +1059,27 @@ impl ThreadedHost {
             let state = self.rehome.borrow();
             !state.moves.is_empty() || !state.outbound.is_empty()
         };
-        let shards = self.shards.borrow();
-        let num_shards = shards.len();
+        let num_shards = self.shards.borrow().len();
         if num_shards == 1 && !rehoming {
             // Single shard with no bucket mid-move and no outbound handout
             // (a single-shard host can still hand a bucket to another
-            // host): frame the admitted packets in one pass and push them
-            // directly, skipping the per-shard grouping.
-            let ports = &shards[0];
-            let mut frames: Vec<IngressFrame> = Vec::with_capacity(packets.len());
-            for mut packet in packets {
+            // host): frame the admitted prefix in one pass and push it
+            // directly, skipping the per-shard grouping. Throttled packets
+            // are not parsed.
+            let granted = self.shards.borrow()[0].gate.acquire_up_to(packets.len());
+            let mut frames: Vec<IngressFrame> = Vec::with_capacity(granted);
+            let mut packets = packets.into_iter();
+            for mut packet in packets.by_ref().take(granted) {
                 packet.timestamp_ns = now;
                 let key = packet.flow_key();
-                if !ports.gate.try_acquire(1) {
-                    ports.stats.add_throttled(1);
-                    result.throttled.push(packet);
-                    continue;
-                }
                 let hash = key.as_ref().map_or(0, FlowKey::stable_hash);
                 frames.push(IngressFrame { packet, key, hash });
             }
-            drop(shards);
-            self.push_shard_frames(0, frames, &mut result);
+            let denied = packets.map(|mut packet| {
+                packet.timestamp_ns = now;
+                packet
+            });
+            self.push_shard_frames(0, frames, denied, &mut result);
             return result;
         }
         let keyless_shard = self.first_live_shard();
@@ -1087,7 +1091,7 @@ impl ThreadedHost {
             let shard = match &key {
                 Some(k) => {
                     if rehoming {
-                        let bucket = (hash % STEER_BUCKETS as u64) as usize;
+                        let bucket = self.tracker.bucket_of_hash(hash);
                         if self.rehome.borrow().is_parked(bucket) {
                             match self.park(bucket, packet, *k) {
                                 InjectResult::Admitted => result.admitted += 1,
@@ -1100,58 +1104,58 @@ impl ThreadedHost {
                 }
                 None => keyless_shard,
             };
-            if !shards[shard].gate.try_acquire(1) {
-                shards[shard].stats.add_throttled(1);
-                result.throttled.push(packet);
-                continue;
-            }
             staged[shard].push(IngressFrame { packet, key, hash });
         }
-        drop(shards);
-        for (shard, frames) in staged.into_iter().enumerate() {
-            self.push_shard_frames(shard, frames, &mut result);
+        for (shard, mut frames) in staged.into_iter().enumerate() {
+            if frames.is_empty() {
+                continue;
+            }
+            let granted = self.shards.borrow()[shard].gate.acquire_up_to(frames.len());
+            let denied = frames.split_off(granted);
+            let denied = denied.into_iter().map(|frame| frame.packet);
+            self.push_shard_frames(shard, frames, denied, &mut result);
         }
         result
     }
 
     /// Pushes a shard's framed (credit-holding) packets with one ring
     /// operation, folding the outcome into `result`: leftovers that did not
-    /// fit the ring are throttled back.
+    /// fit the ring are throttled back (their credits and bucket counts
+    /// returned), followed by `denied`, the shard's packets after them that
+    /// the credit gate granted nothing for.
     fn push_shard_frames(
         &self,
         shard: usize,
         mut frames: Vec<IngressFrame>,
+        denied: impl ExactSizeIterator<Item = Packet>,
         result: &mut BurstInjection,
     ) {
-        if frames.is_empty() {
-            return;
-        }
         let shards = self.shards.borrow();
         let ports = &shards[shard];
-        // `push_n` drains the admitted prefix out of the vec, so bucket
-        // in-flight counts are recorded up front and rolled back for the
-        // leftovers the ring rejected (same management thread: the
-        // transient is never observed by a drain check).
+        // Counted before the push that makes them visible to the worker,
+        // and taken back for the leftovers the ring rejected (only this
+        // thread writes the admitted counts).
         for frame in &frames {
             if frame.key.is_some() {
                 self.tracker.admit(self.tracker.bucket_of_hash(frame.hash));
             }
         }
         result.admitted += ports.ingress.push_n(&mut frames);
-        if frames.is_empty() {
+        let throttled = frames.len() + denied.len();
+        if throttled == 0 {
             return;
         }
-        let leftover = frames.len();
         for frame in &frames {
             if frame.key.is_some() {
-                self.tracker.finish(frame.hash);
+                self.tracker
+                    .unadmit(self.tracker.bucket_of_hash(frame.hash));
             }
         }
-        ports.gate.release(leftover);
-        ports.stats.add_throttled(leftover as u64);
+        ports.gate.release(frames.len());
+        ports.stats.add_throttled(throttled as u64);
         result
             .throttled
-            .extend(frames.into_iter().map(|f| f.packet));
+            .extend(frames.into_iter().map(|f| f.packet).chain(denied));
     }
 
     /// Nanoseconds since the host started (the clock used for packet
@@ -1550,19 +1554,21 @@ impl ThreadedHost {
                     return true;
                 }
                 let age_ns = now_ns.saturating_sub(packet.timestamp_ns);
+                // Counted before the push, as in `inject`.
+                self.tracker.admit(mv.bucket);
                 match ports.ingress.push(IngressFrame {
                     packet,
                     key: Some(key),
                     hash: key.stable_hash(),
                 }) {
                     Ok(()) => {
-                        self.tracker.admit(mv.bucket);
                         released_ages.push(age_ns);
                         // Pen dwell lands in the destination shard's
                         // histograms: that is where the packet resumes.
                         ports.latency.pen_dwell.record(age_ns);
                     }
                     Err(PushError(frame)) => {
+                        self.tracker.unadmit(mv.bucket);
                         ports.gate.release(1);
                         let key = frame.key.expect("penned packets are keyed");
                         mv.pen.push_front((frame.packet, key));
@@ -5782,6 +5788,70 @@ mod tests {
         }
         assert_eq!(per_shard, expected);
         host.shutdown();
+    }
+
+    #[test]
+    fn a_burst_admits_a_prefix_of_each_shards_packets() {
+        // Eight credits a shard and nobody polling egress, so no credit
+        // comes back while the burst is injected: each shard admits its
+        // first eight packets and hands the rest back behind them, in
+        // arrival order — on the single-shard path and the grouped one.
+        for num_shards in [1, 2] {
+            let host = ThreadedHost::start_sharded(
+                forward_table(),
+                |_shard| vec![],
+                ThreadedHostConfig {
+                    num_shards,
+                    shard_credits: 8,
+                    ..ThreadedHostConfig::default()
+                },
+            );
+            // Four flows per shard, four packets per flow, interleaved.
+            let flow = |port: u16| packet(port).flow_key().unwrap();
+            let mut ports: Vec<u16> = Vec::new();
+            for shard in 0..num_shards {
+                ports.extend(
+                    (1000..)
+                        .filter(|&port| shard_for_flow(&flow(port), num_shards) == shard)
+                        .take(4),
+                );
+            }
+            let burst: Vec<Packet> = (0..4u32)
+                .flat_map(|round| {
+                    ports.iter().map(move |&port| {
+                        PacketBuilder::udp()
+                            .src_port(port)
+                            .payload(&round.to_be_bytes())
+                            .build()
+                    })
+                })
+                .collect();
+            let shard_of = |p: &Packet| shard_for_flow(&p.flow_key().unwrap(), num_shards);
+            let outcome = host.inject_burst(burst.clone());
+            assert_eq!(outcome.admitted, 8 * num_shards);
+            assert_eq!(outcome.throttled.len(), 8 * num_shards);
+            assert_eq!(host.stats().snapshot().throttled, 8 * num_shards as u64);
+            let outputs = collect_outputs(&host, outcome.admitted);
+            for shard in 0..num_shards {
+                let sent: Vec<&Packet> = burst.iter().filter(|p| shard_of(p) == shard).collect();
+                let admitted: Vec<&Packet> = outputs
+                    .iter()
+                    .map(|out| &out.packet)
+                    .filter(|p| shard_of(p) == shard)
+                    .collect();
+                let throttled: Vec<&Packet> = outcome
+                    .throttled
+                    .iter()
+                    .filter(|p| shard_of(p) == shard)
+                    .collect();
+                let data = |packets: &[&Packet]| -> Vec<Vec<u8>> {
+                    packets.iter().map(|p| p.data().to_vec()).collect()
+                };
+                assert_eq!(data(&admitted), data(&sent[..8]), "shard {shard}");
+                assert_eq!(data(&throttled), data(&sent[8..]), "shard {shard}");
+            }
+            host.shutdown();
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::net::Ipv4Addr;
 
-use crate::packet::Packet;
+use crate::packet::{walk_headers, Packet};
 
 /// Transport protocol carried inside an IPv4 datagram.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -93,27 +93,12 @@ impl FlowKey {
     /// Extracts the 5-tuple from a packet, if it carries IPv4.
     ///
     /// For transport protocols other than TCP/UDP the ports are reported as
-    /// zero.
+    /// zero. One pass reads the Ethernet, IPv4 and transport headers at
+    /// fixed offsets; it accepts exactly the frames for which
+    /// [`Packet::ipv4`] and then [`Packet::tcp`] or [`Packet::udp`] succeed,
+    /// and gives the key they would.
     pub fn from_packet(packet: &Packet) -> Option<FlowKey> {
-        let ip = packet.ipv4().ok()?;
-        let (src_port, dst_port) = match ip.protocol {
-            IpProtocol::Tcp => {
-                let tcp = packet.tcp().ok()?;
-                (tcp.src_port, tcp.dst_port)
-            }
-            IpProtocol::Udp => {
-                let udp = packet.udp().ok()?;
-                (udp.src_port, udp.dst_port)
-            }
-            _ => (0, 0),
-        };
-        Some(FlowKey {
-            src_ip: ip.src,
-            dst_ip: ip.dst,
-            src_port,
-            dst_port,
-            protocol: ip.protocol,
-        })
+        walk_headers(packet.data()).map(|walk| walk.key)
     }
 
     /// Returns the key for traffic in the opposite direction.

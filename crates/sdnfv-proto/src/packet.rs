@@ -22,7 +22,11 @@ pub type Port = u16;
 /// zero-copy design; ownership of a `Packet` corresponds to holding its
 /// descriptor. Parsing accessors ([`Packet::ethernet`], [`Packet::ipv4`],
 /// [`Packet::tcp`], [`Packet::udp`], [`Packet::l4_payload`]) never copy the
-/// frame.
+/// frame. The two questions the data plane asks of every packet — its
+/// 5-tuple ([`Packet::flow_key`]) and where its transport payload starts
+/// ([`Packet::l4_payload_offset`]) — are answered by one pass over the
+/// headers at fixed offsets rather than by composing the layered parsers;
+/// nothing parsed is cached in the packet.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Packet {
     data: Vec<u8>,
@@ -104,7 +108,25 @@ impl Packet {
     }
 
     /// Byte offset of the transport payload (after the TCP/UDP header).
+    ///
+    /// Answered by one header walk; a frame the walk rejects (or one that
+    /// carries neither TCP nor UDP) gets its error from the layered parsers,
+    /// so the error says which layer failed, as [`Packet::tcp`] or
+    /// [`Packet::udp`] would.
     pub fn l4_payload_offset(&self) -> Result<usize> {
+        match walk_headers(&self.data) {
+            Some(HeaderWalk {
+                payload_offset: Some(offset),
+                ..
+            }) => Ok(offset),
+            _ => self.layered_l4_payload_offset(),
+        }
+    }
+
+    /// [`Packet::l4_payload_offset`] composed from the layered parsers: the
+    /// path that words the error of a frame the walk rejected.
+    #[cold]
+    fn layered_l4_payload_offset(&self) -> Result<usize> {
         let ip = self.ipv4()?;
         let l4_offset = ETHERNET_HEADER_LEN + ip.header_len;
         let hdr_len = match ip.protocol {
@@ -176,6 +198,63 @@ impl Packet {
             }),
         }
     }
+}
+
+/// What one pass over a frame's Ethernet, IPv4 and transport headers found.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct HeaderWalk {
+    /// The 5-tuple (ports zero for protocols other than TCP and UDP).
+    pub(crate) key: FlowKey,
+    /// Where the TCP or UDP payload starts; `None` for other protocols.
+    pub(crate) payload_offset: Option<usize>,
+}
+
+/// Reads Ethernet → IPv4 → TCP/UDP once, at fixed offsets, without building
+/// the per-layer header structs.
+///
+/// Accepts exactly the frames the layered parsers accept: a full Ethernet
+/// header with ethertype `0x0800`, then IPv4 version 4 whose IHL is at least
+/// 20 bytes and fits the frame; a TCP header whose data offset is at least
+/// 20 bytes and fits the frame, or 8 bytes of UDP header; any other protocol
+/// with ports `(0, 0)` and no payload offset.
+#[inline]
+pub(crate) fn walk_headers(data: &[u8]) -> Option<HeaderWalk> {
+    const IP: usize = ETHERNET_HEADER_LEN;
+    let ip = data.get(IP..IP + IPV4_HEADER_LEN)?;
+    if data[IP - 2..IP] != [0x08, 0x00] || ip[0] >> 4 != 4 {
+        return None;
+    }
+    let ihl = usize::from(ip[0] & 0x0f) * 4;
+    if ihl < IPV4_HEADER_LEN || data.len() < IP + ihl {
+        return None;
+    }
+    let l4 = IP + ihl;
+    let protocol = IpProtocol::from(ip[9]);
+    let (ports, payload_offset) = match protocol {
+        IpProtocol::Tcp => {
+            let tcp = data.get(l4..l4 + TCP_HEADER_LEN)?;
+            let header_len = usize::from(tcp[12] >> 4) * 4;
+            if header_len < TCP_HEADER_LEN || data.len() < l4 + header_len {
+                return None;
+            }
+            (&tcp[..4], Some(l4 + header_len))
+        }
+        IpProtocol::Udp => (
+            data.get(l4..l4 + UDP_HEADER_LEN)?,
+            Some(l4 + UDP_HEADER_LEN),
+        ),
+        _ => (&[0u8; 4][..], None),
+    };
+    Some(HeaderWalk {
+        key: FlowKey {
+            src_ip: Ipv4Addr::new(ip[12], ip[13], ip[14], ip[15]),
+            dst_ip: Ipv4Addr::new(ip[16], ip[17], ip[18], ip[19]),
+            src_port: u16::from_be_bytes([ports[0], ports[1]]),
+            dst_port: u16::from_be_bytes([ports[2], ports[3]]),
+            protocol,
+        },
+        payload_offset,
+    })
 }
 
 /// Transport protocol selected on a [`PacketBuilder`].

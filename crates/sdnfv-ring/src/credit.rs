@@ -1,16 +1,21 @@
 //! Credit-based admission control for a bounded pipeline stage.
 //!
 //! A [`CreditGate`] is a shared counter of "packet slots" a pipeline shard is
-//! willing to hold in flight. The ingress side acquires one credit per packet
-//! before admitting it; the egress side releases the credit when the packet
-//! reaches a terminal state (transmitted, dropped by a verdict, punted).
-//! When no credits are available the ingress side *throttles* — it hands the
-//! packet back to the caller instead of silently dropping it inside the
+//! willing to hold in flight. Every admitted packet holds one credit; the
+//! ingress side takes a burst's credits with one
+//! [`CreditGate::acquire_up_to`] (a lone packet with
+//! [`CreditGate::try_acquire`]`(1)`), and the egress side releases a credit
+//! when its packet reaches a terminal state (transmitted, dropped by a
+//! verdict, punted). Packets the gate has no credit for are *throttled* —
+//! handed back to the caller instead of silently dropped inside the
 //! pipeline, which is the backpressure scheme the sharded
-//! [`sdnfv-dataplane`](../sdnfv_dataplane/index.html) runtime builds on.
+//! [`sdnfv-dataplane`](../sdnfv_dataplane/index.html) runtime builds on. A
+//! burst's grant covers a prefix of its packets, so a throttled packet is
+//! never followed by an admitted one.
 //!
-//! The gate is a pair of atomics: `try_acquire` is a CAS loop, `release` a
-//! fetch-add. Any number of threads may acquire and release concurrently.
+//! The gate is a pair of atomics: `try_acquire` and `acquire_up_to` are CAS
+//! loops, `release` a fetch-add. Any number of threads may acquire and
+//! release concurrently.
 //! The budget is **elastic**: [`CreditGate::resize`] grows or shrinks the
 //! capacity while packets are in flight — shrinking lets the available
 //! count go temporarily negative, so outstanding packets drain normally and
@@ -101,6 +106,36 @@ impl CreditGate {
                 Ordering::Relaxed,
             ) {
                 Ok(_) => return true,
+                Err(actual) => current = actual,
+            }
+        }
+    }
+
+    /// Takes as many of `n` credits as are available, at most `n`, in one
+    /// compare-and-swap, and returns how many it took (0 when none are
+    /// available or a shrink is draining).
+    pub fn acquire_up_to(&self, n: usize) -> usize {
+        let wanted = n as isize;
+        // ORDER: Relaxed — a CAS hint, revalidated by the CAS; as in
+        // `try_acquire`.
+        let mut current = self.available.load(Ordering::Relaxed);
+        loop {
+            let granted = current.min(wanted);
+            if granted <= 0 {
+                return 0;
+            }
+            // ORDER: success AcqRel, failure Relaxed — the same reasons as
+            // `try_acquire`'s CAS: the acquire half brings in the releasers'
+            // and resizer's history, the release half keeps the RMW a link
+            // in the release sequence, and a failed CAS yields only the next
+            // hint. (Model-checked against a racing release and resize.)
+            match self.available.compare_exchange_weak(
+                current,
+                current - granted,
+                Ordering::AcqRel,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => return granted as usize,
                 Err(actual) => current = actual,
             }
         }
@@ -209,6 +244,25 @@ mod tests {
         gate.release(4);
         assert_eq!(gate.available(), 4);
         assert_eq!(gate.in_flight(), 0);
+    }
+
+    #[test]
+    fn acquire_up_to_takes_what_is_there() {
+        let gate = CreditGate::new(5);
+        assert_eq!(gate.acquire_up_to(3), 3);
+        assert_eq!(gate.acquire_up_to(3), 2, "only two left");
+        assert_eq!(gate.acquire_up_to(3), 0, "exhausted");
+        assert_eq!(gate.in_flight(), 5);
+        gate.release(5);
+        assert_eq!(gate.acquire_up_to(0), 0);
+        assert_eq!(gate.available(), 5);
+        // A shrink that leaves the count negative grants nothing until the
+        // overshoot drains.
+        assert_eq!(gate.acquire_up_to(5), 5);
+        gate.resize(2);
+        assert_eq!(gate.acquire_up_to(1), 0);
+        gate.release(4);
+        assert_eq!(gate.acquire_up_to(4), 1, "one over budget still held");
     }
 
     #[test]
