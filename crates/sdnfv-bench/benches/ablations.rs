@@ -1,78 +1,10 @@
-//! Ablation benches for the design choices DESIGN.md calls out:
-//! flow-lookup caching, load-balancer policy, and the division heuristic's
-//! sub-problem size.
+//! Ablation bench for the division heuristic's sub-problem size. (The
+//! flow-lookup cache and the replica-pick policy are no longer knobs: the
+//! engine always caches, and always picks a flow's replica by its hash.)
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sdnfv_dataplane::{LoadBalancePolicy, NfManager, NfManagerConfig};
-use sdnfv_graph::{catalog, CompileOptions};
-use sdnfv_nf::nfs::NoOpNf;
 use sdnfv_placement::{DivisionSolver, PlacementProblem, PlacementSolver};
-use sdnfv_proto::packet::PacketBuilder;
 use std::hint::black_box;
-
-fn chain_manager(config: NfManagerConfig, instances_per_service: usize) -> NfManager {
-    let (graph, ids) = catalog::chain(&[("a", true), ("b", true), ("c", true), ("d", true)]);
-    let mut manager = NfManager::new(config);
-    manager.install_graph(&graph, &CompileOptions::default());
-    for id in ids {
-        for _ in 0..instances_per_service {
-            manager.add_nf(id, Box::new(NoOpNf::new()));
-        }
-    }
-    manager
-}
-
-fn bench_flow_cache(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablate_flow_cache");
-    for (label, enabled) in [("cache_on", true), ("cache_off", false)] {
-        let mut manager = chain_manager(
-            NfManagerConfig {
-                enable_lookup_cache: enabled,
-                ..NfManagerConfig::default()
-            },
-            1,
-        );
-        let pkt = PacketBuilder::udp().total_size(256).ingress_port(0).build();
-        group.bench_with_input(BenchmarkId::from_parameter(label), &(), |b, _| {
-            let mut now = 0u64;
-            b.iter(|| {
-                now += 1;
-                black_box(manager.process_packet(pkt.clone(), now))
-            })
-        });
-    }
-    group.finish();
-}
-
-fn bench_load_balance(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablate_load_balance");
-    for (label, policy) in [
-        ("round_robin", LoadBalancePolicy::RoundRobin),
-        ("min_queue", LoadBalancePolicy::MinQueue),
-        ("flow_hash", LoadBalancePolicy::FlowHash),
-    ] {
-        let mut manager = chain_manager(
-            NfManagerConfig {
-                load_balance: policy,
-                ..NfManagerConfig::default()
-            },
-            3,
-        );
-        group.bench_with_input(BenchmarkId::from_parameter(label), &(), |b, _| {
-            let mut now = 0u64;
-            b.iter(|| {
-                now += 1;
-                let pkt = PacketBuilder::udp()
-                    .src_port((now % 512) as u16 + 1024)
-                    .total_size(256)
-                    .ingress_port(0)
-                    .build();
-                black_box(manager.process_packet(pkt, now))
-            })
-        });
-    }
-    group.finish();
-}
 
 fn bench_division_group_size(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablate_division_size");
@@ -90,10 +22,5 @@ fn bench_division_group_size(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_flow_cache,
-    bench_load_balance,
-    bench_division_group_size
-);
+criterion_group!(benches, bench_division_group_size);
 criterion_main!(benches);

@@ -1,5 +1,6 @@
-//! Per-packet vs batch-first dispatch through the inline NF Manager, plus
-//! the shard-scaling axis of the threaded runtime.
+//! Per-packet vs batch-first dispatch through the NF Manager (the shipping
+//! engine, one shard stepped on the calling thread), plus the
+//! shard-scaling axis of the threaded runtime.
 //!
 //! The batch-first redesign claims that moving packets in bursts amortizes
 //! per-packet costs (flow-table lookups, virtual NF dispatch, bookkeeping)
@@ -7,14 +8,13 @@
 //! traffic (a 2-NF no-op chain, 256-byte packets, 8 active flows) runs
 //! through `process_packet` in a loop (scalar baseline) and through
 //! `process_burst` at burst sizes {1, 8, 32, 128}; throughput is reported
-//! per packet so the numbers are directly comparable. The acceptance bar
-//! for the redesign is ≥ 1.5× `process_burst/32` over `process_burst/1`.
+//! per packet so the numbers are directly comparable.
 //!
 //! The `batch_dispatch_shards` group runs the same 2-NF chain through the
 //! sharded `ThreadedHost` at `num_shards` ∈ {1, 2, 4}: a closed loop pumps
 //! packets over 64 flows with backpressure, so the measurement is whole
 //! pipeline shards (steering, credit gate, per-shard worker + NF threads),
-//! not just the inline engine. Shard scaling needs cores — on a single-CPU
+//! not one stepped shard. Shard scaling needs cores — on a single-CPU
 //! box the numbers record scheduling overhead, not speedup.
 //!
 //! Environment knobs (for CI trend recording):

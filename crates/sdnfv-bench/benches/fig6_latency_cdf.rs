@@ -1,6 +1,7 @@
 //! Figure 6: compute-intensive chains — the per-packet work that parallel
 //! dispatch hides. The full latency CDF comes from `figures -- fig6`; this
-//! bench tracks the cost of the compute NF chains on the inline engine.
+//! bench tracks the cost of the compute NF chains through the NF Manager
+//! (the shipping engine, one shard stepped on the calling thread).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sdnfv_dataplane::NfManager;

@@ -1,5 +1,6 @@
 //! Figure 7: throughput vs packet size. Criterion reports per-packet
-//! processing throughput of the inline engine per packet size — through the
+//! processing throughput of the NF Manager (the shipping engine, one shard
+//! stepped on the calling thread) per packet size — through the
 //! scalar entry point and through the batch-first `process_burst` path
 //! (burst of 32) — so both dispatch modes are visible per packet size. The
 //! Gbps curves on the threaded runtime come from `figures -- fig7`.

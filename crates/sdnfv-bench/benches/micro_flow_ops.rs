@@ -1,10 +1,10 @@
-//! §5.1 micro-measurements: flow-table lookup (~30 ns in the paper),
-//! min-queue instance pick (~15 ns), the modelled SDN lookup, and the ring
-//! transfer cost per packet — scalar vs batched (one atomic cursor update
-//! per burst).
+//! §5.1 micro-measurements: flow-table lookup (~30 ns in the paper), the
+//! modelled SDN lookup, and the ring transfer cost per packet — scalar vs
+//! batched (one atomic cursor update per burst). The paper's min-queue
+//! instance pick (~15 ns) has no counterpart: a replica is picked by flow
+//! hash, one modulo at most.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use sdnfv_dataplane::loadbalance::{LoadBalancePolicy, LoadBalancer};
 use sdnfv_dataplane::LookupCache;
 use sdnfv_flowtable::{Action, FlowMatch, FlowRule, FlowTable, RulePort, ServiceId};
 use sdnfv_proto::flow::{FlowKey, IpProtocol};
@@ -76,17 +76,6 @@ fn bench_micro(c: &mut Criterion) {
             let step = RulePort::Service(ServiceId::new(3));
             black_box(cache.get(&key(1000), step, 0, 0, 0).map(|hit| hit.rule_id))
         })
-    });
-
-    let mut balancer = LoadBalancer::new(LoadBalancePolicy::MinQueue);
-    let queues = [7usize, 3, 9, 1, 5, 8];
-    group.bench_function("min_queue_pick", |b| {
-        b.iter(|| black_box(balancer.pick(&queues, Some(&key(1)))))
-    });
-
-    let mut flow_hash = LoadBalancer::new(LoadBalancePolicy::FlowHash);
-    group.bench_function("flow_hash_pick", |b| {
-        b.iter(|| black_box(flow_hash.pick(&queues, Some(&key(1)))))
     });
 
     // Ring transfer cost per element: 32 scalar push/pop pairs vs one

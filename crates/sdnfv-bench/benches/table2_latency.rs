@@ -2,7 +2,8 @@
 //!
 //! The wall-clock round-trip numbers of Table 2 are produced by
 //! `figures -- table2` on the threaded runtime; this Criterion bench tracks
-//! the per-packet processing cost of the same chains on the inline engine,
+//! the per-packet processing cost of the same chains through the NF
+//! Manager (the same engine, one shard stepped on the calling thread),
 //! which is the regression-sensitive part of that latency.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

@@ -206,8 +206,7 @@ fn figure7() {
 }
 
 fn micro_flow_ops() {
-    header("§5.1 micro-measurements: flow table lookup, queue pick, SDN lookup");
-    use sdnfv_dataplane::loadbalance::{LoadBalancePolicy, LoadBalancer};
+    header("§5.1 micro-measurements: flow table lookup, SDN lookup");
     use sdnfv_flowtable::{Action, FlowMatch, FlowRule, RulePort, ServiceId, SharedFlowTable};
     use sdnfv_proto::flow::{FlowKey, IpProtocol};
     use std::net::Ipv4Addr;
@@ -238,17 +237,8 @@ fn micro_flow_ops() {
     }
     let lookup_ns = start.elapsed().as_nanos() as f64 / f64::from(N);
 
-    let mut balancer = LoadBalancer::new(LoadBalancePolicy::MinQueue);
-    let queues = [7usize, 3, 9, 1, 5, 8];
-    let start = Instant::now();
-    for _ in 0..N {
-        std::hint::black_box(balancer.pick(&queues, Some(&key)));
-    }
-    let pick_ns = start.elapsed().as_nanos() as f64 / f64::from(N);
-
     let controller = sdnfv_control::SdnController::default();
     println!("flow table lookup:        {lookup_ns:>10.0} ns   (paper: ~30 ns)");
-    println!("min-queue instance pick:  {pick_ns:>10.0} ns   (paper: ~15 ns)");
     println!(
         "SDN controller lookup:    {:>10.0} ns   (paper: ~31 ms, modelled)",
         controller.service_time_ns()

@@ -55,31 +55,23 @@ use sdnfv_flowtable::{
 };
 use sdnfv_proto::flow::FlowKey;
 
-/// Slots in each engine's [`LookupCache`] (one per `NfManager`, one per
-/// shard worker).
+/// Slots in each shard worker's [`LookupCache`].
 pub(crate) const LOOKUP_CACHE_ENTRIES: usize = 4096;
 
-/// The cached-lookup protocol both engines share: consult `cache` (tagged
-/// with the generation of the flow's table partition; a timed rule's entry
-/// expired after `ttl_ns`) when `enabled`,
-/// fall back to the table, and remember the result. The single definition
-/// keeps the inline `NfManager` and the threaded runtime's lookup semantics
-/// identical; this by-value form (one clone of the decision) is the
-/// `NfManager`'s.
+/// The cached-lookup protocol: consult `cache` (tagged with the generation
+/// of the flow's table partition; a timed rule's entry expired after
+/// `ttl_ns`), fall back to the table, and remember the result. This
+/// by-value form (one clone of the decision) is for callers outside the
+/// engine, which answers through [`cached_lookup_hashed`].
 pub fn cached_lookup(
     table: &SharedFlowTable,
     cache: &mut LookupCache,
-    enabled: bool,
     step: RulePort,
     key: &FlowKey,
     now_ns: u64,
     ttl_ns: u64,
 ) -> Option<Decision> {
-    if enabled {
-        cached_lookup_hashed(table, cache, key.stable_hash(), step, key, now_ns, ttl_ns).cloned()
-    } else {
-        table.lookup(step, key)
-    }
+    cached_lookup_hashed(table, cache, key.stable_hash(), step, key, now_ns, ttl_ns).cloned()
 }
 
 /// [`cached_lookup`] for a caller that already holds `key.stable_hash()`
@@ -556,16 +548,13 @@ mod tests {
         for (port, refetches) in [(1, 0), (2, 1), (3, 1)] {
             let before = table.stats().lookups;
             for now_ns in [inserted, inserted + ttl - 1, inserted + ttl] {
-                assert!(
-                    cached_lookup(&table, &mut cache, true, step, &key(port), now_ns, ttl)
-                        .is_some()
-                );
+                assert!(cached_lookup(&table, &mut cache, step, &key(port), now_ns, ttl).is_some());
             }
             assert_eq!(table.stats().lookups - before, 1 + refetches, "flow {port}");
         }
         let before = table.stats().lookups;
         let late = inserted + 10 * ttl;
-        assert!(cached_lookup(&table, &mut cache, true, step, &key(1), late, ttl).is_some());
+        assert!(cached_lookup(&table, &mut cache, step, &key(1), late, ttl).is_some());
         assert_eq!(table.stats().lookups, before);
     }
 
@@ -597,7 +586,7 @@ mod tests {
         port: u16,
     ) -> (Option<RuleId>, u64, u64) {
         let (lookups, memo_hits) = (table.stats().lookups, cache.memo_hits());
-        let decision = cached_lookup(table, cache, true, step, &key(port), 0, 0);
+        let decision = cached_lookup(table, cache, step, &key(port), 0, 0);
         (
             decision.map(|d| d.rule_id),
             table.stats().lookups - lookups,
@@ -665,7 +654,7 @@ mod tests {
                 .with_idle_timeout_ns(Some(1_000_000)),
         );
         let mut cache = LookupCache::new(8);
-        let decision = cached_lookup(&table, &mut cache, true, step, &key(1), 0, 0).unwrap();
+        let decision = cached_lookup(&table, &mut cache, step, &key(1), 0, 0).unwrap();
         assert!(decision.any_flow && decision.timed);
         assert!(cache.memos.is_empty());
         assert_eq!(cache.len(), 1);
@@ -702,7 +691,7 @@ mod tests {
         let mut cache = LookupCache::new(8);
         for port in 0..200 {
             for step in steps {
-                cached_lookup(&table, &mut cache, true, step, &key(port), 0, 0);
+                cached_lookup(&table, &mut cache, step, &key(port), 0, 0);
             }
         }
         assert_eq!(cache.memos.len(), steps.len());
@@ -725,7 +714,7 @@ mod tests {
             )
         });
         assert_eq!(changed, 1);
-        let answer = cached_lookup(&table, &mut cache, true, steps[0], &key(0), 0, 0);
+        let answer = cached_lookup(&table, &mut cache, steps[0], &key(0), 0, 0);
         assert_eq!(answer.unwrap().default_action(), Some(Action::ToPort(2)));
         assert_eq!(cache.memos.len(), steps.len());
         assert_eq!(tagged(&cache), 1);

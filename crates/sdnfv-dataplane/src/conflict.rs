@@ -54,8 +54,8 @@ pub(crate) fn verdict_from_word(word: u64) -> Verdict {
 }
 
 /// Validates an NF's explicit steering request (`ToPort` / `ToService`)
-/// against the rule at the NF's own step — the one definition both engines
-/// use, so an NF can never steer where the service graph did not allow.
+/// against the rule at the NF's own step, so an NF can never steer where
+/// the service graph did not allow.
 ///
 /// A request the rule allows is honoured; a disallowed one falls back to
 /// the rule's default action (or drop if there is none). With no rule at

@@ -69,17 +69,22 @@
 //!
 //! **Which rules fan out**: a sequential rule sends the packet to its
 //! default (first) action only — its other services are steering targets
-//! an NF may ask for, exactly as in [`NfManager`](crate::NfManager). A
-//! parallel rule whose services are all read-only fans out. A parallel
-//! rule that names a mutating service (only a hand-installed one can: the
-//! graph compiler parallelizes read-only runs) runs as owned hops in list
-//! order, each NF seeing the writes of those before it and merging its
-//! verdict by position into the one frame, with the exit at the last
-//! listed service — what `NfManager` does with every parallel rule. A
-//! fan-out's completion waits, deferred to the worker's next step, while a
-//! straggler NF still holds its handle; fan-out completions already reach
-//! the worker through several done rings, so this reorders a flow only as
-//! they could.
+//! an NF may ask for. A parallel rule whose services are all read-only
+//! fans out. A parallel rule that names a mutating service (only a
+//! hand-installed one can: the graph compiler parallelizes read-only runs)
+//! runs as owned hops in list order, each NF seeing the writes of those
+//! before it and merging its verdict by position into the one frame, with
+//! the exit at the last listed service. A fan-out's completion waits,
+//! deferred to the worker's next step, while a straggler NF still holds its
+//! handle; fan-out completions already reach the worker through several
+//! done rings, so this reorders a flow only as they could. A packet's
+//! 64th routed completion (`MAX_CHAIN_HOPS`) drops it, so a rule cycle
+//! cannot hold a packet and its credit forever.
+//!
+//! **NF messages**: an NF's cross-layer messages are applied to its
+//! shard's partition before its completions are handed back, then kept in
+//! the shard's bounded outbox for the control plane
+//! ([`ThreadedHost::take_nf_messages`]).
 //!
 //! **Per-shard flow tables**: the table handed to `start_sharded` is the
 //! *template*; each shard works against its own
@@ -151,7 +156,7 @@ use sdnfv_telemetry::{
 
 use crate::cache::{cached_lookup_hashed, LookupCache, LOOKUP_CACHE_ENTRIES};
 use crate::conflict::{validate_steering, verdict_from_word, verdict_to_key};
-use crate::messages::{apply_nf_message_tracked_with, PinTimeouts};
+use crate::messages::{apply_nf_message_tracked_with, NfManagerMessage, PinTimeouts};
 use crate::rehome::{
     BucketHandout, BucketTracker, HandoutPhase, ImportDelivery, MovePhase, RehomeEvent,
     RehomeReport, RehomeState, RehomeStep, RetiringShard,
@@ -171,6 +176,15 @@ const REHOME_PEN: usize = 32;
 /// Eviction budget of one rule sweep: at most this many rules are evicted
 /// per sweep pass, bounding the work injected between bursts.
 const MAX_EVICTIONS_PER_SWEEP: usize = 256;
+
+/// Upper bound on the hops one packet takes inside a shard (a cycle guard
+/// against mis-configured rules): its 64th routed completion drops it.
+pub(crate) const MAX_CHAIN_HOPS: u8 = 64;
+
+/// Capacity of each shard's NF-message outbox. Messages the control plane
+/// has not drained past this many are counted in `nf_messages_dropped` and
+/// discarded.
+const NF_OUTBOX_CAPACITY: usize = 1024;
 
 /// Configuration of a [`ThreadedHost`].
 #[derive(Debug, Clone)]
@@ -567,6 +581,10 @@ struct PacketMeta {
     /// The worker's [`ListRun`] slot (its index + 1) while the packet walks
     /// a parallel rule's services in list order.
     list_run: Option<NonZeroU32>,
+    /// Completions the worker has routed so far; at [`MAX_CHAIN_HOPS`] the
+    /// packet is dropped, so a rule cycle cannot hold it (and its credit)
+    /// forever.
+    hops: u8,
 }
 
 /// A packet in flight, carrying its [`PacketMeta`].
@@ -683,6 +701,9 @@ struct ShardPorts {
     /// The shard's latency histograms (shared with its threads; the host
     /// records pen dwell here and merges reports on demand).
     latency: Arc<ShardLatency>,
+    /// The messages the shard's NFs sent (drained by
+    /// [`ThreadedHost::take_nf_messages`]).
+    outbox: Arc<NfOutbox>,
     /// Tombstone: `true` once the slot's shard has been fully retired (its
     /// worker joined, its buckets re-homed away). A tombstoned slot keeps
     /// its index — steering entries and stats stay valid — until either a
@@ -1331,6 +1352,20 @@ impl ThreadedHost {
     pub fn take_shard_events(&self) -> Vec<ShardLifecycleEvent> {
         self.advance_rehoming();
         std::mem::take(&mut *self.events.borrow_mut())
+    }
+
+    /// Drains the cross-layer messages NFs sent since the last call, in
+    /// shard order (oldest first within a shard), each attributed to its
+    /// sending service — the feed of the SDNFV Application. Every message
+    /// was already applied to its shard's flow table; a shard keeps at most
+    /// `NF_OUTBOX_CAPACITY` (1024) undrained messages and counts the rest
+    /// in `nf_messages_dropped`.
+    pub fn take_nf_messages(&self) -> Vec<NfManagerMessage> {
+        let mut out = Vec::new();
+        for ports in self.shards.borrow().iter() {
+            ports.outbox.drain_into(&mut out);
+        }
+        out
     }
 
     /// Asks `shard`'s worker to spawn one more replica of `service` running
@@ -2263,6 +2298,7 @@ fn launch_pipeline(
     let gate = Arc::new(CreditGate::new(config.shard_credits));
     let stop = Arc::new(AtomicBool::new(false));
     let latency = Arc::new(ShardLatency::default());
+    let outbox = Arc::new(NfOutbox::new());
 
     let (ingress_tx, ingress_rx) = spsc_ring::<IngressFrame>(config.ingress_capacity);
     let (egress_tx, egress_rx) = spsc_ring::<HostOutput>(config.egress_capacity);
@@ -2331,6 +2367,7 @@ fn launch_pipeline(
         draining: 0,
         retired_slots: 0,
         latency: Arc::clone(&latency),
+        outbox: Arc::clone(&outbox),
         traces: traces_tx,
         trace_sampling: Arc::clone(trace_sampling),
     };
@@ -2355,6 +2392,7 @@ fn launch_pipeline(
             stop,
             traces: traces_rx,
             latency,
+            outbox,
             retired: Cell::new(false),
         },
         handle,
@@ -2369,6 +2407,40 @@ struct NfProbe {
     service_time_ewma_ns: AtomicU64,
     /// Total packets processed.
     processed: AtomicU64,
+}
+
+/// The messages a shard's NFs sent, each moved here once it is applied to
+/// the shard's partition and kept for the control plane
+/// ([`ThreadedHost::take_nf_messages`]). Its room is reserved up front: an
+/// NF thread moves a message into it or, when it is full, counts the
+/// message in `nf_messages_dropped` — it never allocates.
+struct NfOutbox {
+    queue: Mutex<std::collections::VecDeque<NfManagerMessage>>,
+}
+
+impl NfOutbox {
+    fn new() -> Self {
+        NfOutbox {
+            queue: Mutex::new(std::collections::VecDeque::with_capacity(
+                NF_OUTBOX_CAPACITY,
+            )),
+        }
+    }
+
+    /// NF side: keeps an applied message for the control plane.
+    fn keep(&self, message: NfManagerMessage, stats: &ShardStats) {
+        let mut queue = self.queue.lock();
+        if queue.len() < NF_OUTBOX_CAPACITY {
+            queue.push_back(message);
+        } else {
+            stats.add_nf_messages_dropped(1);
+        }
+    }
+
+    /// Host side: moves every kept message into `out`, oldest first.
+    fn drain_into(&self, out: &mut Vec<NfManagerMessage>) {
+        out.extend(self.queue.lock().drain(..));
+    }
 }
 
 /// Lifecycle of one NF replica slot on a shard. Slot indices are stable
@@ -2590,6 +2662,8 @@ pub(crate) struct ShardEngine {
     /// The shard's latency histograms (shared with its NF threads and the
     /// host).
     latency: Arc<ShardLatency>,
+    /// Where the shard's NF threads keep the messages they applied.
+    outbox: Arc<NfOutbox>,
     /// Producer side of the shard's lossy trace-span ring. The worker is
     /// the ring's **only** producer — NF threads report their burst windows
     /// through [`DoneItem`] instead of pushing spans themselves.
@@ -2788,6 +2862,23 @@ impl ShardEngine {
         self.shard
     }
 
+    /// Packets the replicas of `service` on this shard have processed, read
+    /// from their telemetry probes (counted while the telemetry exporter is
+    /// on).
+    pub(crate) fn processed(&self, service: ServiceId) -> u64 {
+        self.slots
+            .iter()
+            .filter(|slot| slot.service == service)
+            .map(|slot| slot.probe.processed.load(Ordering::Relaxed))
+            .sum()
+    }
+
+    /// Lookups the engine's cache has answered so far.
+    #[cfg(test)]
+    pub(crate) fn lookup_cache_hits(&self) -> u64 {
+        self.cache.hits()
+    }
+
     /// Settles every in-flight state-exchange entry pointing at slot
     /// `index` before the slot is reclaimed (compaction) or reused for a
     /// new replica: responses the old replica already queued are absorbed,
@@ -2953,6 +3044,7 @@ impl ShardEngine {
             burst_size: self.burst_size,
             pin_timeouts: self.pin_timeouts,
             latency: Arc::clone(&self.latency),
+            outbox: Arc::clone(&self.outbox),
         };
         let handle = self.spawner.spawn_replica(thread);
         let slot = NfSlot {
@@ -3637,6 +3729,7 @@ impl ShardEngine {
             hash,
             traced,
             list_run: None,
+            hops: 0,
         };
         if decision.parallel {
             let exit_service = match self.resolve_targets(&decision.actions, hash) {
@@ -3769,6 +3862,12 @@ impl ShardEngine {
                     continue;
                 }
                 hop.sole.meta.list_run = None;
+            }
+            hop.sole.meta.hops += 1;
+            if hop.sole.meta.hops >= MAX_CHAIN_HOPS {
+                self.stats.add_dropped(1);
+                self.end_short(hop, now_ns, SpanVerdict::Dropped);
+                continue;
             }
             let step = RulePort::Service(exit_service);
             let action = match verdict_from_word(hop.sole.verdict) {
@@ -3957,8 +4056,8 @@ impl ShardEngine {
     /// that names a mutating service — as owned hops in list order: the
     /// first target now, each next one when the previous returns (a
     /// [`ListRun`]). Every NF sees the writes of those before it and merges
-    /// its key, by position, into the one frame: `NfManager::run_parallel`'s
-    /// order, and the word a fan-out would resolve to.
+    /// its key, by position, into the one frame: the word a fan-out would
+    /// resolve to.
     fn stage_in_order(
         &mut self,
         mut sole: Box<SolePacket>,
@@ -4011,8 +4110,7 @@ impl ShardEngine {
             };
             list.position = list.position.saturating_add(1);
             // Every listed service had a replica when the run began; one
-            // that has none now answers the default, as an absent NF does
-            // in `NfManager::run_parallel`.
+            // that has none now answers the default.
             if let Some(index) = pick_instance(&self.service_instances, service, hash) {
                 return Some((index, list.position));
             }
@@ -4265,39 +4363,14 @@ pub(crate) struct NfThread {
     pin_timeouts: PinTimeouts,
     /// The owning shard's latency histograms (NF service time lands here).
     latency: Arc<ShardLatency>,
+    /// The owning shard's NF-message outbox.
+    outbox: Arc<NfOutbox>,
 }
 
 impl NfThread {
     /// Display label for the replica's simulation-registry entry.
     pub(crate) fn sim_label(&self) -> String {
         format!("shard{}/nf{}", self.shard, self.service)
-    }
-}
-
-/// Applies a context's queued cross-layer messages to the shard partition,
-/// recording every wildcard mutation in the partition's provenance log
-/// keyed by the mutating flow's steering bucket (unattributed messages are
-/// logged bucket-less and travel with every departing bucket).
-fn apply_ctx_messages(
-    ctx: &mut NfContext,
-    service: ServiceId,
-    table: &SharedFlowTable,
-    mutation_log: &MutationLog,
-    tracker: &BucketTracker,
-    stats: &ShardStats,
-    pin_timeouts: PinTimeouts,
-) {
-    for attributed in ctx.take_attributed_messages() {
-        stats.add_nf_messages(1);
-        let (_, wildcard) = table.with_write(|t| {
-            // NFs are untrusted: `ChangeDefault` may only pick a next hop the
-            // service graph allows (`force = false`).
-            apply_nf_message_tracked_with(t, service, &attributed.message, false, pin_timeouts)
-        });
-        if let Some(mutation) = wildcard {
-            let bucket = attributed.flow.as_ref().map(|key| tracker.bucket_of(key));
-            mutation_log.record(bucket, mutation);
-        }
     }
 }
 
@@ -4324,6 +4397,7 @@ pub(crate) struct NfEngine {
     burst_size: usize,
     pin_timeouts: PinTimeouts,
     latency: Arc<ShardLatency>,
+    outbox: Arc<NfOutbox>,
     ctx: NfContext,
     read_only: bool,
     items: Vec<WorkItem>,
@@ -4363,20 +4437,12 @@ impl NfEngine {
             burst_size,
             pin_timeouts,
             latency,
+            outbox,
         } = thread;
         let mut ctx = NfContext::for_shard(shard, clock.now_ns());
         nf.on_start(&mut ctx);
-        apply_ctx_messages(
-            &mut ctx,
-            service,
-            &table,
-            &mutation_log,
-            &tracker,
-            &stats,
-            pin_timeouts,
-        );
         let read_only = nf.read_only();
-        NfEngine {
+        let mut engine = NfEngine {
             service,
             nf,
             input,
@@ -4394,6 +4460,7 @@ impl NfEngine {
             burst_size,
             pin_timeouts,
             latency,
+            outbox,
             ctx,
             read_only,
             items: Vec::with_capacity(burst_size),
@@ -4404,6 +4471,43 @@ impl NfEngine {
             service_time: Ewma::default(),
             deferred_handoffs: Vec::new(),
             finished: false,
+        };
+        engine.apply_ctx_messages();
+        engine
+    }
+
+    /// Applies the context's queued cross-layer messages to the shard
+    /// partition, recording every wildcard mutation in the partition's
+    /// provenance log keyed by the mutating flow's steering bucket
+    /// (unattributed messages are logged bucket-less and travel with every
+    /// departing bucket), then moves each message into the shard's outbox
+    /// for the control plane.
+    fn apply_ctx_messages(&mut self) {
+        for attributed in self.ctx.take_attributed_messages() {
+            self.stats.add_nf_messages(1);
+            let (_, wildcard) = self.table.with_write(|t| {
+                // NFs are untrusted: `ChangeDefault` may only pick a next hop
+                // the service graph allows (`force = false`).
+                apply_nf_message_tracked_with(
+                    t,
+                    self.service,
+                    &attributed.message,
+                    false,
+                    self.pin_timeouts,
+                )
+            });
+            if let Some(mutation) = wildcard {
+                let bucket = attributed
+                    .flow
+                    .as_ref()
+                    .map(|key| self.tracker.bucket_of(key));
+                self.mutation_log.record(bucket, mutation);
+            }
+            let message = NfManagerMessage {
+                from: self.service,
+                message: attributed.message,
+            };
+            self.outbox.keep(message, &self.stats);
         }
     }
 
@@ -4575,15 +4679,7 @@ impl NfEngine {
         // thread) already see them. Wildcard mutations land in the
         // partition's provenance log, attributed to the mutating flow's
         // bucket, so future bucket re-homes replay them.
-        apply_ctx_messages(
-            &mut self.ctx,
-            self.service,
-            &self.table,
-            &self.mutation_log,
-            &self.tracker,
-            &self.stats,
-            self.pin_timeouts,
-        );
+        self.apply_ctx_messages();
         for (index, mut item) in items.drain(..).enumerate() {
             // An owned frame merges its verdict and is done; a fan-out
             // handle merges and counts down atomically, and only the final
@@ -4749,6 +4845,7 @@ mod tests {
             hash,
             traced: false,
             list_run: None,
+            hops: 0,
         }
     }
 
@@ -4809,6 +4906,7 @@ mod tests {
             burst_size: capacity,
             pin_timeouts: PinTimeouts::NONE,
             latency: Arc::new(ShardLatency::default()),
+            outbox: Arc::new(NfOutbox::new()),
         });
         (engine, ring, completions)
     }
@@ -5329,20 +5427,29 @@ mod tests {
                 .collect()
         };
 
-        let mut manager = crate::NfManager::default();
-        for rule in rules() {
-            manager.install_rule(rule);
-        }
-        for (id, nf) in nfs() {
-            manager.add_nf(id, nf);
-        }
-        let by_manager: HashMap<u16, Option<(Port, u8)>> = (0..10u16)
-            .zip(manager.process_burst(packets(), 0))
-            .map(|(seq, outcome)| match outcome {
-                crate::PacketOutcome::Transmitted { port, packet } => {
-                    (seq, Some((port, packet.l4_payload().unwrap()[1])))
-                }
-                _ => (seq, None),
+        // The specification: each NF sees the packet as the NFs listed
+        // before it left it, and the list-ordered verdicts resolve as
+        // `resolve_parallel_verdicts` says; `Default` takes the exit rule's
+        // default, port 1.
+        let by_spec: HashMap<u16, Option<(Port, u8)>> = packets()
+            .into_iter()
+            .enumerate()
+            .map(|(seq, mut packet)| {
+                let mut ctx = NfContext::new(0);
+                let verdicts: Vec<Verdict> = nfs()
+                    .into_iter()
+                    .map(|(_, mut nf)| match nf.read_only() {
+                        true => nf.process(&packet, &mut ctx),
+                        false => nf.process_mut(&mut packet, &mut ctx),
+                    })
+                    .collect();
+                let written = packet.l4_payload().unwrap()[1];
+                let port = match resolve_parallel_verdicts(&verdicts) {
+                    Verdict::Default => Some(1),
+                    Verdict::ToPort(port) => Some(port),
+                    _ => None,
+                };
+                (seq as u16, port.map(|port| (port, written)))
             })
             .collect();
 
@@ -5363,7 +5470,7 @@ mod tests {
             let written = out.packet.l4_payload().unwrap()[1];
             threaded.insert(out.key.src_port, Some((out.port, written)));
         }
-        assert_eq!(threaded, by_manager);
+        assert_eq!(threaded, by_spec);
         for (seq, outcome) in &threaded {
             let selector = usize::from(seq % 5);
             // Every NF after the writer saw its write, and so does egress.
@@ -5394,6 +5501,38 @@ mod tests {
             })
             .expect("the worker is running");
         assert_eq!((descriptors, runs_done), (0, true));
+        host.shutdown();
+    }
+
+    #[test]
+    fn a_rule_cycle_drops_its_packet_at_the_hop_bound() {
+        // `Nic(0) → s` and `s → s`: with no hop bound the packet loops
+        // forever and its credit never comes back.
+        let s = ServiceId::new(1);
+        let table = SharedFlowTable::new();
+        for (step, target) in [(RulePort::Nic(0), s), (RulePort::Service(s), s)] {
+            table.insert(FlowRule::new(
+                FlowMatch::at_step(step),
+                vec![Action::ToService(target)],
+            ));
+        }
+        let nfs = move |_shard| -> Vec<(ServiceId, Box<dyn NetworkFunction>)> {
+            vec![(s, Box::new(NoOpNf::new()))]
+        };
+        let (host, sim) =
+            ThreadedHost::start_sim_sharded(table, nfs, ThreadedHostConfig::default());
+        assert!(host.inject(packet(1)).is_admitted());
+        let mut steps = 0;
+        while sim.step_all() > 0 {
+            steps += 1;
+            assert!(steps < 10_000, "the host never quiesced");
+        }
+        let stats = host.stats().snapshot();
+        assert_eq!(
+            (stats.dropped, stats.transmitted, stats.nf_invocations),
+            (1, 0, u64::from(MAX_CHAIN_HOPS))
+        );
+        assert_eq!(host.available_credits(0), host.credit_capacity());
         host.shutdown();
     }
 
@@ -5711,7 +5850,7 @@ mod tests {
     fn unvalidated_nf_steering_is_punted_not_transmitted() {
         // The graph sends NIC 0 to the NF but has no rule at the NF's own
         // step, so nothing says where the NF may steer. Its `ToPort` request
-        // must go to the controller (as `NfManager` does), not onto the wire.
+        // must go to the controller, not onto the wire.
         let service = ServiceId::new(1);
         let table = SharedFlowTable::new();
         table.insert(FlowRule::new(

@@ -251,10 +251,10 @@ impl SimHandle {
         }
     }
 
-    /// Runs `f` on the shard worker actor `id` between steps, so a unit
-    /// test can look inside it or play part of its turn by hand. `None` for
-    /// unknown ids, finished actors and NF replicas.
-    #[cfg(test)]
+    /// Runs `f` on the shard worker actor `id` between steps, so a caller
+    /// in this crate can look inside it (or a unit test play part of its
+    /// turn by hand). `None` for unknown ids, finished actors and NF
+    /// replicas.
     pub(crate) fn with_worker<R>(
         &self,
         id: u64,

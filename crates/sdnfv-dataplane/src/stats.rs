@@ -4,9 +4,7 @@
 //! the hot path never bounces a shared cache line between shards:
 //! [`HostStats`] is a bundle of [`ShardStats`], each shard's threads hold a
 //! clone of their own [`ShardStats`], and [`HostStats::snapshot`] merges all
-//! shards into one [`HostStatsSnapshot`]. Single-pipeline users (the inline
-//! `NfManager`, single-shard hosts) see the same API as before: the
-//! counter methods on `HostStats` itself operate on shard 0.
+//! shards into one [`HostStatsSnapshot`].
 
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -35,6 +33,9 @@ pub struct HostStatsSnapshot {
     pub nf_invocations: u64,
     /// Cross-layer messages emitted by NFs.
     pub nf_messages: u64,
+    /// Applied NF messages discarded because the shard's outbox was full
+    /// (the control plane did not drain it in time).
+    pub nf_messages_dropped: u64,
     /// Migrated NF flow-state payloads discarded at import because the
     /// destination shard had no replica of the owning service — the one
     /// way a re-home can lose NF state, surfaced so zero-loss checks see
@@ -70,6 +71,7 @@ impl HostStatsSnapshot {
         self.parallel_dispatches += other.parallel_dispatches;
         self.nf_invocations += other.nf_invocations;
         self.nf_messages += other.nf_messages;
+        self.nf_messages_dropped += other.nf_messages_dropped;
         self.nf_state_import_drops += other.nf_state_import_drops;
         self.nf_state_handoffs += other.nf_state_handoffs;
         self.rules_evicted_idle += other.rules_evicted_idle;
@@ -90,6 +92,7 @@ struct Counters {
     parallel_dispatches: AtomicU64,
     nf_invocations: AtomicU64,
     nf_messages: AtomicU64,
+    nf_messages_dropped: AtomicU64,
     nf_state_import_drops: AtomicU64,
     nf_state_handoffs: AtomicU64,
     rules_evicted_idle: AtomicU64,
@@ -108,20 +111,6 @@ macro_rules! counter {
         #[doc = concat!("Returns the number of ", $doc, ".")]
         pub fn $get(&self) -> u64 {
             self.inner.$field.load(Ordering::Relaxed)
-        }
-    };
-}
-
-macro_rules! shard0_counter {
-    ($inc:ident, $get:ident, $doc:literal) => {
-        #[doc = concat!("Increments the number of ", $doc, " (on shard 0).")]
-        pub fn $inc(&self, n: u64) {
-            self.shard0.$inc(n);
-        }
-
-        #[doc = concat!("Returns the number of ", $doc, " (on shard 0).")]
-        pub fn $get(&self) -> u64 {
-            self.shard0.$get()
         }
     };
 }
@@ -188,6 +177,12 @@ impl ShardStats {
         "NF cross-layer messages"
     );
     counter!(
+        add_nf_messages_dropped,
+        nf_messages_dropped,
+        nf_messages_dropped,
+        "applied NF messages lost to a full outbox"
+    );
+    counter!(
         add_nf_state_import_drops,
         nf_state_import_drops,
         nf_state_import_drops,
@@ -236,6 +231,7 @@ impl ShardStats {
             parallel_dispatches: self.parallel_dispatches(),
             nf_invocations: self.nf_invocations(),
             nf_messages: self.nf_messages(),
+            nf_messages_dropped: self.nf_messages_dropped(),
             nf_state_import_drops: self.nf_state_import_drops(),
             nf_state_handoffs: self.nf_state_handoffs(),
             rules_evicted_idle: self.rules_evicted_idle(),
@@ -256,10 +252,6 @@ impl ShardStats {
 #[derive(Debug, Clone)]
 pub struct HostStats {
     shards: Arc<RwLock<Vec<ShardStats>>>,
-    /// Shard 0's counters, cached outside the lock: shard 0 always exists,
-    /// so the single-pipeline convenience methods (the inline `NfManager`'s
-    /// per-packet path) stay a plain atomic bump.
-    shard0: ShardStats,
 }
 
 impl Default for HostStats {
@@ -277,10 +269,8 @@ impl HostStats {
     /// Creates zeroed counters for `num_shards` shards (at least one).
     pub fn with_shards(num_shards: usize) -> Self {
         let shards: Vec<ShardStats> = (0..num_shards.max(1)).map(|_| ShardStats::new()).collect();
-        let shard0 = shards[0].clone();
         HostStats {
             shards: Arc::new(RwLock::new(shards)),
-            shard0,
         }
     }
 
@@ -310,62 +300,6 @@ impl HostStats {
         }
         shards[shard].clone()
     }
-
-    shard0_counter!(add_received, received, "packets received");
-    shard0_counter!(add_transmitted, transmitted, "packets transmitted");
-    shard0_counter!(add_dropped, dropped, "packets dropped by NFs or rules");
-    shard0_counter!(
-        add_overflow_drops,
-        overflow_drops,
-        "packets dropped due to full rings or pools"
-    );
-    shard0_counter!(
-        add_throttled,
-        throttled,
-        "injections rejected by backpressure"
-    );
-    shard0_counter!(
-        add_controller_punts,
-        controller_punts,
-        "packets punted to the SDN controller"
-    );
-    shard0_counter!(
-        add_parallel_dispatches,
-        parallel_dispatches,
-        "packets dispatched to parallel NFs"
-    );
-    shard0_counter!(add_nf_invocations, nf_invocations, "NF invocations");
-    shard0_counter!(add_nf_messages, nf_messages, "NF cross-layer messages");
-    shard0_counter!(
-        add_nf_state_import_drops,
-        nf_state_import_drops,
-        "migrated NF flow states dropped at import (no replica)"
-    );
-    shard0_counter!(
-        add_nf_state_handoffs,
-        nf_state_handoffs,
-        "NF flow states handed off on replica scale-down"
-    );
-    shard0_counter!(
-        add_rules_evicted_idle,
-        rules_evicted_idle,
-        "flow rules evicted on idle timeout"
-    );
-    shard0_counter!(
-        add_rules_evicted_hard,
-        rules_evicted_hard,
-        "flow rules evicted on hard timeout"
-    );
-    shard0_counter!(
-        add_nf_state_scrubbed,
-        nf_state_scrubbed,
-        "NF flow states scrubbed after rule eviction"
-    );
-    shard0_counter!(
-        add_spans_dropped,
-        spans_dropped,
-        "trace spans lost to a full trace ring"
-    );
 
     /// Takes a consistent-enough snapshot of all counters, merged over every
     /// shard.
@@ -402,7 +336,8 @@ mod tests {
 
     #[test]
     fn counters_accumulate_and_snapshot() {
-        let stats = HostStats::new();
+        let host = HostStats::new();
+        let stats = host.shard(0);
         stats.add_received(10);
         stats.add_received(5);
         stats.add_transmitted(8);
@@ -413,12 +348,14 @@ mod tests {
         stats.add_parallel_dispatches(4);
         stats.add_nf_invocations(20);
         stats.add_nf_messages(1);
+        stats.add_nf_messages_dropped(5);
         stats.add_nf_state_import_drops(1);
         stats.add_rules_evicted_idle(2);
         stats.add_rules_evicted_hard(3);
         stats.add_nf_state_scrubbed(4);
         stats.add_spans_dropped(2);
-        let snap = stats.snapshot();
+        let snap = host.snapshot();
+        assert_eq!(snap, stats.snapshot());
         assert_eq!(snap.received, 15);
         assert_eq!(snap.transmitted, 8);
         assert_eq!(snap.dropped, 2);
@@ -428,6 +365,7 @@ mod tests {
         assert_eq!(snap.parallel_dispatches, 4);
         assert_eq!(snap.nf_invocations, 20);
         assert_eq!(snap.nf_messages, 1);
+        assert_eq!(snap.nf_messages_dropped, 5);
         assert_eq!(snap.nf_state_import_drops, 1);
         assert_eq!(snap.rules_evicted_idle, 2);
         assert_eq!(snap.rules_evicted_hard, 3);
@@ -439,9 +377,9 @@ mod tests {
     fn clones_share_counters() {
         let stats = HostStats::new();
         let clone = stats.clone();
-        stats.add_received(1);
-        clone.add_received(1);
-        assert_eq!(stats.received(), 2);
+        stats.shard(0).add_received(1);
+        clone.shard(0).add_received(1);
+        assert_eq!(stats.snapshot().received, 2);
     }
 
     #[test]
@@ -464,17 +402,6 @@ mod tests {
     }
 
     #[test]
-    fn host_level_methods_hit_shard_zero() {
-        let stats = HostStats::with_shards(2);
-        stats.add_received(3);
-        assert_eq!(stats.shard_snapshot(0).received, 3);
-        assert_eq!(stats.shard_snapshot(1).received, 0);
-        let shard1 = stats.shard(1);
-        shard1.add_received(2);
-        assert_eq!(stats.snapshot().received, 5);
-    }
-
-    #[test]
     fn ensure_shard_grows_and_reuses_slots() {
         let stats = HostStats::with_shards(1);
         let grown = stats.ensure_shard(2);
@@ -493,7 +420,7 @@ mod tests {
     fn with_shards_zero_clamps_to_one() {
         let stats = HostStats::with_shards(0);
         assert_eq!(stats.num_shards(), 1);
-        stats.add_received(1);
+        stats.shard(0).add_received(1);
         assert_eq!(stats.snapshot().received, 1);
     }
 }

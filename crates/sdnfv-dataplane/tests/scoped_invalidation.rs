@@ -226,7 +226,7 @@ fn every_cached_answer_is_the_tables_answer_at_that_instant() {
                 0..=55 => {
                     let reference = table.with_read(|t| t.clone().lookup(step, &key));
                     let (hits_before, memo_before) = (cache.hits(), cache.memo_hits());
-                    let got = cached_lookup(&table, &mut cache, true, step, &key, now_ns, TTL_NS);
+                    let got = cached_lookup(&table, &mut cache, step, &key, now_ns, TTL_NS);
                     if cache.hits() > hits_before {
                         hits += 1;
                         if cache.memo_hits() > memo_before {

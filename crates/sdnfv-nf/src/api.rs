@@ -175,8 +175,7 @@ pub struct NfContext {
 }
 
 impl NfContext {
-    /// Creates a context for a packet processed at time `now_ns` (on shard
-    /// 0 — the inline engine and single-shard hosts).
+    /// Creates a context for a packet processed at time `now_ns` on shard 0.
     pub fn new(now_ns: u64) -> Self {
         NfContext::for_shard(0, now_ns)
     }

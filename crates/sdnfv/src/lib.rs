@@ -26,7 +26,8 @@
 //! use sdnfv::nf::nfs::NoOpNf;
 //! use sdnfv::proto::packet::PacketBuilder;
 //!
-//! // Build the anomaly-detection service graph and install it on a host.
+//! // Build the anomaly-detection service graph and install it on a host:
+//! // the NF Manager steps the shipping engine on the calling thread.
 //! let (graph, services) = catalog::anomaly_detection();
 //! let mut manager = NfManager::default();
 //! manager.install_graph(&graph, &CompileOptions::default());

@@ -78,7 +78,7 @@ fn main() {
         match manager.process_packet(pkt, u64::from(i) * 1_000_000) {
             PacketOutcome::Transmitted { .. } => transmitted += 1,
             PacketOutcome::Dropped => dropped += 1,
-            PacketOutcome::PuntedToController { .. } => {}
+            PacketOutcome::PuntedToController => {}
         }
     }
     println!("web traffic: {transmitted} transmitted, {dropped} dropped");

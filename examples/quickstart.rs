@@ -1,9 +1,10 @@
 //! Quickstart: build a service graph, install it on an NF Manager, and push
-//! traffic through both the inline engine and the multi-threaded runtime.
+//! traffic through it — the shipping engine stepped on the calling thread —
+//! and through the multi-threaded runtime.
 //!
 //! Run with: `cargo run --example quickstart`
 
-use sdnfv::dataplane::{NfManager, PacketOutcome, ThreadedHost, ThreadedHostConfig};
+use sdnfv::dataplane::{NfManager, ThreadedHost, ThreadedHostConfig};
 use sdnfv::flowtable::{ServiceId, SharedFlowTable};
 use sdnfv::graph::{catalog, CompileOptions};
 use sdnfv::nf::nfs::{ComputeNf, FirewallNf, NoOpNf, SamplerNf};
@@ -11,7 +12,7 @@ use sdnfv::nf::NetworkFunction;
 use sdnfv::proto::packet::PacketBuilder;
 
 fn main() {
-    // ---------------------------------------------------------------- inline
+    // ------------------------------------------------------------ NF Manager
     // 1. A service graph: the paper's anomaly-detection application.
     let (graph, services) = catalog::anomaly_detection();
     println!(
@@ -49,14 +50,10 @@ fn main() {
                     .build()
             })
             .collect();
-        transmitted += manager
-            .process_burst(burst, u64::from(burst_index))
-            .iter()
-            .filter(|o| matches!(o, PacketOutcome::Transmitted { .. }))
-            .count();
+        transmitted += manager.process_burst(burst, u64::from(burst_index)).len();
     }
     let stats = manager.stats().snapshot();
-    println!("\ninline engine: {transmitted} packets transmitted");
+    println!("\nNF Manager: {transmitted} packets transmitted");
     println!(
         "  NF invocations: {}, parallel dispatches: {}, drops: {}",
         stats.nf_invocations, stats.parallel_dispatches, stats.dropped

@@ -1,8 +1,9 @@
-//! Pins the data plane's configuration surface: both config structs are
+//! Pins the data plane's configuration surface: the host's config struct is
 //! destructured without `..`, so adding (or removing) a field stops this
-//! file compiling at the line that says what a new option has to show.
+//! file compiling at the line that says what a new option has to show. (The
+//! NF Manager has no configuration: it drives a default one-shard host.)
 
-use sdnfv::dataplane::{NfManagerConfig, ThreadedHostConfig};
+use sdnfv::dataplane::ThreadedHostConfig;
 
 #[test]
 fn config_surface_is_pinned() {
@@ -24,10 +25,4 @@ fn config_surface_is_pinned() {
         pin_idle_timeout_ns: _,
         trace_ring_capacity: _,
     } = ThreadedHostConfig::default();
-    // Same bar. These two stay because `benches/ablations.rs` measures the
-    // paper's §4.2 design choices by flipping them.
-    let NfManagerConfig {
-        load_balance: _,
-        enable_lookup_cache: _,
-    } = NfManagerConfig::default();
 }
