@@ -114,6 +114,20 @@ pub fn spsc_wraparound(opts: CheckOpts) -> u64 {
     })
 }
 
+/// The deferred-publish protocol on the shipping ring (capacity 2): the
+/// producer stages two items and publishes them, then stages a third and
+/// publishes again; the consumer views what is unread in place, then takes
+/// and releases twice; the root drains what is left. FIFO order, no loss
+/// and no duplicate on every interleaving — the `publish` and `release`
+/// stores and the in-place view (reported as writes of the slots it
+/// exposes) are what this vouches for.
+pub fn spsc_staged(opts: CheckOpts) -> u64 {
+    model::check("spsc_staged", opts, || {
+        let (producer, consumer) = spsc_ring::<u64>(2);
+        mutants::staged_rounds(producer, consumer);
+    })
+}
+
 /// Two credit holders race `try_acquire`/`release` — the second also takes
 /// a partial grant with `acquire_up_to` — against a third thread resizing
 /// the gate (grow then shrink). End-state invariants: credits are
@@ -420,6 +434,7 @@ pub fn all() -> Vec<Check> {
     vec![
         ("spsc_burst", spsc_burst as fn(CheckOpts) -> u64, default),
         ("spsc_wraparound", spsc_wraparound, default),
+        ("spsc_staged", spsc_staged, default),
         ("credit_elastic", credit_elastic, default),
         ("credit_conservation", credit_conservation, default),
         ("hist_single_recorder", hist_single_recorder, default),

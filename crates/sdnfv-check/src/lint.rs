@@ -16,7 +16,7 @@
 //! | `timestamp` | no `Instant::now`/`SystemTime::now` outside tests, benches, shims and the sanctioned `HostClock::Real` site — everything on a decision path must go through the injected clock so the deterministic simulation stays deterministic |
 //! | `safety-comment` | every `unsafe` is preceded by a `// SAFETY:` (or `# Safety` doc section) explaining why it is sound |
 //! | `atomic-order` | every atomic operation in the lock-free core (`sdnfv-ring`, the telemetry histogram, the flow table's partition generations, the re-home bucket counts) names an explicit `Ordering::` *and* carries an `// ORDER:` comment justifying it |
-//! | `hot-path-block` | no `thread::sleep` / `.lock()` / `.read()` / `.write()` inside the per-packet hot paths (the engine's `step`, the worker's round, dispatch, frame-reuse and flush fns, the state-mailbox accessors; admission's header walk, credit grant and bucket counts), and no lock type (`RwLock`, `Mutex`) or blocking call anywhere in the packet handles every hop goes through (`sdnfv-ring/src/shared.rs`, tests aside) |
+//! | `hot-path-block` | no `thread::sleep` / `.lock()` / `.read()` / `.write()` inside the per-packet hot paths (the engine's `step`, the worker's rounds and their per-item fns, dispatch, staging, frame-reuse and flush fns, the state-mailbox accessors; the ring's stage, publish, take, release and in-place view; admission's header walk, credit grant and bucket counts), and no lock type (`RwLock`, `Mutex`) or blocking call anywhere in the packet handles every hop goes through (`sdnfv-ring/src/shared.rs`, tests aside) |
 //! | `no-todo`   | no `todo!` / `unimplemented!` outside tests |
 //!
 //! Suppressions live in a checked-in allowlist (see [`Allowlist`]): one
@@ -357,8 +357,8 @@ struct Scope {
     /// The lock-free core the `atomic-order` rule covers.
     atomic_core: bool,
     /// A file whose hot-path fns the `hot-path-block` rule scans: the
-    /// engine, and the header walk, credit gate and bucket counts
-    /// admission runs per packet.
+    /// engine, the ring every hop moves through, and the header walk,
+    /// credit gate and bucket counts admission runs per packet.
     hot_path_file: bool,
     /// The packet-handle module, lock-free as a whole under
     /// `hot-path-block`.
@@ -391,6 +391,7 @@ fn classify(path: &Path) -> Scope {
     let hot_path_file = [
         "crates/sdnfv-dataplane/src/runtime.rs",
         "crates/sdnfv-dataplane/src/rehome.rs",
+        "crates/sdnfv-ring/src/spsc.rs",
         "crates/sdnfv-ring/src/credit.rs",
         "crates/sdnfv-proto/src/packet.rs",
     ]
@@ -406,17 +407,22 @@ fn classify(path: &Path) -> Scope {
 }
 
 /// Engine functions that run per packet (or per step-slice) and must stay
-/// free of blocking calls. `step` is the loop body of the shard worker and
-/// of an NF replica; then the worker's per-packet fns (RX and TX rounds,
-/// the deferred-completion retry, dispatch, forwarding, staging, flush,
-/// frame and descriptor reuse and a fan-out's exit, lookup); then the NF
-/// state-mailbox accessors `step` calls; last, what admission runs per
-/// packet outside the engine file: the header walk, the burst's credit
-/// grant and the two sides of the bucket count.
+/// free of blocking calls. Matched by name, so a renamed or split fn must
+/// be listed again. `step` is the loop body of the shard worker and of an
+/// NF replica; then the worker's per-packet fns (RX and TX rounds and the
+/// per-item fns they call, the deferred-completion retry, dispatch,
+/// forwarding, staging, flush, frame and descriptor reuse and a fan-out's
+/// exit, lookup); then the NF state-mailbox accessors `step` calls; then
+/// the ring ops every hop makes; last, what admission runs per packet
+/// outside the engine file: the header walk, the burst's credit grant and
+/// the two sides of the bucket count.
 const HOT_PATH_FNS: &[&str] = &[
     "step",
+    "begin_round",
     "rx_round",
+    "rx_frame",
     "tx_round",
+    "tx_item",
     "retry_deferred",
     "dispatch",
     "tx_span",
@@ -425,6 +431,7 @@ const HOT_PATH_FNS: &[&str] = &[
     "end_short",
     "resolve_targets",
     "fans_out",
+    "stage_work",
     "stage_targets",
     "stage_in_order",
     "next_listed",
@@ -441,6 +448,11 @@ const HOT_PATH_FNS: &[&str] = &[
     "drain_responses",
     "post",
     "respond",
+    "stage",
+    "publish",
+    "take",
+    "release",
+    "peek_mut",
     "walk_headers",
     "acquire_up_to",
     "admit",

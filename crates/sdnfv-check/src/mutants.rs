@@ -4,7 +4,9 @@
 //! same instrumented atomics, with a single deliberate bug selected by an
 //! enum knob — the textbook mistakes the checker exists to catch: a
 //! `Release` publish weakened to `Relaxed`, a weakened `Acquire` observe,
-//! an off-by-one in the ring's free-slot computation, a dropped credit
+//! an off-by-one in the ring's free-slot computation, a deferred publish
+//! weakened to `Relaxed`, a slot released before the take that reads it, a
+//! dropped credit
 //! release, torn (load-then-store) read-modify-writes, a descriptor
 //! re-arm that forgets to reset the verdict word, a flow-table write
 //! that publishes its generation before the change or to the wrong
@@ -23,6 +25,7 @@
 //! atomic operations per thread — so the bounded-exhaustive search covers
 //! them in milliseconds.
 
+use std::cell::Cell;
 use std::net::Ipv4Addr;
 use std::sync::{Arc, Mutex};
 
@@ -35,7 +38,7 @@ use sdnfv_flowtable::{
 use sdnfv_proto::flow::{FlowKey, IpProtocol};
 use sdnfv_ring::model::{self, CheckOpts, CheckReport};
 use sdnfv_ring::sync::{AtomicIsize, AtomicU32, AtomicU64, AtomicUsize, Ordering, Slot};
-use sdnfv_ring::{spsc_ring, verdict_key, verdict_parts, VerdictClass};
+use sdnfv_ring::{spsc_ring, verdict_key, verdict_parts, Consumer, Producer, VerdictClass};
 
 /// Which bug (if any) to seed into the miniature SPSC ring.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,7 +125,7 @@ impl MiniRing {
         }
         // SAFETY: consumer-owned slot in `[head, tail)`; under the
         // weakened-ordering bugs the checker flags this access as a race.
-        let value = unsafe { self.slots[head % self.capacity].read() };
+        let value = unsafe { self.slots[head % self.capacity].move_out() };
         self.head.store(head.wrapping_add(1), Ordering::Release);
         Some(value)
     }
@@ -179,6 +182,236 @@ pub fn ring_scenario(bug: RingBug, opts: CheckOpts) -> CheckReport {
         }
         let expect: Vec<u64> = (1..=pushed).collect();
         assert_eq!(got, expect, "ring lost, duplicated or reordered items");
+    })
+}
+
+/// The producing side of a ring with deferred publish, as
+/// [`staged_rounds`] drives it.
+pub(crate) trait StagingProducer: Send + 'static {
+    /// Writes `value` into the next free slot unpublished; `false` if full.
+    fn stage(&self, value: u64) -> bool;
+    /// Makes every staged value visible to the consumer.
+    fn publish(&self);
+}
+
+/// The consuming side of a ring with deferred release, as
+/// [`staged_rounds`] drives it.
+pub(crate) trait TakingConsumer: Send + 'static {
+    /// What an in-place view of up to `max` unread values shows.
+    fn peek(&mut self, max: usize) -> Vec<u64>;
+    /// Moves the oldest unread value out; its slot stays unreleased.
+    fn take(&self) -> Option<u64>;
+    /// Returns every taken value's slot to the producer.
+    fn release(&self);
+}
+
+impl StagingProducer for Producer<u64> {
+    fn stage(&self, value: u64) -> bool {
+        Producer::stage(self, value).is_ok()
+    }
+
+    fn publish(&self) {
+        Producer::publish(self);
+    }
+}
+
+impl TakingConsumer for Consumer<u64> {
+    fn peek(&mut self, max: usize) -> Vec<u64> {
+        let (front, back) = self.peek_mut(max);
+        front.iter().chain(back.iter()).copied().collect()
+    }
+
+    fn take(&self) -> Option<u64> {
+        Consumer::take(self)
+    }
+
+    fn release(&self) {
+        Consumer::release(self);
+    }
+}
+
+/// The staged-ring program over a capacity-2 ring: the producer stages two
+/// values and publishes them, then stages a third (one retry, then it gives
+/// up: the ring may still be full) and publishes again; the consumer views
+/// the unread values in place, takes one and releases, takes another and
+/// releases; the root, which happens-after both, takes what is left. The
+/// view agrees with the takes that follow it, and the values arrive in
+/// order, each once.
+pub(crate) fn staged_rounds<P: StagingProducer, C: TakingConsumer>(producer: P, consumer: C) {
+    let p = model::spawn(move || {
+        assert!(
+            producer.stage(1) && producer.stage(2),
+            "an empty ring has room"
+        );
+        producer.publish();
+        let third = producer.stage(3) || producer.stage(3);
+        if third {
+            producer.publish();
+        }
+        third
+    });
+    let c = model::spawn(move || {
+        let mut consumer = consumer;
+        let seen = consumer.peek(2);
+        let mut got = Vec::new();
+        for _ in 0..2 {
+            if let Some(v) = consumer.take() {
+                got.push(v);
+            }
+            consumer.release();
+        }
+        assert!(
+            seen.iter().zip(&got).all(|(viewed, taken)| viewed == taken),
+            "the in-place view {seen:?} disagrees with the takes {got:?}"
+        );
+        (consumer, got)
+    });
+    let third = p.join();
+    let (consumer, mut got) = c.join();
+    while let Some(v) = consumer.take() {
+        got.push(v);
+    }
+    consumer.release();
+    let expect: Vec<u64> = if third { vec![1, 2, 3] } else { vec![1, 2] };
+    assert_eq!(
+        got, expect,
+        "staged ring lost, duplicated or reordered items"
+    );
+}
+
+/// Which bug (if any) to seed into the miniature staged ring.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StagedBug {
+    /// Faithful algorithm; must pass.
+    None,
+    /// `publish` stores the tail with `Relaxed` instead of `Release`: the
+    /// consumer can take a value before the stage's slot write is visible.
+    RelaxedPublish,
+    /// `take` releases the slot before it reads it: the producer can stage
+    /// into the slot while the consumer is still reading it.
+    ReleaseBeforeTake,
+}
+
+/// The cursors and slots of a miniature ring with deferred publish and
+/// release, mirroring [`sdnfv_ring::spsc`]'s stage/publish and
+/// take/release without its cached cursors.
+struct MiniStagedRing {
+    head: AtomicUsize,
+    tail: AtomicUsize,
+    slots: Box<[Slot<u64>]>,
+    bug: StagedBug,
+}
+
+// SAFETY: each half touches the slots its cursor protocol hands it (one
+// producing thread, one consuming thread, the root after both join), and
+// the model checker independently verifies every slot access for races.
+unsafe impl Sync for MiniStagedRing {}
+// SAFETY: the payload is `u64`; moving the ring between threads is safe.
+unsafe impl Send for MiniStagedRing {}
+
+impl MiniStagedRing {
+    fn slot(&self, pos: usize) -> &Slot<u64> {
+        &self.slots[pos % self.slots.len()]
+    }
+}
+
+/// The producing half of a [`MiniStagedRing`].
+struct MiniStager {
+    ring: Arc<MiniStagedRing>,
+    staged: Cell<usize>,
+}
+
+impl StagingProducer for MiniStager {
+    fn stage(&self, value: u64) -> bool {
+        let next = self.ring.tail.load(Ordering::Relaxed) + self.staged.get();
+        if next - self.ring.head.load(Ordering::Acquire) == self.ring.slots.len() {
+            return false;
+        }
+        // SAFETY: a free slot is the producer's until it is published.
+        unsafe { self.ring.slot(next).write(value) };
+        self.staged.set(self.staged.get() + 1);
+        true
+    }
+
+    fn publish(&self) {
+        let order = if self.ring.bug == StagedBug::RelaxedPublish {
+            Ordering::Relaxed
+        } else {
+            Ordering::Release
+        };
+        let tail = self.ring.tail.load(Ordering::Relaxed);
+        self.ring.tail.store(tail + self.staged.take(), order);
+    }
+}
+
+/// The consuming half of a [`MiniStagedRing`].
+struct MiniTaker {
+    ring: Arc<MiniStagedRing>,
+    taken: Cell<usize>,
+}
+
+impl MiniTaker {
+    fn next_unread(&self) -> usize {
+        self.ring.head.load(Ordering::Relaxed) + self.taken.get()
+    }
+}
+
+impl TakingConsumer for MiniTaker {
+    fn peek(&mut self, max: usize) -> Vec<u64> {
+        let next = self.next_unread();
+        let visible = self.ring.tail.load(Ordering::Acquire) - next;
+        (next..next + visible.min(max))
+            // SAFETY: a published, unreleased slot is the consumer's; the
+            // view reads it in place.
+            .map(|pos| unsafe { *Slot::run_ptr(std::slice::from_ref(self.ring.slot(pos))) })
+            .collect()
+    }
+
+    fn take(&self) -> Option<u64> {
+        let next = self.next_unread();
+        if self.ring.tail.load(Ordering::Acquire) == next {
+            return None;
+        }
+        self.taken.set(self.taken.get() + 1);
+        if self.ring.bug == StagedBug::ReleaseBeforeTake {
+            // Seeded bug: the slot goes back before it is read.
+            self.release();
+        }
+        // SAFETY: a published slot is the consumer's until released; under
+        // the ReleaseBeforeTake bug this read is the race the checker must
+        // catch.
+        Some(unsafe { self.ring.slot(next).move_out() })
+    }
+
+    fn release(&self) {
+        let head = self.ring.head.load(Ordering::Relaxed);
+        self.ring
+            .head
+            .store(head + self.taken.take(), Ordering::Release);
+    }
+}
+
+/// Runs [`staged_rounds`] over a capacity-2 [`MiniStagedRing`] with the
+/// given seeded bug. `StagedBug::None` must pass exhaustively; both seeded
+/// bugs must yield a violation.
+pub fn staged_scenario(bug: StagedBug, opts: CheckOpts) -> CheckReport {
+    model::explore(opts, move || {
+        let ring = Arc::new(MiniStagedRing {
+            head: AtomicUsize::new(0),
+            tail: AtomicUsize::new(0),
+            slots: (0..2).map(|_| Slot::new()).collect(),
+            bug,
+        });
+        staged_rounds(
+            MiniStager {
+                ring: Arc::clone(&ring),
+                staged: Cell::new(0),
+            },
+            MiniTaker {
+                ring,
+                taken: Cell::new(0),
+            },
+        );
     })
 }
 

@@ -110,6 +110,18 @@ fn hot_path_rule_covers_what_admission_runs_per_packet() {
 }
 
 #[test]
+fn hot_path_rule_covers_the_rings_deferred_publish_and_release() {
+    let findings = scan_fixture("staging_bad.rs", "crates/sdnfv-ring/src/spsc.rs");
+    // The lock inside `stage`; `take_all` and `resize` are other names.
+    assert_eq!(rules(&findings), ["hot-path-block"], "{findings:?}");
+    assert_eq!(findings[0].line, 12, "{findings:?}");
+    assert!(findings[0].excerpt.contains(".lock()"));
+    // The ring's other modules are not hot-path files.
+    let findings = scan_fixture("staging_bad.rs", "crates/sdnfv-ring/src/pool.rs");
+    assert!(findings.is_empty(), "{findings:?}");
+}
+
+#[test]
 fn hot_path_rule_keeps_every_lock_out_of_the_packet_handles() {
     let findings = scan_fixture("handle_lock_bad.rs", "crates/sdnfv-ring/src/shared.rs");
     assert_eq!(rules(&findings), ["hot-path-block"; 6], "{findings:?}");

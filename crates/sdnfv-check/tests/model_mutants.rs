@@ -7,7 +7,7 @@
 //! from the seeded bug, not from a broken scenario.
 
 use sdnfv_check::mutants::{
-    self, DrainBug, GateBug, HistBug, MemoBug, RingBug, TableBug, VerdictBug,
+    self, DrainBug, GateBug, HistBug, MemoBug, RingBug, StagedBug, TableBug, VerdictBug,
 };
 use sdnfv_ring::model::{CheckOpts, CheckReport, ViolationKind};
 
@@ -70,6 +70,40 @@ fn ring_wrap_off_by_one_is_caught() {
         &report,
         &[ViolationKind::DataRace, ViolationKind::Panic],
         "WrapOffByOne",
+    );
+}
+
+#[test]
+fn unmutated_staged_ring_passes_exhaustively() {
+    let report = mutants::staged_scenario(StagedBug::None, opts());
+    assert!(
+        report.exhaustive_pass(),
+        "clean mini staged ring must pass: {:?}",
+        report.violation
+    );
+}
+
+#[test]
+fn relaxed_deferred_publish_is_caught_as_a_race() {
+    // The consumer can see the published tail before the staged slot
+    // writes behind it.
+    let report = mutants::staged_scenario(StagedBug::RelaxedPublish, opts());
+    assert_caught(
+        &report,
+        &[ViolationKind::UninitRead, ViolationKind::DataRace],
+        "RelaxedPublish (staged)",
+    );
+}
+
+#[test]
+fn release_before_the_take_reads_its_slot_is_caught() {
+    // The producer restages the released slot while the consumer reads it:
+    // a race on the slot, or the consumer reads the newer value.
+    let report = mutants::staged_scenario(StagedBug::ReleaseBeforeTake, opts());
+    assert_caught(
+        &report,
+        &[ViolationKind::DataRace, ViolationKind::Panic],
+        "ReleaseBeforeTake",
     );
 }
 

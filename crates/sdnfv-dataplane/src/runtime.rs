@@ -19,20 +19,21 @@
 //!
 //! Per shard, one **worker thread** runs both ends of the pipeline:
 //!
-//! * its *RX role* pops the shard's ingress ring a burst at a time, performs
+//! * its *RX role* takes a burst out of the shard's ingress ring, performs
 //!   the first flow-table lookup (lookup cache → exact index → tuple-space
 //!   search), wraps the packet in a frame taken from the shard's free
-//!   lists, and stages it per NF ring (several rings at once for parallel
-//!   rules), flushing each ring with one batched push;
+//!   lists, and stages it into its NF's ring (several rings at once for
+//!   parallel rules), publishing each ring with one store;
 //! * each **NF thread** models one network-function VM pinned to the shard:
-//!   it polls its input ring for a burst, runs the NF's batch entry point,
-//!   applies cross-layer messages to the shared flow table *before*
-//!   completed packets are handed onward, records each packet's verdict in
-//!   its frame, and pushes completions to its done ring in one burst;
-//! * the worker's *TX role* drains the done rings in bursts, takes each
+//!   it serves a burst in place in its input ring's slots through the NF's
+//!   batch entry point, applies cross-layer messages to the shared flow
+//!   table *before* completed packets are handed onward, records each
+//!   packet's verdict in its frame, and publishes the completions it staged
+//!   into its done ring with one store;
+//! * the worker's *TX role* takes bursts out of the done rings, takes each
 //!   completed packet back into an owned frame, reads its resolved verdict,
-//!   performs the next flow-table lookup, and either re-stages the frame
-//!   for the next NF, moves the packet out for egress, or drops it.
+//!   performs the next flow-table lookup, and either stages the frame for
+//!   the next NF, moves the packet out for egress, or drops it.
 //!
 //! Because one thread plays both roles, every ring in a shard has exactly
 //! one producer and one consumer — including the egress ring, which needs no
@@ -51,12 +52,15 @@
 //! **What a hop costs** (paper §4.2): a packet rides one [`Frame`] from RX
 //! to egress and is never copied — owned outright while it goes to one NF
 //! at a time, a [`SharedPacket`] descriptor while a fan-out of read-only
-//! NFs shares it. A hop resets the frame's verdict, egress *moves* the
-//! packet out and parks the emptied frame on the shard's free lists for RX
-//! to refill, so the worker allocates nothing per packet. The NFs'
-//! requested actions ride the frame too: an owned frame stores its NF's
-//! verdict, a fan-out's NFs each merge theirs with one `fetch_max` keyed by
-//! position in the dispatched action list
+//! NFs shares it. Each hop writes the frame into a ring slot once and reads
+//! it out once, with no staging `Vec` between: the producer stages into
+//! the slot and publishes, the consumer takes from it (the NF serves its
+//! burst in place) and releases the slot before the frame can return. A
+//! hop resets the frame's verdict, and egress *moves* the packet out and
+//! parks the emptied frame for RX to refill, so the worker allocates
+//! nothing per packet. The NFs' requested actions ride the frame too: an
+//! owned frame stores its NF's verdict, a fan-out's NFs each merge theirs
+//! with one `fetch_max` keyed by position in the dispatched action list
 //! ([`crate::conflict::resolve_parallel_verdicts`] is the specification of
 //! the merged word). No lock is taken on the packet path: a fan-out's
 //! packet is immutable while shared, and a completed fan-out becomes an
@@ -2332,12 +2336,10 @@ fn launch_pipeline(
         clock,
         spawner,
         cache: LookupCache::new(LOOKUP_CACHE_ENTRIES),
-        staging: BurstStaging::new(0, config.burst_size),
+        staging: BurstStaging::new(config.burst_size),
         free: FreeFrames::new(config.shard_credits),
         targets: Vec::new(),
-        rx_burst: Vec::with_capacity(config.burst_size),
-        done_burst: Vec::with_capacity(config.burst_size),
-        deferred: Vec::new(),
+        deferred: std::collections::VecDeque::new(),
         list_runs: Vec::new(),
         control: control_rx,
         telemetry: telemetry_tx,
@@ -2484,11 +2486,10 @@ struct NfSlot {
     channel: Arc<NfStateChannel>,
 }
 
-/// Per-thread staging buffers: frames dispatched during a burst are
-/// collected here and flushed to each NF ring (and the egress ring) with a
-/// single batched push at burst end.
+/// The worker's egress staging: packets leaving the shard are collected
+/// here and flushed to the egress ring with one batched push at burst end.
+/// (Frames bound for an NF are staged straight into its ring instead.)
 struct BurstStaging {
-    per_ring: Vec<Vec<WorkItem>>,
     egress: Vec<HostOutput>,
     /// Latency/trace metadata for each staged egress packet, index-aligned
     /// with `egress` (a batched `push_n` admits a prefix of `egress`; the
@@ -2513,20 +2514,11 @@ struct EgressMeta {
 }
 
 impl BurstStaging {
-    fn new(rings: usize, burst_size: usize) -> Self {
+    fn new(burst_size: usize) -> Self {
         BurstStaging {
-            per_ring: (0..rings).map(|_| Vec::with_capacity(burst_size)).collect(),
             egress: Vec::with_capacity(burst_size),
             egress_meta: Vec::with_capacity(burst_size),
         }
-    }
-
-    /// Returns `true` if `extra` more items can be staged for slot `ring`
-    /// without exceeding its free space at flush time. Exact for the
-    /// staging thread: it is the ring's only producer and the consumer only
-    /// drains.
-    fn has_room(&self, slots: &[NfSlot], ring: usize, extra: usize) -> bool {
-        slots[ring].ring.len() + self.per_ring[ring].len() + extra <= slots[ring].ring.capacity()
     }
 }
 
@@ -2603,13 +2595,9 @@ pub(crate) struct ShardEngine {
     free: FreeFrames,
     /// Reused scratch: the NF slot indices of the dispatch being staged.
     targets: Vec<usize>,
-    /// Reused RX burst buffer (popped ingress frames).
-    rx_burst: Vec<IngressFrame>,
-    /// Reused TX burst buffer (popped done items).
-    done_burst: Vec<DoneItem>,
     /// Fan-out completions whose exit test failed — a straggler NF still
     /// held its handle — retried at the next step ahead of new completions.
-    deferred: Vec<DoneItem>,
+    deferred: std::collections::VecDeque<DoneItem>,
     /// Parallel rules being walked in list order, one slot per packet on
     /// such a walk (`PacketMeta::list_run` names it); a freed slot is
     /// `None`.
@@ -2733,13 +2721,7 @@ impl ShardEngine {
                     did_work = true;
                     self.apply_command(command);
                 }
-                let mut rx_burst = std::mem::take(&mut self.rx_burst);
-                rx_burst.clear();
-                if ingress.pop_n(&mut rx_burst, self.burst_size) > 0 {
-                    did_work = true;
-                    self.rx_round(&mut rx_burst);
-                }
-                self.rx_burst = rx_burst;
+                did_work |= self.rx_round(ingress);
                 did_work |= self.drain_done_rings();
                 if self.draining > 0 {
                     self.retire_drained();
@@ -2816,39 +2798,30 @@ impl ShardEngine {
         }
     }
 
-    /// Pops and serves every non-retired replica's done ring once, after
-    /// retrying the deferred fan-out completions.
+    /// Serves every non-retired replica's done ring once, after retrying
+    /// the deferred fan-out completions.
     fn drain_done_rings(&mut self) -> bool {
-        let mut done_burst = std::mem::take(&mut self.done_burst);
-        let mut did_work = !self.deferred.is_empty() && self.retry_deferred(&mut done_burst);
+        let mut did_work = !self.deferred.is_empty() && self.retry_deferred();
         for nf_index in 0..self.slots.len() {
-            if self.slots[nf_index].state == SlotState::Retired {
-                continue;
+            if self.slots[nf_index].state != SlotState::Retired {
+                did_work |= self.tx_round(nf_index);
             }
-            done_burst.clear();
-            if self.slots[nf_index]
-                .done
-                .pop_n(&mut done_burst, self.burst_size)
-                == 0
-            {
-                continue;
-            }
-            did_work = true;
-            self.tx_round(&mut done_burst);
         }
-        self.done_burst = done_burst;
         did_work
     }
 
-    /// Serves the deferred fan-out completions again (through `burst`, the
-    /// emptied TX burst buffer); one whose straggler still holds its handle
-    /// is deferred once more, so the worker never waits on it. Returns
-    /// whether any went through.
-    fn retry_deferred(&mut self, burst: &mut Vec<DoneItem>) -> bool {
-        burst.clear();
-        burst.append(&mut self.deferred);
-        let waiting = burst.len();
-        self.tx_round(burst);
+    /// Routes the deferred fan-out completions again; one whose straggler
+    /// still holds its handle is deferred once more, so the worker never
+    /// waits on it. Returns whether any went through.
+    fn retry_deferred(&mut self) -> bool {
+        let waiting = self.deferred.len();
+        let (now_ns, mut cache) = self.begin_round();
+        for _ in 0..waiting {
+            let item = self.deferred.pop_front().expect("counted above");
+            self.tx_item(&mut cache, item, now_ns);
+        }
+        self.cache = cache;
+        self.flush();
         self.deferred.len() < waiting
     }
 
@@ -2961,20 +2934,17 @@ impl ShardEngine {
         }
         let mut remap: Vec<Option<usize>> = Vec::with_capacity(self.slots.len());
         let mut kept: Vec<NfSlot> = Vec::with_capacity(self.slots.len());
-        let mut kept_staging: Vec<Vec<WorkItem>> = Vec::with_capacity(self.slots.len());
-        for (index, slot) in self.slots.drain(..).enumerate() {
+        for slot in self.slots.drain(..) {
             if expired(&slot) {
-                debug_assert!(self.staging.per_ring[index].is_empty());
+                debug_assert_eq!(slot.ring.staged(), 0);
                 remap.push(None);
                 self.retired_slots -= 1;
                 continue;
             }
             remap.push(Some(kept.len()));
             kept.push(slot);
-            kept_staging.push(std::mem::take(&mut self.staging.per_ring[index]));
         }
         self.slots = kept;
-        self.staging.per_ring = kept_staging;
         for (_, indices) in &mut self.service_instances {
             indices.retain_mut(|index| match remap[*index] {
                 Some(new_index) => {
@@ -3075,9 +3045,6 @@ impl ShardEngine {
             }
             None => {
                 self.slots.push(slot);
-                self.staging
-                    .per_ring
-                    .push(Vec::with_capacity(self.burst_size));
                 self.slots.len() - 1
             }
         };
@@ -3660,50 +3627,76 @@ impl ShardEngine {
         )
     }
 
-    /// RX role: first lookup of each packet, then dispatch into NF rings.
-    fn rx_round(&mut self, burst: &mut Vec<IngressFrame>) {
-        self.stats.add_received(burst.len() as u64);
-        // One clock read per burst covers the ingress-wait records, the
-        // trace-span stamps, and (as `approx_now_ns`) the lookup-cache TTL.
+    /// Opens a worker round: one clock read covers the round's latency
+    /// records, its trace-span stamps and (as `approx_now_ns`) the
+    /// lookup-cache TTL; the engine's cache is taken out of `self` for the
+    /// round (see [`ShardEngine::lookup`]).
+    fn begin_round(&mut self) -> (u64, LookupCache) {
         let now_ns = self.clock.now_ns();
         self.approx_now_ns = now_ns;
-        let sample_every = self.trace_sampling.load(Ordering::Relaxed);
-        let mut cache = std::mem::replace(&mut self.cache, LookupCache::parked());
-        for frame in burst.drain(..) {
-            let IngressFrame { packet, key, hash } = frame;
-            self.latency
-                .ingress_wait
-                .record(now_ns.saturating_sub(packet.timestamp_ns));
-            let Some(key) = key else {
-                self.stats.add_dropped(1);
-                self.gate.release(1);
-                continue;
-            };
-            let sampled = sample_every != 0 && hash % sample_every == 0;
-            let step = RulePort::Nic(packet.ingress_port);
-            let Some(decision) = self.lookup(&mut cache, step, &key, hash) else {
-                // No controller thread is attached in the threaded runtime;
-                // a miss is counted and the packet is dropped.
-                self.stats.add_controller_punts(1);
-                self.gate.release(1);
-                self.finish_flow(hash);
-                if sampled {
-                    self.emit_span(
-                        TraceStage::Rx,
-                        0,
-                        hash,
-                        packet.timestamp_ns,
-                        now_ns,
-                        SpanVerdict::Punted,
-                    );
-                }
-                continue;
-            };
-            let traced = sampled || decision.trace;
-            self.dispatch(packet, key, hash, decision, traced, now_ns);
+        let cache = std::mem::replace(&mut self.cache, LookupCache::parked());
+        (now_ns, cache)
+    }
+
+    /// RX role: takes up to a burst of frames straight out of the ingress
+    /// ring's slots, dispatches each, releases the slots with one store and
+    /// flushes. Returns whether there was a frame.
+    fn rx_round(&mut self, ingress: &Consumer<IngressFrame>) -> bool {
+        let mut next = ingress.take();
+        if next.is_none() {
+            return false;
         }
+        let (now_ns, mut cache) = self.begin_round();
+        let mut received = 0;
+        while let Some(frame) = next {
+            self.rx_frame(&mut cache, frame, now_ns);
+            received += 1;
+            if received == self.burst_size {
+                break;
+            }
+            next = ingress.take();
+        }
+        ingress.release();
+        self.stats.add_received(received as u64);
         self.cache = cache;
         self.flush();
+        true
+    }
+
+    /// First lookup of one ingress frame, then its dispatch.
+    fn rx_frame(&mut self, cache: &mut LookupCache, frame: IngressFrame, now_ns: u64) {
+        let IngressFrame { packet, key, hash } = frame;
+        self.latency
+            .ingress_wait
+            .record(now_ns.saturating_sub(packet.timestamp_ns));
+        let Some(key) = key else {
+            self.stats.add_dropped(1);
+            self.gate.release(1);
+            return;
+        };
+        let sample_every = self.trace_sampling.load(Ordering::Relaxed);
+        let sampled = sample_every != 0 && hash % sample_every == 0;
+        let step = RulePort::Nic(packet.ingress_port);
+        let Some(decision) = self.lookup(cache, step, &key, hash) else {
+            // No controller thread is attached in the threaded runtime; a
+            // miss is counted and the packet is dropped.
+            self.stats.add_controller_punts(1);
+            self.gate.release(1);
+            self.finish_flow(hash);
+            if sampled {
+                self.emit_span(
+                    TraceStage::Rx,
+                    0,
+                    hash,
+                    packet.timestamp_ns,
+                    now_ns,
+                    SpanVerdict::Punted,
+                );
+            }
+            return;
+        };
+        let traced = sampled || decision.trace;
+        self.dispatch(packet, key, hash, decision, traced, now_ns);
     }
 
     /// Stages a packet according to its ingress decision (first dispatch),
@@ -3762,11 +3755,8 @@ impl ShardEngine {
             Some(Action::ToService(service)) => {
                 match pick_instance(&self.service_instances, service, hash) {
                     Some(index) => {
-                        self.staging.per_ring[index].push(WorkItem {
-                            frame: Frame::Sole(self.free.owned_frame(packet, meta)),
-                            exit_service: service,
-                            position: 0,
-                        });
+                        let frame = Frame::Sole(self.free.owned_frame(packet, meta));
+                        self.stage_work(index, frame, service, 0);
                         rx_span(self, SpanVerdict::Forwarded);
                     }
                     None => {
@@ -3801,94 +3791,109 @@ impl ShardEngine {
         }
     }
 
-    /// TX role: take each completion of a done burst back into an owned
-    /// frame, resolve its verdict, look up its next hop, and either
-    /// re-stage it, stage it for egress, or drop it.
-    fn tx_round(&mut self, burst: &mut Vec<DoneItem>) {
-        let now_ns = self.clock.now_ns();
-        self.approx_now_ns = now_ns;
-        let mut cache = std::mem::replace(&mut self.cache, LookupCache::parked());
-        for item in burst.drain(..) {
-            let DoneItem {
-                frame,
-                exit_service,
-                nf_started_ns,
-                nf_ended_ns,
-            } = item;
-            let sole = match frame {
-                Frame::Sole(sole) => sole,
-                Frame::Shared(shared) => match self.free.unshare(shared) {
-                    Ok(sole) => sole,
-                    Err(shared) => {
-                        // A straggler NF counted down but still holds its
-                        // handle: wait for it, there is no other way out.
-                        self.deferred.push(DoneItem {
-                            frame: Frame::Shared(shared),
-                            exit_service,
-                            nf_started_ns,
-                            nf_ended_ns,
-                        });
-                        continue;
-                    }
-                },
-            };
-            let meta = sole.meta;
-            if meta.traced {
-                // The NF span covers the burst window the NF thread stamped;
-                // the worker emits it because it is the trace ring's single
-                // producer.
-                self.emit_span(
-                    TraceStage::Nf,
-                    exit_service.value(),
-                    meta.hash,
-                    nf_started_ns,
-                    nf_ended_ns,
-                    SpanVerdict::Forwarded,
-                );
-            }
-            let mut hop = Completion {
-                sole,
-                exit_service,
-                nf_ended_ns,
-            };
-            if let Some(run) = meta.list_run {
-                if let Some((index, position)) = self.next_listed(run, meta.hash) {
-                    self.tx_span(&hop, now_ns, SpanVerdict::Forwarded);
-                    self.staging.per_ring[index].push(WorkItem {
-                        frame: Frame::Sole(hop.sole),
-                        exit_service,
-                        position,
-                    });
-                    continue;
-                }
-                hop.sole.meta.list_run = None;
-            }
-            hop.sole.meta.hops += 1;
-            if hop.sole.meta.hops >= MAX_CHAIN_HOPS {
-                self.stats.add_dropped(1);
-                self.end_short(hop, now_ns, SpanVerdict::Dropped);
-                continue;
-            }
-            let step = RulePort::Service(exit_service);
-            let action = match verdict_from_word(hop.sole.verdict) {
-                Verdict::Discard => Action::Drop,
-                Verdict::Default => match self.lookup(&mut cache, step, &meta.key, meta.hash) {
-                    Some(decision) => {
-                        self.forward_decision(hop, decision, now_ns);
-                        continue;
-                    }
-                    None => Action::ToController,
-                },
-                other => {
-                    let requested = other.as_action().expect("non-default verdict");
-                    let decision = self.lookup(&mut cache, step, &meta.key, meta.hash);
-                    validate_steering(decision, requested)
-                }
-            };
-            self.forward_action(hop, action, now_ns);
+    /// TX role: takes up to a burst of completions straight out of NF slot
+    /// `nf_index`'s done ring, routes each, releases the slots with one
+    /// store and flushes. The release comes first, so a frame never comes
+    /// back to the ring before its slot is free. Returns whether there was
+    /// a completion.
+    fn tx_round(&mut self, nf_index: usize) -> bool {
+        let mut next = self.slots[nf_index].done.take();
+        if next.is_none() {
+            return false;
         }
+        let (now_ns, mut cache) = self.begin_round();
+        let mut served = 0;
+        while let Some(item) = next {
+            self.tx_item(&mut cache, item, now_ns);
+            served += 1;
+            if served == self.burst_size {
+                break;
+            }
+            next = self.slots[nf_index].done.take();
+        }
+        self.slots[nf_index].done.release();
         self.cache = cache;
         self.flush();
+        true
+    }
+
+    /// Takes one completion back into an owned frame, resolves its verdict,
+    /// looks up its next hop, and either re-stages it, stages it for
+    /// egress, or drops it. A fan-out whose straggler still holds a handle
+    /// is deferred.
+    fn tx_item(&mut self, cache: &mut LookupCache, item: DoneItem, now_ns: u64) {
+        let DoneItem {
+            frame,
+            exit_service,
+            nf_started_ns,
+            nf_ended_ns,
+        } = item;
+        let sole = match frame {
+            Frame::Sole(sole) => sole,
+            Frame::Shared(shared) => match self.free.unshare(shared) {
+                Ok(sole) => sole,
+                Err(shared) => {
+                    // A straggler NF counted down but still holds its
+                    // handle: wait for it, there is no other way out.
+                    self.deferred.push_back(DoneItem {
+                        frame: Frame::Shared(shared),
+                        exit_service,
+                        nf_started_ns,
+                        nf_ended_ns,
+                    });
+                    return;
+                }
+            },
+        };
+        let meta = sole.meta;
+        if meta.traced {
+            // The NF span covers the burst window the NF thread stamped; the
+            // worker emits it because it is the trace ring's single producer.
+            self.emit_span(
+                TraceStage::Nf,
+                exit_service.value(),
+                meta.hash,
+                nf_started_ns,
+                nf_ended_ns,
+                SpanVerdict::Forwarded,
+            );
+        }
+        let mut hop = Completion {
+            sole,
+            exit_service,
+            nf_ended_ns,
+        };
+        if let Some(run) = meta.list_run {
+            if let Some((index, position)) = self.next_listed(run, meta.hash) {
+                self.tx_span(&hop, now_ns, SpanVerdict::Forwarded);
+                self.stage_work(index, Frame::Sole(hop.sole), exit_service, position);
+                return;
+            }
+            hop.sole.meta.list_run = None;
+        }
+        hop.sole.meta.hops += 1;
+        if hop.sole.meta.hops >= MAX_CHAIN_HOPS {
+            self.stats.add_dropped(1);
+            self.end_short(hop, now_ns, SpanVerdict::Dropped);
+            return;
+        }
+        let step = RulePort::Service(exit_service);
+        let action = match verdict_from_word(hop.sole.verdict) {
+            Verdict::Discard => Action::Drop,
+            Verdict::Default => match self.lookup(cache, step, &meta.key, meta.hash) {
+                Some(decision) => {
+                    self.forward_decision(hop, decision, now_ns);
+                    return;
+                }
+                None => Action::ToController,
+            },
+            other => {
+                let requested = other.as_action().expect("non-default verdict");
+                let decision = self.lookup(cache, step, &meta.key, meta.hash);
+                validate_steering(decision, requested)
+            }
+        };
+        self.forward_action(hop, action, now_ns);
     }
 
     /// Emits a traced completion's TX span: from the end of its NF burst to
@@ -3953,11 +3958,7 @@ impl ShardEngine {
                     Some(index) => {
                         self.tx_span(&hop, now_ns, SpanVerdict::Forwarded);
                         hop.sole.verdict = 0;
-                        self.staging.per_ring[index].push(WorkItem {
-                            frame: Frame::Sole(hop.sole),
-                            exit_service: service,
-                            position: 0,
-                        });
+                        self.stage_work(index, Frame::Sole(hop.sole), service, 0);
                     }
                     None => {
                         self.stats.add_dropped(1);
@@ -4017,9 +4018,7 @@ impl ShardEngine {
         }
         match exit_service {
             None => Targets::None,
-            Some(exit_service)
-                if placeable && parallel_fits(&self.staging, &self.slots, &self.targets) =>
-            {
+            Some(exit_service) if placeable && parallel_fits(&self.slots, &self.targets) => {
                 Targets::Ready(exit_service)
             }
             Some(_) => Targets::Unplaceable,
@@ -4041,15 +4040,13 @@ impl ShardEngine {
     /// in the list is the priority of its NF's verdict.
     fn stage_targets(&mut self, shared: SharedPacket, exit_service: ServiceId) {
         let (&last, rest) = self.targets.split_last().expect("a fan-out has targets");
-        let item = |shared: SharedPacket, position: usize| WorkItem {
-            frame: Frame::Shared(shared),
-            exit_service,
-            position: u16::try_from(position).unwrap_or(u16::MAX),
-        };
-        for (position, &index) in rest.iter().enumerate() {
-            self.staging.per_ring[index].push(item(shared.clone(), position));
+        let position = |at: usize| u16::try_from(at).unwrap_or(u16::MAX);
+        for (at, &index) in rest.iter().enumerate() {
+            let frame = Frame::Shared(shared.clone());
+            self.stage_work(index, frame, exit_service, position(at));
         }
-        self.staging.per_ring[last].push(item(shared, rest.len()));
+        let frame = Frame::Shared(shared);
+        self.stage_work(last, frame, exit_service, position(rest.len()));
     }
 
     /// Stages a parallel rule that cannot fan out — one target, or a list
@@ -4088,11 +4085,7 @@ impl ShardEngine {
                 u32::try_from(slot + 1).expect("one list run per packet in flight at most"),
             );
         }
-        self.staging.per_ring[self.targets[0]].push(WorkItem {
-            frame: Frame::Sole(sole),
-            exit_service,
-            position: 0,
-        });
+        self.stage_work(self.targets[0], Frame::Sole(sole), exit_service, 0);
     }
 
     /// The next hop of the list run in slot `run`: the replica slot of the
@@ -4119,7 +4112,26 @@ impl ShardEngine {
         None
     }
 
-    /// Flushes every staged frame with one batched push per ring.
+    /// Stages one hop straight into the ring of NF slot `index`; the next
+    /// [`ShardEngine::flush`] publishes it.
+    fn stage_work(&self, index: usize, frame: Frame, exit_service: ServiceId, position: u16) {
+        let item = WorkItem {
+            frame,
+            exit_service,
+            position,
+        };
+        // The zero-loss invariant: a shard holds at most `credits` packets
+        // in flight and credits are clamped to the NF ring capacity, so a
+        // stage always fits (multi-target dispatch checks `parallel_fits`
+        // first). A rejected item would be a silently lost packet — fail
+        // loudly instead.
+        if self.slots[index].ring.stage(item).is_err() {
+            panic!("shard {}: NF ring {index} overflowed", self.shard);
+        }
+    }
+
+    /// Publishes every NF ring's staged frames with one store per ring, then
+    /// flushes egress.
     ///
     /// A full egress ring parks the remainder in `staging.egress` — retried
     /// at the top of every subsequent [`ShardEngine::step`] until the host
@@ -4127,24 +4139,8 @@ impl ShardEngine {
     /// propagate to `inject`, and it keeps `step` non-blocking so a
     /// simulator can interleave the host's drain with the worker's retry).
     fn flush(&mut self) {
-        for ring_index in 0..self.staging.per_ring.len() {
-            if self.staging.per_ring[ring_index].is_empty() {
-                continue;
-            }
-            self.slots[ring_index]
-                .ring
-                .push_n(&mut self.staging.per_ring[ring_index]);
-            // The zero-loss invariant: a shard holds at most `credits`
-            // packets in flight and credits are clamped to the NF ring
-            // capacity, so a flush always fits (multi-target dispatch checks
-            // `parallel_fits` before staging). A leftover here would be a
-            // silently lost packet — fail loudly instead.
-            assert!(
-                self.staging.per_ring[ring_index].is_empty(),
-                "shard {}: NF ring {ring_index} overflowed at flush ({} left staged)",
-                self.shard,
-                self.staging.per_ring[ring_index].len(),
-            );
+        for slot in &self.slots {
+            slot.ring.publish();
         }
         self.flush_staged_egress();
     }
@@ -4288,12 +4284,14 @@ impl FreeFrames {
     }
 }
 
-/// Checks that every target ring of a parallel dispatch can take its staged
-/// copies (counting duplicate targets with multiplicity).
-fn parallel_fits(staging: &BurstStaging, slots: &[NfSlot], indices: &[usize]) -> bool {
+/// Checks that every target ring of a parallel dispatch can take its
+/// copies (counting duplicate targets with multiplicity). The free space is
+/// exact for the worker: it is each ring's only producer, staged items count
+/// as used, and the consumer only drains.
+fn parallel_fits(slots: &[NfSlot], indices: &[usize]) -> bool {
     indices.iter().enumerate().all(|(position, &ring)| {
         let copies_for_ring = indices[..=position].iter().filter(|i| **i == ring).count();
-        staging.has_room(slots, ring, copies_for_ring)
+        slots[ring].ring.free_space() >= copies_for_ring
     })
 }
 
@@ -4400,14 +4398,12 @@ pub(crate) struct NfEngine {
     outbox: Arc<NfOutbox>,
     ctx: NfContext,
     read_only: bool,
-    items: Vec<WorkItem>,
     /// The burst's packet references, parked empty between bursts (their
-    /// element type borrows from `items` for one burst only; see
-    /// [`recycle`]).
+    /// element type borrows from the input ring's slots for one burst only;
+    /// see [`recycle`]).
     read_refs: Vec<&'static Packet>,
     write_refs: Vec<&'static mut Packet>,
     verdicts: VerdictSlice,
-    done_staging: Vec<DoneItem>,
     service_time: Ewma,
     /// Tokens of [`NfStateRequest::HandoffAll`] requests, answered only at
     /// drain-exit when the replica's state is final.
@@ -4463,11 +4459,9 @@ impl NfEngine {
             outbox,
             ctx,
             read_only,
-            items: Vec::with_capacity(burst_size),
             read_refs: Vec::with_capacity(burst_size),
             write_refs: Vec::with_capacity(burst_size),
             verdicts: VerdictSlice::with_capacity(burst_size),
-            done_staging: Vec::with_capacity(burst_size),
             service_time: Ewma::default(),
             deferred_handoffs: Vec::new(),
             finished: false,
@@ -4588,9 +4582,10 @@ impl NfEngine {
     }
 
     /// One turn of the replica's state machine: serve state-migration
-    /// requests, then pop and process at most one burst. Returns whether
-    /// any work was done. Sets `finished` when the replica's loop is over
-    /// (host shutdown, or scale-down drain complete).
+    /// requests, then serve at most one burst in place in the input ring's
+    /// slots and move each completion straight into a done-ring slot.
+    /// Returns whether any work was done. Sets `finished` when the
+    /// replica's loop is over (host shutdown, or scale-down drain complete).
     pub(crate) fn step(&mut self) -> bool {
         if self.finished {
             return false;
@@ -4599,17 +4594,16 @@ impl NfEngine {
             self.finished = true;
             return false;
         }
-        // Serve state-migration requests *before* popping packets: an
+        // Serve state-migration requests *before* taking packets: an
         // imported flow's state must land before the flow's first re-homed
         // packet (the host only releases the bucket's pen after the import
         // acknowledgement, so checking here closes the ordering).
         self.serve_state_requests(false);
-        self.items.clear();
-        let mut items = std::mem::take(&mut self.items);
-        if self.input.pop_n(&mut items, self.burst_size) == 0 {
-            self.items = items;
+        let (front, back) = self.input.peek_mut(self.burst_size);
+        let burst = front.len() + back.len();
+        if burst == 0 {
             // Scale-down: with the input ring drained and every completion
-            // already pushed, this replica's work is finished.
+            // already published, this replica's work is finished.
             if self.stop.load(Ordering::Acquire) && self.input.is_empty() {
                 // One last look at the mailbox so a request racing the
                 // drain-exit is answered, not stranded — and the deferred
@@ -4624,7 +4618,7 @@ impl NfEngine {
         // the service-time histogram, and (when traced) the NF span stamps.
         let burst_started_ns = self.clock.now_ns();
         self.ctx.set_now_ns(burst_started_ns);
-        let slots = self.verdicts.reset(items.len());
+        let slots = self.verdicts.reset(burst);
         if self.read_only {
             // One batch over the whole burst, every packet read through
             // `&Packet` with no lock: an owned frame is this replica's
@@ -4632,7 +4626,12 @@ impl NfEngine {
             // service a parallel rule names twice simply borrows one buffer
             // twice).
             let mut refs: Vec<&Packet> = recycle(std::mem::take(&mut self.read_refs));
-            refs.extend(items.iter().map(|item| item.frame.packet()));
+            refs.extend(
+                front
+                    .iter()
+                    .chain(back.iter())
+                    .map(|item| item.frame.packet()),
+            );
             self.nf
                 .process_batch(&PacketBatch::new(&refs), slots, &mut self.ctx);
             refs.clear();
@@ -4644,7 +4643,7 @@ impl NfEngine {
             // here would be a write to a packet other NFs are reading —
             // fail loudly instead.
             let mut refs: Vec<&mut Packet> = recycle(std::mem::take(&mut self.write_refs));
-            for item in items.iter_mut() {
+            for item in front.iter_mut().chain(back.iter_mut()) {
                 let Frame::Sole(sole) = &mut item.frame else {
                     panic!(
                         "NF {}: a mutating replica was handed a shared frame",
@@ -4659,10 +4658,10 @@ impl NfEngine {
             self.write_refs = recycle(refs);
         }
         let burst_ended_ns = self.clock.now_ns();
-        let per_packet_ns = burst_ended_ns.saturating_sub(burst_started_ns) / items.len() as u64;
+        let per_packet_ns = burst_ended_ns.saturating_sub(burst_started_ns) / burst as u64;
         self.latency
             .nf_service
-            .record_shared(per_packet_ns, items.len() as u64);
+            .record_shared(per_packet_ns, burst as u64);
         if self.measure {
             self.probe.service_time_ewma_ns.store(
                 self.service_time.update(per_packet_ns as f64) as u64,
@@ -4670,9 +4669,9 @@ impl NfEngine {
             );
             self.probe
                 .processed
-                .fetch_add(items.len() as u64, Ordering::Relaxed);
+                .fetch_add(burst as u64, Ordering::Relaxed);
         }
-        self.stats.add_nf_invocations(items.len() as u64);
+        self.stats.add_nf_invocations(burst as u64);
         // Cross-layer messages emitted anywhere inside the burst are applied
         // to the shared table *before* completed descriptors are handed to
         // the worker's TX role, so the next burst's lookups (on every
@@ -4680,7 +4679,8 @@ impl NfEngine {
         // partition's provenance log, attributed to the mutating flow's
         // bucket, so future bucket re-homes replay them.
         self.apply_ctx_messages();
-        for (index, mut item) in items.drain(..).enumerate() {
+        for index in 0..burst {
+            let mut item = self.input.take().expect("the served burst is unread");
             // An owned frame merges its verdict and is done; a fan-out
             // handle merges and counts down atomically, and only the final
             // one goes back to the worker.
@@ -4688,24 +4688,24 @@ impl NfEngine {
             if !item.frame.complete(key) {
                 continue;
             }
-            self.done_staging.push(DoneItem {
+            let done = DoneItem {
                 frame: item.frame,
                 exit_service: item.exit_service,
                 nf_started_ns: burst_started_ns,
                 nf_ended_ns: burst_ended_ns,
-            });
+            };
+            // Same zero-loss invariant as the worker's staging: every
+            // packet in flight holds a credit and credits are clamped to
+            // the done-ring capacity, so a completion always fits.
+            if self.done.stage(done).is_err() {
+                panic!("NF {}: done ring overflowed", self.service);
+            }
         }
-        self.items = items;
-        self.done.push_n(&mut self.done_staging);
-        // Same zero-loss invariant as the worker's flush: every packet in
-        // flight holds a credit and credits are clamped to the done-ring
-        // capacity, so a completion always fits.
-        assert!(
-            self.done_staging.is_empty(),
-            "NF {}: done ring overflowed ({} completions left staged)",
-            self.service,
-            self.done_staging.len(),
-        );
+        // The input slots are released before the completions are
+        // published, so a frame never comes back to this ring before its
+        // slot is free.
+        self.input.release();
+        self.done.publish();
         true
     }
 }
@@ -5305,17 +5305,22 @@ mod tests {
         }
         let straggler = sim
             .with_worker(worker, |engine| {
-                let mut done = Vec::new();
-                for slot in &engine.slots {
-                    slot.done.pop_n(&mut done, 1);
+                let mut completed = Vec::new();
+                for (index, slot) in engine.slots.iter_mut().enumerate() {
+                    let (front, back) = slot.done.peek_mut(2);
+                    assert!(back.is_empty());
+                    for item in front.iter() {
+                        let Frame::Shared(shared) = &item.frame else {
+                            panic!("a fan-out completes a shared frame");
+                        };
+                        completed.push((index, shared.clone()));
+                    }
                 }
-                assert_eq!(done.len(), 1, "the fan-out completed once");
-                let Frame::Shared(shared) = &done[0].frame else {
-                    panic!("a fan-out completes a shared frame");
-                };
-                let straggler = shared.clone();
-                engine.tx_round(&mut done);
+                assert_eq!(completed.len(), 1, "the fan-out completed once");
+                let (index, straggler) = completed.remove(0);
+                assert!(engine.tx_round(index));
                 assert_eq!(engine.deferred.len(), 1, "the completion waits");
+                assert!(engine.slots[index].done.is_empty(), "its slot was released");
                 straggler
             })
             .expect("the worker is running");
@@ -5625,20 +5630,25 @@ mod tests {
         let (slot_a, _keep_a, _keep_da) = test_slot(2);
         let (slot_b, _keep_b, _keep_db) = test_slot(2);
         let slots = vec![slot_a, slot_b];
-        let mut staging = BurstStaging::new(2, 4);
-        // Empty staging: both rings take up to two copies.
-        assert!(parallel_fits(&staging, &slots, &[0, 1]));
-        assert!(parallel_fits(&staging, &slots, &[0, 0]));
-        assert!(!parallel_fits(&staging, &slots, &[0, 0, 0]));
-        // One item already staged for ring 0 leaves room for one more copy.
-        staging.per_ring[0].push(WorkItem {
+        // Empty rings: both take up to two copies.
+        assert!(parallel_fits(&slots, &[0, 1]));
+        assert!(parallel_fits(&slots, &[0, 0]));
+        assert!(!parallel_fits(&slots, &[0, 0, 0]));
+        // One item staged (not yet published) into ring 0 leaves room for
+        // one more copy.
+        let item = WorkItem {
             frame: Frame::Shared(SharedPacket::with_meta(packet(9), 1, meta(0))),
             exit_service: ServiceId::new(1),
             position: 0,
-        });
-        assert!(parallel_fits(&staging, &slots, &[0]));
-        assert!(!parallel_fits(&staging, &slots, &[0, 0]));
-        assert!(parallel_fits(&staging, &slots, &[0, 1]));
+        };
+        assert!(slots[0].ring.stage(item).is_ok());
+        assert!(parallel_fits(&slots, &[0]));
+        assert!(!parallel_fits(&slots, &[0, 0]));
+        assert!(parallel_fits(&slots, &[0, 1]));
+        // Publishing it changes nothing: it holds its slot either way.
+        assert_eq!(slots[0].ring.publish(), 1);
+        assert!(!parallel_fits(&slots, &[0, 0]));
+        assert!(parallel_fits(&slots, &[0]));
     }
 
     #[test]

@@ -14,9 +14,20 @@
 //!
 //! The round-trip tests re-state, over the same generator, the properties
 //! every header type must keep: what is written parses back unchanged.
+//!
+//! The application parsers get structure-aware cases: well-formed HTTP
+//! requests and responses and memcached UDP frames, each mutated in one
+//! structural way — an overlong or split header line, a missing CRLF or
+//! blank line, a bad or absent `Content-Type`, a truncated 8-byte frame
+//! header, wrong counts in it or a wrong byte count after it, an empty or
+//! overlong key. Each mutation states what the parser must answer: what it
+//! answers for the unmutated message, the structure the mutation leaves
+//! (stated by the generator, not by re-running the parser), or an error —
+//! and it never panics.
 
 use sdnfv_proto::ethernet::{EtherType, EthernetHeader, ETHERNET_HEADER_LEN};
 use sdnfv_proto::flow::{FlowKey, IpProtocol};
+use sdnfv_proto::http::{HttpRequest, HttpResponse, Method};
 use sdnfv_proto::ipv4::{Ipv4Header, IPV4_HEADER_LEN};
 use sdnfv_proto::mac::MacAddr;
 use sdnfv_proto::memcached;
@@ -268,8 +279,8 @@ fn parsers_never_panic_on_arbitrary_bytes() {
         let _ = packet.l4_payload();
         assert_eq!(packet.flow_key(), layered_key(&packet));
         assert_eq!(packet.l4_payload_offset(), layered_payload_offset(&packet));
-        let _ = sdnfv_proto::http::HttpRequest::parse(&data);
-        let _ = sdnfv_proto::http::HttpResponse::parse(&data);
+        let _ = HttpRequest::parse(&data);
+        let _ = HttpResponse::parse(&data);
         let _ = memcached::Request::parse(&data);
     });
 }
@@ -361,15 +372,22 @@ fn padded_packets_have_exact_size() {
     });
 }
 
+/// Characters of a generated memcached key.
+const KEY_CHARS: &[u8] = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789:_";
+
+/// A string of `min..=max` characters drawn from `chars`.
+fn text(rng: &mut SplitMix64, chars: &[u8], min: usize, max: usize) -> String {
+    let len = min + rng.below((max - min + 1) as u64) as usize;
+    (0..len)
+        .map(|_| char::from(chars[rng.below(chars.len() as u64) as usize]))
+        .collect()
+}
+
 #[test]
 fn memcached_get_roundtrip() {
-    const KEY_CHARS: &[u8] = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789:_";
     for_each_case(CASES_PER_SEED, |rng| {
         let id = rng.next() as u16;
-        let len = 1 + rng.below(64) as usize;
-        let key: String = (0..len)
-            .map(|_| char::from(KEY_CHARS[rng.below(KEY_CHARS.len() as u64) as usize]))
-            .collect();
+        let key = text(rng, KEY_CHARS, 1, 64);
         let request = memcached::Request::parse(&memcached::get_request(id, &key)).unwrap();
         assert_eq!(request.frame.request_id, id);
         assert_eq!(request.command.key(), key);
@@ -390,5 +408,273 @@ fn stable_hash_is_deterministic() {
         let mut other = key;
         other.src_port = key.src_port.wrapping_add(1);
         assert_ne!(key.stable_hash(), other.stable_hash());
+    });
+}
+
+/// Characters of generated HTTP tokens and header values: no whitespace
+/// and no `:`, so a header line splits only where a mutation splits it.
+const TOKEN_CHARS: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789-./_=;";
+
+/// Content types a response may carry, and whether each is video: the
+/// near-misses differ from `video/` in case, spelling or a missing slash.
+const CONTENT_TYPES: &[(&str, bool)] = &[
+    ("video/mp4", true),
+    ("video/webm; codecs=vp9", true),
+    ("text/html", false),
+    ("application/octet-stream", false),
+    ("VIDEO/mp4", false),
+    ("vide/mp4", false),
+    ("video", false),
+    ("", false),
+];
+
+/// Up to five headers with lowercase names (as the parser keys them).
+fn http_headers(rng: &mut SplitMix64) -> Vec<(String, String)> {
+    let count = rng.below(6) as usize;
+    (0..count)
+        .map(|_| (text(rng, TOKEN_CHARS, 1, 12), text(rng, TOKEN_CHARS, 0, 40)))
+        .collect()
+}
+
+/// The header block's bytes as the serializers write it, each line ended
+/// by CRLF and the block by a blank line.
+fn header_lines(headers: &[(String, String)]) -> Vec<String> {
+    headers
+        .iter()
+        .map(|(name, value)| format!("{name}: {value}\r\n"))
+        .collect()
+}
+
+/// Mutates a well-formed header block structurally. Returns the block's
+/// bytes and the headers the parser must answer with.
+fn mutate_headers(
+    rng: &mut SplitMix64,
+    mut headers: Vec<(String, String)>,
+) -> (String, Vec<(String, String)>) {
+    let mut lines = header_lines(&headers);
+    let mut blank = "\r\n";
+    match rng.below(5) {
+        // An overlong header line: answered in full.
+        0 => {
+            let at = rng.below(headers.len() as u64 + 1) as usize;
+            let header = (
+                text(rng, TOKEN_CHARS, 1, 12),
+                text(rng, TOKEN_CHARS, 1024, 8192),
+            );
+            lines.insert(at, format!("{}: {}\r\n", header.0, header.1));
+            headers.insert(at, header);
+        }
+        // A header line split inside its value: the value ends at the
+        // split, and the rest (no colon) is not a header.
+        1 => {
+            if let Some(at) = headers.iter().position(|(_, value)| value.len() >= 2) {
+                let (name, value) = &headers[at];
+                let split = 1 + rng.below(value.len() as u64 - 1) as usize;
+                lines[at] = format!("{name}: {}\r\n{}\r\n", &value[..split], &value[split..]);
+                headers[at].1 = value[..split].trim_end().to_string();
+            }
+        }
+        // A missing CRLF between two headers: the first's value runs on
+        // into the second line, which is no header of its own.
+        2 => {
+            if headers.len() >= 2 {
+                let at = rng.below(headers.len() as u64 - 1) as usize;
+                let next = lines.remove(at + 1);
+                lines[at] = format!("{}{next}", lines[at].trim_end_matches("\r\n"));
+                let (name, value) = headers.remove(at + 1);
+                headers[at].1 = format!("{}{name}: {value}", headers[at].1)
+                    .trim_end()
+                    .to_string();
+            }
+        }
+        // A missing blank line, or a missing CRLF after the last line: the
+        // message ends with its headers, which answer as before.
+        3 => blank = "",
+        _ => {
+            blank = "";
+            if let Some(last) = lines.last_mut() {
+                last.truncate(last.len() - 2);
+            }
+        }
+    }
+    (lines.concat() + blank, headers)
+}
+
+#[test]
+fn http_requests_survive_structural_mutation() {
+    const METHODS: [Method; 5] = [
+        Method::Get,
+        Method::Post,
+        Method::Put,
+        Method::Delete,
+        Method::Head,
+    ];
+    for_each_case(CASES_PER_SEED, |rng| {
+        let request = HttpRequest {
+            method: METHODS[rng.below(5) as usize],
+            path: format!("/{}", text(rng, TOKEN_CHARS, 0, 32)),
+            headers: http_headers(rng),
+        };
+        assert_eq!(
+            HttpRequest::parse(&request.to_bytes()).as_ref(),
+            Ok(&request)
+        );
+        let (block, headers) = mutate_headers(rng, request.headers.clone());
+        let message = format!(
+            "{} {} HTTP/1.1\r\n{block}",
+            request.method.as_str(),
+            request.path
+        );
+        let expected = HttpRequest { headers, ..request };
+        assert_eq!(
+            HttpRequest::parse(message.as_bytes()),
+            Ok(expected),
+            "{message:?}"
+        );
+        // Cut anywhere, the request still parses or is rejected.
+        let cut = rng.below(message.len() as u64 + 1) as usize;
+        let _ = HttpRequest::parse(&message.as_bytes()[..cut]);
+    });
+}
+
+#[test]
+fn http_responses_survive_structural_mutation_and_bad_content_types() {
+    for_each_case(CASES_PER_SEED, |rng| {
+        let mut headers = http_headers(rng);
+        headers.retain(|(name, _)| name != "content-type");
+        // An absent, valid or bad `Content-Type`, anywhere in the block.
+        let (content_type, video) = if rng.chance(4) {
+            (false, false)
+        } else {
+            let (value, video) = CONTENT_TYPES[rng.below(CONTENT_TYPES.len() as u64) as usize];
+            let at = rng.below(headers.len() as u64 + 1) as usize;
+            headers.insert(at, ("content-type".to_string(), value.to_string()));
+            (true, video)
+        };
+        let response = HttpResponse {
+            status: 100 + rng.below(500) as u16,
+            headers,
+        };
+        let parsed = HttpResponse::parse(&response.to_bytes()).unwrap();
+        assert_eq!(parsed, response);
+        assert_eq!(parsed.is_video(), video);
+        if !content_type {
+            assert_eq!(parsed.content_type(), None);
+        }
+        let (block, headers) = mutate_headers(rng, response.headers.clone());
+        let mut message = format!("HTTP/1.1 {} OK\r\n{block}", response.status).into_bytes();
+        let expected = HttpResponse {
+            headers,
+            ..response
+        };
+        assert_eq!(HttpResponse::parse(&message), Ok(expected));
+        // A content type that is not UTF-8 is rejected, not misread.
+        if content_type {
+            let value_at = message
+                .windows(14)
+                .position(|w| w == b"content-type: ")
+                .expect("the mutations keep the content-type line")
+                + 14;
+            message.insert(value_at, 0xff);
+            assert!(matches!(
+                HttpResponse::parse(&message),
+                Err(ProtoError::Malformed { layer: "http", .. })
+            ));
+        }
+    });
+}
+
+/// A memcached UDP request: any frame header, a `get` or a `set`.
+fn memcached_request(rng: &mut SplitMix64) -> memcached::Request {
+    let key = text(rng, KEY_CHARS, 1, 64);
+    memcached::Request {
+        frame: memcached::UdpFrameHeader {
+            request_id: rng.next() as u16,
+            sequence: rng.next() as u16,
+            total_datagrams: rng.next() as u16,
+            reserved: rng.next() as u16,
+        },
+        command: if rng.chance(2) {
+            memcached::Command::Get { key }
+        } else {
+            memcached::Command::Set {
+                key,
+                bytes: rng.below(1 << 20) as usize,
+            }
+        },
+    }
+}
+
+#[test]
+fn memcached_frames_survive_structural_mutation() {
+    for_each_case(CASES_PER_SEED, |rng| {
+        let request = memcached_request(rng);
+        let bytes = request.to_bytes();
+        assert_eq!(memcached::Request::parse(&bytes).as_ref(), Ok(&request));
+        let header = &bytes[..memcached::MEMCACHED_UDP_HEADER_LEN];
+        let with_line = |line: String| [header, line.as_bytes()].concat();
+        // What the mutated frame must parse to; `None`: it must be rejected.
+        let (message, expected) = match rng.below(6) {
+            // A truncated 8-byte frame header.
+            0 => {
+                let cut = rng.below(memcached::MEMCACHED_UDP_HEADER_LEN as u64) as usize;
+                (bytes[..cut].to_vec(), None)
+            }
+            // Wrong counts in the frame header (a sequence past the total,
+            // no datagrams, a set reserved field): carried, not checked.
+            1 => {
+                let mut message = bytes.clone();
+                message[2..8].copy_from_slice(&rng.bytes(6));
+                let frame = memcached::UdpFrameHeader::parse(&message).unwrap();
+                assert_eq!(frame.request_id, request.frame.request_id);
+                (message, Some(memcached::Request { frame, ..request }))
+            }
+            // A wrong byte count after the header: a mismatched number is
+            // carried, anything that is not a count is rejected.
+            2 => {
+                let key = request.command.key().to_string();
+                if rng.chance(2) {
+                    let bytes = rng.next() as u32 as usize;
+                    let message = with_line(format!("set {key} 0 0 {bytes}\r\n"));
+                    let command = memcached::Command::Set { key, bytes };
+                    (message, Some(memcached::Request { command, ..request }))
+                } else {
+                    let bogus = ["", "-1", "12x", "0x10", "99999999999999999999999"];
+                    let count = bogus[rng.below(5) as usize];
+                    (with_line(format!("set {key} 0 0 {count}\r\n")), None)
+                }
+            }
+            // An empty key: rejected.
+            3 => {
+                let verb = if rng.chance(2) { "get" } else { "set" };
+                (with_line(format!("{verb} \r\n")), None)
+            }
+            // A key past memcached's 250 bytes: the parser carries it.
+            4 => {
+                let key = text(rng, KEY_CHARS, 251, 4096);
+                let message = with_line(format!("get {key}\r\n"));
+                let command = memcached::Command::Get { key };
+                (message, Some(memcached::Request { command, ..request }))
+            }
+            // A missing CRLF: the line ends with the frame.
+            _ => (bytes[..bytes.len() - 2].to_vec(), Some(request)),
+        };
+        let parsed = memcached::Request::parse(&message);
+        match expected {
+            Some(expected) => assert_eq!(parsed, Ok(expected)),
+            None => assert!(
+                matches!(
+                    parsed,
+                    Err(ProtoError::Truncated {
+                        layer: "memcached",
+                        ..
+                    } | ProtoError::Malformed {
+                        layer: "memcached",
+                        ..
+                    })
+                ),
+                "{parsed:?}"
+            ),
+        }
     });
 }

@@ -7,9 +7,13 @@
 //!
 //! * [`spsc`] — bounded single-producer/single-consumer rings whose producer
 //!   and consumer handles are distinct owned types, enforcing the
-//!   one-producer/one-consumer discipline at compile time; bursts move
-//!   through [`Producer::push_n`]/[`Consumer::pop_n`] with a single atomic
-//!   cursor update per burst,
+//!   one-producer/one-consumer discipline at compile time; a burst moves
+//!   each element once — [`Producer::stage`] writes it into its slot and
+//!   [`Producer::publish`] makes the burst visible with one atomic cursor
+//!   update, [`Consumer::take`] (or the in-place [`Consumer::peek_mut`])
+//!   reads it out and [`Consumer::release`] returns the slots with one
+//!   more ([`Producer::push_n`]/[`Consumer::pop_n`] do the same through a
+//!   caller's `Vec`),
 //! * [`pool`] — a bounded packet pool modelling the shared huge-page region
 //!   DPDK DMAs packets into; exhaustion translates to packet drops exactly
 //!   like a full mbuf pool,

@@ -2,17 +2,24 @@
 //!
 //! The ring is a native lock-free Lamport queue: the producer owns the
 //! `tail` cursor, the consumer owns the `head` cursor, and each side keeps a
-//! cached copy of the other's cursor so the common case touches no shared
-//! cache line it does not own. The [`Producer`] and [`Consumer`] handles are
+//! mirror of its own cursor and a cached copy of the other's: staging and
+//! taking touch no cursor's cache line, only a publish or a release stores
+//! one, and only a full or empty view reloads the other side's. The [`Producer`] and [`Consumer`] handles are
 //! separate owned (non-cloneable) types so that the single-producer /
 //! single-consumer discipline the paper relies on for lock-freedom is
 //! enforced by ownership rather than by convention.
 //!
-//! Batching is first-class: [`Producer::push_n`] and [`Consumer::pop_n`]
-//! move a whole burst of elements with a **single atomic cursor update**,
-//! amortizing the release-store (and the consumer's acquire-load) over the
-//! burst — the DPDK `rte_ring_enqueue_burst` idiom the paper's NF Manager
-//! is built on (§4.1).
+//! Batching is first-class, and a burst moves each element once: the
+//! producer [`stage`](Producer::stage)s elements straight into their slots
+//! and [`publish`](Producer::publish)es all of them with **one release
+//! store** of its cursor; the consumer [`take`](Consumer::take)s them out
+//! of their slots — or serves a run of them in place through
+//! [`peek_mut`](Consumer::peek_mut) — and [`release`](Consumer::release)s
+//! the slots with one release store of its own. This is DPDK's zero-copy
+//! `rte_ring_*_zc_burst_start/finish` idiom; the paper's NF Manager hands
+//! descriptors between NF rings in such bursts (§4.1). [`Producer::push_n`]
+//! and [`Consumer::pop_n`] move a burst through a caller's `Vec` with the
+//! same single cursor update.
 //!
 //! **Determinism.** When producer and consumer are driven from one thread
 //! (the deterministic-simulation harness interleaves all actors on a
@@ -80,7 +87,9 @@ impl<T> Shared<T> {
 
 impl<T> Drop for Shared<T> {
     fn drop(&mut self) {
-        // Both handles are gone; drop any elements still queued.
+        // Both handles are gone — the producer published what it staged,
+        // the consumer released what it took — so `[head, tail)` is exactly
+        // the elements still queued.
         let head = *self.head.0.get_mut();
         let tail = *self.tail.0.get_mut();
         let mut pos = head;
@@ -114,11 +123,15 @@ pub fn spsc_ring<T>(capacity: usize) -> (Producer<T>, Consumer<T>) {
         Producer {
             shared: Arc::clone(&shared),
             cached_head: Cell::new(0),
+            published: Cell::new(0),
+            next: Cell::new(0),
             rejected: Cell::new(0),
         },
         Consumer {
             shared,
             cached_tail: Cell::new(0),
+            released: Cell::new(0),
+            next: Cell::new(0),
         },
     )
 }
@@ -129,8 +142,21 @@ pub struct Producer<T> {
     /// Last observed consumer cursor; refreshed only when the ring looks
     /// full, so steady-state pushes read no consumer-owned cache line.
     cached_head: Cell<usize>,
+    /// The producer cursor as last published: `tail`, which only the
+    /// producer stores, mirrored so staging reads no shared line.
+    published: Cell<usize>,
+    /// Where the next element goes: `published` plus the elements staged
+    /// since.
+    next: Cell<usize>,
     /// Pushes rejected because the ring was full (i.e. drops at this ring).
     rejected: Cell<u64>,
+}
+
+impl<T> Drop for Producer<T> {
+    fn drop(&mut self) {
+        // Staged elements become queued ones, so the ring drops them.
+        self.publish();
+    }
 }
 
 impl<T> std::fmt::Debug for Producer<T> {
@@ -143,12 +169,13 @@ impl<T> std::fmt::Debug for Producer<T> {
 }
 
 impl<T> Producer<T> {
-    /// Returns how many slots are free, refreshing the cached consumer
-    /// cursor if the cached view says fewer than `wanted` are available.
+    /// Returns how many slots are free from position `next` on, refreshing
+    /// the cached consumer cursor if the cached view says fewer than
+    /// `wanted` are available.
     #[inline]
-    fn free_slots(&self, tail: usize, wanted: usize) -> usize {
+    fn free_slots(&self, next: usize, wanted: usize) -> usize {
         let cap = self.shared.capacity;
-        let mut free = cap - tail.wrapping_sub(self.cached_head.get());
+        let mut free = cap - next.wrapping_sub(self.cached_head.get());
         if free < wanted {
             // ORDER: Acquire pairs with the consumer's Release store of
             // `head`: observing head == h proves the consumer has finished
@@ -157,84 +184,98 @@ impl<T> Producer<T> {
             // model checker verifies it.)
             let head = self.shared.head.0.load(Ordering::Acquire);
             self.cached_head.set(head);
-            free = cap - tail.wrapping_sub(head);
+            free = cap - next.wrapping_sub(head);
         }
         free
     }
 
-    /// Enqueues `value`, or returns it in a [`PushError`] if the ring is full.
-    pub fn push(&self, value: T) -> Result<(), PushError<T>> {
-        // ORDER: Relaxed — the producer is the only thread that ever stores
-        // `tail`, so its own last store is the only value this can observe.
-        let tail = self.shared.tail.0.load(Ordering::Relaxed);
-        if self.free_slots(tail, 1) == 0 {
+    /// Writes `value` into the next free slot without publishing it, or
+    /// returns it in a [`PushError`] if the ring (staged elements counted)
+    /// is full. The consumer sees it after the next
+    /// [`publish`](Producer::publish).
+    #[inline]
+    pub fn stage(&self, value: T) -> Result<(), PushError<T>> {
+        let next = self.next.get();
+        if self.free_slots(next, 1) == 0 {
             self.rejected.set(self.rejected.get() + 1);
             return Err(PushError(value));
         }
-        // SAFETY: `free_slots` proved slot `tail` is unoccupied and the
-        // cursor protocol gives the producer exclusive access to it until
-        // the release store below publishes it.
-        unsafe { self.shared.slot(tail).write(value) };
-        // ORDER: Release publishes the slot write above; pairs with the
-        // consumer's Acquire load of `tail` in `visible`.
-        self.shared
-            .tail
-            .0
-            .store(tail.wrapping_add(1), Ordering::Release);
+        // SAFETY: `free_slots` proved slot `next` is unoccupied, and the
+        // cursor protocol leaves it to the producer until it is published.
+        unsafe { self.shared.slot(next).write(value) };
+        self.next.set(next.wrapping_add(1));
+        Ok(())
+    }
+
+    /// Makes every staged element visible to the consumer with one release
+    /// store of the producer cursor. Returns how many it published.
+    #[inline]
+    pub fn publish(&self) -> usize {
+        let next = self.next.get();
+        let staged = next.wrapping_sub(self.published.get());
+        if staged > 0 {
+            // ORDER: Release publishes every staged slot write at once;
+            // pairs with the consumer's Acquire load of `tail` in `visible`.
+            self.shared.tail.0.store(next, Ordering::Release);
+            self.published.set(next);
+        }
+        staged
+    }
+
+    /// Elements staged and not yet published.
+    pub fn staged(&self) -> usize {
+        self.next.get().wrapping_sub(self.published.get())
+    }
+
+    /// Enqueues `value` and publishes it together with anything staged
+    /// before it, or returns it in a [`PushError`] if the ring is full.
+    pub fn push(&self, value: T) -> Result<(), PushError<T>> {
+        self.stage(value)?;
+        self.publish();
         Ok(())
     }
 
     /// Enqueues a burst: moves as many elements as fit from the **front** of
-    /// `items` (preserving order) and publishes them with a single release
-    /// store of the producer cursor. Returns how many were enqueued; the
-    /// unpushed remainder stays in `items`.
+    /// `items` (preserving order) and publishes them, and anything staged
+    /// before them, with a single release store of the producer cursor.
+    /// Returns how many were enqueued; the unpushed remainder stays in
+    /// `items`.
     ///
     /// Every element that did not fit counts toward
     /// [`rejected`](Producer::rejected) — per call, so a caller that retries
     /// the remainder counts it again (exactly as retried scalar
     /// [`push`](Producer::push) calls do).
     pub fn push_n(&self, items: &mut Vec<T>) -> usize {
-        if items.is_empty() {
-            return 0;
-        }
-        // ORDER: Relaxed — producer-owned cursor, see `push`.
-        let tail = self.shared.tail.0.load(Ordering::Relaxed);
-        let take = self.free_slots(tail, items.len()).min(items.len());
-        let unpushed = (items.len() - take) as u64;
+        let start = self.next.get();
+        let fits = self.free_slots(start, items.len()).min(items.len());
+        let unpushed = (items.len() - fits) as u64;
         if unpushed > 0 {
             self.rejected.set(self.rejected.get() + unpushed);
         }
-        if take == 0 {
-            return 0;
+        for (offset, value) in items.drain(..fits).enumerate() {
+            // SAFETY: `free_slots` proved all `fits` slots from `start` on
+            // are unoccupied and producer-owned until published.
+            unsafe { self.shared.slot(start.wrapping_add(offset)).write(value) };
         }
-        for (offset, value) in items.drain(..take).enumerate() {
-            // SAFETY: `free_slots` proved all `take` slots starting at
-            // `tail` are unoccupied and producer-owned until published.
-            unsafe { self.shared.slot(tail.wrapping_add(offset)).write(value) };
-        }
-        // One atomic update publishes the whole burst.
-        // ORDER: Release publishes every slot write of the burst at once;
-        // pairs with the consumer's Acquire load of `tail` in `visible`.
-        self.shared
-            .tail
-            .0
-            .store(tail.wrapping_add(take), Ordering::Release);
-        take
+        self.next.set(start.wrapping_add(fits));
+        self.publish();
+        fits
     }
 
-    /// Number of elements currently queued.
+    /// Number of elements currently queued: published and not yet
+    /// released by the consumer (staged ones are not counted).
     pub fn len(&self) -> usize {
         self.shared.len()
     }
 
-    /// Returns `true` if the ring holds no elements.
+    /// Returns `true` if the ring holds no published elements.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Returns `true` if the ring is full.
+    /// Returns `true` if no slot is free (staged elements counted).
     pub fn is_full(&self) -> bool {
-        self.len() >= self.shared.capacity
+        self.free_space() == 0
     }
 
     /// Ring capacity.
@@ -242,11 +283,12 @@ impl<T> Producer<T> {
         self.shared.capacity
     }
 
-    /// Slots currently free for pushing. Exact from the producer side (the
-    /// consumer only ever makes more room), so a single-threaded scheduler
-    /// can use it to decide deterministically how much fits.
+    /// Slots currently free for staging or pushing: staged elements count
+    /// as used. Exact from the producer side (the consumer only ever makes
+    /// more room), so a single-threaded scheduler can use it to decide
+    /// deterministically how much fits.
     pub fn free_space(&self) -> usize {
-        self.capacity() - self.len()
+        self.capacity() - self.len() - self.staged()
     }
 
     /// Number of pushes rejected because the ring was full.
@@ -261,6 +303,20 @@ pub struct Consumer<T> {
     /// Last observed producer cursor; refreshed only when the ring looks
     /// empty, so a draining consumer reads no producer-owned cache line.
     cached_tail: Cell<usize>,
+    /// The consumer cursor as last released: `head`, which only the
+    /// consumer stores, mirrored so taking reads no shared line.
+    released: Cell<usize>,
+    /// The oldest element not yet taken: `released` plus the elements
+    /// taken since.
+    next: Cell<usize>,
+}
+
+impl<T> Drop for Consumer<T> {
+    fn drop(&mut self) {
+        // Taken elements were moved out: releasing their slots keeps the
+        // ring from dropping them a second time.
+        self.release();
+    }
 }
 
 impl<T> std::fmt::Debug for Consumer<T> {
@@ -273,11 +329,12 @@ impl<T> std::fmt::Debug for Consumer<T> {
 }
 
 impl<T> Consumer<T> {
-    /// Returns how many elements are visible, refreshing the cached producer
-    /// cursor if the cached view says fewer than `wanted`.
+    /// Returns how many elements are visible from position `from`,
+    /// refreshing the cached producer cursor if the cached view says fewer
+    /// than `wanted`.
     #[inline]
-    fn visible(&self, head: usize, wanted: usize) -> usize {
-        let mut available = self.cached_tail.get().wrapping_sub(head);
+    fn visible(&self, from: usize, wanted: usize) -> usize {
+        let mut available = self.cached_tail.get().wrapping_sub(from);
         if available < wanted {
             // ORDER: Acquire pairs with the producer's Release store of
             // `tail`: observing tail == t makes every slot write below t
@@ -286,71 +343,92 @@ impl<T> Consumer<T> {
             // this pair to Relaxed is caught as a data race.)
             let tail = self.shared.tail.0.load(Ordering::Acquire);
             self.cached_tail.set(tail);
-            available = tail.wrapping_sub(head);
+            available = tail.wrapping_sub(from);
         }
         available
     }
 
-    /// Dequeues the oldest element, if any.
-    pub fn pop(&self) -> Option<T> {
-        // ORDER: Relaxed — the consumer is the only thread that ever stores
-        // `head`, so its own last store is the only value this can observe.
-        let head = self.shared.head.0.load(Ordering::Relaxed);
-        if self.visible(head, 1) == 0 {
+    /// Moves the oldest unread element out of its slot, if any. The slot
+    /// stays the consumer's until the next [`release`](Consumer::release).
+    #[inline]
+    pub fn take(&self) -> Option<T> {
+        let next = self.next.get();
+        if self.visible(next, 1) == 0 {
             return None;
         }
-        // SAFETY: `visible` proved slot `head` holds a published value the
-        // consumer now has exclusive access to (the producer will not touch
-        // it again until the release store below returns the slot).
-        let value = unsafe { self.shared.slot(head).read() };
-        // ORDER: Release hands the consumed slot back to the producer;
-        // pairs with the producer's Acquire load of `head` in `free_slots`.
-        self.shared
-            .head
-            .0
-            .store(head.wrapping_add(1), Ordering::Release);
+        // SAFETY: `visible` proved slot `next` holds a published value, and
+        // the producer will not touch it again until `release` returns it;
+        // `next` moves past it, so it is read only once.
+        let value = unsafe { self.shared.slot(next).move_out() };
+        self.next.set(next.wrapping_add(1));
         Some(value)
     }
 
+    /// An in-place view of up to `max` unread elements, oldest first: two
+    /// slices when the run wraps the end of the buffer (the second empty
+    /// otherwise). The elements stay unread — [`take`](Consumer::take)
+    /// moves them out afterwards.
+    pub fn peek_mut(&mut self, max: usize) -> (&mut [T], &mut [T]) {
+        let next = self.next.get();
+        let len = self.visible(next, max).min(max);
+        if len == 0 {
+            return (&mut [], &mut []);
+        }
+        let buffer = &self.shared.buffer;
+        let start = next & self.shared.mask;
+        let first = len.min(buffer.len() - start);
+        let front = Slot::run_ptr(&buffer[start..start + first]);
+        let back = Slot::run_ptr(&buffer[..len - first]);
+        // SAFETY: `visible` proved all `len` slots from `next` hold
+        // published values; they are the consumer's until released, and
+        // `&mut self` keeps `take` off them while the views live. The two
+        // runs are disjoint: `len` never exceeds the capacity.
+        unsafe {
+            (
+                std::slice::from_raw_parts_mut(front, first),
+                std::slice::from_raw_parts_mut(back, len - first),
+            )
+        }
+    }
+
+    /// Returns every taken element's slot to the producer with one release
+    /// store of the consumer cursor. Returns how many it released.
+    #[inline]
+    pub fn release(&self) -> usize {
+        let next = self.next.get();
+        let taken = next.wrapping_sub(self.released.get());
+        if taken > 0 {
+            // ORDER: Release returns every taken slot at once, after their
+            // reads; pairs with the producer's Acquire load of `head` in
+            // `free_slots`.
+            self.shared.head.0.store(next, Ordering::Release);
+            self.released.set(next);
+        }
+        taken
+    }
+
+    /// Dequeues the oldest element, if any, releasing its slot together
+    /// with any taken before it.
+    pub fn pop(&self) -> Option<T> {
+        let value = self.take();
+        self.release();
+        value
+    }
+
     /// Dequeues a burst: appends up to `max` elements to `out` and retires
-    /// them with a single release store of the consumer cursor. Returns how
-    /// many were dequeued.
+    /// them, and any taken before them, with a single release store of the
+    /// consumer cursor. Returns how many were dequeued.
     pub fn pop_n(&self, out: &mut Vec<T>, max: usize) -> usize {
-        if max == 0 {
-            return 0;
-        }
-        // ORDER: Relaxed — consumer-owned cursor, see `pop`.
-        let head = self.shared.head.0.load(Ordering::Relaxed);
-        let take = self.visible(head, max).min(max);
-        if take == 0 {
-            return 0;
-        }
-        out.reserve(take);
-        for offset in 0..take {
-            // SAFETY: `visible` proved all `take` slots starting at `head`
-            // hold published values the consumer has exclusive access to.
-            out.push(unsafe { self.shared.slot(head.wrapping_add(offset)).read() });
-        }
-        // One atomic update retires the whole burst.
-        // ORDER: Release returns every consumed slot of the burst at once;
-        // pairs with the producer's Acquire load of `head` in `free_slots`.
-        self.shared
-            .head
-            .0
-            .store(head.wrapping_add(take), Ordering::Release);
-        take
+        let popped = self.visible(self.next.get(), max).min(max);
+        out.reserve(popped);
+        out.extend(std::iter::from_fn(|| self.take()).take(popped));
+        self.release();
+        popped
     }
 
-    /// Dequeues up to `max` elements into a vector (batch receive, as used by
-    /// poll-mode RX/TX threads). Convenience wrapper over [`Consumer::pop_n`].
-    pub fn pop_batch(&self, max: usize) -> Vec<T> {
-        let mut out = Vec::new();
-        self.pop_n(&mut out, max);
-        out
-    }
-
-    /// Number of elements currently queued. This is the "queue occupancy"
-    /// signal the NF Manager's load balancer reads (paper §4.2).
+    /// Number of elements whose slots the consumer has not released yet:
+    /// the ring's occupancy, which the shard worker's telemetry reports as
+    /// queue depth.
     pub fn len(&self) -> usize {
         self.shared.len()
     }
@@ -385,6 +463,13 @@ mod tests {
     use super::*;
     use std::thread;
 
+    /// Pops up to `max` elements into a fresh vector.
+    fn popped<T>(rx: &Consumer<T>, max: usize) -> Vec<T> {
+        let mut out = Vec::new();
+        rx.pop_n(&mut out, max);
+        out
+    }
+
     #[test]
     fn push_pop_in_order() {
         let (tx, rx) = spsc_ring(4);
@@ -409,7 +494,7 @@ mod tests {
         assert_eq!(tx.rejected(), 1);
         assert_eq!(rx.pop(), Some(10));
         tx.push(13).unwrap();
-        assert_eq!(rx.pop_batch(10), vec![11, 13]);
+        assert_eq!(popped(&rx, 10), vec![11, 13]);
     }
 
     #[test]
@@ -445,7 +530,7 @@ mod tests {
                 let mut batch: Vec<u32> = (0..(round % 5)).map(|i| round * 10 + i).collect();
                 log.push(tx.push_n(&mut batch) as u32);
                 log.push(tx.free_space() as u32);
-                log.extend(rx.pop_batch((round % 3) as usize + 1));
+                log.extend(popped(&rx, (round % 3) as usize + 1));
                 log.push(rx.len() as u32);
             }
             log
@@ -460,7 +545,7 @@ mod tests {
             tx.push(i).unwrap();
         }
         assert_eq!(rx.enqueued(), 5);
-        let _ = rx.pop_batch(3);
+        let _ = popped(&rx, 3);
         assert_eq!(rx.dequeued(), 3);
         assert_eq!(rx.len(), 2);
     }
@@ -474,7 +559,7 @@ mod tests {
         tx.push(3).unwrap();
         assert!(tx.is_full());
         assert_eq!(tx.push(4), Err(PushError(4)));
-        assert_eq!(rx.pop_batch(8), vec![1, 2, 3]);
+        assert_eq!(popped(&rx, 8), vec![1, 2, 3]);
     }
 
     #[test]
@@ -487,11 +572,11 @@ mod tests {
         assert!(tx.is_full());
         assert_eq!(tx.push_n(&mut burst), 0);
         assert_eq!(tx.rejected(), 4, "full-ring push counts the whole burst");
-        assert_eq!(rx.pop_batch(10), vec![1, 2, 3, 4]);
+        assert_eq!(popped(&rx, 10), vec![1, 2, 3, 4]);
         assert_eq!(tx.push_n(&mut burst), 2);
         assert!(burst.is_empty());
         assert_eq!(tx.rejected(), 4, "successful burst adds nothing");
-        assert_eq!(rx.pop_batch(10), vec![5, 6]);
+        assert_eq!(popped(&rx, 10), vec![5, 6]);
     }
 
     #[test]
@@ -532,6 +617,145 @@ mod tests {
         drop(tx);
         drop(rx);
         assert_eq!(Arc::strong_count(&payload), 1, "queued clones were dropped");
+    }
+
+    #[test]
+    fn a_staged_item_is_invisible_until_publish() {
+        let (tx, rx) = spsc_ring(4);
+        tx.stage(1).unwrap();
+        tx.stage(2).unwrap();
+        assert_eq!(tx.staged(), 2);
+        assert_eq!(rx.take(), None, "staged items are not published");
+        assert!(rx.is_empty());
+        assert_eq!(tx.publish(), 2);
+        assert_eq!(tx.staged(), 0);
+        assert_eq!(tx.publish(), 0, "nothing left to publish");
+        assert_eq!(rx.take(), Some(1));
+        assert_eq!(rx.take(), Some(2));
+        assert_eq!(rx.take(), None);
+        assert_eq!(rx.release(), 2);
+        assert!(rx.is_empty());
+    }
+
+    #[test]
+    fn free_space_counts_staged_items() {
+        let (tx, _rx) = spsc_ring(3);
+        tx.stage(1).unwrap();
+        assert_eq!(tx.free_space(), 2);
+        tx.stage(2).unwrap();
+        tx.stage(3).unwrap();
+        assert_eq!(tx.free_space(), 0);
+        assert!(tx.is_full());
+        assert_eq!(tx.stage(4), Err(PushError(4)));
+        assert_eq!(tx.rejected(), 1);
+        tx.publish();
+        assert_eq!(tx.free_space(), 0, "published items still hold their slots");
+    }
+
+    #[test]
+    fn push_after_stage_keeps_fifo_order() {
+        let (tx, rx) = spsc_ring(8);
+        tx.stage(1).unwrap();
+        tx.push(2).unwrap();
+        tx.stage(3).unwrap();
+        let mut burst = vec![4, 5];
+        assert_eq!(tx.push_n(&mut burst), 2);
+        assert_eq!(tx.staged(), 0, "push and push_n publish what was staged");
+        assert_eq!(popped(&rx, 8), vec![1, 2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn the_producer_sees_no_room_until_release() {
+        let (tx, rx) = spsc_ring(2);
+        tx.push(1).unwrap();
+        tx.push(2).unwrap();
+        assert_eq!(rx.take(), Some(1));
+        assert_eq!(rx.take(), Some(2));
+        assert_eq!(
+            tx.stage(3),
+            Err(PushError(3)),
+            "taken slots are not free yet"
+        );
+        assert_eq!(tx.free_space(), 0);
+        assert_eq!(rx.len(), 2, "taken elements hold their slots");
+        assert_eq!(rx.release(), 2);
+        assert_eq!(tx.free_space(), 2);
+        tx.stage(3).unwrap();
+        tx.publish();
+        assert_eq!(rx.pop(), Some(3));
+        assert_eq!(rx.dequeued(), 3);
+    }
+
+    #[test]
+    fn peek_mut_across_the_wrap_returns_two_slices_in_order() {
+        let (tx, mut rx) = spsc_ring(4);
+        for v in 0..3 {
+            tx.push(v).unwrap();
+        }
+        assert_eq!(popped(&rx, 3), vec![0, 1, 2]);
+        // The next four elements occupy slots 3, 0, 1, 2.
+        for v in 3..7 {
+            tx.stage(v).unwrap();
+        }
+        tx.publish();
+        let (front, back) = rx.peek_mut(8);
+        assert_eq!((&*front, &*back), (&[3][..], &[4, 5, 6][..]));
+        for v in front.iter_mut().chain(back.iter_mut()) {
+            *v *= 10;
+        }
+        let (front, back) = rx.peek_mut(2);
+        assert_eq!(
+            (&*front, &*back),
+            (&[30][..], &[40][..]),
+            "max bounds the view"
+        );
+        assert_eq!(rx.take(), Some(30));
+        let (front, back) = rx.peek_mut(8);
+        assert_eq!(
+            (&*front, &*back),
+            (&[40, 50, 60][..], &[][..]),
+            "the view starts past taken items"
+        );
+        assert_eq!(popped(&rx, 8), vec![40, 50, 60], "in-place writes stick");
+        let (front, back) = rx.peek_mut(8);
+        assert!(front.is_empty() && back.is_empty());
+    }
+
+    /// Counts its drops in a shared counter.
+    #[derive(Debug)]
+    struct Counted(Arc<std::sync::atomic::AtomicUsize>);
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
+    }
+
+    #[test]
+    fn dropping_the_ring_drops_staged_items_once_and_taken_ones_never_again() {
+        let drops = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let counted = || Counted(Arc::clone(&drops));
+        let dropped = || drops.load(std::sync::atomic::Ordering::Relaxed);
+        // Staged and never published: the ring drops each once.
+        let (tx, rx) = spsc_ring(4);
+        tx.push(counted()).unwrap();
+        tx.stage(counted()).unwrap();
+        tx.stage(counted()).unwrap();
+        drop(tx);
+        drop(rx);
+        assert_eq!(dropped(), 3);
+        // Taken and never released: the taker dropped them, the ring must
+        // not drop them again; the untaken one is the ring's.
+        let (tx, rx) = spsc_ring(4);
+        for _ in 0..3 {
+            tx.push(counted()).unwrap();
+        }
+        drop(rx.take());
+        drop(rx.take());
+        assert_eq!(dropped(), 5);
+        drop(rx);
+        drop(tx);
+        assert_eq!(dropped(), 6);
     }
 
     #[test]

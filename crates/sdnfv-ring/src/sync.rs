@@ -35,7 +35,11 @@ use std::mem::MaybeUninit;
 /// is *checked*: under the model cfg every access is reported to the
 /// interleaving checker, which flags any pair of accesses not ordered by
 /// the happens-before graph (and any read of a never-written slot).
+///
+/// Transparent over its `T`, so a run of slots is laid out as a `[T]`: the
+/// ring's consumer serves a burst in place through [`Slot::run_ptr`].
 #[derive(Debug)]
+#[repr(transparent)]
 pub struct Slot<T> {
     cell: UnsafeCell<MaybeUninit<T>>,
 }
@@ -65,6 +69,7 @@ impl<T> Slot<T> {
     }
 
     /// Moves the value out of the slot, leaving it logically uninitialized.
+    /// (Not `read`: the hot-path lint reserves `.read()` for lock guards.)
     ///
     /// # Safety
     ///
@@ -72,12 +77,32 @@ impl<T> Slot<T> {
     /// exclusive access to (in the ring: the consumer owns slots in
     /// `[head, tail)`), and must not read the slot again before the next
     /// `write`.
-    pub unsafe fn read(&self) -> T {
+    pub unsafe fn move_out(&self) -> T {
         #[cfg(feature = "model")]
         crate::model::trace_nonatomic_read(self as *const _ as usize);
         // SAFETY: initialization and exclusivity are the caller's contract
         // (checked under the model cfg by the race detector).
         unsafe { (*self.cell.get()).assume_init_read() }
+    }
+
+    /// A pointer to the value of the first of `slots`, through which the
+    /// whole run reads and writes as one `[T]`. Under the model cfg every
+    /// slot of the run is reported as written: whoever holds the view may
+    /// write any of them in place.
+    ///
+    /// Dereferencing the pointer carries [`Slot::move_out`]'s and
+    /// [`Slot::write`]'s contracts at once: exclusive access to every slot
+    /// of the run, each holding an initialized value (in the ring: the
+    /// consumer's unread slots).
+    pub fn run_ptr(slots: &[Slot<T>]) -> *mut T {
+        #[cfg(feature = "model")]
+        for slot in slots {
+            crate::model::trace_nonatomic_write(slot as *const _ as usize);
+        }
+        // `Slot` is transparent over `UnsafeCell<MaybeUninit<T>>`, which is
+        // laid out as `T`; the pointer derives from the whole run, so it
+        // may address every slot of it.
+        UnsafeCell::raw_get(slots.as_ptr().cast::<UnsafeCell<MaybeUninit<T>>>()).cast::<T>()
     }
 
     /// Drops the value in place.
