@@ -8,7 +8,7 @@
 //! ```
 //!
 //! Output is plain text: one block per figure with the same series the paper
-//! plots. EXPERIMENTS.md records how these outputs compare with the paper.
+//! plots.
 
 use std::time::Duration;
 

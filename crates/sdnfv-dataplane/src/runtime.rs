@@ -4303,9 +4303,12 @@ fn parallel_fits(slots: &[NfSlot], indices: &[usize]) -> bool {
 /// unlucky.
 ///
 /// Only [`SlotState::Active`] slots appear in `service_instances`, so
-/// draining replicas receive no new work. Replica churn (scale up/down)
-/// changes the sticky mapping — the NF state-handoff machinery covers the
-/// flows a drained replica was serving.
+/// draining replicas receive no new work. Known limitation: replica churn
+/// (scale up/down) changes `hash % count` for most flows, and the state
+/// hand-off does not follow them — on scale-down it imports the retiring
+/// replica's state into the first survivor only, on scale-up it moves
+/// nothing — so a moved flow's later packets can meet a replica without its
+/// NF state. Bucketed replica selection is ROADMAP direction 8.
 fn pick_instance(
     service_instances: &[(ServiceId, Vec<usize>)],
     service: ServiceId,

@@ -34,12 +34,15 @@ impl IpPrefix {
         IpPrefix { addr, len: 32 }
     }
 
-    /// Returns `true` if `ip` falls inside the prefix.
+    /// Returns `true` if `ip` falls inside the prefix. A length above 32
+    /// (possible through a struct literal) is read as 32, as [`IpPrefix::new`]
+    /// clamps it.
     pub fn contains(&self, ip: Ipv4Addr) -> bool {
-        if self.len == 0 {
+        let len = self.len.min(32);
+        if len == 0 {
             return true;
         }
-        let mask = u32::MAX << (32 - u32::from(self.len));
+        let mask = u32::MAX << (32 - u32::from(len));
         (u32::from(self.addr) & mask) == (u32::from(ip) & mask)
     }
 }
@@ -195,8 +198,8 @@ impl FlowMatch {
         if self.step.is_some() {
             score += 1;
         }
-        score += self.src_ip.map_or(0, |p| 1 + u32::from(p.len));
-        score += self.dst_ip.map_or(0, |p| 1 + u32::from(p.len));
+        score += self.src_ip.map_or(0, |p| 1 + u32::from(p.len.min(32)));
+        score += self.dst_ip.map_or(0, |p| 1 + u32::from(p.len.min(32)));
         if self.src_port.is_some() {
             score += 16;
         }
@@ -263,6 +266,31 @@ mod tests {
         assert!(!IpPrefix::host(Ipv4Addr::new(1, 2, 3, 4)).contains(Ipv4Addr::new(1, 2, 3, 5)));
         assert_eq!(IpPrefix::new(Ipv4Addr::new(10, 0, 0, 0), 64).len, 32);
         assert_eq!(p.to_string(), "10.0.0.0/8");
+    }
+
+    #[test]
+    fn a_prefix_longer_than_32_bits_reads_as_a_host_prefix() {
+        let host = Ipv4Addr::new(10, 0, 1, 5);
+        let overlong = IpPrefix {
+            addr: host,
+            len: 33,
+        };
+        assert!(overlong.contains(host));
+        assert!(!overlong.contains(Ipv4Addr::new(10, 0, 1, 4)));
+        assert!(!overlong.contains(Ipv4Addr::new(200, 0, 0, 1)));
+        let m = FlowMatch::any().with_src_ip(overlong);
+        assert!(m.matches(RulePort::Nic(0), &key()));
+        let mut elsewhere = key();
+        elsewhere.src_ip = Ipv4Addr::new(10, 0, 1, 6);
+        assert!(!m.matches(RulePort::Nic(0), &elsewhere));
+        assert_eq!(
+            m.specificity(),
+            FlowMatch::any()
+                .with_src_ip(IpPrefix::host(host))
+                .specificity()
+        );
+        let neighbour = FlowMatch::any().with_src_ip(IpPrefix::host(elsewhere.src_ip));
+        assert!(!m.intersects(&neighbour));
     }
 
     #[test]

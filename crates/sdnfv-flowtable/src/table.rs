@@ -25,10 +25,12 @@
 //!   are constrained, plus the two prefix lengths). Each shape owns a hash
 //!   table keyed by the rule's masked tuple. A lookup probes the shapes of
 //!   its own step and of the shared partition — never a shape that only
-//!   holds another step's rules — with one hash of the packet's masked
-//!   fields per shape. Shapes are kept sorted by their highest-priority
-//!   rule, so the probe loop exits as soon as no remaining shape can beat
-//!   the best candidate (or tie with the exact rule, which wins ties).
+//!   holds another step's rules. It packs the packet's 5-tuple into one
+//!   128-bit word once; each shape carries that word's mask, so a probe is
+//!   one AND, one two-word hash and one 128-bit compare. Shapes are kept
+//!   sorted by their highest-priority rule, so the probe loop exits as
+//!   soon as no remaining shape can beat the best candidate (or tie with
+//!   the exact rule, which wins ties).
 //!   Lookup cost is O(distinct mask shapes at this step), not O(rules);
 //!   [`TableStats::shape_probes`] counts the probes.
 //!
@@ -75,7 +77,7 @@ use parking_lot::RwLock;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
-use std::net::Ipv4Addr;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -222,81 +224,118 @@ impl RuleEntry {
     }
 }
 
+/// The 5-tuple in one word, most significant field first: source address
+/// (bits 96–127), destination address (64–95), source port (48–63),
+/// destination port (32–47) and the protocol's code (0–8, see
+/// [`protocol_code`]). A key is packed once per lookup; a shape's mask
+/// then projects it with one AND.
+fn pack(src: u32, dst: u32, src_port: u16, dst_port: u16, protocol: u16) -> u128 {
+    u128::from(src) << 96
+        | u128::from(dst) << 64
+        | u128::from(src_port) << 48
+        | u128::from(dst_port) << 32
+        | u128::from(protocol)
+}
+
+/// The protocol's number, plus bit 8 for the named variants: `Other(6)`
+/// is not `Tcp` to [`FlowMatch::matches`], so it must not pack alike.
+fn protocol_code(protocol: IpProtocol) -> u16 {
+    let named = !matches!(protocol, IpProtocol::Other(_));
+    u16::from(named) << 8 | u16::from(protocol.value())
+}
+
+/// Every bit [`protocol_code`] may set.
+const PROTOCOL_BITS: u16 = 0x1ff;
+
+/// The packed form of a flow key.
+fn pack_key(key: &FlowKey) -> u128 {
+    pack(
+        key.src_ip.into(),
+        key.dst_ip.into(),
+        key.src_port,
+        key.dst_port,
+        protocol_code(key.protocol),
+    )
+}
+
+/// The address bits a prefix of `len` (at most 32) keeps; none if absent.
+fn prefix_bits(len: Option<u8>) -> u32 {
+    len.map_or(0, |len| {
+        u32::MAX.checked_shl(32 - u32::from(len)).unwrap_or(0)
+    })
+}
+
 /// Which 5-tuple fields a wildcard rule constrains — the grouping key
 /// inside one [`TupleSpace`]. Two rules of a tuple space share a shape iff
 /// they mask the same fields with the same prefix lengths, which also
 /// fixes their specificity. The step is not part of the shape: rules are
 /// partitioned by step before they are grouped by shape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct MaskShape {
+    /// The bits of a packed 5-tuple ([`pack`]) the shape's rules look at.
+    mask: u128,
     /// `None` = source IP unconstrained; `Some(len)` = prefix of that
-    /// length (0 is a legal, match-all prefix with its own specificity).
+    /// length (0 is a legal, match-all prefix with its own specificity,
+    /// so the mask alone, zero in both cases, cannot name the shape).
     src_len: Option<u8>,
     dst_len: Option<u8>,
-    has_src_port: bool,
-    has_dst_port: bool,
-    has_protocol: bool,
 }
 
-/// A packet's (or rule's) field values masked down to one shape — the
+/// A packet's (or rule's) packed 5-tuple masked down to one shape — the
 /// per-shape hash key. Unconstrained fields are zeroed so they hash
 /// identically for every packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct MaskedTuple {
-    src: u32,
-    dst: u32,
-    src_port: u16,
-    dst_port: u16,
-    protocol: Option<IpProtocol>,
-}
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct MaskedTuple(u128);
 
-fn mask_addr(addr: Ipv4Addr, len: u8) -> u32 {
-    if len == 0 {
-        return 0;
+impl Hash for MaskedTuple {
+    /// Two words, so the table's hasher mixes twice.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64((self.0 >> 64) as u64);
+        state.write_u64(self.0 as u64);
     }
-    u32::from(addr) & (u32::MAX << (32 - u32::from(len.min(32))))
 }
 
 impl MaskShape {
+    /// The shape of `m`. A prefix longer than `/32` is read as `/32`, as
+    /// [`IpPrefix::contains`](crate::matching::IpPrefix::contains) does.
     fn of(m: &FlowMatch) -> Self {
+        let src_len = m.src_ip.map(|p| p.len.min(32));
+        let dst_len = m.dst_ip.map(|p| p.len.min(32));
+        let all_if = |constrained: bool, bits: u16| if constrained { bits } else { 0 };
         MaskShape {
-            src_len: m.src_ip.map(|p| p.len),
-            dst_len: m.dst_ip.map(|p| p.len),
-            has_src_port: m.src_port.is_some(),
-            has_dst_port: m.dst_port.is_some(),
-            has_protocol: m.protocol.is_some(),
+            mask: pack(
+                prefix_bits(src_len),
+                prefix_bits(dst_len),
+                all_if(m.src_port.is_some(), u16::MAX),
+                all_if(m.dst_port.is_some(), u16::MAX),
+                all_if(m.protocol.is_some(), PROTOCOL_BITS),
+            ),
+            src_len,
+            dst_len,
         }
     }
 
     /// The masked tuple of a rule with this shape.
     fn mask_rule(&self, m: &FlowMatch) -> MaskedTuple {
-        MaskedTuple {
-            src: m.src_ip.map_or(0, |p| mask_addr(p.addr, p.len)),
-            dst: m.dst_ip.map_or(0, |p| mask_addr(p.addr, p.len)),
-            src_port: m.src_port.unwrap_or(0),
-            dst_port: m.dst_port.unwrap_or(0),
-            protocol: m.protocol,
-        }
+        self.project(pack(
+            m.src_ip.map_or(0, |p| p.addr.into()),
+            m.dst_ip.map_or(0, |p| p.addr.into()),
+            m.src_port.unwrap_or(0),
+            m.dst_port.unwrap_or(0),
+            m.protocol.map_or(0, protocol_code),
+        ))
     }
 
     /// Whether every key projects onto this shape alike: no port, no
     /// protocol, no address prefix longer than `/0`.
     fn ignores_key(&self) -> bool {
-        self.src_len.unwrap_or(0) == 0
-            && self.dst_len.unwrap_or(0) == 0
-            && !(self.has_src_port || self.has_dst_port || self.has_protocol)
+        self.mask == 0
     }
 
-    /// Projects a packet's key onto this shape: the resulting tuple equals
-    /// a rule's masked tuple iff the rule's 5-tuple fields match the packet.
-    fn project(&self, key: &FlowKey) -> MaskedTuple {
-        MaskedTuple {
-            src: self.src_len.map_or(0, |len| mask_addr(key.src_ip, len)),
-            dst: self.dst_len.map_or(0, |len| mask_addr(key.dst_ip, len)),
-            src_port: if self.has_src_port { key.src_port } else { 0 },
-            dst_port: if self.has_dst_port { key.dst_port } else { 0 },
-            protocol: self.has_protocol.then_some(key.protocol),
-        }
+    /// Projects a packed key ([`pack_key`]) onto this shape: the result
+    /// equals a rule's masked tuple iff the rule's 5-tuple fields match.
+    fn project(&self, packed: u128) -> MaskedTuple {
+        MaskedTuple(packed & self.mask)
     }
 }
 
@@ -760,6 +799,7 @@ impl FlowTable {
         // The best live wildcard so far: (priority, specificity, id, slot).
         let mut best: Option<(u16, u32, RuleId, Slot)> = None;
         let mut shape_probes = 0;
+        let packed = pack_key(key);
         // This step's own tuple space, then the one shared by all steps.
         for space in [own_space, Some(&self.any_step)].into_iter().flatten() {
             for bucket in &space.shapes {
@@ -774,7 +814,7 @@ impl FlowTable {
                 }
                 shape_probes += 1;
                 any_flow &= bucket.shape.ignores_key();
-                let tuple = bucket.shape.project(key);
+                let tuple = bucket.shape.project(packed);
                 let Some(candidates) = bucket.rules.get(&tuple) else {
                     continue;
                 };
@@ -2164,6 +2204,96 @@ mod tests {
             table.insert(FlowRule::new(matcher, vec![Action::ToService(svc(1))]).with_priority(1));
         }
         table
+    }
+
+    /// SplitMix64, for the seeded tests.
+    struct Rng(u64);
+
+    impl Rng {
+        /// Uniform in `0..n`.
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
+        }
+
+        fn pick<T: Copy>(&mut self, from: &[T]) -> T {
+            from[self.below(from.len() as u64) as usize]
+        }
+
+        /// `Some` half of the time.
+        fn maybe<T>(&mut self, make: impl FnOnce(&mut Self) -> T) -> Option<T> {
+            (self.below(2) == 0).then(|| make(self))
+        }
+    }
+
+    #[test]
+    fn a_packed_key_meets_a_masked_rule_exactly_when_the_rule_matches() {
+        let protocols = [
+            IpProtocol::Icmp,
+            IpProtocol::Tcp,
+            IpProtocol::Udp,
+            IpProtocol::Other(0),
+            IpProtocol::Other(1),
+            IpProtocol::Other(6),
+            IpProtocol::Other(17),
+            IpProtocol::Other(255),
+        ];
+        let ports = [0, 1, 80, 65535];
+        // Addresses one bit apart at either end, so every prefix length
+        // drawn splits some pair of them.
+        let addrs = [0x0a00_0000, 0x0a00_0001, 0x8a00_0000, 0x0b00_0000, u32::MAX];
+        let addr = |rng: &mut Rng| Ipv4Addr::from(rng.pick(&addrs));
+        let prefix = |rng: &mut Rng| IpPrefix {
+            addr: addr(rng),
+            len: rng.pick(&[0, 1, 7, 31, 32, 33]),
+        };
+        let mut rng = Rng(31);
+        let mut matched = 0;
+        for round in 0..20_000 {
+            let key = FlowKey::new(
+                addr(&mut rng),
+                addr(&mut rng),
+                rng.pick(&ports),
+                rng.pick(&ports),
+                rng.pick(&protocols),
+            );
+            let m = FlowMatch {
+                step: None,
+                src_ip: rng.maybe(prefix),
+                dst_ip: rng.maybe(prefix),
+                src_port: rng.maybe(|rng| rng.pick(&ports)),
+                dst_port: rng.maybe(|rng| rng.pick(&ports)),
+                protocol: rng.maybe(|rng| rng.pick(&protocols)),
+            };
+            let shape = MaskShape::of(&m);
+            let meets = shape.project(pack_key(&key)) == shape.mask_rule(&m);
+            let matches = m.matches(RulePort::Nic(0), &key);
+            assert_eq!(meets, matches, "round {round}: {m:?} against {key:?}");
+            matched += usize::from(matches);
+        }
+        assert!((2_000..18_000).contains(&matched), "{matched} matched");
+    }
+
+    #[test]
+    fn a_match_all_prefix_and_an_absent_one_are_different_shapes() {
+        let mut table = FlowTable::new();
+        let everywhere = IpPrefix::new(Ipv4Addr::UNSPECIFIED, 0);
+        let rule = |m| FlowRule::new(m, vec![Action::Drop]);
+        table.insert(rule(FlowMatch::any()));
+        table.insert(rule(FlowMatch::any().with_src_ip(everywhere)));
+        table.insert(rule(FlowMatch::any().with_dst_ip(everywhere)));
+        let shapes = &table.any_step.shapes;
+        assert_eq!(shapes.len(), 3, "one bucket each");
+        assert!(shapes.iter().all(|bucket| bucket.shape.ignores_key()));
+        let mut specificities: Vec<u32> = shapes.iter().map(|b| b.specificity).collect();
+        specificities.sort();
+        assert_eq!(specificities, [0, 1, 1]);
+        // The more specific `/0` rule wins a priority tie.
+        let winner = table.lookup(RulePort::Nic(0), &key(1)).unwrap().rule_id;
+        assert_eq!(table.rule(winner).unwrap().matcher.specificity(), 1);
     }
 
     #[test]

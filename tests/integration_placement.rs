@@ -48,7 +48,7 @@ fn division_heuristic_is_never_worse_than_greedy_and_scales_with_capacity() {
     // The paper reports the division heuristic fits ~85% of the flows the
     // fully-optimal solution accommodates. Our division implementation never
     // revisits committed sub-problems, so at the tightest capacity it tracks
-    // the greedy baseline rather than the optimal solver (see EXPERIMENTS.md);
+    // the greedy baseline rather than the optimal solver;
     // what must hold is that it is never worse than greedy and that it
     // overtakes greedy once capacity is scaled up (the right-hand side of
     // Figure 5).
