@@ -412,8 +412,9 @@ fn classify(path: &Path) -> Scope {
 /// NF replica; then the worker's per-packet fns (RX and TX rounds and the
 /// per-item fns they call, the deferred-completion retry, dispatch,
 /// forwarding, staging, flush, frame and descriptor reuse and a fan-out's
-/// exit, lookup); then the NF state-mailbox accessors `step` calls; then
-/// the ring ops every hop makes; last, what admission runs per packet
+/// exit, lookup, the sticky replica pick by steering bucket); then the NF
+/// state-mailbox accessors `step` calls; then the ring ops every hop
+/// makes; last, what admission runs per packet
 /// outside the engine file: the header walk, the burst's credit grant and
 /// the two sides of the bucket count.
 const HOT_PATH_FNS: &[&str] = &[
@@ -443,6 +444,9 @@ const HOT_PATH_FNS: &[&str] = &[
     "unshare",
     "reclaim",
     "lookup",
+    "pick_instance",
+    "replicas_of",
+    "replica_of_bucket",
     "serve_state_requests",
     "take_requests",
     "drain_responses",

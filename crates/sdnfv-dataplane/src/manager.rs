@@ -100,8 +100,9 @@ impl NfManager {
     }
 
     /// Attaches an NF instance implementing `service`. Several instances of
-    /// one service share its packets by flow hash, so every packet of a
-    /// flow reaches the same instance (paper §3.3).
+    /// one service share its packets by steering bucket, so every packet of
+    /// a flow reaches the same instance (paper §3.3); adding one moves the
+    /// flow state of the buckets it takes over to it before this returns.
     ///
     /// The NF's `on_start` hook runs before this returns; any messages it
     /// emits are applied and queued like messages emitted while processing
@@ -182,14 +183,14 @@ impl NfManager {
         }
     }
 
-    /// Steps every actor until the host is quiescent, moving what egressed
-    /// into `out` in egress order.
+    /// Steps every actor until the host is quiescent (no bucket move
+    /// pending either), moving what egressed into `out` in egress order.
     fn settle(&mut self, out: &mut Vec<HostOutput>) {
         loop {
             while self.sim.step_all() > 0 {}
             let before = out.len();
             out.extend(self.host.poll_egress_burst(usize::MAX));
-            if out.len() == before {
+            if out.len() == before && self.host.pending_rehomes() == 0 {
                 return;
             }
         }

@@ -32,10 +32,16 @@
 //! 6. **Release** ([`MovePhase::Releasing`]): the pen drains into the new
 //!    shard, whose NFs now hold the flows' state.
 //!
-//! Both plain steering rebalances (`set_steering_weights`) and shard
-//! scale-out/in (`spawn_shard` / `retire_shard`) go through this machinery,
-//! so neither can lose packets, flow-table state, wildcard-rule mutations
-//! or NF-internal flow state.
+//! Plain steering rebalances (`set_steering_weights`), shard scale-out/in
+//! (`spawn_shard` / `retire_shard`) and replica scaling (`add_nf_replica` /
+//! `remove_nf_replica`) all go through this machinery, so none can lose
+//! packets, flow-table state, wildcard-rule mutations or NF-internal flow
+//! state. A replica scale is the same handshake with `from == to`: only
+//! the shard's buckets whose replica pick changes park, their arrivals are
+//! throttled back (not penned: the shard's credit gate stays the bound),
+//! their export and the replica change are pushed together once all of
+//! them have drained, and step 5 lands each flow's state on its new pick.
+//! Its moves show in `take_rehome_events` like any other.
 
 use std::collections::VecDeque;
 use std::sync::atomic::AtomicBool;
@@ -338,8 +344,8 @@ pub struct RehomeReport {
     /// Packets that waited in a per-bucket pen during a re-home (every one
     /// of them was released into the bucket's new shard).
     pub packets_penned: u64,
-    /// Injections rejected because a bucket's pen was full (surfaced as
-    /// ordinary backpressure to the caller — handed back, not dropped).
+    /// Injections rejected because a bucket's pen was full or a replica
+    /// scale re-picks it (handed back as backpressure, not dropped).
     pub pen_throttled: u64,
     /// Buckets this host handed to another host (cross-host re-homes, as
     /// the source).
@@ -518,6 +524,11 @@ impl RehomeState {
             to: from,
             step: RehomeStep::Begun,
         });
+    }
+
+    /// Whether a shard retirement or a replica scale (`from == to`) is on.
+    pub fn retiring_or_scaling(&self) -> bool {
+        self.retiring.is_some() || self.moves.iter().any(|m| m.from == m.to)
     }
 
     /// Whether any active move still involves shard `shard` (as source or

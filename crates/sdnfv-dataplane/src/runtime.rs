@@ -104,11 +104,15 @@
 //! [`ThreadedHost::poll_telemetry`]. In the other direction each shard has
 //! a **control ring** of commands the worker applies between bursts, with
 //! no stop-the-world: [`ThreadedHost::add_nf_replica`] spawns one more NF
-//! thread for a service, [`ThreadedHost::remove_nf_replica`] retires one
-//! (the replica drains its queue before its thread exits, so no packet is
-//! lost), and [`ThreadedHost::resize_credits`] re-budgets the shard's
-//! credit gate. [`ThreadedHost::set_steering_weights`] rebalances the
-//! flow-hash → shard bucket table on the injection side.
+//! thread for a service, [`ThreadedHost::remove_nf_replica`] retires the
+//! newest one (the replica drains its queue before its thread exits, so no
+//! packet is lost), and [`ThreadedHost::resize_credits`] re-budgets the
+//! shard's credit gate. A flow's replica follows its steering bucket
+//! ([`pick_instance`]), so a replica scale is the bucket handshake below
+//! with `from == to`: only the re-picked buckets park, and these moves
+//! show in [`ThreadedHost::take_rehome_events`] like any other.
+//! [`ThreadedHost::set_steering_weights`] rebalances the flow-hash → shard
+//! bucket table on the injection side.
 //!
 //! **Elastic shard count**: the pipeline count itself can change while
 //! traffic flows. [`ThreadedHost::spawn_shard`] brings up a complete new
@@ -342,13 +346,8 @@ enum NfStateRequest {
         buckets: Vec<usize>,
         keys: Vec<FlowKey>,
     },
-    /// Absorb state exported on the flow's old shard.
+    /// Absorb state exported on the flow's old shard or old replica.
     Import { states: Vec<(FlowKey, NfFlowState)> },
-    /// Scale-down handoff: detach *every* flow's state. Served only at the
-    /// replica's drain-exit — after its last packet — so the exported
-    /// counters are final; the worker re-imports them into a surviving
-    /// replica of the same service.
-    HandoffAll,
     /// Discard per-flow state for flows whose rules were evicted by the
     /// timeout lifecycle — per-flow NF state dies with its rule. Fire and
     /// forget: the NF thread serves it without posting a response.
@@ -455,15 +454,6 @@ struct PendingCollect {
 struct PendingImport {
     outstanding: Vec<(usize, u64)>,
     done: Arc<AtomicBool>,
-}
-
-/// A scale-down state handoff in progress on a shard worker: the draining
-/// replica `(slot, token)` owes its full state export, which is then
-/// re-imported into a surviving replica of `service`.
-struct PendingHandoff {
-    slot: usize,
-    token: u64,
-    service: ServiceId,
 }
 
 /// A handle to one engine's execution: a real OS thread in the threaded
@@ -714,6 +704,38 @@ struct ShardPorts {
     /// later [`ThreadedHost::spawn_shard`] reuses it or it becomes the
     /// trailing slot and is reaped.
     retired: Cell<bool>,
+    /// Each replica's service, once the replica changes pushed so far apply.
+    replicas: RefCell<Vec<ServiceId>>,
+    /// A replica change waiting for its re-picked buckets to drain.
+    replica_change: RefCell<Option<ShardCommand>>,
+}
+
+impl ShardPorts {
+    /// A replica change's service and its replica count before and after.
+    fn replica_counts(&self, change: &ShardCommand) -> (ServiceId, usize, usize) {
+        let (service, grow) = match change {
+            ShardCommand::AddNf { service, .. } => (*service, 1),
+            ShardCommand::RemoveNf { service } => (*service, -1),
+            _ => unreachable!("not a replica change"),
+        };
+        let replicas = self.replicas.borrow();
+        let count = replicas.iter().filter(|&&s| s == service).count();
+        (service, count, count.saturating_add_signed(grow))
+    }
+
+    /// Pushes a replica change and counts it; a full ring hands it back.
+    fn push_replica_change(&self, change: ShardCommand) -> Result<(), ShardCommand> {
+        let (service, count, next) = self.replica_counts(&change);
+        if let Err(PushError(change)) = self.control.push(change) {
+            return Err(change);
+        }
+        let mut replicas = self.replicas.borrow_mut();
+        match replicas.iter().position(|&s| s == service) {
+            Some(at) if next < count => _ = replicas.swap_remove(at),
+            _ => replicas.push(service),
+        }
+        Ok(())
+    }
 }
 
 /// A handle to a running multi-threaded NF host.
@@ -989,8 +1011,8 @@ impl ThreadedHost {
     ///
     /// Packets of a steering bucket that is mid-re-home are parked in the
     /// bucket's pen (still [`InjectResult::Admitted`] — they are released
-    /// into the bucket's new shard once the move completes); a full pen
-    /// surfaces as ordinary backpressure.
+    /// into the bucket's new shard once the move completes); a full pen, or
+    /// a bucket a replica scale re-picks, surfaces as ordinary backpressure.
     pub fn inject(&self, mut packet: Packet) -> InjectResult {
         self.advance_rehoming();
         packet.timestamp_ns = self.now_ns();
@@ -1037,7 +1059,8 @@ impl ThreadedHost {
             let mv = state
                 .move_for_bucket_mut(bucket)
                 .expect("a parked bucket has an active move");
-            if mv.pen.len() < REHOME_PEN {
+            // A replica scale's arrivals wait at the credit gate, not a pen.
+            if mv.pen.len() < REHOME_PEN && mv.from != mv.to {
                 mv.pen.push_back((packet, key));
                 None
             } else {
@@ -1373,9 +1396,12 @@ impl ThreadedHost {
     }
 
     /// Asks `shard`'s worker to spawn one more replica of `service` running
-    /// `nf` (applied between bursts; no stop-the-world). If the shard's
-    /// control ring is momentarily full the NF instance is handed back in
-    /// `Err` so the caller can retry without re-instantiating it.
+    /// `nf`, after the drain: the shard's buckets the new replica takes over
+    /// park, and their NF flow state moves to it. Refused — the NF handed
+    /// back in `Err`, so the caller can retry without re-instantiating it —
+    /// for a tombstoned shard, on a host that steers by plain modulo, while
+    /// a bucket move, handout or replica scale involves the shard, or while
+    /// its control ring is full.
     ///
     /// # Panics
     ///
@@ -1386,36 +1412,62 @@ impl ThreadedHost {
         service: ServiceId,
         nf: Box<dyn NetworkFunction>,
     ) -> Result<(), Box<dyn NetworkFunction>> {
-        if self.shards.borrow()[shard].retired.get() {
-            return Err(nf); // tombstoned slot: no worker to apply it
-        }
-        self.shards.borrow()[shard]
-            .control
-            .push(ShardCommand::AddNf { service, nf })
-            .map_err(|PushError(command)| match command {
+        self.scale_replicas(shard, ShardCommand::AddNf { service, nf })
+            .map_err(|command| match command {
                 ShardCommand::AddNf { nf, .. } => nf,
-                _ => unreachable!("the rejected command is the one we pushed"),
+                _ => unreachable!("the refused command is the one we built"),
             })
     }
 
-    /// Asks `shard`'s worker to retire one replica of `service`. The
-    /// replica stops receiving new packets immediately, drains its queue,
-    /// and its thread exits — no packet is lost. The worker refuses to
-    /// retire the last replica of a service. Returns `false` if the shard's
-    /// control ring is full.
+    /// Asks `shard`'s worker to retire the newest replica of `service`,
+    /// after the drain: that replica's buckets park, their NF flow state
+    /// moves to the survivors, and the replica then drains its queue and
+    /// exits — no packet or flow state is lost. Returns `false` — refused —
+    /// for the last replica of a service, and wherever
+    /// [`ThreadedHost::add_nf_replica`] refuses.
     ///
     /// # Panics
     ///
     /// Panics if `shard` is out of range.
     pub fn remove_nf_replica(&self, shard: usize, service: ServiceId) -> bool {
-        let shards = self.shards.borrow();
-        if shards[shard].retired.get() {
-            return false;
-        }
-        shards[shard]
-            .control
-            .push(ShardCommand::RemoveNf { service })
+        self.scale_replicas(shard, ShardCommand::RemoveNf { service })
             .is_ok()
+    }
+
+    /// Begins a replica scale: `change` is pushed at once if it re-picks none
+    /// of the shard's buckets, else after their same-shard move drains them
+    /// ([`ThreadedHost::request_exports`]). Hands `change` back if refused.
+    fn scale_replicas(&self, shard: usize, change: ShardCommand) -> Result<(), ShardCommand> {
+        self.advance_rehoming();
+        let shards = self.shards.borrow();
+        let ports = &shards[shard];
+        let (_, count, next) = ports.replica_counts(&change);
+        let steering = self.steering.borrow();
+        let mut state = self.rehome.borrow_mut();
+        if ports.retired.get()
+            || next == 0
+            || (shards.len() > 1 && steering.is_empty())
+            || state.shard_has_moves(shard)
+        {
+            return Err(change);
+        }
+        // 0 → 1 replica re-picks nothing: no replica held any state.
+        let repicked: Vec<usize> = (0..STEER_BUCKETS)
+            .filter(|&bucket| {
+                steering.get(bucket).is_none_or(|&owner| owner == shard)
+                    && replica_of_bucket(bucket, count) != replica_of_bucket(bucket, next)
+            })
+            .collect();
+        if repicked.is_empty() {
+            return ports.push_replica_change(change);
+        }
+        state.ensure_parked_table(STEER_BUCKETS);
+        for bucket in repicked {
+            state.begin_move(bucket, shard, shard, self.clock.now_ns());
+            self.tracker.park(bucket);
+        }
+        *ports.replica_change.borrow_mut() = Some(change);
+        Ok(())
     }
 
     /// Asks `shard`'s worker to re-budget its credit gate to `credits`
@@ -1450,14 +1502,15 @@ impl ThreadedHost {
     /// mid-re-home are left to finish their current move.
     ///
     /// Returns `false` for single-shard hosts, a weight-count mismatch, an
-    /// all-zero weight vector, or while a shard retirement is in progress.
+    /// all-zero weight vector, or while a shard retirement or a replica
+    /// scale is in progress.
     pub fn set_steering_weights(&self, weights: &[u32]) -> bool {
         self.advance_rehoming();
         let num_shards = self.shards.borrow().len();
         if num_shards <= 1 || weights.len() != num_shards || self.steering.borrow().is_empty() {
             return false;
         }
-        if self.rehome.borrow().retiring.is_some() {
+        if self.rehome.borrow().retiring_or_scaling() {
             return false;
         }
         // Tombstoned slots can never receive buckets, whatever the caller
@@ -1696,7 +1749,8 @@ impl ThreadedHost {
     fn request_exports(&self, state: &mut RehomeState) {
         let mut by_source: Vec<(usize, Vec<usize>)> = Vec::new();
         for mv in &state.moves {
-            if !matches!(mv.phase, MovePhase::Draining) {
+            // A replica scale's moves (`from == to`) go out together below.
+            if !matches!(mv.phase, MovePhase::Draining) || mv.from == mv.to {
                 continue;
             }
             if self.tracker.in_flight(mv.bucket) > 0 {
@@ -1708,22 +1762,13 @@ impl ThreadedHost {
             }
         }
         for (from, buckets) in by_source {
-            // The buckets' flows discoverable from the partition: its exact
-            // entries. NF replicas add their own key sets on top.
-            let exact_keys: Vec<FlowKey> = self.tables.shard(from).with_read(|table| {
-                table
-                    .exact_rules()
-                    .map(|(_, (_, key), _)| key)
-                    .filter(|key| buckets.contains(&self.tracker.bucket_of(key)))
-                    .collect()
-            });
             let id = state.allocate_export_id();
             let pushed = self.shards.borrow()[from]
                 .control
                 .push(ShardCommand::ExportBucketState {
                     id,
                     buckets: buckets.clone(),
-                    exact_keys,
+                    exact_keys: self.exact_keys(from, &buckets),
                 })
                 .is_ok();
             if !pushed {
@@ -1734,6 +1779,42 @@ impl ThreadedHost {
                     mv.phase = MovePhase::Collecting { id };
                 }
             }
+        }
+        // A replica scale: once every re-picked bucket has drained, the
+        // export and then the replica change go onto the control ring
+        // together, so the worker posts the export to the replicas before
+        // it spawns or stops one.
+        for (shard, ports) in self.shards.borrow().iter().enumerate() {
+            let buckets: Vec<usize> = state
+                .moves
+                .iter()
+                .filter(|mv| mv.from == shard && mv.to == shard)
+                .map(|mv| mv.bucket)
+                .collect();
+            let in_flight = |bucket: &usize| self.tracker.in_flight(*bucket) > 0;
+            if ports.replica_change.borrow().is_none()
+                || ports.control.free_space() < 2
+                || buckets.iter().any(in_flight)
+            {
+                continue;
+            }
+            let id = state.allocate_export_id();
+            for mv in state
+                .moves
+                .iter_mut()
+                .filter(|mv| buckets.contains(&mv.bucket))
+            {
+                mv.phase = MovePhase::Collecting { id };
+            }
+            let export = ShardCommand::ExportBucketState {
+                id,
+                exact_keys: self.exact_keys(shard, &buckets),
+                buckets,
+            };
+            let change = ports.replica_change.take().expect("checked above");
+            let pushed =
+                ports.control.push(export).is_ok() && ports.push_replica_change(change).is_ok();
+            assert!(pushed, "the control ring had room for both");
         }
         // Cross-host handouts: one export request per quiesced bucket (its
         // state is *extracted* into a portable bundle at absorb time, not
@@ -1747,20 +1828,13 @@ impl ThreadedHost {
             .map(|h| (h.from, h.bucket))
             .collect();
         for (from, bucket) in quiesced {
-            let exact_keys: Vec<FlowKey> = self.tables.shard(from).with_read(|table| {
-                table
-                    .exact_rules()
-                    .map(|(_, (_, key), _)| key)
-                    .filter(|key| self.tracker.bucket_of(key) == bucket)
-                    .collect()
-            });
             let id = state.allocate_export_id();
             let pushed = self.shards.borrow()[from]
                 .control
                 .push(ShardCommand::ExportBucketState {
                     id,
                     buckets: vec![bucket],
-                    exact_keys,
+                    exact_keys: self.exact_keys(from, &[bucket]),
                 })
                 .is_ok();
             if !pushed {
@@ -1770,6 +1844,18 @@ impl ThreadedHost {
                 handout.phase = HandoutPhase::Collecting { id };
             }
         }
+    }
+
+    /// The flows of `buckets` with exact rules in `shard`'s partition: the
+    /// keys an export hands every replica (which add their own key sets).
+    fn exact_keys(&self, shard: usize, buckets: &[usize]) -> Vec<FlowKey> {
+        self.tables.shard(shard).with_read(|table| {
+            table
+                .exact_rules()
+                .map(|(_, (_, key), _)| key)
+                .filter(|key| buckets.contains(&self.tracker.bucket_of(key)))
+                .collect()
+        })
     }
 
     /// Drains every shard's export ring. For each completed export: moves
@@ -1826,21 +1912,27 @@ impl ThreadedHost {
                 handout.phase = HandoutPhase::Ready;
                 continue;
             }
-            // The moves this export covers, grouped by destination shard.
+            // The moves this export covers, grouped by destination shard. A
+            // replica scale's export covers only its same-shard moves, whose
+            // flow-table state and steering stay where they are.
             let mut destinations: Vec<(usize, Vec<usize>)> = Vec::new();
+            let mut scale = false;
             for mv in moves
                 .iter_mut()
                 .filter(|mv| matches!(mv.phase, MovePhase::Collecting { id: got } if got == id))
             {
-                let moved = self
-                    .tables
-                    .move_bucket_state(mv.from, mv.to, mv.bucket, |key| {
-                        self.tracker.bucket_of(key) == mv.bucket
-                    });
-                report.rules_rehomed += moved.exact_rules as u64;
-                report.wildcard_mutations_rehomed += moved.wildcard_mutations as u64;
-                report.wildcard_conflicts += moved.wildcard_conflicts as u64;
-                steering[mv.bucket] = mv.to;
+                scale = mv.from == mv.to;
+                if !scale {
+                    let moved = self
+                        .tables
+                        .move_bucket_state(mv.from, mv.to, mv.bucket, |key| {
+                            self.tracker.bucket_of(key) == mv.bucket
+                        });
+                    report.rules_rehomed += moved.exact_rules as u64;
+                    report.wildcard_mutations_rehomed += moved.wildcard_mutations as u64;
+                    report.wildcard_conflicts += moved.wildcard_conflicts as u64;
+                    steering[mv.bucket] = mv.to;
+                }
                 match destinations.iter_mut().find(|(to, _)| *to == mv.to) {
                     Some((_, buckets)) => buckets.push(mv.bucket),
                     None => destinations.push((mv.to, vec![mv.bucket])),
@@ -1854,7 +1946,12 @@ impl ThreadedHost {
                     .collect();
                 let done = Arc::new(AtomicBool::new(bucket_states.is_empty()));
                 if !bucket_states.is_empty() {
-                    report.nf_flow_states_rehomed += bucket_states.len() as u64;
+                    let moved = bucket_states.len() as u64;
+                    if scale {
+                        self.shards.borrow()[to].stats.add_nf_state_handoffs(moved);
+                    } else {
+                        report.nf_flow_states_rehomed += moved;
+                    }
                     outbox.push(ImportDelivery {
                         to,
                         states: bucket_states,
@@ -1901,16 +1998,16 @@ impl ThreadedHost {
     /// it through the state-safe drain handshake. Returns the new shard's
     /// index.
     ///
-    /// Fails (handing the NF set back) while a shard retirement is in
-    /// progress, or if the host steers by plain modulo (≥
-    /// [`STEER_BUCKETS`] shards), where bucket re-homing is unavailable.
+    /// Fails (handing the NF set back) while a shard retirement or a
+    /// replica scale is in progress, or if the host steers by plain modulo
+    /// (≥ [`STEER_BUCKETS`] shards), where bucket re-homing is unavailable.
     #[allow(clippy::type_complexity)]
     pub fn spawn_shard(
         &self,
         nfs: Vec<(ServiceId, Box<dyn NetworkFunction>)>,
     ) -> Result<usize, Vec<(ServiceId, Box<dyn NetworkFunction>)>> {
         self.advance_rehoming();
-        if self.rehome.borrow().retiring.is_some() {
+        if self.rehome.borrow().retiring_or_scaling() {
             return Err(nfs);
         }
         // Reuse the lowest tombstoned slot left by a middle-shard
@@ -1996,9 +2093,9 @@ impl ThreadedHost {
     /// drops and a [`ShardLifecycleEvent::Retired`] is published when it
     /// does. Equivalent to [`ThreadedHost::retire_shard_at`] on that shard.
     ///
-    /// Returns `false` for single-shard hosts, while another retirement or
-    /// a move involving the shard is still in progress, or on hosts that
-    /// steer by plain modulo.
+    /// Returns `false` for single-shard hosts, while another retirement, a
+    /// replica scale or a move involving the shard is in progress, or on
+    /// hosts that steer by plain modulo.
     pub fn retire_shard(&self) -> bool {
         let highest_live = self.shards.borrow().iter().rposition(|p| !p.retired.get());
         match highest_live {
@@ -2020,9 +2117,9 @@ impl ThreadedHost {
     /// [`ShardLifecycleEvent::Retired`] is published when it does.
     ///
     /// Returns `false` if `shard` is out of range or already tombstoned, if
-    /// it is the only live shard, while another retirement or a move
-    /// involving the shard is in progress, or on hosts that steer by plain
-    /// modulo.
+    /// it is the only live shard, while another retirement, a replica
+    /// scale or a move involving the shard is in progress, or on hosts that
+    /// steer by plain modulo.
     pub fn retire_shard_at(&self, shard: usize) -> bool {
         self.advance_rehoming();
         if !self.is_live_shard(shard) || self.num_live_shards() <= 1 {
@@ -2033,7 +2130,7 @@ impl ThreadedHost {
         }
         {
             let state = self.rehome.borrow();
-            if state.retiring.is_some() || state.shard_has_moves(shard) {
+            if state.retiring_or_scaling() || state.shard_has_moves(shard) {
                 return false;
             }
         }
@@ -2311,6 +2408,7 @@ fn launch_pipeline(
     let (exports_tx, exports_rx) = spsc_ring::<BucketStateExport>(16);
     let (traces_tx, traces_rx) = spsc_ring::<TraceSpan>(config.trace_ring_capacity);
 
+    let replicas = initial_nfs.iter().map(|(service, _)| *service).collect();
     let spawner: Box<dyn ReplicaSpawner> = match runtime {
         PipelineRuntime::Threads => Box::new(ThreadSpawner),
         PipelineRuntime::Sim(registry) => Box::new(crate::sim::SimSpawner::new(registry)),
@@ -2347,7 +2445,6 @@ fn launch_pipeline(
         export_backlog: std::collections::VecDeque::new(),
         pending_collects: Vec::new(),
         pending_imports: Vec::new(),
-        pending_handoffs: Vec::new(),
         state_token: 0,
         telemetry_interval_ns: config.telemetry_interval_ns,
         last_telemetry_ns: 0,
@@ -2396,6 +2493,8 @@ fn launch_pipeline(
             latency,
             outbox,
             retired: Cell::new(false),
+            replicas: RefCell::new(replicas),
+            replica_change: RefCell::new(None),
         },
         handle,
     )
@@ -2612,9 +2711,6 @@ pub(crate) struct ShardEngine {
     pending_collects: Vec<PendingCollect>,
     /// NF-state imports awaiting replica acknowledgements.
     pending_imports: Vec<PendingImport>,
-    /// Per-flow NF state handoffs from draining replicas awaiting the
-    /// replica's drain-exit response (scale-down state preservation).
-    pending_handoffs: Vec<PendingHandoff>,
     /// Token generator for replica state-migration requests.
     state_token: u64,
     telemetry_interval_ns: u64,
@@ -2731,7 +2827,6 @@ impl ShardEngine {
                 }
                 if !self.pending_collects.is_empty()
                     || !self.pending_imports.is_empty()
-                    || !self.pending_handoffs.is_empty()
                     || !self.export_backlog.is_empty()
                 {
                     did_work |= self.poll_state_exchanges();
@@ -2887,21 +2982,6 @@ impl ShardEngine {
         for import in &mut self.pending_imports {
             import.outstanding.retain(|&(slot, _)| slot != index);
         }
-        // Scale-down handoffs aimed at this slot: absorb any response the
-        // replica already queued; anything else is gone with the replica.
-        let mut absorbed: Vec<(ServiceId, StateResponse)> = Vec::new();
-        self.pending_handoffs.retain(|handoff| {
-            if handoff.slot != index {
-                return true;
-            }
-            if let Some(response) = responses.remove(&handoff.token) {
-                absorbed.push((handoff.service, response));
-            }
-            false
-        });
-        for (service, states) in absorbed {
-            self.absorb_handoff(service, states);
-        }
     }
 
     /// Reclaims NF slots that have stayed [`SlotState::Retired`] past the
@@ -2956,14 +3036,13 @@ impl ShardEngine {
         }
         // Shift surviving state-exchange entries to the slots' new indices
         // (entries for removed slots were settled above).
-        let remap_entry = |(slot, token): &mut (usize, u64)| match remap[*slot] {
+        let remap_entry = |(slot, _): &mut (usize, u64)| match remap[*slot] {
             Some(new_index) => {
                 *slot = new_index;
                 true
             }
             None => {
                 debug_assert!(false, "entry for a compacted slot survived settling");
-                let _ = token;
                 false
             }
         };
@@ -2973,17 +3052,6 @@ impl ShardEngine {
         for import in &mut self.pending_imports {
             import.outstanding.retain_mut(&remap_entry);
         }
-        self.pending_handoffs
-            .retain_mut(|handoff| match remap[handoff.slot] {
-                Some(new_index) => {
-                    handoff.slot = new_index;
-                    true
-                }
-                None => {
-                    debug_assert!(false, "handoff for a compacted slot survived settling");
-                    false
-                }
-            });
     }
 
     /// Spawns one NF replica thread and registers its slot (reusing a
@@ -3062,11 +3130,8 @@ impl ShardEngine {
     /// removes it from dispatch and tells its thread to exit once its input
     /// ring is drained. The last replica of a service is never retired.
     ///
-    /// The replica's per-flow NF state is not abandoned: a
-    /// [`NfStateRequest::HandoffAll`] is posted, which the replica answers
-    /// at drain-exit (when its state is final) with everything it holds;
-    /// [`ShardEngine::poll_state_exchanges`] re-imports the answer into a
-    /// surviving replica of the same service.
+    /// The host pushes this right after the export of the buckets the
+    /// replica served, which the replica answers before it exits.
     fn begin_remove_nf(&mut self, service: ServiceId) {
         let Some((_, instances)) = self
             .service_instances
@@ -3079,17 +3144,10 @@ impl ShardEngine {
             return;
         }
         let index = instances.pop().expect("length checked");
-        let token = self.next_state_token();
         let slot = &mut self.slots[index];
         slot.state = SlotState::Draining;
-        slot.channel.post(token, NfStateRequest::HandoffAll);
         slot.stop.store(true, Ordering::Release);
         self.draining += 1;
-        self.pending_handoffs.push(PendingHandoff {
-            slot: index,
-            token,
-            service,
-        });
     }
 
     /// Moves fully drained replicas from [`SlotState::Draining`] to
@@ -3176,13 +3234,9 @@ impl ShardEngine {
         self.poll_state_exchanges();
     }
 
-    /// Routes imported NF flow state to one live replica per service; the
-    /// shared `done` flag flips once every routed replica acknowledged.
-    ///
-    /// State for a service with several replicas is imported into the first
-    /// active one — consistent with how per-flow NF state already behaves
-    /// across replicas (dispatch balances per packet, so a flow's state was
-    /// an approximate, per-replica notion before the move too).
+    /// Routes each imported flow's NF state to the replica that will serve
+    /// the flow's packets ([`pick_instance`]); the shared `done` flag flips
+    /// once every routed replica acknowledged.
     fn begin_import(
         &mut self,
         states: Vec<(ServiceId, FlowKey, NfFlowState)>,
@@ -3193,7 +3247,8 @@ impl ShardEngine {
         // deterministic for the simulation harness's replay guarantee.
         let mut per_slot: Vec<(usize, Vec<(FlowKey, NfFlowState)>)> = Vec::new();
         for (service, key, state) in states {
-            let Some(&slot) = replicas_of(&self.service_instances, service).first() else {
+            let Some(slot) = pick_instance(&self.service_instances, service, key.stable_hash())
+            else {
                 // No replica of the service on this shard: the migrated
                 // state cannot be absorbed. Count the loss — this is the
                 // one gap in the zero-NF-state-loss contract, and it must
@@ -3219,34 +3274,10 @@ impl ShardEngine {
         self.poll_state_exchanges();
     }
 
-    /// Re-imports the per-flow state a retiring replica handed off at
-    /// drain-exit into the first surviving replica of the same service.
-    /// With no survivor left on the shard the state is unrecoverable and
-    /// the loss is counted (`nf_state_import_drops`) rather than silent.
-    fn absorb_handoff(&mut self, service: ServiceId, states: StateResponse) {
-        if states.is_empty() {
-            return;
-        }
-        let Some(&slot) = replicas_of(&self.service_instances, service).first() else {
-            self.stats.add_nf_state_import_drops(states.len() as u64);
-            return;
-        };
-        self.stats.add_nf_state_handoffs(states.len() as u64);
-        let token = self.next_state_token();
-        self.slots[slot]
-            .channel
-            .post(token, NfStateRequest::Import { states });
-        self.pending_imports.push(PendingImport {
-            outstanding: vec![(slot, token)],
-            done: Arc::new(AtomicBool::new(false)),
-        });
-    }
-
     /// Advances every in-flight state exchange: gathers export responses
     /// (publishing completed exports on the export ring), collects import
-    /// acknowledgements (setting their `done` flags), absorbs scale-down
-    /// state handoffs, and retries exports the ring had no room for.
-    /// Returns whether anything progressed.
+    /// acknowledgements (setting their `done` flags), and retries exports
+    /// the ring had no room for. Returns whether anything progressed.
     fn poll_state_exchanges(&mut self) -> bool {
         let mut progressed = false;
         let slots = &self.slots;
@@ -3318,45 +3349,6 @@ impl ShardEngine {
             }
             progressed = true;
         }
-        // Scale-down handoffs: a retiring replica answers at drain-exit
-        // with all the per-flow state it still holds; re-import it into a
-        // surviving replica of the same service so no state is dropped.
-        let mut absorbed: Vec<(ServiceId, StateResponse)> = Vec::new();
-        self.pending_handoffs.retain(|handoff| {
-            let slot = &slots[handoff.slot];
-            let response = responses
-                .remove(&(handoff.slot, handoff.token))
-                .or_else(|| {
-                    // A retiring replica answers at drain-exit and then
-                    // finishes — its handoff payload can still be queued
-                    // undelivered (DST holdback / respond's push→flag window).
-                    // Final look before declaring it unanswered.
-                    if slot.handle.as_ref().is_none_or(TaskHandle::is_finished) {
-                        for (tok, late) in slot.channel.drain_responses_final() {
-                            responses.insert((handoff.slot, tok), late);
-                        }
-                        responses.remove(&(handoff.slot, handoff.token))
-                    } else {
-                        None
-                    }
-                });
-            if let Some(response) = response {
-                absorbed.push((handoff.service, response));
-                progressed = true;
-                return false;
-            }
-            if slot.handle.as_ref().is_none_or(TaskHandle::is_finished) {
-                // Exited without answering: only possible under host
-                // shutdown, where the state dies with the host anyway.
-                progressed = true;
-                return false;
-            }
-            true
-        });
-        for (service, states) in absorbed {
-            self.absorb_handoff(service, states);
-        }
-        let slots = &self.slots;
         self.pending_imports.retain_mut(|import| {
             import.outstanding.retain(|&(index, token)| {
                 if responses.remove(&(index, token)).is_some() {
@@ -4296,19 +4288,15 @@ fn parallel_fits(slots: &[NfSlot], indices: &[usize]) -> bool {
 }
 
 /// Picks the replica of a service that serves this packet: the flow's
-/// stable hash indexes the (insertion-ordered) replica list, so every packet
-/// of a flow reaches the same replica and per-flow NF state never splinters
-/// across instances. The credit clamp (budget ≤ smallest internal ring)
-/// keeps the pinned ring from overflowing even when the hash distribution is
-/// unlucky.
+/// steering bucket picks a position in the (insertion-ordered) replica
+/// list ([`replica_of_bucket`]), so every packet of a flow reaches the same
+/// replica and per-flow NF state never splinters across instances. The
+/// credit clamp (budget ≤ smallest internal ring) keeps the pinned ring
+/// from overflowing even when the hash distribution is unlucky.
 ///
 /// Only [`SlotState::Active`] slots appear in `service_instances`, so
-/// draining replicas receive no new work. Known limitation: replica churn
-/// (scale up/down) changes `hash % count` for most flows, and the state
-/// hand-off does not follow them — on scale-down it imports the retiring
-/// replica's state into the first survivor only, on scale-up it moves
-/// nothing — so a moved flow's later packets can meet a replica without its
-/// NF state. Bucketed replica selection is ROADMAP direction 8.
+/// draining replicas receive no new work. A replica scale moves the NF
+/// state of the buckets it re-picks before their packets flow again.
 fn pick_instance(
     service_instances: &[(ServiceId, Vec<usize>)],
     service: ServiceId,
@@ -4316,10 +4304,27 @@ fn pick_instance(
 ) -> Option<usize> {
     match replicas_of(service_instances, service) {
         [] => None,
-        // One replica (the usual case): no 64-bit division per hop.
+        // One replica (the usual case): no bucket pick per hop.
         [only] => Some(*only),
-        candidates => Some(candidates[(hash % candidates.len() as u64) as usize]),
+        candidates => {
+            let bucket = (hash & (STEER_BUCKETS as u64 - 1)) as usize;
+            Some(candidates[replica_of_bucket(bucket, candidates.len())])
+        }
     }
+}
+
+/// The position among `replicas` that serves steering bucket `bucket`:
+/// jump consistent hashing (Lamping & Veach, arXiv:1406.2294). Growing
+/// from `k` to `k + 1` replicas moves buckets only onto the new one, and
+/// shrinking moves only the last one's: `1 / (k + 1)` of them, about.
+fn replica_of_bucket(bucket: usize, replicas: usize) -> usize {
+    let (mut key, mut picked, mut next) = (bucket as u64, 0u64, 0u64);
+    while next < replicas as u64 {
+        picked = next;
+        key = key.wrapping_mul(2_862_933_555_777_941_757).wrapping_add(1);
+        next = ((picked + 1) as f64 * ((1u64 << 31) as f64 / ((key >> 33) + 1) as f64)) as u64;
+    }
+    picked as usize
 }
 
 /// The active replica slots of `service` (empty if it has none here). A
@@ -4408,9 +4413,6 @@ pub(crate) struct NfEngine {
     write_refs: Vec<&'static mut Packet>,
     verdicts: VerdictSlice,
     service_time: Ewma,
-    /// Tokens of [`NfStateRequest::HandoffAll`] requests, answered only at
-    /// drain-exit when the replica's state is final.
-    deferred_handoffs: Vec<u64>,
     /// Terminal: the replica exited its loop (drain complete or shutdown).
     pub(crate) finished: bool,
 }
@@ -4466,7 +4468,6 @@ impl NfEngine {
             write_refs: Vec::with_capacity(burst_size),
             verdicts: VerdictSlice::with_capacity(burst_size),
             service_time: Ewma::default(),
-            deferred_handoffs: Vec::new(),
             finished: false,
         };
         engine.apply_ctx_messages();
@@ -4511,9 +4512,8 @@ impl NfEngine {
     /// Serves every pending state-migration request from the worker, in
     /// posting order: detaches the requested buckets' flow state (export),
     /// absorbs migrated state (import, acknowledged with an empty
-    /// response), or — for a scale-down [`NfStateRequest::HandoffAll`] —
-    /// defers until drain-exit, when the replica's state is final.
-    fn serve_state_requests(&mut self, at_exit: bool) {
+    /// response), or discards evicted flows' state (scrub).
+    fn serve_state_requests(&mut self) {
         for (token, request) in self.channel.take_requests() {
             match request {
                 NfStateRequest::Export { buckets, keys } => {
@@ -4542,7 +4542,6 @@ impl NfEngine {
                     }
                     self.channel.respond(token, Vec::new());
                 }
-                NfStateRequest::HandoffAll => self.deferred_handoffs.push(token),
                 NfStateRequest::Scrub { keys } => {
                     // Fire-and-forget: the worker tracks no entry for scrub
                     // tokens, so no response is posted. Scrub is a move —
@@ -4558,21 +4557,6 @@ impl NfEngine {
                         self.stats.add_nf_state_scrubbed(scrubbed);
                     }
                 }
-            }
-        }
-        if at_exit {
-            // Drain-exit: everything the replica still holds moves out.
-            // Bucket exports queued alongside were served above (in posting
-            // order), so the handoff is exactly the remainder. Export is a
-            // move, so a second deferred token gets what the first left.
-            for token in std::mem::take(&mut self.deferred_handoffs) {
-                let mut exported = Vec::new();
-                for key in self.nf.flow_state_keys() {
-                    if let Some(state) = self.nf.export_flow_state(&key) {
-                        exported.push((key, state));
-                    }
-                }
-                self.channel.respond(token, exported);
             }
         }
     }
@@ -4601,7 +4585,7 @@ impl NfEngine {
         // imported flow's state must land before the flow's first re-homed
         // packet (the host only releases the bucket's pen after the import
         // acknowledgement, so checking here closes the ordering).
-        self.serve_state_requests(false);
+        self.serve_state_requests();
         let (front, back) = self.input.peek_mut(self.burst_size);
         let burst = front.len() + back.len();
         if burst == 0 {
@@ -4609,9 +4593,12 @@ impl NfEngine {
             // already published, this replica's work is finished.
             if self.stop.load(Ordering::Acquire) && self.input.is_empty() {
                 // One last look at the mailbox so a request racing the
-                // drain-exit is answered, not stranded — and the deferred
-                // state handoff goes out now that the state is final.
-                self.serve_state_requests(true);
+                // drain-exit is answered, not stranded. The export of the
+                // buckets this replica served went out before its stop, so
+                // any flow state still here is lost — counted, not silent.
+                self.serve_state_requests();
+                self.stats
+                    .add_nf_state_import_drops(self.nf.flow_state_keys().len() as u64);
                 self.finished = true;
                 return true;
             }
@@ -4817,26 +4804,45 @@ mod tests {
     }
 
     #[test]
-    fn pick_instance_is_the_hash_modulo_the_replica_count() {
-        // Stickiness is a correctness property: the single-replica shortcut
-        // must pick exactly what `hash % len` picks.
-        let service = ServiceId::new(4);
-        let mut state = 0x9e37_79b9_7f4a_7c15u64;
-        for replicas in [vec![7], vec![7, 2], vec![7, 2, 9]] {
-            let instances = vec![(ServiceId::new(1), vec![0]), (service, replicas.clone())];
-            for _ in 0..10_000 {
-                // SplitMix64.
-                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-                let mut hash = state;
-                hash = (hash ^ (hash >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-                hash = (hash ^ (hash >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-                hash ^= hash >> 31;
-                assert_eq!(
-                    pick_instance(&instances, service, hash),
-                    Some(replicas[(hash % replicas.len() as u64) as usize])
+    fn a_replica_scale_re_picks_only_the_newest_replicas_buckets() {
+        for k in 1..=8usize {
+            let mut share = vec![0usize; k];
+            for bucket in 0..STEER_BUCKETS {
+                let (before, after) = (
+                    replica_of_bucket(bucket, k),
+                    replica_of_bucket(bucket, k + 1),
+                );
+                // Growing k → k+1 moves a bucket only onto the new replica;
+                // shrinking k+1 → k moves only the last replica's buckets.
+                assert!(
+                    before < k && (after == before || after == k),
+                    "bucket {bucket}: {before} of {k} replicas, {after} of {}",
+                    k + 1
+                );
+                share[before] += 1;
+            }
+            let fair = STEER_BUCKETS as f64 / k as f64;
+            for (replica, &buckets) in share.iter().enumerate() {
+                assert!(
+                    (buckets as f64 - fair).abs() <= 0.15 * fair,
+                    "{k} replicas: replica {replica} serves {buckets} buckets, fair is {fair:.0}"
                 );
             }
-            assert_eq!(pick_instance(&instances, ServiceId::new(5), state), None);
+        }
+        // The per-hop pick: every hash of a bucket gets the bucket's pick,
+        // and the one-replica shortcut agrees with the general path.
+        assert!((0..STEER_BUCKETS).all(|bucket| replica_of_bucket(bucket, 1) == 0));
+        let service = ServiceId::new(4);
+        for replicas in [vec![7], vec![7, 2], vec![7, 2, 9]] {
+            let instances = vec![(ServiceId::new(1), vec![0]), (service, replicas.clone())];
+            for bucket in 0..STEER_BUCKETS {
+                let want = replicas[replica_of_bucket(bucket, replicas.len())];
+                for high in [0u64, 1, 0xdead_beef, u64::MAX >> 10] {
+                    let hash = (high << 10) | bucket as u64;
+                    assert_eq!(pick_instance(&instances, service, hash), Some(want));
+                }
+            }
+            assert_eq!(pick_instance(&instances, ServiceId::new(5), 1), None);
         }
         assert_eq!(pick_instance(&[(service, vec![])], service, 1), None);
     }
@@ -6916,6 +6922,169 @@ mod tests {
         host.shutdown();
         let owners = seen.lock().len();
         assert_eq!(owners, 3, "sticky: exactly one state owner per flow");
+    }
+
+    /// `NIC 0 → service → port 1`, on a stepped host whose shards run one
+    /// no-op replica of the service each (spawned before this returns).
+    fn scaling_host(shards: usize) -> (ThreadedHost, crate::sim::SimHandle, ServiceId) {
+        let service = ServiceId::new(1);
+        let table = SharedFlowTable::new();
+        table.insert(FlowRule::new(
+            FlowMatch::at_step(RulePort::Nic(0)),
+            vec![Action::ToService(service)],
+        ));
+        table.insert(FlowRule::new(
+            FlowMatch::at_step(service),
+            vec![Action::ToPort(1)],
+        ));
+        let (host, sim) = ThreadedHost::start_sim_sharded(
+            table,
+            |_shard| vec![(service, Box::new(NoOpNf::new()) as Box<dyn NetworkFunction>)],
+            ThreadedHostConfig {
+                num_shards: shards,
+                ..ThreadedHostConfig::default()
+            },
+        );
+        sim.step_all();
+        (host, sim, service)
+    }
+
+    /// Steps and polls until no bucket move is pending.
+    fn settle_moves(host: &ThreadedHost, sim: &crate::sim::SimHandle) {
+        for _ in 0..1000 {
+            sim.step_all();
+            host.poll_egress_burst(64);
+            if host.pending_rehomes() == 0 {
+                return;
+            }
+        }
+        panic!("bucket moves never settled");
+    }
+
+    /// A flow `shards`-shard default steering sends to `shard`, in a bucket
+    /// whose replica pick changes between 1 and 2 replicas.
+    fn repicked_flow(shard: usize, shards: usize) -> u16 {
+        (1..u16::MAX)
+            .find(|&port| {
+                let key = packet(port).flow_key().expect("udp packet");
+                let bucket = (key.stable_hash() % STEER_BUCKETS as u64) as usize;
+                shard_for_flow(&key, shards) == shard && replica_of_bucket(bucket, 2) == 1
+            })
+            .expect("some flow is re-picked")
+    }
+
+    /// The ordering of a replica scale: the change reaches the worker only
+    /// after every bucket it re-picks has drained, right after their export
+    /// and only when the control ring has room for both; the worker posts
+    /// that export to the replicas before it spawns or stops one.
+    #[test]
+    fn a_replica_change_follows_its_buckets_drain_and_their_export() {
+        let (host, sim, service) = scaling_host(1);
+        let worker = sim.actors()[0].id;
+        let queued = || host.shards.borrow()[0].control.len();
+        let flow = repicked_flow(0, 1);
+        let bucket = host.tracker.bucket_of(&packet(flow).flow_key().unwrap());
+        assert!(host.inject(packet(flow)).is_admitted());
+        assert!(host
+            .add_nf_replica(0, service, Box::new(NoOpNf::new()))
+            .is_ok());
+        assert!(host.tracker.is_parked(bucket));
+        let mut most = 0;
+        for _ in 0..100 {
+            let in_flight = host.tracker.in_flight(bucket) > 0;
+            host.poll_egress_burst(64); // advances the handshake
+            assert!(!in_flight || queued() == 0, "pushed before the drain");
+            most = most.max(queued());
+            assert_ne!(most, 1, "the export and the change go together");
+            sim.step(sim.actors()[1].id); // the replica, then the worker
+            sim.step(worker);
+            if most == 2 {
+                break;
+            }
+        }
+        assert_eq!(most, 2, "the drained scale pushed its export and change");
+        // The worker applied both: the export went to the one replica
+        // there was, then the new replica was spawned.
+        let (slots, asked) = sim
+            .with_worker(worker, |engine| {
+                let asked: Vec<usize> = engine.pending_collects[0]
+                    .outstanding
+                    .iter()
+                    .map(|&(slot, _)| slot)
+                    .collect();
+                (engine.slots.len(), asked)
+            })
+            .unwrap();
+        assert_eq!((slots, asked), (2, vec![0]));
+        settle_moves(&host, &sim);
+
+        // Scale back down with a ring that has room for one command only:
+        // neither goes on until the worker makes room for both.
+        let room = host.shards.borrow()[0].control.free_space();
+        for _ in 1..room {
+            assert!(host.resize_credits(0, host.credit_budget(0)));
+        }
+        assert!(host.remove_nf_replica(0, service));
+        host.poll_egress_burst(64);
+        assert_eq!(queued(), room - 1, "no room for both: nothing pushed");
+        sim.step(worker);
+        host.poll_egress_burst(64);
+        assert_eq!(queued(), 2);
+        sim.step(worker);
+        // The retiring replica was stopped with the export already posted.
+        let retiring = sim
+            .with_worker(worker, |engine| {
+                let slot = &engine.slots[1];
+                let export_posted = slot
+                    .channel
+                    .requests
+                    .lock()
+                    .iter()
+                    .any(|(_, request)| matches!(request, NfStateRequest::Export { .. }));
+                (slot.state, export_posted)
+            })
+            .unwrap();
+        assert_eq!(retiring, (SlotState::Draining, true));
+        settle_moves(&host, &sim);
+        assert_eq!(host.stats().snapshot().nf_state_import_drops, 0);
+        let journal = host.take_rehome_events();
+        assert!(journal.iter().all(|e| e.from == 0 && e.to == 0));
+        assert!(journal
+            .iter()
+            .any(|e| e.bucket == bucket && e.step == RehomeStep::Completed));
+        host.shutdown();
+    }
+
+    /// While a replica scale is pending no bucket move can begin, and a
+    /// scale waits for the moves involving its shard — so no import into
+    /// the shard is routed under the replica count it is leaving.
+    #[test]
+    fn a_replica_scale_and_a_bucket_move_exclude_each_other() {
+        let (host, sim, service) = scaling_host(2);
+        assert!(host.inject(packet(repicked_flow(0, 2))).is_admitted());
+        assert!(host
+            .add_nf_replica(0, service, Box::new(NoOpNf::new()))
+            .is_ok());
+        assert!(host
+            .add_nf_replica(0, service, Box::new(NoOpNf::new()))
+            .is_err());
+        assert!(!host.set_steering_weights(&[1, 2]));
+        assert!(host.spawn_shard(Vec::new()).is_err());
+        assert!(!host.retire_shard_at(1));
+        settle_moves(&host, &sim);
+
+        assert!(host.set_steering_weights(&[1, 2]));
+        assert!(host.pending_rehomes() > 0);
+        assert!(host
+            .add_nf_replica(1, service, Box::new(NoOpNf::new()))
+            .is_err());
+        assert!(!host.remove_nf_replica(0, service));
+        settle_moves(&host, &sim);
+        assert!(host
+            .add_nf_replica(1, service, Box::new(NoOpNf::new()))
+            .is_ok());
+        settle_moves(&host, &sim);
+        host.shutdown();
     }
 
     #[test]

@@ -36,14 +36,14 @@ pub struct HostStatsSnapshot {
     /// Applied NF messages discarded because the shard's outbox was full
     /// (the control plane did not drain it in time).
     pub nf_messages_dropped: u64,
-    /// Migrated NF flow-state payloads discarded at import because the
-    /// destination shard had no replica of the owning service — the one
-    /// way a re-home can lose NF state, surfaced so zero-loss checks see
-    /// it.
+    /// NF flow-state payloads lost: discarded at import because the
+    /// destination shard had no replica of the owning service, or still
+    /// held by a retiring replica at its drain-exit — surfaced so zero-loss
+    /// checks see them.
     pub nf_state_import_drops: u64,
-    /// Per-flow NF state payloads handed off from a replica retired by a
-    /// scale-down to a surviving replica of the same service (the
-    /// state-preserving path; losses show up in `nf_state_import_drops`).
+    /// Per-flow NF state payloads a replica scale moved between replicas
+    /// of a service on one shard (the buckets whose replica pick changed;
+    /// losses show up in `nf_state_import_drops`).
     pub nf_state_handoffs: u64,
     /// Flow rules evicted because their idle timeout elapsed without
     /// traffic.
@@ -186,13 +186,13 @@ impl ShardStats {
         add_nf_state_import_drops,
         nf_state_import_drops,
         nf_state_import_drops,
-        "migrated NF flow states dropped at import (no replica)"
+        "NF flow states lost at import (no replica) or at a replica drain-exit"
     );
     counter!(
         add_nf_state_handoffs,
         nf_state_handoffs,
         nf_state_handoffs,
-        "NF flow states handed off on replica scale-down"
+        "NF flow states moved between replicas by a replica scale"
     );
     counter!(
         add_rules_evicted_idle,

@@ -8,7 +8,8 @@
 //! On failure the failing seed and its trace are printed; if the
 //! `DST_TRACE_OUT` environment variable names a file, the trace is also
 //! written there (CI uploads it as an artifact). Exit code 1 on any
-//! violation.
+//! violation, and on a sweep of 100 or more seeds that moved no NF state on
+//! a replica scale (`nf_state_handoffs` stayed 0).
 
 use std::collections::BTreeSet;
 use std::process::ExitCode;
@@ -109,6 +110,12 @@ fn main() -> ExitCode {
                 coverage.len()
             );
         }
+    }
+    // A sweep this long always scales a replica under per-flow state; one
+    // that moved none has silently stopped covering the replica-scale move.
+    if seeds >= 100 && handoffs == 0 {
+        eprintln!("FAIL: {seeds} schedules moved no NF state on a replica scale");
+        return ExitCode::FAILURE;
     }
     println!(
         "PASS: {seeds} schedules, {} fault kinds ({}), {pins} pins, {handoffs} state handoffs",

@@ -22,9 +22,10 @@
 //!    pin and the wildcard default mutation applied during the run still
 //!    govern forwarding, wherever the flows' buckets ended up.
 //! 4. **Shutdown census** — the host shuts down, every actor is stepped
-//!    to completion (running NF drop hooks at deterministic points), and
-//!    the per-flow counter mass surviving in replicas is compared against
-//!    the ground-truth processed counts.
+//!    to completion (running NF drop hooks at deterministic points), the
+//!    per-flow counter mass surviving in replicas is compared against the
+//!    ground-truth processed counts, and each flow's state must survive in
+//!    one replica at most.
 //!
 //! Everything externally visible is appended to the run's [`Trace`];
 //! replaying the same seed must reproduce the trace byte for byte.
@@ -44,7 +45,9 @@ use sdnfv_proto::packet::{Packet, PacketBuilder};
 use sdnfv_telemetry::TraceSpan;
 
 use crate::fault::{FaultKind, FaultPlan, FaultySource};
-use crate::oracle::{check_conservation, check_flow_census, check_spans, check_zeros, RunReport};
+use crate::oracle::{
+    check_conservation, check_flow_census, check_one_holder, check_spans, check_zeros, RunReport,
+};
 use crate::rng::SplitMix64;
 use crate::trace::Trace;
 use crate::trace_event;
@@ -98,6 +101,9 @@ struct Ledger {
     /// Counter mass surviving in replicas, reported by each replica's
     /// `Drop` (state that migrated is reported by whoever holds it last).
     reported: Mutex<BTreeMap<FlowKey, u64>>,
+    /// How many replicas reported surviving state per flow: more than one
+    /// means the flow's packets met a replica without its history.
+    holders: Mutex<BTreeMap<FlowKey, u64>>,
     /// Counter mass removed by rule-eviction scrubs — legitimate
     /// retirement, not loss: the census accepts `reported + scrubbed ==
     /// processed`.
@@ -216,8 +222,10 @@ impl NetworkFunction for DstNf {
 impl Drop for DstNf {
     fn drop(&mut self) {
         let mut reported = self.ledger.reported.lock();
+        let mut holders = self.ledger.holders.lock();
         for (key, count) in &self.counts {
             *reported.entry(*key).or_insert(0) += count;
+            *holders.entry(*key).or_insert(0) += 1;
         }
     }
 }
@@ -966,6 +974,7 @@ pub fn run_seed(config: &DstConfig) -> RunReport {
     let reported = ledger.reported.lock().clone();
     let scrubbed = ledger.scrubbed.lock().clone();
     check_flow_census(&processed, &reported, &scrubbed, &mut violations);
+    check_one_holder(&ledger.holders.lock(), &mut violations);
     let pins = ledger.pinned.lock().len();
     trace_event!(
         trace,

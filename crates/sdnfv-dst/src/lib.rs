@@ -16,8 +16,9 @@
 //! * [`harness`] — the schedule runner: active phase → quiescence →
 //!   probes → shutdown census.
 //! * [`oracle`] — the invariants: packet conservation, zero NF-state
-//!   loss/duplication, exact pins and wildcard mutations surviving every
-//!   bucket move, credit conservation, eventual quiescence.
+//!   loss/duplication, one replica holding each flow's state, exact pins
+//!   and wildcard mutations surviving every bucket move, credit
+//!   conservation, eventual quiescence.
 //! * [`trace`] — the replayable event trace; same seed ⇒ byte-identical
 //!   trace, and a failure report prints the seed that reproduces it.
 //!

@@ -12,6 +12,10 @@
 //!   census: counter state surviving in replicas at shutdown plus mass
 //!   retired by rule-eviction scrubs equals the number of packets
 //!   processed, per flow (`nf_state_import_drops` must also stay 0);
+//! * **one holder per flow** — at the shutdown census no flow's state
+//!   survives in more than one replica: a replica scale or a re-home that
+//!   left a flow's history behind shows here, even where the summed census
+//!   balances (the flow's packets met a replica without its history);
 //! * **no exact-flow rules lost** — a flow pinned by a `ChangeDefault`
 //!   during the run still forwards to the pinned port when probed after
 //!   quiescence, however many times its bucket moved — unless its rule's
@@ -180,11 +184,12 @@ pub fn check_spans(
     }
 }
 
-/// The zero that must stay zero: NF state discarded at import.
+/// The zero that must stay zero: NF state discarded at import or left in
+/// a retiring replica at its drain-exit.
 pub fn check_zeros(stats: &HostStatsSnapshot, violations: &mut Vec<String>) {
     if stats.nf_state_import_drops != 0 {
         violations.push(format!(
-            "nf-state: {} flow-state payloads dropped at import",
+            "nf-state: {} flow-state payloads lost at import or drain-exit",
             stats.nf_state_import_drops
         ));
     }
@@ -229,6 +234,20 @@ pub fn check_flow_census(
         if !processed.contains_key(key) {
             violations.push(format!(
                 "nf-state census: flow {}:{} has surviving state but was never processed",
+                key.src_port, key.dst_port
+            ));
+        }
+    }
+}
+
+/// The one-holder census: `holders` counts, per flow, the replicas whose
+/// state survived to shutdown. A flow held by two replicas had its packets
+/// split between them — its state did not follow a re-pick.
+pub fn check_one_holder(holders: &BTreeMap<FlowKey, u64>, violations: &mut Vec<String>) {
+    for (key, &count) in holders {
+        if count > 1 {
+            violations.push(format!(
+                "nf-state holders: flow {}:{} has state in {count} replicas",
                 key.src_port, key.dst_port
             ));
         }

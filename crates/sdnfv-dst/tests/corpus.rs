@@ -26,26 +26,31 @@ fn replay_pinned(seed: u64) -> sdnfv_dst::RunReport {
 }
 
 /// The full fault mix (all telemetry faults, stalls, credit resizes,
-/// rebalances racing shard scale and replica churn), with replica
-/// scale-downs handing off NF state mid-schedule.
+/// rebalances racing shard scale and replica churn), with replica scales
+/// moving their re-picked buckets' NF state mid-schedule. (Re-pinned from
+/// seed 0x1 when replica scaling became a bucket move: the refusals it
+/// brought shifted 0x1's schedule, which no longer moved replica state;
+/// 0x2 fires all eleven fault kinds.)
 #[test]
-fn pinned_seed_0x1_full_fault_mix() {
-    let report = replay_pinned(0x1);
+fn pinned_seed_0x2_full_fault_mix() {
+    let report = replay_pinned(0x2);
     assert!(report.stats.nf_state_handoffs > 0);
     assert!(report.pins > 0);
 }
 
-/// The replica-retired-on-scale-down state handoff: this schedule retires
-/// replicas while their per-flow counters are hot, so the run only passes
-/// if every retired replica's state lands in a surviving replica of the
-/// same service (the census would flag the loss otherwise). Regression
-/// for the scale-down path that previously dropped NF-internal state.
+/// The replica-scale bucket move: this schedule scales replicas while
+/// their per-flow counters are hot, so the run only passes if the state of
+/// every re-picked bucket lands on the replica its flows go to next — one
+/// holder per flow, nothing left in a retired replica at its drain-exit
+/// (`nf_state_import_drops`), and the census balanced. Regression for the
+/// scale paths that dropped NF-internal state or left it on a replica the
+/// flow no longer reached.
 #[test]
 fn pinned_seed_0x3_scale_down_state_handoff() {
     let report = replay_pinned(0x3);
     assert!(
         report.stats.nf_state_handoffs > 0,
-        "schedule must exercise the retire-replica handoff"
+        "schedule must move state on a replica scale"
     );
     assert_eq!(report.stats.nf_state_import_drops, 0);
 }
@@ -55,20 +60,22 @@ fn pinned_seed_0x3_scale_down_state_handoff() {
 /// racing replica churn and stalled actors. (Re-pinned from seed 0x15
 /// when flow-sticky replica dispatch became the default, then from 0x17
 /// when the state-mailbox-delay fault added one draw to the plan stream
-/// and shifted every schedule; both predecessors peaked at two shards
-/// after their shift.)
+/// and shifted every schedule, then from 0x19 when replica scaling became
+/// a bucket move that shard spawns wait for; each predecessor peaked at
+/// two shards after its shift.)
 #[test]
-fn pinned_seed_0x19_scale_out_under_telemetry_loss() {
-    let report = replay_pinned(0x19);
+fn pinned_seed_0x1b_scale_out_under_telemetry_loss() {
+    let report = replay_pinned(0x1b);
     assert!(report.peak_shards >= 3);
     assert!(report.fired.contains(&FaultKind::TelemetryDrop));
 }
 
 /// The lost-export-ack regression: this schedule holds back NF replicas'
-/// export-ack mailboxes (the state-mailbox-delay fault) while scale-downs
-/// hand off per-flow state. Before `poll_state_exchanges` /
-/// `settle_slot_state_entries` took a final look at a finished replica's
-/// mailbox, the worker resolved those entries empty while the exported
+/// export-ack mailboxes (the state-mailbox-delay fault) while replica
+/// scales move per-flow state — a retiring replica answers its bucket
+/// export and exits with the ack still held. Before `poll_state_exchanges`
+/// / `settle_slot_state_entries` took a final look at a finished replica's
+/// mailbox, the worker resolved such entries empty while the exported
 /// state sat queued undelivered, and the census flagged permanent NF
 /// state loss on this seed.
 #[test]
@@ -77,13 +84,14 @@ fn pinned_seed_0x9_export_ack_holdback_handoff() {
     assert!(report.fired.contains(&FaultKind::DelayStateMailbox));
     assert!(
         report.stats.nf_state_handoffs > 0,
-        "schedule must hand off state while acks are held back"
+        "schedule must move replica state while acks are held back"
     );
 }
 
 /// Steering rebalances racing shard retirement (with duplicated
 /// telemetry), ending back at a single shard — every bucket the retiring
-/// shards owned re-homed with its rules and state intact.
+/// shards owned re-homed with its rules and state intact, between replica
+/// scales that move their re-picked buckets' state.
 #[test]
 fn pinned_seed_0x21_rebalance_races_retirement() {
     let report = replay_pinned(0x21);

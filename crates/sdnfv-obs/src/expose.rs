@@ -45,12 +45,12 @@ fn counter_rows() -> [(&'static str, &'static str, fn(&TelemetrySnapshot) -> u64
         ),
         (
             "nf_state_handoffs",
-            "per-flow NF state entries handed off from retiring replicas",
+            "per-flow NF state entries moved between replicas by a replica scale",
             |s| s.nf_state_handoffs,
         ),
         (
             "nf_state_import_drops",
-            "migrated NF state payloads dropped at import",
+            "NF state payloads lost at import or at a replica drain-exit",
             |s| s.nf_state_import_drops,
         ),
         (

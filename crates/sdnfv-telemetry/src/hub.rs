@@ -168,13 +168,13 @@ impl TelemetryHub {
         self.latest_all().iter().map(|s| s.nf_state_scrubbed).sum()
     }
 
-    /// Total per-flow NF state entries handed off from retiring replicas
-    /// to survivors across every currently reporting shard.
+    /// Total per-flow NF state entries replica scales moved between
+    /// replicas across every currently reporting shard.
     pub fn total_nf_state_handoffs(&self) -> u64 {
         self.latest_all().iter().map(|s| s.nf_state_handoffs).sum()
     }
 
-    /// Total migrated NF state payloads dropped at import across every
+    /// Total NF state payloads lost at import or drain-exit across every
     /// currently reporting shard.
     pub fn total_nf_state_import_drops(&self) -> u64 {
         self.latest_all()

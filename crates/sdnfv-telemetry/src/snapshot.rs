@@ -145,11 +145,12 @@ pub struct TelemetrySnapshot {
     /// Cumulative per-flow NF state entries scrubbed on this shard because
     /// their flow's rule was evicted.
     pub nf_state_scrubbed: u64,
-    /// Cumulative per-flow NF state entries handed off from a retiring
-    /// replica to a surviving replica of the same service.
+    /// Cumulative per-flow NF state entries a replica scale moved between
+    /// replicas of a service on this shard (the re-picked buckets' flows).
     pub nf_state_handoffs: u64,
-    /// Cumulative migrated NF state payloads dropped because no replica of
-    /// their service was live to absorb them.
+    /// Cumulative NF state payloads lost: migrated state no replica of its
+    /// service was live to absorb, or state a retiring replica still held
+    /// at its drain-exit.
     pub nf_state_import_drops: u64,
     /// Cumulative trace spans discarded because the shard's trace ring was
     /// full (lossy-by-design tracing makes its losses explicit).

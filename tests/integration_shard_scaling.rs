@@ -1179,92 +1179,138 @@ fn elastic_manager_scales_shard_count_out_and_in() {
     host.shutdown();
 }
 
-/// **Regression (NF state loss on replica scale-down):** retiring a
-/// replica of a service hands its per-flow NF state to a surviving
-/// replica of the same service — previously the draining replica's state
-/// was silently dropped with it. Counters pin the flow once the
-/// *combined* (pre-handoff + post-handoff) count reaches the threshold,
-/// so the pin only fires if the state actually migrated; and the
-/// `nf_state_import_drops` counter must stay zero.
+/// **Regression (NF state loss on a replica scale):** a flow's replica
+/// follows its steering bucket, and a replica scale moves the re-picked
+/// buckets' NF state to their new replica, so a flow's packets never meet
+/// a replica without its history. Previously only a scale-down moved
+/// state, into the first survivor only, while the flows re-hashed over
+/// every replica; a scale-up moved none. Counters pin a flow once its
+/// *combined* count reaches the threshold, so a flow pins only if its
+/// state survived every step; and `nf_state_import_drops` must stay zero.
 #[test]
 fn scale_down_hands_nf_state_to_surviving_replica() {
+    for sequence in [&[2, 1][..], &[3, 2], &[2, 3], &[2, 3, 2]] {
+        scale_replicas_through(sequence);
+    }
+}
+
+/// Runs one replica sequence on a one-shard host. Flow group `g` (32 flows
+/// each, so every replica holds state) gets two packets per flow in every
+/// phase before step `g` and the rest of the threshold right after it:
+/// after each step, the group whose count crosses must pin every flow.
+fn scale_replicas_through(sequence: &[usize]) {
+    const GROUP: u16 = 32;
     let worker = ServiceId::new(1);
+    let steps = sequence.len() - 1;
+    let threshold = 2 * steps + 1;
+    let counter = || Box::new(CounterPinNf::new(worker, threshold as u64));
     let host = ThreadedHost::start(
         two_port_table(worker),
-        vec![
-            (
-                worker,
-                Box::new(CounterPinNf::new(worker, 6)) as Box<dyn NetworkFunction>,
-            ),
-            (
-                worker,
-                Box::new(CounterPinNf::new(worker, 6)) as Box<dyn NetworkFunction>,
-            ),
-        ],
+        (0..sequence[0])
+            .map(|_| (worker, counter() as Box<dyn NetworkFunction>))
+            .collect(),
         ThreadedHostConfig::default(),
     );
-
-    // Warm several flows to a count of 3 — flow-hash load balancing
-    // spreads them over both replicas, so the retiring replica holds live
-    // counter state when it drains.
-    let flows: Vec<u16> = (0..8).collect();
-    for _ in 0..3 {
-        for &flow in &flows {
-            assert!(host.inject(packet(flow)).is_admitted());
+    let send = |groups: std::ops::Range<usize>, per_flow: usize| -> Vec<HostOutput> {
+        let flows: Vec<u16> = groups
+            .flat_map(|g| g as u16 * GROUP..(g as u16 + 1) * GROUP)
+            .collect();
+        for _ in 0..per_flow {
+            for &flow in &flows {
+                assert!(host.inject(packet(flow)).is_admitted());
+            }
         }
-    }
-    assert_eq!(
-        drain(&host, 3 * flows.len(), Duration::from_secs(10)),
-        3 * flows.len(),
-        "warm-up packets all egress"
-    );
-
-    // Scale down. The draining replica exports all of its per-flow state
-    // at drain-exit and the worker imports it into the survivor; the
-    // handoff counter proves the path ran, the import-drop counter proves
-    // nothing was discarded.
-    assert!(host.remove_nf_replica(0, worker));
-    assert!(
-        wait_for(&host, Duration::from_secs(10), || host
-            .stats()
-            .snapshot()
-            .nf_state_handoffs
-            > 0),
-        "the retiring replica's state is handed to the survivor"
-    );
-
-    // Three more packets per flow: the survivor's merged counts cross the
-    // threshold of 6 and every flow gets pinned to port 2 — which can only
-    // happen if the first three counts survived the scale-down.
-    for _ in 0..3 {
-        for &flow in &flows {
-            assert!(host.inject(packet(flow)).is_admitted());
-        }
-    }
-    assert_eq!(
-        drain(&host, 3 * flows.len(), Duration::from_secs(10)),
-        3 * flows.len()
-    );
-    for &flow in &flows {
-        assert!(host.inject(packet(flow)).is_admitted());
-    }
-    let pinned = {
-        let mut outputs = Vec::new();
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while outputs.len() < flows.len() && Instant::now() < deadline {
-            outputs.extend(host.poll_egress_burst(16));
-            std::thread::yield_now();
-        }
+        let outputs = collect(&host, flows.len() * per_flow, Duration::from_secs(10));
+        assert_eq!(
+            outputs.len(),
+            flows.len() * per_flow,
+            "{sequence:?}: all egress"
+        );
         outputs
     };
-    assert_eq!(pinned.len(), flows.len());
-    assert!(
-        pinned.iter().all(|out| out.port == 2),
-        "every flow forwards on the pinned port after the handoff"
-    );
+    send(0..steps, 2);
+    for step in 1..=steps {
+        let (from, to) = (sequence[step - 1], sequence[step]);
+        let handoffs = host.stats().snapshot().nf_state_handoffs;
+        if to > from {
+            assert!(host.add_nf_replica(0, worker, counter()).is_ok());
+        } else {
+            assert!(host.remove_nf_replica(0, worker));
+        }
+        // The scale is over once its re-picked buckets have released and
+        // their state has moved.
+        wait_for(&host, Duration::from_secs(10), || {
+            host.pending_rehomes() == 0 && host.stats().snapshot().nf_state_handoffs > handoffs
+        });
+        // Group `step - 1` crosses the threshold on its combined count;
+        // the later groups keep warming.
+        send(step - 1..step, threshold - 2 * step);
+        send(step..steps, 2);
+        let probes = send(step - 1..step, 1);
+        assert!(
+            probes.iter().all(|out| out.port == 2),
+            "{sequence:?} step {step}: {} of {} flows forward on the pinned port",
+            probes.iter().filter(|out| out.port == 2).count(),
+            probes.len()
+        );
+        let snap = host.stats().snapshot();
+        assert_eq!(
+            snap.nf_state_import_drops, 0,
+            "{sequence:?} step {step}: no state lost"
+        );
+    }
+    assert!(host.stats().snapshot().nf_state_handoffs >= 1);
+    host.shutdown();
+}
 
-    let snap = host.stats().snapshot();
-    assert_eq!(snap.nf_state_import_drops, 0, "no state discarded");
-    assert!(snap.nf_state_handoffs >= 1);
+/// **Regression (NF state stranded by a cross-shard re-home):** a bucket
+/// moved onto a shard that runs several replicas of a service hands each
+/// flow's NF state to the replica that will serve the flow. Previously
+/// every imported flow's state went into the shard's first replica, where
+/// the flows picked for the second could not reach it.
+#[test]
+fn rehome_into_a_multi_replica_shard_routes_state_to_each_flows_replica() {
+    let worker = ServiceId::new(1);
+    let host = ThreadedHost::start_sharded(
+        two_port_table(worker),
+        |_shard| {
+            (0..2)
+                .map(|_| {
+                    (
+                        worker,
+                        Box::new(CounterPinNf::new(worker, 5)) as Box<dyn NetworkFunction>,
+                    )
+                })
+                .collect()
+        },
+        ThreadedHostConfig {
+            num_shards: 2,
+            ..ThreadedHostConfig::default()
+        },
+    );
+    let flows: Vec<u16> = (0..64).collect();
+    let send = |per_flow: usize| -> Vec<HostOutput> {
+        for _ in 0..per_flow {
+            for &flow in &flows {
+                assert!(host.inject(packet(flow)).is_admitted());
+            }
+        }
+        collect(&host, flows.len() * per_flow, Duration::from_secs(10))
+    };
+    // Warm every flow one short of the threshold, then move every bucket
+    // of shard 1 onto shard 0.
+    assert_eq!(send(4).len(), 4 * flows.len());
+    assert!(host.set_steering_weights(&[1, 0]));
+    settle(&host);
+    assert!(host.rehome_report().nf_flow_states_rehomed >= 1);
+    assert_eq!(send(1).len(), flows.len());
+    let probes = send(1);
+    assert!(
+        probes.iter().all(|out| out.port == 2),
+        "{} of {} flows forward on the pinned port",
+        probes.iter().filter(|out| out.port == 2).count(),
+        probes.len()
+    );
+    assert_eq!(host.stats().snapshot().nf_state_import_drops, 0);
     host.shutdown();
 }
