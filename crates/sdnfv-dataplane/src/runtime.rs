@@ -165,12 +165,13 @@ use sdnfv_telemetry::{
 use crate::cache::{cached_lookup_hashed, LookupCache, LOOKUP_CACHE_ENTRIES};
 use crate::conflict::{validate_steering, verdict_from_word, verdict_to_key};
 use crate::messages::{apply_nf_message_tracked_with, NfManagerMessage, PinTimeouts};
-use crate::rehome::{
-    BucketHandout, BucketTracker, HandoutPhase, ImportDelivery, MovePhase, RehomeEvent,
-    RehomeReport, RehomeState, RehomeStep, RetiringShard,
-};
+use crate::rehome::{BucketTracker, RehomeEvent, RehomeReport, RehomeState, RetiringShard};
 use crate::scratch::recycle;
 use crate::stats::{HostStats, ShardStats};
+
+mod rehome_driver;
+
+use rehome_driver::apportion_targets;
 
 /// Capacity of each shard's control-command ring (commands the worker
 /// applies between bursts).
@@ -1051,46 +1052,6 @@ impl ThreadedHost {
         }
     }
 
-    /// Parks a packet whose bucket is mid-re-home (locally, or handing out
-    /// to another host) in the bucket's pen.
-    fn park(&self, bucket: usize, packet: Packet, key: FlowKey) -> InjectResult {
-        let mut state = self.rehome.borrow_mut();
-        let report_shard = if state.moves.iter().any(|m| m.bucket == bucket) {
-            let mv = state
-                .move_for_bucket_mut(bucket)
-                .expect("a parked bucket has an active move");
-            // A replica scale's arrivals wait at the credit gate, not a pen.
-            if mv.pen.len() < REHOME_PEN && mv.from != mv.to {
-                mv.pen.push_back((packet, key));
-                None
-            } else {
-                Some((mv.to, packet))
-            }
-        } else {
-            let handout = state
-                .outbound_for_bucket_mut(bucket)
-                .expect("a parked bucket has an active move or handout");
-            if handout.pen.len() < REHOME_PEN {
-                handout.pen.push_back((packet, key));
-                None
-            } else {
-                Some((handout.from, packet))
-            }
-        };
-        match report_shard {
-            None => {
-                state.report.packets_penned += 1;
-                InjectResult::Admitted
-            }
-            Some((shard, packet)) => {
-                state.report.pen_throttled += 1;
-                drop(state);
-                self.shards.borrow()[shard].stats.add_throttled(1);
-                InjectResult::Throttled(packet)
-            }
-        }
-    }
-
     /// Injects a burst of packets — grouped per shard, one credit grant and
     /// one ring operation per shard — stamping their receive timestamps.
     /// Each shard admits a prefix of its packets (as many as its credits
@@ -1434,42 +1395,6 @@ impl ThreadedHost {
             .is_ok()
     }
 
-    /// Begins a replica scale: `change` is pushed at once if it re-picks none
-    /// of the shard's buckets, else after their same-shard move drains them
-    /// ([`ThreadedHost::request_exports`]). Hands `change` back if refused.
-    fn scale_replicas(&self, shard: usize, change: ShardCommand) -> Result<(), ShardCommand> {
-        self.advance_rehoming();
-        let shards = self.shards.borrow();
-        let ports = &shards[shard];
-        let (_, count, next) = ports.replica_counts(&change);
-        let steering = self.steering.borrow();
-        let mut state = self.rehome.borrow_mut();
-        if ports.retired.get()
-            || next == 0
-            || (shards.len() > 1 && steering.is_empty())
-            || state.shard_has_moves(shard)
-        {
-            return Err(change);
-        }
-        // 0 → 1 replica re-picks nothing: no replica held any state.
-        let repicked: Vec<usize> = (0..STEER_BUCKETS)
-            .filter(|&bucket| {
-                steering.get(bucket).is_none_or(|&owner| owner == shard)
-                    && replica_of_bucket(bucket, count) != replica_of_bucket(bucket, next)
-            })
-            .collect();
-        if repicked.is_empty() {
-            return ports.push_replica_change(change);
-        }
-        state.ensure_parked_table(STEER_BUCKETS);
-        for bucket in repicked {
-            state.begin_move(bucket, shard, shard, self.clock.now_ns());
-            self.tracker.park(bucket);
-        }
-        *ports.replica_change.borrow_mut() = Some(change);
-        Ok(())
-    }
-
     /// Asks `shard`'s worker to re-budget its credit gate to `credits`
     /// (clamped to the internal ring capacities). Returns `false` for a
     /// retired shard or if the control ring is full.
@@ -1486,509 +1411,6 @@ impl ThreadedHost {
             .control
             .push(ShardCommand::ResizeCredits { credits })
             .is_ok()
-    }
-
-    /// Rebalances flow steering: shard `s` is assigned a share of the
-    /// [`STEER_BUCKETS`] hash buckets proportional to `weights[s]`,
-    /// moving as few buckets as possible from the current assignment.
-    ///
-    /// Every moved bucket goes through the state-safe re-home handshake:
-    /// the bucket is quiesced (arrivals parked), the old shard drains its
-    /// in-flight packets, the bucket's shard-local exact-flow rules are
-    /// exported into the new owner's flow-table partition, and only then
-    /// does the steering entry flip — no packet and no flow-table state is
-    /// lost. Idle buckets complete the handshake immediately; busy ones
-    /// finish over subsequent injection/polling calls. Buckets already
-    /// mid-re-home are left to finish their current move.
-    ///
-    /// Returns `false` for single-shard hosts, a weight-count mismatch, an
-    /// all-zero weight vector, or while a shard retirement or a replica
-    /// scale is in progress.
-    pub fn set_steering_weights(&self, weights: &[u32]) -> bool {
-        self.advance_rehoming();
-        let num_shards = self.shards.borrow().len();
-        if num_shards <= 1 || weights.len() != num_shards || self.steering.borrow().is_empty() {
-            return false;
-        }
-        if self.rehome.borrow().retiring_or_scaling() {
-            return false;
-        }
-        // Tombstoned slots can never receive buckets, whatever the caller
-        // asked for (an all-tombstone-weighted request degenerates to
-        // all-zero and is rejected below).
-        let weights: Vec<u32> = {
-            let shards = self.shards.borrow();
-            weights
-                .iter()
-                .enumerate()
-                .map(|(s, &w)| if shards[s].retired.get() { 0 } else { w })
-                .collect()
-        };
-        let buckets = self.steering.borrow().len();
-        let Some(target) = apportion_targets(&weights, buckets) else {
-            return false;
-        };
-        self.rebalance_to_targets(&target);
-        true
-    }
-
-    /// Moves buckets (via the re-home handshake) until each shard owns
-    /// `target[shard]` buckets, taking as few buckets as possible from
-    /// over-quota shards. Buckets already mid-move are skipped; their
-    /// destination counts toward its shard's quota.
-    fn rebalance_to_targets(&self, target: &[usize]) {
-        let steering = self.steering.borrow();
-        let mut state = self.rehome.borrow_mut();
-        state.ensure_parked_table(steering.len());
-        let buckets = steering.len();
-        // Effective ownership: a mid-move bucket already belongs to its
-        // destination.
-        let mut current = vec![0usize; target.len()];
-        for (bucket, &owner) in steering.iter().enumerate() {
-            let effective = state
-                .moves
-                .iter()
-                .find(|m| m.bucket == bucket)
-                .map(|m| m.to)
-                .unwrap_or(owner);
-            current[effective] += 1;
-        }
-        // Over-quota shards give up their highest-index (non-moving)
-        // buckets, under-quota shards absorb them in order.
-        let mut freed: Vec<usize> = Vec::new();
-        for bucket in (0..buckets).rev() {
-            if state.is_parked(bucket) {
-                continue;
-            }
-            let owner = steering[bucket];
-            if current[owner] > target[owner] {
-                current[owner] -= 1;
-                freed.push(bucket);
-            }
-        }
-        let mut receiver = 0usize;
-        for bucket in freed {
-            while current[receiver] >= target[receiver] {
-                receiver += 1;
-            }
-            current[receiver] += 1;
-            let from = steering[bucket];
-            if from == receiver {
-                continue;
-            }
-            // Every move — even of an already-idle bucket — goes through
-            // the phased handshake: the old shard's NFs may hold per-flow
-            // state for the bucket's (idle) flows, and collecting it needs
-            // a round trip through the shard's worker and NF threads.
-            state.begin_move(bucket, from, receiver, self.clock.now_ns());
-            // Mirror the parked bit into the shard-visible tracker so shard
-            // workers stop timing out the bucket's exact rules while its
-            // state is mid-export (an evicted-then-reimported rule would
-            // resurrect with a stale timeout clock).
-            self.tracker.park(bucket);
-        }
-    }
-
-    /// Advances every in-progress re-home through the state-complete
-    /// handshake (drain → collect NF state → move rules + wildcard
-    /// mutations + flip → import NF state → release pen) and finalizes a
-    /// shard retirement once its pipeline is empty. Called opportunistically
-    /// from injection and polling, so the handshake needs no dedicated
-    /// thread.
-    fn advance_rehoming(&self) {
-        if self.rehome.borrow().is_idle() {
-            return;
-        }
-        let now_ns = self.now_ns();
-        let mut state = self.rehome.borrow_mut();
-        let mut steering = self.steering.borrow_mut();
-
-        // Phase 1 → 2: batch every freshly quiesced bucket into one
-        // NF-state export request per source shard (the control ring is
-        // shallow; per-bucket commands would not scale to a rebalance
-        // moving hundreds of buckets).
-        self.request_exports(&mut state);
-
-        // Phase 2 → 4/5: absorb completed exports — move the flow-table
-        // state, flip the steering entries, and queue the NF state for
-        // delivery to each destination shard.
-        self.absorb_exports(&mut state, &mut steering);
-
-        // Flush queued NF-state deliveries into destination control rings.
-        self.flush_import_outbox(&mut state);
-
-        // Phase 5 → 6 → done: release pens whose import was acknowledged.
-        let RehomeState {
-            moves,
-            parked,
-            report,
-            ..
-        } = &mut *state;
-        let mut released_ages: Vec<u64> = Vec::new();
-        let mut completed: Vec<(usize, usize, usize)> = Vec::new();
-        moves.retain_mut(|mv| {
-            match &mv.phase {
-                MovePhase::Draining | MovePhase::Collecting { .. } => return true,
-                MovePhase::Importing { done } => {
-                    if !done.load(Ordering::Acquire) {
-                        return true;
-                    }
-                    mv.phase = MovePhase::Releasing;
-                }
-                MovePhase::Releasing => {}
-            }
-            // Release the pen into the new shard (in arrival order).
-            let shards = self.shards.borrow();
-            let ports = &shards[mv.to];
-            while let Some((packet, key)) = mv.pen.pop_front() {
-                if !ports.gate.try_acquire(1) {
-                    mv.pen.push_front((packet, key));
-                    return true;
-                }
-                let age_ns = now_ns.saturating_sub(packet.timestamp_ns);
-                // Counted before the push, as in `inject`.
-                self.tracker.admit(mv.bucket);
-                match ports.ingress.push(IngressFrame {
-                    packet,
-                    key: Some(key),
-                    hash: key.stable_hash(),
-                }) {
-                    Ok(()) => {
-                        released_ages.push(age_ns);
-                        // Pen dwell lands in the destination shard's
-                        // histograms: that is where the packet resumes.
-                        ports.latency.pen_dwell.record(age_ns);
-                    }
-                    Err(PushError(frame)) => {
-                        self.tracker.unadmit(mv.bucket);
-                        ports.gate.release(1);
-                        let key = frame.key.expect("penned packets are keyed");
-                        mv.pen.push_front((frame.packet, key));
-                        return true;
-                    }
-                }
-            }
-            parked[mv.bucket] = false;
-            self.tracker.unpark(mv.bucket);
-            report.buckets_rehomed += 1;
-            completed.push((mv.bucket, mv.from, mv.to));
-            false
-        });
-        for age_ns in released_ages {
-            state.record_pen_age(age_ns);
-        }
-        for (bucket, from, to) in completed {
-            state.record_event(RehomeEvent {
-                at_ns: now_ns,
-                bucket,
-                from,
-                to,
-                step: RehomeStep::Completed,
-            });
-        }
-        let retiring_involved = |state: &RehomeState, s: usize| {
-            state.moves.iter().any(|m| m.from == s || m.to == s)
-                || state.outbound.iter().any(|h| h.from == s)
-                || state.outbox.iter().any(|d| d.to == s)
-        };
-        let still_involved = state
-            .retiring
-            .as_ref()
-            .map(|r| retiring_involved(&state, r.shard));
-        if let Some(RetiringShard { shard, stop_sent }) = &mut state.retiring {
-            let s = *shard;
-            if !*stop_sent && still_involved == Some(false) && !steering.contains(&s) {
-                // Every bucket has left the shard and drained: nothing can
-                // reach its pipeline any more (its gate may transiently
-                // hold credits for egress-staged packets, which the worker
-                // releases as it flushes). Stop its worker (which retires
-                // the shard's NF threads in turn).
-                self.shards.borrow()[s].stop.store(true, Ordering::Release);
-                *stop_sent = true;
-            }
-            if *stop_sent {
-                let finished = self.handles.borrow()[s]
-                    .as_ref()
-                    .is_some_and(TaskHandle::is_finished);
-                let egress_empty = self.shards.borrow()[s].egress.is_empty();
-                if finished && egress_empty {
-                    if let Some(handle) = self.handles.borrow_mut()[s].take() {
-                        handle.join();
-                    }
-                    self.shards.borrow()[s].retired.set(true);
-                    // Reap trailing tombstones: a tail retirement (and any
-                    // middle tombstones it uncovers) fully releases its
-                    // slots, partitions included. Middle tombstones keep
-                    // their slot — indices stay stable — until reuse.
-                    loop {
-                        let trailing_retired = {
-                            let shards = self.shards.borrow();
-                            shards.len() > 1 && shards.last().is_some_and(|p| p.retired.get())
-                        };
-                        if !trailing_retired {
-                            break;
-                        }
-                        self.shards.borrow_mut().pop();
-                        self.handles.borrow_mut().pop();
-                        self.tables.remove_last_partition();
-                    }
-                    self.events.borrow_mut().push(ShardLifecycleEvent::Retired {
-                        shard: s,
-                        at_ns: self.clock.now_ns(),
-                    });
-                    state.retiring = None;
-                }
-            }
-        }
-    }
-
-    /// Batches every quiesced [`MovePhase::Draining`] bucket into one
-    /// NF-state export command per source shard and advances those moves to
-    /// [`MovePhase::Collecting`]. A full control ring simply leaves the
-    /// moves in `Draining` for the next advance tick.
-    fn request_exports(&self, state: &mut RehomeState) {
-        let mut by_source: Vec<(usize, Vec<usize>)> = Vec::new();
-        for mv in &state.moves {
-            // A replica scale's moves (`from == to`) go out together below.
-            if !matches!(mv.phase, MovePhase::Draining) || mv.from == mv.to {
-                continue;
-            }
-            if self.tracker.in_flight(mv.bucket) > 0 {
-                continue;
-            }
-            match by_source.iter_mut().find(|(from, _)| *from == mv.from) {
-                Some((_, buckets)) => buckets.push(mv.bucket),
-                None => by_source.push((mv.from, vec![mv.bucket])),
-            }
-        }
-        for (from, buckets) in by_source {
-            let id = state.allocate_export_id();
-            let pushed = self.shards.borrow()[from]
-                .control
-                .push(ShardCommand::ExportBucketState {
-                    id,
-                    buckets: buckets.clone(),
-                    exact_keys: self.exact_keys(from, &buckets),
-                })
-                .is_ok();
-            if !pushed {
-                continue; // retry next tick; the moves stay Draining
-            }
-            for mv in state.moves.iter_mut() {
-                if buckets.contains(&mv.bucket) {
-                    mv.phase = MovePhase::Collecting { id };
-                }
-            }
-        }
-        // A replica scale: once every re-picked bucket has drained, the
-        // export and then the replica change go onto the control ring
-        // together, so the worker posts the export to the replicas before
-        // it spawns or stops one.
-        for (shard, ports) in self.shards.borrow().iter().enumerate() {
-            let buckets: Vec<usize> = state
-                .moves
-                .iter()
-                .filter(|mv| mv.from == shard && mv.to == shard)
-                .map(|mv| mv.bucket)
-                .collect();
-            let in_flight = |bucket: &usize| self.tracker.in_flight(*bucket) > 0;
-            if ports.replica_change.borrow().is_none()
-                || ports.control.free_space() < 2
-                || buckets.iter().any(in_flight)
-            {
-                continue;
-            }
-            let id = state.allocate_export_id();
-            for mv in state
-                .moves
-                .iter_mut()
-                .filter(|mv| buckets.contains(&mv.bucket))
-            {
-                mv.phase = MovePhase::Collecting { id };
-            }
-            let export = ShardCommand::ExportBucketState {
-                id,
-                exact_keys: self.exact_keys(shard, &buckets),
-                buckets,
-            };
-            let change = ports.replica_change.take().expect("checked above");
-            let pushed =
-                ports.control.push(export).is_ok() && ports.push_replica_change(change).is_ok();
-            assert!(pushed, "the control ring had room for both");
-        }
-        // Cross-host handouts: one export request per quiesced bucket (its
-        // state is *extracted* into a portable bundle at absorb time, not
-        // moved to a sibling partition, so handouts never share an export
-        // id with local moves).
-        let quiesced: Vec<(usize, usize)> = state
-            .outbound
-            .iter()
-            .filter(|h| matches!(h.phase, HandoutPhase::Draining))
-            .filter(|h| self.tracker.in_flight(h.bucket) == 0)
-            .map(|h| (h.from, h.bucket))
-            .collect();
-        for (from, bucket) in quiesced {
-            let id = state.allocate_export_id();
-            let pushed = self.shards.borrow()[from]
-                .control
-                .push(ShardCommand::ExportBucketState {
-                    id,
-                    buckets: vec![bucket],
-                    exact_keys: self.exact_keys(from, &[bucket]),
-                })
-                .is_ok();
-            if !pushed {
-                continue; // retry next tick; the handout stays Draining
-            }
-            if let Some(handout) = state.outbound_for_bucket_mut(bucket) {
-                handout.phase = HandoutPhase::Collecting { id };
-            }
-        }
-    }
-
-    /// The flows of `buckets` with exact rules in `shard`'s partition: the
-    /// keys an export hands every replica (which add their own key sets).
-    fn exact_keys(&self, shard: usize, buckets: &[usize]) -> Vec<FlowKey> {
-        self.tables.shard(shard).with_read(|table| {
-            table
-                .exact_rules()
-                .map(|(_, (_, key), _)| key)
-                .filter(|key| buckets.contains(&self.tracker.bucket_of(key)))
-                .collect()
-        })
-    }
-
-    /// Drains every shard's export ring. For each completed export: moves
-    /// the covered buckets' flow-table state (exact rules + wildcard
-    /// mutations), flips their steering entries, and queues their NF flow
-    /// state for delivery to the destination shards (one
-    /// [`ImportDelivery`] per destination, its `done` flag shared with the
-    /// covered moves' [`MovePhase::Importing`] phases).
-    fn absorb_exports(&self, state: &mut RehomeState, steering: &mut [usize]) {
-        let mut exports: Vec<BucketStateExport> = Vec::new();
-        {
-            let shards = self.shards.borrow();
-            for ports in shards.iter() {
-                while let Some(export) = ports.exports.pop() {
-                    exports.push(export);
-                }
-            }
-        }
-        let RehomeState {
-            moves,
-            outbound,
-            outbox,
-            report,
-            ..
-        } = state;
-        for export in exports {
-            let BucketStateExport { id, states } = export;
-            // A cross-host handout's export covers exactly its bucket:
-            // extract the bucket's flow-table state out of the source
-            // partition, bundle it with the collected NF flow state, and
-            // mark the handout ready for the federation to collect. The
-            // bucket stays parked (pen absorbing arrivals) until the
-            // federation confirms the destination host's import.
-            if let Some(handout) = outbound
-                .iter_mut()
-                .find(|h| matches!(h.phase, HandoutPhase::Collecting { id: got } if got == id))
-            {
-                let table_state =
-                    self.tables
-                        .extract_bucket_state(handout.from, handout.bucket, |key| {
-                            self.tracker.bucket_of(key) == handout.bucket
-                        });
-                report.wildcard_conflicts += table_state.conflicts_at_source as u64;
-                let nf_states: Vec<(ServiceId, FlowKey, NfFlowState)> = states
-                    .iter()
-                    .filter(|(_, key, _)| self.tracker.bucket_of(key) == handout.bucket)
-                    .cloned()
-                    .collect();
-                handout.bundle = Some(BucketHandout {
-                    bucket: handout.bucket,
-                    table_state,
-                    nf_states,
-                });
-                handout.phase = HandoutPhase::Ready;
-                continue;
-            }
-            // The moves this export covers, grouped by destination shard. A
-            // replica scale's export covers only its same-shard moves, whose
-            // flow-table state and steering stay where they are.
-            let mut destinations: Vec<(usize, Vec<usize>)> = Vec::new();
-            let mut scale = false;
-            for mv in moves
-                .iter_mut()
-                .filter(|mv| matches!(mv.phase, MovePhase::Collecting { id: got } if got == id))
-            {
-                scale = mv.from == mv.to;
-                if !scale {
-                    let moved = self
-                        .tables
-                        .move_bucket_state(mv.from, mv.to, mv.bucket, |key| {
-                            self.tracker.bucket_of(key) == mv.bucket
-                        });
-                    report.rules_rehomed += moved.exact_rules as u64;
-                    report.wildcard_mutations_rehomed += moved.wildcard_mutations as u64;
-                    report.wildcard_conflicts += moved.wildcard_conflicts as u64;
-                    steering[mv.bucket] = mv.to;
-                }
-                match destinations.iter_mut().find(|(to, _)| *to == mv.to) {
-                    Some((_, buckets)) => buckets.push(mv.bucket),
-                    None => destinations.push((mv.to, vec![mv.bucket])),
-                }
-            }
-            for (to, buckets) in destinations {
-                let bucket_states: Vec<(ServiceId, FlowKey, NfFlowState)> = states
-                    .iter()
-                    .filter(|(_, key, _)| buckets.contains(&self.tracker.bucket_of(key)))
-                    .cloned()
-                    .collect();
-                let done = Arc::new(AtomicBool::new(bucket_states.is_empty()));
-                if !bucket_states.is_empty() {
-                    let moved = bucket_states.len() as u64;
-                    if scale {
-                        self.shards.borrow()[to].stats.add_nf_state_handoffs(moved);
-                    } else {
-                        report.nf_flow_states_rehomed += moved;
-                    }
-                    outbox.push(ImportDelivery {
-                        to,
-                        states: bucket_states,
-                        done: Arc::clone(&done),
-                    });
-                }
-                for mv in moves.iter_mut().filter(|mv| {
-                    buckets.contains(&mv.bucket)
-                        && matches!(mv.phase, MovePhase::Collecting { id: got } if got == id)
-                }) {
-                    mv.phase = MovePhase::Importing {
-                        done: Arc::clone(&done),
-                    };
-                }
-            }
-        }
-    }
-
-    /// Pushes queued NF-state deliveries into their destination shards'
-    /// control rings (a full ring leaves the delivery queued for the next
-    /// tick; its moves wait in [`MovePhase::Importing`] meanwhile).
-    fn flush_import_outbox(&self, state: &mut RehomeState) {
-        let shards = self.shards.borrow();
-        state.outbox.retain_mut(|delivery| {
-            let command = ShardCommand::ImportBucketState {
-                states: std::mem::take(&mut delivery.states),
-                done: Arc::clone(&delivery.done),
-            };
-            match shards[delivery.to].control.push(command) {
-                Ok(()) => false,
-                Err(PushError(ShardCommand::ImportBucketState { states, .. })) => {
-                    delivery.states = states;
-                    true
-                }
-                Err(PushError(_)) => unreachable!("the rejected command is the one we pushed"),
-            }
-        });
     }
 
     /// Spawns a complete new pipeline shard — worker thread, the given NF
@@ -2169,127 +1591,6 @@ impl ThreadedHost {
         }
     }
 
-    /// Begins handing `bucket`'s entire serving state out of this host —
-    /// the source half of a **cross-host** re-home. The bucket is parked
-    /// (arrivals pen, exactly as for a local move), its owning shard
-    /// drains, and once quiesced the bucket's exact-flow rules, attributed
-    /// wildcard mutations and NF per-flow state are extracted into a
-    /// portable [`BucketHandout`]. The federation collects the bundle with
-    /// [`ThreadedHost::take_ready_handouts`], delivers it to the adopting
-    /// host's [`ThreadedHost::absorb_bucket_handout`], and — once the
-    /// import is acknowledged — calls
-    /// [`ThreadedHost::finish_bucket_handout`] here to reclaim the pen.
-    ///
-    /// Returns `false` if the bucket is already mid-move or mid-handout.
-    pub fn begin_bucket_handout(&self, bucket: usize) -> bool {
-        self.advance_rehoming();
-        let from = self.shard_of_bucket(bucket);
-        {
-            let buckets = {
-                let steering = self.steering.borrow();
-                if steering.is_empty() {
-                    STEER_BUCKETS
-                } else {
-                    steering.len()
-                }
-            };
-            let mut state = self.rehome.borrow_mut();
-            state.ensure_parked_table(buckets);
-            if state.is_parked(bucket) {
-                return false;
-            }
-            state.begin_handout(bucket, from, self.clock.now_ns());
-        }
-        self.tracker.park(bucket);
-        self.advance_rehoming();
-        true
-    }
-
-    /// Collects every handout whose bundle is assembled (drain complete,
-    /// state extracted). Each returned [`BucketHandout`] is on its way to
-    /// another host; its bucket stays parked here — pen absorbing stray
-    /// arrivals — until [`ThreadedHost::finish_bucket_handout`].
-    pub fn take_ready_handouts(&self) -> Vec<BucketHandout> {
-        self.advance_rehoming();
-        let mut state = self.rehome.borrow_mut();
-        let mut ready = Vec::new();
-        for handout in state.outbound.iter_mut() {
-            if matches!(handout.phase, HandoutPhase::Ready) {
-                if let Some(bundle) = handout.bundle.take() {
-                    handout.phase = HandoutPhase::AwaitingRelease;
-                    ready.push(bundle);
-                }
-            }
-        }
-        ready
-    }
-
-    /// Completes a cross-host handout after the destination host
-    /// acknowledged its import: unparks the bucket and returns the pen —
-    /// every packet that arrived mid-handout, with its parsed key, in
-    /// arrival order — for the federation to forward to the bucket's new
-    /// host. Returns an empty pen if no handout of `bucket` is awaiting
-    /// release.
-    pub fn finish_bucket_handout(&self, bucket: usize) -> Vec<(Packet, FlowKey)> {
-        let now_ns = self.now_ns();
-        let mut state = self.rehome.borrow_mut();
-        let Some(position) = state
-            .outbound
-            .iter()
-            .position(|h| h.bucket == bucket && matches!(h.phase, HandoutPhase::AwaitingRelease))
-        else {
-            return Vec::new();
-        };
-        let handout = state.outbound.swap_remove(position);
-        state.parked[bucket] = false;
-        self.tracker.unpark(bucket);
-        state.report.buckets_handed_off += 1;
-        for (packet, _) in &handout.pen {
-            state.record_pen_age(now_ns.saturating_sub(packet.timestamp_ns));
-        }
-        state.record_event(RehomeEvent {
-            at_ns: now_ns,
-            bucket,
-            from: handout.from,
-            to: handout.from,
-            step: RehomeStep::Completed,
-        });
-        handout.pen.into_iter().collect()
-    }
-
-    /// Adopts a bucket handed out by another host — the destination half of
-    /// a cross-host re-home. The bundle's exact rules and wildcard-mutation
-    /// records are absorbed into the partition of the shard that owns the
-    /// bucket here (replay skips records this host already superseded:
-    /// last-writer-wins by mutation sequence), and its NF flow state is
-    /// queued for import into that shard's replicas. Returns the import
-    /// acknowledgement flag: once it reads `true`, every replica holds its
-    /// share of the state and the federation may release the source host's
-    /// pen into this host.
-    pub fn absorb_bucket_handout(&self, handout: &BucketHandout) -> Arc<AtomicBool> {
-        let to = self.shard_of_bucket(handout.bucket);
-        let moved = self.tables.absorb_bucket_state(to, &handout.table_state);
-        let done = {
-            let mut state = self.rehome.borrow_mut();
-            state.report.rules_rehomed += moved.exact_rules as u64;
-            state.report.wildcard_mutations_rehomed += moved.wildcard_mutations as u64;
-            state.report.wildcard_conflicts += moved.wildcard_conflicts as u64;
-            state.report.buckets_adopted += 1;
-            let done = Arc::new(AtomicBool::new(handout.nf_states.is_empty()));
-            if !handout.nf_states.is_empty() {
-                state.report.nf_flow_states_rehomed += handout.nf_states.len() as u64;
-                state.outbox.push(ImportDelivery {
-                    to,
-                    states: handout.nf_states.clone(),
-                    done: Arc::clone(&done),
-                });
-            }
-            done
-        };
-        self.advance_rehoming();
-        done
-    }
-
     /// Raises the floor of this host's wildcard-mutation sequence counter.
     /// A federation assigns each host a disjoint sequence range (host index
     /// in the high bits) so that mutation records carried across hosts by
@@ -2352,31 +1653,6 @@ impl TelemetrySource for &ThreadedHost {
     fn poll_snapshots(&mut self) -> Vec<TelemetrySnapshot> {
         self.poll_telemetry()
     }
-}
-
-/// Largest-remainder apportionment of `buckets` bucket slots over weighted
-/// shards; `None` if the weights sum to zero.
-fn apportion_targets(weights: &[u32], buckets: usize) -> Option<Vec<usize>> {
-    let total: u64 = weights.iter().map(|w| u64::from(*w)).sum();
-    if total == 0 {
-        return None;
-    }
-    let num_shards = weights.len();
-    let mut target = vec![0usize; num_shards];
-    let mut remainder = vec![0u64; num_shards];
-    let mut assigned = 0usize;
-    for shard in 0..num_shards {
-        let exact = buckets as u64 * u64::from(weights[shard]);
-        target[shard] = (exact / total) as usize;
-        remainder[shard] = exact % total;
-        assigned += target[shard];
-    }
-    let mut order: Vec<usize> = (0..num_shards).collect();
-    order.sort_by(|a, b| remainder[*b].cmp(&remainder[*a]).then(a.cmp(b)));
-    for shard in order.iter().take(buckets - assigned) {
-        target[*shard] += 1;
-    }
-    Some(target)
 }
 
 /// Builds and starts one shard's full pipeline: its rings, credit gate and
@@ -4727,6 +4003,7 @@ fn idle_backoff(idle: &mut u32) {
 mod tests {
     use super::*;
     use crate::conflict::resolve_parallel_verdicts;
+    use crate::rehome::RehomeStep;
     use sdnfv_flowtable::{FlowMatch, FlowRule};
     use sdnfv_graph::{catalog, CompileOptions};
     use sdnfv_nf::nfs::{ComputeNf, NoOpNf};
