@@ -44,7 +44,7 @@ pub use cache::LookupCache;
 pub use conflict::resolve_parallel_verdicts;
 pub use manager::{NfManager, PacketOutcome};
 pub use messages::{apply_nf_message, apply_nf_message_tracked, AppliedChange, NfManagerMessage};
-pub use rehome::{BucketHandout, RehomeEvent, RehomeReport, RehomeStep};
+pub use rehome::{BucketHandout, MoveTarget, RehomeEvent, RehomeReport, RehomeStep};
 pub use runtime::{
     shard_for_flow, BurstInjection, HostOutput, InjectResult, ThreadedHost, ThreadedHostConfig,
     STEER_BUCKETS,

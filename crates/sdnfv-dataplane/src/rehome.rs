@@ -1,49 +1,60 @@
-//! State-safe re-homing of flow-steering buckets between shards.
+//! State-safe re-homing of flow-steering buckets: one state machine for
+//! every way a bucket's flows change hands.
 //!
-//! Moving a steering bucket from one shard to another is only safe if no
-//! packet of the bucket's flows is mid-pipeline on the old shard when the
-//! steering entry flips: an in-flight packet could still install or consult
-//! shard-local exact-flow rules there, mutate a wildcard rule, or touch
-//! NF-internal per-flow state — and all of that must travel with the flows.
-//! The runtime therefore re-homes buckets with a **state-complete
-//! quiesce-then-move handshake**:
+//! A bucket move takes one steering bucket — its packets, its exact-flow
+//! rules, the wildcard mutations attributed to it and its NFs' per-flow
+//! state — from its shard to one of three destinations ([`MoveTarget`]):
 //!
-//! 1. **Park** the bucket ([`MovePhase::Draining`]): new arrivals are held
-//!    in a small per-bucket pen instead of entering the old shard's
-//!    pipeline (the pen overflows into ordinary backpressure, never into
-//!    drops);
-//! 2. **Drain**: wait until the bucket's in-flight count reaches zero. A
-//!    [`BucketTracker`] keeps it as two one-sided counts: the injection side
-//!    counts a packet admitted before the ring push that makes it visible to
-//!    a worker, and the shard worker counts it finished at its last
+//! * **another shard** of this host — a rebalance (`set_steering_weights`)
+//!   or shard scale-out/in (`spawn_shard` / `retire_shard_at`);
+//! * **the same shard** — a replica scale (`add_nf_replica` /
+//!   `remove_nf_replica`): a flow's replica follows its bucket, so only the
+//!   buckets whose replica pick changes move, and their state lands on
+//!   each flow's new pick;
+//! * **another host** — a cross-host handout (`begin_bucket_handout`),
+//!   whose destination side the federation drives.
+//!
+//! Every move runs the same six steps, one [`BucketMove`] with one
+//! [`MovePhase`]:
+//!
+//! 1. **Park** ([`MovePhase::Draining`]): the host marks the bucket parked
+//!    in the [`BucketTracker`]; new arrivals wait in the move's pen (a full
+//!    pen is ordinary backpressure, never a drop). A replica scale holds no
+//!    pen: its arrivals are throttled back, so the shard's credit gate
+//!    stays the bound;
+//! 2. **Drain**: wait until the bucket's in-flight count reaches zero. The
+//!    tracker keeps it as two one-sided counts: the injection side counts
+//!    a packet admitted before the ring push that makes it visible to a
+//!    worker, and the shard worker counts it finished at its last
 //!    flow-state touchpoint; in flight is their difference;
-//! 3. **Collect** ([`MovePhase::Collecting`]): ask the old shard's worker
+//! 3. **Collect** ([`MovePhase::Collecting`]): ask the source shard's worker
 //!    to export the bucket's NF-internal per-flow state — every NF replica
 //!    is handed the bucket's flow keys (the partition's exact entries plus
-//!    the NF's own key set) and detaches its state for them;
-//! 4. **Move & flip**: the bucket's shard-local exact-flow rules *and* the
-//!    wildcard mutations attributed to it are exported into the new owner's
-//!    flow-table partition
-//!    ([`FlowTablePartitions::move_bucket_state`](sdnfv_flowtable::FlowTablePartitions::move_bucket_state)),
-//!    then the steering entry flips;
-//! 5. **Import** ([`MovePhase::Importing`]): the collected NF state is
-//!    shipped to the new shard's worker, which routes it into its replicas;
-//!    only once the import is acknowledged —
-//! 6. **Release** ([`MovePhase::Releasing`]): the pen drains into the new
-//!    shard, whose NFs now hold the flows' state.
+//!    the NF's own key set) and detaches its state for them. A replica
+//!    scale's export waits until all its buckets have drained and goes to
+//!    the worker together with the replica change, export first;
+//! 4. **Hand over the rules**: when the export arrives, a cross-shard move
+//!    moves the bucket's exact rules and wildcard mutations into the new
+//!    owner's partition
+//!    ([`FlowTablePartitions::move_bucket_state`](sdnfv_flowtable::FlowTablePartitions::move_bucket_state))
+//!    and flips the steering entry; a handout extracts them, with the NF
+//!    state, into a portable [`BucketHandout`]; a replica scale's rules
+//!    stay where they are;
+//! 5. **Import** ([`MovePhase::Importing`]): the NF state waits for its
+//!    destination — an [`ImportDelivery`] for a shard's control ring, a
+//!    bundle for the federation — and the move waits for the import's
+//!    acknowledgement: the destination worker's, or, for a handout,
+//!    `finish_bucket_handout`, called once the adopting host acknowledged;
+//! 6. **Release** ([`MovePhase::Releasing`]): the pen drains into the
+//!    destination shard, or goes back to the federation whole, and the
+//!    bucket unparks.
 //!
-//! Plain steering rebalances (`set_steering_weights`), shard scale-out/in
-//! (`spawn_shard` / `retire_shard`) and replica scaling (`add_nf_replica` /
-//! `remove_nf_replica`) all go through this machinery, so none can lose
-//! packets, flow-table state, wildcard-rule mutations or NF-internal flow
-//! state. A replica scale is the same handshake with `from == to`: only
-//! the shard's buckets whose replica pick changes park, their arrivals are
-//! throttled back (not penned: the shard's credit gate stays the bound),
-//! their export and the replica change are pushed together once all of
-//! them have drained, and step 5 lands each flow's state on its new pick.
-//! Its moves show in `take_rehome_events` like any other.
+//! [`RehomeState::check`] states the machine's invariant once; debug
+//! builds check it at the end of every advance. Every step shows in
+//! `take_rehome_events`, its [`RehomeEvent`] naming the destination.
 
 use std::collections::VecDeque;
+use std::fmt;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
@@ -73,12 +84,14 @@ use sdnfv_ring::sync::{AtomicUsize, Ordering};
 pub struct BucketTracker {
     admitted: Vec<AtomicUsize>,
     finished: Vec<AtomicUsize>,
-    /// `true` while the bucket is mid-re-home. Shard workers consult this
-    /// before timing out exact-flow rules: a rule of a parked bucket may
-    /// be mid-export, and evicting it would race the re-home (the evicted
-    /// rule could be resurrected by the import, or the export could carry
-    /// a rule the control plane was just told died). Such rules are
-    /// deferred until the bucket settles.
+    /// `true` while a move holds the bucket — the host's one parked table,
+    /// written only by the host. Injection reads it to pen (or throttle)
+    /// the bucket's arrivals. Shard workers consult it before timing out
+    /// exact-flow rules: a rule of a parked bucket may be mid-export, and
+    /// evicting it would race the re-home (the evicted rule could be
+    /// resurrected by the import, or the export could carry a rule the
+    /// control plane was just told died). Such rules are deferred until
+    /// the bucket settles.
     parked: Vec<AtomicBool>,
 }
 
@@ -194,32 +207,51 @@ impl BucketTracker {
     }
 }
 
-/// Where one bucket move stands in the state-complete handshake (see the
-/// module docs for the full sequence).
+/// Where a bucket move takes its bucket.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MoveTarget {
+    /// A shard of this host: another shard for a cross-shard move, the
+    /// source shard itself for a replica scale.
+    Shard(usize),
+    /// Another host: a cross-host handout.
+    Host,
+}
+
+impl fmt::Display for MoveTarget {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            MoveTarget::Shard(shard) => write!(f, "{shard}"),
+            MoveTarget::Host => f.write_str("another host"),
+        }
+    }
+}
+
+/// Where one bucket move stands in the handshake (see the module docs for
+/// the full sequence).
 #[derive(Debug, Clone)]
 pub enum MovePhase {
-    /// Waiting for the bucket's in-flight count on the old shard to reach
-    /// zero.
+    /// Waiting for the bucket's in-flight count to reach zero.
     Draining,
-    /// NF-state export request `id` is in flight to the old shard's worker.
+    /// NF-state export request `id` is in flight to the source shard's
+    /// worker.
     Collecting {
         /// Matches the request to the worker's
         /// eventual export response (one request can cover many buckets).
         id: u64,
     },
-    /// Flow-table state moved and steering flipped; waiting for the new
-    /// shard's worker to confirm it imported the bucket's NF flow state
-    /// (the flag is shared with the in-flight import command).
+    /// The rules are handed over; waiting for the destination to
+    /// acknowledge that it imported the bucket's NF flow state.
     Importing {
-        /// Set by the destination worker once every replica absorbed its
-        /// share of the state.
+        /// Set by the destination shard's worker once every replica
+        /// absorbed its share (shared with the import command), or by
+        /// `finish_bucket_handout` for a handout.
         done: Arc<AtomicBool>,
     },
-    /// Fully state-moved; the pen is draining into the new shard.
+    /// Imported; the pen is draining into the destination.
     Releasing,
 }
 
-/// One bucket mid-re-home: where it is moving, how far the handshake has
+/// One bucket mid-move: where it is going, how far the handshake has
 /// progressed, and the pen of packets that arrived while it was parked.
 #[derive(Debug)]
 pub struct BucketMove {
@@ -227,75 +259,29 @@ pub struct BucketMove {
     pub bucket: usize,
     /// The shard the bucket is leaving.
     pub from: usize,
-    /// The shard the bucket is moving to.
-    pub to: usize,
+    /// Where the bucket is going.
+    pub to: MoveTarget,
     /// Handshake progress.
     pub phase: MovePhase,
     /// Packets of the bucket that arrived while it was parked (with their
-    /// already-parsed flow keys), in arrival order. Released into the new
-    /// shard once the phase reaches [`MovePhase::Releasing`].
+    /// already-parsed flow keys), in arrival order. Released once the phase
+    /// reaches [`MovePhase::Releasing`]; a replica scale's stays empty.
     pub pen: VecDeque<(Packet, FlowKey)>,
 }
 
 impl BucketMove {
-    /// Whether the steering entry has flipped (rules exported, new shard
-    /// owns the bucket).
-    pub fn flipped(&self) -> bool {
-        matches!(
-            self.phase,
-            MovePhase::Importing { .. } | MovePhase::Releasing
-        )
+    /// Whether this move is a replica scale: its bucket stays on its shard
+    /// and its arrivals are throttled instead of penned.
+    pub fn is_scale(&self) -> bool {
+        self.to == MoveTarget::Shard(self.from)
     }
-}
-
-/// Where one **cross-host** bucket handout stands on the source host. The
-/// phases mirror [`MovePhase`] up to collection; from there the bundle
-/// leaves the host and the federation (which owns the wire and the
-/// destination host) drives the import and the release.
-#[derive(Debug, Clone)]
-pub enum HandoutPhase {
-    /// Waiting for the bucket's in-flight count on its shard to reach zero.
-    Draining,
-    /// NF-state export request `id` is in flight to the shard's worker.
-    Collecting {
-        /// Matches the request to the worker's eventual export response.
-        id: u64,
-    },
-    /// The portable bundle is assembled, waiting for
-    /// [`ThreadedHost::take_ready_handouts`](crate::runtime::ThreadedHost::take_ready_handouts).
-    Ready,
-    /// The bundle left the host; the pen keeps absorbing stray arrivals
-    /// until the federation confirms the destination's import
-    /// ([`ThreadedHost::finish_bucket_handout`](crate::runtime::ThreadedHost::finish_bucket_handout)).
-    AwaitingRelease,
-}
-
-/// One bucket leaving this host for another host: the outbound half of a
-/// cross-host re-home. The pen plays the same role as [`BucketMove::pen`] —
-/// arrivals while the bucket is parked wait here, in order — but it is
-/// returned to the federation at finish rather than drained into a local
-/// shard, because the bucket's new pipeline lives on another machine.
-#[derive(Debug)]
-pub struct OutboundHandout {
-    /// The bucket being handed to another host.
-    pub bucket: usize,
-    /// The shard that owns the bucket here.
-    pub from: usize,
-    /// Handshake progress.
-    pub phase: HandoutPhase,
-    /// Packets of the bucket that arrived while it was parked, with their
-    /// parsed flow keys, in arrival order.
-    pub pen: VecDeque<(Packet, FlowKey)>,
-    /// The assembled bundle, between collection and
-    /// [`HandoutPhase::Ready`] pickup.
-    pub bundle: Option<BucketHandout>,
 }
 
 /// Everything one steering bucket carries across the host interconnect:
 /// its shard-local flow-table state (exact rules and wildcard-mutation
 /// records, already extracted from the source partition) and the
 /// NF-internal per-flow state detached from the source shard's replicas.
-/// Produced by the source host's handout machinery, consumed by
+/// Produced by the source host's handout, consumed by
 /// [`ThreadedHost::absorb_bucket_handout`](crate::runtime::ThreadedHost::absorb_bucket_handout)
 /// on the destination host.
 #[derive(Debug)]
@@ -384,7 +370,7 @@ pub const REHOME_EVENT_CAP: usize = 4096;
 pub enum RehomeStep {
     /// The bucket was parked and its drain on the old shard began.
     Begun,
-    /// The pen finished draining into the destination: the move is over.
+    /// The pen was released to the destination: the move is over.
     Completed,
 }
 
@@ -399,8 +385,9 @@ pub struct RehomeEvent {
     pub bucket: usize,
     /// The shard the bucket is leaving.
     pub from: usize,
-    /// The shard the bucket is moving to.
-    pub to: usize,
+    /// Where the bucket is going: another shard, the same shard (a replica
+    /// scale) or another host (a handout).
+    pub to: MoveTarget,
     /// Which step this event records.
     pub step: RehomeStep,
 }
@@ -410,15 +397,12 @@ pub struct RehomeEvent {
 pub struct RehomeState {
     /// Active bucket moves, at most one per bucket.
     pub moves: Vec<BucketMove>,
-    /// Active cross-host handouts, at most one per bucket (a bucket is
-    /// never simultaneously in `moves` and `outbound`).
-    pub outbound: Vec<OutboundHandout>,
-    /// `parked[bucket]` is `true` while the bucket is mid-move (sized to
-    /// the steering table; empty until the first re-home).
-    pub parked: Vec<bool>,
     /// NF-state deliveries awaiting a slot in their destination shard's
     /// control ring.
     pub outbox: Vec<ImportDelivery>,
+    /// Handout bundles awaiting the federation's `take_ready_handouts`;
+    /// their moves wait in [`MovePhase::Importing`].
+    pub handouts: Vec<BucketHandout>,
     /// The shard currently being retired, if any.
     pub retiring: Option<RetiringShard>,
     /// Cumulative re-home counters.
@@ -440,29 +424,23 @@ pub struct RehomeState {
 impl RehomeState {
     /// Whether any re-home work is pending.
     pub fn is_idle(&self) -> bool {
-        self.moves.is_empty()
-            && self.outbound.is_empty()
-            && self.retiring.is_none()
-            && self.outbox.is_empty()
+        self.moves.is_empty() && self.retiring.is_none() && self.outbox.is_empty()
     }
 
-    /// Whether `bucket` is currently parked (mid-move).
-    pub fn is_parked(&self, bucket: usize) -> bool {
-        self.parked.get(bucket).copied().unwrap_or(false)
-    }
-
-    /// Ensures the parked table covers `buckets` entries.
-    pub fn ensure_parked_table(&mut self, buckets: usize) {
-        if self.parked.len() < buckets {
-            self.parked.resize(buckets, false);
-        }
-    }
-
-    /// Begins a move for `bucket` (which must not already be moving),
-    /// journaling the [`RehomeStep::Begun`] event at `now_ns`.
-    pub fn begin_move(&mut self, bucket: usize, from: usize, to: usize, now_ns: u64) {
-        debug_assert!(!self.is_parked(bucket), "bucket {bucket} already moving");
-        self.parked[bucket] = true;
+    /// Begins a move of `bucket` (which must not already be moving): parks
+    /// it in `tracker` — shard workers then defer its exact rules' timeouts
+    /// while its state is mid-export — and journals the
+    /// [`RehomeStep::Begun`] event at `now_ns`.
+    pub fn begin_move(
+        &mut self,
+        tracker: &BucketTracker,
+        bucket: usize,
+        from: usize,
+        to: MoveTarget,
+        now_ns: u64,
+    ) {
+        debug_assert!(!tracker.is_parked(bucket), "bucket {bucket} already moving");
+        tracker.park(bucket);
         self.moves.push(BucketMove {
             bucket,
             from,
@@ -498,45 +476,63 @@ impl RehomeState {
         self.moves.iter_mut().find(|m| m.bucket == bucket)
     }
 
-    /// The cross-host handout currently holding `bucket`, if any.
-    pub fn outbound_for_bucket_mut(&mut self, bucket: usize) -> Option<&mut OutboundHandout> {
-        self.outbound.iter_mut().find(|h| h.bucket == bucket)
-    }
-
-    /// Begins a cross-host handout for `bucket` (which must not already be
-    /// moving), journaling the [`RehomeStep::Begun`] event at `now_ns` with
-    /// the destination recorded as the source shard itself (the real
-    /// destination is another host, outside this journal's shard space).
-    pub fn begin_handout(&mut self, bucket: usize, from: usize, now_ns: u64) {
-        debug_assert!(!self.is_parked(bucket), "bucket {bucket} already moving");
-        self.parked[bucket] = true;
-        self.outbound.push(OutboundHandout {
-            bucket,
-            from,
-            phase: HandoutPhase::Draining,
-            pen: VecDeque::new(),
-            bundle: None,
-        });
-        self.record_event(RehomeEvent {
-            at_ns: now_ns,
-            bucket,
-            from,
-            to: from,
-            step: RehomeStep::Begun,
-        });
-    }
-
-    /// Whether a shard retirement or a replica scale (`from == to`) is on.
+    /// Whether a shard retirement or a replica scale is on.
     pub fn retiring_or_scaling(&self) -> bool {
-        self.retiring.is_some() || self.moves.iter().any(|m| m.from == m.to)
+        self.retiring.is_some() || self.moves.iter().any(BucketMove::is_scale)
     }
 
-    /// Whether any active move still involves shard `shard` (as source or
-    /// destination).
+    /// Whether any active move or queued delivery still involves shard
+    /// `shard` (as source or destination).
     pub fn shard_has_moves(&self, shard: usize) -> bool {
-        self.moves.iter().any(|m| m.from == shard || m.to == shard)
-            || self.outbound.iter().any(|h| h.from == shard)
+        self.moves
+            .iter()
+            .any(|m| m.from == shard || m.to == MoveTarget::Shard(shard))
             || self.outbox.iter().any(|d| d.to == shard)
+    }
+
+    /// The invariant of the move machine, against the host's bucket
+    /// `tracker` and `steering` table:
+    ///
+    /// * a bucket is parked in the tracker iff exactly one move holds it;
+    /// * from its drain until its release begins, a move has nothing in
+    ///   flight (the tracker counts per bucket, so packets a release has
+    ///   admitted into the destination count too);
+    /// * a cross-shard move past collection has flipped its steering entry;
+    /// * a replica scale holds no pen.
+    pub fn check(&self, tracker: &BucketTracker, steering: &[usize]) -> Result<(), String> {
+        let mut holders = vec![0usize; tracker.buckets()];
+        for mv in &self.moves {
+            let bucket = mv.bucket;
+            holders[bucket] += 1;
+            let drained = matches!(
+                mv.phase,
+                MovePhase::Collecting { .. } | MovePhase::Importing { .. }
+            );
+            if drained && tracker.in_flight(bucket) > 0 {
+                return Err(format!(
+                    "bucket {bucket}: packets in flight in phase {:?}",
+                    mv.phase
+                ));
+            }
+            let imported = matches!(mv.phase, MovePhase::Importing { .. } | MovePhase::Releasing);
+            if let MoveTarget::Shard(to) = mv.to {
+                if imported && to != mv.from && steering.get(bucket) != Some(&to) {
+                    return Err(format!("bucket {bucket}: steering not flipped to {to}"));
+                }
+            }
+            if mv.is_scale() && !mv.pen.is_empty() {
+                return Err(format!("bucket {bucket}: a replica scale holds a pen"));
+            }
+        }
+        for (bucket, &count) in holders.iter().enumerate() {
+            if count > 1 || tracker.is_parked(bucket) != (count == 1) {
+                return Err(format!(
+                    "bucket {bucket}: parked {} with {count} moves",
+                    tracker.is_parked(bucket)
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// A fresh export-request id.
@@ -565,7 +561,11 @@ impl RehomeState {
     pub fn pen_gauges_for_shard(&self, shard: usize) -> (usize, Option<u64>) {
         let mut depth = 0;
         let mut oldest: Option<u64> = None;
-        for mv in self.moves.iter().filter(|m| m.to == shard) {
+        for mv in self
+            .moves
+            .iter()
+            .filter(|m| m.to == MoveTarget::Shard(shard))
+        {
             depth += mv.pen.len();
             if let Some((packet, _)) = mv.pen.front() {
                 oldest = Some(match oldest {
@@ -667,25 +667,89 @@ mod tests {
 
     #[test]
     fn state_tracks_parked_buckets_and_moves() {
+        let tracker = BucketTracker::new(8);
         let mut state = RehomeState::default();
         assert!(state.is_idle());
-        assert!(!state.is_parked(3));
-        state.ensure_parked_table(8);
-        state.begin_move(3, 0, 1, 0);
+        state.begin_move(&tracker, 3, 0, MoveTarget::Shard(1), 0);
         assert!(!state.is_idle());
-        assert!(state.is_parked(3));
+        assert!(tracker.is_parked(3));
         assert!(state.shard_has_moves(0));
         assert!(state.shard_has_moves(1));
         assert!(!state.shard_has_moves(2));
+        assert!(!state.retiring_or_scaling());
         let mv = state.move_for_bucket_mut(3).expect("bucket 3 is moving");
-        assert_eq!((mv.from, mv.to), (0, 1));
+        assert_eq!((mv.from, mv.to), (0, MoveTarget::Shard(1)));
         assert!(matches!(mv.phase, MovePhase::Draining));
-        assert!(!mv.flipped());
-        mv.phase = MovePhase::Importing {
-            done: Arc::new(AtomicBool::new(false)),
-        };
-        assert!(mv.flipped());
         assert!(state.move_for_bucket_mut(4).is_none());
+        assert_eq!(state.check(&tracker, &[0; 8]), Ok(()));
+        // A handout involves its source shard; a replica scale is a scale.
+        state.begin_move(&tracker, 4, 2, MoveTarget::Host, 0);
+        assert!(state.shard_has_moves(2));
+        state.begin_move(&tracker, 5, 6, MoveTarget::Shard(6), 0);
+        assert!(state.retiring_or_scaling());
+        let journal = state.take_events();
+        let targets: Vec<MoveTarget> = journal.iter().map(|e| e.to).collect();
+        assert_eq!(
+            targets,
+            [MoveTarget::Shard(1), MoveTarget::Host, MoveTarget::Shard(6)]
+        );
+    }
+
+    /// Every clause of [`RehomeState::check`] trips on a state built to
+    /// break it, and passes on the same state put right.
+    #[test]
+    fn a_hand_built_violation_trips_the_move_invariant() {
+        let steering = [0usize; 8];
+        type BreakIt = fn(&BucketTracker, &mut RehomeState);
+        let violations: [(&str, BreakIt); 6] = [
+            ("a parked bucket no move holds", |tracker, _| {
+                tracker.park(2)
+            }),
+            ("a moving bucket the tracker does not park", |tracker, _| {
+                tracker.unpark(1)
+            }),
+            ("two moves of one bucket", |_, state| {
+                state.moves.push(BucketMove {
+                    bucket: 1,
+                    from: 0,
+                    to: MoveTarget::Host,
+                    phase: MovePhase::Draining,
+                    pen: VecDeque::new(),
+                })
+            }),
+            ("a packet in flight past the drain", |tracker, state| {
+                tracker.admit(1);
+                state.moves[0].phase = MovePhase::Collecting { id: 1 };
+            }),
+            ("an imported move that never flipped", |_, state| {
+                let done = Arc::new(AtomicBool::new(false));
+                state.moves[0].phase = MovePhase::Importing { done };
+            }),
+            ("a replica scale with a pen", |_, state| {
+                use sdnfv_proto::packet::PacketBuilder;
+                let packet = PacketBuilder::udp().build();
+                let key = packet.flow_key().unwrap();
+                state.moves[0].to = MoveTarget::Shard(0);
+                state.moves[0].pen.push_back((packet, key));
+            }),
+        ];
+        for (what, break_it) in violations {
+            let tracker = BucketTracker::new(8);
+            let mut state = RehomeState::default();
+            state.begin_move(&tracker, 1, 0, MoveTarget::Shard(1), 0);
+            assert_eq!(state.check(&tracker, &steering), Ok(()), "{what}");
+            break_it(&tracker, &mut state);
+            assert!(state.check(&tracker, &steering).is_err(), "{what}");
+        }
+        // The same imported move is sound once its entry has flipped.
+        let tracker = BucketTracker::new(8);
+        let mut state = RehomeState::default();
+        state.begin_move(&tracker, 1, 0, MoveTarget::Shard(1), 0);
+        let done = Arc::new(AtomicBool::new(false));
+        state.moves[0].phase = MovePhase::Importing { done };
+        let mut flipped = steering;
+        flipped[1] = 1;
+        assert_eq!(state.check(&tracker, &flipped), Ok(()));
     }
 
     #[test]
@@ -723,10 +787,10 @@ mod tests {
     #[test]
     fn pen_gauges_report_depth_and_oldest_arrival() {
         use sdnfv_proto::packet::PacketBuilder;
+        let tracker = BucketTracker::new(4);
         let mut state = RehomeState::default();
-        state.ensure_parked_table(4);
-        state.begin_move(0, 0, 1, 0);
-        state.begin_move(1, 0, 1, 0);
+        state.begin_move(&tracker, 0, 0, MoveTarget::Shard(1), 0);
+        state.begin_move(&tracker, 1, 0, MoveTarget::Shard(1), 0);
         assert_eq!(state.pen_gauges_for_shard(1), (0, None));
         let mut early = PacketBuilder::udp().src_port(1).build();
         early.timestamp_ns = 100;

@@ -108,9 +108,10 @@
 //! newest one (the replica drains its queue before its thread exits, so no
 //! packet is lost), and [`ThreadedHost::resize_credits`] re-budgets the
 //! shard's credit gate. A flow's replica follows its steering bucket
-//! ([`pick_instance`]), so a replica scale is the bucket handshake below
-//! with `from == to`: only the re-picked buckets park, and these moves
-//! show in [`ThreadedHost::take_rehome_events`] like any other.
+//! ([`pick_instance`]), so a replica scale is a bucket move below whose
+//! destination is its own shard: only the re-picked buckets park, and
+//! these moves show in [`ThreadedHost::take_rehome_events`] like any
+//! other.
 //! [`ThreadedHost::set_steering_weights`] rebalances the flow-hash → shard
 //! bucket table on the injection side.
 //!
@@ -121,20 +122,19 @@
 //! share of steering buckets onto it; [`ThreadedHost::retire_shard`] drains
 //! the highest shard's buckets back onto the survivors and tears its
 //! pipeline down (threads joined, rings reclaimed). Every bucket move —
-//! scale-out, scale-in or a plain [`set_steering_weights`] rebalance — goes
-//! through the **state-complete quiesce-then-move handshake** in
-//! [`crate::rehome`]: new arrivals for the bucket are parked in a small
-//! pen, the old shard drains the bucket's in-flight packets, the bucket's
-//! NF-internal per-flow state is collected from the old shard's replicas
-//! (via [`NetworkFunction::export_flow_state`]), its shard-local exact-flow
-//! rules *and* the wildcard mutations attributed to it are exported into
-//! the new owner's partition, the steering entry flips, the NF state is
-//! imported into the new shard's replicas, and only then is the pen
-//! released — so neither packets, flow-table state, wildcard-rule
-//! mutations nor NF flow state are lost. A bucket's in-flight count drops
-//! when each packet reaches *egress staging* (past which it can no longer
-//! touch flow state), so bucket drain never waits on the consumer polling
-//! egress. Completed transitions are published as
+//! scale-out, scale-in, a plain [`set_steering_weights`] rebalance, a
+//! replica scale or a cross-host handout — runs the one
+//! **state-complete quiesce-then-move machine** of [`crate::rehome`],
+//! driven from the host's injection and polling calls by the child module
+//! `rehome_driver`: arrivals are parked, the old shard drains the bucket,
+//! its NF-internal per-flow state is collected (via
+//! [`NetworkFunction::export_flow_state`]), its exact-flow rules and
+//! wildcard mutations are handed over, the NF state is imported, and only
+//! then is the pen released — so neither packets, flow-table state,
+//! wildcard-rule mutations nor NF flow state are lost. A bucket's
+//! in-flight count drops when each packet reaches *egress staging* (past
+//! which it can no longer touch flow state), so bucket drain never waits
+//! on the consumer polling egress. Completed transitions are published as
 //! [`ShardLifecycleEvent`]s via [`ThreadedHost::take_shard_events`].
 
 use std::cell::{Cell, RefCell};
@@ -222,8 +222,8 @@ pub struct ThreadedHostConfig {
     pub telemetry_interval_ns: u64,
     /// How often each shard sweeps its flow-table partition for expired
     /// rules, in nanoseconds of the host clock (identical under the
-    /// simulated runtime). `0` disables the amortized sweeper — rules then
-    /// expire only lazily, when a lookup touches them.
+    /// simulated runtime). `0` turns rule expiry off: the partition's clock
+    /// advances only in the sweep, so no lookup sees a timeout pass either.
     pub rule_sweep_interval_ns: u64,
     /// OpenFlow-style idle timeout stamped onto exact per-flow rules
     /// installed by NF `ChangeDefault` pins: the pin is evicted once this
@@ -1022,7 +1022,7 @@ impl ThreadedHost {
         let (shard, tracked) = match &key {
             Some(k) => {
                 let bucket = self.tracker.bucket_of_hash(hash);
-                if self.rehome.borrow().is_parked(bucket) {
+                if self.tracker.is_parked(bucket) {
                     return self.park(bucket, packet, *k);
                 }
                 (self.steer_hash(hash), Some(bucket))
@@ -1064,15 +1064,11 @@ impl ThreadedHost {
         self.advance_rehoming();
         let now = self.now_ns();
         let mut result = BurstInjection::default();
-        let rehoming = {
-            let state = self.rehome.borrow();
-            !state.moves.is_empty() || !state.outbound.is_empty()
-        };
+        let rehoming = !self.rehome.borrow().moves.is_empty();
         let num_shards = self.shards.borrow().len();
         if num_shards == 1 && !rehoming {
-            // Single shard with no bucket mid-move and no outbound handout
-            // (a single-shard host can still hand a bucket to another
-            // host): frame the admitted prefix in one pass and push it
+            // Single shard with no bucket mid-move (a single-shard host can
+            // still hand a bucket to another host): frame the admitted prefix in one pass and push it
             // directly, skipping the per-shard grouping. Throttled packets
             // are not parsed.
             let granted = self.shards.borrow()[0].gate.acquire_up_to(packets.len());
@@ -1101,7 +1097,7 @@ impl ThreadedHost {
                 Some(k) => {
                     if rehoming {
                         let bucket = self.tracker.bucket_of_hash(hash);
-                        if self.rehome.borrow().is_parked(bucket) {
+                        if self.tracker.is_parked(bucket) {
                             match self.park(bucket, packet, *k) {
                                 InjectResult::Admitted => result.admitted += 1,
                                 InjectResult::Throttled(p) => result.throttled.push(p),
@@ -1208,12 +1204,6 @@ impl ThreadedHost {
         }
         self.egress_cursor.set((start + 1) % n);
         out
-    }
-
-    /// Number of packets currently waiting in the ingress rings (all
-    /// shards).
-    pub fn ingress_depth(&self) -> usize {
-        self.shards.borrow().iter().map(|s| s.ingress.len()).sum()
     }
 
     /// Host statistics (merged snapshot via [`HostStats::snapshot`],
@@ -1605,11 +1595,10 @@ impl ThreadedHost {
         self.rehome.borrow().retiring.is_some()
     }
 
-    /// Number of steering buckets currently mid-re-home (local moves plus
-    /// outbound cross-host handouts).
+    /// Number of steering buckets currently mid-move (cross-shard moves,
+    /// replica scales and outbound cross-host handouts).
     pub fn pending_rehomes(&self) -> usize {
-        let state = self.rehome.borrow();
-        state.moves.len() + state.outbound.len()
+        self.rehome.borrow().moves.len()
     }
 
     /// Cumulative re-home activity (buckets and rules moved, packets
@@ -4003,7 +3992,7 @@ fn idle_backoff(idle: &mut u32) {
 mod tests {
     use super::*;
     use crate::conflict::resolve_parallel_verdicts;
-    use crate::rehome::RehomeStep;
+    use crate::rehome::{MoveTarget, RehomeStep};
     use sdnfv_flowtable::{FlowMatch, FlowRule};
     use sdnfv_graph::{catalog, CompileOptions};
     use sdnfv_nf::nfs::{ComputeNf, NoOpNf};
@@ -6325,7 +6314,9 @@ mod tests {
         settle_moves(&host, &sim);
         assert_eq!(host.stats().snapshot().nf_state_import_drops, 0);
         let journal = host.take_rehome_events();
-        assert!(journal.iter().all(|e| e.from == 0 && e.to == 0));
+        assert!(journal
+            .iter()
+            .all(|e| e.from == 0 && e.to == MoveTarget::Shard(0)));
         assert!(journal
             .iter()
             .any(|e| e.bucket == bucket && e.step == RehomeStep::Completed));
@@ -6362,6 +6353,215 @@ mod tests {
             .is_ok());
         settle_moves(&host, &sim);
         host.shutdown();
+    }
+
+    /// A flow (by source port) whose steering bucket satisfies `wanted`.
+    fn flow_in_bucket(wanted: impl Fn(usize) -> bool) -> (u16, usize) {
+        (1..u16::MAX)
+            .map(|port| {
+                let key = packet(port).flow_key().expect("udp packet");
+                (port, (key.stable_hash() % STEER_BUCKETS as u64) as usize)
+            })
+            .find(|&(_, bucket)| wanted(bucket))
+            .expect("some flow lands in a wanted bucket")
+    }
+
+    /// Hands `bucket` out of a stepped host as the federation would (its
+    /// bundle taken, the adopting host's acknowledgement assumed) and
+    /// returns the pen it gives back.
+    fn hand_out(
+        host: &ThreadedHost,
+        sim: &crate::sim::SimHandle,
+        bucket: usize,
+    ) -> Vec<(Packet, FlowKey)> {
+        assert!(host.begin_bucket_handout(bucket));
+        for _ in 0..1000 {
+            sim.step_all();
+            host.poll_egress_burst(64);
+            let bundles = host.take_ready_handouts();
+            if !bundles.is_empty() {
+                assert_eq!(bundles[0].bucket, bucket);
+                return host.finish_bucket_handout(bucket);
+            }
+        }
+        panic!("bucket {bucket} was never handed out");
+    }
+
+    /// A replica scale and a handout of the same bucket off the same shard
+    /// journal different destinations.
+    #[test]
+    fn a_handout_and_a_replica_scale_journal_different_moves() {
+        let (host, sim, service) = scaling_host(1);
+        let (_, bucket) = flow_in_bucket(|bucket| replica_of_bucket(bucket, 2) == 1);
+        assert!(host
+            .add_nf_replica(0, service, Box::new(NoOpNf::new()))
+            .is_ok());
+        settle_moves(&host, &sim);
+        assert!(hand_out(&host, &sim, bucket).is_empty());
+        let to = |step| {
+            let journal = host.take_rehome_events();
+            let of_bucket = journal.into_iter().filter(|e| e.bucket == bucket);
+            of_bucket
+                .filter(|e| e.step == step)
+                .map(|e| (e.from, e.to))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            to(RehomeStep::Completed),
+            [(0, MoveTarget::Shard(0)), (0, MoveTarget::Host)]
+        );
+        assert_eq!(host.rehome_report().buckets_handed_off, 1);
+        host.shutdown();
+    }
+
+    /// A cross-shard rebalance and a cross-host handout off one shard run
+    /// at once: each drains its in-flight packet, pens its arrivals and
+    /// releases them to its own destination; nothing is lost.
+    #[test]
+    fn a_local_move_and_a_handout_run_at_once() {
+        let (host, sim, _) = scaling_host(2);
+        // Shard 0 owns the even buckets; weights 1:3 take its 256 highest.
+        let (moving, moved) = flow_in_bucket(|bucket| bucket % 2 == 0 && bucket >= 512);
+        let (leaving, handed) = flow_in_bucket(|bucket| bucket % 2 == 0 && bucket < 512);
+        assert!(host.inject(packet(moving)).is_admitted());
+        assert!(host.inject(packet(leaving)).is_admitted());
+        assert!(host.begin_bucket_handout(handed));
+        assert!(host.set_steering_weights(&[1, 3]));
+        assert_eq!(host.pending_rehomes(), 257);
+        // Arrivals while both buckets are parked wait in their pens.
+        assert!(host.inject(packet(moving)).is_admitted());
+        assert!(host.inject(packet(leaving)).is_admitted());
+        assert_eq!(host.rehome_report().packets_penned, 2);
+        let mut egressed = Vec::new();
+        let mut pen = Vec::new();
+        for _ in 0..1000 {
+            sim.step_all();
+            egressed.extend(
+                host.poll_egress_burst(64)
+                    .into_iter()
+                    .map(|o| o.key.src_port),
+            );
+            if !host.take_ready_handouts().is_empty() {
+                pen = host.finish_bucket_handout(handed);
+            }
+            if host.pending_rehomes() == 0 {
+                break;
+            }
+        }
+        assert_eq!(host.pending_rehomes(), 0);
+        for _ in 0..40 {
+            sim.step_all();
+            egressed.extend(
+                host.poll_egress_burst(64)
+                    .into_iter()
+                    .map(|o| o.key.src_port),
+            );
+        }
+        egressed.sort_unstable();
+        let mut expected = vec![moving, moving, leaving];
+        expected.sort_unstable();
+        assert_eq!(
+            egressed, expected,
+            "both in-flight packets and the moved pen"
+        );
+        let penned: Vec<u16> = pen.iter().map(|(_, key)| key.src_port).collect();
+        assert_eq!(penned, [leaving], "the handout's pen goes back whole");
+        assert_eq!(host.steering_table()[moved], 1);
+        let report = host.rehome_report();
+        assert_eq!(
+            (report.buckets_rehomed, report.buckets_handed_off),
+            (256, 1)
+        );
+        let completed: Vec<(usize, MoveTarget)> = host
+            .take_rehome_events()
+            .into_iter()
+            .filter(|e| e.step == RehomeStep::Completed && [moved, handed].contains(&e.bucket))
+            .map(|e| (e.bucket, e.to))
+            .collect();
+        assert_eq!(completed.len(), 2);
+        assert!(completed.contains(&(moved, MoveTarget::Shard(1))));
+        assert!(completed.contains(&(handed, MoveTarget::Host)));
+        host.shutdown();
+    }
+
+    /// `rule_sweep_interval_ns: 0` turns rule expiry off: the table's clock
+    /// advances only in the sweep, so no lookup sees a pin's idle timeout
+    /// pass either. With the sweep on, the same pin is evicted.
+    #[test]
+    fn a_zero_sweep_interval_turns_rule_expiry_off() {
+        struct PinOnceNf {
+            own: ServiceId,
+            sent: bool,
+        }
+        impl NetworkFunction for PinOnceNf {
+            fn name(&self) -> &str {
+                "pin-once"
+            }
+            fn process(&mut self, packet: &Packet, ctx: &mut NfContext) -> Verdict {
+                let key = packet.flow_key().expect("udp packet");
+                if !std::mem::replace(&mut self.sent, true) {
+                    ctx.send_for_flow(
+                        &key,
+                        sdnfv_nf::NfMessage::ChangeDefault {
+                            flows: FlowMatch::exact(RulePort::Service(self.own), &key),
+                            service: self.own,
+                            new_default: Action::ToPort(2),
+                        },
+                    );
+                }
+                Verdict::Default
+            }
+        }
+        for (sweep_ns, expires) in [(0, false), (100_000, true)] {
+            let service = ServiceId::new(1);
+            let table = SharedFlowTable::new();
+            table.insert(FlowRule::new(
+                FlowMatch::at_step(RulePort::Nic(0)),
+                vec![Action::ToService(service)],
+            ));
+            // Port 2 is the service's allowed alternative: the pin's target.
+            table.insert(FlowRule::new(
+                FlowMatch::at_step(service),
+                vec![Action::ToPort(1), Action::ToPort(2)],
+            ));
+            let (host, sim) = ThreadedHost::start_sim_sharded(
+                table,
+                move |_shard| {
+                    let nf = PinOnceNf {
+                        own: service,
+                        sent: false,
+                    };
+                    vec![(service, Box::new(nf) as Box<dyn NetworkFunction>)]
+                },
+                ThreadedHostConfig {
+                    rule_sweep_interval_ns: sweep_ns,
+                    pin_idle_timeout_ns: Some(1_000_000),
+                    ..ThreadedHostConfig::default()
+                },
+            );
+            let pins = || host.shard_table(0).with_read(|t| t.exact_rules().count());
+            let forward = || {
+                assert!(host.inject(packet(7)).is_admitted());
+                for _ in 0..40 {
+                    sim.step_all();
+                }
+                let out = host.poll_egress_burst(16);
+                assert_eq!(out.len(), 1);
+                out[0].port
+            };
+            forward();
+            assert_eq!(pins(), 1, "sweep {sweep_ns}: the NF pinned its flow");
+            sim.advance_clock_ns(50_000_000);
+            for _ in 0..200 {
+                sim.step_all();
+            }
+            let port = forward();
+            assert_eq!(pins(), usize::from(!expires), "sweep {sweep_ns}");
+            assert_eq!(port, if expires { 1 } else { 2 }, "sweep {sweep_ns}");
+            let evicted = host.stats().snapshot().rules_evicted_idle;
+            assert_eq!(evicted, u64::from(expires), "sweep {sweep_ns}");
+            host.shutdown();
+        }
     }
 
     #[test]

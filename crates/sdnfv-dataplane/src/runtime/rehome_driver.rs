@@ -1,11 +1,15 @@
-//! The host's re-home driver: the `ThreadedHost` half of the bucket
-//! handshake in [`crate::rehome`].
+//! The host's re-home driver: the [`ThreadedHost`] half of the bucket move
+//! machine in [`crate::rehome`]. A cross-shard move, a replica scale and a
+//! cross-host handout all advance through one pass,
+//! [`ThreadedHost::advance_rehoming`]; they differ only in what collection
+//! produces ([`ThreadedHost::absorb_exports`]: a partition move or a
+//! portable bundle) and where release sends the pen
+//! ([`ThreadedHost::release_pens`]: into a shard or back to the federation).
 
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use sdnfv_flowtable::ServiceId;
-use sdnfv_nf::NfFlowState;
 use sdnfv_proto::flow::FlowKey;
 use sdnfv_proto::Packet;
 use sdnfv_ring::PushError;
@@ -16,49 +20,35 @@ use super::{
     ThreadedHost, REHOME_PEN, STEER_BUCKETS,
 };
 use crate::rehome::{
-    BucketHandout, HandoutPhase, ImportDelivery, MovePhase, RehomeEvent, RehomeState, RehomeStep,
-    RetiringShard,
+    BucketHandout, ImportDelivery, MovePhase, MoveTarget, RehomeEvent, RehomeState, RehomeStep,
 };
 
+/// A pen handed back to the federation by a finished handout: the bucket
+/// and its packets, with their flow keys, in arrival order.
+type HandedBack = (usize, VecDeque<(Packet, FlowKey)>);
+
 impl ThreadedHost {
-    /// Parks a packet whose bucket is mid-re-home (locally, or handing out
-    /// to another host) in the bucket's pen.
+    /// Parks a packet whose bucket is mid-move in the move's pen; a full
+    /// pen, or a replica scale (which holds none), throttles it back.
     pub(super) fn park(&self, bucket: usize, packet: Packet, key: FlowKey) -> InjectResult {
         let mut state = self.rehome.borrow_mut();
-        let report_shard = if state.moves.iter().any(|m| m.bucket == bucket) {
-            let mv = state
-                .move_for_bucket_mut(bucket)
-                .expect("a parked bucket has an active move");
-            // A replica scale's arrivals wait at the credit gate, not a pen.
-            if mv.pen.len() < REHOME_PEN && mv.from != mv.to {
-                mv.pen.push_back((packet, key));
-                None
-            } else {
-                Some((mv.to, packet))
-            }
-        } else {
-            let handout = state
-                .outbound_for_bucket_mut(bucket)
-                .expect("a parked bucket has an active move or handout");
-            if handout.pen.len() < REHOME_PEN {
-                handout.pen.push_back((packet, key));
-                None
-            } else {
-                Some((handout.from, packet))
-            }
+        let mv = state
+            .move_for_bucket_mut(bucket)
+            .expect("a parked bucket has an active move");
+        // A throttle counts on the shard the bucket resumes on here.
+        let shard = match mv.to {
+            MoveTarget::Shard(to) => to,
+            MoveTarget::Host => mv.from,
         };
-        match report_shard {
-            None => {
-                state.report.packets_penned += 1;
-                InjectResult::Admitted
-            }
-            Some((shard, packet)) => {
-                state.report.pen_throttled += 1;
-                drop(state);
-                self.shards.borrow()[shard].stats.add_throttled(1);
-                InjectResult::Throttled(packet)
-            }
+        if !mv.is_scale() && mv.pen.len() < REHOME_PEN {
+            mv.pen.push_back((packet, key));
+            state.report.packets_penned += 1;
+            return InjectResult::Admitted;
         }
+        state.report.pen_throttled += 1;
+        drop(state);
+        self.shards.borrow()[shard].stats.add_throttled(1);
+        InjectResult::Throttled(packet)
     }
 
     /// Begins a replica scale: `change` is pushed at once if it re-picks none
@@ -92,10 +82,15 @@ impl ThreadedHost {
         if repicked.is_empty() {
             return ports.push_replica_change(change);
         }
-        state.ensure_parked_table(STEER_BUCKETS);
         for bucket in repicked {
-            state.begin_move(bucket, shard, shard, self.clock.now_ns());
-            self.tracker.park(bucket);
+            let now_ns = self.clock.now_ns();
+            state.begin_move(
+                &self.tracker,
+                bucket,
+                shard,
+                MoveTarget::Shard(shard),
+                now_ns,
+            );
         }
         *ports.replica_change.borrow_mut() = Some(change);
         Ok(())
@@ -152,25 +147,25 @@ impl ThreadedHost {
     pub(super) fn rebalance_to_targets(&self, target: &[usize]) {
         let steering = self.steering.borrow();
         let mut state = self.rehome.borrow_mut();
-        state.ensure_parked_table(steering.len());
         let buckets = steering.len();
-        // Effective ownership: a mid-move bucket already belongs to its
-        // destination.
+        // Effective ownership: a bucket moving to another shard already
+        // belongs to it.
         let mut current = vec![0usize; target.len()];
         for (bucket, &owner) in steering.iter().enumerate() {
-            let effective = state
-                .moves
-                .iter()
-                .find(|m| m.bucket == bucket)
-                .map(|m| m.to)
-                .unwrap_or(owner);
+            let effective = match state.moves.iter().find(|m| m.bucket == bucket) {
+                Some(mv) => match mv.to {
+                    MoveTarget::Shard(to) => to,
+                    MoveTarget::Host => owner,
+                },
+                None => owner,
+            };
             current[effective] += 1;
         }
         // Over-quota shards give up their highest-index (non-moving)
         // buckets, under-quota shards absorb them in order.
         let mut freed: Vec<usize> = Vec::new();
         for bucket in (0..buckets).rev() {
-            if state.is_parked(bucket) {
+            if self.tracker.is_parked(bucket) {
                 continue;
             }
             let owner = steering[bucket];
@@ -193,18 +188,19 @@ impl ThreadedHost {
             // the phased handshake: the old shard's NFs may hold per-flow
             // state for the bucket's (idle) flows, and collecting it needs
             // a round trip through the shard's worker and NF threads.
-            state.begin_move(bucket, from, receiver, self.clock.now_ns());
-            // Mirror the parked bit into the shard-visible tracker so shard
-            // workers stop timing out the bucket's exact rules while its
-            // state is mid-export (an evicted-then-reimported rule would
-            // resurrect with a stale timeout clock).
-            self.tracker.park(bucket);
+            let now_ns = self.clock.now_ns();
+            state.begin_move(
+                &self.tracker,
+                bucket,
+                from,
+                MoveTarget::Shard(receiver),
+                now_ns,
+            );
         }
     }
 
-    /// Advances every in-progress re-home through the state-complete
-    /// handshake (drain → collect NF state → move rules + wildcard
-    /// mutations + flip → import NF state → release pen) and finalizes a
+    /// Advances every bucket move one pass through the machine (drain →
+    /// collect → hand over the rules → import → release) and finalizes a
     /// shard retirement once its pipeline is empty. Called opportunistically
     /// from injection and polling, so the handshake needs no dedicated
     /// thread.
@@ -215,111 +211,31 @@ impl ThreadedHost {
         let now_ns = self.now_ns();
         let mut state = self.rehome.borrow_mut();
         let mut steering = self.steering.borrow_mut();
-
-        // Phase 1 → 2: batch every freshly quiesced bucket into one
-        // NF-state export request per source shard (the control ring is
-        // shallow; per-bucket commands would not scale to a rebalance
-        // moving hundreds of buckets).
+        // Draining → Collecting.
         self.request_exports(&mut state);
-
-        // Phase 2 → 4/5: absorb completed exports — move the flow-table
-        // state, flip the steering entries, and queue the NF state for
-        // delivery to each destination shard.
+        // Collecting → Importing.
         self.absorb_exports(&mut state, &mut steering);
-
-        // Flush queued NF-state deliveries into destination control rings.
         self.flush_import_outbox(&mut state);
+        // Importing → Releasing → done.
+        let handed_back = self.release_pens(&mut state, now_ns);
+        debug_assert!(
+            handed_back.is_empty(),
+            "only finish_bucket_handout acknowledges a handout"
+        );
 
-        // Phase 5 → 6 → done: release pens whose import was acknowledged.
-        let RehomeState {
-            moves,
-            parked,
-            report,
-            ..
-        } = &mut *state;
-        let mut released_ages: Vec<u64> = Vec::new();
-        let mut completed: Vec<(usize, usize, usize)> = Vec::new();
-        moves.retain_mut(|mv| {
-            match &mv.phase {
-                MovePhase::Draining | MovePhase::Collecting { .. } => return true,
-                MovePhase::Importing { done } => {
-                    if !done.load(Ordering::Acquire) {
-                        return true;
-                    }
-                    mv.phase = MovePhase::Releasing;
-                }
-                MovePhase::Releasing => {}
-            }
-            // Release the pen into the new shard (in arrival order).
-            let shards = self.shards.borrow();
-            let ports = &shards[mv.to];
-            while let Some((packet, key)) = mv.pen.pop_front() {
-                if !ports.gate.try_acquire(1) {
-                    mv.pen.push_front((packet, key));
-                    return true;
-                }
-                let age_ns = now_ns.saturating_sub(packet.timestamp_ns);
-                // Counted before the push, as in `inject`.
-                self.tracker.admit(mv.bucket);
-                match ports.ingress.push(IngressFrame {
-                    packet,
-                    key: Some(key),
-                    hash: key.stable_hash(),
-                }) {
-                    Ok(()) => {
-                        released_ages.push(age_ns);
-                        // Pen dwell lands in the destination shard's
-                        // histograms: that is where the packet resumes.
-                        ports.latency.pen_dwell.record(age_ns);
-                    }
-                    Err(PushError(frame)) => {
-                        self.tracker.unadmit(mv.bucket);
-                        ports.gate.release(1);
-                        let key = frame.key.expect("penned packets are keyed");
-                        mv.pen.push_front((frame.packet, key));
-                        return true;
-                    }
-                }
-            }
-            parked[mv.bucket] = false;
-            self.tracker.unpark(mv.bucket);
-            report.buckets_rehomed += 1;
-            completed.push((mv.bucket, mv.from, mv.to));
-            false
-        });
-        for age_ns in released_ages {
-            state.record_pen_age(age_ns);
-        }
-        for (bucket, from, to) in completed {
-            state.record_event(RehomeEvent {
-                at_ns: now_ns,
-                bucket,
-                from,
-                to,
-                step: RehomeStep::Completed,
-            });
-        }
-        let retiring_involved = |state: &RehomeState, s: usize| {
-            state.moves.iter().any(|m| m.from == s || m.to == s)
-                || state.outbound.iter().any(|h| h.from == s)
-                || state.outbox.iter().any(|d| d.to == s)
-        };
-        let still_involved = state
-            .retiring
-            .as_ref()
-            .map(|r| retiring_involved(&state, r.shard));
-        if let Some(RetiringShard { shard, stop_sent }) = &mut state.retiring {
-            let s = *shard;
-            if !*stop_sent && still_involved == Some(false) && !steering.contains(&s) {
+        let retiring = state.retiring.as_ref().map(|r| (r.shard, r.stop_sent));
+        if let Some((s, mut stop_sent)) = retiring {
+            if !stop_sent && !state.shard_has_moves(s) && !steering.contains(&s) {
                 // Every bucket has left the shard and drained: nothing can
                 // reach its pipeline any more (its gate may transiently
                 // hold credits for egress-staged packets, which the worker
                 // releases as it flushes). Stop its worker (which retires
                 // the shard's NF threads in turn).
                 self.shards.borrow()[s].stop.store(true, Ordering::Release);
-                *stop_sent = true;
+                stop_sent = true;
+                state.retiring.as_mut().expect("retiring").stop_sent = true;
             }
-            if *stop_sent {
+            if stop_sent {
                 let finished = self.handles.borrow()[s]
                     .as_ref()
                     .is_some_and(TaskHandle::is_finished);
@@ -353,108 +269,83 @@ impl ThreadedHost {
                 }
             }
         }
+        debug_assert_eq!(state.check(&self.tracker, &steering), Ok(()));
     }
 
-    /// Batches every quiesced [`MovePhase::Draining`] bucket into one
-    /// NF-state export command per source shard and advances those moves to
-    /// [`MovePhase::Collecting`]. A full control ring simply leaves the
-    /// moves in `Draining` for the next advance tick.
+    /// Draining → Collecting: asks the source shards' workers for the NF
+    /// state of every drained move, one export per batch — a cross-shard
+    /// batch is every drained move off one source shard (the control ring
+    /// is shallow; per-bucket commands would not scale to a rebalance
+    /// moving hundreds of buckets), a replica scale's is all of its
+    /// shard's re-picked buckets, and a handout's is its bucket alone (its
+    /// state is extracted into a bundle, so it shares an id with nothing).
+    /// A full control ring leaves a batch in `Draining` for the next pass.
     fn request_exports(&self, state: &mut RehomeState) {
-        let mut by_source: Vec<(usize, Vec<usize>)> = Vec::new();
-        for mv in &state.moves {
-            // A replica scale's moves (`from == to`) go out together below.
-            if !matches!(mv.phase, MovePhase::Draining) || mv.from == mv.to {
+        #[derive(PartialEq)]
+        enum Batch {
+            Moves,
+            Scale,
+            Handout(usize),
+        }
+        // (source shard, batch, indices of its drained moves, whether any
+        // of its moves is still draining)
+        let mut batches: Vec<(usize, Batch, Vec<usize>, bool)> = Vec::new();
+        for (index, mv) in state.moves.iter().enumerate() {
+            if !matches!(mv.phase, MovePhase::Draining) {
                 continue;
             }
-            if self.tracker.in_flight(mv.bucket) > 0 {
-                continue;
-            }
-            match by_source.iter_mut().find(|(from, _)| *from == mv.from) {
-                Some((_, buckets)) => buckets.push(mv.bucket),
-                None => by_source.push((mv.from, vec![mv.bucket])),
-            }
-        }
-        for (from, buckets) in by_source {
-            let id = state.allocate_export_id();
-            let pushed = self.shards.borrow()[from]
-                .control
-                .push(ShardCommand::ExportBucketState {
-                    id,
-                    buckets: buckets.clone(),
-                    exact_keys: self.exact_keys(from, &buckets),
-                })
-                .is_ok();
-            if !pushed {
-                continue; // retry next tick; the moves stay Draining
-            }
-            for mv in state.moves.iter_mut() {
-                if buckets.contains(&mv.bucket) {
-                    mv.phase = MovePhase::Collecting { id };
-                }
-            }
-        }
-        // A replica scale: once every re-picked bucket has drained, the
-        // export and then the replica change go onto the control ring
-        // together, so the worker posts the export to the replicas before
-        // it spawns or stops one.
-        for (shard, ports) in self.shards.borrow().iter().enumerate() {
-            let buckets: Vec<usize> = state
-                .moves
+            let batch = match mv.to {
+                MoveTarget::Host => Batch::Handout(mv.bucket),
+                _ if mv.is_scale() => Batch::Scale,
+                MoveTarget::Shard(_) => Batch::Moves,
+            };
+            let at = match batches
                 .iter()
-                .filter(|mv| mv.from == shard && mv.to == shard)
-                .map(|mv| mv.bucket)
-                .collect();
-            let in_flight = |bucket: &usize| self.tracker.in_flight(*bucket) > 0;
-            if ports.replica_change.borrow().is_none()
-                || ports.control.free_space() < 2
-                || buckets.iter().any(in_flight)
+                .position(|(from, b, ..)| *from == mv.from && *b == batch)
             {
+                Some(at) => at,
+                None => {
+                    batches.push((mv.from, batch, Vec::new(), false));
+                    batches.len() - 1
+                }
+            };
+            let (.., drained, draining) = &mut batches[at];
+            if self.tracker.in_flight(mv.bucket) > 0 {
+                *draining = true;
+            } else {
+                drained.push(index);
+            }
+        }
+        for (from, batch, drained, draining) in batches {
+            let ports = &self.shards.borrow()[from];
+            // A replica scale waits for every re-picked bucket, and for
+            // room to push its export and its change together: the worker
+            // posts the export to the replicas before it spawns or stops
+            // one.
+            let scale = batch == Batch::Scale;
+            if drained.is_empty() || (scale && (draining || ports.control.free_space() < 2)) {
                 continue;
             }
+            let buckets: Vec<usize> = drained.iter().map(|&i| state.moves[i].bucket).collect();
             let id = state.allocate_export_id();
-            for mv in state
-                .moves
-                .iter_mut()
-                .filter(|mv| buckets.contains(&mv.bucket))
-            {
-                mv.phase = MovePhase::Collecting { id };
-            }
             let export = ShardCommand::ExportBucketState {
                 id,
-                exact_keys: self.exact_keys(shard, &buckets),
+                exact_keys: self.exact_keys(from, &buckets),
                 buckets,
             };
-            let change = ports.replica_change.take().expect("checked above");
-            let pushed =
-                ports.control.push(export).is_ok() && ports.push_replica_change(change).is_ok();
-            assert!(pushed, "the control ring had room for both");
-        }
-        // Cross-host handouts: one export request per quiesced bucket (its
-        // state is *extracted* into a portable bundle at absorb time, not
-        // moved to a sibling partition, so handouts never share an export
-        // id with local moves).
-        let quiesced: Vec<(usize, usize)> = state
-            .outbound
-            .iter()
-            .filter(|h| matches!(h.phase, HandoutPhase::Draining))
-            .filter(|h| self.tracker.in_flight(h.bucket) == 0)
-            .map(|h| (h.from, h.bucket))
-            .collect();
-        for (from, bucket) in quiesced {
-            let id = state.allocate_export_id();
-            let pushed = self.shards.borrow()[from]
-                .control
-                .push(ShardCommand::ExportBucketState {
-                    id,
-                    buckets: vec![bucket],
-                    exact_keys: self.exact_keys(from, &[bucket]),
-                })
-                .is_ok();
-            if !pushed {
-                continue; // retry next tick; the handout stays Draining
+            if scale {
+                let change = ports
+                    .replica_change
+                    .take()
+                    .expect("a scale awaits its change");
+                let pushed =
+                    ports.control.push(export).is_ok() && ports.push_replica_change(change).is_ok();
+                assert!(pushed, "the control ring had room for both");
+            } else if ports.control.push(export).is_err() {
+                continue; // retry next pass; the moves stay Draining
             }
-            if let Some(handout) = state.outbound_for_bucket_mut(bucket) {
-                handout.phase = HandoutPhase::Collecting { id };
+            for i in drained {
+                state.moves[i].phase = MovePhase::Collecting { id };
             }
         }
     }
@@ -471,115 +362,116 @@ impl ThreadedHost {
         })
     }
 
-    /// Drains every shard's export ring. For each completed export: moves
-    /// the covered buckets' flow-table state (exact rules + wildcard
-    /// mutations), flips their steering entries, and queues their NF flow
-    /// state for delivery to the destination shards (one
-    /// [`ImportDelivery`] per destination, its `done` flag shared with the
-    /// covered moves' [`MovePhase::Importing`] phases).
+    /// Collecting → Importing: drains every shard's export ring and hands
+    /// each covered move's rules over. A cross-shard move moves its exact
+    /// rules and wildcard mutations into the destination's partition and
+    /// flips its steering entry; a replica scale's stay put; a handout's
+    /// are extracted into a [`BucketHandout`] that waits for
+    /// [`ThreadedHost::take_ready_handouts`]. The NF state follows in
+    /// export order: into one [`ImportDelivery`] per export and
+    /// destination shard (its `done` flag shared with the moves it
+    /// covers), or into the handout's bundle.
     fn absorb_exports(&self, state: &mut RehomeState, steering: &mut [usize]) {
         let mut exports: Vec<BucketStateExport> = Vec::new();
-        {
-            let shards = self.shards.borrow();
-            for ports in shards.iter() {
-                while let Some(export) = ports.exports.pop() {
-                    exports.push(export);
-                }
+        for ports in self.shards.borrow().iter() {
+            while let Some(export) = ports.exports.pop() {
+                exports.push(export);
             }
+        }
+        if exports.is_empty() {
+            return;
+        }
+        enum Route {
+            Delivery(usize),
+            Handout(usize),
         }
         let RehomeState {
             moves,
-            outbound,
             outbox,
+            handouts,
             report,
             ..
         } = state;
-        for export in exports {
-            let BucketStateExport { id, states } = export;
-            // A cross-host handout's export covers exactly its bucket:
-            // extract the bucket's flow-table state out of the source
-            // partition, bundle it with the collected NF flow state, and
-            // mark the handout ready for the federation to collect. The
-            // bucket stays parked (pen absorbing arrivals) until the
-            // federation confirms the destination host's import.
-            if let Some(handout) = outbound
-                .iter_mut()
-                .find(|h| matches!(h.phase, HandoutPhase::Collecting { id: got } if got == id))
-            {
-                let table_state =
-                    self.tables
-                        .extract_bucket_state(handout.from, handout.bucket, |key| {
-                            self.tracker.bucket_of(key) == handout.bucket
+        // (export index, replica scale, delivery), created in move order.
+        let mut deliveries: Vec<(usize, bool, ImportDelivery)> = Vec::new();
+        let mut routes: HashMap<usize, Route> = HashMap::new();
+        for mv in moves.iter_mut() {
+            let MovePhase::Collecting { id } = mv.phase else {
+                continue;
+            };
+            let Some(export) = exports.iter().position(|e| e.id == id) else {
+                continue;
+            };
+            let in_bucket = |key: &FlowKey| self.tracker.bucket_of(key) == mv.bucket;
+            let done = match mv.to {
+                MoveTarget::Host => {
+                    let table_state = self
+                        .tables
+                        .extract_bucket_state(mv.from, mv.bucket, in_bucket);
+                    report.wildcard_conflicts += table_state.conflicts_at_source as u64;
+                    routes.insert(mv.bucket, Route::Handout(handouts.len()));
+                    handouts.push(BucketHandout {
+                        bucket: mv.bucket,
+                        table_state,
+                        nf_states: Vec::new(),
+                    });
+                    Arc::new(AtomicBool::new(false))
+                }
+                MoveTarget::Shard(to) => {
+                    let scale = mv.is_scale();
+                    if !scale {
+                        let moved = self
+                            .tables
+                            .move_bucket_state(mv.from, to, mv.bucket, in_bucket);
+                        report.rules_rehomed += moved.exact_rules as u64;
+                        report.wildcard_mutations_rehomed += moved.wildcard_mutations as u64;
+                        report.wildcard_conflicts += moved.wildcard_conflicts as u64;
+                        steering[mv.bucket] = to;
+                    }
+                    let at = deliveries
+                        .iter()
+                        .position(|(e, _, d)| *e == export && d.to == to)
+                        .unwrap_or_else(|| {
+                            let done = Arc::new(AtomicBool::new(false));
+                            let states = Vec::new();
+                            deliveries.push((export, scale, ImportDelivery { to, states, done }));
+                            deliveries.len() - 1
                         });
-                report.wildcard_conflicts += table_state.conflicts_at_source as u64;
-                let nf_states: Vec<(ServiceId, FlowKey, NfFlowState)> = states
-                    .iter()
-                    .filter(|(_, key, _)| self.tracker.bucket_of(key) == handout.bucket)
-                    .cloned()
-                    .collect();
-                handout.bundle = Some(BucketHandout {
-                    bucket: handout.bucket,
-                    table_state,
-                    nf_states,
-                });
-                handout.phase = HandoutPhase::Ready;
+                    routes.insert(mv.bucket, Route::Delivery(at));
+                    Arc::clone(&deliveries[at].2.done)
+                }
+            };
+            mv.phase = MovePhase::Importing { done };
+        }
+        for export in exports {
+            for (service, key, nf_state) in export.states {
+                match routes.get(&self.tracker.bucket_of(&key)) {
+                    Some(Route::Delivery(at)) => {
+                        deliveries[*at].2.states.push((service, key, nf_state))
+                    }
+                    Some(Route::Handout(at)) => {
+                        handouts[*at].nf_states.push((service, key, nf_state))
+                    }
+                    None => {}
+                }
+            }
+        }
+        // Queued in export order, each export's destinations in move order.
+        deliveries.sort_by_key(|(export, ..)| *export);
+        for (_, scale, delivery) in deliveries {
+            if delivery.states.is_empty() {
+                delivery.done.store(true, Ordering::Release);
                 continue;
             }
-            // The moves this export covers, grouped by destination shard. A
-            // replica scale's export covers only its same-shard moves, whose
-            // flow-table state and steering stay where they are.
-            let mut destinations: Vec<(usize, Vec<usize>)> = Vec::new();
-            let mut scale = false;
-            for mv in moves
-                .iter_mut()
-                .filter(|mv| matches!(mv.phase, MovePhase::Collecting { id: got } if got == id))
-            {
-                scale = mv.from == mv.to;
-                if !scale {
-                    let moved = self
-                        .tables
-                        .move_bucket_state(mv.from, mv.to, mv.bucket, |key| {
-                            self.tracker.bucket_of(key) == mv.bucket
-                        });
-                    report.rules_rehomed += moved.exact_rules as u64;
-                    report.wildcard_mutations_rehomed += moved.wildcard_mutations as u64;
-                    report.wildcard_conflicts += moved.wildcard_conflicts as u64;
-                    steering[mv.bucket] = mv.to;
-                }
-                match destinations.iter_mut().find(|(to, _)| *to == mv.to) {
-                    Some((_, buckets)) => buckets.push(mv.bucket),
-                    None => destinations.push((mv.to, vec![mv.bucket])),
-                }
+            let moved = delivery.states.len() as u64;
+            if scale {
+                self.shards.borrow()[delivery.to]
+                    .stats
+                    .add_nf_state_handoffs(moved);
+            } else {
+                report.nf_flow_states_rehomed += moved;
             }
-            for (to, buckets) in destinations {
-                let bucket_states: Vec<(ServiceId, FlowKey, NfFlowState)> = states
-                    .iter()
-                    .filter(|(_, key, _)| buckets.contains(&self.tracker.bucket_of(key)))
-                    .cloned()
-                    .collect();
-                let done = Arc::new(AtomicBool::new(bucket_states.is_empty()));
-                if !bucket_states.is_empty() {
-                    let moved = bucket_states.len() as u64;
-                    if scale {
-                        self.shards.borrow()[to].stats.add_nf_state_handoffs(moved);
-                    } else {
-                        report.nf_flow_states_rehomed += moved;
-                    }
-                    outbox.push(ImportDelivery {
-                        to,
-                        states: bucket_states,
-                        done: Arc::clone(&done),
-                    });
-                }
-                for mv in moves.iter_mut().filter(|mv| {
-                    buckets.contains(&mv.bucket)
-                        && matches!(mv.phase, MovePhase::Collecting { id: got } if got == id)
-                }) {
-                    mv.phase = MovePhase::Importing {
-                        done: Arc::clone(&done),
-                    };
-                }
-            }
+            outbox.push(delivery);
         }
     }
 
@@ -604,6 +496,91 @@ impl ThreadedHost {
         });
     }
 
+    /// Importing → Releasing → done, for every move whose import is
+    /// acknowledged: the pen drains into the destination shard in arrival
+    /// order (as far as its credits and ingress ring allow; the rest waits
+    /// for the next pass), or, for a handout, goes back whole in the
+    /// returned list, for the federation to forward. The bucket then
+    /// unparks and its [`RehomeStep::Completed`] is journaled.
+    fn release_pens(&self, state: &mut RehomeState, now_ns: u64) -> Vec<HandedBack> {
+        let RehomeState { moves, report, .. } = state;
+        let mut released_ages: Vec<u64> = Vec::new();
+        let mut completed: Vec<RehomeEvent> = Vec::new();
+        let mut handed_back: Vec<HandedBack> = Vec::new();
+        moves.retain_mut(|mv| {
+            match &mv.phase {
+                MovePhase::Draining | MovePhase::Collecting { .. } => return true,
+                MovePhase::Importing { done } => {
+                    if !done.load(Ordering::Acquire) {
+                        return true;
+                    }
+                    mv.phase = MovePhase::Releasing;
+                }
+                MovePhase::Releasing => {}
+            }
+            match mv.to {
+                MoveTarget::Shard(to) => {
+                    let shards = self.shards.borrow();
+                    let ports = &shards[to];
+                    while let Some((packet, key)) = mv.pen.pop_front() {
+                        if !ports.gate.try_acquire(1) {
+                            mv.pen.push_front((packet, key));
+                            return true;
+                        }
+                        let age_ns = now_ns.saturating_sub(packet.timestamp_ns);
+                        // Counted before the push, as in `inject`.
+                        self.tracker.admit(mv.bucket);
+                        match ports.ingress.push(IngressFrame {
+                            packet,
+                            key: Some(key),
+                            hash: key.stable_hash(),
+                        }) {
+                            Ok(()) => {
+                                released_ages.push(age_ns);
+                                // Pen dwell lands in the destination shard's
+                                // histograms: that is where the packet resumes.
+                                ports.latency.pen_dwell.record(age_ns);
+                            }
+                            Err(PushError(frame)) => {
+                                self.tracker.unadmit(mv.bucket);
+                                ports.gate.release(1);
+                                let key = frame.key.expect("penned packets are keyed");
+                                mv.pen.push_front((frame.packet, key));
+                                return true;
+                            }
+                        }
+                    }
+                    report.buckets_rehomed += 1;
+                }
+                MoveTarget::Host => {
+                    let ages = mv
+                        .pen
+                        .iter()
+                        .map(|(p, _)| now_ns.saturating_sub(p.timestamp_ns));
+                    released_ages.extend(ages);
+                    handed_back.push((mv.bucket, std::mem::take(&mut mv.pen)));
+                    report.buckets_handed_off += 1;
+                }
+            }
+            self.tracker.unpark(mv.bucket);
+            completed.push(RehomeEvent {
+                at_ns: now_ns,
+                bucket: mv.bucket,
+                from: mv.from,
+                to: mv.to,
+                step: RehomeStep::Completed,
+            });
+            false
+        });
+        for age_ns in released_ages {
+            state.record_pen_age(age_ns);
+        }
+        for event in completed {
+            state.record_event(event);
+        }
+        handed_back
+    }
+
     /// Begins handing `bucket`'s entire serving state out of this host —
     /// the source half of a **cross-host** re-home. The bucket is parked
     /// (arrivals pen, exactly as for a local move), its owning shard
@@ -618,24 +595,14 @@ impl ThreadedHost {
     /// Returns `false` if the bucket is already mid-move or mid-handout.
     pub fn begin_bucket_handout(&self, bucket: usize) -> bool {
         self.advance_rehoming();
-        let from = self.shard_of_bucket(bucket);
-        {
-            let buckets = {
-                let steering = self.steering.borrow();
-                if steering.is_empty() {
-                    STEER_BUCKETS
-                } else {
-                    steering.len()
-                }
-            };
-            let mut state = self.rehome.borrow_mut();
-            state.ensure_parked_table(buckets);
-            if state.is_parked(bucket) {
-                return false;
-            }
-            state.begin_handout(bucket, from, self.clock.now_ns());
+        if self.tracker.is_parked(bucket) {
+            return false;
         }
-        self.tracker.park(bucket);
+        let from = self.shard_of_bucket(bucket);
+        let now_ns = self.clock.now_ns();
+        self.rehome
+            .borrow_mut()
+            .begin_move(&self.tracker, bucket, from, MoveTarget::Host, now_ns);
         self.advance_rehoming();
         true
     }
@@ -646,17 +613,7 @@ impl ThreadedHost {
     /// arrivals — until [`ThreadedHost::finish_bucket_handout`].
     pub fn take_ready_handouts(&self) -> Vec<BucketHandout> {
         self.advance_rehoming();
-        let mut state = self.rehome.borrow_mut();
-        let mut ready = Vec::new();
-        for handout in state.outbound.iter_mut() {
-            if matches!(handout.phase, HandoutPhase::Ready) {
-                if let Some(bundle) = handout.bundle.take() {
-                    handout.phase = HandoutPhase::AwaitingRelease;
-                    ready.push(bundle);
-                }
-            }
-        }
-        ready
+        std::mem::take(&mut self.rehome.borrow_mut().handouts)
     }
 
     /// Completes a cross-host handout after the destination host
@@ -664,32 +621,25 @@ impl ThreadedHost {
     /// every packet that arrived mid-handout, with its parsed key, in
     /// arrival order — for the federation to forward to the bucket's new
     /// host. Returns an empty pen if no handout of `bucket` is awaiting
-    /// release.
+    /// release (its bundle not yet taken).
     pub fn finish_bucket_handout(&self, bucket: usize) -> Vec<(Packet, FlowKey)> {
         let now_ns = self.now_ns();
         let mut state = self.rehome.borrow_mut();
-        let Some(position) = state
-            .outbound
+        let taken = !state.handouts.iter().any(|h| h.bucket == bucket);
+        let awaiting = state
+            .moves
             .iter()
-            .position(|h| h.bucket == bucket && matches!(h.phase, HandoutPhase::AwaitingRelease))
-        else {
-            return Vec::new();
-        };
-        let handout = state.outbound.swap_remove(position);
-        state.parked[bucket] = false;
-        self.tracker.unpark(bucket);
-        state.report.buckets_handed_off += 1;
-        for (packet, _) in &handout.pen {
-            state.record_pen_age(now_ns.saturating_sub(packet.timestamp_ns));
+            .find(|mv| mv.bucket == bucket && mv.to == MoveTarget::Host);
+        match awaiting.map(|mv| &mv.phase) {
+            Some(MovePhase::Importing { done }) if taken => done.store(true, Ordering::Release),
+            _ => return Vec::new(),
         }
-        state.record_event(RehomeEvent {
-            at_ns: now_ns,
-            bucket,
-            from: handout.from,
-            to: handout.from,
-            step: RehomeStep::Completed,
-        });
-        handout.pen.into_iter().collect()
+        let handed_back = self.release_pens(&mut state, now_ns);
+        debug_assert_eq!(state.check(&self.tracker, &self.steering.borrow()), Ok(()));
+        handed_back
+            .into_iter()
+            .find(|(handed, _)| *handed == bucket)
+            .map_or_else(Vec::new, |(_, pen)| pen.into())
     }
 
     /// Adopts a bucket handed out by another host — the destination half of

@@ -12,7 +12,7 @@
 
 use std::collections::VecDeque;
 
-use sdnfv_dataplane::{RehomeEvent, RehomeStep};
+use sdnfv_dataplane::{MoveTarget, RehomeEvent, RehomeStep};
 use sdnfv_telemetry::{ControlAction, ShardLifecycleEvent};
 
 /// Journal capacity used by [`FlightRecorder::new`].
@@ -39,8 +39,9 @@ pub enum FlightEvent {
         bucket: usize,
         /// Source shard.
         from: usize,
-        /// Destination shard.
-        to: usize,
+        /// Destination: a shard (the source itself for a replica scale) or
+        /// another host.
+        to: MoveTarget,
     },
     /// A steering bucket finished its re-home (pen drained into the
     /// destination).
@@ -49,8 +50,9 @@ pub enum FlightEvent {
         bucket: usize,
         /// Source shard.
         from: usize,
-        /// Destination shard.
-        to: usize,
+        /// Destination: a shard (the source itself for a replica scale) or
+        /// another host.
+        to: MoveTarget,
     },
     /// A shard's timeout sweep evicted rules since the previous telemetry
     /// snapshot (deltas, not cumulative totals).
@@ -338,14 +340,14 @@ mod tests {
             at_ns: 30,
             bucket: 7,
             from: 0,
-            to: 1,
+            to: MoveTarget::Shard(1),
             step: RehomeStep::Begun,
         });
         rec.record_rehome(&RehomeEvent {
             at_ns: 40,
             bucket: 7,
             from: 0,
-            to: 1,
+            to: MoveTarget::Shard(1),
             step: RehomeStep::Completed,
         });
         let records: Vec<&FlightRecord> = rec.records().collect();
@@ -358,6 +360,23 @@ mod tests {
         assert!(records[4]
             .replay_line()
             .contains("bucket 7 re-home completed 0 -> 1"));
+    }
+
+    #[test]
+    fn a_handout_and_a_replica_scale_replay_as_different_moves() {
+        let mut rec = FlightRecorder::new();
+        for to in [MoveTarget::Shard(2), MoveTarget::Host] {
+            rec.record_rehome(&RehomeEvent {
+                at_ns: 5,
+                bucket: 9,
+                from: 2,
+                to,
+                step: RehomeStep::Begun,
+            });
+        }
+        let replay = rec.replay();
+        assert!(replay[0].ends_with("bucket 9 re-home begun 2 -> 2"));
+        assert!(replay[1].ends_with("bucket 9 re-home begun 2 -> another host"));
     }
 
     #[test]
