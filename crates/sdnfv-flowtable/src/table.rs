@@ -75,7 +75,7 @@
 
 use parking_lot::RwLock;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -339,6 +339,44 @@ impl MaskShape {
     }
 }
 
+/// How many rules of a group hold each priority; the last key is the
+/// group's ceiling, its highest priority.
+#[derive(Debug, Clone, Default)]
+struct Priorities(BTreeMap<u16, usize>);
+
+impl Priorities {
+    fn add(&mut self, priority: u16) {
+        *self.0.entry(priority).or_insert(0) += 1;
+    }
+
+    fn remove(&mut self, priority: u16) {
+        if let Some(count) = self.0.get_mut(&priority) {
+            *count -= 1;
+            if *count == 0 {
+                self.0.remove(&priority);
+            }
+        }
+    }
+
+    fn ceiling(&self) -> Option<u16> {
+        self.0.keys().next_back().copied()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+}
+
+/// Where a probe source stands in a tuple space's probe order: its
+/// ceiling, then the specificity every rule it can return has. A source
+/// whose rank is below the best candidate's (priority, specificity)
+/// cannot return a winner.
+type Rank = (u16, u32);
+
+/// The exact index's specificity in the probe order: above every wildcard
+/// shape's, so at equal priority an exact rule wins and is probed first.
+const EXACT_SPECIFICITY: u32 = u32::MAX;
+
 /// All wildcard rules of one mask shape: a hash table keyed by masked
 /// tuple, plus a priority histogram so the probe loop knows the shape's
 /// current ceiling without scanning.
@@ -354,33 +392,39 @@ struct ShapeBucket {
     /// Masked tuple → `(priority, id, slot)` candidates, sorted descending
     /// so the first live entry is the bucket's best match.
     rules: HashMap<MaskedTuple, Vec<(u16, RuleId, Slot)>, TableHashKey>,
-    /// Priority histogram over every rule in the bucket; the last key is
-    /// the shape's max priority (the probe-order / early-exit key).
-    priorities: std::collections::BTreeMap<u16, usize>,
+    /// Priority histogram over every rule in the bucket.
+    priorities: Priorities,
 }
 
 impl ShapeBucket {
     fn max_priority(&self) -> u16 {
-        self.priorities.keys().next_back().copied().unwrap_or(0)
+        self.priorities.ceiling().unwrap_or(0)
     }
 
-    fn is_empty(&self) -> bool {
-        self.priorities.is_empty()
+    /// The bucket's place in the probe order. Shapes of one ceiling are
+    /// not kept in specificity order, so the rank claims the most specific
+    /// a wildcard can be: any shape of the best candidate's priority may
+    /// still beat it, unless the candidate is exact.
+    fn rank(&self) -> Rank {
+        (self.max_priority(), EXACT_SPECIFICITY - 1)
     }
 }
 
 /// A tuple-space classifier over the wildcard rules of one step (or over
 /// those that name no step): one [`ShapeBucket`] per distinct mask shape,
 /// kept sorted by descending max priority (ties broken by creation order)
-/// for early-exit probing.
+/// for early-exit probing. The step's exact rules live in the table's
+/// exact index; the space keeps their priority histogram, which places
+/// the exact index in the probe order as one more source.
 #[derive(Debug, Clone)]
 struct TupleSpace {
     shapes: Vec<ShapeBucket>,
-    /// How many exact rules (which live in the exact index) name this
-    /// space's step; always 0 in the step-less space. A lookup at a step
-    /// with none skips the exact-index probe, and its answer cannot depend
-    /// on the flow unless a probed shape does.
-    exact_rules: usize,
+    /// Priority histogram of the exact rules that name this space's step;
+    /// always empty in the step-less space. Its total is the step's exact
+    /// rule count: a lookup at a step with none never probes the exact
+    /// index, and its answer cannot depend on the flow unless a probed
+    /// shape does.
+    exact: Priorities,
     next_seq: u64,
     /// The owning table's hash key, handed to every bucket's map.
     hash_key: TableHashKey,
@@ -390,7 +434,7 @@ impl TupleSpace {
     fn new(hash_key: TableHashKey) -> Self {
         TupleSpace {
             shapes: Vec::new(),
-            exact_rules: 0,
+            exact: Priorities::default(),
             next_seq: 0,
             hash_key,
         }
@@ -398,7 +442,15 @@ impl TupleSpace {
 
     /// Whether no rule, exact or wildcard, names the space's step.
     fn is_unused(&self) -> bool {
-        self.shapes.is_empty() && self.exact_rules == 0
+        self.shapes.is_empty() && self.exact.is_empty()
+    }
+
+    /// The exact index's place in this space's probe order, if the step
+    /// has an exact rule.
+    fn exact_rank(&self) -> Option<Rank> {
+        self.exact
+            .ceiling()
+            .map(|ceiling| (ceiling, EXACT_SPECIFICITY))
     }
 
     fn insert(&mut self, id: RuleId, slot: Slot, rule: &FlowRule) {
@@ -412,7 +464,7 @@ impl TupleSpace {
                     specificity: rule.matcher.specificity(),
                     seq: self.next_seq,
                     rules: HashMap::with_hasher(self.hash_key),
-                    priorities: std::collections::BTreeMap::new(),
+                    priorities: Priorities::default(),
                 });
                 self.next_seq += 1;
                 self.shapes.len() - 1
@@ -423,7 +475,7 @@ impl TupleSpace {
         // Keep (priority desc, id desc): the first live entry wins.
         let at = ids.partition_point(|&(p, other, _)| (p, other) > (rule.priority, id));
         ids.insert(at, (rule.priority, id, slot));
-        *bucket.priorities.entry(rule.priority).or_insert(0) += 1;
+        bucket.priorities.add(rule.priority);
         self.resort();
     }
 
@@ -437,18 +489,13 @@ impl TupleSpace {
         if let Some(ids) = bucket.rules.get_mut(&tuple) {
             if let Some(at) = ids.iter().position(|&(_, _, other)| other == slot) {
                 ids.remove(at);
-                if let Some(count) = bucket.priorities.get_mut(&rule.priority) {
-                    *count -= 1;
-                    if *count == 0 {
-                        bucket.priorities.remove(&rule.priority);
-                    }
-                }
+                bucket.priorities.remove(rule.priority);
             }
             if ids.is_empty() {
                 bucket.rules.remove(&tuple);
             }
         }
-        if bucket.is_empty() {
+        if bucket.priorities.is_empty() {
             self.shapes.remove(index);
         }
         self.resort();
@@ -638,15 +685,13 @@ impl FlowTable {
             Slot::try_from(self.slots.len() - 1).expect("fewer than 2^32 rules")
         });
         if let Some(step_key) = entry.rule.matcher.exact_key() {
-            match self.exact.insert(step_key, slot) {
-                // The old rule would be unreachable (exact rules are only
-                // found through the index); drop it rather than leak it.
-                // The step keeps its count: one rule replaced another.
-                Some(old) => {
-                    self.release(old);
-                }
-                None => self.space_of(step_key.0).exact_rules += 1,
+            // An old rule would be unreachable (exact rules are only found
+            // through the index); drop it rather than leak it.
+            if let Some(old) = self.exact.insert(step_key, slot) {
+                let old = self.release(old);
+                self.space_of(step_key.0).exact.remove(old.rule.priority);
             }
+            self.space_of(step_key.0).exact.add(entry.rule.priority);
         } else {
             let space = match entry.rule.matcher.step {
                 Some(step) => self.space_of(step),
@@ -684,7 +729,7 @@ impl FlowTable {
             Some(step) => {
                 if let Some(space) = self.stepped.get_mut(&step) {
                     match exact {
-                        Some(_) => space.exact_rules -= 1,
+                        Some(_) => space.exact.remove(entry.rule.priority),
                         None => space.remove(slot, &entry.rule),
                     }
                     if space.is_unused() {
@@ -775,77 +820,80 @@ impl FlowTable {
         Some(&self.entry(slot).rule)
     }
 
-    /// The classifier core: exact fast path + tuple-space probe.
+    /// The classifier core: one walk over the sources that can answer at
+    /// `step` — its own shapes, the step-less shapes and the exact index —
+    /// merged in rank order ([`Rank`]), which stops at the first source
+    /// that can no longer win.
     ///
     /// Win order: priority desc, then specificity desc, then insertion id
-    /// desc; an exact rule beats any wildcard of equal priority.
+    /// desc; an exact rule ranks above every wildcard of its priority.
     fn probe(&self, step: RulePort, key: &FlowKey) -> Probe {
         let now_ns = self.now_ns;
         let mut expired: Vec<(Slot, EvictReason)> = Vec::new();
         let own_space = self.stepped.get(&step);
-        let exact_rules = own_space.map_or(0, |space| space.exact_rules);
-        // The live exact rule of this flow at this step: (priority, slot).
-        let mut exact: Option<(u16, Slot)> = None;
-        if exact_rules > 0 {
-            if let Some(&slot) = self.exact.get(&(step, *key)) {
-                let entry = self.entry(slot);
-                match entry.expiry(now_ns) {
-                    Some(reason) => expired.push((slot, reason)),
-                    None => exact = Some((entry.rule.priority, slot)),
-                }
-            }
-        }
-        let mut any_flow = exact_rules == 0;
-        // The best live wildcard so far: (priority, specificity, id, slot).
+        let mut own = own_space.map_or(&[][..], |space| space.shapes.as_slice());
+        let mut shared = self.any_step.shapes.as_slice();
+        let mut exact = own_space.and_then(TupleSpace::exact_rank);
+        let mut any_flow = exact.is_none();
+        // The best live candidate so far: (priority, specificity, id, slot).
         let mut best: Option<(u16, u32, RuleId, Slot)> = None;
         let mut shape_probes = 0;
         let packed = pack_key(key);
-        // This step's own tuple space, then the one shared by all steps.
-        for space in [own_space, Some(&self.any_step)].into_iter().flatten() {
-            for bucket in &space.shapes {
-                let ceiling = bucket.max_priority();
-                // Shapes are sorted by max priority: once no remaining
-                // shape of this space can beat the best candidate (or tie
-                // with the exact rule, which wins ties), stop probing it.
-                if best.is_some_and(|(best_priority, ..)| ceiling < best_priority)
-                    || exact.is_some_and(|(exact_priority, _)| ceiling <= exact_priority)
-                {
-                    break;
-                }
-                shape_probes += 1;
-                any_flow &= bucket.shape.ignores_key();
-                let tuple = bucket.shape.project(packed);
-                let Some(candidates) = bucket.rules.get(&tuple) else {
-                    continue;
-                };
-                for &(priority, id, slot) in candidates {
+        loop {
+            let own_next = own.first().map(ShapeBucket::rank);
+            let shared_next = shared.first().map(ShapeBucket::rank);
+            let Some(next) = own_next.max(shared_next).max(exact) else {
+                break;
+            };
+            // Every later source ranks no higher: once this one cannot
+            // beat the best candidate, none can. An equal rank still can,
+            // by id.
+            if best.is_some_and(|(priority, specificity, ..)| next < (priority, specificity)) {
+                break;
+            }
+            shape_probes += 1;
+            if exact == Some(next) {
+                exact = None;
+                if let Some(&slot) = self.exact.get(&(step, *key)) {
                     let entry = self.entry(slot);
-                    if let Some(reason) = entry.expiry(now_ns) {
-                        expired.push((slot, reason));
-                        continue;
+                    match entry.expiry(now_ns) {
+                        Some(reason) => expired.push((slot, reason)),
+                        None => {
+                            let candidate =
+                                (entry.rule.priority, EXACT_SPECIFICITY, entry.id, slot);
+                            best = best.max(Some(candidate));
+                        }
                     }
-                    debug_assert!(entry.rule.matcher.matches(step, key));
-                    // Candidates are sorted (priority desc, id desc): the
-                    // first live one is this bucket's best.
-                    let candidate = (priority, bucket.specificity, id, slot);
-                    if best.is_none_or(|held| candidate > held) {
-                        best = Some(candidate);
-                    }
-                    break;
                 }
+                continue;
+            }
+            let from = if own_next == Some(next) {
+                &mut own
+            } else {
+                &mut shared
+            };
+            let (bucket, rest) = from.split_first().expect("the next source is a shape");
+            *from = rest;
+            any_flow &= bucket.shape.ignores_key();
+            let tuple = bucket.shape.project(packed);
+            let Some(candidates) = bucket.rules.get(&tuple) else {
+                continue;
+            };
+            for &(priority, id, slot) in candidates {
+                let entry = self.entry(slot);
+                if let Some(reason) = entry.expiry(now_ns) {
+                    expired.push((slot, reason));
+                    continue;
+                }
+                debug_assert!(entry.rule.matcher.matches(step, key));
+                // Candidates are sorted (priority desc, id desc): the
+                // first live one is this bucket's best.
+                best = best.max(Some((priority, bucket.specificity, id, slot)));
+                break;
             }
         }
-        let winner = match (exact, best) {
-            (Some((exact_priority, _)), Some((priority, _, _, slot)))
-                if priority > exact_priority =>
-            {
-                Some(slot)
-            }
-            (Some((_, slot)), _) | (None, Some((_, _, _, slot))) => Some(slot),
-            (None, None) => None,
-        };
         Probe {
-            winner,
+            winner: best.map(|(.., slot)| slot),
             expired,
             shape_probes,
             any_flow,
@@ -2094,7 +2142,12 @@ mod tests {
     #[test]
     fn replacing_an_exact_rule_keeps_its_steps_count() {
         let ingress = RulePort::Nic(0);
-        let exact_rules = |table: &FlowTable| table.stepped.get(&ingress).map(|s| s.exact_rules);
+        let exact_rules = |table: &FlowTable| {
+            table
+                .stepped
+                .get(&ingress)
+                .map(|s| s.exact.0.values().sum::<usize>())
+        };
         let mut table = FlowTable::new();
         table.insert(FlowRule::new(
             FlowMatch::at_step(ingress),
@@ -2312,12 +2365,14 @@ mod tests {
         let in_a_shape = flow([10, 8, 3, 3]); // inside 10.8.0.0/16
         let in_none = flow([11, 0, 0, 2]);
         let cases = [
-            // The step-only shape cannot outrank the pin: six probes.
-            (ingress, pinned, 6),
-            // A priority-1 match cuts the search before the step-only shape.
+            // The six priority-1 shapes, then the exact index, whose pin
+            // the step-only shape cannot outrank: seven probes.
+            (ingress, pinned, 7),
+            // A priority-1 match outranks the exact index: six probes.
             (ingress, in_a_shape, 6),
-            // No priority-1 match: all seven shapes of the ingress step.
-            (ingress, in_none, 7),
+            // No priority-1 match: six shapes, the exact index, the
+            // step-only shape.
+            (ingress, in_none, 8),
             // A service step has one shape, and the ingress step's seven
             // are not its business.
             (RulePort::Service(svc(1)), pinned, 1),
