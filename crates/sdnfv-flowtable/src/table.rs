@@ -387,7 +387,7 @@ struct ShapeBucket {
     /// in the bucket.
     specificity: u32,
     /// Creation sequence — the deterministic tiebreak when two shapes have
-    /// the same max priority.
+    /// the same rank.
     seq: u64,
     /// Masked tuple → `(priority, id, slot)` candidates, sorted descending
     /// so the first live entry is the bucket's best match.
@@ -401,19 +401,16 @@ impl ShapeBucket {
         self.priorities.ceiling().unwrap_or(0)
     }
 
-    /// The bucket's place in the probe order. Shapes of one ceiling are
-    /// not kept in specificity order, so the rank claims the most specific
-    /// a wildcard can be: any shape of the best candidate's priority may
-    /// still beat it, unless the candidate is exact.
+    /// The bucket's place in the probe order.
     fn rank(&self) -> Rank {
-        (self.max_priority(), EXACT_SPECIFICITY - 1)
+        (self.max_priority(), self.specificity)
     }
 }
 
 /// A tuple-space classifier over the wildcard rules of one step (or over
 /// those that name no step): one [`ShapeBucket`] per distinct mask shape,
-/// kept sorted by descending max priority (ties broken by creation order)
-/// for early-exit probing. The step's exact rules live in the table's
+/// kept in descending [`Rank`] order (ties broken by creation order) for
+/// early-exit probing. The step's exact rules live in the table's
 /// exact index; the space keeps their priority histogram, which places
 /// the exact index in the probe order as one more source.
 #[derive(Debug, Clone)]
@@ -501,15 +498,13 @@ impl TupleSpace {
         self.resort();
     }
 
-    /// Restores the probe order (max priority desc, creation seq asc).
-    /// The shape count is small by construction — this is O(S log S) per
-    /// rule-churn event, not per lookup.
+    /// Restores the probe order: rank desc (max priority, then
+    /// specificity), creation seq asc. The shape count is small by
+    /// construction — this is O(S log S) per rule-churn event, not per
+    /// lookup.
     fn resort(&mut self) {
-        self.shapes.sort_by(|a, b| {
-            b.max_priority()
-                .cmp(&a.max_priority())
-                .then(a.seq.cmp(&b.seq))
-        });
+        self.shapes
+            .sort_by_key(|bucket| (Reverse(bucket.rank()), bucket.seq));
     }
 }
 
@@ -2352,39 +2347,59 @@ mod tests {
     #[test]
     fn shape_probes_per_lookup_on_a_crowded_table() {
         let ingress = RulePort::Nic(0);
-        let flow = |src: [u8; 4]| {
+        let flow = |src: [u8; 4], dst_port| {
             FlowKey::new(
                 Ipv4Addr::from(src),
                 Ipv4Addr::new(192, 168, 1, 1),
                 1000,
-                80,
+                dst_port,
                 IpProtocol::Tcp,
             )
         };
-        let pinned = flow([11, 0, 0, 1]);
-        let in_a_shape = flow([10, 8, 3, 3]); // inside 10.8.0.0/16
-        let in_none = flow([11, 0, 0, 2]);
+        let pinned = flow([11, 0, 0, 1], 80);
+        let in_a_shape = flow([10, 8, 3, 3], 80); // inside 10.8.0.0/16
+        let pinned_in_a_shape = flow([10, 8, 3, 4], 80);
+        let on_a_port = flow([11, 0, 0, 4], 8080);
+        let in_none = flow([11, 0, 0, 2], 80);
+        // The ingress step's probe order, by (ceiling, specificity):
+        //   1. dst 172.16.0.4/32          (1, 1 + 33 = 34)
+        //   2. UDP + dst 172.16.1.0/24    (1, 1 + 4 + 25 = 30)
+        //   3. src 10.0.0.0/8 + dst port  (1, 1 + 9 + 16 = 26)
+        //   4. src 10.8.0.0/16            (1, 1 + 17 = 18)
+        //   5. dst port 8080              (1, 1 + 16 = 17), created first
+        //   6. src port 100               (1, 17)
+        //   7. the exact index            (0, above every wildcard)
+        //   8. the step-only shape        (0, 1)
+        // The walk stops at the first source that ranks below the best
+        // candidate's (priority, specificity); an equal rank goes on.
         let cases = [
-            // The six priority-1 shapes, then the exact index, whose pin
-            // the step-only shape cannot outrank: seven probes.
+            // No priority-1 match; the pin (0, exact) outranks the
+            // step-only shape: 1–7, seven probes.
             (ingress, pinned, 7),
-            // A priority-1 match outranks the exact index: six probes.
-            (ingress, in_a_shape, 6),
-            // No priority-1 match: six shapes, the exact index, the
-            // step-only shape.
+            // Shape 4 matches, (1, 18); shape 5 ranks below it: 1–4.
+            (ingress, in_a_shape, 4),
+            // The same, pinned: the exact index ranks below the match
+            // and is never probed, so the wildcard answers. 1–4.
+            (ingress, pinned_in_a_shape, 4),
+            // Shape 5 matches, (1, 17); shape 6 ties and may still win
+            // by id, the exact index ranks below: 1–6.
+            (ingress, on_a_port, 6),
+            // Nothing matches before the step-only shape: 1–8.
             (ingress, in_none, 8),
-            // A service step has one shape, and the ingress step's seven
-            // are not its business.
+            // A service step has one shape and no exact rule, and the
+            // ingress step's sources are not its business.
             (RulePort::Service(svc(1)), pinned, 1),
             (RulePort::Service(svc(3)), in_none, 1),
         ];
         // Every table draws its own hash seed; the counts may not care.
         for _ in 0..4 {
-            let mut table = crowded_table(&[pinned, flow([11, 0, 0, 3])]);
+            let mut table = crowded_table(&[pinned, flow([11, 0, 0, 3], 80), pinned_in_a_shape]);
+            let pin = table.exact_rule_id(ingress, &pinned_in_a_shape).unwrap();
             for _ in 0..2 {
                 for (step, key, expected) in cases {
                     let before = table.stats().shape_probes;
-                    assert!(table.lookup(step, &key).is_some());
+                    let answer = table.lookup(step, &key).unwrap();
+                    assert_ne!(answer.rule_id, pin, "the shape outranks the pin");
                     assert_eq!(
                         table.stats().shape_probes - before,
                         expected,
@@ -2392,6 +2407,37 @@ mod tests {
                     );
                 }
             }
+            assert_eq!(table.hit_count(pin), 0);
         }
+    }
+
+    #[test]
+    fn an_outranked_expired_pin_is_left_to_the_sweep() {
+        let ingress = RulePort::Nic(0);
+        let flow = key(7);
+        let shared = SharedFlowTable::new();
+        let pin = shared.insert(
+            FlowRule::new(FlowMatch::exact(ingress, &flow), vec![Action::Drop])
+                .with_hard_timeout_ns(Some(10)),
+        );
+        let wildcard = shared.insert(
+            FlowRule::new(FlowMatch::at_step(ingress), vec![Action::ToPort(1)]).with_priority(1),
+        );
+        shared.with_write(|t| t.advance_clock(100));
+        // The wildcard outranks the exact index, so the lookup never meets
+        // the expired pin and cannot evict it lazily.
+        let answer = shared.lookup(ingress, &flow).unwrap();
+        assert_eq!(answer.rule_id, wildcard);
+        assert_eq!(shared.with_read(FlowTable::pending_evictions), 0);
+        assert!(shared.with_read(|t| t.rule(pin).is_some()));
+        // The sweep still evicts it, with the key NF state cleanup needs.
+        let before = generations(&shared);
+        let events = shared.sweep_expired(100, 16, |_| false);
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].id, pin);
+        assert_eq!(events[0].reason, EvictReason::Hard);
+        assert_eq!(events[0].exact, Some((ingress, flow)));
+        assert_eq!(moved(&before, &generations(&shared)), own_partition(&flow));
+        assert_eq!(shared.len(), 1);
     }
 }
