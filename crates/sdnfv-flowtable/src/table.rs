@@ -75,7 +75,7 @@
 
 use parking_lot::RwLock;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -142,10 +142,11 @@ struct RuleEntry {
     /// with the entry (decisions, eviction events, stale-deadline checks).
     id: RuleId,
     rule: FlowRule,
-    /// `rule.actions` shared as an `Arc` so lookups are allocation-free;
-    /// rebuilt whenever a bulk mutation changes the action list. The
-    /// [`Action::Trace`] marker is stripped here (and surfaced as `trace`),
-    /// so decisions only ever carry forwarding actions.
+    /// `rule.actions` as the table's interned list ([`ActionLists`]), so
+    /// lookups are allocation-free; re-taken whenever a bulk mutation
+    /// changes the action list. The [`Action::Trace`] marker is stripped
+    /// here (and surfaced as `trace`), so decisions only ever carry
+    /// forwarding actions.
     shared_actions: Arc<[Action]>,
     /// Whether the rule carried an [`Action::Trace`] marker.
     trace: bool,
@@ -154,23 +155,54 @@ struct RuleEntry {
     last_hit_ns: u64,
 }
 
-fn forwarding_actions(actions: &[Action]) -> (Arc<[Action]>, bool) {
-    let trace = actions.contains(&Action::Trace);
-    let shared: Arc<[Action]> = if trace {
-        actions
-            .iter()
-            .copied()
-            .filter(|a| *a != Action::Trace)
-            .collect()
-    } else {
-        actions.to_vec().into()
-    };
-    (shared, trace)
+/// The table's forwarding lists, one `Arc` per distinct list. Rules that
+/// forward alike — a table's pins mostly do — hand out one allocation, so
+/// building a decision or dropping one (a cache eviction) moves one hot
+/// refcount instead of a cold one per rule.
+#[derive(Debug, Clone)]
+struct ActionLists(HashSet<Arc<[Action]>, TableHashKey>);
+
+impl ActionLists {
+    fn new(hash_key: TableHashKey) -> Self {
+        ActionLists(HashSet::with_hasher(hash_key))
+    }
+
+    /// The interned forwarding list of `actions` — [`Action::Trace`]
+    /// stripped — and whether the marker was there.
+    fn forwarding(&mut self, actions: &[Action]) -> (Arc<[Action]>, bool) {
+        let trace = actions.contains(&Action::Trace);
+        let shared = if trace {
+            let forwarding: Vec<Action> = actions
+                .iter()
+                .copied()
+                .filter(|a| *a != Action::Trace)
+                .collect();
+            self.intern(&forwarding)
+        } else {
+            self.intern(actions)
+        };
+        (shared, trace)
+    }
+
+    fn intern(&mut self, list: &[Action]) -> Arc<[Action]> {
+        if let Some(shared) = self.0.get(list) {
+            return Arc::clone(shared);
+        }
+        let shared: Arc<[Action]> = Arc::from(list);
+        self.0.insert(Arc::clone(&shared));
+        shared
+    }
+
+    /// Drops the lists no rule and no outstanding decision holds, so the
+    /// set stays bounded by the live lists.
+    fn prune(&mut self) {
+        self.0.retain(|list| Arc::strong_count(list) > 1);
+    }
 }
 
 impl RuleEntry {
-    fn new(id: RuleId, rule: FlowRule, now_ns: u64) -> Self {
-        let (shared_actions, trace) = forwarding_actions(&rule.actions);
+    fn new(id: RuleId, rule: FlowRule, now_ns: u64, lists: &mut ActionLists) -> Self {
+        let (shared_actions, trace) = lists.forwarding(&rule.actions);
         RuleEntry {
             id,
             rule,
@@ -182,8 +214,8 @@ impl RuleEntry {
         }
     }
 
-    fn refresh_shared_actions(&mut self) {
-        let (shared, trace) = forwarding_actions(&self.rule.actions);
+    fn refresh_shared_actions(&mut self, lists: &mut ActionLists) {
+        let (shared, trace) = lists.forwarding(&self.rule.actions);
         self.shared_actions = shared;
         self.trace = trace;
     }
@@ -579,6 +611,8 @@ pub struct FlowTable {
     /// to, recorded where a rule enters, leaves or is rewritten in the slab
     /// (see the module docs).
     touched: Partitions,
+    /// The interned forwarding lists the entries share.
+    action_lists: ActionLists,
     stats: TableStats,
 }
 
@@ -616,6 +650,7 @@ impl FlowTable {
             deadlines: BinaryHeap::new(),
             evicted: Vec::new(),
             touched: 0,
+            action_lists: ActionLists::new(hash_key),
             stats: TableStats::default(),
         }
     }
@@ -674,7 +709,7 @@ impl FlowTable {
         let id = RuleId(self.next_id);
         self.next_id += 1;
         self.touched |= scope(&rule);
-        let entry = RuleEntry::new(id, rule, self.now_ns);
+        let entry = RuleEntry::new(id, rule, self.now_ns, &mut self.action_lists);
         let slot = self.free.pop().unwrap_or_else(|| {
             self.slots.push(None);
             Slot::try_from(self.slots.len() - 1).expect("fewer than 2^32 rules")
@@ -946,6 +981,7 @@ impl FlowTable {
             }
         }
         self.deadlines.extend(deferred);
+        self.action_lists.prune();
         evictions
     }
 
@@ -1030,6 +1066,16 @@ impl FlowTable {
         }
     }
 
+    /// Re-interns every entry's forwarding list into lists of this
+    /// table's own: a fork then never moves a refcount its source's
+    /// lookups move.
+    fn own_action_lists(&mut self) {
+        self.action_lists = ActionLists::new(self.any_step.hash_key);
+        for entry in self.slots.iter_mut().flatten() {
+            entry.shared_actions = self.action_lists.intern(&entry.shared_actions);
+        }
+    }
+
     /// Lookup/hit/miss/eviction counters.
     pub fn stats(&self) -> TableStats {
         self.stats
@@ -1042,7 +1088,7 @@ impl FlowTable {
         for entry in self.slots.iter_mut().flatten() {
             if applies(&entry.rule) {
                 entry.rule.set_default_action(new_default);
-                entry.refresh_shared_actions();
+                entry.refresh_shared_actions(&mut self.action_lists);
                 self.touched |= scope(&entry.rule);
                 updated += 1;
             }
@@ -1307,9 +1353,9 @@ impl<C: GenerationCell> SharedFlowTable<C> {
     }
 
     /// Forks an independent deep copy of the table: same rules (ids,
-    /// priorities and installation order preserved), its own lock, zeroed
-    /// lookup counters, an empty change record and fresh partition
-    /// generations.
+    /// priorities and installation order preserved), its own lock, its own
+    /// interned action lists, zeroed lookup counters, an empty change
+    /// record and fresh partition generations.
     ///
     /// This is the seeding step of per-shard partitioning
     /// ([`FlowTablePartitions`](crate::partition::FlowTablePartitions)):
@@ -1319,6 +1365,7 @@ impl<C: GenerationCell> SharedFlowTable<C> {
         copy.stats = TableStats::default();
         copy.touched = 0;
         copy.reset_hit_counts();
+        copy.own_action_lists();
         SharedFlowTable::with_table(copy)
     }
 }
@@ -1661,6 +1708,84 @@ mod tests {
         // Both decisions point at the same allocation — the per-lookup
         // action-vector clone is gone.
         assert!(Arc::ptr_eq(&a.actions, &b.actions));
+    }
+
+    #[test]
+    fn rules_that_forward_alike_share_one_list() {
+        let mut table = FlowTable::new();
+        let pin =
+            |last, actions| FlowRule::new(FlowMatch::exact(RulePort::Nic(0), &key(last)), actions);
+        table.insert(pin(1, vec![Action::ToService(svc(1))]));
+        table.insert(pin(2, vec![Action::Trace, Action::ToService(svc(1))]));
+        table.insert(pin(3, vec![Action::ToService(svc(2))]));
+        let actions = |table: &mut FlowTable, last| {
+            table.lookup(RulePort::Nic(0), &key(last)).unwrap().actions
+        };
+        let (one, two, three) = (
+            actions(&mut table, 1),
+            actions(&mut table, 2),
+            actions(&mut table, 3),
+        );
+        assert!(
+            Arc::ptr_eq(&one, &two),
+            "the marker is not part of the list"
+        );
+        assert!(!Arc::ptr_eq(&one, &three));
+        assert_eq!(table.action_lists.0.len(), 2);
+    }
+
+    #[test]
+    fn a_list_nothing_holds_goes_at_the_next_sweep() {
+        let mut table = FlowTable::new();
+        let kept = table.insert(FlowRule::new(
+            FlowMatch::at_step(RulePort::Nic(0)),
+            vec![Action::ToPort(1)],
+        ));
+        let gone = table.insert(FlowRule::new(
+            FlowMatch::at_step(RulePort::Nic(1)),
+            vec![Action::ToPort(2)],
+        ));
+        let held = table.lookup(RulePort::Nic(1), &key(1)).unwrap();
+        table.remove(gone);
+        table.sweep(16, |_| false);
+        assert_eq!(table.action_lists.0.len(), 2, "a decision still holds it");
+        drop(held);
+        table.sweep(16, |_| false);
+        assert_eq!(table.action_lists.0.len(), 1);
+        // A rewrite re-interns: the old list goes at the next sweep.
+        let menu = vec![Action::ToPort(1), Action::ToService(svc(2))];
+        table.insert(FlowRule::new(FlowMatch::at_step(svc(1)), menu));
+        assert_eq!(table.action_lists.0.len(), 2);
+        let to_svc2 = Action::ToService(svc(2));
+        assert_eq!(
+            table.change_default(svc(1), &FlowMatch::any(), to_svc2, false),
+            1
+        );
+        assert_eq!(table.action_lists.0.len(), 3);
+        table.sweep(16, |_| false);
+        assert_eq!(table.action_lists.0.len(), 2);
+        assert!(table.rule(kept).is_some());
+    }
+
+    #[test]
+    fn a_fork_has_lists_of_its_own() {
+        let shared = SharedFlowTable::new();
+        for last in 1..=2 {
+            shared.insert(FlowRule::new(
+                FlowMatch::exact(RulePort::Nic(0), &key(last)),
+                vec![Action::ToService(svc(1))],
+            ));
+        }
+        let fork = shared.fork();
+        let source = shared.lookup(RulePort::Nic(0), &key(1)).unwrap().actions;
+        let forked = fork.lookup(RulePort::Nic(0), &key(1)).unwrap().actions;
+        let forked_other = fork.lookup(RulePort::Nic(0), &key(2)).unwrap().actions;
+        assert_eq!(source, forked);
+        assert!(!Arc::ptr_eq(&source, &forked), "no refcount line is shared");
+        assert!(
+            Arc::ptr_eq(&forked, &forked_other),
+            "the fork still interns"
+        );
     }
 
     #[test]
