@@ -101,8 +101,9 @@ pub struct TableStats {
     pub evicted_idle: u64,
     /// Rules evicted because their hard timeout elapsed.
     pub evicted_hard: u64,
-    /// Hash probes of wildcard shape buckets made by lookups — what a
-    /// lookup costs beyond its one exact-index probe.
+    /// Probes made by lookups: one per wildcard shape bucket probed and
+    /// one per visit to the exact index, which is a source in the same
+    /// probe order (see the module docs).
     pub shape_probes: u64,
 }
 
