@@ -1,11 +1,12 @@
-//! The hasher of the flow table's maps.
+//! The hasher of the flow table's maps, and of any other per-flow map on
+//! the packet path (the IDS's flagged-flow set).
 //!
 //! `std`'s default SipHash costs more than the rest of a table probe put
 //! together, and a lookup makes several probes. The keys, however, come
 //! off the wire — an NF pins whatever 5-tuple it flags — so the function
 //! must not be predictable either. This one folds each written word into
 //! the state with one 64×64→128-bit multiply; the initial state is secret,
-//! drawn per table from a `RandomState`.
+//! drawn per map owner from a `RandomState`.
 
 use std::collections::hash_map::RandomState;
 use std::hash::{BuildHasher, Hasher};
@@ -14,9 +15,11 @@ use std::hash::{BuildHasher, Hasher};
 /// a bad one (close to a power of two, say) and nothing would show it.
 const MULTIPLIER: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// The per-table secret, and the `BuildHasher` of the table's maps.
+/// The per-table secret, and the `BuildHasher` of the table's maps. Its
+/// `Default` draws a fresh secret: a map keyed by 5-tuples off the wire
+/// (`HashMap<FlowKey, _, TableHashKey>`) gets it with `HashMap::default()`.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct TableHashKey {
+pub struct TableHashKey {
     seed: u64,
 }
 
@@ -37,7 +40,8 @@ impl BuildHasher for TableHashKey {
 }
 
 /// A keyed multiply-mix hasher: one folded multiply per word written.
-pub(crate) struct MixHasher {
+#[derive(Debug)]
+pub struct MixHasher {
     state: u64,
 }
 

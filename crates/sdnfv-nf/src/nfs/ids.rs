@@ -1,6 +1,6 @@
 //! A signature-based intrusion detection NF.
 
-use sdnfv_flowtable::{Action, FlowMatch, RulePort, ServiceId};
+use sdnfv_flowtable::{Action, FlowMatch, RulePort, ServiceId, TableHashKey};
 use sdnfv_proto::flow::FlowKey;
 use sdnfv_proto::Packet;
 use std::collections::HashSet;
@@ -28,8 +28,10 @@ pub struct IdsNf {
     signatures: PatternSet,
     /// Flows pinned to the scrubber. Keyed by the full [`FlowKey`] (not a
     /// bare hash) so the re-home handshake can enumerate and migrate the
-    /// set when a flow's steering bucket changes shards.
-    flagged_flows: HashSet<FlowKey>,
+    /// set when a flow's steering bucket changes shards. Every packet
+    /// probes it, so it hashes with the flow table's keyed multiply-mix
+    /// hasher rather than SipHash.
+    flagged_flows: HashSet<FlowKey, TableHashKey>,
     alerts: u64,
     inspected: u64,
 }
@@ -54,7 +56,7 @@ impl IdsNf {
             own_service,
             scrubber,
             signatures: PatternSet::new(signatures),
-            flagged_flows: HashSet::new(),
+            flagged_flows: HashSet::default(),
             alerts: 0,
             inspected: 0,
         }
