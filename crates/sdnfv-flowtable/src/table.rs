@@ -11,28 +11,38 @@
 //! never: whatever outlives a rule (a deadline-heap entry) names it by
 //! both, and is dropped when the slot holds another id.
 //!
-//! Over the slab sit two indexes, matching how OpenFlow switches split
-//! their TCAM from their exact-match tables:
+//! Over the slab sit two kinds of index, matching how OpenFlow switches
+//! split their TCAM from their exact-match tables:
 //!
 //! * **Exact index** — fully-specified `/32` five-tuple rules live in a
-//!   hash map keyed by `(step, flow key)`. The common case (a packet of an
-//!   established flow at a service) is one hash probe; exact insert/remove
-//!   is O(1) and never touches the wildcard structure.
+//!   hash map keyed by `(step, flow key)`: O(1) insert and remove, never
+//!   touching the wildcard structure.
 //! * **Per-step tuple spaces** — wildcard rules are first partitioned by
 //!   the step they name (every compiled graph rule and every NF-installed
 //!   rule names one; rules with `step: None` share one more partition),
 //!   and within a partition grouped by *mask shape* (which 5-tuple fields
 //!   are constrained, plus the two prefix lengths). Each shape owns a hash
-//!   table keyed by the rule's masked tuple. A lookup probes the shapes of
-//!   its own step and of the shared partition — never a shape that only
-//!   holds another step's rules. It packs the packet's 5-tuple into one
-//!   128-bit word once; each shape carries that word's mask, so a probe is
-//!   one AND, one two-word hash and one 128-bit compare. Shapes are kept
-//!   sorted by their highest-priority rule, so the probe loop exits as
-//!   soon as no remaining shape can beat the best candidate (or tie with
-//!   the exact rule, which wins ties).
-//!   Lookup cost is O(distinct mask shapes at this step), not O(rules);
-//!   [`TableStats::shape_probes`] counts the probes.
+//!   table keyed by the rule's masked tuple. A lookup packs the packet's
+//!   5-tuple into one 128-bit word once; each shape carries that word's
+//!   mask, so a probe is one AND, one two-word hash and one 128-bit
+//!   compare.
+//!
+//! A lookup at a step walks three sources — the step's own shapes, the
+//! step-less shapes and the exact index — merged into one order by
+//! *rank*: a source's ceiling (its highest priority), then the
+//! specificity of what it can return. The exact index is one more source
+//! of the step's tuple space: the space keeps a priority histogram of its
+//! exact rules, which gives the index its ceiling, and its specificity is
+//! above every wildcard's. The walk stops at the first source whose rank
+//! is below the best candidate's (priority, specificity); on equality it
+//! goes on, since a later shape may still win on id. So the win order —
+//! priority, then specificity, then insertion id, an exact rule above
+//! every wildcard of its priority — is the walk's order, with no special
+//! case. A flow that a higher-priority wildcard answers never touches the
+//! exact map; a match in the most specific shape of the top priority ends
+//! the lookup. A lookup never probes a shape that only holds another
+//! step's rules. Lookup cost is O(sources at this step), not O(rules);
+//! [`TableStats::shape_probes`] counts the shapes and exact-index visits.
 //!
 //! All of these maps hash with the crate's keyed multiply-mix hasher
 //! (`hash.rs`) — one multiply per word against SipHash's dozens of rounds
@@ -40,15 +50,24 @@
 //! taken off the wire. Nothing may depend on the iteration order of the
 //! maps; listings sort ([`FlowTable::rules`]).
 //!
+//! Rules share their forwarding lists: the table interns one
+//! `Arc<[Action]>` per distinct list, so its pins, which mostly forward
+//! alike, hand out one allocation, and building or dropping a decision
+//! moves one hot refcount rather than a cold one per rule. A fork
+//! ([`SharedFlowTable::fork`]) interns lists of its own, so two shards
+//! never write one refcount line, and a sweep drops the lists only the
+//! interner still holds.
+//!
 //! # Lifecycle
 //!
 //! Rules may carry OpenFlow-style idle and hard timeouts. Expiry is
 //! *lazy* — a lookup that touches an expired rule evicts it on the spot —
 //! plus an amortized [`FlowTable::sweep`] driven from the owner's clock
 //! (a lazy-deletion deadline heap, so a sweep only inspects rules whose
-//! earliest possible deadline has passed). Evictions are queued as
-//! [`EvictedRule`] events for the data plane to drain and forward to the
-//! control plane and to NF flow-state cleanup.
+//! earliest possible deadline has passed). A rule the walk never reaches,
+//! such as a pin outranked by a wildcard, waits for the sweep. Evictions
+//! are queued as [`EvictedRule`] events for the data plane to drain and
+//! forward to the control plane and to NF flow-state cleanup.
 //!
 //! What a mutation invalidates: the answer for a flow depends on the
 //! wildcard rules and on that flow's own exact rules, nothing else. So the
@@ -64,10 +83,11 @@
 //!
 //! What an answer promises about other flows: a lookup raises
 //! [`Decision::any_flow`] when its answer could not have depended on the
-//! flow — no exact rule names the step (the table counts them per step, and
-//! skips the exact-index probe at a step that has none) and no shape bucket
-//! it probed constrains a field. A shape the priority early exit skipped
-//! cannot win for any key, so it does not count. Every flow then gets the
+//! flow — no exact rule names the step (the step's histogram is empty,
+//! and the walk has no exact index to visit) and no shape bucket it probed
+//! constrains a field. A shape the early exit skipped ranks below a
+//! candidate every key meets, so it cannot win for any key and does not
+//! count. Every flow then gets the
 //! same decision at that step until a wildcard change, which moves all 64
 //! partitions, or an exact change for the step, which moves the partition
 //! of the one key whose answer it can move. So a cache may keep such an
@@ -574,7 +594,7 @@ fn scope(rule: &FlowRule) -> Partitions {
 ///
 /// Rules are matched by priority (highest first), then by match
 /// specificity, then by recency of installation. Exact per-flow rules
-/// take precedence over wildcard rules of equal priority; a
+/// rank above every wildcard rule of equal priority; a
 /// strictly-higher-priority wildcard still wins. See the module docs for
 /// the classifier layout and the timeout lifecycle.
 #[derive(Debug, Clone)]
