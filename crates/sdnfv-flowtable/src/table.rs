@@ -87,11 +87,11 @@
 //! and the walk has no exact index to visit) and no shape bucket it probed
 //! constrains a field. A shape the early exit skipped ranks below a
 //! candidate every key meets, so it cannot win for any key and does not
-//! count. Every flow then gets the
-//! same decision at that step until a wildcard change, which moves all 64
-//! partitions, or an exact change for the step, which moves the partition
-//! of the one key whose answer it can move. So a cache may keep such an
-//! answer once per step, tagged per partition.
+//! count. Every flow then gets the same decision at that step until a
+//! wildcard change, which moves all 64 partitions, or an exact change for
+//! the step, which moves the partition of the one key whose answer it can
+//! move. So a cache may keep such an answer once per step, tagged per
+//! partition.
 
 use parking_lot::RwLock;
 use std::cmp::Reverse;
