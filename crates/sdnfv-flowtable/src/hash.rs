@@ -40,7 +40,6 @@ impl BuildHasher for TableHashKey {
 }
 
 /// A keyed multiply-mix hasher: one folded multiply per word written.
-#[derive(Debug)]
 pub struct MixHasher {
     state: u64,
 }

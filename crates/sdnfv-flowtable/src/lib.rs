@@ -29,7 +29,7 @@ pub mod rule;
 pub mod table;
 pub mod types;
 
-pub use hash::{MixHasher, TableHashKey};
+pub use hash::TableHashKey;
 pub use matching::{FlowMatch, IpPrefix};
 pub use partition::{BucketStateBundle, BucketStateMoved, FlowTablePartitions};
 pub use provenance::{MutationLog, MutationRecord, WildcardMutation};

@@ -450,13 +450,9 @@ struct ShapeBucket {
 }
 
 impl ShapeBucket {
-    fn max_priority(&self) -> u16 {
-        self.priorities.ceiling().unwrap_or(0)
-    }
-
     /// The bucket's place in the probe order.
     fn rank(&self) -> Rank {
-        (self.max_priority(), self.specificity)
+        (self.priorities.ceiling().unwrap_or(0), self.specificity)
     }
 }
 
