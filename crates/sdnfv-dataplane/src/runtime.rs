@@ -97,6 +97,14 @@
 //! shard touches. Control-plane rules installed mid-run go through
 //! [`ThreadedHost::install_rule`], which broadcasts to every partition.
 //!
+//! **Rule expiry**: a rule leaves by idle or hard timeout in one place,
+//! the worker's timed sweep of its partition
+//! ([`SharedFlowTable::sweep_expired`], every `rule_sweep_interval_ns`).
+//! A lookup skips an expired rule and evicts nothing. The sweep defers
+//! the exact rules of a parked bucket, whose state is being exported, and
+//! the same worker step counts its evictions and posts the evicted flows'
+//! keys to the shard's replicas, which scrub their per-flow NF state.
+//!
 //! **Telemetry and elastic control** (paper §3.5): every shard's worker
 //! periodically publishes a [`TelemetrySnapshot`] — queue-depth gauges for
 //! all its rings, credit occupancy, per-NF service-time EWMAs and the
@@ -222,8 +230,10 @@ pub struct ThreadedHostConfig {
     pub telemetry_interval_ns: u64,
     /// How often each shard sweeps its flow-table partition for expired
     /// rules, in nanoseconds of the host clock (identical under the
-    /// simulated runtime). `0` turns rule expiry off: the partition's clock
-    /// advances only in the sweep, so no lookup sees a timeout pass either.
+    /// simulated runtime). The sweep is the only place a rule is evicted:
+    /// a lookup skips an expired rule and leaves it to the next sweep.
+    /// `0` turns rule expiry off: the partition's clock advances only in
+    /// the sweep, so no lookup sees a timeout pass either.
     pub rule_sweep_interval_ns: u64,
     /// OpenFlow-style idle timeout stamped onto exact per-flow rules
     /// installed by NF `ChangeDefault` pins: the pin is evicted once this
@@ -2643,7 +2653,8 @@ impl ShardEngine {
     /// Runs one bounded pass of the flow table's timeout sweep if the
     /// sweep interval has elapsed, then fans the evicted flows' keys out to
     /// the shard's NF replicas as fire-and-forget scrub requests so their
-    /// per-flow state is reclaimed with the rule.
+    /// per-flow state is reclaimed with the rule. Lookups evict nothing,
+    /// so every eviction of the shard's partition passes here.
     ///
     /// Exact rules of a bucket that is mid-re-home are protected from the
     /// sweep: their state is being exported, and evicting underneath the
@@ -3995,7 +4006,7 @@ mod tests {
     use crate::rehome::{MoveTarget, RehomeStep};
     use sdnfv_flowtable::{FlowMatch, FlowRule};
     use sdnfv_graph::{catalog, CompileOptions};
-    use sdnfv_nf::nfs::{ComputeNf, NoOpNf};
+    use sdnfv_nf::nfs::{ComputeNf, IdsNf, NoOpNf};
     use sdnfv_proto::packet::PacketBuilder;
     use std::time::{Duration, Instant};
 
@@ -5845,6 +5856,106 @@ mod tests {
     }
 
     #[test]
+    fn a_lookup_leaves_a_parked_buckets_expired_pin_to_the_move() {
+        let service = ServiceId::new(1);
+        let at_service = RulePort::Service(service);
+        let table = SharedFlowTable::new();
+        table.insert(FlowRule::new(
+            FlowMatch::at_step(RulePort::Nic(0)),
+            vec![Action::ToService(service)],
+        ));
+        table.insert(FlowRule::new(
+            FlowMatch::at_step(service),
+            vec![Action::ToPort(1)],
+        ));
+        let flow = packet(7).flow_key().unwrap();
+        table.insert(
+            FlowRule::new(FlowMatch::exact(at_service, &flow), vec![Action::ToPort(2)])
+                .with_hard_timeout_ns(Some(1_000_000)),
+        );
+        let (host, sim) = ThreadedHost::start_sim_sharded(
+            table,
+            |_shard| vec![(service, Box::new(NoOpNf::new()) as Box<dyn NetworkFunction>)],
+            ThreadedHostConfig {
+                num_shards: 2,
+                rule_sweep_interval_ns: 100_000,
+                ..ThreadedHostConfig::default()
+            },
+        );
+        let actors = |kind| -> Vec<u64> {
+            sim.actors()
+                .iter()
+                .filter(|a| a.kind == kind)
+                .map(|a| a.id)
+                .collect()
+        };
+        let workers = actors(crate::sim::SimActorKind::Worker);
+        let step_workers = |times| {
+            for _ in 0..times {
+                for worker in &workers {
+                    sim.step(*worker);
+                }
+            }
+        };
+        // The packet waits in the NF ring, so the bucket cannot drain.
+        assert!(host.inject(packet(7)).is_admitted());
+        step_workers(5);
+        let source = host.shard_of(&packet(7));
+        let weights: Vec<u32> = (0..2).map(|s| u32::from(s != source as u32)).collect();
+        assert!(host.set_steering_weights(&weights));
+        assert!(host.pending_rehomes() > 0, "the busy bucket is mid-move");
+        // Past the pin's deadline: the sweeps move the partition's clock
+        // on and defer the parked bucket's pin.
+        sim.advance_clock_ns(10_000_000);
+        step_workers(200);
+        let partition = host.shard_table(source);
+        let pin_installed =
+            || partition.with_read(|t| t.exact_rule_id(at_service, &flow).is_some());
+        let pin_live =
+            || partition.with_read(|t| t.peek(at_service, &flow).unwrap().matcher.is_exact());
+        assert!(pin_installed() && !pin_live(), "expired, deferred");
+        // The NF hands the packet back; the worker's lookup at the service
+        // step meets the expired pin, skips it and evicts nothing. (The
+        // workers spawned the NF replicas in their first steps.)
+        let nfs = actors(crate::sim::SimActorKind::Nf);
+        assert_eq!(nfs.len(), 2);
+        for _ in 0..5 {
+            for nf in &nfs {
+                sim.step(*nf);
+            }
+            step_workers(5);
+        }
+        assert!(host.pending_rehomes() > 0, "still parked");
+        assert!(
+            pin_installed(),
+            "a parked bucket's pin stays until its move completes"
+        );
+        let snap = host.stats().snapshot();
+        assert_eq!(snap.rules_evicted_idle + snap.rules_evicted_hard, 0);
+        let mut ports = Vec::new();
+        for _ in 0..400 {
+            sim.step_all();
+            ports.extend(host.poll_egress_burst(64).iter().map(|out| out.port));
+            if host.pending_rehomes() == 0 {
+                break;
+            }
+        }
+        assert_eq!(host.pending_rehomes(), 0, "re-home completed");
+        assert_eq!(ports, vec![1], "the expired pin did not forward");
+        // Unparked, the source's copy goes at its next sweep, and the
+        // destination's broadcast copy at its own.
+        sim.advance_clock_ns(1_000_000);
+        for _ in 0..200 {
+            sim.step_all();
+        }
+        assert!(!pin_installed());
+        for shard in 0..2 {
+            assert_eq!(host.stats().shard_snapshot(shard).rules_evicted_hard, 1);
+        }
+        host.shutdown();
+    }
+
+    #[test]
     fn hash_sampling_emits_conserved_spans_and_latency() {
         use sdnfv_telemetry::{SpanVerdict, TraceStage};
         let host = ThreadedHost::start(
@@ -6562,6 +6673,78 @@ mod tests {
             assert_eq!(evicted, u64::from(expires), "sweep {sweep_ns}");
             host.shutdown();
         }
+    }
+
+    #[test]
+    fn an_idle_evicted_pin_sends_its_flow_through_the_ids_afresh() {
+        let (ids, scrubber) = (ServiceId::new(1), ServiceId::new(2));
+        let table = SharedFlowTable::new();
+        table.insert(FlowRule::new(
+            FlowMatch::at_step(RulePort::Nic(0)),
+            vec![Action::ToService(ids)],
+        ));
+        // The scrubber is the IDS's allowed alternative: its pin's target.
+        table.insert(FlowRule::new(
+            FlowMatch::at_step(ids),
+            vec![Action::ToPort(1), Action::ToService(scrubber)],
+        ));
+        table.insert(FlowRule::new(
+            FlowMatch::at_step(scrubber),
+            vec![Action::ToPort(2)],
+        ));
+        let (host, sim) = ThreadedHost::start_sim_sharded(
+            table,
+            move |_shard| {
+                vec![
+                    (
+                        ids,
+                        Box::new(IdsNf::new(ids, scrubber)) as Box<dyn NetworkFunction>,
+                    ),
+                    (
+                        scrubber,
+                        Box::new(NoOpNf::new()) as Box<dyn NetworkFunction>,
+                    ),
+                ]
+            },
+            ThreadedHostConfig {
+                rule_sweep_interval_ns: 100_000,
+                pin_idle_timeout_ns: Some(1_000_000),
+                ..ThreadedHostConfig::default()
+            },
+        );
+        let forward = |query: &str| {
+            let request = PacketBuilder::tcp()
+                .src_ip([10, 0, 0, 1])
+                .dst_ip([10, 0, 0, 2])
+                .src_port(7)
+                .dst_port(80)
+                .ingress_port(0)
+                .payload(format!("GET /q?{query} HTTP/1.1\r\n\r\n").as_bytes())
+                .build();
+            assert!(host.inject(request).is_admitted());
+            for _ in 0..40 {
+                sim.step_all();
+            }
+            let out = host.poll_egress_burst(16);
+            assert_eq!(out.len(), 1);
+            out[0].port
+        };
+        let pins = || host.shard_table(0).with_read(|t| t.exact_rules().count());
+        assert_eq!(forward("q=' OR '1'='1"), 2, "flagged and scrubbed");
+        assert_eq!(pins(), 1, "the IDS pinned its flow to the scrubber");
+        assert_eq!(forward("q=hello"), 2, "a flagged flow stays scrubbed");
+        // Quiet past the pin's idle timeout: the sweep evicts it and the
+        // IDS scrubs the flow from its flagged set.
+        sim.advance_clock_ns(50_000_000);
+        for _ in 0..200 {
+            sim.step_all();
+        }
+        assert_eq!(pins(), 0);
+        let snap = host.stats().snapshot();
+        assert_eq!(snap.rules_evicted_idle, 1);
+        assert_eq!(snap.nf_state_scrubbed, 1, "the IDS forgot the flow");
+        assert_eq!(forward("q=hello"), 1, "inspected afresh and found clean");
+        host.shutdown();
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! wildcard inserts and removes; `change_default` / `retarget_defaults` /
 //! `promote_where_allowed` through `with_write`; `ChangeDefault` messages
 //! accepted and rejected; idle- and hard-timed rules under an advancing
-//! clock, `sweep_expired` and lazy eviction) is interleaved with cached
+//! clock and `sweep_expired`, the one eviction) is interleaved with cached
 //! lookups over a small key × step space: four partitions of two flows
 //! each, at three steps, and a cache of one to 32 slots, so partitions and
 //! cache sets collide. Every cached answer must be the table's own answer at that
@@ -15,7 +15,8 @@
 //! a timed rule's entry may outlive the rule's hard deadline by up to the
 //! cache TTL, the fall-through that exists for timed rules. A write that
 //! changed nothing — a rejected message, a clock move, removing a rule that
-//! is gone — must move no generation.
+//! is gone — must move no generation, and neither may a lookup, which
+//! skips an expired rule and leaves it to the sweep.
 //!
 //! Answers that hold for every flow (`Decision::any_flow`) are kept once
 //! per step, in a memo tagged per partition, so the schedule also makes
@@ -226,7 +227,13 @@ fn every_cached_answer_is_the_tables_answer_at_that_instant() {
                 0..=55 => {
                     let reference = table.with_read(|t| t.clone().lookup(step, &key));
                     let (hits_before, memo_before) = (cache.hits(), cache.memo_hits());
+                    let generation = table.generation();
                     let got = cached_lookup(&table, &mut cache, step, &key, now_ns, TTL_NS);
+                    assert_eq!(
+                        table.generation(),
+                        generation,
+                        "{context}: a lookup published"
+                    );
                     if cache.hits() > hits_before {
                         hits += 1;
                         if cache.memo_hits() > memo_before {
@@ -371,9 +378,9 @@ fn every_cached_answer_is_the_tables_answer_at_that_instant() {
     // Dense enough that hits are what gets checked — above all the memos'
     // answers and per-flow hits across a change in another partition, the
     // answers scoping could get wrong — and that silent writes are common.
-    // (At this writing: 16 857 hits of 85 346 lookups, 4 328 of them from a
-    // memo and 5 417 per-flow across another partition's change, and
-    // 15 861 silent writes.)
+    // (At this writing: 16 961 hits of 85 346 lookups, 4 100 of them from a
+    // memo and 5 386 per-flow across another partition's change, and
+    // 15 757 silent writes.)
     assert!(
         hits > 40 * SEEDS && scoped_hits > 15 * SEEDS && memo_answers > 10 * SEEDS,
         "{hits} hits ({memo_answers} from a memo, {scoped_hits} per-flow across another \

@@ -9,7 +9,8 @@
 //! `DST_TRACE_OUT` environment variable names a file, the trace is also
 //! written there (CI uploads it as an artifact). Exit code 1 on any
 //! violation, and on a sweep of 100 or more seeds that moved no NF state on
-//! a replica scale (`nf_state_handoffs` stayed 0).
+//! a replica scale (`nf_state_handoffs` stayed 0), idle-evicted no rule
+//! (`rules_evicted_idle`) or scrubbed no NF state (`nf_state_scrubbed`).
 
 use std::collections::BTreeSet;
 use std::process::ExitCode;
@@ -85,6 +86,8 @@ fn main() -> ExitCode {
     let mut coverage = BTreeSet::new();
     let mut pins = 0usize;
     let mut handoffs = 0u64;
+    let mut idle_evictions = 0u64;
+    let mut scrubs = 0u64;
     for offset in 0..seeds {
         let seed = base_seed.wrapping_add(offset);
         // Double-run (determinism check) every 32nd seed; plain otherwise.
@@ -97,6 +100,8 @@ fn main() -> ExitCode {
         coverage.extend(report.fired.iter().copied());
         pins += report.pins;
         handoffs += report.stats.nf_state_handoffs;
+        idle_evictions += report.stats.rules_evicted_idle;
+        scrubs += report.stats.nf_state_scrubbed;
         if !report.passed() {
             eprintln!("{}", report.failure_message());
             write_trace_artifact(&report);
@@ -117,8 +122,18 @@ fn main() -> ExitCode {
         eprintln!("FAIL: {seeds} schedules moved no NF state on a replica scale");
         return ExitCode::FAILURE;
     }
+    // Pins idle out, and their flows' NF state is scrubbed, in every long
+    // sweep; one that lacks either has stopped covering rule expiry.
+    if seeds >= 100 && (idle_evictions == 0 || scrubs == 0) {
+        eprintln!(
+            "FAIL: {seeds} schedules idle-evicted {idle_evictions} rules and scrubbed \
+             {scrubs} NF states"
+        );
+        return ExitCode::FAILURE;
+    }
     println!(
-        "PASS: {seeds} schedules, {} fault kinds ({}), {pins} pins, {handoffs} state handoffs",
+        "PASS: {seeds} schedules, {} fault kinds ({}), {pins} pins, {handoffs} state handoffs, \
+         {idle_evictions} idle evictions, {scrubs} scrubs",
         coverage.len(),
         coverage
             .iter()

@@ -860,15 +860,18 @@ pub fn run_seed(config: &DstConfig) -> RunReport {
             let legal = port == PORT_PINNED || (wildcard_before && port == PORT_WILDCARD);
             if !legal {
                 // The pin's idle deadline can fall in the window between
-                // the structural census and this probe (the probe's own
-                // lookup then lazily evicts it). Re-check before calling
-                // it loss: absent everywhere now means it expired.
-                let still_present = (0..shards).any(|shard| {
-                    host.shard_table(shard)
-                        .with_read(|t| t.exact_rule_id(RulePort::Service(service), &key).is_some())
+                // the structural census and this probe: the probe's lookup
+                // then skips the expired pin, which stays indexed until a
+                // sweep reaches it. Re-check before calling it loss: a pin
+                // live nowhere at its partition's clock has expired.
+                let still_live = (0..shards).any(|shard| {
+                    host.shard_table(shard).with_read(|t| {
+                        t.peek(RulePort::Service(service), &key)
+                            .is_some_and(|rule| rule.matcher.is_exact())
+                    })
                 });
                 let fell_back = port == PORT_DEFAULT || (wildcard_before && port == PORT_WILDCARD);
-                if still_present || !fell_back {
+                if still_live || !fell_back {
                     violations.push(format!(
                         "exact pin lost: flow {flow} was pinned but egressed on port {port}, \
                          want {PORT_PINNED}"

@@ -225,7 +225,9 @@ impl FlowTablePartitions {
     /// 1. **Exact-flow rules** whose 5-tuple satisfies `belongs` are moved
     ///    (removed from the source, installed in the destination); rules the
     ///    destination already holds at the same `(step, key)` are left in
-    ///    place (template rules broadcast to both sides stay put).
+    ///    place (template rules broadcast to both sides stay put). A moved
+    ///    rule keeps its install and last-hit times: both partitions run on
+    ///    the host's clock, so a move restarts no idle or hard timeout.
     /// 2. **Wildcard mutations** recorded for the bucket in the source's
     ///    [`MutationLog`] (plus every unattributed mutation) are replayed
     ///    into the destination in sequence order. A mutation the destination
@@ -263,20 +265,21 @@ impl FlowTablePartitions {
         // destination under its own lock, then install — never holding two
         // partition locks at once, so no ordering can deadlock against the
         // shards' packet paths.
-        let candidates: Vec<(RuleId, (crate::types::RulePort, FlowKey), FlowRule)> = source
-            .with_read(|table| {
-                table
-                    .exact_rules()
-                    .filter(|(_, step_key, _)| belongs(&step_key.1))
-                    .map(|(id, step_key, rule)| (id, step_key, rule.clone()))
-                    .collect()
-            });
-        for (id, (step, key), rule) in candidates {
+        let candidates: Vec<_> = source.with_read(|table| {
+            table
+                .exact_rules()
+                .filter(|(_, step_key, _)| belongs(&step_key.1))
+                .filter_map(|(id, step_key, rule)| {
+                    Some((id, step_key, rule.clone(), table.timers(id)?))
+                })
+                .collect()
+        });
+        for (id, (step, key), rule, timers) in candidates {
             let present = destination.with_read(|d| d.exact_rule_id(step, &key).is_some());
             if present {
                 continue;
             }
-            destination.insert(rule);
+            destination.with_write(|d| d.insert_timed(rule, timers));
             source.remove(id);
             moved.exact_rules += 1;
         }
@@ -373,13 +376,16 @@ impl FlowTablePartitions {
     /// Replays a [`BucketStateBundle`] into shard `to`'s partition — the
     /// destination-host half of a cross-host bucket re-home. Exact rules the
     /// destination already holds at the same `(step, key)` stay put
-    /// (template rules broadcast to both hosts); mutation records the
-    /// destination log already carries are skipped silently, and records the
-    /// destination holds a newer conflicting mutation for are skipped and
-    /// counted (last-writer-wins). The destination's sequence counter is
-    /// raised to at least the newest absorbed sequence number, so mutations
-    /// the destination records *after* the move supersede everything that
-    /// arrived with it.
+    /// (template rules broadcast to both hosts); the others are installed
+    /// with their timeouts restarted on the destination's clock, since two
+    /// hosts' clocks are not comparable (a same-host
+    /// [`FlowTablePartitions::move_bucket_state`] keeps them). Mutation
+    /// records the destination log already carries are skipped silently,
+    /// and records the destination holds a newer conflicting mutation for
+    /// are skipped and counted (last-writer-wins). The destination's
+    /// sequence counter is raised to at least the newest absorbed sequence
+    /// number, so mutations the destination records *after* the move
+    /// supersede everything that arrived with it.
     ///
     /// # Panics
     ///
@@ -432,6 +438,7 @@ mod tests {
     use super::*;
     use crate::matching::FlowMatch;
     use crate::rule::Action;
+    use crate::table::EvictReason;
     use crate::types::RulePort;
     use sdnfv_proto::flow::{FlowKey, IpProtocol};
     use std::net::Ipv4Addr;
@@ -584,6 +591,43 @@ mod tests {
         // The moved rule governs the flow on its new shard.
         let decision = parts.shard(1).lookup(RulePort::Nic(0), &key(1)).unwrap();
         assert_eq!(&decision.actions[..], &[Action::Drop]);
+    }
+
+    #[test]
+    fn a_moved_rule_keeps_its_deadlines() {
+        let template = SharedFlowTable::new();
+        template.insert(forward_rule());
+        let parts = FlowTablePartitions::new(&template, 2);
+        // Both partitions run on the host's clock, as a host's shards do.
+        let tick = |now_ns| {
+            for shard in 0..2 {
+                assert!(parts
+                    .shard(shard)
+                    .sweep_expired(now_ns, 16, |_| false)
+                    .is_empty());
+            }
+        };
+        parts.shard(0).with_write(|t| {
+            t.insert(exact_drop_rule(1).with_hard_timeout_ns(Some(1_000)));
+            t.insert(exact_drop_rule(2).with_idle_timeout_ns(Some(1_000)));
+        });
+        tick(500);
+        assert!(parts.shard(0).lookup(RulePort::Nic(0), &key(2)).is_some());
+        // At 90 % of the hard pin's life its bucket moves.
+        tick(900);
+        assert_eq!(parts.move_bucket_state(0, 1, 0, |_| true).exact_rules, 2);
+        let destination = parts.shard(1);
+        assert!(destination.sweep_expired(999, 16, |_| false).is_empty());
+        let hard = destination.sweep_expired(1_000, 16, |_| false);
+        assert_eq!(hard.len(), 1, "the hard pin goes at its original deadline");
+        assert_eq!(hard[0].exact, Some((RulePort::Nic(0), key(1))));
+        assert_eq!(hard[0].reason, EvictReason::Hard);
+        // The idle pin's last hit, at 500, travels too.
+        assert!(destination.sweep_expired(1_499, 16, |_| false).is_empty());
+        let idle = destination.sweep_expired(1_500, 16, |_| false);
+        assert_eq!(idle.len(), 1);
+        assert_eq!(idle[0].exact, Some((RulePort::Nic(0), key(2))));
+        assert_eq!(idle[0].reason, EvictReason::Idle);
     }
 
     #[test]

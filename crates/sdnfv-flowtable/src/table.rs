@@ -60,14 +60,16 @@
 //!
 //! # Lifecycle
 //!
-//! Rules may carry OpenFlow-style idle and hard timeouts. Expiry is
-//! *lazy* — a lookup that touches an expired rule evicts it on the spot —
-//! plus an amortized [`FlowTable::sweep`] driven from the owner's clock
-//! (a lazy-deletion deadline heap, so a sweep only inspects rules whose
-//! earliest possible deadline has passed). A rule the walk never reaches,
-//! such as a pin outranked by a wildcard, waits for the sweep. Evictions
-//! are queued as [`EvictedRule`] events for the data plane to drain and
-//! forward to the control plane and to NF flow-state cleanup.
+//! Rules may carry OpenFlow-style idle and hard timeouts. A lookup skips
+//! an expired rule, as [`FlowTable::peek`] does, and leaves it installed:
+//! the amortized [`FlowTable::sweep`], driven from the owner's clock, is
+//! the only place a rule leaves by timeout (a lazy-deletion deadline heap,
+//! so a sweep only inspects rules whose earliest possible deadline has
+//! passed). So until the sweep reaches it, an expired rule still counts in
+//! [`FlowTable::len`] and [`FlowTable::rules`] and still holds its exact
+//! key. The sweep defers the exact rules its caller protects and returns
+//! its [`EvictedRule`] events, which the data plane forwards to the
+//! control plane and to NF flow-state cleanup in the same step.
 //!
 //! What a mutation invalidates: the answer for a flow depends on the
 //! wildcard rules and on that flow's own exact rules, nothing else. So the
@@ -137,9 +139,8 @@ pub enum EvictReason {
     Hard,
 }
 
-/// A rule-eviction event, queued by the table and drained by the data
-/// plane ([`FlowTable::take_evicted`]) so the control plane learns which
-/// flows died and NF per-flow state can be scrubbed.
+/// A rule-eviction event, returned by [`FlowTable::sweep`] so the control
+/// plane learns which flows died and NF per-flow state can be scrubbed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EvictedRule {
     /// The evicted rule's id.
@@ -172,6 +173,13 @@ struct RuleEntry {
     /// Whether the rule carried an [`Action::Trace`] marker.
     trace: bool,
     hits: u64,
+    installed_at_ns: u64,
+    last_hit_ns: u64,
+}
+
+/// What a rule's timeouts run from, on its table's clock.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Timers {
     installed_at_ns: u64,
     last_hit_ns: u64,
 }
@@ -222,7 +230,7 @@ impl ActionLists {
 }
 
 impl RuleEntry {
-    fn new(id: RuleId, rule: FlowRule, now_ns: u64, lists: &mut ActionLists) -> Self {
+    fn new(id: RuleId, rule: FlowRule, timers: Timers, lists: &mut ActionLists) -> Self {
         let (shared_actions, trace) = lists.forwarding(&rule.actions);
         RuleEntry {
             id,
@@ -230,8 +238,8 @@ impl RuleEntry {
             shared_actions,
             trace,
             hits: 0,
-            installed_at_ns: now_ns,
-            last_hit_ns: now_ns,
+            installed_at_ns: timers.installed_at_ns,
+            last_hit_ns: timers.last_hit_ns,
         }
     }
 
@@ -622,8 +630,6 @@ pub struct FlowTable {
     /// deadline; a popped entry whose rule is gone (the slot is vacant or
     /// holds another id) or not yet expired is discarded or re-armed.
     deadlines: BinaryHeap<Reverse<(u64, RuleId, Slot)>>,
-    /// Eviction events not yet drained by [`FlowTable::take_evicted`].
-    evicted: Vec<EvictedRule>,
     /// The partitions the changes since the last `take_touched` are scoped
     /// to, recorded where a rule enters, leaves or is rewritten in the slab
     /// (see the module docs).
@@ -637,8 +643,6 @@ pub struct FlowTable {
 struct Probe {
     /// Slot of the winning live rule.
     winner: Option<Slot>,
-    /// Expired rules met on the way, which the caller may evict.
-    expired: Vec<(Slot, EvictReason)>,
     /// Shape buckets probed.
     shape_probes: u64,
     /// Whether the answer holds for every flow ([`Decision::any_flow`]).
@@ -665,7 +669,6 @@ impl FlowTable {
             next_id: 0,
             now_ns: 0,
             deadlines: BinaryHeap::new(),
-            evicted: Vec::new(),
             touched: 0,
             action_lists: ActionLists::new(hash_key),
             stats: TableStats::default(),
@@ -723,10 +726,20 @@ impl FlowTable {
     /// pinning stays O(1) in the table size. Installing an exact rule for
     /// a `(step, key)` that already has one replaces the old rule.
     pub fn insert(&mut self, rule: FlowRule) -> RuleId {
+        let now = Timers {
+            installed_at_ns: self.now_ns,
+            last_hit_ns: self.now_ns,
+        };
+        self.insert_timed(rule, now)
+    }
+
+    /// [`FlowTable::insert`] with timers already running: a rule moved
+    /// from a table on the same clock keeps its deadlines.
+    pub(crate) fn insert_timed(&mut self, rule: FlowRule, timers: Timers) -> RuleId {
         let id = RuleId(self.next_id);
         self.next_id += 1;
         self.touched |= scope(&rule);
-        let entry = RuleEntry::new(id, rule, self.now_ns, &mut self.action_lists);
+        let entry = RuleEntry::new(id, rule, timers, &mut self.action_lists);
         let slot = self.free.pop().unwrap_or_else(|| {
             self.slots.push(None);
             Slot::try_from(self.slots.len() - 1).expect("fewer than 2^32 rules")
@@ -790,54 +803,32 @@ impl FlowTable {
     }
 
     /// Evicts the rule in `slot` for `reason`: removes it from every
-    /// index and queues the [`EvictedRule`] event.
-    fn evict(&mut self, slot: Slot, reason: EvictReason) {
+    /// index and returns the [`EvictedRule`] event.
+    fn evict(&mut self, slot: Slot, reason: EvictReason) -> EvictedRule {
         let (entry, exact) = self.unlink(slot);
         match reason {
             EvictReason::Idle => self.stats.evicted_idle += 1,
             EvictReason::Hard => self.stats.evicted_hard += 1,
         }
-        self.evicted.push(EvictedRule {
+        EvictedRule {
             id: entry.id,
             rule: entry.rule,
             exact,
             reason,
-        });
+        }
     }
 
     /// Looks up the rule governing a packet of flow `key` at `step`,
     /// counting the hit and refreshing the winning rule's idle timer.
-    /// Expired rules encountered on the way are evicted lazily.
+    /// Expired rules are skipped and left to [`FlowTable::sweep`].
     pub fn lookup(&mut self, step: RulePort, key: &FlowKey) -> Option<Decision> {
-        self.lookup_then(step, key, |_| ())
-    }
-
-    /// [`FlowTable::lookup`], handing the table to `evicted` right after
-    /// any lazy evictions and before the decision is built: where
-    /// [`SharedFlowTable::lookup`] publishes them. Publishing once the
-    /// decision was returned cost every table miss ≈ 7 ns (the decision,
-    /// held across the publish, was copied back with a store-forwarding
-    /// stall).
-    fn lookup_then(
-        &mut self,
-        step: RulePort,
-        key: &FlowKey,
-        evicted: impl FnOnce(&mut Self),
-    ) -> Option<Decision> {
         self.stats.lookups += 1;
         let Probe {
             winner,
-            expired,
             shape_probes,
             any_flow,
         } = self.probe(step, key);
         self.stats.shape_probes += shape_probes;
-        if !expired.is_empty() {
-            for (slot, reason) in expired {
-                self.evict(slot, reason);
-            }
-            evicted(self);
-        }
         let Some(slot) = winner else {
             self.stats.misses += 1;
             return None;
@@ -861,7 +852,7 @@ impl FlowTable {
 
     /// Read-only lookup that does not update statistics or idle timers
     /// (used by tests and by the control plane when validating messages).
-    /// Expired rules are skipped but not evicted (no `&mut`).
+    /// Expired rules are skipped, as by [`FlowTable::lookup`].
     pub fn peek(&self, step: RulePort, key: &FlowKey) -> Option<&FlowRule> {
         let slot = self.probe(step, key).winner?;
         Some(&self.entry(slot).rule)
@@ -870,13 +861,12 @@ impl FlowTable {
     /// The classifier core: one walk over the sources that can answer at
     /// `step` — its own shapes, the step-less shapes and the exact index —
     /// merged in rank order ([`Rank`]), which stops at the first source
-    /// that can no longer win.
+    /// that can no longer win. Expired rules are skipped.
     ///
     /// Win order: priority desc, then specificity desc, then insertion id
     /// desc; an exact rule ranks above every wildcard of its priority.
     fn probe(&self, step: RulePort, key: &FlowKey) -> Probe {
         let now_ns = self.now_ns;
-        let mut expired: Vec<(Slot, EvictReason)> = Vec::new();
         let own_space = self.stepped.get(&step);
         let mut own = own_space.map_or(&[][..], |space| space.shapes.as_slice());
         let mut shared = self.any_step.shapes.as_slice();
@@ -903,13 +893,9 @@ impl FlowTable {
                 exact = None;
                 if let Some(&slot) = self.exact.get(&(step, *key)) {
                     let entry = self.entry(slot);
-                    match entry.expiry(now_ns) {
-                        Some(reason) => expired.push((slot, reason)),
-                        None => {
-                            let candidate =
-                                (entry.rule.priority, EXACT_SPECIFICITY, entry.id, slot);
-                            best = best.max(Some(candidate));
-                        }
+                    if entry.expiry(now_ns).is_none() {
+                        let candidate = (entry.rule.priority, EXACT_SPECIFICITY, entry.id, slot);
+                        best = best.max(Some(candidate));
                     }
                 }
                 continue;
@@ -928,8 +914,7 @@ impl FlowTable {
             };
             for &(priority, id, slot) in candidates {
                 let entry = self.entry(slot);
-                if let Some(reason) = entry.expiry(now_ns) {
-                    expired.push((slot, reason));
+                if entry.expiry(now_ns).is_some() {
                     continue;
                 }
                 debug_assert!(entry.rule.matcher.matches(step, key));
@@ -941,7 +926,6 @@ impl FlowTable {
         }
         Probe {
             winner: best.map(|(.., slot)| slot),
-            expired,
             shape_probes,
             any_flow,
         }
@@ -952,16 +936,17 @@ impl FlowTable {
     /// earliest possible deadline elapsed are inspected). Exact rules for
     /// which `protected` returns `true` — e.g. rules of a bucket mid
     /// re-home, whose export must not race an eviction — are deferred to a
-    /// later sweep. Returns the number of rules evicted.
+    /// later sweep. This is the only place a rule leaves by timeout;
+    /// returns the evictions in order.
     pub fn sweep(
         &mut self,
         max_evictions: usize,
         protected: impl Fn(&(RulePort, FlowKey)) -> bool,
-    ) -> usize {
+    ) -> Vec<EvictedRule> {
         let now_ns = self.now_ns;
-        let mut evictions = 0;
+        let mut evicted = Vec::new();
         let mut deferred: Vec<Reverse<(u64, RuleId, Slot)>> = Vec::new();
-        while evictions < max_evictions {
+        while evicted.len() < max_evictions {
             let Some(&Reverse((deadline, id, slot))) = self.deadlines.peek() else {
                 break;
             };
@@ -985,8 +970,7 @@ impl FlowTable {
                             continue;
                         }
                     }
-                    self.evict(slot, reason);
-                    evictions += 1;
+                    evicted.push(self.evict(slot, reason));
                 }
                 None => {
                     // Traffic pushed the idle deadline forward since this
@@ -999,23 +983,23 @@ impl FlowTable {
         }
         self.deadlines.extend(deferred);
         self.action_lists.prune();
-        evictions
-    }
-
-    /// Drains the eviction events accumulated by lazy lookup expiry and
-    /// [`FlowTable::sweep`], in eviction order.
-    pub fn take_evicted(&mut self) -> Vec<EvictedRule> {
-        std::mem::take(&mut self.evicted)
-    }
-
-    /// Eviction events queued but not yet drained.
-    pub fn pending_evictions(&self) -> usize {
-        self.evicted.len()
+        evicted
     }
 
     /// Returns the rule with the given id.
     pub fn rule(&self, id: RuleId) -> Option<&FlowRule> {
         self.ids.get(&id).map(|&slot| &self.entry(slot).rule)
+    }
+
+    /// The timers of rule `id`, for [`FlowTable::insert_timed`].
+    pub(crate) fn timers(&self, id: RuleId) -> Option<Timers> {
+        self.ids.get(&id).map(|&slot| {
+            let entry = self.entry(slot);
+            Timers {
+                installed_at_ns: entry.installed_at_ns,
+                last_hit_ns: entry.last_hit_ns,
+            }
+        })
     }
 
     /// Returns the id of the exact per-flow rule installed for `(step, key)`,
@@ -1181,8 +1165,7 @@ impl FlowTable {
 /// In the paper's design the table lock sits outside the per-packet path
 /// (lookups are cached in packet descriptors). Here it is *on* the miss
 /// path: [`SharedFlowTable::lookup`] takes the **write** lock, because a
-/// lookup counts the hit, refreshes the winner's idle timer and evicts
-/// expired rules it meets. A lookup that the worker's cache answers never
+/// lookup counts the hit and refreshes the winner's idle timer. A lookup that the worker's cache answers never
 /// comes here; one that misses pays an uncontended lock/unlock pair
 /// (a few tens of nanoseconds, part of `flowtable.lookup.ns`) on top of
 /// the probes. Who contends: each shard looks up in its own partition
@@ -1311,21 +1294,18 @@ impl<C: GenerationCell> SharedFlowTable<C> {
         self.with_write(|table| table.remove(id))
     }
 
-    /// Looks up the decision for a flow at a step. If the lookup lazily
-    /// evicted an expired rule on its way, that rule's partitions are
-    /// published so stale cached decisions for it are discarded.
+    /// Looks up the decision for a flow at a step ([`FlowTable::lookup`])
+    /// under the write lock, which the hit count and idle refresh need.
+    /// A lookup changes no rule, so it moves no generation.
     pub fn lookup(&self, step: RulePort, key: &FlowKey) -> Option<Decision> {
-        self.inner
-            .write()
-            .lookup_then(step, key, |table| self.publish(table))
+        self.inner.write().lookup(step, key)
     }
 
     /// Advances the table clock to `now_ns` and evicts up to
     /// `max_evictions` expired rules (see [`FlowTable::sweep`]), skipping
     /// exact rules whose `(step, key)` is `protected` (mid-re-home).
-    /// Returns the drained eviction events — including any accumulated
-    /// from lazy lookup expiry since the last sweep — and publishes the
-    /// partitions of the rules this sweep evicted.
+    /// Publishes the partitions of the rules it evicted and returns their
+    /// eviction events.
     pub fn sweep_expired(
         &self,
         now_ns: u64,
@@ -1334,9 +1314,9 @@ impl<C: GenerationCell> SharedFlowTable<C> {
     ) -> Vec<EvictedRule> {
         let mut guard = self.inner.write();
         guard.advance_clock(now_ns);
-        guard.sweep(max_evictions, protected);
+        let evicted = guard.sweep(max_evictions, protected);
         self.publish(&mut guard);
-        guard.take_evicted()
+        evicted
     }
 
     /// Runs `f` with read access to the underlying table.
@@ -1854,12 +1834,11 @@ mod tests {
         for step in 1..=5u64 {
             table.advance_clock(step * 60);
             assert!(table.lookup(RulePort::Nic(0), &key(7)).is_some());
-            assert_eq!(table.sweep(16, |_| false), 0);
+            assert!(table.sweep(16, |_| false).is_empty());
         }
         // 100 ns of silence idles it out via the sweep.
         table.advance_clock(5 * 60 + 100);
-        assert_eq!(table.sweep(16, |_| false), 1);
-        let events = table.take_evicted();
+        let events = table.sweep(16, |_| false);
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].id, id);
         assert_eq!(events[0].reason, EvictReason::Idle);
@@ -1884,11 +1863,12 @@ mod tests {
         );
         table.advance_clock(90);
         assert!(table.lookup(RulePort::Nic(0), &key(7)).is_some());
-        // Constant traffic does not save it from the hard deadline; the
-        // next lookup evicts it lazily.
+        // Constant traffic does not save it from the hard deadline: the
+        // next lookup skips it, and the sweep evicts it.
         table.advance_clock(100);
         assert!(table.lookup(RulePort::Nic(0), &key(7)).is_none());
-        let events = table.take_evicted();
+        assert_eq!(table.stats().evicted_hard, 0, "a lookup evicts nothing");
+        let events = table.sweep(16, |_| false);
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].id, id);
         assert_eq!(events[0].reason, EvictReason::Hard);
@@ -1925,10 +1905,12 @@ mod tests {
             .with_hard_timeout_ns(Some(50)),
         );
         table.advance_clock(50);
-        // The expired exact rule is evicted lazily and the wildcard wins.
+        // The expired exact rule is skipped and the wildcard wins; the
+        // rule stays installed until the sweep evicts it.
         let d = table.lookup(RulePort::Nic(0), &key(7)).unwrap();
         assert_eq!(d.rule_id, wild);
-        assert_eq!(table.take_evicted().len(), 1);
+        assert_eq!(table.len(), 2);
+        assert_eq!(table.sweep(16, |_| false).len(), 1);
         assert_eq!(table.len(), 1);
     }
 
@@ -1944,10 +1926,10 @@ mod tests {
         );
         table.advance_clock(100);
         // Protected (e.g. its bucket is mid-re-home): the sweep skips it.
-        assert_eq!(table.sweep(16, |_| true), 0);
+        assert!(table.sweep(16, |_| true).is_empty());
         assert!(table.rule(id).is_some());
         // Once the protection lifts, the deferred deadline fires.
-        assert_eq!(table.sweep(16, |_| false), 1);
+        assert_eq!(table.sweep(16, |_| false).len(), 1);
         assert!(table.rule(id).is_none());
     }
 
@@ -1964,11 +1946,10 @@ mod tests {
             );
         }
         table.advance_clock(100);
-        assert_eq!(table.sweep(3, |_| false), 3);
+        assert_eq!(table.sweep(3, |_| false).len(), 3);
         assert_eq!(table.len(), 5);
-        assert_eq!(table.sweep(100, |_| false), 5);
+        assert_eq!(table.sweep(100, |_| false).len(), 5);
         assert!(table.is_empty());
-        assert_eq!(table.take_evicted().len(), 8);
     }
 
     #[test]
@@ -1983,10 +1964,12 @@ mod tests {
         );
         table.advance_clock(50);
         assert!(table.peek(RulePort::Nic(0), &key(7)).is_none());
-        // peek is read-only: the rule is still installed until a lookup or
-        // sweep evicts it.
+        // Neither a peek nor a lookup evicts: the rule is still installed
+        // until the sweep evicts it.
+        assert!(table.lookup(RulePort::Nic(0), &key(7)).is_none());
         assert_eq!(table.len(), 1);
-        assert_eq!(table.pending_evictions(), 0);
+        assert_eq!(table.sweep(16, |_| false).len(), 1);
+        assert!(table.is_empty());
     }
 
     /// Every partition's generation, in partition order.
@@ -2036,7 +2019,8 @@ mod tests {
             "the evicted key's partition moves, no other"
         );
         assert!(shared.generation() > g);
-        // A lookup that evicts an expired pin on its way publishes it too.
+        // A lookup that meets an expired pin skips it and moves nothing;
+        // the sweep that evicts it moves its partition.
         shared.insert(
             FlowRule::new(
                 FlowMatch::exact(RulePort::Nic(0), &key(8)),
@@ -2048,6 +2032,8 @@ mod tests {
         shared.with_write(|t| t.advance_clock(200));
         assert_eq!(generations(&shared), before, "a clock move changes nothing");
         assert!(shared.lookup(RulePort::Nic(0), &key(8)).is_none());
+        assert_eq!(generations(&shared), before, "a lookup moves nothing");
+        assert_eq!(shared.sweep_expired(200, 16, |_| false).len(), 1);
         assert_eq!(
             moved(&before, &generations(&shared)),
             own_partition(&key(8))
@@ -2263,7 +2249,7 @@ mod tests {
         );
         assert!(!any_flow(&mut table, ingress, &key(8)));
         table.advance_clock(100);
-        assert_eq!(table.sweep(16, |_| false), 1);
+        assert_eq!(table.sweep(16, |_| false).len(), 1);
         assert!(any_flow(&mut table, ingress, &key(7)));
         // A step named by exact rules only has no space once they are gone.
         let mut table = FlowTable::new();
@@ -2567,10 +2553,9 @@ mod tests {
         );
         shared.with_write(|t| t.advance_clock(100));
         // The wildcard outranks the exact index, so the lookup never meets
-        // the expired pin and cannot evict it lazily.
+        // the expired pin.
         let answer = shared.lookup(ingress, &flow).unwrap();
         assert_eq!(answer.rule_id, wildcard);
-        assert_eq!(shared.with_read(FlowTable::pending_evictions), 0);
         assert!(shared.with_read(|t| t.rule(pin).is_some()));
         // The sweep still evicts it, with the key NF state cleanup needs.
         let before = generations(&shared);
