@@ -214,7 +214,7 @@ impl ThreadedHost {
         // Draining → Collecting.
         self.request_exports(&mut state);
         // Collecting → Importing.
-        self.absorb_exports(&mut state, &mut steering);
+        self.absorb_exports(&mut state, &mut steering, now_ns);
         self.flush_import_outbox(&mut state);
         // Importing → Releasing → done.
         let handed_back = self.release_pens(&mut state, now_ns);
@@ -371,7 +371,7 @@ impl ThreadedHost {
     /// export order: into one [`ImportDelivery`] per export and
     /// destination shard (its `done` flag shared with the moves it
     /// covers), or into the handout's bundle.
-    fn absorb_exports(&self, state: &mut RehomeState, steering: &mut [usize]) {
+    fn absorb_exports(&self, state: &mut RehomeState, steering: &mut [usize], now_ns: u64) {
         let mut exports: Vec<BucketStateExport> = Vec::new();
         for ports in self.shards.borrow().iter() {
             while let Some(export) = ports.exports.pop() {
@@ -407,7 +407,7 @@ impl ThreadedHost {
                 MoveTarget::Host => {
                     let table_state = self
                         .tables
-                        .extract_bucket_state(mv.from, mv.bucket, in_bucket);
+                        .extract_bucket_state(mv.from, mv.bucket, now_ns, in_bucket);
                     report.wildcard_conflicts += table_state.conflicts_at_source as u64;
                     routes.insert(mv.bucket, Route::Handout(handouts.len()));
                     handouts.push(BucketHandout {
@@ -653,7 +653,9 @@ impl ThreadedHost {
     /// pen into this host.
     pub fn absorb_bucket_handout(&self, handout: &BucketHandout) -> Arc<AtomicBool> {
         let to = self.shard_of_bucket(handout.bucket);
-        let moved = self.tables.absorb_bucket_state(to, &handout.table_state);
+        let moved = self
+            .tables
+            .absorb_bucket_state(to, &handout.table_state, self.now_ns());
         let done = {
             let mut state = self.rehome.borrow_mut();
             state.report.rules_rehomed += moved.exact_rules as u64;

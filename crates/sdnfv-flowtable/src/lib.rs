@@ -35,7 +35,7 @@ pub use partition::{BucketStateBundle, BucketStateMoved, FlowTablePartitions};
 pub use provenance::{MutationLog, MutationRecord, WildcardMutation};
 pub use rule::{Action, Decision, FlowRule, RuleId};
 pub use table::{
-    generation_partition, EvictReason, EvictedRule, FlowTable, SharedFlowTable, TableStats,
-    GENERATION_PARTITIONS,
+    generation_partition, EvictReason, EvictedRule, FlowTable, RuleAge, SharedFlowTable,
+    TableStats, GENERATION_PARTITIONS,
 };
 pub use types::{RulePort, ServiceId};

@@ -33,7 +33,7 @@ use sdnfv_proto::flow::FlowKey;
 
 use crate::provenance::{MutationLog, MutationRecord};
 use crate::rule::{FlowRule, RuleId};
-use crate::table::SharedFlowTable;
+use crate::table::{RuleAge, SharedFlowTable, Timers};
 use crate::types::RulePort;
 
 /// A template flow table plus one independent partition per shard (see the
@@ -85,8 +85,9 @@ pub struct BucketStateBundle {
     /// The steering bucket the state belongs to.
     pub bucket: usize,
     /// Exact-flow rules removed from the source partition, each with the
-    /// lookup step and 5-tuple it was indexed under.
-    pub exact_rules: Vec<(RulePort, FlowKey, FlowRule)>,
+    /// lookup step and 5-tuple it was indexed under and its age on the
+    /// source host's clock at the extract.
+    pub exact_rules: Vec<(RulePort, FlowKey, FlowRule, RuleAge)>,
     /// Wildcard mutation records to replay, in sequence order.
     pub mutations: Vec<MutationRecord>,
     /// Mutations dropped at extract time because the source log held a
@@ -315,7 +316,10 @@ impl FlowTablePartitions {
     /// shard `from`'s partition into a portable [`BucketStateBundle`] — the
     /// source-host half of a **cross-host** bucket re-home. Exact-flow rules
     /// whose 5-tuple satisfies `belongs` are *removed* from the partition
-    /// (they now live in the bundle); the bucket's wildcard mutation records
+    /// (they now live in the bundle), each with its [`RuleAge`] at `now_ns`
+    /// on the source host's clock — expired rules the sweep has not reached
+    /// yet included, since their age says they expired and the destination
+    /// evicts them; the bucket's wildcard mutation records
     /// (plus every unattributed record) are *cloned* in sequence order —
     /// they stay behind because they also govern the source's remaining
     /// flows. Records the source log itself supersedes (a newer conflicting
@@ -332,6 +336,7 @@ impl FlowTablePartitions {
         &self,
         from: usize,
         bucket: usize,
+        now_ns: u64,
         belongs: impl Fn(&FlowKey) -> bool,
     ) -> BucketStateBundle {
         let (source, source_log) = {
@@ -339,17 +344,22 @@ impl FlowTablePartitions {
             let logs = self.logs.read();
             (partitions[from].clone(), Arc::clone(&logs[from]))
         };
-        let candidates: Vec<(RuleId, (RulePort, FlowKey), FlowRule)> = source.with_read(|table| {
-            table
-                .exact_rules()
-                .filter(|(_, step_key, _)| belongs(&step_key.1))
-                .map(|(id, step_key, rule)| (id, step_key, rule.clone()))
-                .collect()
-        });
+        let candidates: Vec<(RuleId, (RulePort, FlowKey), FlowRule, RuleAge)> =
+            source.with_read(|table| {
+                let now_ns = now_ns.max(table.clock_ns());
+                table
+                    .exact_rules()
+                    .filter(|(_, step_key, _)| belongs(&step_key.1))
+                    .filter_map(|(id, step_key, rule)| {
+                        let age = table.timers(id)?.age_at(now_ns);
+                        Some((id, step_key, rule.clone(), age))
+                    })
+                    .collect()
+            });
         let mut exact_rules = Vec::with_capacity(candidates.len());
-        for (id, (step, key), rule) in candidates {
+        for (id, (step, key), rule, age) in candidates {
             source.remove(id);
-            exact_rules.push((step, key, rule));
+            exact_rules.push((step, key, rule, age));
         }
         let mut conflicts_at_source = 0;
         let mutations: Vec<MutationRecord> = source_log
@@ -377,9 +387,14 @@ impl FlowTablePartitions {
     /// destination-host half of a cross-host bucket re-home. Exact rules the
     /// destination already holds at the same `(step, key)` stay put
     /// (template rules broadcast to both hosts); the others are installed
-    /// with their timeouts restarted on the destination's clock, since two
-    /// hosts' clocks are not comparable (a same-host
-    /// [`FlowTablePartitions::move_bucket_state`] keeps them). Mutation
+    /// with their ages re-based onto the destination's clock at `now_ns`.
+    /// Two hosts' clocks are not comparable, but an age is: a rule keeps
+    /// what was left of its idle and hard timeouts, as in a same-host
+    /// [`FlowTablePartitions::move_bucket_state`], and a rule that expired
+    /// before the handout neither answers on the destination nor outlives
+    /// the destination's next sweep, which evicts and reports it. (A
+    /// destination clock that reads less than a rule's age counts that
+    /// rule from the clock's zero.) Mutation
     /// records the destination log already carries are skipped silently,
     /// and records the destination holds a newer conflicting mutation for
     /// are skipped and counted (last-writer-wins). The destination's
@@ -390,19 +405,27 @@ impl FlowTablePartitions {
     /// # Panics
     ///
     /// Panics if `to` is out of range.
-    pub fn absorb_bucket_state(&self, to: usize, bundle: &BucketStateBundle) -> BucketStateMoved {
+    pub fn absorb_bucket_state(
+        &self,
+        to: usize,
+        bundle: &BucketStateBundle,
+        now_ns: u64,
+    ) -> BucketStateMoved {
         let (destination, destination_log) = {
             let partitions = self.partitions.read();
             let logs = self.logs.read();
             (partitions[to].clone(), Arc::clone(&logs[to]))
         };
         let mut moved = BucketStateMoved::default();
-        for (step, key, rule) in &bundle.exact_rules {
+        for (step, key, rule, age) in &bundle.exact_rules {
             let present = destination.with_read(|d| d.exact_rule_id(*step, key).is_some());
             if present {
                 continue;
             }
-            destination.insert(rule.clone());
+            destination.with_write(|d| {
+                let timers = Timers::aged(*age, now_ns.max(d.clock_ns()));
+                d.insert_timed(rule.clone(), timers)
+            });
             moved.exact_rules += 1;
         }
         for record in &bundle.mutations {
@@ -841,7 +864,7 @@ mod tests {
         host_a.shard(0).with_write(|t| mutation.apply(t));
         host_a.mutation_log(0).record(Some(5), mutation);
 
-        let bundle = host_a.extract_bucket_state(0, 5, |k| *k == key(1));
+        let bundle = host_a.extract_bucket_state(0, 5, 0, |k| *k == key(1));
         assert_eq!(bundle.exact_rules.len(), 1);
         assert_eq!(bundle.mutations.len(), 1);
         assert_eq!(bundle.conflicts_at_source, 0);
@@ -852,7 +875,7 @@ mod tests {
             "extracted rule left the source host"
         );
 
-        let absorbed = host_b.absorb_bucket_state(1, &bundle);
+        let absorbed = host_b.absorb_bucket_state(1, &bundle, 0);
         assert_eq!(absorbed.exact_rules, 1);
         assert_eq!(absorbed.wildcard_mutations, 1);
         assert_eq!(absorbed.wildcard_conflicts, 0);
@@ -867,7 +890,7 @@ mod tests {
             "wildcard mutation replayed on the destination host"
         );
         // Absorbing the same bundle again is idempotent.
-        let again = host_b.absorb_bucket_state(1, &bundle);
+        let again = host_b.absorb_bucket_state(1, &bundle, 0);
         assert_eq!(again.exact_rules, 0, "rule already present, not duplicated");
         assert_eq!(again.wildcard_mutations, 0, "mutation replay deduped");
         // A mutation host B records after the move supersedes the carried
@@ -880,6 +903,82 @@ mod tests {
         };
         let seq = host_b.mutation_log(1).record(Some(5), newer);
         assert!(seq > bundle.mutations[0].seq);
+    }
+
+    /// Hands `rules`, installed at 0 on host A's shard 0, over to host B's
+    /// shard 1 at `handout_at_ns` on A's clock, when B's reads 10 000.
+    /// Before that, each of `hits` looks its flow up at its time on A.
+    /// Returns both partitions.
+    fn hand_over(
+        rules: &[FlowRule],
+        hits: &[(u64, u8)],
+        handout_at_ns: u64,
+    ) -> (SharedFlowTable, SharedFlowTable) {
+        let host_a = FlowTablePartitions::new(&SharedFlowTable::new(), 2);
+        let host_b = FlowTablePartitions::new(&SharedFlowTable::new(), 2);
+        let (source, destination) = (host_a.shard(0), host_b.shard(1));
+        for rule in rules {
+            source.insert(rule.clone());
+        }
+        for &(at_ns, last) in hits {
+            assert!(source.sweep_expired(at_ns, 16, |_| false).is_empty());
+            assert!(source.lookup(RulePort::Nic(0), &key(last)).is_some());
+        }
+        // The bucket is mid-handout: the source's sweep defers its rules.
+        assert!(source.sweep_expired(handout_at_ns, 16, |_| true).is_empty());
+        let bundle = host_a.extract_bucket_state(0, 5, handout_at_ns, |_| true);
+        assert_eq!(bundle.exact_rules.len(), rules.len());
+        assert!(destination.sweep_expired(10_000, 16, |_| false).is_empty());
+        let absorbed = host_b.absorb_bucket_state(1, &bundle, 10_000);
+        assert_eq!(absorbed.exact_rules, rules.len());
+        assert!(source.sweep_expired(u64::MAX, 16, |_| false).is_empty());
+        assert_eq!(source.len(), 0, "the rules left the source host");
+        (source, destination)
+    }
+
+    #[test]
+    fn a_handout_does_not_revive_an_expired_pin() {
+        // A 100 ns pin handed out at 200: expired, not yet swept.
+        let pin = exact_drop_rule(1).with_hard_timeout_ns(Some(100));
+        let (source, destination) = hand_over(&[pin], &[], 200);
+        assert!(
+            destination.lookup(RulePort::Nic(0), &key(1)).is_none(),
+            "the expired pin does not answer on the destination"
+        );
+        let evicted = destination.sweep_expired(10_000, 16, |_| false);
+        assert_eq!(evicted.len(), 1, "the destination's next sweep evicts it");
+        assert_eq!(evicted[0].exact, Some((RulePort::Nic(0), key(1))));
+        assert_eq!(evicted[0].reason, EvictReason::Hard);
+        assert!(destination.sweep_expired(20_000, 16, |_| false).is_empty());
+        let hard = |table: &SharedFlowTable| table.stats().evicted_hard;
+        assert_eq!((hard(&source), hard(&destination)), (0, 1), "counted once");
+    }
+
+    #[test]
+    fn a_handed_out_pin_keeps_what_was_left_of_its_timeouts() {
+        // Handed out at 900: the hard pin has 100 ns left, and the idle
+        // pin, last hit at 500, has 600.
+        let rules = [
+            exact_drop_rule(1).with_hard_timeout_ns(Some(1_000)),
+            exact_drop_rule(2).with_idle_timeout_ns(Some(1_000)),
+        ];
+        let (_, destination) = hand_over(&rules, &[(500, 2)], 900);
+        let decision = destination.lookup(RulePort::Nic(0), &key(1)).unwrap();
+        assert_eq!(
+            &decision.actions[..],
+            &[Action::Drop],
+            "the live pin answers"
+        );
+        assert!(destination.sweep_expired(10_099, 16, |_| false).is_empty());
+        let hard = destination.sweep_expired(10_100, 16, |_| false);
+        assert_eq!(hard.len(), 1, "the hard pin goes 100 ns after the absorb");
+        assert_eq!(hard[0].exact, Some((RulePort::Nic(0), key(1))));
+        assert_eq!(hard[0].reason, EvictReason::Hard);
+        assert!(destination.sweep_expired(10_599, 16, |_| false).is_empty());
+        let idle = destination.sweep_expired(10_600, 16, |_| false);
+        assert_eq!(idle.len(), 1, "the idle pin goes 600 ns after the absorb");
+        assert_eq!(idle[0].exact, Some((RulePort::Nic(0), key(2))));
+        assert_eq!(idle[0].reason, EvictReason::Idle);
     }
 
     #[test]
@@ -896,7 +995,7 @@ mod tests {
         // Bucket 5's mutation is superseded by a staying bucket's newer one.
         parts.mutation_log(0).record(Some(5), change(2));
         parts.mutation_log(0).record(Some(6), change(1));
-        let bundle = parts.extract_bucket_state(0, 5, |_| false);
+        let bundle = parts.extract_bucket_state(0, 5, 0, |_| false);
         assert_eq!(bundle.mutations.len(), 0);
         assert_eq!(bundle.conflicts_at_source, 1);
     }

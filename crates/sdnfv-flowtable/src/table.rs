@@ -184,6 +184,38 @@ pub(crate) struct Timers {
     last_hit_ns: u64,
 }
 
+/// How long ago a rule was installed and last hit: its timers as
+/// durations, which mean the same on every host's clock. A rule handed to
+/// another host travels with its age (see
+/// [`BucketStateBundle`](crate::BucketStateBundle)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RuleAge {
+    /// Nanoseconds since the rule was installed (its hard timeout's clock).
+    pub since_install_ns: u64,
+    /// Nanoseconds since the rule was last hit (its idle timeout's clock).
+    pub since_hit_ns: u64,
+}
+
+impl Timers {
+    /// The rule's age at `now_ns` on the clock these timers run on.
+    pub(crate) fn age_at(self, now_ns: u64) -> RuleAge {
+        RuleAge {
+            since_install_ns: now_ns.saturating_sub(self.installed_at_ns),
+            since_hit_ns: now_ns.saturating_sub(self.last_hit_ns),
+        }
+    }
+
+    /// Timers that read `age` at `now_ns` on another clock. A clock that
+    /// reads less than the age cannot place the install before its own
+    /// zero, and counts from zero instead.
+    pub(crate) fn aged(age: RuleAge, now_ns: u64) -> Self {
+        Timers {
+            installed_at_ns: now_ns.saturating_sub(age.since_install_ns),
+            last_hit_ns: now_ns.saturating_sub(age.since_hit_ns),
+        }
+    }
+}
+
 /// The table's forwarding lists, one `Arc` per distinct list. Rules that
 /// forward alike — a table's pins mostly do — hand out one allocation, so
 /// building a decision or dropping one (a cache eviction) moves one hot
@@ -734,7 +766,8 @@ impl FlowTable {
     }
 
     /// [`FlowTable::insert`] with timers already running: a rule moved
-    /// from a table on the same clock keeps its deadlines.
+    /// from a table on the same clock keeps its deadlines, and one handed
+    /// over from another host's table keeps what was left of them.
     pub(crate) fn insert_timed(&mut self, rule: FlowRule, timers: Timers) -> RuleId {
         let id = RuleId(self.next_id);
         self.next_id += 1;

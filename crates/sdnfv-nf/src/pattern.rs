@@ -26,13 +26,31 @@
 //!
 //! **The root-state skip.** On ordinary traffic the automaton sits in its
 //! root state nearly all the time, because most bytes begin no signature.
-//! A 256-entry table marks the bytes that leave the root; while in the
-//! root, the scan jumps straight to the next marked byte instead of taking
-//! a transition per byte (testing eight bytes per branch). This is safe
-//! because it is exactly what the transitions would have done: every
-//! skipped byte maps root → root, so the automaton's state after the skip
-//! is the state it would have reached byte by byte. The skip therefore
-//! changes no answer and only lowers the transition count.
+//! While in the root, the scan jumps straight to the next byte that leaves
+//! it instead of taking a transition per byte. This is safe because it is
+//! exactly what the transitions would have done: every skipped byte maps
+//! root → root, so the automaton's state after the skip is the state it
+//! would have reached byte by byte. The skip therefore changes no answer
+//! and only lowers the transition count.
+//!
+//! How the skip finds that byte depends on how many bytes leave the root.
+//! With one to four (the IDS's default signatures begin with four distinct
+//! bytes, the ledger's scrubber with one), it compares each byte with
+//! those exits directly, 32 bytes per branch. The compares are against
+//! values held in registers and fold without a branch, so the optimizer
+//! turns a chunk into a few vector compares; a table load per byte, the
+//! other way, is an indexed load the optimizer cannot vectorize. Each exit
+//! adds a compare per byte while the table's cost does not grow, so the
+//! compares stop paying beyond a handful of exits; four covers both sets
+//! the tree ships. A set with more exits (or none) tests eight loads of a
+//! 256-entry table per branch instead. Either way, the exit inside the
+//! first chunk that holds one is found with a table load per byte: one
+//! byte compared with four exits takes a broadcast and a vector compare,
+//! more than the load. On payload dense in exit bytes (`</a><a href="/x">`)
+//! the skip finds a hit in the first chunk it tests, so each return to the
+//! root costs one chunk test more than the per-byte search alone; a byte
+//! that keeps the automaton out of the root (`////…` under `/etc/passwd`)
+//! costs its transition as before and calls no skip at all.
 
 use std::fmt;
 
@@ -60,6 +78,10 @@ pub struct PatternSet {
     first_accepting: u16,
     /// `leaves_root[byte]`: whether `byte` takes the root anywhere else.
     leaves_root: [bool; 256],
+    /// The bytes that leave the root when there are one to four of them,
+    /// padded to four by repeating the first: the root-state skip compares
+    /// whole chunks against them instead of loading `leaves_root` per byte.
+    root_exits: Option<[u8; 4]>,
 }
 
 impl PatternSet {
@@ -144,11 +166,23 @@ impl PatternSet {
         for (byte, leaves) in leaves_root.iter_mut().enumerate() {
             *leaves = dense[byte] != ROOT;
         }
+        let exits: Vec<u8> = (0..=u8::MAX)
+            .filter(|&byte| leaves_root[usize::from(byte)])
+            .collect();
+        let root_exits = match exits[..] {
+            [first, ..] if exits.len() <= 4 => {
+                let mut few = [first; 4];
+                few[..exits.len()].copy_from_slice(&exits);
+                Some(few)
+            }
+            _ => None,
+        };
         PatternSet {
             patterns,
             next: dense,
             first_accepting,
             leaves_root,
+            root_exits,
         }
     }
 
@@ -197,17 +231,37 @@ impl PatternSet {
     }
 
     /// Index of the first of `bytes` that takes the root to another state.
-    /// Eight table loads are OR-ed per branch: on payload that begins no
-    /// signature, the per-byte branch of a plain `position` costs more than
-    /// the loads do.
+    /// Chunks holding no such byte are passed over first: 32 bytes per
+    /// branch by a branch-free fold of compares, which the optimizer
+    /// vectorizes, when the set has at most four exits; else eight table
+    /// loads per branch (on payload that begins no signature, the per-byte
+    /// branch of a plain `position` costs more than the loads do). The
+    /// first exit is then found byte by byte in the table.
     #[inline(always)]
     fn first_leaving_root(&self, bytes: &[u8]) -> Option<usize> {
         let leaves = |&byte: &u8| self.leaves_root[usize::from(byte)];
-        let clear = bytes
-            .chunks_exact(8)
-            .take_while(|chunk| !chunk.iter().fold(false, |any, byte| any | leaves(byte)))
-            .count()
-            * 8;
+        let clear = match self.root_exits {
+            Some([e0, e1, e2, e3]) => {
+                let exit = |&byte: &u8| (byte == e0) | (byte == e1) | (byte == e2) | (byte == e3);
+                bytes
+                    .chunks_exact(32)
+                    .take_while(|chunk| {
+                        chunk
+                            .iter()
+                            .fold(0u8, |any, byte| any | u8::from(exit(byte)))
+                            == 0
+                    })
+                    .count()
+                    * 32
+            }
+            None => {
+                bytes
+                    .chunks_exact(8)
+                    .take_while(|chunk| !chunk.iter().fold(false, |any, byte| any | leaves(byte)))
+                    .count()
+                    * 8
+            }
+        };
         Some(clear + bytes[clear..].iter().position(leaves)?)
     }
 }
@@ -239,6 +293,15 @@ mod tests {
         PatternSet::new(patterns.iter().map(|p| p.to_vec()).collect())
     }
 
+    /// `patterns` with its root-state skip forced onto the table, whatever
+    /// its exit count: the path a set with more than four exits takes.
+    fn with_table_skip(patterns: &PatternSet) -> PatternSet {
+        PatternSet {
+            root_exits: None,
+            ..patterns.clone()
+        }
+    }
+
     #[test]
     fn default_ids_signatures_compile_to_43_states() {
         let ids = set(&DEFAULT_SIGNATURES);
@@ -254,6 +317,16 @@ mod tests {
             assert!(ids.is_match(signature));
         }
         assert!(!ids.is_match(b"GET /catalog/item?id=42 HTTP/1.1\r\nHost: shop.example\r\n"));
+    }
+
+    #[test]
+    fn up_to_four_exits_are_compared_and_more_use_the_table() {
+        assert_eq!(set(&DEFAULT_SIGNATURES).root_exits, Some(*b"'/<U"));
+        // Fewer exits are padded by repeating the first.
+        assert_eq!(set(&[b"UNION SELECT"]).root_exits, Some(*b"UUUU"));
+        assert_eq!(set(&[b"b", b"ab"]).root_exits, Some(*b"abaa"));
+        assert_eq!(set(&[b"a", b"b", b"c", b"d", b"e"]).root_exits, None);
+        assert_eq!(set(&[]).root_exits, None, "no exit: the scan never leaves");
     }
 
     #[test]
@@ -273,18 +346,34 @@ mod tests {
     /// The worst case, as a count: whatever the input, a scan takes at most
     /// one transition per byte — under both signature sets used in the
     /// tree (the IDS's default four, and the single `UNION SELECT` the
-    /// ledger's scrubber carries).
+    /// ledger's scrubber carries), and under either root-state skip, which
+    /// take the same transitions.
     #[test]
     fn a_scan_never_takes_more_than_one_transition_per_byte() {
         let sets = [set(&DEFAULT_SIGNATURES), set(&[b"UNION SELECT"])];
-        let adversarial: [(&str, Vec<u8>); 5] = [
+        // Exits at the edges of the compare path's 32-byte chunks, and in
+        // the tail after the last whole chunk.
+        let at = |offsets: &[usize], exit: u8| {
+            let mut haystack = b"x".repeat(100);
+            for &offset in offsets {
+                haystack[offset] = exit;
+            }
+            haystack
+        };
+        let adversarial: [(&str, Vec<u8>); 9] = [
             ("slashes", b"/".repeat(1500)),
             ("signature prefix, repeated", b"UNION SELEC".repeat(100)),
             ("quotes", b"'".repeat(1500)),
             ("every first byte in turn", b"'U/<".repeat(375)),
             ("two prefixes interleaved", b"/etc/passw<script".repeat(90)),
+            ("slashes at chunk edges", at(&[31, 32, 33, 98], b'/')),
+            ("U at chunk edges", at(&[31, 32, 33, 98], b'U')),
+            ("a slash per chunk end", at(&[31, 63, 95, 99], b'/')),
+            ("U in the tail only", at(&[96, 97, 99], b'U')),
         ];
         for patterns in &sets {
+            let table = with_table_skip(patterns);
+            assert!(patterns.root_exits.is_some());
             for (name, haystack) in &adversarial {
                 let (matched, transitions) = patterns.scan(haystack);
                 assert!(!matched, "{name}: a prefix is not a signature");
@@ -292,6 +381,11 @@ mod tests {
                     transitions <= haystack.len(),
                     "{name}: {transitions} transitions over {} bytes",
                     haystack.len()
+                );
+                assert_eq!(
+                    table.scan(haystack),
+                    (matched, transitions),
+                    "{name}: the table skip takes the same transitions"
                 );
             }
         }
@@ -302,6 +396,13 @@ mod tests {
         // …while bytes that start nothing cost none at all.
         let (_, transitions) = sets[0].scan(&b"x".repeat(1500));
         assert_eq!(transitions, 0);
+        // An exit at a chunk edge costs its own transition (and the byte
+        // after it, which takes "/" back to the root), no more.
+        for offset in [31, 32, 33, 98] {
+            let (_, transitions) = sets[0].scan(&at(&[offset], b'/'));
+            assert_eq!(transitions, 2, "a slash at {offset}");
+        }
+        assert_eq!(sets[0].scan(&at(&[99], b'/')).1, 1, "the last byte");
         // Ordinary traffic pays for its few candidate bytes only.
         let request = b"GET /catalog/item?id=42 HTTP/1.1\r\nHost: shop.example\r\nX-Pad: abcdefgh";
         let (matched, transitions) = sets[0].scan(request);

@@ -97,6 +97,97 @@ fn automaton_agrees_with_the_window_scan() {
     );
 }
 
+/// Signature sets whose first bytes — the bytes that leave the automaton's
+/// root — number 1, 2, 4, 5 and 40, so that both root-state skips run (one
+/// to four exits are compared directly, more are looked up in a table).
+/// Each set holds the edge bytes `0x00`, `0x7F`, `0x80` and `0xFF` between
+/// its signatures' first and last bytes, or as their first bytes.
+fn exit_sets() -> Vec<(&'static str, Vec<Vec<u8>>)> {
+    let sig = |first: u8| vec![first, 0x00, 0x7F, 0x80, 0xFF, first];
+    let firsts = |bytes: &[u8]| bytes.iter().map(|&b| sig(b)).collect::<Vec<_>>();
+    vec![
+        ("1 exit", firsts(b"U")),
+        ("1 exit, 0x00", firsts(&[0x00])),
+        ("1 exit, 0xFF", firsts(&[0xFF])),
+        ("2 exits", firsts(&[0x7F, 0x80])),
+        ("4 exits", firsts(&[0x00, 0x7F, 0x80, 0xFF])),
+        ("5 exits", firsts(&[0x00, b'/', 0x7F, 0x80, 0xFF])),
+        ("40 exits", (0..40).map(|i| sig(i * 6 + 3)).collect()),
+    ]
+}
+
+/// Bytes that leave the root of none of [`exit_sets`]' sets.
+const FILLER: u8 = b'x';
+
+#[test]
+fn root_skip_agrees_with_the_window_scan_at_every_length_and_offset() {
+    let mut checked = 0u32;
+    for (name, signatures) in exit_sets() {
+        let patterns = PatternSet::new(signatures.clone());
+        let check = |haystack: &[u8]| {
+            assert_eq!(
+                patterns.is_match(haystack),
+                window_scan(&signatures, haystack),
+                "{name}: {haystack:?}"
+            );
+        };
+        let exits: Vec<u8> = signatures.iter().map(|sig| sig[0]).collect();
+        // Every length from empty through a tail shorter than a chunk to
+        // several whole chunks: filler alone, then a whole signature ending
+        // on the last byte.
+        for len in 0..=130 {
+            let mut haystack = vec![FILLER; len];
+            check(&haystack);
+            let sig = &signatures[len % signatures.len()];
+            if len >= sig.len() {
+                haystack[len - sig.len()..].copy_from_slice(sig);
+                check(&haystack);
+                assert!(patterns.is_match(&haystack), "{name}: length {len}");
+            }
+            checked += 2;
+        }
+        for offset in 0..=96 {
+            for &exit in &exits {
+                // A lone exit byte at `offset`: a signature prefix, no match.
+                let mut haystack = vec![FILLER; 130];
+                haystack[offset] = exit;
+                check(&haystack);
+                // A whole signature starting there.
+                let sig = signatures.iter().find(|sig| sig[0] == exit).unwrap();
+                haystack[offset..offset + sig.len()].copy_from_slice(sig);
+                check(&haystack);
+                assert!(patterns.is_match(&haystack), "{name}: at {offset}");
+                checked += 2;
+            }
+            // Two exits in one chunk. The first begins a signature and the
+            // second only a prefix: the skip must stop at the first.
+            let sig = &signatures[offset % signatures.len()];
+            let second = exits[(offset + 1) % exits.len()];
+            let mut haystack = vec![FILLER; 130];
+            haystack[offset..offset + sig.len()].copy_from_slice(sig);
+            haystack[offset + sig.len() + offset % 7] = second;
+            check(&haystack);
+            assert!(
+                patterns.is_match(&haystack),
+                "{name}: first of two at {offset}"
+            );
+            // The other way round: the skip resumes after the prefix and
+            // still finds the signature.
+            let mut haystack = vec![FILLER; 130];
+            haystack[offset] = second;
+            let start = offset + 1 + offset % 7;
+            haystack[start..start + sig.len()].copy_from_slice(sig);
+            check(&haystack);
+            assert!(
+                patterns.is_match(&haystack),
+                "{name}: second of two at {offset}"
+            );
+            checked += 2;
+        }
+    }
+    assert!(checked > 5_000, "{checked} haystacks");
+}
+
 #[test]
 fn empty_signature_list_never_matches() {
     let none = PatternSet::new(Vec::new());
