@@ -390,6 +390,7 @@ fn classify(path: &Path) -> Scope {
         || p.ends_with("crates/sdnfv-dataplane/src/rehome.rs");
     let hot_path_file = [
         "crates/sdnfv-dataplane/src/runtime.rs",
+        "crates/sdnfv-dataplane/src/runtime/nf_engine.rs",
         "crates/sdnfv-dataplane/src/runtime/rehome_driver.rs",
         "crates/sdnfv-dataplane/src/rehome.rs",
         "crates/sdnfv-ring/src/spsc.rs",

@@ -148,7 +148,7 @@
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::num::NonZeroU32;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -158,27 +158,27 @@ use sdnfv_flowtable::{
     Action, Decision, EvictReason, EvictedRule, FlowRule, FlowTablePartitions, MutationLog, RuleId,
     RulePort, ServiceId, SharedFlowTable,
 };
-use sdnfv_nf::{
-    NetworkFunction, NfContext, NfFlowState, PacketBatch, PacketBatchMut, Verdict, VerdictSlice,
-};
+use sdnfv_nf::{NetworkFunction, NfFlowState, Verdict};
 use sdnfv_proto::flow::FlowKey;
 use sdnfv_proto::packet::Port;
 use sdnfv_proto::Packet;
 use sdnfv_ring::{spsc_ring, Consumer, CreditGate, Producer, PushError};
 use sdnfv_telemetry::{
-    Ewma, HostClock, LatencyHistogram, LatencyReport, NfTelemetry, ShardLifecycleEvent,
-    SpanVerdict, TelemetrySnapshot, TelemetrySource, TraceSpan, TraceStage,
+    HostClock, LatencyHistogram, LatencyReport, NfTelemetry, ShardLifecycleEvent, SpanVerdict,
+    TelemetrySnapshot, TelemetrySource, TraceSpan, TraceStage,
 };
 
 use crate::cache::{cached_lookup_hashed, LookupCache, LOOKUP_CACHE_ENTRIES};
-use crate::conflict::{validate_steering, verdict_from_word, verdict_to_key};
-use crate::messages::{apply_nf_message_tracked_with, NfManagerMessage, PinTimeouts};
+use crate::conflict::{validate_steering, verdict_from_word};
+use crate::messages::{NfManagerMessage, PinTimeouts};
 use crate::rehome::{BucketTracker, RehomeEvent, RehomeReport, RehomeState, RetiringShard};
-use crate::scratch::recycle;
 use crate::stats::{HostStats, ShardStats};
 
+mod nf_engine;
 mod rehome_driver;
 
+use nf_engine::{nf_thread_loop, NfProbe, NfStateChannel, NfStateRequest, StateResponse};
+pub(crate) use nf_engine::{NfEngine, NfThread};
 use rehome_driver::apportion_targets;
 
 /// Capacity of each shard's control-command ring (commands the worker
@@ -346,110 +346,6 @@ struct BucketStateExport {
     /// The exported state triples (possibly several per flow, one per
     /// replica that held state — the importer merges).
     states: Vec<(ServiceId, FlowKey, NfFlowState)>,
-}
-
-/// A state-migration request posted by the shard worker into one NF
-/// replica's mailbox (served by the NF thread between bursts).
-enum NfStateRequest {
-    /// Detach state for the given buckets' flows: the listed keys plus any
-    /// key of the NF's own set whose bucket is in `buckets`.
-    Export {
-        buckets: Vec<usize>,
-        keys: Vec<FlowKey>,
-    },
-    /// Absorb state exported on the flow's old shard or old replica.
-    Import { states: Vec<(FlowKey, NfFlowState)> },
-    /// Discard per-flow state for flows whose rules were evicted by the
-    /// timeout lifecycle — per-flow NF state dies with its rule. Fire and
-    /// forget: the NF thread serves it without posting a response.
-    Scrub { keys: Vec<FlowKey> },
-}
-
-/// A queued mailbox between a shard worker and one NF thread, carrying
-/// state-migration requests in and responses (exported state, or an empty
-/// import acknowledgement) out. Several requests can be in flight at once —
-/// overlapping bucket-move batches post new exports before earlier ones
-/// resolve, and a shard can import and export concurrently — so each
-/// request carries a worker-assigned token its response echoes. Requests
-/// are rare (one per bucket-move batch), so mutex-guarded queues polled via
-/// atomic flags are plenty — no ring needed.
-#[derive(Default)]
-struct NfStateChannel {
-    requests: Mutex<std::collections::VecDeque<(u64, NfStateRequest)>>,
-    responses: Mutex<std::collections::VecDeque<(u64, StateResponse)>>,
-    /// Fault-injection hook (DST): while positive, `drain_responses`
-    /// returns nothing — export acks sit queued in the mailbox — and every
-    /// drain attempt decrements the counter, so a holdback of `n` delays
-    /// the acks by `n` worker polls. Zero (the default) is a no-op on the
-    /// fast path beyond one relaxed load.
-    ack_holdback: AtomicU32,
-    has_requests: AtomicBool,
-    has_responses: AtomicBool,
-}
-
-/// A replica's response payload: the `(flow, state)` pairs it exported
-/// (empty for an import acknowledgement).
-type StateResponse = Vec<(FlowKey, NfFlowState)>;
-
-impl NfStateChannel {
-    /// Worker side: queues a request under `token`.
-    fn post(&self, token: u64, request: NfStateRequest) {
-        self.requests.lock().push_back((token, request));
-        self.has_requests.store(true, Ordering::Release);
-    }
-
-    /// NF side: drains every pending request, in posting order.
-    fn take_requests(&self) -> Vec<(u64, NfStateRequest)> {
-        if !self.has_requests.swap(false, Ordering::AcqRel) {
-            return Vec::new();
-        }
-        self.requests.lock().drain(..).collect()
-    }
-
-    /// NF side: publishes the response to request `token`.
-    fn respond(&self, token: u64, response: StateResponse) {
-        self.responses.lock().push_back((token, response));
-        self.has_responses.store(true, Ordering::Release);
-    }
-
-    /// Worker side: drains every response that has arrived.
-    fn drain_responses(&self) -> Vec<(u64, StateResponse)> {
-        // DST fault hook: a positive holdback keeps acks in the mailbox
-        // for that many polls. Only this shard's worker drains, so the
-        // load/sub pair cannot race itself.
-        if self.ack_holdback.load(Ordering::Relaxed) > 0 {
-            self.ack_holdback.fetch_sub(1, Ordering::Relaxed);
-            return Vec::new();
-        }
-        if !self.has_responses.swap(false, Ordering::AcqRel) {
-            return Vec::new();
-        }
-        self.responses.lock().drain(..).collect()
-    }
-
-    /// Fault injection (DST): delay delivery of queued and future export
-    /// acks by `polls` drain attempts.
-    fn delay_acks(&self, polls: u32) {
-        self.ack_holdback.store(polls, Ordering::Relaxed);
-    }
-
-    /// Worker side, final-look drain: bypasses the ack holdback *and* the
-    /// `has_responses` fast-path flag, draining whatever is physically
-    /// queued. Used where "no response" is about to be treated as "never
-    /// sent" — settling a reclaimed slot, or resolving entries for a
-    /// finished replica. A response can be queued yet undelivered (the DST
-    /// holdback fault, or the push→flag window in `respond` racing a
-    /// regular drain), and resolving the entry empty at that moment would
-    /// lose the exported state permanently.
-    fn drain_responses_final(&self) -> Vec<(u64, StateResponse)> {
-        // ORDER: Relaxed — teardown reset of the fault counter; nothing
-        // reads it concurrently with meaning.
-        self.ack_holdback.store(0, Ordering::Relaxed);
-        // ORDER: AcqRel — same edge as the regular drain; the queue lock
-        // below synchronizes the payload either way.
-        self.has_responses.swap(false, Ordering::AcqRel);
-        self.responses.lock().drain(..).collect()
-    }
 }
 
 /// An export in progress on a shard worker: which replica requests (slot,
@@ -1773,16 +1669,6 @@ fn launch_pipeline(
         },
         handle,
     )
-}
-
-/// Lock-free measurements one NF thread shares with its shard's worker: the
-/// worker reads them when composing a [`TelemetrySnapshot`].
-#[derive(Debug, Default)]
-struct NfProbe {
-    /// EWMA of per-packet service time, nanoseconds.
-    service_time_ewma_ns: AtomicU64,
-    /// Total packets processed.
-    processed: AtomicU64,
 }
 
 /// The messages a shard's NFs sent, each moved here once it is applied to
@@ -3613,383 +3499,6 @@ fn replicas_of(service_instances: &[(ServiceId, Vec<usize>)], service: ServiceId
         .map_or(&[], |(_, replicas)| replicas)
 }
 
-/// Everything one NF replica thread needs, bundled for
-/// [`nf_thread_loop`].
-pub(crate) struct NfThread {
-    shard: usize,
-    service: ServiceId,
-    nf: Box<dyn NetworkFunction>,
-    input: Consumer<WorkItem>,
-    done: Producer<DoneItem>,
-    running: Arc<AtomicBool>,
-    /// Scale-down signal: exit once the input ring is empty.
-    stop: Arc<AtomicBool>,
-    stats: ShardStats,
-    /// Bucket mapping, for attributing wildcard mutations to the mutating
-    /// flow's bucket and selecting a bucket's flows on state export.
-    tracker: Arc<BucketTracker>,
-    /// The owning shard's flow-table partition.
-    table: SharedFlowTable,
-    /// The partition's wildcard-mutation provenance log.
-    mutation_log: Arc<MutationLog>,
-    /// State-migration mailbox (export/import requests from the worker).
-    channel: Arc<NfStateChannel>,
-    probe: Arc<NfProbe>,
-    /// Whether to measure service times into the probe (off when the
-    /// host's telemetry exporter is disabled — nothing would read them).
-    measure: bool,
-    clock: HostClock,
-    burst_size: usize,
-    /// Idle/hard timeouts stamped onto the exact-pin rules this replica's
-    /// NF requests via cross-layer messages.
-    pin_timeouts: PinTimeouts,
-    /// The owning shard's latency histograms (NF service time lands here).
-    latency: Arc<ShardLatency>,
-    /// The owning shard's NF-message outbox.
-    outbox: Arc<NfOutbox>,
-}
-
-impl NfThread {
-    /// Display label for the replica's simulation-registry entry.
-    pub(crate) fn sim_label(&self) -> String {
-        format!("shard{}/nf{}", self.shard, self.service)
-    }
-}
-
-/// One NF replica as a step-callable state machine: the packet-processing
-/// loop body of the old dedicated NF thread, factored out so the threaded
-/// runtime ([`nf_thread_loop`]) and the deterministic simulation harness
-/// drive the identical code.
-pub(crate) struct NfEngine {
-    service: ServiceId,
-    nf: Box<dyn NetworkFunction>,
-    input: Consumer<WorkItem>,
-    done: Producer<DoneItem>,
-    running: Arc<AtomicBool>,
-    /// Scale-down signal: exit once the input ring is empty.
-    stop: Arc<AtomicBool>,
-    stats: ShardStats,
-    tracker: Arc<BucketTracker>,
-    table: SharedFlowTable,
-    mutation_log: Arc<MutationLog>,
-    channel: Arc<NfStateChannel>,
-    probe: Arc<NfProbe>,
-    measure: bool,
-    clock: HostClock,
-    burst_size: usize,
-    pin_timeouts: PinTimeouts,
-    latency: Arc<ShardLatency>,
-    outbox: Arc<NfOutbox>,
-    ctx: NfContext,
-    read_only: bool,
-    /// The burst's packet references, parked empty between bursts (their
-    /// element type borrows from the input ring's slots for one burst only;
-    /// see [`recycle`]).
-    read_refs: Vec<&'static Packet>,
-    write_refs: Vec<&'static mut Packet>,
-    verdicts: VerdictSlice,
-    service_time: Ewma,
-    /// Terminal: the replica exited its loop (drain complete or shutdown).
-    pub(crate) finished: bool,
-}
-
-impl NfEngine {
-    pub(crate) fn new(thread: NfThread) -> Self {
-        let NfThread {
-            shard,
-            service,
-            mut nf,
-            input,
-            done,
-            running,
-            stop,
-            stats,
-            tracker,
-            table,
-            mutation_log,
-            channel,
-            probe,
-            measure,
-            clock,
-            burst_size,
-            pin_timeouts,
-            latency,
-            outbox,
-        } = thread;
-        let mut ctx = NfContext::for_shard(shard, clock.now_ns());
-        nf.on_start(&mut ctx);
-        let read_only = nf.read_only();
-        let mut engine = NfEngine {
-            service,
-            nf,
-            input,
-            done,
-            running,
-            stop,
-            stats,
-            tracker,
-            table,
-            mutation_log,
-            channel,
-            probe,
-            measure,
-            clock,
-            burst_size,
-            pin_timeouts,
-            latency,
-            outbox,
-            ctx,
-            read_only,
-            read_refs: Vec::with_capacity(burst_size),
-            write_refs: Vec::with_capacity(burst_size),
-            verdicts: VerdictSlice::with_capacity(burst_size),
-            service_time: Ewma::default(),
-            finished: false,
-        };
-        engine.apply_ctx_messages();
-        engine
-    }
-
-    /// Applies the context's queued cross-layer messages to the shard
-    /// partition, recording every wildcard mutation in the partition's
-    /// provenance log keyed by the mutating flow's steering bucket
-    /// (unattributed messages are logged bucket-less and travel with every
-    /// departing bucket), then moves each message into the shard's outbox
-    /// for the control plane.
-    fn apply_ctx_messages(&mut self) {
-        for attributed in self.ctx.take_attributed_messages() {
-            self.stats.add_nf_messages(1);
-            let (_, wildcard) = self.table.with_write(|t| {
-                // NFs are untrusted: `ChangeDefault` may only pick a next hop
-                // the service graph allows (`force = false`).
-                apply_nf_message_tracked_with(
-                    t,
-                    self.service,
-                    &attributed.message,
-                    false,
-                    self.pin_timeouts,
-                )
-            });
-            if let Some(mutation) = wildcard {
-                let bucket = attributed
-                    .flow
-                    .as_ref()
-                    .map(|key| self.tracker.bucket_of(key));
-                self.mutation_log.record(bucket, mutation);
-            }
-            let message = NfManagerMessage {
-                from: self.service,
-                message: attributed.message,
-            };
-            self.outbox.keep(message, &self.stats);
-        }
-    }
-
-    /// Serves every pending state-migration request from the worker, in
-    /// posting order: detaches the requested buckets' flow state (export),
-    /// absorbs migrated state (import, acknowledged with an empty
-    /// response), or discards evicted flows' state (scrub).
-    fn serve_state_requests(&mut self) {
-        for (token, request) in self.channel.take_requests() {
-            match request {
-                NfStateRequest::Export { buckets, keys } => {
-                    let mut exported = Vec::new();
-                    for key in &keys {
-                        if let Some(state) = self.nf.export_flow_state(key) {
-                            exported.push((*key, state));
-                        }
-                    }
-                    // The NF's own key set covers flows that hold state
-                    // without an exact rule; export is a move, so keys
-                    // already detached above simply return None here — no
-                    // dedup needed.
-                    for key in self.nf.flow_state_keys() {
-                        if buckets.contains(&self.tracker.bucket_of(&key)) {
-                            if let Some(state) = self.nf.export_flow_state(&key) {
-                                exported.push((key, state));
-                            }
-                        }
-                    }
-                    self.channel.respond(token, exported);
-                }
-                NfStateRequest::Import { states } => {
-                    for (key, state) in states {
-                        self.nf.import_flow_state(&key, state);
-                    }
-                    self.channel.respond(token, Vec::new());
-                }
-                NfStateRequest::Scrub { keys } => {
-                    // Fire-and-forget: the worker tracks no entry for scrub
-                    // tokens, so no response is posted. Scrub is a move —
-                    // a key another replica already scrubbed (or that this
-                    // replica never held state for) just returns None.
-                    let mut scrubbed = 0u64;
-                    for key in &keys {
-                        if self.nf.scrub_flow_state(key).is_some() {
-                            scrubbed += 1;
-                        }
-                    }
-                    if scrubbed > 0 {
-                        self.stats.add_nf_state_scrubbed(scrubbed);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Fault injection (DST): holds this replica's export acks in the
-    /// mailbox for `polls` worker drain attempts. See
-    /// [`NfStateChannel::delay_acks`].
-    pub(crate) fn delay_state_mailbox(&self, polls: u32) {
-        self.channel.delay_acks(polls);
-    }
-
-    /// One turn of the replica's state machine: serve state-migration
-    /// requests, then serve at most one burst in place in the input ring's
-    /// slots and move each completion straight into a done-ring slot.
-    /// Returns whether any work was done. Sets `finished` when the
-    /// replica's loop is over (host shutdown, or scale-down drain complete).
-    pub(crate) fn step(&mut self) -> bool {
-        if self.finished {
-            return false;
-        }
-        if !self.running.load(Ordering::Acquire) {
-            self.finished = true;
-            return false;
-        }
-        // Serve state-migration requests *before* taking packets: an
-        // imported flow's state must land before the flow's first re-homed
-        // packet (the host only releases the bucket's pen after the import
-        // acknowledgement, so checking here closes the ordering).
-        self.serve_state_requests();
-        let (front, back) = self.input.peek_mut(self.burst_size);
-        let burst = front.len() + back.len();
-        if burst == 0 {
-            // Scale-down: with the input ring drained and every completion
-            // already published, this replica's work is finished.
-            if self.stop.load(Ordering::Acquire) && self.input.is_empty() {
-                // One last look at the mailbox so a request racing the
-                // drain-exit is answered, not stranded. The export of the
-                // buckets this replica served went out before its stop, so
-                // any flow state still here is lost — counted, not silent.
-                self.serve_state_requests();
-                self.stats
-                    .add_nf_state_import_drops(self.nf.flow_state_keys().len() as u64);
-                self.finished = true;
-                return true;
-            }
-            return false;
-        }
-        // One clock read opens the burst window: it feeds the NF context,
-        // the service-time histogram, and (when traced) the NF span stamps.
-        let burst_started_ns = self.clock.now_ns();
-        self.ctx.set_now_ns(burst_started_ns);
-        let slots = self.verdicts.reset(burst);
-        if self.read_only {
-            // One batch over the whole burst, every packet read through
-            // `&Packet` with no lock: an owned frame is this replica's
-            // alone, and a fan-out's packet is immutable while shared (so a
-            // service a parallel rule names twice simply borrows one buffer
-            // twice).
-            let mut refs: Vec<&Packet> = recycle(std::mem::take(&mut self.read_refs));
-            refs.extend(
-                front
-                    .iter()
-                    .chain(back.iter())
-                    .map(|item| item.frame.packet()),
-            );
-            self.nf
-                .process_batch(&PacketBatch::new(&refs), slots, &mut self.ctx);
-            refs.clear();
-            self.read_refs = recycle(refs);
-        } else {
-            // A mutating replica is only ever handed owned frames: the
-            // worker fans a packet out to read-only replicas alone, and
-            // runs any other parallel rule as owned hops. A shared frame
-            // here would be a write to a packet other NFs are reading —
-            // fail loudly instead.
-            let mut refs: Vec<&mut Packet> = recycle(std::mem::take(&mut self.write_refs));
-            for item in front.iter_mut().chain(back.iter_mut()) {
-                let Frame::Sole(sole) = &mut item.frame else {
-                    panic!(
-                        "NF {}: a mutating replica was handed a shared frame",
-                        self.service
-                    );
-                };
-                refs.push(&mut sole.packet);
-            }
-            self.nf
-                .process_batch_mut(&mut PacketBatchMut::new(&mut refs), slots, &mut self.ctx);
-            refs.clear();
-            self.write_refs = recycle(refs);
-        }
-        let burst_ended_ns = self.clock.now_ns();
-        let per_packet_ns = burst_ended_ns.saturating_sub(burst_started_ns) / burst as u64;
-        self.latency
-            .nf_service
-            .record_shared(per_packet_ns, burst as u64);
-        if self.measure {
-            self.probe.service_time_ewma_ns.store(
-                self.service_time.update(per_packet_ns as f64) as u64,
-                Ordering::Relaxed,
-            );
-            self.probe
-                .processed
-                .fetch_add(burst as u64, Ordering::Relaxed);
-        }
-        self.stats.add_nf_invocations(burst as u64);
-        // Cross-layer messages emitted anywhere inside the burst are applied
-        // to the shared table *before* completed descriptors are handed to
-        // the worker's TX role, so the next burst's lookups (on every
-        // thread) already see them. Wildcard mutations land in the
-        // partition's provenance log, attributed to the mutating flow's
-        // bucket, so future bucket re-homes replay them.
-        self.apply_ctx_messages();
-        for index in 0..burst {
-            let mut item = self.input.take().expect("the served burst is unread");
-            // An owned frame merges its verdict and is done; a fan-out
-            // handle merges and counts down atomically, and only the final
-            // one goes back to the worker.
-            let key = verdict_to_key(self.verdicts.as_slice()[index], item.position);
-            if !item.frame.complete(key) {
-                continue;
-            }
-            let done = DoneItem {
-                frame: item.frame,
-                exit_service: item.exit_service,
-                nf_started_ns: burst_started_ns,
-                nf_ended_ns: burst_ended_ns,
-            };
-            // Same zero-loss invariant as the worker's staging: every
-            // packet in flight holds a credit and credits are clamped to
-            // the done-ring capacity, so a completion always fits.
-            if self.done.stage(done).is_err() {
-                panic!("NF {}: done ring overflowed", self.service);
-            }
-        }
-        // The input slots are released before the completions are
-        // published, so a frame never comes back to this ring before its
-        // slot is free.
-        self.input.release();
-        self.done.publish();
-        true
-    }
-}
-
-/// Threaded driver for one NF replica: spins [`NfEngine::step`] until the
-/// engine finishes (host shutdown or scale-down drain complete).
-fn nf_thread_loop(thread: NfThread) {
-    let mut engine = NfEngine::new(thread);
-    let mut idle: u32 = 0;
-    while !engine.finished {
-        if engine.step() {
-            idle = 0;
-        } else {
-            idle_backoff(&mut idle);
-        }
-    }
-}
-
 fn idle_backoff(idle: &mut u32) {
     *idle += 1;
     if *idle < 64 {
@@ -4002,11 +3511,12 @@ fn idle_backoff(idle: &mut u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::conflict::resolve_parallel_verdicts;
+    use crate::conflict::{resolve_parallel_verdicts, verdict_to_key};
     use crate::rehome::{MoveTarget, RehomeStep};
     use sdnfv_flowtable::{FlowMatch, FlowRule};
     use sdnfv_graph::{catalog, CompileOptions};
     use sdnfv_nf::nfs::{ComputeNf, IdsNf, NoOpNf};
+    use sdnfv_nf::{NfContext, PacketBatch, PacketBatchMut};
     use sdnfv_proto::packet::PacketBuilder;
     use std::time::{Duration, Instant};
 
