@@ -427,6 +427,7 @@ const HOT_PATH_FNS: &[&str] = &[
     "tx_round",
     "tx_item",
     "retry_deferred",
+    "apply_nf_messages",
     "dispatch",
     "tx_span",
     "forward_decision",

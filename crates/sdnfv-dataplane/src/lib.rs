@@ -43,7 +43,7 @@ pub mod wire;
 pub use cache::LookupCache;
 pub use conflict::resolve_parallel_verdicts;
 pub use manager::{NfManager, PacketOutcome};
-pub use messages::{apply_nf_message, apply_nf_message_tracked, AppliedChange, NfManagerMessage};
+pub use messages::{apply_nf_message, AppliedChange, NfManagerMessage};
 pub use rehome::{BucketHandout, MoveTarget, RehomeEvent, RehomeReport, RehomeStep};
 pub use runtime::{
     shard_for_flow, BurstInjection, HostOutput, InjectResult, ThreadedHost, ThreadedHostConfig,

@@ -47,7 +47,8 @@ pub struct NfManager {
     sim: SimHandle,
     /// The shard worker's actor id.
     worker: u64,
-    /// Shard 0's flow-table partition: the table NFs write.
+    /// Shard 0's flow-table partition: the table its worker writes for
+    /// the NFs' messages.
     table: SharedFlowTable,
 }
 

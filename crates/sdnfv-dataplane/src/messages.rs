@@ -53,45 +53,24 @@ impl PinTimeouts {
 ///   makes it the default for flows matching `F`.
 /// * `ChangeDefault(F, S, T)` — the default of `S`'s rules becomes `T` for
 ///   flows matching `F` (only if `T` is an allowed next hop, unless `force`).
+///   A `ChangeDefault` scoped to one exact flow at `S`'s own step installs
+///   (or updates) an exact per-flow pin stamped with `pin_timeouts`;
+///   updating an existing pin re-stamps it (re-installation restarts the
+///   hard-timeout clock, matching OpenFlow `OFPFC_MODIFY` + timeout).
 /// * `Custom` — not a table change; reported as
 ///   [`AppliedChange::ForwardToApplication`].
 ///
 /// `force` relaxes the service-graph constraint for `ChangeDefault`; the NF
 /// Manager passes `false` for untrusted NFs and lets the SDNFV Application
 /// decide whether to re-apply with `force = true`.
-pub fn apply_nf_message(
-    table: &mut FlowTable,
-    from: ServiceId,
-    message: &NfMessage,
-    force: bool,
-) -> AppliedChange {
-    apply_nf_message_tracked(table, from, message, force).0
-}
-
-/// [`apply_nf_message`] plus provenance: alongside the [`AppliedChange`],
-/// returns the [`WildcardMutation`] the message performed, if it rewrote at
-/// least one **wildcard** rule (a `ChangeDefault` that resolved to an exact
-/// per-flow rule returns `None` — exact rules travel between shard
-/// partitions through the exact index, not the mutation log).
 ///
-/// Sharded dispatch layers record the returned mutation in the partition's
-/// [`MutationLog`](sdnfv_flowtable::MutationLog), attributed to the
-/// mutating flow's steering bucket, so bucket re-homes can replay it.
-pub fn apply_nf_message_tracked(
-    table: &mut FlowTable,
-    from: ServiceId,
-    message: &NfMessage,
-    force: bool,
-) -> (AppliedChange, Option<WildcardMutation>) {
-    apply_nf_message_tracked_with(table, from, message, force, PinTimeouts::NONE)
-}
-
-/// [`apply_nf_message_tracked`] with explicit [`PinTimeouts`]: exact
-/// per-flow rules installed by `ChangeDefault` pins are stamped with the
-/// given idle/hard timeouts, entering the table's eviction lifecycle.
-/// Updates to an *existing* pin re-stamp it (re-installation restarts the
-/// hard-timeout clock, matching OpenFlow `OFPFC_MODIFY` + timeout).
-pub fn apply_nf_message_tracked_with(
+/// Alongside the [`AppliedChange`], returns the [`WildcardMutation`] the
+/// message performed, if it rewrote at least one **wildcard** rule (a pin
+/// returns `None` — exact rules travel between shard partitions through the
+/// exact index, not the mutation log). The shard worker records it in the
+/// partition's [`MutationLog`](sdnfv_flowtable::MutationLog), attributed to
+/// the mutating flow's steering bucket, so bucket re-homes can replay it.
+pub fn apply_nf_message(
     table: &mut FlowTable,
     from: ServiceId,
     message: &NfMessage,
@@ -180,6 +159,26 @@ pub fn apply_nf_message_tracked_with(
 mod tests {
     use super::*;
     use sdnfv_flowtable::{FlowMatch, FlowRule};
+
+    /// Applies without pin timeouts, reporting only the change.
+    fn apply(
+        table: &mut FlowTable,
+        from: ServiceId,
+        message: &NfMessage,
+        force: bool,
+    ) -> AppliedChange {
+        apply_nf_message(table, from, message, force, PinTimeouts::NONE).0
+    }
+
+    /// Applies without pin timeouts.
+    fn apply_tracked(
+        table: &mut FlowTable,
+        from: ServiceId,
+        message: &NfMessage,
+        force: bool,
+    ) -> (AppliedChange, Option<WildcardMutation>) {
+        apply_nf_message(table, from, message, force, PinTimeouts::NONE)
+    }
     use sdnfv_proto::flow::{FlowKey, IpProtocol};
     use std::net::Ipv4Addr;
 
@@ -222,7 +221,7 @@ mod tests {
     #[test]
     fn skip_me_bypasses_sender() {
         let mut t = table();
-        let change = apply_nf_message(
+        let change = apply(
             &mut t,
             SAMPLER,
             &NfMessage::SkipMe {
@@ -243,7 +242,7 @@ mod tests {
     #[test]
     fn skip_me_without_own_rule_is_a_noop() {
         let mut t = table();
-        let change = apply_nf_message(
+        let change = apply(
             &mut t,
             ServiceId::new(99),
             &NfMessage::SkipMe {
@@ -257,7 +256,7 @@ mod tests {
     #[test]
     fn request_me_promotes_allowed_edges() {
         let mut t = table();
-        let change = apply_nf_message(
+        let change = apply(
             &mut t,
             SCRUBBER,
             &NfMessage::RequestMe {
@@ -285,7 +284,7 @@ mod tests {
     #[test]
     fn change_default_on_wildcard_rule() {
         let mut t = table();
-        let change = apply_nf_message(
+        let change = apply(
             &mut t,
             SAMPLER,
             &NfMessage::ChangeDefault {
@@ -308,7 +307,7 @@ mod tests {
     fn per_flow_change_default_installs_specific_rule() {
         let mut t = table();
         let flows = FlowMatch::exact(RulePort::Service(SAMPLER), &key());
-        let change = apply_nf_message(
+        let change = apply(
             &mut t,
             SAMPLER,
             &NfMessage::ChangeDefault {
@@ -347,11 +346,11 @@ mod tests {
             new_default: Action::ToPort(9),
         };
         assert_eq!(
-            apply_nf_message(&mut t, FIREWALL, &msg, false),
+            apply(&mut t, FIREWALL, &msg, false),
             AppliedChange::RulesUpdated(0)
         );
         assert_eq!(
-            apply_nf_message(&mut t, FIREWALL, &msg, true),
+            apply(&mut t, FIREWALL, &msg, true),
             AppliedChange::RulesUpdated(1)
         );
     }
@@ -360,7 +359,7 @@ mod tests {
     fn tracked_apply_reports_wildcard_mutations_only() {
         let mut t = table();
         // A wildcard ChangeDefault yields a replayable mutation…
-        let (change, mutation) = apply_nf_message_tracked(
+        let (change, mutation) = apply_tracked(
             &mut t,
             SAMPLER,
             &NfMessage::ChangeDefault {
@@ -376,7 +375,7 @@ mod tests {
             Some(WildcardMutation::ChangeDefault { service, .. }) if service == SAMPLER
         ));
         // …an exact-flow ChangeDefault does not (it became an exact rule).
-        let (change, mutation) = apply_nf_message_tracked(
+        let (change, mutation) = apply_tracked(
             &mut t,
             SAMPLER,
             &NfMessage::ChangeDefault {
@@ -389,7 +388,7 @@ mod tests {
         assert_eq!(change, AppliedChange::RulesUpdated(1));
         assert!(mutation.is_none());
         // A rejected message yields neither.
-        let (change, mutation) = apply_nf_message_tracked(
+        let (change, mutation) = apply_tracked(
             &mut t,
             FIREWALL,
             &NfMessage::ChangeDefault {
@@ -403,7 +402,7 @@ mod tests {
         assert!(mutation.is_none());
         // SkipMe and RequestMe report their wildcard ops too (fresh tables:
         // both must actually update a rule to count as a mutation).
-        let (_, mutation) = apply_nf_message_tracked(
+        let (_, mutation) = apply_tracked(
             &mut table(),
             SCRUBBER,
             &NfMessage::RequestMe {
@@ -415,7 +414,7 @@ mod tests {
             mutation,
             Some(WildcardMutation::PromoteWhereAllowed { .. })
         ));
-        let (_, mutation) = apply_nf_message_tracked(
+        let (_, mutation) = apply_tracked(
             &mut table(),
             SAMPLER,
             &NfMessage::SkipMe {
@@ -437,7 +436,7 @@ mod tests {
             idle_ns: Some(500),
             hard_ns: Some(9_000),
         };
-        let (change, _) = apply_nf_message_tracked_with(
+        let (change, _) = apply_nf_message(
             &mut t,
             SAMPLER,
             &NfMessage::ChangeDefault {
@@ -467,7 +466,7 @@ mod tests {
     fn custom_messages_are_forwarded() {
         let mut t = table();
         assert_eq!(
-            apply_nf_message(
+            apply(
                 &mut t,
                 FIREWALL,
                 &NfMessage::custom("ddos.alarm", "10.0.0.0/16"),

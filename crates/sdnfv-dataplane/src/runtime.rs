@@ -24,20 +24,21 @@
 //!   search), wraps the packet in a frame taken from the shard's free
 //!   lists, and stages it into its NF's ring (several rings at once for
 //!   parallel rules), publishing each ring with one store;
-//! * each **NF thread** models one network-function VM pinned to the shard:
-//!   it serves a burst in place in its input ring's slots through the NF's
-//!   batch entry point, applies cross-layer messages to the shared flow
-//!   table *before* completed packets are handed onward, records each
-//!   packet's verdict in its frame, and publishes the completions it staged
-//!   into its done ring with one store;
-//! * the worker's *TX role* takes bursts out of the done rings, takes each
-//!   completed packet back into an owned frame, reads its resolved verdict,
+//! * each **NF thread** models one network-function VM pinned to the shard
+//!   ([`nf_engine`]): it serves a burst in place in its input ring's slots
+//!   through the NF's batch entry point, moves the burst's cross-layer
+//!   messages onto its message ring *before* completed packets are handed
+//!   onward, records each packet's verdict in its frame, and publishes the
+//!   completions it staged into its done ring with one store;
+//! * the worker's *TX role* notes what the done rings hold, applies every
+//!   replica's messages to the shard's partition, then takes each noted
+//!   completion back into an owned frame, reads its resolved verdict,
 //!   performs the next flow-table lookup, and either stages the frame for
 //!   the next NF, moves the packet out for egress, or drops it.
 //!
 //! Because one thread plays both roles, every ring in a shard has exactly
 //! one producer and one consumer — including the egress ring, which needs no
-//! lock at all.
+//! lock at all — and no NF thread writes the flow table.
 //!
 //! **Ingress backpressure**: each shard holds a
 //! [`CreditGate`] of `shard_credits` packet slots. [`ThreadedHost::inject`]
@@ -85,16 +86,19 @@
 //! 64th routed completion (`MAX_CHAIN_HOPS`) drops it, so a rule cycle
 //! cannot hold a packet and its credit forever.
 //!
-//! **NF messages**: an NF's cross-layer messages are applied to its
-//! shard's partition before its completions are handed back, then kept in
-//! the shard's bounded outbox for the control plane
-//! ([`ThreadedHost::take_nf_messages`]).
+//! **NF messages** (paper §3.4): as the NF Manager holds the flow table,
+//! the worker applies what its NFs send. A replica puts a burst's messages
+//! on its own message ring before it publishes the burst's completions (a
+//! full ring holds the burst back), and the worker drains every message
+//! ring after it notes what the done rings hold and before it routes any
+//! of it, then keeps each message in the shard's bounded outbox ring for
+//! the control plane ([`ThreadedHost::take_nf_messages`]).
 //!
 //! **Per-shard flow tables**: the table handed to `start_sharded` is the
 //! *template*; each shard works against its own
-//! [`FlowTablePartitions`] partition (a fork of the template), so shard
-//! lookups and NF cross-layer messages never contend on a lock another
-//! shard touches. Control-plane rules installed mid-run go through
+//! [`FlowTablePartitions`] partition (a fork of the template), written on
+//! the data plane by the shard's worker alone, so shard lookups and NF
+//! cross-layer messages never contend on a lock another shard touches. Control-plane rules installed mid-run go through
 //! [`ThreadedHost::install_rule`], which broadcasts to every partition.
 //!
 //! **Rule expiry**: a rule leaves by idle or hard timeout in one place,
@@ -170,14 +174,16 @@ use sdnfv_telemetry::{
 
 use crate::cache::{cached_lookup_hashed, LookupCache, LOOKUP_CACHE_ENTRIES};
 use crate::conflict::{validate_steering, verdict_from_word};
-use crate::messages::{NfManagerMessage, PinTimeouts};
+use crate::messages::{apply_nf_message, NfManagerMessage, PinTimeouts};
 use crate::rehome::{BucketTracker, RehomeEvent, RehomeReport, RehomeState, RetiringShard};
 use crate::stats::{HostStats, ShardStats};
 
 mod nf_engine;
 mod rehome_driver;
 
-use nf_engine::{nf_thread_loop, NfProbe, NfStateChannel, NfStateRequest, StateResponse};
+use nf_engine::{
+    nf_thread_loop, NfMessages, NfProbe, NfStateChannel, NfStateRequest, StateResponse,
+};
 pub(crate) use nf_engine::{NfEngine, NfThread};
 use rehome_driver::apportion_targets;
 
@@ -198,9 +204,9 @@ const MAX_EVICTIONS_PER_SWEEP: usize = 256;
 /// against mis-configured rules): its 64th routed completion drops it.
 pub(crate) const MAX_CHAIN_HOPS: u8 = 64;
 
-/// Capacity of each shard's NF-message outbox. Messages the control plane
-/// has not drained past this many are counted in `nf_messages_dropped` and
-/// discarded.
+/// Capacity of each shard's NF-message outbox, the worker → host ring of
+/// applied messages. Messages the control plane has not drained past this
+/// many are counted in `nf_messages_dropped` and discarded.
 const NF_OUTBOX_CAPACITY: usize = 1024;
 
 /// Configuration of a [`ThreadedHost`].
@@ -602,9 +608,9 @@ struct ShardPorts {
     /// The shard's latency histograms (shared with its threads; the host
     /// records pen dwell here and merges reports on demand).
     latency: Arc<ShardLatency>,
-    /// The messages the shard's NFs sent (drained by
-    /// [`ThreadedHost::take_nf_messages`]).
-    outbox: Arc<NfOutbox>,
+    /// The messages the shard's NFs sent, as its worker applied them
+    /// (drained by [`ThreadedHost::take_nf_messages`]).
+    outbox: Consumer<NfManagerMessage>,
     /// Tombstone: `true` once the slot's shard has been fully retired (its
     /// worker joined, its buckets re-homed away). A tombstoned slot keeps
     /// its index — steering entries and stats stay valid — until either a
@@ -1247,7 +1253,7 @@ impl ThreadedHost {
     pub fn take_nf_messages(&self) -> Vec<NfManagerMessage> {
         let mut out = Vec::new();
         for ports in self.shards.borrow().iter() {
-            ports.outbox.drain_into(&mut out);
+            ports.outbox.pop_n(&mut out, NF_OUTBOX_CAPACITY);
         }
         out
     }
@@ -1570,7 +1576,6 @@ fn launch_pipeline(
     let gate = Arc::new(CreditGate::new(config.shard_credits));
     let stop = Arc::new(AtomicBool::new(false));
     let latency = Arc::new(ShardLatency::default());
-    let outbox = Arc::new(NfOutbox::new());
 
     let (ingress_tx, ingress_rx) = spsc_ring::<IngressFrame>(config.ingress_capacity);
     let (egress_tx, egress_rx) = spsc_ring::<HostOutput>(config.egress_capacity);
@@ -1578,6 +1583,7 @@ fn launch_pipeline(
     let (telemetry_tx, telemetry_rx) = spsc_ring::<TelemetrySnapshot>(16);
     let (exports_tx, exports_rx) = spsc_ring::<BucketStateExport>(16);
     let (traces_tx, traces_rx) = spsc_ring::<TraceSpan>(config.trace_ring_capacity);
+    let (outbox_tx, outbox_rx) = spsc_ring::<NfManagerMessage>(NF_OUTBOX_CAPACITY);
 
     let replicas = initial_nfs.iter().map(|(service, _)| *service).collect();
     let spawner: Box<dyn ReplicaSpawner> = match runtime {
@@ -1637,7 +1643,7 @@ fn launch_pipeline(
         draining: 0,
         retired_slots: 0,
         latency: Arc::clone(&latency),
-        outbox: Arc::clone(&outbox),
+        outbox: outbox_tx,
         traces: traces_tx,
         trace_sampling: Arc::clone(trace_sampling),
     };
@@ -1662,47 +1668,13 @@ fn launch_pipeline(
             stop,
             traces: traces_rx,
             latency,
-            outbox,
+            outbox: outbox_rx,
             retired: Cell::new(false),
             replicas: RefCell::new(replicas),
             replica_change: RefCell::new(None),
         },
         handle,
     )
-}
-
-/// The messages a shard's NFs sent, each moved here once it is applied to
-/// the shard's partition and kept for the control plane
-/// ([`ThreadedHost::take_nf_messages`]). Its room is reserved up front: an
-/// NF thread moves a message into it or, when it is full, counts the
-/// message in `nf_messages_dropped` — it never allocates.
-struct NfOutbox {
-    queue: Mutex<std::collections::VecDeque<NfManagerMessage>>,
-}
-
-impl NfOutbox {
-    fn new() -> Self {
-        NfOutbox {
-            queue: Mutex::new(std::collections::VecDeque::with_capacity(
-                NF_OUTBOX_CAPACITY,
-            )),
-        }
-    }
-
-    /// NF side: keeps an applied message for the control plane.
-    fn keep(&self, message: NfManagerMessage, stats: &ShardStats) {
-        let mut queue = self.queue.lock();
-        if queue.len() < NF_OUTBOX_CAPACITY {
-            queue.push_back(message);
-        } else {
-            stats.add_nf_messages_dropped(1);
-        }
-    }
-
-    /// Host side: moves every kept message into `out`, oldest first.
-    fn drain_into(&self, out: &mut Vec<NfManagerMessage>) {
-        out.extend(self.queue.lock().drain(..));
-    }
 }
 
 /// Lifecycle of one NF replica slot on a shard. Slot indices are stable
@@ -1735,6 +1707,11 @@ struct NfSlot {
     read_only: bool,
     ring: Producer<WorkItem>,
     done: Consumer<DoneItem>,
+    /// The replica's cross-layer messages, applied by the worker.
+    messages: Consumer<NfMessages>,
+    /// How many completions `done` held when the worker last looked,
+    /// before it applied the messages: what it routes next.
+    noted: usize,
     probe: Arc<NfProbe>,
     stop: Arc<AtomicBool>,
     handle: Option<TaskHandle>,
@@ -1827,8 +1804,8 @@ pub(crate) struct ShardEngine {
     gate: Arc<CreditGate>,
     /// This shard's flow-table partition.
     table: SharedFlowTable,
-    /// The partition's wildcard-mutation provenance log (shared with the
-    /// shard's NF threads, which record into it).
+    /// The partition's wildcard-mutation provenance log: the worker records
+    /// the wildcard rewrites its NFs' messages make.
     mutation_log: Arc<MutationLog>,
     stats: ShardStats,
     running: Arc<AtomicBool>,
@@ -1907,8 +1884,9 @@ pub(crate) struct ShardEngine {
     /// The shard's latency histograms (shared with its NF threads and the
     /// host).
     latency: Arc<ShardLatency>,
-    /// Where the shard's NF threads keep the messages they applied.
-    outbox: Arc<NfOutbox>,
+    /// Where the worker keeps the NF messages it applied, for the control
+    /// plane.
+    outbox: Producer<NfManagerMessage>,
     /// Producer side of the shard's lossy trace-span ring. The worker is
     /// the ring's **only** producer — NF threads report their burst windows
     /// through [`DoneItem`] instead of pushing spans themselves.
@@ -2012,7 +1990,10 @@ impl ShardEngine {
                     .slots
                     .iter()
                     .all(|slot| slot.handle.as_ref().is_none_or(TaskHandle::is_finished));
-                let rings_empty = self.slots.iter().all(|slot| slot.done.is_empty());
+                let rings_empty = self
+                    .slots
+                    .iter()
+                    .all(|slot| slot.done.is_empty() && slot.messages.is_empty());
                 if !busy
                     && threads_done
                     && rings_empty
@@ -2054,16 +2035,65 @@ impl ShardEngine {
         }
     }
 
-    /// Serves every non-retired replica's done ring once, after retrying
-    /// the deferred fan-out completions.
+    /// Serves every replica's done ring once: notes how many completions
+    /// each holds, applies every replica's messages, then retries the
+    /// deferred fan-out completions and routes the noted ones. An NF puts a
+    /// burst's messages on its ring before it publishes the burst's
+    /// completions, so every message sent before a completion the worker
+    /// routes — a fan-out sibling's too — is applied first. (A retired
+    /// slot's rings are empty: it retired only once they were.)
     fn drain_done_rings(&mut self) -> bool {
-        let mut did_work = !self.deferred.is_empty() && self.retry_deferred();
+        for slot in &mut self.slots {
+            let (front, back) = slot.done.peek_mut(self.burst_size);
+            slot.noted = front.len() + back.len();
+        }
+        let mut did_work = self.apply_nf_messages();
+        did_work |= !self.deferred.is_empty() && self.retry_deferred();
         for nf_index in 0..self.slots.len() {
-            if self.slots[nf_index].state != SlotState::Retired {
-                did_work |= self.tx_round(nf_index);
+            let noted = self.slots[nf_index].noted;
+            if noted > 0 {
+                self.tx_round(nf_index, noted);
+                did_work = true;
             }
         }
         did_work
+    }
+
+    /// Applies every replica's queued messages to the shard's partition, in
+    /// each replica's sending order: `force = false`, as NFs are untrusted,
+    /// and pins stamped with the pin timeouts. A wildcard rewrite is logged
+    /// under the mutating flow's steering bucket (an unattributed one
+    /// bucket-less, so it travels with every departing bucket), and each
+    /// message then moves into the outbox. Returns whether there were any.
+    fn apply_nf_messages(&mut self) -> bool {
+        let mut applied = false;
+        let pin_timeouts = self.pin_timeouts;
+        for index in 0..self.slots.len() {
+            let from = self.slots[index].service;
+            while let Some(messages) = self.slots[index].messages.pop() {
+                applied = true;
+                for attributed in messages {
+                    self.stats.add_nf_messages(1);
+                    let (_, wildcard) = self.table.with_write(|t| {
+                        apply_nf_message(t, from, &attributed.message, false, pin_timeouts)
+                    });
+                    if let Some(mutation) = wildcard {
+                        let key = attributed.flow.as_ref();
+                        let bucket = key.map(|key| self.tracker.bucket_of(key));
+                        self.mutation_log.record(bucket, mutation);
+                    }
+                    let message = attributed.message;
+                    if self
+                        .outbox
+                        .push(NfManagerMessage { from, message })
+                        .is_err()
+                    {
+                        self.stats.add_nf_messages_dropped(1);
+                    }
+                }
+            }
+        }
+        applied
     }
 
     /// Routes the deferred fan-out completions again; one whose straggler
@@ -2220,6 +2250,7 @@ impl ShardEngine {
     fn spawn_nf(&mut self, service: ServiceId, nf: Box<dyn NetworkFunction>) {
         let (ring, input) = spsc_ring::<WorkItem>(self.nf_ring_capacity);
         let (done_tx, done) = spsc_ring::<DoneItem>(self.nf_ring_capacity);
+        let (messages_tx, messages) = spsc_ring::<NfMessages>(self.nf_ring_capacity);
         let probe = Arc::new(NfProbe::default());
         let stop = Arc::new(AtomicBool::new(false));
         let channel = Arc::new(NfStateChannel::default());
@@ -2234,16 +2265,13 @@ impl ShardEngine {
             stop: Arc::clone(&stop),
             stats: self.stats.clone(),
             tracker: Arc::clone(&self.tracker),
-            table: self.table.clone(),
-            mutation_log: Arc::clone(&self.mutation_log),
+            messages: messages_tx,
             channel: Arc::clone(&channel),
             probe: Arc::clone(&probe),
             measure: self.telemetry_interval_ns != 0,
             clock: self.clock.clone(),
             burst_size: self.burst_size,
-            pin_timeouts: self.pin_timeouts,
             latency: Arc::clone(&self.latency),
-            outbox: Arc::clone(&self.outbox),
         };
         let handle = self.spawner.spawn_replica(thread);
         let slot = NfSlot {
@@ -2251,6 +2279,8 @@ impl ShardEngine {
             read_only,
             ring,
             done,
+            messages,
+            noted: 0,
             probe,
             stop,
             handle: Some(handle),
@@ -2322,7 +2352,7 @@ impl ShardEngine {
                 continue;
             }
             let finished = slot.handle.as_ref().is_none_or(TaskHandle::is_finished);
-            if finished && slot.done.is_empty() {
+            if finished && slot.done.is_empty() && slot.messages.is_empty() {
                 if let Some(handle) = slot.handle.take() {
                     handle.join();
                 }
@@ -2945,30 +2975,22 @@ impl ShardEngine {
         }
     }
 
-    /// TX role: takes up to a burst of completions straight out of NF slot
-    /// `nf_index`'s done ring, routes each, releases the slots with one
-    /// store and flushes. The release comes first, so a frame never comes
-    /// back to the ring before its slot is free. Returns whether there was
-    /// a completion.
-    fn tx_round(&mut self, nf_index: usize) -> bool {
-        let mut next = self.slots[nf_index].done.take();
-        if next.is_none() {
-            return false;
-        }
+    /// TX role: takes the `completions` NF slot `nf_index`'s done ring was
+    /// seen to hold straight out of it, routes each, releases the slots with
+    /// one store and flushes. The release comes first, so a frame never
+    /// comes back to the ring before its slot is free.
+    fn tx_round(&mut self, nf_index: usize, completions: usize) {
         let (now_ns, mut cache) = self.begin_round();
-        let mut served = 0;
-        while let Some(item) = next {
+        for _ in 0..completions {
+            let item = self.slots[nf_index]
+                .done
+                .take()
+                .expect("an observed completion stays published");
             self.tx_item(&mut cache, item, now_ns);
-            served += 1;
-            if served == self.burst_size {
-                break;
-            }
-            next = self.slots[nf_index].done.take();
         }
         self.slots[nf_index].done.release();
         self.cache = cache;
         self.flush();
-        true
     }
 
     /// Takes one completion back into an owned frame, resolves its verdict,
@@ -3659,11 +3681,14 @@ mod tests {
     fn test_slot(capacity: usize) -> (NfSlot, Consumer<WorkItem>, Producer<DoneItem>) {
         let (ring, input) = spsc_ring::<WorkItem>(capacity);
         let (done_tx, done) = spsc_ring::<DoneItem>(capacity);
+        let (_, messages) = spsc_ring::<NfMessages>(capacity);
         let slot = NfSlot {
             service: ServiceId::new(1),
             read_only: true,
             ring,
             done,
+            messages,
+            noted: 0,
             probe: Arc::new(NfProbe::default()),
             stop: Arc::new(AtomicBool::new(false)),
             handle: None,
@@ -3680,9 +3705,26 @@ mod tests {
         nf: Box<dyn NetworkFunction>,
         capacity: usize,
     ) -> (NfEngine, Producer<WorkItem>, Consumer<DoneItem>) {
+        let (engine, ring, completions, _) = test_nf_replica(nf, capacity, capacity);
+        (engine, ring, completions)
+    }
+
+    /// [`test_nf_engine`] serving bursts of `burst_size`, which also
+    /// returns the consumer of the replica's message ring (as long as its
+    /// other rings, as `spawn_nf` makes it).
+    fn test_nf_replica(
+        nf: Box<dyn NetworkFunction>,
+        capacity: usize,
+        burst_size: usize,
+    ) -> (
+        NfEngine,
+        Producer<WorkItem>,
+        Consumer<DoneItem>,
+        Consumer<NfMessages>,
+    ) {
         let (ring, input) = spsc_ring::<WorkItem>(capacity);
         let (done, completions) = spsc_ring::<DoneItem>(capacity);
-        let tables = FlowTablePartitions::new(&SharedFlowTable::new(), 1);
+        let (messages_tx, messages) = spsc_ring::<NfMessages>(capacity);
         let engine = NfEngine::new(NfThread {
             shard: 0,
             service: ServiceId::new(1),
@@ -3693,18 +3735,15 @@ mod tests {
             stop: Arc::new(AtomicBool::new(false)),
             stats: ShardStats::new(),
             tracker: Arc::new(BucketTracker::new(STEER_BUCKETS)),
-            table: tables.shard(0),
-            mutation_log: tables.mutation_log(0),
+            messages: messages_tx,
             channel: Arc::new(NfStateChannel::default()),
             probe: Arc::new(NfProbe::default()),
             measure: true,
             clock: HostClock::real(),
-            burst_size: capacity,
-            pin_timeouts: PinTimeouts::NONE,
+            burst_size,
             latency: Arc::new(ShardLatency::default()),
-            outbox: Arc::new(NfOutbox::new()),
         });
-        (engine, ring, completions)
+        (engine, ring, completions, messages)
     }
 
     /// Asks for a verdict chosen by the packet's first payload byte, and —
@@ -4114,7 +4153,7 @@ mod tests {
                 }
                 assert_eq!(completed.len(), 1, "the fan-out completed once");
                 let (index, straggler) = completed.remove(0);
-                assert!(engine.tx_round(index));
+                engine.tx_round(index, 1);
                 assert_eq!(engine.deferred.len(), 1, "the completion waits");
                 assert!(engine.slots[index].done.is_empty(), "its slot was released");
                 straggler
@@ -6346,5 +6385,202 @@ mod tests {
         assert_eq!(host_b.stats().snapshot().overflow_drops, 0);
         host_a.shutdown();
         host_b.shutdown();
+    }
+
+    /// Pins each flow it serves at `exit`'s step to port 2, the exit
+    /// rule's allowed alternative, and sends nothing else.
+    struct PinExitNf {
+        exit: ServiceId,
+    }
+
+    impl NetworkFunction for PinExitNf {
+        fn name(&self) -> &str {
+            "pin-exit"
+        }
+
+        fn process(&mut self, packet: &Packet, ctx: &mut NfContext) -> Verdict {
+            let key = packet.flow_key().expect("udp packet");
+            ctx.send_for_flow(
+                &key,
+                sdnfv_nf::NfMessage::ChangeDefault {
+                    flows: FlowMatch::exact(RulePort::Service(self.exit), &key),
+                    service: self.exit,
+                    new_default: Action::ToPort(2),
+                },
+            );
+            Verdict::Default
+        }
+    }
+
+    /// A stepped host whose ingress fans out to `pinner` (two replicas when
+    /// `twice` is set) and `exit`, all read only; `exit`'s rule defaults to
+    /// port 1 and allows port 2. `exit`'s replica takes slot 0, so the
+    /// worker meets its done ring before the pinner's message ring.
+    fn fan_out_host(
+        pinner: ServiceId,
+        twice: bool,
+        exit: ServiceId,
+    ) -> (ThreadedHost, crate::sim::SimHandle) {
+        let table = SharedFlowTable::new();
+        table.insert(FlowRule::parallel(
+            FlowMatch::at_step(RulePort::Nic(0)),
+            vec![Action::ToService(pinner), Action::ToService(exit)],
+        ));
+        table.insert(FlowRule::new(
+            FlowMatch::at_step(exit),
+            vec![Action::ToPort(1), Action::ToPort(2)],
+        ));
+        ThreadedHost::start_sim_sharded(
+            table,
+            move |_shard| {
+                let mut nfs: Vec<(ServiceId, Box<dyn NetworkFunction>)> = vec![
+                    (exit, Box::new(NoOpNf::new())),
+                    (pinner, Box::new(PinExitNf { exit })),
+                ];
+                if twice {
+                    nfs.push((pinner, Box::new(PinExitNf { exit })));
+                }
+                nfs
+            },
+            ThreadedHostConfig::default(),
+        )
+    }
+
+    /// The sim actor id of `service`'s replicas on shard 0, in spawn order.
+    fn replica_ids(sim: &crate::sim::SimHandle, service: ServiceId) -> Vec<u64> {
+        let label = format!("shard0/nf{service}");
+        sim.actors()
+            .into_iter()
+            .filter(|actor| actor.label == label)
+            .map(|actor| actor.id)
+            .collect()
+    }
+
+    #[test]
+    fn a_fan_out_siblings_pin_steers_the_packet_its_last_completion_routes() {
+        let (pinner, exit) = (ServiceId::new(1), ServiceId::new(2));
+        let (host, sim) = fan_out_host(pinner, false, exit);
+        let worker = sim.actors()[0].id;
+        assert!(host.inject(packet(7)).is_admitted());
+        assert!(sim.step(worker), "the fan-out goes to both NFs");
+        // The pinner finishes first, so its countdown is not the last: its
+        // message reaches the worker on its own ring, and the exit NF's
+        // done ring carries the packet's one completion.
+        assert!(sim.step(replica_ids(&sim, pinner)[0]));
+        assert!(sim.step(replica_ids(&sim, exit)[0]));
+        assert!(sim.step(worker));
+        let out = host.poll_egress_burst(4);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].port, 2, "the next lookup honours the sibling's pin");
+        assert_eq!(host.stats().snapshot().nf_messages, 1);
+        assert_eq!(host.take_nf_messages().len(), 1);
+        host.shutdown();
+    }
+
+    #[test]
+    fn a_retired_replicas_last_message_is_applied() {
+        let (pinner, exit) = (ServiceId::new(1), ServiceId::new(2));
+        let (host, sim) = fan_out_host(pinner, true, exit);
+        let worker = sim.actors()[0].id;
+        sim.step(worker); // the replicas spawn
+                          // A flow the newer of the pinner's two replicas serves.
+        let src_port = (1..)
+            .find(|&port| {
+                let hash = packet(port).flow_key().unwrap().stable_hash();
+                replica_of_bucket((hash & (STEER_BUCKETS as u64 - 1)) as usize, 2) == 1
+            })
+            .unwrap();
+        assert!(host.inject(packet(src_port)).is_admitted());
+        assert!(sim.step(worker), "the fan-out goes to the newer replica");
+        let newer = replica_ids(&sim, pinner)[1];
+        // The worker starts retiring that replica: it sends its pin, counts
+        // its handle down (not the last) and finds its input drained.
+        sim.with_worker(worker, |engine| engine.begin_remove_nf(pinner))
+            .unwrap();
+        assert!(sim.step(newer));
+        assert!(sim.step(newer));
+        assert!(sim.actors().iter().any(|a| a.id == newer && a.finished));
+        // A worker that looks before the message is applied — threaded, the
+        // replica can send and exit between its drain and its retire pass —
+        // keeps the slot draining: retired, its ring would never be read.
+        let state = sim.with_worker(worker, |engine| {
+            engine.retire_drained();
+            engine.slots[2].state
+        });
+        assert_eq!(state, Some(SlotState::Draining));
+        assert!(sim.step(replica_ids(&sim, exit)[0]));
+        assert!(sim.step(worker));
+        let state = sim.with_worker(worker, |engine| engine.slots[2].state);
+        assert_eq!(state, Some(SlotState::Retired));
+        let out = host.poll_egress_burst(4);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].port, 2, "the retired replica's pin steered it");
+        let messages = host.take_nf_messages();
+        assert_eq!(messages.len(), 1);
+        assert_eq!(messages[0].from, pinner);
+        host.shutdown();
+    }
+
+    /// Sends `start` from `on_start`, then one message naming each packet
+    /// it serves by its first payload byte.
+    struct TellNf;
+
+    impl NetworkFunction for TellNf {
+        fn name(&self) -> &str {
+            "tell"
+        }
+
+        fn on_start(&mut self, ctx: &mut NfContext) {
+            ctx.send(sdnfv_nf::NfMessage::custom("start", ""));
+        }
+
+        fn process(&mut self, packet: &Packet, ctx: &mut NfContext) -> Verdict {
+            let seq = packet.l4_payload().unwrap()[0];
+            ctx.send(sdnfv_nf::NfMessage::custom("seq", seq.to_string()));
+            Verdict::Default
+        }
+    }
+
+    #[test]
+    fn a_burst_whose_messages_find_the_ring_full_waits_and_loses_nothing() {
+        // A two-slot replica, one packet per burst: its message ring holds
+        // two bursts' messages, as `spawn_nf` sizes it.
+        let (mut engine, ring, done, messages) = test_nf_replica(Box::new(TellNf), 2, 1);
+        let work = |seq: u8| WorkItem {
+            frame: sole_frame(stamped(seq), u64::from(seq)),
+            exit_service: ServiceId::new(1),
+            position: 0,
+        };
+        let mut applied = Vec::new();
+        let drain = |applied: &mut Vec<String>| {
+            while let Some(list) = messages.pop() {
+                applied.extend(list.into_iter().map(|attributed| match attributed.message {
+                    sdnfv_nf::NfMessage::Custom { key, value } => format!("{key}{value}"),
+                    other => panic!("unexpected {other:?}"),
+                }));
+            }
+        };
+        assert!(ring.push(work(1)).is_ok() && ring.push(work(2)).is_ok());
+        assert!(engine.step());
+        assert_eq!(done.len(), 1, "`start` and packet 1's message fit");
+        assert!(engine.step(), "packet 2 is served");
+        assert_eq!(done.len(), 1, "its completion waits for its message");
+        assert!(
+            !engine.step(),
+            "a held burst that still does not fit is no work"
+        );
+        assert_eq!((done.len(), ring.len()), (1, 1), "and nothing else moves");
+        drain(&mut applied);
+        assert!(engine.step(), "room: the held burst goes out");
+        assert_eq!(done.len(), 2);
+        drain(&mut applied);
+        assert_eq!(applied, ["start", "seq1", "seq2"]);
+        let mut completions = Vec::new();
+        done.pop_n(&mut completions, 2);
+        let hashes: Vec<u64> = completions
+            .iter()
+            .map(|item| served(&item.frame).hash)
+            .collect();
+        assert_eq!(hashes, [1, 2]);
     }
 }

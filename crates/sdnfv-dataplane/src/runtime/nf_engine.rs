@@ -3,24 +3,26 @@
 //! threaded driver ([`nf_thread_loop`]), the telemetry probe it shares with
 //! the worker ([`NfProbe`]), and the state-migration mailbox the worker
 //! posts export, import and scrub requests into ([`NfStateChannel`]).
+//! An NF thread writes no flow table: its messages ride its message ring
+//! to the worker (see the parent module's **NF messages**).
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use sdnfv_flowtable::{MutationLog, ServiceId, SharedFlowTable};
+use sdnfv_flowtable::ServiceId;
 use sdnfv_nf::{
-    NetworkFunction, NfContext, NfFlowState, PacketBatch, PacketBatchMut, VerdictSlice,
+    AttributedNfMessage, NetworkFunction, NfContext, NfFlowState, PacketBatch, PacketBatchMut,
+    VerdictSlice,
 };
 use sdnfv_proto::flow::FlowKey;
 use sdnfv_proto::Packet;
-use sdnfv_ring::{Consumer, Producer};
+use sdnfv_ring::{Consumer, Producer, PushError};
 use sdnfv_telemetry::{Ewma, HostClock};
 
-use super::{idle_backoff, DoneItem, Frame, NfOutbox, ShardLatency, WorkItem};
+use super::{idle_backoff, DoneItem, Frame, ShardLatency, WorkItem};
 use crate::conflict::verdict_to_key;
-use crate::messages::{apply_nf_message_tracked_with, NfManagerMessage, PinTimeouts};
 use crate::rehome::BucketTracker;
 use crate::scratch::recycle;
 use crate::stats::ShardStats;
@@ -139,6 +141,19 @@ pub(super) struct NfProbe {
     pub(super) processed: AtomicU64,
 }
 
+/// One entry of a replica's message ring: the cross-layer messages its NF
+/// sent during one burst (or from `on_start`), in sending order.
+pub(super) type NfMessages = Vec<AttributedNfMessage>;
+
+/// A served burst on its way back to the worker: the messages its NF sent,
+/// and how many items it served in which host-clock window.
+struct ServedBurst {
+    messages: NfMessages,
+    len: usize,
+    started_ns: u64,
+    ended_ns: u64,
+}
+
 /// Everything one NF replica thread needs, bundled for
 /// [`nf_thread_loop`].
 pub(crate) struct NfThread {
@@ -151,13 +166,10 @@ pub(crate) struct NfThread {
     /// Scale-down signal: exit once the input ring is empty.
     pub(super) stop: Arc<AtomicBool>,
     pub(super) stats: ShardStats,
-    /// Bucket mapping, for attributing wildcard mutations to the mutating
-    /// flow's bucket and selecting a bucket's flows on state export.
+    /// Bucket mapping, for selecting a bucket's flows on state export.
     pub(super) tracker: Arc<BucketTracker>,
-    /// The owning shard's flow-table partition.
-    pub(super) table: SharedFlowTable,
-    /// The partition's wildcard-mutation provenance log.
-    pub(super) mutation_log: Arc<MutationLog>,
+    /// Where the NF's cross-layer messages go, for the worker to apply.
+    pub(super) messages: Producer<NfMessages>,
     /// State-migration mailbox (export/import requests from the worker).
     pub(super) channel: Arc<NfStateChannel>,
     pub(super) probe: Arc<NfProbe>,
@@ -166,13 +178,8 @@ pub(crate) struct NfThread {
     pub(super) measure: bool,
     pub(super) clock: HostClock,
     pub(super) burst_size: usize,
-    /// Idle/hard timeouts stamped onto the exact-pin rules this replica's
-    /// NF requests via cross-layer messages.
-    pub(super) pin_timeouts: PinTimeouts,
     /// The owning shard's latency histograms (NF service time lands here).
     pub(super) latency: Arc<ShardLatency>,
-    /// The owning shard's NF-message outbox.
-    pub(super) outbox: Arc<NfOutbox>,
 }
 
 impl NfThread {
@@ -187,25 +194,12 @@ impl NfThread {
 /// runtime ([`nf_thread_loop`]) and the deterministic simulation harness
 /// drive the identical code.
 pub(crate) struct NfEngine {
-    service: ServiceId,
-    nf: Box<dyn NetworkFunction>,
-    input: Consumer<WorkItem>,
-    done: Producer<DoneItem>,
-    running: Arc<AtomicBool>,
-    /// Scale-down signal: exit once the input ring is empty.
-    stop: Arc<AtomicBool>,
-    stats: ShardStats,
-    tracker: Arc<BucketTracker>,
-    table: SharedFlowTable,
-    mutation_log: Arc<MutationLog>,
-    channel: Arc<NfStateChannel>,
-    probe: Arc<NfProbe>,
-    measure: bool,
-    clock: HostClock,
-    burst_size: usize,
-    pin_timeouts: PinTimeouts,
-    latency: Arc<ShardLatency>,
-    outbox: Arc<NfOutbox>,
+    /// The NF, its rings and the handles it shares with its shard.
+    replica: NfThread,
+    /// A served burst waiting for room on the message ring: its completions
+    /// stay unpublished, and its items unread in the input ring, until its
+    /// messages are on the ring.
+    held: Option<ServedBurst>,
     ctx: NfContext,
     read_only: bool,
     /// The burst's packet references, parked empty between bursts (their
@@ -220,50 +214,14 @@ pub(crate) struct NfEngine {
 }
 
 impl NfEngine {
-    pub(crate) fn new(thread: NfThread) -> Self {
-        let NfThread {
-            shard,
-            service,
-            mut nf,
-            input,
-            done,
-            running,
-            stop,
-            stats,
-            tracker,
-            table,
-            mutation_log,
-            channel,
-            probe,
-            measure,
-            clock,
-            burst_size,
-            pin_timeouts,
-            latency,
-            outbox,
-        } = thread;
-        let mut ctx = NfContext::for_shard(shard, clock.now_ns());
-        nf.on_start(&mut ctx);
-        let read_only = nf.read_only();
+    pub(crate) fn new(mut replica: NfThread) -> Self {
+        let mut ctx = NfContext::for_shard(replica.shard, replica.clock.now_ns());
+        replica.nf.on_start(&mut ctx);
+        let read_only = replica.nf.read_only();
+        let burst_size = replica.burst_size;
         let mut engine = NfEngine {
-            service,
-            nf,
-            input,
-            done,
-            running,
-            stop,
-            stats,
-            tracker,
-            table,
-            mutation_log,
-            channel,
-            probe,
-            measure,
-            clock,
-            burst_size,
-            pin_timeouts,
-            latency,
-            outbox,
+            replica,
+            held: None,
             ctx,
             read_only,
             read_refs: Vec::with_capacity(burst_size),
@@ -272,43 +230,64 @@ impl NfEngine {
             service_time: Ewma::default(),
             finished: false,
         };
-        engine.apply_ctx_messages();
+        // The messages `on_start` sent lead the ring, as a burst of none.
+        let messages = engine.ctx.take_attributed_messages();
+        engine.hand_back(ServedBurst {
+            messages,
+            len: 0,
+            started_ns: 0,
+            ended_ns: 0,
+        });
         engine
     }
 
-    /// Applies the context's queued cross-layer messages to the shard
-    /// partition, recording every wildcard mutation in the partition's
-    /// provenance log keyed by the mutating flow's steering bucket
-    /// (unattributed messages are logged bucket-less and travel with every
-    /// departing bucket), then moves each message into the shard's outbox
-    /// for the control plane.
-    fn apply_ctx_messages(&mut self) {
-        for attributed in self.ctx.take_attributed_messages() {
-            self.stats.add_nf_messages(1);
-            let (_, wildcard) = self.table.with_write(|t| {
-                // NFs are untrusted: `ChangeDefault` may only pick a next hop
-                // the service graph allows (`force = false`).
-                apply_nf_message_tracked_with(
-                    t,
-                    self.service,
-                    &attributed.message,
-                    false,
-                    self.pin_timeouts,
-                )
-            });
-            if let Some(mutation) = wildcard {
-                let bucket = attributed
-                    .flow
-                    .as_ref()
-                    .map(|key| self.tracker.bucket_of(key));
-                self.mutation_log.record(bucket, mutation);
+    /// Moves a served burst's messages onto the message ring, then hands
+    /// its items back: each merges its verdict, and the completions are
+    /// published with one store. When the ring is full, the burst is held
+    /// and `false` returned; the next [`step`](Self::step) tries again, so
+    /// no message is dropped, none overtakes another, and every completion
+    /// (a fan-out handle's countdown too) follows its burst's messages.
+    fn hand_back(&mut self, mut burst: ServedBurst) -> bool {
+        if !burst.messages.is_empty() {
+            let messages = std::mem::take(&mut burst.messages);
+            if let Err(PushError(messages)) = self.replica.messages.push(messages) {
+                burst.messages = messages;
+                self.held = Some(burst);
+                return false;
             }
-            let message = NfManagerMessage {
-                from: self.service,
-                message: attributed.message,
-            };
-            self.outbox.keep(message, &self.stats);
         }
+        for index in 0..burst.len {
+            let mut item = self
+                .replica
+                .input
+                .take()
+                .expect("the served burst is unread");
+            // An owned frame merges its verdict and is done; a fan-out
+            // handle merges and counts down atomically, and only the final
+            // one goes back to the worker.
+            let key = verdict_to_key(self.verdicts.as_slice()[index], item.position);
+            if !item.frame.complete(key) {
+                continue;
+            }
+            let done = DoneItem {
+                frame: item.frame,
+                exit_service: item.exit_service,
+                nf_started_ns: burst.started_ns,
+                nf_ended_ns: burst.ended_ns,
+            };
+            // Same zero-loss invariant as the worker's staging: every
+            // packet in flight holds a credit and credits are clamped to
+            // the done-ring capacity, so a completion always fits.
+            if self.replica.done.stage(done).is_err() {
+                panic!("NF {}: done ring overflowed", self.replica.service);
+            }
+        }
+        // The input slots are released before the completions are
+        // published, so a frame never comes back to this ring before its
+        // slot is free.
+        self.replica.input.release();
+        self.replica.done.publish();
+        true
     }
 
     /// Serves every pending state-migration request from the worker, in
@@ -316,12 +295,12 @@ impl NfEngine {
     /// absorbs migrated state (import, acknowledged with an empty
     /// response), or discards evicted flows' state (scrub).
     fn serve_state_requests(&mut self) {
-        for (token, request) in self.channel.take_requests() {
+        for (token, request) in self.replica.channel.take_requests() {
             match request {
                 NfStateRequest::Export { buckets, keys } => {
                     let mut exported = Vec::new();
                     for key in &keys {
-                        if let Some(state) = self.nf.export_flow_state(key) {
+                        if let Some(state) = self.replica.nf.export_flow_state(key) {
                             exported.push((*key, state));
                         }
                     }
@@ -329,20 +308,20 @@ impl NfEngine {
                     // without an exact rule; export is a move, so keys
                     // already detached above simply return None here — no
                     // dedup needed.
-                    for key in self.nf.flow_state_keys() {
-                        if buckets.contains(&self.tracker.bucket_of(&key)) {
-                            if let Some(state) = self.nf.export_flow_state(&key) {
+                    for key in self.replica.nf.flow_state_keys() {
+                        if buckets.contains(&self.replica.tracker.bucket_of(&key)) {
+                            if let Some(state) = self.replica.nf.export_flow_state(&key) {
                                 exported.push((key, state));
                             }
                         }
                     }
-                    self.channel.respond(token, exported);
+                    self.replica.channel.respond(token, exported);
                 }
                 NfStateRequest::Import { states } => {
                     for (key, state) in states {
-                        self.nf.import_flow_state(&key, state);
+                        self.replica.nf.import_flow_state(&key, state);
                     }
-                    self.channel.respond(token, Vec::new());
+                    self.replica.channel.respond(token, Vec::new());
                 }
                 NfStateRequest::Scrub { keys } => {
                     // Fire-and-forget: the worker tracks no entry for scrub
@@ -351,12 +330,12 @@ impl NfEngine {
                     // replica never held state for) just returns None.
                     let mut scrubbed = 0u64;
                     for key in &keys {
-                        if self.nf.scrub_flow_state(key).is_some() {
+                        if self.replica.nf.scrub_flow_state(key).is_some() {
                             scrubbed += 1;
                         }
                     }
                     if scrubbed > 0 {
-                        self.stats.add_nf_state_scrubbed(scrubbed);
+                        self.replica.stats.add_nf_state_scrubbed(scrubbed);
                     }
                 }
             }
@@ -367,19 +346,21 @@ impl NfEngine {
     /// mailbox for `polls` worker drain attempts. See
     /// [`NfStateChannel::delay_acks`].
     pub(crate) fn delay_state_mailbox(&self, polls: u32) {
-        self.channel.delay_acks(polls);
+        self.replica.channel.delay_acks(polls);
     }
 
     /// One turn of the replica's state machine: serve state-migration
-    /// requests, then serve at most one burst in place in the input ring's
-    /// slots and move each completion straight into a done-ring slot.
-    /// Returns whether any work was done. Sets `finished` when the
+    /// requests, then hand back a held burst if there is one, or else serve
+    /// at most one burst in place in the input ring's slots and move each
+    /// completion straight into a done-ring slot. Returns whether any work
+    /// was done (a held burst that still finds the message ring full is
+    /// none). Sets `finished` when the
     /// replica's loop is over (host shutdown, or scale-down drain complete).
     pub(crate) fn step(&mut self) -> bool {
         if self.finished {
             return false;
         }
-        if !self.running.load(Ordering::Acquire) {
+        if !self.replica.running.load(Ordering::Acquire) {
             self.finished = true;
             return false;
         }
@@ -388,19 +369,23 @@ impl NfEngine {
         // packet (the host only releases the bucket's pen after the import
         // acknowledgement, so checking here closes the ordering).
         self.serve_state_requests();
-        let (front, back) = self.input.peek_mut(self.burst_size);
+        if let Some(held) = self.held.take() {
+            return self.hand_back(held);
+        }
+        let (front, back) = self.replica.input.peek_mut(self.replica.burst_size);
         let burst = front.len() + back.len();
         if burst == 0 {
             // Scale-down: with the input ring drained and every completion
             // already published, this replica's work is finished.
-            if self.stop.load(Ordering::Acquire) && self.input.is_empty() {
+            if self.replica.stop.load(Ordering::Acquire) && self.replica.input.is_empty() {
                 // One last look at the mailbox so a request racing the
                 // drain-exit is answered, not stranded. The export of the
                 // buckets this replica served went out before its stop, so
                 // any flow state still here is lost — counted, not silent.
                 self.serve_state_requests();
-                self.stats
-                    .add_nf_state_import_drops(self.nf.flow_state_keys().len() as u64);
+                self.replica
+                    .stats
+                    .add_nf_state_import_drops(self.replica.nf.flow_state_keys().len() as u64);
                 self.finished = true;
                 return true;
             }
@@ -408,7 +393,7 @@ impl NfEngine {
         }
         // One clock read opens the burst window: it feeds the NF context,
         // the service-time histogram, and (when traced) the NF span stamps.
-        let burst_started_ns = self.clock.now_ns();
+        let burst_started_ns = self.replica.clock.now_ns();
         self.ctx.set_now_ns(burst_started_ns);
         let slots = self.verdicts.reset(burst);
         if self.read_only {
@@ -424,7 +409,8 @@ impl NfEngine {
                     .chain(back.iter())
                     .map(|item| item.frame.packet()),
             );
-            self.nf
+            self.replica
+                .nf
                 .process_batch(&PacketBatch::new(&refs), slots, &mut self.ctx);
             refs.clear();
             self.read_refs = recycle(refs);
@@ -439,65 +425,47 @@ impl NfEngine {
                 let Frame::Sole(sole) = &mut item.frame else {
                     panic!(
                         "NF {}: a mutating replica was handed a shared frame",
-                        self.service
+                        self.replica.service
                     );
                 };
                 refs.push(&mut sole.packet);
             }
-            self.nf
-                .process_batch_mut(&mut PacketBatchMut::new(&mut refs), slots, &mut self.ctx);
+            self.replica.nf.process_batch_mut(
+                &mut PacketBatchMut::new(&mut refs),
+                slots,
+                &mut self.ctx,
+            );
             refs.clear();
             self.write_refs = recycle(refs);
         }
-        let burst_ended_ns = self.clock.now_ns();
+        let burst_ended_ns = self.replica.clock.now_ns();
         let per_packet_ns = burst_ended_ns.saturating_sub(burst_started_ns) / burst as u64;
-        self.latency
+        self.replica
+            .latency
             .nf_service
             .record_shared(per_packet_ns, burst as u64);
-        if self.measure {
-            self.probe.service_time_ewma_ns.store(
+        if self.replica.measure {
+            self.replica.probe.service_time_ewma_ns.store(
                 self.service_time.update(per_packet_ns as f64) as u64,
                 Ordering::Relaxed,
             );
-            self.probe
+            self.replica
+                .probe
                 .processed
                 .fetch_add(burst as u64, Ordering::Relaxed);
         }
-        self.stats.add_nf_invocations(burst as u64);
-        // Cross-layer messages emitted anywhere inside the burst are applied
-        // to the shared table *before* completed descriptors are handed to
-        // the worker's TX role, so the next burst's lookups (on every
-        // thread) already see them. Wildcard mutations land in the
-        // partition's provenance log, attributed to the mutating flow's
-        // bucket, so future bucket re-homes replay them.
-        self.apply_ctx_messages();
-        for index in 0..burst {
-            let mut item = self.input.take().expect("the served burst is unread");
-            // An owned frame merges its verdict and is done; a fan-out
-            // handle merges and counts down atomically, and only the final
-            // one goes back to the worker.
-            let key = verdict_to_key(self.verdicts.as_slice()[index], item.position);
-            if !item.frame.complete(key) {
-                continue;
-            }
-            let done = DoneItem {
-                frame: item.frame,
-                exit_service: item.exit_service,
-                nf_started_ns: burst_started_ns,
-                nf_ended_ns: burst_ended_ns,
-            };
-            // Same zero-loss invariant as the worker's staging: every
-            // packet in flight holds a credit and credits are clamped to
-            // the done-ring capacity, so a completion always fits.
-            if self.done.stage(done).is_err() {
-                panic!("NF {}: done ring overflowed", self.service);
-            }
-        }
-        // The input slots are released before the completions are
-        // published, so a frame never comes back to this ring before its
-        // slot is free.
-        self.input.release();
-        self.done.publish();
+        self.replica.stats.add_nf_invocations(burst as u64);
+        // Messages sent anywhere inside the burst go onto the message ring
+        // before the burst's completions are published, so the worker has
+        // applied them — pins, wildcard rewrites — by the time it routes
+        // any of those packets, or a fan-out sibling's last completion.
+        let messages = self.ctx.take_attributed_messages();
+        self.hand_back(ServedBurst {
+            messages,
+            len: burst,
+            started_ns: burst_started_ns,
+            ended_ns: burst_ended_ns,
+        });
         true
     }
 }

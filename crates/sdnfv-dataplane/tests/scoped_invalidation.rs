@@ -32,7 +32,7 @@
 //! answer moves all 64 partitions, so no kept tag can match again.
 
 use sdnfv_dataplane::cache::cached_lookup;
-use sdnfv_dataplane::messages::{apply_nf_message_tracked_with, PinTimeouts};
+use sdnfv_dataplane::messages::{apply_nf_message, PinTimeouts};
 use sdnfv_dataplane::{AppliedChange, LookupCache};
 use sdnfv_flowtable::{
     generation_partition, Action, FlowMatch, FlowRule, RuleId, RulePort, ServiceId, SharedFlowTable,
@@ -328,7 +328,7 @@ fn every_cached_answer_is_the_tables_answer_at_that_instant() {
                     };
                     silent(&|table| {
                         let (change, _) = table.with_write(|t| {
-                            apply_nf_message_tracked_with(t, service, &message, false, timeouts)
+                            apply_nf_message(t, service, &message, false, timeouts)
                         });
                         change == AppliedChange::RulesUpdated(0)
                     });
