@@ -424,6 +424,17 @@ pub fn bucket_drain(opts: CheckOpts) -> u64 {
     })
 }
 
+/// The NF-message hand-back on the shipping rings and fan-out handle: an
+/// NF sends messages for an owned packet and for its handle on a fan-out,
+/// then publishes; a second NF finishes the fan-out; the worker takes
+/// completions, then drains the message ring, then routes. No packet is
+/// routed before the messages sent for it — a sibling's too — are applied.
+pub fn nf_messages(opts: CheckOpts) -> u64 {
+    model::check("nf_messages", opts, || {
+        mutants::message_rounds(mutants::MessageBug::None);
+    })
+}
+
 /// One clean check: `(name, entry point, search options)`.
 pub type Check = (&'static str, fn(CheckOpts) -> u64, CheckOpts);
 
@@ -444,5 +455,6 @@ pub fn all() -> Vec<Check> {
         ("verdict_cell", verdict_cell, default),
         ("table_generation", table_generation, default),
         ("bucket_drain", bucket_drain, default),
+        ("nf_messages", nf_messages, default),
     ]
 }

@@ -13,7 +13,9 @@
 //! partition, a table answer that claims to hold for every flow while the
 //! step has exact rules, a step memo that keeps its first decision, and a
 //! bucket-drain count whose finish publishes nothing or whose admit comes
-//! after the packet is visible to the worker.
+//! after the packet is visible to the worker, and an NF-message hand-back
+//! whose worker drains before it takes or whose NF publishes before it
+//! sends.
 //! The `None`
 //! variant of every knob is the faithful algorithm and must pass
 //! exhaustively; every other variant must produce a violation. The
@@ -36,9 +38,12 @@ use sdnfv_flowtable::{
     GENERATION_PARTITIONS,
 };
 use sdnfv_proto::flow::{FlowKey, IpProtocol};
+use sdnfv_proto::packet::PacketBuilder;
 use sdnfv_ring::model::{self, CheckOpts, CheckReport};
 use sdnfv_ring::sync::{AtomicIsize, AtomicU32, AtomicU64, AtomicUsize, Ordering, Slot};
-use sdnfv_ring::{spsc_ring, verdict_key, verdict_parts, Consumer, Producer, VerdictClass};
+use sdnfv_ring::{
+    spsc_ring, verdict_key, verdict_parts, Consumer, Producer, SharedPacket, VerdictClass,
+};
 
 /// Which bug (if any) to seed into the miniature SPSC ring.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1214,4 +1219,123 @@ pub fn drain_scenario(bug: DrainBug, opts: CheckOpts) -> CheckReport {
         };
         drain_rounds(Arc::new(tracker), bug == DrainBug::AdmitAfterPublish);
     })
+}
+
+/// Which bug (if any) to seed into the NF-message hand-back.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MessageBug {
+    /// Faithful: an NF puts a burst's messages on its message ring before
+    /// it publishes the burst's completions, and the worker takes the
+    /// completions it will route before it drains the message rings.
+    None,
+    /// The worker drains the message rings before it takes completions: a
+    /// completion published after the drain is routed before the
+    /// messages its NF sent first.
+    DrainBeforeTake,
+    /// The NF publishes a burst's completions (and counts its fan-out
+    /// handle down) before it puts the burst's messages on its ring.
+    CompletionBeforeMessages,
+}
+
+/// Packet 1 is owned by NF `a`; packet 2 fans out to `a` and `b`.
+const OWNED: u64 = 1;
+const FANNED: u64 = 2;
+
+/// The NF-message hand-back on the shipping rings and packet handle: NF
+/// `a` serves one burst — packet 1, owned, and its handle on fan-out
+/// packet 2 — sending one message for each, then hands the burst back; NF
+/// `b` finishes the fan-out from its own handle. The worker makes two
+/// rounds of take, drain and route, and the root the rest. Every packet is
+/// routed once, and only after the messages sent for it were applied — a
+/// fan-out sibling's included.
+pub(crate) fn message_rounds(bug: MessageBug) {
+    let packet = PacketBuilder::udp().payload(b"msg").build();
+    let fan_out = SharedPacket::new(packet, 2);
+    let (messages_a, drain_a) = spsc_ring::<u64>(2);
+    let (done_a, taken_a) = spsc_ring::<u64>(2);
+    let (done_b, taken_b) = spsc_ring::<u64>(2);
+    let nf_a = {
+        let handle = fan_out.clone();
+        model::spawn(move || {
+            let hand_back = || {
+                done_a.stage(OWNED).expect("room for packet 1");
+                if handle.complete_one() {
+                    done_a.stage(FANNED).expect("room for packet 2");
+                }
+                done_a.publish();
+            };
+            if bug == MessageBug::CompletionBeforeMessages {
+                hand_back();
+            }
+            messages_a
+                .stage(OWNED)
+                .expect("room for packet 1's message");
+            messages_a
+                .stage(FANNED)
+                .expect("room for packet 2's message");
+            messages_a.publish();
+            if bug != MessageBug::CompletionBeforeMessages {
+                hand_back();
+            }
+        })
+    };
+    let nf_b = model::spawn(move || {
+        if fan_out.complete_one() {
+            done_b.push(FANNED).expect("room for packet 2");
+        }
+    });
+    let worker = model::spawn(move || {
+        let mut applied = Vec::new();
+        let mut routed = Vec::new();
+        let drain = |applied: &mut Vec<u64>| {
+            while let Some(message) = drain_a.pop() {
+                applied.push(message);
+            }
+        };
+        for _ in 0..2 {
+            if bug == MessageBug::DrainBeforeTake {
+                drain(&mut applied);
+            }
+            let mut taken = Vec::new();
+            for done in [&taken_a, &taken_b] {
+                while let Some(packet) = done.take() {
+                    taken.push(packet);
+                }
+            }
+            if bug != MessageBug::DrainBeforeTake {
+                drain(&mut applied);
+            }
+            for packet in taken {
+                assert!(
+                    applied.contains(&packet),
+                    "packet {packet} routed before its message was applied"
+                );
+                routed.push(packet);
+            }
+            taken_a.release();
+            taken_b.release();
+        }
+        (drain_a, taken_a, taken_b, applied, routed)
+    });
+    nf_a.join();
+    nf_b.join();
+    let (drain_a, taken_a, taken_b, mut applied, mut routed) = worker.join();
+    // The root happens-after every thread: what is left is all published.
+    while let Some(message) = drain_a.pop() {
+        applied.push(message);
+    }
+    for done in [&taken_a, &taken_b] {
+        while let Some(packet) = done.pop() {
+            routed.push(packet);
+        }
+    }
+    routed.sort_unstable();
+    assert_eq!(applied, [OWNED, FANNED], "messages lost or reordered");
+    assert_eq!(routed, [OWNED, FANNED], "a packet lost or routed twice");
+}
+
+/// Runs [`message_rounds`] with the given seeded bug. `MessageBug::None`
+/// must pass exhaustively; both seeded bugs must fail an assertion.
+pub fn message_scenario(bug: MessageBug, opts: CheckOpts) -> CheckReport {
+    model::explore(opts, move || message_rounds(bug))
 }

@@ -13,8 +13,8 @@ fn every_clean_check_passes_exhaustively() {
     // Ring (3: bursts, wraparound, deferred publish and release), credit
     // gate (2), histogram (2: the single-recorder rule and
     // the shared form), pool, shared completion, verdict cell, table
-    // generation, bucket drain.
-    assert_eq!(checks::all().len(), 12);
+    // generation, bucket drain, NF messages.
+    assert_eq!(checks::all().len(), 13);
     for (name, run, opts) in checks::all() {
         let executions = run(opts);
         assert!(

@@ -7,7 +7,7 @@
 //! from the seeded bug, not from a broken scenario.
 
 use sdnfv_check::mutants::{
-    self, DrainBug, GateBug, HistBug, MemoBug, RingBug, StagedBug, TableBug, VerdictBug,
+    self, DrainBug, GateBug, HistBug, MemoBug, MessageBug, RingBug, StagedBug, TableBug, VerdictBug,
 };
 use sdnfv_ring::model::{CheckOpts, CheckReport, ViolationKind};
 
@@ -246,4 +246,31 @@ fn admit_after_publish_is_caught() {
     // that acquired the finish sees the count below zero.
     let report = mutants::drain_scenario(DrainBug::AdmitAfterPublish, opts());
     assert_caught(&report, &[ViolationKind::Panic], "AdmitAfterPublish");
+}
+
+#[test]
+fn unmutated_message_hand_back_passes_exhaustively() {
+    let report = mutants::message_scenario(MessageBug::None, opts());
+    assert!(
+        report.exhaustive_pass(),
+        "the faithful hand-back must pass: {:?}",
+        report.violation
+    );
+}
+
+#[test]
+fn draining_messages_before_taking_completions_is_caught() {
+    // The NF sends and publishes between the worker's drain and its take:
+    // the worker routes a packet whose message it has not applied.
+    let report = mutants::message_scenario(MessageBug::DrainBeforeTake, opts());
+    assert_caught(&report, &[ViolationKind::Panic], "DrainBeforeTake");
+}
+
+#[test]
+fn publishing_completions_before_messages_is_caught() {
+    // The worker takes the completion and drains before the NF's messages
+    // are on the ring: the owned packet, or the fan-out its sibling
+    // finished, is routed first.
+    let report = mutants::message_scenario(MessageBug::CompletionBeforeMessages, opts());
+    assert_caught(&report, &[ViolationKind::Panic], "CompletionBeforeMessages");
 }
