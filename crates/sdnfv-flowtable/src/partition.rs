@@ -392,9 +392,9 @@ impl FlowTablePartitions {
     /// what was left of its idle and hard timeouts, as in a same-host
     /// [`FlowTablePartitions::move_bucket_state`], and a rule that expired
     /// before the handout neither answers on the destination nor outlives
-    /// the destination's next sweep, which evicts and reports it. (A
-    /// destination clock that reads less than a rule's age counts that
-    /// rule from the clock's zero.) Mutation
+    /// the destination's next sweep, which evicts and reports it — also
+    /// when the destination's clock reads less than the rule's age, which
+    /// places its install before that clock's zero. Mutation
     /// records the destination log already carries are skipped silently,
     /// and records the destination holds a newer conflicting mutation for
     /// are skipped and counted (last-writer-wins). The destination's
@@ -906,13 +906,14 @@ mod tests {
     }
 
     /// Hands `rules`, installed at 0 on host A's shard 0, over to host B's
-    /// shard 1 at `handout_at_ns` on A's clock, when B's reads 10 000.
-    /// Before that, each of `hits` looks its flow up at its time on A.
-    /// Returns both partitions.
+    /// shard 1 at `handout_at_ns` on A's clock, when B's reads
+    /// `absorb_at_ns`. Before that, each of `hits` looks its flow up at its
+    /// time on A. Returns both partitions.
     fn hand_over(
         rules: &[FlowRule],
         hits: &[(u64, u8)],
         handout_at_ns: u64,
+        absorb_at_ns: u64,
     ) -> (SharedFlowTable, SharedFlowTable) {
         let host_a = FlowTablePartitions::new(&SharedFlowTable::new(), 2);
         let host_b = FlowTablePartitions::new(&SharedFlowTable::new(), 2);
@@ -928,8 +929,10 @@ mod tests {
         assert!(source.sweep_expired(handout_at_ns, 16, |_| true).is_empty());
         let bundle = host_a.extract_bucket_state(0, 5, handout_at_ns, |_| true);
         assert_eq!(bundle.exact_rules.len(), rules.len());
-        assert!(destination.sweep_expired(10_000, 16, |_| false).is_empty());
-        let absorbed = host_b.absorb_bucket_state(1, &bundle, 10_000);
+        assert!(destination
+            .sweep_expired(absorb_at_ns, 16, |_| false)
+            .is_empty());
+        let absorbed = host_b.absorb_bucket_state(1, &bundle, absorb_at_ns);
         assert_eq!(absorbed.exact_rules, rules.len());
         assert!(source.sweep_expired(u64::MAX, 16, |_| false).is_empty());
         assert_eq!(source.len(), 0, "the rules left the source host");
@@ -940,7 +943,7 @@ mod tests {
     fn a_handout_does_not_revive_an_expired_pin() {
         // A 100 ns pin handed out at 200: expired, not yet swept.
         let pin = exact_drop_rule(1).with_hard_timeout_ns(Some(100));
-        let (source, destination) = hand_over(&[pin], &[], 200);
+        let (source, destination) = hand_over(&[pin], &[], 200, 10_000);
         assert!(
             destination.lookup(RulePort::Nic(0), &key(1)).is_none(),
             "the expired pin does not answer on the destination"
@@ -955,6 +958,26 @@ mod tests {
     }
 
     #[test]
+    fn a_handout_to_a_younger_clock_does_not_revive_an_expired_pin() {
+        // A 100 ns pin handed out at 200 on the source's clock and absorbed
+        // when the destination's reads 50: it expired before the
+        // destination's zero.
+        let pin = exact_drop_rule(1).with_hard_timeout_ns(Some(100));
+        let (source, destination) = hand_over(&[pin], &[], 200, 50);
+        assert!(
+            destination.lookup(RulePort::Nic(0), &key(1)).is_none(),
+            "the expired pin does not answer on the destination"
+        );
+        let evicted = destination.sweep_expired(50, 16, |_| false);
+        assert_eq!(evicted.len(), 1, "the destination's next sweep evicts it");
+        assert_eq!(evicted[0].exact, Some((RulePort::Nic(0), key(1))));
+        assert_eq!(evicted[0].reason, EvictReason::Hard);
+        assert!(destination.sweep_expired(1_000, 16, |_| false).is_empty());
+        let hard = |table: &SharedFlowTable| table.stats().evicted_hard;
+        assert_eq!((hard(&source), hard(&destination)), (0, 1), "counted once");
+    }
+
+    #[test]
     fn a_handed_out_pin_keeps_what_was_left_of_its_timeouts() {
         // Handed out at 900: the hard pin has 100 ns left, and the idle
         // pin, last hit at 500, has 600.
@@ -962,7 +985,7 @@ mod tests {
             exact_drop_rule(1).with_hard_timeout_ns(Some(1_000)),
             exact_drop_rule(2).with_idle_timeout_ns(Some(1_000)),
         ];
-        let (_, destination) = hand_over(&rules, &[(500, 2)], 900);
+        let (_, destination) = hand_over(&rules, &[(500, 2)], 900, 10_000);
         let decision = destination.lookup(RulePort::Nic(0), &key(1)).unwrap();
         assert_eq!(
             &decision.actions[..],

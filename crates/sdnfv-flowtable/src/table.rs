@@ -173,15 +173,19 @@ struct RuleEntry {
     /// Whether the rule carried an [`Action::Trace`] marker.
     trace: bool,
     hits: u64,
-    installed_at_ns: u64,
-    last_hit_ns: u64,
+    /// When the rule was installed and last hit, on the table's clock
+    /// ([`Timers`]).
+    installed_at_ns: i64,
+    last_hit_ns: i64,
 }
 
-/// What a rule's timeouts run from, on its table's clock.
+/// What a rule's timeouts run from, on its table's clock. Signed: a rule
+/// handed over from a host whose clock has run longer than this one's can
+/// have been installed, and last hit, before this clock's zero.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Timers {
-    installed_at_ns: u64,
-    last_hit_ns: u64,
+    installed_at_ns: i64,
+    last_hit_ns: i64,
 }
 
 /// How long ago a rule was installed and last hit: its timers as
@@ -197,23 +201,48 @@ pub struct RuleAge {
 }
 
 impl Timers {
-    /// The rule's age at `now_ns` on the clock these timers run on.
-    pub(crate) fn age_at(self, now_ns: u64) -> RuleAge {
-        RuleAge {
-            since_install_ns: now_ns.saturating_sub(self.installed_at_ns),
-            since_hit_ns: now_ns.saturating_sub(self.last_hit_ns),
+    /// Timers started at `now_ns`.
+    fn at(now_ns: u64) -> Self {
+        Timers {
+            installed_at_ns: signed(now_ns),
+            last_hit_ns: signed(now_ns),
         }
     }
 
-    /// Timers that read `age` at `now_ns` on another clock. A clock that
-    /// reads less than the age cannot place the install before its own
-    /// zero, and counts from zero instead.
-    pub(crate) fn aged(age: RuleAge, now_ns: u64) -> Self {
-        Timers {
-            installed_at_ns: now_ns.saturating_sub(age.since_install_ns),
-            last_hit_ns: now_ns.saturating_sub(age.since_hit_ns),
+    /// The rule's age at `now_ns` on the clock these timers run on.
+    pub(crate) fn age_at(self, now_ns: u64) -> RuleAge {
+        let since = |at: i64| u64::try_from(i128::from(now_ns) - i128::from(at)).unwrap_or(0);
+        RuleAge {
+            since_install_ns: since(self.installed_at_ns),
+            since_hit_ns: since(self.last_hit_ns),
         }
     }
+
+    /// Timers that read `age` at `now_ns` on another clock — before that
+    /// clock's zero if the age is the greater.
+    pub(crate) fn aged(age: RuleAge, now_ns: u64) -> Self {
+        let at = |since: u64| clamp_signed(i128::from(now_ns) - i128::from(since));
+        Timers {
+            installed_at_ns: at(age.since_install_ns),
+            last_hit_ns: at(age.since_hit_ns),
+        }
+    }
+}
+
+/// A clock reading as a signed time.
+fn signed(ns: u64) -> i64 {
+    i64::try_from(ns).unwrap_or(i64::MAX)
+}
+
+fn clamp_signed(ns: i128) -> i64 {
+    ns.clamp(i128::from(i64::MIN), i128::from(i64::MAX)) as i64
+}
+
+/// When a timeout of `timeout_ns` running since `since_ns` elapses, on the
+/// clock: the instant itself, or 0 if it lies before the clock's zero.
+fn deadline(since_ns: i64, timeout_ns: u64) -> u64 {
+    let at = i128::from(since_ns) + i128::from(timeout_ns);
+    at.clamp(0, i128::from(u64::MAX)) as u64
 }
 
 /// The table's forwarding lists, one `Arc` per distinct list. Rules that
@@ -287,11 +316,11 @@ impl RuleEntry {
         let hard = self
             .rule
             .hard_timeout_ns
-            .map(|t| self.installed_at_ns.saturating_add(t));
+            .map(|t| deadline(self.installed_at_ns, t));
         let idle = self
             .rule
             .idle_timeout_ns
-            .map(|t| self.last_hit_ns.saturating_add(t));
+            .map(|t| deadline(self.last_hit_ns, t));
         match (hard, idle) {
             (Some(h), Some(i)) => Some(h.min(i)),
             (Some(h), None) => Some(h),
@@ -304,12 +333,12 @@ impl RuleEntry {
     /// first, mirroring OpenFlow's removal-reason precedence).
     fn expiry(&self, now_ns: u64) -> Option<EvictReason> {
         if let Some(hard) = self.rule.hard_timeout_ns {
-            if now_ns >= self.installed_at_ns.saturating_add(hard) {
+            if now_ns >= deadline(self.installed_at_ns, hard) {
                 return Some(EvictReason::Hard);
             }
         }
         if let Some(idle) = self.rule.idle_timeout_ns {
-            if now_ns >= self.last_hit_ns.saturating_add(idle) {
+            if now_ns >= deadline(self.last_hit_ns, idle) {
                 return Some(EvictReason::Idle);
             }
         }
@@ -758,11 +787,7 @@ impl FlowTable {
     /// pinning stays O(1) in the table size. Installing an exact rule for
     /// a `(step, key)` that already has one replaces the old rule.
     pub fn insert(&mut self, rule: FlowRule) -> RuleId {
-        let now = Timers {
-            installed_at_ns: self.now_ns,
-            last_hit_ns: self.now_ns,
-        };
-        self.insert_timed(rule, now)
+        self.insert_timed(rule, Timers::at(self.now_ns))
     }
 
     /// [`FlowTable::insert`] with timers already running: a rule moved
@@ -872,7 +897,7 @@ impl FlowTable {
             .as_mut()
             .expect("probe returns occupied slots");
         entry.hits += 1;
-        entry.last_hit_ns = now_ns;
+        entry.last_hit_ns = signed(now_ns);
         Some(Decision {
             rule_id: entry.id,
             actions: Arc::clone(&entry.shared_actions),
