@@ -211,7 +211,7 @@ impl Timers {
 
     /// The rule's age at `now_ns` on the clock these timers run on.
     pub(crate) fn age_at(self, now_ns: u64) -> RuleAge {
-        let since = |at: i64| u64::try_from(i128::from(now_ns) - i128::from(at)).unwrap_or(0);
+        let since = |at: i64| u64::try_from(signed(now_ns).saturating_sub(at)).unwrap_or(0);
         RuleAge {
             since_install_ns: since(self.installed_at_ns),
             since_hit_ns: since(self.last_hit_ns),
@@ -221,7 +221,7 @@ impl Timers {
     /// Timers that read `age` at `now_ns` on another clock — before that
     /// clock's zero if the age is the greater.
     pub(crate) fn aged(age: RuleAge, now_ns: u64) -> Self {
-        let at = |since: u64| clamp_signed(i128::from(now_ns) - i128::from(since));
+        let at = |since: u64| signed(now_ns).saturating_sub_unsigned(since);
         Timers {
             installed_at_ns: at(age.since_install_ns),
             last_hit_ns: at(age.since_hit_ns),
@@ -234,15 +234,10 @@ fn signed(ns: u64) -> i64 {
     i64::try_from(ns).unwrap_or(i64::MAX)
 }
 
-fn clamp_signed(ns: i128) -> i64 {
-    ns.clamp(i128::from(i64::MIN), i128::from(i64::MAX)) as i64
-}
-
 /// When a timeout of `timeout_ns` running since `since_ns` elapses, on the
 /// clock: the instant itself, or 0 if it lies before the clock's zero.
 fn deadline(since_ns: i64, timeout_ns: u64) -> u64 {
-    let at = i128::from(since_ns) + i128::from(timeout_ns);
-    at.clamp(0, i128::from(u64::MAX)) as u64
+    u64::try_from(since_ns.saturating_add_unsigned(timeout_ns)).unwrap_or(0)
 }
 
 /// The table's forwarding lists, one `Arc` per distinct list. Rules that
