@@ -98,7 +98,8 @@
 //! *template*; each shard works against its own
 //! [`FlowTablePartitions`] partition (a fork of the template), written on
 //! the data plane by the shard's worker alone, so shard lookups and NF
-//! cross-layer messages never contend on a lock another shard touches. Control-plane rules installed mid-run go through
+//! cross-layer messages never contend on a lock another shard touches.
+//! Control-plane rules installed mid-run go through
 //! [`ThreadedHost::install_rule`], which broadcasts to every partition.
 //!
 //! **Rule expiry**: a rule leaves by idle or hard timeout in one place,

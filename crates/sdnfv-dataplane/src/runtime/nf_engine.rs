@@ -354,8 +354,8 @@ impl NfEngine {
     /// at most one burst in place in the input ring's slots and move each
     /// completion straight into a done-ring slot. Returns whether any work
     /// was done (a held burst that still finds the message ring full is
-    /// none). Sets `finished` when the
-    /// replica's loop is over (host shutdown, or scale-down drain complete).
+    /// none). Sets `finished` when the replica's loop is over (host
+    /// shutdown, or scale-down drain complete).
     pub(crate) fn step(&mut self) -> bool {
         if self.finished {
             return false;
