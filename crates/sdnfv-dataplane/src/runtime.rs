@@ -92,7 +92,9 @@
 //! full ring holds the burst back), and the worker drains every message
 //! ring after it notes what the done rings hold and before it routes any
 //! of it, then keeps each message in the shard's bounded outbox ring for
-//! the control plane ([`ThreadedHost::take_nf_messages`]).
+//! the control plane ([`ThreadedHost::take_nf_messages`]). A bucket
+//! move's state exchange rides rings too ([`nf_engine`]): no NF thread
+//! takes a lock.
 //!
 //! **Per-shard flow tables**: the table handed to `start_sharded` is the
 //! *template*; each shard works against its own
@@ -182,14 +184,13 @@ use crate::stats::{HostStats, ShardStats};
 mod nf_engine;
 mod rehome_driver;
 
-use nf_engine::{
-    nf_thread_loop, NfMessages, NfProbe, NfStateChannel, NfStateRequest, StateResponse,
-};
+use nf_engine::{nf_thread_loop, NfOut, NfProbe, NfRequest, StateResponse};
 pub(crate) use nf_engine::{NfEngine, NfThread};
 use rehome_driver::apportion_targets;
 
 /// Capacity of each shard's control-command ring (commands the worker
-/// applies between bursts).
+/// applies between bursts), and of each replica's control ring (state
+/// requests the NF serves between bursts).
 const CONTROL_RING_CAPACITY: usize = 16;
 
 /// Capacity of the per-bucket pen that holds arrivals while a steering
@@ -1708,8 +1709,15 @@ struct NfSlot {
     read_only: bool,
     ring: Producer<WorkItem>,
     done: Consumer<DoneItem>,
-    /// The replica's cross-layer messages, applied by the worker.
-    messages: Consumer<NfMessages>,
+    /// The replica's cross-layer messages, applied by the worker, and its
+    /// state responses, kept in `responses` until read.
+    messages: Consumer<NfOut>,
+    control: Producer<NfRequest>,
+    /// State requests not yet on `control`. Bounded: an export or import
+    /// is one exchange outstanding on the replica, and back-to-back scrubs
+    /// merge, so it holds at most two entries per exchange, plus one.
+    unsent: std::collections::VecDeque<NfRequest>,
+    responses: Vec<(u64, StateResponse)>,
     /// How many completions `done` held when the worker last looked,
     /// before it applied the messages: what it routes next.
     noted: usize,
@@ -1720,8 +1728,62 @@ struct NfSlot {
     /// When the slot entered [`SlotState::Retired`] (compaction timer),
     /// nanoseconds on the host clock.
     retired_at: Option<u64>,
-    /// State-migration mailbox shared with the replica's thread.
-    channel: Arc<NfStateChannel>,
+}
+
+impl NfSlot {
+    /// Whether the replica's loop is over.
+    fn exited(&self) -> bool {
+        self.handle.as_ref().is_none_or(TaskHandle::is_finished)
+    }
+
+    /// Whether the replica has answered every request it ever will: it
+    /// exited, and the worker has popped and read all it handed back.
+    fn answered_all(&self) -> bool {
+        self.exited() && self.messages.is_empty() && self.responses.is_empty()
+    }
+
+    /// Puts `request` on the control ring, or behind the requests still
+    /// waiting for room there; back-to-back waiting scrubs merge.
+    fn queue_request(&mut self, request: NfRequest) {
+        let request = if self.unsent.is_empty() {
+            match self.control.push(request) {
+                Ok(()) => return,
+                Err(PushError(request)) => request,
+            }
+        } else {
+            request
+        };
+        match (self.unsent.back_mut(), request) {
+            (Some(NfRequest::Scrub { keys: queued }), NfRequest::Scrub { keys }) => {
+                queued.extend(keys);
+            }
+            (_, request) => self.unsent.push_back(request),
+        }
+    }
+
+    /// Moves queued requests onto the control ring, oldest first, as far
+    /// as there is room: a full ring neither blocks the worker nor drops
+    /// or reorders a request. Returns whether any went.
+    fn send_requests(&mut self) -> bool {
+        let mut sent = false;
+        while let Some(request) = self.unsent.pop_front() {
+            if let Err(PushError(request)) = self.control.push(request) {
+                self.unsent.push_front(request);
+                break;
+            }
+            sent = true;
+        }
+        sent
+    }
+
+    /// Tells a draining replica to exit once its input ring is empty — but
+    /// only once every request for it is on its control ring, which it
+    /// serves before it exits.
+    fn stop_when_sent(&self) {
+        if self.unsent.is_empty() {
+            self.stop.store(true, Ordering::Release);
+        }
+    }
 }
 
 /// The worker's egress staging: packets leaving the shard are collected
@@ -1850,7 +1912,7 @@ pub(crate) struct ShardEngine {
     pending_collects: Vec<PendingCollect>,
     /// NF-state imports awaiting replica acknowledgements.
     pending_imports: Vec<PendingImport>,
-    /// Token generator for replica state-migration requests.
+    /// The last token handed to a replica's export or import.
     state_token: u64,
     telemetry_interval_ns: u64,
     /// Host-clock instant of the last published snapshot.
@@ -1972,6 +2034,9 @@ impl ShardEngine {
                     did_work |= self.poll_state_exchanges();
                 }
                 did_work |= self.maybe_sweep_rules();
+                for slot in &mut self.slots {
+                    did_work |= slot.send_requests();
+                }
                 self.maybe_publish_telemetry(ingress);
                 did_work
             }
@@ -1987,10 +2052,7 @@ impl ShardEngine {
                 if self.draining > 0 {
                     self.retire_drained();
                 }
-                let threads_done = self
-                    .slots
-                    .iter()
-                    .all(|slot| slot.handle.as_ref().is_none_or(TaskHandle::is_finished));
+                let threads_done = self.slots.iter().all(NfSlot::exited);
                 let rings_empty = self
                     .slots
                     .iter()
@@ -2065,13 +2127,23 @@ impl ShardEngine {
     /// and pins stamped with the pin timeouts. A wildcard rewrite is logged
     /// under the mutating flow's steering bucket (an unattributed one
     /// bucket-less, so it travels with every departing bucket), and each
-    /// message then moves into the outbox. Returns whether there were any.
+    /// message then moves into the outbox. A state response popped on the
+    /// way is kept, to be read (and count as work) in
+    /// [`poll_state_exchanges`](Self::poll_state_exchanges). Returns
+    /// whether there were any messages.
     fn apply_nf_messages(&mut self) -> bool {
         let mut applied = false;
         let pin_timeouts = self.pin_timeouts;
         for index in 0..self.slots.len() {
             let from = self.slots[index].service;
-            while let Some(messages) = self.slots[index].messages.pop() {
+            while let Some(entry) = self.slots[index].messages.pop() {
+                let messages = match entry {
+                    NfOut::Messages(messages) => messages,
+                    NfOut::State { token, states } => {
+                        self.slots[index].responses.push((token, states));
+                        continue;
+                    }
+                };
                 applied = true;
                 for attributed in messages {
                     self.stats.add_nf_messages(1);
@@ -2139,41 +2211,13 @@ impl ShardEngine {
         self.cache.hits()
     }
 
-    /// Settles every in-flight state-exchange entry pointing at slot
-    /// `index` before the slot is reclaimed (compaction) or reused for a
-    /// new replica: responses the old replica already queued are absorbed,
-    /// and anything still outstanding resolves empty — the replica is gone
-    /// and its channel is about to be replaced, so waiting on it would
-    /// stall the covering bucket move forever.
-    fn settle_slot_state_entries(&mut self, index: usize) {
-        // Final-look drain: the slot is going away, so anything still
-        // queued in its mailbox must be absorbed now — a regular drain
-        // could come up empty under the DST ack holdback (or the
-        // push→flag window in `respond`) while exported state sits queued.
-        let mut responses: HashMap<u64, StateResponse> = self.slots[index]
-            .channel
-            .drain_responses_final()
-            .into_iter()
-            .collect();
-        let service = self.slots[index].service;
-        for collect in &mut self.pending_collects {
-            collect.outstanding.retain(|&(slot, token)| {
-                if slot != index {
-                    return true;
-                }
-                if let Some(response) = responses.remove(&token) {
-                    collect.gathered.extend(
-                        response
-                            .into_iter()
-                            .map(|(key, state)| (service, key, state)),
-                    );
-                }
-                false
-            });
-        }
-        for import in &mut self.pending_imports {
-            import.outstanding.retain(|&(slot, _)| slot != index);
-        }
+    /// Resolves every state-exchange entry pointing at a retired slot —
+    /// its replica answered all it ever will — before the slot is
+    /// reclaimed (compaction) or reused for a new replica: waiting on it
+    /// would stall the covering bucket move forever.
+    fn settle_retired_slots(&mut self) {
+        let responses = self.popped_responses(|slot| slot.state == SlotState::Retired);
+        self.resolve_state_exchanges(responses);
     }
 
     /// Reclaims NF slots that have stayed [`SlotState::Retired`] past the
@@ -2192,18 +2236,8 @@ impl ShardEngine {
         if !self.slots.iter().any(expired) {
             return;
         }
-        // Settle state-exchange entries referencing the slots about to go,
-        // so no pending list is left holding a soon-to-be-dangling index.
-        let going: Vec<usize> = self
-            .slots
-            .iter()
-            .enumerate()
-            .filter(|(_, slot)| expired(slot))
-            .map(|(index, _)| index)
-            .collect();
-        for index in going {
-            self.settle_slot_state_entries(index);
-        }
+        // No pending list may be left holding a soon-to-be-dangling index.
+        self.settle_retired_slots();
         let mut remap: Vec<Option<usize>> = Vec::with_capacity(self.slots.len());
         let mut kept: Vec<NfSlot> = Vec::with_capacity(self.slots.len());
         for slot in self.slots.drain(..) {
@@ -2251,10 +2285,10 @@ impl ShardEngine {
     fn spawn_nf(&mut self, service: ServiceId, nf: Box<dyn NetworkFunction>) {
         let (ring, input) = spsc_ring::<WorkItem>(self.nf_ring_capacity);
         let (done_tx, done) = spsc_ring::<DoneItem>(self.nf_ring_capacity);
-        let (messages_tx, messages) = spsc_ring::<NfMessages>(self.nf_ring_capacity);
+        let (messages_tx, messages) = spsc_ring::<NfOut>(self.nf_ring_capacity);
+        let (control, control_rx) = spsc_ring::<NfRequest>(CONTROL_RING_CAPACITY);
         let probe = Arc::new(NfProbe::default());
         let stop = Arc::new(AtomicBool::new(false));
-        let channel = Arc::new(NfStateChannel::default());
         let read_only = nf.read_only();
         let thread = NfThread {
             shard: self.shard,
@@ -2267,7 +2301,7 @@ impl ShardEngine {
             stats: self.stats.clone(),
             tracker: Arc::clone(&self.tracker),
             messages: messages_tx,
-            channel: Arc::clone(&channel),
+            control: control_rx,
             probe: Arc::clone(&probe),
             measure: self.telemetry_interval_ns != 0,
             clock: self.clock.clone(),
@@ -2281,13 +2315,15 @@ impl ShardEngine {
             ring,
             done,
             messages,
+            control,
+            unsent: std::collections::VecDeque::new(),
+            responses: Vec::new(),
             noted: 0,
             probe,
             stop,
             handle: Some(handle),
             state: SlotState::Active,
             retired_at: None,
-            channel,
         };
         let index = match self
             .slots
@@ -2295,10 +2331,10 @@ impl ShardEngine {
             .position(|s| s.state == SlotState::Retired)
         {
             Some(index) => {
-                // The reused slot gets a fresh state channel: settle any
-                // state-exchange entry still pointing at the old one, or it
-                // would wait forever on a channel the dead replica never saw.
-                self.settle_slot_state_entries(index);
+                // The reused slot gets fresh rings: settle any state-exchange
+                // entry still pointing at the old replica, or it would wait
+                // forever on a ring the new replica never saw.
+                self.settle_retired_slots();
                 self.slots[index] = slot;
                 self.retired_slots -= 1;
                 index
@@ -2320,7 +2356,8 @@ impl ShardEngine {
 
     /// Begins retiring the most recently added replica of `service`:
     /// removes it from dispatch and tells its thread to exit once its input
-    /// ring is drained. The last replica of a service is never retired.
+    /// ring is drained (see [`NfSlot::stop_when_sent`]). The last replica
+    /// of a service is never retired.
     ///
     /// The host pushes this right after the export of the buckets the
     /// replica served, which the replica answers before it exits.
@@ -2338,7 +2375,7 @@ impl ShardEngine {
         let index = instances.pop().expect("length checked");
         let slot = &mut self.slots[index];
         slot.state = SlotState::Draining;
-        slot.stop.store(true, Ordering::Release);
+        slot.stop_when_sent();
         self.draining += 1;
     }
 
@@ -2352,8 +2389,8 @@ impl ShardEngine {
             if slot.state != SlotState::Draining {
                 continue;
             }
-            let finished = slot.handle.as_ref().is_none_or(TaskHandle::is_finished);
-            if finished && slot.done.is_empty() && slot.messages.is_empty() {
+            slot.stop_when_sent();
+            if slot.exited() && slot.done.is_empty() && slot.messages.is_empty() {
                 if let Some(handle) = slot.handle.take() {
                     handle.join();
                 }
@@ -2383,38 +2420,23 @@ impl ShardEngine {
         self.applied_commands += 1;
     }
 
-    /// A fresh token for one replica state-migration request.
-    fn next_state_token(&mut self) -> u64 {
-        self.state_token += 1;
-        self.state_token
-    }
-
     /// Fans an NF-state export request out to every live replica; the
     /// gathered responses are assembled by [`ShardEngine::poll_state_exchanges`].
     fn begin_export(&mut self, id: u64, buckets: Vec<usize>, exact_keys: Vec<FlowKey>) {
-        let eligible: Vec<usize> = self
-            .slots
-            .iter()
-            .enumerate()
-            .filter(|(_, slot)| {
-                // A retired (or exited-while-draining) replica answered
-                // every request it ever saw; it holds no reachable state.
-                slot.state != SlotState::Retired
-                    && slot.handle.as_ref().is_some_and(|h| !h.is_finished())
-            })
-            .map(|(index, _)| index)
-            .collect();
         let mut outstanding = Vec::new();
-        for index in eligible {
-            let token = self.next_state_token();
-            self.slots[index].channel.post(
-                token,
-                NfStateRequest::Export {
-                    buckets: buckets.clone(),
-                    keys: exact_keys.clone(),
-                },
-            );
-            outstanding.push((index, token));
+        for (index, slot) in self.slots.iter_mut().enumerate() {
+            // An exited replica (every retired one, too) answered every
+            // request it ever saw; it holds no reachable state.
+            if slot.exited() {
+                continue;
+            }
+            self.state_token += 1;
+            slot.queue_request(NfRequest::Export {
+                token: self.state_token,
+                buckets: buckets.clone(),
+                keys: exact_keys.clone(),
+            });
+            outstanding.push((index, self.state_token));
         }
         self.pending_collects.push(PendingCollect {
             id,
@@ -2455,10 +2477,9 @@ impl ShardEngine {
         }
         let mut outstanding = Vec::new();
         for (slot, states) in per_slot {
-            let token = self.next_state_token();
-            self.slots[slot]
-                .channel
-                .post(token, NfStateRequest::Import { states });
+            self.state_token += 1;
+            let token = self.state_token;
+            self.slots[slot].queue_request(NfRequest::Import { token, states });
             outstanding.push((slot, token));
         }
         self.pending_imports
@@ -2471,55 +2492,62 @@ impl ShardEngine {
     /// acknowledgements (setting their `done` flags), and retries exports
     /// the ring had no room for. Returns whether anything progressed.
     fn poll_state_exchanges(&mut self) -> bool {
-        let mut progressed = false;
-        let slots = &self.slots;
-        // Drain every slot's arrived responses once, keyed (slot, token).
-        // The map is consumed by key lookups only (never iterated), so its
-        // internal ordering cannot leak into observable behavior.
-        let mut responses: HashMap<(usize, u64), StateResponse> = HashMap::new();
-        for (index, slot) in slots.iter().enumerate() {
-            for (token, response) in slot.channel.drain_responses() {
-                responses.insert((index, token), response);
+        let responses = self.popped_responses(|slot| {
+            // DST fault hook: a held-back replica's responses stay unread
+            // this poll — unless it exited, when nothing is left to delay.
+            // Only this worker counts the holdback down.
+            let held = slot.probe.state_holdback.fetch_update(
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+                |polls| polls.checked_sub(1),
+            );
+            held.is_err() || slot.exited()
+        });
+        self.resolve_state_exchanges(responses)
+    }
+
+    /// Takes the popped state responses of every slot `read` picks, keyed
+    /// (slot, token). The map is consumed by key lookups only (never
+    /// iterated), so its internal ordering cannot leak into observable
+    /// behavior.
+    fn popped_responses(
+        &mut self,
+        mut read: impl FnMut(&NfSlot) -> bool,
+    ) -> HashMap<(usize, u64), StateResponse> {
+        let mut responses = HashMap::new();
+        for (index, slot) in self.slots.iter_mut().enumerate() {
+            if read(slot) {
+                let popped = slot.responses.drain(..);
+                responses.extend(popped.map(|(token, response)| ((index, token), response)));
             }
         }
+        responses
+    }
+
+    /// Resolves the entries `responses` answer, and those of replicas that
+    /// will never answer, then publishes what completed (see
+    /// [`poll_state_exchanges`](Self::poll_state_exchanges)).
+    fn resolve_state_exchanges(
+        &mut self,
+        mut responses: HashMap<(usize, u64), StateResponse>,
+    ) -> bool {
+        let mut progressed = false;
+        let slots = &self.slots;
         for collect in &mut self.pending_collects {
             collect.outstanding.retain(|&(index, token)| {
                 let slot = &slots[index];
-                let response = responses.remove(&(index, token)).or_else(|| {
-                    // A replica that exited (drain completed) served every
-                    // queued request before leaving its loop — but its last
-                    // acks can still be sitting undelivered in the mailbox
-                    // (the DST holdback fault, or the push→flag window in
-                    // `respond`). Take a final look at the queue itself
-                    // before treating "no response" as "never sent":
-                    // resolving the entry empty while the exported state is
-                    // queued would lose that state permanently (caught by
-                    // the DST state-mailbox-delay fault's census oracle).
-                    if slot.handle.as_ref().is_none_or(TaskHandle::is_finished) {
-                        for (tok, late) in slot.channel.drain_responses_final() {
-                            responses.insert((index, tok), late);
-                        }
-                        responses.remove(&(index, token))
-                    } else {
-                        None
-                    }
-                });
-                if let Some(response) = response {
-                    collect.gathered.extend(
+                match responses.remove(&(index, token)) {
+                    Some(response) => collect.gathered.extend(
                         response
                             .into_iter()
                             .map(|(key, state)| (slot.service, key, state)),
-                    );
-                    progressed = true;
-                    return false;
+                    ),
+                    None if !slot.answered_all() => return true,
+                    // The replica will never answer: the entry resolves empty.
+                    None => {}
                 }
-                // Final look came up empty too: the replica really never
-                // answered, so the entry resolves empty.
-                if slot.handle.as_ref().is_none_or(TaskHandle::is_finished) {
-                    progressed = true;
-                    return false;
-                }
-                true
+                progressed = true;
+                false
             });
         }
         let mut finished: Vec<BucketStateExport> = Vec::new();
@@ -2542,20 +2570,10 @@ impl ShardEngine {
             progressed = true;
         }
         self.pending_imports.retain_mut(|import| {
+            // A replica gone mid-import leaves its share of the state
+            // unrecoverable, but the move must not hang.
             import.outstanding.retain(|&(index, token)| {
-                if responses.remove(&(index, token)).is_some() {
-                    return false;
-                }
-                if slots[index]
-                    .handle
-                    .as_ref()
-                    .is_none_or(TaskHandle::is_finished)
-                {
-                    // Replica gone mid-import: its share of the state is
-                    // unrecoverable, but the move must not hang.
-                    return false;
-                }
-                true
+                responses.remove(&(index, token)).is_none() && !slots[index].answered_all()
             });
             if import.outstanding.is_empty() {
                 import.done.store(true, Ordering::Release);
@@ -2607,8 +2625,9 @@ impl ShardEngine {
 
     /// Counts a sweep's evictions into the shard's stats and posts the
     /// evicted exact flows' keys to every live replica for NF-state scrub.
-    /// Scrubs are fire-and-forget: replicas post no response, so the
-    /// request needs no entry in the state-exchange bookkeeping.
+    /// Scrubs are fire-and-forget: replicas send no response, so the
+    /// request takes no token and no entry in the state-exchange
+    /// bookkeeping.
     fn note_evictions(&mut self, evicted: Vec<EvictedRule>) {
         let mut idle = 0u64;
         let mut hard = 0u64;
@@ -2631,21 +2650,10 @@ impl ShardEngine {
         if keys.is_empty() {
             return;
         }
-        let live: Vec<usize> = self
-            .slots
-            .iter()
-            .enumerate()
-            .filter(|(_, slot)| {
-                slot.state != SlotState::Retired
-                    && slot.handle.as_ref().is_some_and(|h| !h.is_finished())
-            })
-            .map(|(index, _)| index)
-            .collect();
-        for index in live {
-            let token = self.next_state_token();
-            self.slots[index]
-                .channel
-                .post(token, NfStateRequest::Scrub { keys: keys.clone() });
+        for slot in &mut self.slots {
+            if !slot.exited() {
+                slot.queue_request(NfRequest::Scrub { keys: keys.clone() });
+            }
         }
     }
 
@@ -3682,20 +3690,23 @@ mod tests {
     fn test_slot(capacity: usize) -> (NfSlot, Consumer<WorkItem>, Producer<DoneItem>) {
         let (ring, input) = spsc_ring::<WorkItem>(capacity);
         let (done_tx, done) = spsc_ring::<DoneItem>(capacity);
-        let (_, messages) = spsc_ring::<NfMessages>(capacity);
+        let (_, messages) = spsc_ring::<NfOut>(capacity);
+        let (control, _) = spsc_ring::<NfRequest>(CONTROL_RING_CAPACITY);
         let slot = NfSlot {
             service: ServiceId::new(1),
             read_only: true,
             ring,
             done,
             messages,
+            control,
+            unsent: std::collections::VecDeque::new(),
+            responses: Vec::new(),
             noted: 0,
             probe: Arc::new(NfProbe::default()),
             stop: Arc::new(AtomicBool::new(false)),
             handle: None,
             state: SlotState::Active,
             retired_at: None,
-            channel: Arc::new(NfStateChannel::default()),
         };
         (slot, input, done_tx)
     }
@@ -3706,13 +3717,14 @@ mod tests {
         nf: Box<dyn NetworkFunction>,
         capacity: usize,
     ) -> (NfEngine, Producer<WorkItem>, Consumer<DoneItem>) {
-        let (engine, ring, completions, _) = test_nf_replica(nf, capacity, capacity);
+        let (engine, ring, completions, _, _) = test_nf_replica(nf, capacity, capacity);
         (engine, ring, completions)
     }
 
     /// [`test_nf_engine`] serving bursts of `burst_size`, which also
     /// returns the consumer of the replica's message ring (as long as its
-    /// other rings, as `spawn_nf` makes it).
+    /// other rings, as `spawn_nf` makes it) and the producer of its control
+    /// ring.
     fn test_nf_replica(
         nf: Box<dyn NetworkFunction>,
         capacity: usize,
@@ -3721,11 +3733,13 @@ mod tests {
         NfEngine,
         Producer<WorkItem>,
         Consumer<DoneItem>,
-        Consumer<NfMessages>,
+        Consumer<NfOut>,
+        Producer<NfRequest>,
     ) {
         let (ring, input) = spsc_ring::<WorkItem>(capacity);
         let (done, completions) = spsc_ring::<DoneItem>(capacity);
-        let (messages_tx, messages) = spsc_ring::<NfMessages>(capacity);
+        let (messages_tx, messages) = spsc_ring::<NfOut>(capacity);
+        let (control, control_rx) = spsc_ring::<NfRequest>(CONTROL_RING_CAPACITY);
         let engine = NfEngine::new(NfThread {
             shard: 0,
             service: ServiceId::new(1),
@@ -3737,14 +3751,14 @@ mod tests {
             stats: ShardStats::new(),
             tracker: Arc::new(BucketTracker::new(STEER_BUCKETS)),
             messages: messages_tx,
-            channel: Arc::new(NfStateChannel::default()),
+            control: control_rx,
             probe: Arc::new(NfProbe::default()),
             measure: true,
             clock: HostClock::real(),
             burst_size,
             latency: Arc::new(ShardLatency::default()),
         });
-        (engine, ring, completions, messages)
+        (engine, ring, completions, messages, control)
     }
 
     /// Asks for a verdict chosen by the packet's first payload byte, and —
@@ -5958,20 +5972,19 @@ mod tests {
         host.poll_egress_burst(64);
         assert_eq!(queued(), 2);
         sim.step(worker);
-        // The retiring replica was stopped with the export already posted.
+        // The retiring replica was stopped with the export already on its
+        // control ring: the one request there, awaited by the collect.
         let retiring = sim
             .with_worker(worker, |engine| {
                 let slot = &engine.slots[1];
-                let export_posted = slot
-                    .channel
-                    .requests
-                    .lock()
+                let awaited = engine
+                    .pending_collects
                     .iter()
-                    .any(|(_, request)| matches!(request, NfStateRequest::Export { .. }));
-                (slot.state, export_posted)
+                    .any(|collect| collect.outstanding.iter().any(|&(index, _)| index == 1));
+                (slot.state, slot.control.len(), slot.unsent.len(), awaited)
             })
             .unwrap();
-        assert_eq!(retiring, (SlotState::Draining, true));
+        assert_eq!(retiring, (SlotState::Draining, 1, 0, true));
         settle_moves(&host, &sim);
         assert_eq!(host.stats().snapshot().nf_state_import_drops, 0);
         let journal = host.take_rehome_events();
@@ -6546,7 +6559,7 @@ mod tests {
     fn a_burst_whose_messages_find_the_ring_full_waits_and_loses_nothing() {
         // A two-slot replica, one packet per burst: its message ring holds
         // two bursts' messages, as `spawn_nf` sizes it.
-        let (mut engine, ring, done, messages) = test_nf_replica(Box::new(TellNf), 2, 1);
+        let (mut engine, ring, done, messages, _control) = test_nf_replica(Box::new(TellNf), 2, 1);
         let work = |seq: u8| WorkItem {
             frame: sole_frame(stamped(seq), u64::from(seq)),
             exit_service: ServiceId::new(1),
@@ -6554,7 +6567,10 @@ mod tests {
         };
         let mut applied = Vec::new();
         let drain = |applied: &mut Vec<String>| {
-            while let Some(list) = messages.pop() {
+            while let Some(entry) = messages.pop() {
+                let NfOut::Messages(list) = entry else {
+                    panic!("a state response nobody asked for");
+                };
                 applied.extend(list.into_iter().map(|attributed| match attributed.message {
                     sdnfv_nf::NfMessage::Custom { key, value } => format!("{key}{value}"),
                     other => panic!("unexpected {other:?}"),
@@ -6583,5 +6599,229 @@ mod tests {
             .map(|item| served(&item.frame).hash)
             .collect();
         assert_eq!(hashes, [1, 2]);
+    }
+
+    /// Counts each flow's packets as its NF state, and pins every flow it
+    /// serves to port 2 with an exact `ChangeDefault`.
+    struct PinCountNf {
+        own: ServiceId,
+        counts: HashMap<FlowKey, u64>,
+    }
+
+    impl NetworkFunction for PinCountNf {
+        fn name(&self) -> &str {
+            "pin-count"
+        }
+
+        fn process(&mut self, packet: &Packet, ctx: &mut NfContext) -> Verdict {
+            let key = packet.flow_key().expect("udp packet");
+            *self.counts.entry(key).or_insert(0) += 1;
+            ctx.send_for_flow(
+                &key,
+                sdnfv_nf::NfMessage::ChangeDefault {
+                    flows: FlowMatch::exact(RulePort::Service(self.own), &key),
+                    service: self.own,
+                    new_default: Action::ToPort(2),
+                },
+            );
+            Verdict::Default
+        }
+
+        fn export_flow_state(&mut self, key: &FlowKey) -> Option<NfFlowState> {
+            let count = self.counts.remove(key)?;
+            Some(NfFlowState::with_counter("packets", count))
+        }
+
+        fn import_flow_state(&mut self, key: &FlowKey, state: NfFlowState) {
+            *self.counts.entry(*key).or_insert(0) += state.counter("packets").unwrap_or(0);
+        }
+
+        fn flow_state_keys(&self) -> Vec<FlowKey> {
+            self.counts.keys().copied().collect()
+        }
+    }
+
+    /// An export that reaches a replica whose message ring is full, behind
+    /// a burst held for room: the replica serves it only once the held
+    /// burst's pin is on the ring, so the worker has applied the pin when
+    /// it reads the export — and the export carries the flow's state.
+    #[test]
+    fn an_export_behind_a_held_burst_is_answered_after_its_pin() {
+        let service = ServiceId::new(1);
+        let table = SharedFlowTable::new();
+        table.insert(FlowRule::new(
+            FlowMatch::at_step(RulePort::Nic(0)),
+            vec![Action::ToService(service)],
+        ));
+        table.insert(FlowRule::new(
+            FlowMatch::at_step(service),
+            vec![Action::ToPort(1), Action::ToPort(2)],
+        ));
+        // Two-entry rings and one packet per burst: an import's response
+        // and one burst's pin fill the replica's message ring.
+        let (host, sim) = ThreadedHost::start_sim_sharded(
+            table,
+            move |_shard| {
+                vec![(
+                    service,
+                    Box::new(PinCountNf {
+                        own: service,
+                        counts: HashMap::new(),
+                    }) as Box<dyn NetworkFunction>,
+                )]
+            },
+            ThreadedHostConfig {
+                nf_ring_capacity: 2,
+                burst_size: 1,
+                ..ThreadedHostConfig::default()
+            },
+        );
+        sim.step_all();
+        let (worker, replica) = (sim.actors()[0].id, sim.actors()[1].id);
+        let (other, flow) = (packet(1), packet(2));
+        let key = flow.flow_key().unwrap();
+        let bucket = host.tracker.bucket_of(&key);
+        assert!(host.inject(other).is_admitted() && host.inject(flow).is_admitted());
+        assert!(
+            sim.step(worker) && sim.step(worker),
+            "both go to the replica"
+        );
+        let imported = Arc::new(AtomicBool::new(false));
+        let done = Arc::clone(&imported);
+        let stranger = packet(3).flow_key().unwrap();
+        sim.with_worker(worker, |engine| {
+            let state = NfFlowState::with_counter("packets", 5);
+            engine.begin_import(vec![(service, stranger, state)], done);
+            engine.slots[0].send_requests();
+        })
+        .unwrap();
+        // The import's response and the first burst's pin fill the ring;
+        // the second burst is held with its pin.
+        assert!(sim.step(replica) && sim.step(replica));
+        const EXPORT: u64 = 77;
+        let look = |engine: &mut ShardEngine| {
+            let slot = &engine.slots[0];
+            let pinned = engine
+                .table
+                .with_read(|t| t.exact_rule_id(RulePort::Service(service), &key).is_some());
+            (slot.messages.len(), slot.control.len(), pinned)
+        };
+        let seen = sim.with_worker(worker, |engine| {
+            engine.begin_export(EXPORT, vec![bucket], vec![key]);
+            engine.slots[0].send_requests();
+            look(engine)
+        });
+        assert_eq!(seen, Some((2, 1, false)), "full ring, export posted");
+        assert!(!sim.step(replica), "the held burst still does not fit");
+        assert_eq!(sim.with_worker(worker, look), Some((2, 1, false)));
+        // The worker makes room (and reads the import's ack); the replica
+        // hands its held burst back, then answers the export behind it.
+        assert!(sim.step(worker));
+        assert!(imported.load(Ordering::Acquire));
+        assert!(sim.step(replica));
+        let order = sim.with_worker(worker, |engine| {
+            let (front, back) = engine.slots[0].messages.peek_mut(2);
+            let kinds: Vec<bool> = front
+                .iter()
+                .chain(back.iter())
+                .map(|entry| matches!(entry, NfOut::State { .. }))
+                .collect();
+            assert!(!look(engine).2, "the pin is not applied yet");
+            engine.apply_nf_messages();
+            let answered = !engine.slots[0].responses.is_empty();
+            (kinds, answered, look(engine))
+        });
+        assert_eq!(
+            order,
+            Some((vec![false, true], true, (0, 0, true))),
+            "the pin, then the export: applied before the response is read"
+        );
+        assert!(sim.step(worker));
+        let export = host.shards.borrow()[0].exports.pop().expect("resolved");
+        assert_eq!(export.id, EXPORT);
+        let counts: Vec<(FlowKey, Option<u64>)> = export
+            .states
+            .iter()
+            .map(|(from, key, state)| {
+                assert_eq!(*from, service);
+                (*key, state.counter("packets"))
+            })
+            .collect();
+        assert_eq!(counts, vec![(key, Some(1))]);
+        assert_eq!(host.stats().snapshot().nf_state_import_drops, 0);
+        host.shutdown();
+    }
+
+    /// A replica retired while a request for it still waits for room on
+    /// its control ring keeps running until the request is on the ring:
+    /// it answers the export of the buckets it served before it exits, so
+    /// their flow state moves instead of being counted lost.
+    #[test]
+    fn a_retiring_replica_answers_a_request_that_waited_for_room() {
+        let service = ServiceId::new(1);
+        let table = SharedFlowTable::new();
+        table.insert(FlowRule::new(
+            FlowMatch::at_step(RulePort::Nic(0)),
+            vec![Action::ToService(service)],
+        ));
+        table.insert(FlowRule::new(
+            FlowMatch::at_step(service),
+            vec![Action::ToPort(1), Action::ToPort(2)],
+        ));
+        let counting = move || {
+            Box::new(PinCountNf {
+                own: service,
+                counts: HashMap::new(),
+            }) as Box<dyn NetworkFunction>
+        };
+        let (host, sim) = ThreadedHost::start_sim_sharded(
+            table,
+            move |_shard| vec![(service, counting())],
+            ThreadedHostConfig::default(),
+        );
+        sim.step_all();
+        assert!(host.add_nf_replica(0, service, counting()).is_ok());
+        settle_moves(&host, &sim);
+        // One packet of a flow the newer replica serves: it holds the
+        // flow's state.
+        let flow = packet(repicked_flow(0, 1));
+        let key = flow.flow_key().unwrap();
+        assert!(host.inject(flow).is_admitted());
+        let mut out = Vec::new();
+        for _ in 0..20 {
+            sim.step_all();
+            out.extend(host.poll_egress_burst(4));
+        }
+        assert_eq!(out.len(), 1);
+        const EXPORT: u64 = 91;
+        let bucket = host.tracker.bucket_of(&key);
+        let worker = sim.actors()[0].id;
+        let waiting = sim.with_worker(worker, |engine| {
+            for _ in 0..CONTROL_RING_CAPACITY {
+                engine.slots[1].queue_request(NfRequest::Scrub { keys: Vec::new() });
+            }
+            engine.begin_export(EXPORT, vec![bucket], vec![key]);
+            engine.begin_remove_nf(service);
+            let slot = &engine.slots[1];
+            (slot.unsent.len(), slot.stop.load(Ordering::Acquire))
+        });
+        assert_eq!(waiting, Some((1, false)), "the export waits, so no stop");
+        let mut export = None;
+        for _ in 0..20 {
+            sim.step_all();
+            export = export.or_else(|| host.shards.borrow()[0].exports.pop());
+        }
+        let export = export.expect("the export resolved");
+        assert_eq!(export.id, EXPORT);
+        let states: Vec<(ServiceId, FlowKey, Option<u64>)> = export
+            .states
+            .iter()
+            .map(|(from, key, state)| (*from, *key, state.counter("packets")))
+            .collect();
+        assert_eq!(states, vec![(service, key, Some(1))]);
+        let retired = sim.with_worker(worker, |engine| engine.slots[1].state);
+        assert_eq!(retired, Some(SlotState::Retired));
+        assert_eq!(host.stats().snapshot().nf_state_import_drops, 0);
+        host.shutdown();
     }
 }

@@ -1,15 +1,19 @@
 //! The NF side of a shard: one replica's step-callable engine
 //! ([`NfEngine`]), the bundle it is spawned from ([`NfThread`]), its
-//! threaded driver ([`nf_thread_loop`]), the telemetry probe it shares with
-//! the worker ([`NfProbe`]), and the state-migration mailbox the worker
-//! posts export, import and scrub requests into ([`NfStateChannel`]).
-//! An NF thread writes no flow table: its messages ride its message ring
-//! to the worker (see the parent module's **NF messages**).
+//! threaded driver ([`nf_thread_loop`]) and the telemetry probe it shares
+//! with the worker ([`NfProbe`]).
+//!
+//! A replica talks to its worker over SPSC rings only, and takes no lock:
+//! work comes in on its input ring and completions go back on its done
+//! ring; the worker's export, import and scrub requests ([`NfRequest`])
+//! come in on its control ring, and everything else goes back on its
+//! message ring ([`NfOut`]) — the messages it sent during each burst, and
+//! its state responses, in the order it handed them back. An NF thread
+//! writes no flow table: the worker applies its messages (see the parent
+//! module's **NF messages**).
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
-
-use parking_lot::Mutex;
 
 use sdnfv_flowtable::ServiceId;
 use sdnfv_nf::{
@@ -27,109 +31,34 @@ use crate::rehome::BucketTracker;
 use crate::scratch::recycle;
 use crate::stats::ShardStats;
 
-/// A state-migration request posted by the shard worker into one NF
-/// replica's mailbox (served by the NF thread between bursts).
-pub(super) enum NfStateRequest {
+/// A request the shard worker puts on one replica's control ring; the NF
+/// serves its control ring between bursts, in ring order. Several exports
+/// and imports can be in flight at once — overlapping bucket-move batches
+/// post new exports before earlier ones resolve, and a shard can import
+/// and export concurrently — so each carries a worker-assigned token that
+/// its response echoes.
+pub(super) enum NfRequest {
     /// Detach state for the given buckets' flows: the listed keys plus any
     /// key of the NF's own set whose bucket is in `buckets`.
     Export {
+        token: u64,
         buckets: Vec<usize>,
         keys: Vec<FlowKey>,
     },
     /// Absorb state exported on the flow's old shard or old replica.
-    Import { states: Vec<(FlowKey, NfFlowState)> },
+    Import {
+        token: u64,
+        states: Vec<(FlowKey, NfFlowState)>,
+    },
     /// Discard per-flow state for flows whose rules were evicted by the
     /// timeout lifecycle — per-flow NF state dies with its rule. Fire and
-    /// forget: the NF thread serves it without posting a response.
+    /// forget: no token, and no response.
     Scrub { keys: Vec<FlowKey> },
 }
 
-/// A queued mailbox between a shard worker and one NF thread, carrying
-/// state-migration requests in and responses (exported state, or an empty
-/// import acknowledgement) out. Several requests can be in flight at once —
-/// overlapping bucket-move batches post new exports before earlier ones
-/// resolve, and a shard can import and export concurrently — so each
-/// request carries a worker-assigned token its response echoes. Requests
-/// are rare (one per bucket-move batch), so mutex-guarded queues polled via
-/// atomic flags are plenty — no ring needed.
-#[derive(Default)]
-pub(super) struct NfStateChannel {
-    pub(super) requests: Mutex<std::collections::VecDeque<(u64, NfStateRequest)>>,
-    responses: Mutex<std::collections::VecDeque<(u64, StateResponse)>>,
-    /// Fault-injection hook (DST): while positive, `drain_responses`
-    /// returns nothing — export acks sit queued in the mailbox — and every
-    /// drain attempt decrements the counter, so a holdback of `n` delays
-    /// the acks by `n` worker polls. Zero (the default) is a no-op on the
-    /// fast path beyond one relaxed load.
-    ack_holdback: AtomicU32,
-    has_requests: AtomicBool,
-    has_responses: AtomicBool,
-}
-
-/// A replica's response payload: the `(flow, state)` pairs it exported
+/// A replica's state response: the `(flow, state)` pairs it exported
 /// (empty for an import acknowledgement).
 pub(super) type StateResponse = Vec<(FlowKey, NfFlowState)>;
-
-impl NfStateChannel {
-    /// Worker side: queues a request under `token`.
-    pub(super) fn post(&self, token: u64, request: NfStateRequest) {
-        self.requests.lock().push_back((token, request));
-        self.has_requests.store(true, Ordering::Release);
-    }
-
-    /// NF side: drains every pending request, in posting order.
-    fn take_requests(&self) -> Vec<(u64, NfStateRequest)> {
-        if !self.has_requests.swap(false, Ordering::AcqRel) {
-            return Vec::new();
-        }
-        self.requests.lock().drain(..).collect()
-    }
-
-    /// NF side: publishes the response to request `token`.
-    fn respond(&self, token: u64, response: StateResponse) {
-        self.responses.lock().push_back((token, response));
-        self.has_responses.store(true, Ordering::Release);
-    }
-
-    /// Worker side: drains every response that has arrived.
-    pub(super) fn drain_responses(&self) -> Vec<(u64, StateResponse)> {
-        // DST fault hook: a positive holdback keeps acks in the mailbox
-        // for that many polls. Only this shard's worker drains, so the
-        // load/sub pair cannot race itself.
-        if self.ack_holdback.load(Ordering::Relaxed) > 0 {
-            self.ack_holdback.fetch_sub(1, Ordering::Relaxed);
-            return Vec::new();
-        }
-        if !self.has_responses.swap(false, Ordering::AcqRel) {
-            return Vec::new();
-        }
-        self.responses.lock().drain(..).collect()
-    }
-
-    /// Fault injection (DST): delay delivery of queued and future export
-    /// acks by `polls` drain attempts.
-    fn delay_acks(&self, polls: u32) {
-        self.ack_holdback.store(polls, Ordering::Relaxed);
-    }
-
-    /// Worker side, final-look drain: bypasses the ack holdback *and* the
-    /// `has_responses` fast-path flag, draining whatever is physically
-    /// queued. Used where "no response" is about to be treated as "never
-    /// sent" — settling a reclaimed slot, or resolving entries for a
-    /// finished replica. A response can be queued yet undelivered (the DST
-    /// holdback fault, or the push→flag window in `respond` racing a
-    /// regular drain), and resolving the entry empty at that moment would
-    /// lose the exported state permanently.
-    pub(super) fn drain_responses_final(&self) -> Vec<(u64, StateResponse)> {
-        // ORDER: Relaxed — teardown reset of the fault counter; nothing
-        // reads it concurrently with meaning.
-        self.ack_holdback.store(0, Ordering::Relaxed);
-        // ORDER: AcqRel — same edge as the regular drain; the queue lock
-        // below synchronizes the payload either way.
-        self.has_responses.swap(false, Ordering::AcqRel);
-        self.responses.lock().drain(..).collect()
-    }
-}
 
 /// Lock-free measurements one NF thread shares with its shard's worker: the
 /// worker reads them when composing a [`TelemetrySnapshot`].
@@ -139,19 +68,48 @@ pub(super) struct NfProbe {
     pub(super) service_time_ewma_ns: AtomicU64,
     /// Total packets processed.
     pub(super) processed: AtomicU64,
+    /// Fault injection (DST): while positive, the worker leaves the state
+    /// responses it popped from this replica unread, and each of its polls
+    /// counts one off — so a holdback of `n` delays the acks by `n` worker
+    /// polls while the replica's packets and messages keep flowing.
+    pub(super) state_holdback: AtomicU32,
 }
 
-/// One entry of a replica's message ring: the cross-layer messages its NF
-/// sent during one burst (or from `on_start`), in sending order.
+/// The cross-layer messages an NF sent during one burst (or from
+/// `on_start`), in sending order.
 pub(super) type NfMessages = Vec<AttributedNfMessage>;
 
-/// A served burst on its way back to the worker: the messages its NF sent,
-/// and how many items it served in which host-clock window.
-struct ServedBurst {
-    messages: NfMessages,
+/// One entry of a replica's message ring, the one way anything goes from
+/// the replica to its worker besides completions. A response follows every
+/// message of the bursts served before its request, so the worker has
+/// applied a replica's pins by the time it reads the replica's export.
+pub(super) enum NfOut {
+    Messages(NfMessages),
+    State { token: u64, states: StateResponse },
+}
+
+/// What a step hands back to the worker: an entry for the message ring,
+/// then the completions of the `len` items it served in which host-clock
+/// window (none for a state response).
+#[derive(Default)]
+struct HandBack {
+    entry: Option<NfOut>,
     len: usize,
     started_ns: u64,
     ended_ns: u64,
+}
+
+impl HandBack {
+    /// A burst of `len` items (none for `on_start`) and the messages sent
+    /// while serving it.
+    fn burst(messages: NfMessages, len: usize, started_ns: u64, ended_ns: u64) -> Self {
+        HandBack {
+            entry: (!messages.is_empty()).then_some(NfOut::Messages(messages)),
+            len,
+            started_ns,
+            ended_ns,
+        }
+    }
 }
 
 /// Everything one NF replica thread needs, bundled for
@@ -168,10 +126,11 @@ pub(crate) struct NfThread {
     pub(super) stats: ShardStats,
     /// Bucket mapping, for selecting a bucket's flows on state export.
     pub(super) tracker: Arc<BucketTracker>,
-    /// Where the NF's cross-layer messages go, for the worker to apply.
-    pub(super) messages: Producer<NfMessages>,
-    /// State-migration mailbox (export/import requests from the worker).
-    pub(super) channel: Arc<NfStateChannel>,
+    /// Where the NF's cross-layer messages and state responses go, for
+    /// the worker to apply and read.
+    pub(super) messages: Producer<NfOut>,
+    /// The worker's export, import and scrub requests.
+    pub(super) control: Consumer<NfRequest>,
     pub(super) probe: Arc<NfProbe>,
     /// Whether to measure service times into the probe (off when the
     /// host's telemetry exporter is disabled — nothing would read them).
@@ -196,10 +155,11 @@ impl NfThread {
 pub(crate) struct NfEngine {
     /// The NF, its rings and the handles it shares with its shard.
     replica: NfThread,
-    /// A served burst waiting for room on the message ring: its completions
-    /// stay unpublished, and its items unread in the input ring, until its
-    /// messages are on the ring.
-    held: Option<ServedBurst>,
+    /// A hand-back waiting for room on the message ring: a burst's
+    /// completions stay unpublished, and its items unread in the input
+    /// ring, until its messages are on the ring. At most one is held: while
+    /// one is, the replica serves neither requests nor packets.
+    held: Option<HandBack>,
     ctx: NfContext,
     read_only: bool,
     /// The burst's packet references, parked empty between bursts (their
@@ -232,31 +192,26 @@ impl NfEngine {
         };
         // The messages `on_start` sent lead the ring, as a burst of none.
         let messages = engine.ctx.take_attributed_messages();
-        engine.hand_back(ServedBurst {
-            messages,
-            len: 0,
-            started_ns: 0,
-            ended_ns: 0,
-        });
+        engine.hand_back(HandBack::burst(messages, 0, 0, 0));
         engine
     }
 
-    /// Moves a served burst's messages onto the message ring, then hands
-    /// its items back: each merges its verdict, and the completions are
-    /// published with one store. When the ring is full, the burst is held
-    /// and `false` returned; the next [`step`](Self::step) tries again, so
-    /// no message is dropped, none overtakes another, and every completion
-    /// (a fan-out handle's countdown too) follows its burst's messages.
-    fn hand_back(&mut self, mut burst: ServedBurst) -> bool {
-        if !burst.messages.is_empty() {
-            let messages = std::mem::take(&mut burst.messages);
-            if let Err(PushError(messages)) = self.replica.messages.push(messages) {
-                burst.messages = messages;
-                self.held = Some(burst);
+    /// Moves a hand-back's entry (a burst's messages, or a state response)
+    /// onto the message ring, then hands its items back: each merges its
+    /// verdict, and the completions are published with one store. When the
+    /// ring is full, the hand-back is held and `false` returned; the next
+    /// [`step`](Self::step) tries again, so no entry is dropped, none
+    /// overtakes another, and every completion (a fan-out handle's
+    /// countdown too) follows its burst's messages.
+    fn hand_back(&mut self, mut back: HandBack) -> bool {
+        if let Some(entry) = back.entry.take() {
+            if let Err(PushError(entry)) = self.replica.messages.push(entry) {
+                back.entry = Some(entry);
+                self.held = Some(back);
                 return false;
             }
         }
-        for index in 0..burst.len {
+        for index in 0..back.len {
             let mut item = self
                 .replica
                 .input
@@ -272,8 +227,8 @@ impl NfEngine {
             let done = DoneItem {
                 frame: item.frame,
                 exit_service: item.exit_service,
-                nf_started_ns: burst.started_ns,
-                nf_ended_ns: burst.ended_ns,
+                nf_started_ns: back.started_ns,
+                nf_ended_ns: back.ended_ns,
             };
             // Same zero-loss invariant as the worker's staging: every
             // packet in flight holds a credit and credits are clamped to
@@ -290,14 +245,21 @@ impl NfEngine {
         true
     }
 
-    /// Serves every pending state-migration request from the worker, in
-    /// posting order: detaches the requested buckets' flow state (export),
-    /// absorbs migrated state (import, acknowledged with an empty
-    /// response), or discards evicted flows' state (scrub).
-    fn serve_state_requests(&mut self) {
-        for (token, request) in self.replica.channel.take_requests() {
-            match request {
-                NfStateRequest::Export { buckets, keys } => {
+    /// Serves the worker's state requests in ring order: detaches the
+    /// requested buckets' flow state (export), absorbs migrated state
+    /// (import, acknowledged with an empty response), or discards evicted
+    /// flows' state (scrub). Each response goes onto the message ring
+    /// behind every entry handed back before it. Returns `false` when a
+    /// response found the ring full and is held: the requests behind it
+    /// wait in the control ring.
+    fn serve_state_requests(&mut self) -> bool {
+        while let Some(request) = self.replica.control.pop() {
+            let (token, states) = match request {
+                NfRequest::Export {
+                    token,
+                    buckets,
+                    keys,
+                } => {
                     let mut exported = Vec::new();
                     for key in &keys {
                         if let Some(state) = self.replica.nf.export_flow_state(key) {
@@ -315,19 +277,18 @@ impl NfEngine {
                             }
                         }
                     }
-                    self.replica.channel.respond(token, exported);
+                    (token, exported)
                 }
-                NfStateRequest::Import { states } => {
+                NfRequest::Import { token, states } => {
                     for (key, state) in states {
                         self.replica.nf.import_flow_state(&key, state);
                     }
-                    self.replica.channel.respond(token, Vec::new());
+                    (token, Vec::new())
                 }
-                NfStateRequest::Scrub { keys } => {
-                    // Fire-and-forget: the worker tracks no entry for scrub
-                    // tokens, so no response is posted. Scrub is a move —
-                    // a key another replica already scrubbed (or that this
-                    // replica never held state for) just returns None.
+                NfRequest::Scrub { keys } => {
+                    // Scrub is a move: a key another replica already
+                    // scrubbed (or that this replica never held state for)
+                    // just returns None.
                     let mut scrubbed = 0u64;
                     for key in &keys {
                         if self.replica.nf.scrub_flow_state(key).is_some() {
@@ -337,23 +298,36 @@ impl NfEngine {
                     if scrubbed > 0 {
                         self.replica.stats.add_nf_state_scrubbed(scrubbed);
                     }
+                    continue;
                 }
+            };
+            let entry = Some(NfOut::State { token, states });
+            if !self.hand_back(HandBack {
+                entry,
+                ..HandBack::default()
+            }) {
+                return false;
             }
         }
+        true
     }
 
-    /// Fault injection (DST): holds this replica's export acks in the
-    /// mailbox for `polls` worker drain attempts. See
-    /// [`NfStateChannel::delay_acks`].
+    /// Fault injection (DST): the worker leaves this replica's state
+    /// responses unread for its next `polls` polls (see
+    /// [`NfProbe::state_holdback`]).
     pub(crate) fn delay_state_mailbox(&self, polls: u32) {
-        self.replica.channel.delay_acks(polls);
+        self.replica
+            .probe
+            .state_holdback
+            .store(polls, Ordering::Relaxed);
     }
 
-    /// One turn of the replica's state machine: serve state-migration
-    /// requests, then hand back a held burst if there is one, or else serve
-    /// at most one burst in place in the input ring's slots and move each
+    /// One turn of the replica's state machine: hand back a held burst or
+    /// response if there is one, then serve the worker's state requests,
+    /// then — unless either of those was held or handed back — serve at
+    /// most one burst in place in the input ring's slots and move each
     /// completion straight into a done-ring slot. Returns whether any work
-    /// was done (a held burst that still finds the message ring full is
+    /// was done (a hand-back that still finds the message ring full is
     /// none). Sets `finished` when the replica's loop is over (host
     /// shutdown, or scale-down drain complete).
     pub(crate) fn step(&mut self) -> bool {
@@ -364,13 +338,23 @@ impl NfEngine {
             self.finished = true;
             return false;
         }
-        // Serve state-migration requests *before* taking packets: an
-        // imported flow's state must land before the flow's first re-homed
-        // packet (the host only releases the bucket's pen after the import
-        // acknowledgement, so checking here closes the ordering).
-        self.serve_state_requests();
-        if let Some(held) = self.held.take() {
-            return self.hand_back(held);
+        // What is held goes out first, so a response never overtakes the
+        // messages of a burst served before its request.
+        let handed_back = match self.held.take() {
+            Some(held) => {
+                if !self.hand_back(held) {
+                    return false;
+                }
+                true
+            }
+            None => false,
+        };
+        // Serve state requests *before* taking packets: an imported flow's
+        // state must land before the flow's first re-homed packet (the host
+        // only releases the bucket's pen after the import acknowledgement,
+        // so serving here closes the ordering).
+        if !self.serve_state_requests() || handed_back {
+            return true;
         }
         let (front, back) = self.replica.input.peek_mut(self.replica.burst_size);
         let burst = front.len() + back.len();
@@ -378,11 +362,15 @@ impl NfEngine {
             // Scale-down: with the input ring drained and every completion
             // already published, this replica's work is finished.
             if self.replica.stop.load(Ordering::Acquire) && self.replica.input.is_empty() {
-                // One last look at the mailbox so a request racing the
-                // drain-exit is answered, not stranded. The export of the
-                // buckets this replica served went out before its stop, so
-                // any flow state still here is lost — counted, not silent.
-                self.serve_state_requests();
+                // One last look at the control ring so a request racing the
+                // drain-exit is answered, not stranded; a held answer keeps
+                // the replica alive until it is on the message ring. The
+                // export of the buckets this replica served went out before
+                // its stop, so any flow state still here is lost — counted,
+                // not silent.
+                if !self.serve_state_requests() {
+                    return true;
+                }
                 self.replica
                     .stats
                     .add_nf_state_import_drops(self.replica.nf.flow_state_keys().len() as u64);
@@ -460,12 +448,12 @@ impl NfEngine {
         // applied them — pins, wildcard rewrites — by the time it routes
         // any of those packets, or a fan-out sibling's last completion.
         let messages = self.ctx.take_attributed_messages();
-        self.hand_back(ServedBurst {
+        self.hand_back(HandBack::burst(
             messages,
-            len: burst,
-            started_ns: burst_started_ns,
-            ended_ns: burst_ended_ns,
-        });
+            burst,
+            burst_started_ns,
+            burst_ended_ns,
+        ));
         true
     }
 }

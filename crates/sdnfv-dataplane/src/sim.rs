@@ -230,13 +230,14 @@ impl SimHandle {
         did_work
     }
 
-    /// Fault injection: delays the export-ack state mailbox of the NF
-    /// replica actor `id` — queued and future acks sit in the mailbox for
-    /// `polls` worker drain attempts before delivery resumes. Returns
-    /// `false` for unknown ids, finished actors, and non-NF actors. The
-    /// delay is bounded (it drains one poll per worker step), so it can
-    /// stretch a re-home handshake across arbitrary interleavings without
-    /// ever wedging it.
+    /// Fault injection: delays the state responses of the NF replica actor
+    /// `id` — its worker leaves those it popped, and those still to come,
+    /// unread for its next `polls` state-exchange polls (or until the
+    /// replica exits), while the replica's packets and messages keep
+    /// flowing. Returns `false` for unknown ids, finished actors, and
+    /// non-NF actors. The delay is bounded (it drains one poll per worker
+    /// step), so it can stretch a re-home handshake across arbitrary
+    /// interleavings without ever wedging it.
     pub fn delay_state_mailbox(&self, id: u64, polls: u32) -> bool {
         let registry = self.registry.lock();
         match registry.cells.iter().find(|cell| cell.id == id) {

@@ -498,13 +498,14 @@ pub fn run_seed(config: &DstConfig) -> RunReport {
             fired.insert(FaultKind::EvictStorm);
         }
         if schedule_rng.chance(plan.state_mailbox) {
-            // The dedicated export-ack fault: hold one live replica's
-            // state-mailbox acks for a few worker polls, so any bucket-move
-            // batch in flight (or started while held) sees its exports
-            // resolve late, out of step with the rest of the handshake.
-            // Unlike ActorStall the replica keeps processing packets — only
-            // its acks are delayed — and the holdback drains one poll per
-            // worker step, so quiescence is never wedged.
+            // The dedicated export-ack fault: the worker leaves one live
+            // replica's state responses unread for a few of its polls, so
+            // any bucket-move batch in flight (or started while held) sees
+            // its exports resolve late, out of step with the rest of the
+            // handshake. Unlike ActorStall the replica keeps processing
+            // packets and its messages keep being applied — only its acks
+            // are delayed — and the holdback drains one poll per worker
+            // step, so quiescence is never wedged.
             let actors = sim.actors();
             let nfs: Vec<_> = actors
                 .iter()

@@ -71,13 +71,17 @@ fn pinned_seed_0x1b_scale_out_under_telemetry_loss() {
 }
 
 /// The lost-export-ack regression: this schedule holds back NF replicas'
-/// export-ack mailboxes (the state-mailbox-delay fault) while replica
-/// scales move per-flow state — a retiring replica answers its bucket
-/// export and exits with the ack still held. Before `poll_state_exchanges`
-/// / `settle_slot_state_entries` took a final look at a finished replica's
-/// mailbox, the worker resolved such entries empty while the exported
-/// state sat queued undelivered, and the census flagged permanent NF
-/// state loss on this seed.
+/// export acks (the state-mailbox-delay fault: the worker leaves a
+/// replica's state responses unread for a few polls) while replica scales
+/// move per-flow state. When the acks travelled a mailbox beside the
+/// message ring, the worker resolved a finished replica's entries empty
+/// while its exported state sat undelivered, and the census flagged
+/// permanent NF state loss on this seed. Now every ack rides the replica's
+/// message ring: once the replica has exited and its ring is empty, the
+/// worker has popped all of them, reads them whatever the holdback, and
+/// resolves an entry empty only when none is left unread. (A worker that
+/// let the holdback delay an exited replica's acks and resolved its
+/// entries regardless loses state on default seed 0x5dff001b.)
 #[test]
 fn pinned_seed_0x9_export_ack_holdback_handoff() {
     let report = replay_pinned(0x9);
