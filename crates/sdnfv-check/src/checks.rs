@@ -429,9 +429,15 @@ pub fn bucket_drain(opts: CheckOpts) -> u64 {
 /// then publishes; a second NF finishes the fan-out; the worker takes
 /// completions, then drains the message ring, then routes. No packet is
 /// routed before the messages sent for it — a sibling's too — are applied.
+/// Then the state exchange on the same message ring: the worker posts an
+/// export on the control ring while the NF holds a burst whose pin found
+/// the ring full, and it reads the export's response only after it
+/// applied that pin. Returns both searches' executions.
 pub fn nf_messages(opts: CheckOpts) -> u64 {
     model::check("nf_messages", opts, || {
         mutants::message_rounds(mutants::MessageBug::None);
+    }) + model::check("nf_messages", opts, || {
+        mutants::state_rounds(mutants::MessageBug::None);
     })
 }
 

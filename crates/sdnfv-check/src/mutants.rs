@@ -14,8 +14,8 @@
 //! step has exact rules, a step memo that keeps its first decision, and a
 //! bucket-drain count whose finish publishes nothing or whose admit comes
 //! after the packet is visible to the worker, and an NF-message hand-back
-//! whose worker drains before it takes or whose NF publishes before it
-//! sends.
+//! whose worker drains before it takes, whose NF publishes before it
+//! sends, or whose NF answers a request before a burst it holds.
 //! The `None`
 //! variant of every knob is the faithful algorithm and must pass
 //! exhaustively; every other variant must produce a violation. The
@@ -1235,6 +1235,10 @@ pub enum MessageBug {
     /// The NF publishes a burst's completions (and counts its fan-out
     /// handle down) before it puts the burst's messages on its ring.
     CompletionBeforeMessages,
+    /// The NF serves its control ring before it hands back a burst held
+    /// for room on the message ring: an export's response overtakes the
+    /// pin the held burst sent.
+    RequestsBeforeHeldBurst,
 }
 
 /// Packet 1 is owned by NF `a`; packet 2 fans out to `a` and `b`.
@@ -1334,8 +1338,113 @@ pub(crate) fn message_rounds(bug: MessageBug) {
     assert_eq!(routed, [OWNED, FANNED], "a packet lost or routed twice");
 }
 
-/// Runs [`message_rounds`] with the given seeded bug. `MessageBug::None`
-/// must pass exhaustively; both seeded bugs must fail an assertion.
+/// Entries of the state-exchange scenario: an earlier burst's message, the
+/// held burst's pin, the export request and its response.
+const EARLIER: u64 = 3;
+const PIN: u64 = 4;
+const EXPORT: u64 = 5;
+const EXPORTED: u64 = 6;
+
+/// One NF step of the state-exchange scenario: hand back what is held, in
+/// order, then serve the control ring, each response going onto the
+/// message ring or, when it is full, behind what is held. The seeded bug
+/// serves first.
+fn state_step(bug: MessageBug, out: &Producer<u64>, requests: &Consumer<u64>, held: &mut Vec<u64>) {
+    let hand_back = |entry: u64, held: &mut Vec<u64>| {
+        if !held.is_empty() || out.push(entry).is_err() {
+            held.push(entry);
+        }
+    };
+    let serve = |held: &mut Vec<u64>| {
+        while let Some(request) = requests.pop() {
+            assert_eq!(request, EXPORT);
+            if bug == MessageBug::RequestsBeforeHeldBurst {
+                if out.push(EXPORTED).is_err() {
+                    held.push(EXPORTED);
+                }
+            } else {
+                hand_back(EXPORTED, held);
+            }
+        }
+    };
+    if bug == MessageBug::RequestsBeforeHeldBurst {
+        serve(held);
+    }
+    while let Some(&entry) = held.first() {
+        if out.push(entry).is_err() {
+            return;
+        }
+        held.remove(0);
+    }
+    if bug != MessageBug::RequestsBeforeHeldBurst {
+        serve(held);
+    }
+}
+
+/// The worker's pop of the message ring: a state response is read after
+/// every message the replica handed back before it was applied.
+fn state_read(popped: &Consumer<u64>, applied: &mut Vec<u64>) {
+    while let Some(entry) = popped.pop() {
+        if entry == EXPORTED {
+            assert!(
+                applied.contains(&PIN),
+                "export response read before the held burst's pin was applied"
+            );
+        }
+        applied.push(entry);
+    }
+}
+
+/// The state exchange behind a held burst, on the shipping rings: the NF's
+/// one-entry message ring takes an earlier burst's message, so the next
+/// burst's pin may be held for room; the worker posts an export on the
+/// control ring and pops the message ring while the NF steps twice; the
+/// root plays both sides to the end. The worker reads the export's
+/// response only after it applied the held pin.
+pub(crate) fn state_rounds(bug: MessageBug) {
+    let (out, popped) = spsc_ring::<u64>(1);
+    let (control, requests) = spsc_ring::<u64>(1);
+    let nf = model::spawn(move || {
+        let mut held = Vec::new();
+        out.push(EARLIER).expect("the ring starts empty");
+        if out.push(PIN).is_err() {
+            held.push(PIN);
+        }
+        for _ in 0..2 {
+            state_step(bug, &out, &requests, &mut held);
+        }
+        (out, requests, held)
+    });
+    let worker = model::spawn(move || {
+        control.push(EXPORT).expect("room for the export");
+        let mut applied = Vec::new();
+        for _ in 0..2 {
+            state_read(&popped, &mut applied);
+        }
+        (popped, applied)
+    });
+    let (out, requests, mut held) = nf.join();
+    let (popped, mut applied) = worker.join();
+    while applied.len() < 3 {
+        state_step(bug, &out, &requests, &mut held);
+        state_read(&popped, &mut applied);
+    }
+    assert_eq!(
+        applied,
+        [EARLIER, PIN, EXPORTED],
+        "entries lost or reordered"
+    );
+}
+
+/// Runs [`message_rounds`], then [`state_rounds`], with the given seeded
+/// bug, summing their executions. `MessageBug::None` must pass both
+/// exhaustively; every seeded bug must fail an assertion in one.
 pub fn message_scenario(bug: MessageBug, opts: CheckOpts) -> CheckReport {
-    model::explore(opts, move || message_rounds(bug))
+    let report = model::explore(opts, move || message_rounds(bug));
+    if !report.exhaustive_pass() {
+        return report;
+    }
+    let mut state = model::explore(opts, move || state_rounds(bug));
+    state.executions += report.executions;
+    state
 }

@@ -274,3 +274,11 @@ fn publishing_completions_before_messages_is_caught() {
     let report = mutants::message_scenario(MessageBug::CompletionBeforeMessages, opts());
     assert_caught(&report, &[ViolationKind::Panic], "CompletionBeforeMessages");
 }
+
+#[test]
+fn serving_requests_before_a_held_burst_is_caught() {
+    // The NF answers the export while the burst that sent a pin waits for
+    // room: the response reaches the worker ahead of the pin.
+    let report = mutants::message_scenario(MessageBug::RequestsBeforeHeldBurst, opts());
+    assert_caught(&report, &[ViolationKind::Panic], "RequestsBeforeHeldBurst");
+}
