@@ -16,7 +16,7 @@
 //! | `timestamp` | no `Instant::now`/`SystemTime::now` outside tests, benches, shims and the sanctioned `HostClock::Real` site — everything on a decision path must go through the injected clock so the deterministic simulation stays deterministic |
 //! | `safety-comment` | every `unsafe` is preceded by a `// SAFETY:` (or `# Safety` doc section) explaining why it is sound |
 //! | `atomic-order` | every atomic operation in the lock-free core (`sdnfv-ring`, the telemetry histogram, the flow table's partition generations, the re-home bucket counts) names an explicit `Ordering::` *and* carries an `// ORDER:` comment justifying it |
-//! | `hot-path-block` | no `thread::sleep` / `.lock()` / `.read()` / `.write()` inside the per-packet hot paths (the engine's `step`, the worker's rounds and their per-item fns, dispatch, staging, frame-reuse and flush fns, the state-mailbox accessors; the ring's stage, publish, take, release and in-place view; admission's header walk, credit grant and bucket counts), and no lock type (`RwLock`, `Mutex`) or blocking call anywhere in the packet handles every hop goes through (`sdnfv-ring/src/shared.rs`, tests aside) |
+//! | `hot-path-block` | no `thread::sleep` / `.lock()` / `.read()` / `.write()` inside the per-packet hot paths (the engine's `step`, the worker's rounds and their per-item fns, dispatch, staging, frame-reuse and flush fns, an NF replica's hand-back and state-request service; the ring's stage, publish, take, release and in-place view; admission's header walk, credit grant and bucket counts), and no lock type (`RwLock`, `Mutex`) or blocking call anywhere in the packet handles every hop goes through (`sdnfv-ring/src/shared.rs`, tests aside) |
 //! | `no-todo`   | no `todo!` / `unimplemented!` outside tests |
 //!
 //! Suppressions live in a checked-in allowlist (see [`Allowlist`]): one
@@ -414,9 +414,10 @@ fn classify(path: &Path) -> Scope {
 /// NF replica; then the worker's per-packet fns (RX and TX rounds and the
 /// per-item fns they call, the deferred-completion retry, dispatch,
 /// forwarding, staging, flush, frame and descriptor reuse and a fan-out's
-/// exit, lookup, the sticky replica pick by steering bucket); then the NF
-/// state-mailbox accessors `step` calls; then the ring ops every hop
-/// makes; last, what admission runs per packet
+/// exit, lookup, the sticky replica pick by steering bucket); then what an
+/// NF replica's `step` calls besides the NF: its hand-back onto the
+/// message and done rings and its service of the control ring; then the
+/// ring ops every hop makes; last, what admission runs per packet
 /// outside the engine file: the header walk, the burst's credit grant and
 /// the two sides of the bucket count.
 const HOT_PATH_FNS: &[&str] = &[
@@ -450,11 +451,8 @@ const HOT_PATH_FNS: &[&str] = &[
     "pick_instance",
     "replicas_of",
     "replica_of_bucket",
+    "hand_back",
     "serve_state_requests",
-    "take_requests",
-    "drain_responses",
-    "post",
-    "respond",
     "stage",
     "publish",
     "take",
