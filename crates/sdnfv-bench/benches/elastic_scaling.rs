@@ -25,6 +25,7 @@ use sdnfv_flowtable::{ServiceId, SharedFlowTable};
 use sdnfv_graph::{catalog, CompileOptions};
 use sdnfv_nf::nfs::ComputeNf;
 use sdnfv_nf::NfRegistry;
+use sdnfv_obs::ObsHub;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -114,11 +115,13 @@ fn bench_elastic_scaling(c: &mut Criterion) {
         host.shutdown();
     }
     let (host, mut manager, _) = elastic_setup(1_000_000);
+    let mut obs = ObsHub::new();
     group.throughput(Throughput::Elements(total as u64));
     group.bench_with_input(BenchmarkId::new("elastic", 1), &(), |b, _| {
         b.iter(|| {
             black_box(pump_packets_with(&host, total, FLOWS, PACKET_SIZE, |h| {
-                manager.drive(h);
+                obs.observe(h);
+                manager.drive(h, obs.telemetry());
             }))
         })
     });
@@ -157,10 +160,12 @@ fn emit_elastic_json() {
     // scale-down follows in the quiet phase at the end.
     let (host, mut manager, worker) =
         elastic_setup(if quick_mode() { 1_000_000 } else { 20_000_000 });
+    let mut obs = ObsHub::new();
     let start = Instant::now();
     for _ in 0..rounds {
         pump_packets_with(&host, total, FLOWS, PACKET_SIZE, |h| {
-            manager.drive(h);
+            obs.observe(h);
+            manager.drive(h, obs.telemetry());
         });
     }
     let elapsed = start.elapsed().as_secs_f64().max(f64::MIN_POSITIVE);
@@ -168,11 +173,12 @@ fn emit_elastic_json() {
     // Quiet phase: drive until the extra replica is retired (or timeout).
     let deadline = Instant::now() + std::time::Duration::from_secs(5);
     while manager.scale_downs() == 0 && Instant::now() < deadline {
-        manager.drive(&host);
+        obs.observe(&host);
+        manager.drive(&host, obs.telemetry());
         std::thread::yield_now();
     }
-    let replicas_now = manager
-        .hub()
+    let replicas_now = obs
+        .telemetry()
         .latest(0)
         .map_or(0, |snapshot| snapshot.replicas(worker));
     let snap = host.stats().snapshot();

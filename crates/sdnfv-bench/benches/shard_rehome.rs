@@ -18,14 +18,15 @@
 //!   shard the flow ends up on).
 //!
 //! The re-home *pause* — from initiating the rebalance until every bucket
-//! move has completed — is recorded in microseconds, and so are the ages
-//! packets spend parked in re-home pens.
+//! move has completed — is recorded in microseconds; the time packets
+//! spend parked in re-home pens comes from the host's pen-dwell histogram,
+//! in nanoseconds.
 //!
 //! Environment knobs (for CI trend recording):
 //! * `SDNFV_BENCH_QUICK=1` — shrink the workload;
 //! * `SDNFV_BENCH_JSON=<path>` — write `{"results": [...]}` with packet,
 //!   rule, wildcard-mutation and NF-state conservation plus the re-home
-//!   pause and pen-age percentiles (the `BENCH_rehome.json` CI artifact).
+//!   pause and pen-dwell percentiles (the `BENCH_rehome.json` CI artifact).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use sdnfv_dataplane::{ThreadedHost, ThreadedHostConfig};
@@ -401,24 +402,18 @@ fn emit_rehome_json() {
     seed_stateful_flows(&host);
 
     let mut pauses_us: Vec<f64> = Vec::with_capacity(rounds);
-    let mut pen_ages_us: Vec<f64> = Vec::new();
     let mut drained_total = 0usize;
     for round in 0..rounds {
         let (received, pause) = pump_through_rehome(&host, total, round % 2 == 0);
         drained_total += received;
         pauses_us.push(pause.as_secs_f64() * 1e6);
-        pen_ages_us.extend(
-            host.take_rehome_pen_ages_ns()
-                .into_iter()
-                .map(|ns| ns as f64 / 1e3),
-        );
     }
     let packets_penned_total = host.rehome_report().packets_penned;
     let nf_state_lost = STATEFUL_FLOWS.len() - surviving_nf_states(&host);
     let wildcard_rules_lost = usize::from(!wildcard_survived(&host));
     let report = host.rehome_report();
-    // The always-on latency histograms see the same pen dwells the sampled
-    // `take_rehome_pen_ages_ns` sees, but with every release recorded.
+    // The always-on pen-dwell histogram records every penned packet's
+    // release (or handout).
     let pen_dwell = host.latency_report().pen_dwell;
     let snap = host.stats().snapshot();
     let packets_lost =
@@ -434,7 +429,6 @@ fn emit_rehome_json() {
         samples[((samples.len() - 1) as f64 * q).round() as usize]
     };
     let mut pauses = pauses_us;
-    let mut pen_ages = pen_ages_us;
     let json = format!(
         "{{\n  \"bench\": \"shard_rehome\",\n  \"quantum\": {total},\n  \"rounds\": {rounds},\n  \
          \"flows\": {FLOWS},\n  \"results\": [\n    {{\"packets_lost\": {packets_lost}, \
@@ -445,9 +439,9 @@ fn emit_rehome_json() {
          \"wildcard_conflicts\": {}, \"nf_flow_states_rehomed\": {}, \
          \"nf_state_import_drops\": {}, \"packets_penned\": {}, \
          \"rehome_pause_us_p50\": {:.1}, \"rehome_pause_us_p90\": {:.1}, \
-         \"rehome_pause_us_max\": {:.1}, \"pen_age_us_p50\": {:.1}, \"pen_age_us_p90\": {:.1}, \
-         \"pen_age_us_max\": {:.1}, \"pen_dwell_hist_count\": {}, \
-         \"pen_dwell_ns_p50\": {}, \"pen_dwell_ns_p99\": {}, \"pen_dwell_ns_p999\": {}, \
+         \"rehome_pause_us_max\": {:.1}, \"pen_dwell_hist_count\": {}, \
+         \"pen_dwell_ns_p50\": {}, \"pen_dwell_ns_p90\": {}, \"pen_dwell_ns_p99\": {}, \
+         \"pen_dwell_ns_p999\": {}, \"pen_dwell_ns_max\": {}, \
          \"throttled\": {}}}\n  ]\n}}\n",
         STATEFUL_FLOWS.len(),
         report.buckets_rehomed,
@@ -460,13 +454,12 @@ fn emit_rehome_json() {
         percentile_of(&mut pauses, 0.5),
         percentile_of(&mut pauses, 0.9),
         percentile_of(&mut pauses, 1.0),
-        percentile_of(&mut pen_ages, 0.5),
-        percentile_of(&mut pen_ages, 0.9),
-        percentile_of(&mut pen_ages, 1.0),
         pen_dwell.count(),
         pen_dwell.p50(),
+        pen_dwell.p90(),
         pen_dwell.p99(),
         pen_dwell.p999(),
+        pen_dwell.max,
         snap.throttled,
     );
     assert_eq!(packets_lost, 0, "re-homing must not lose packets");

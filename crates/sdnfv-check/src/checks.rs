@@ -432,12 +432,16 @@ pub fn bucket_drain(opts: CheckOpts) -> u64 {
 /// Then the state exchange on the same message ring: the worker posts an
 /// export on the control ring while the NF holds a burst whose pin found
 /// the ring full, and it reads the export's response only after it
-/// applied that pin. Returns both searches' executions.
+/// applied that pin. Last, a replica that answers and exits while the
+/// worker polls: its export resolves with the answer, never empty on the
+/// exit alone. Returns the three searches' executions.
 pub fn nf_messages(opts: CheckOpts) -> u64 {
     model::check("nf_messages", opts, || {
         mutants::message_rounds(mutants::MessageBug::None);
     }) + model::check("nf_messages", opts, || {
         mutants::state_rounds(mutants::MessageBug::None);
+    }) + model::check("nf_messages", opts, || {
+        mutants::exit_rounds(mutants::MessageBug::None);
     })
 }
 

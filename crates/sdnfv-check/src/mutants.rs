@@ -15,7 +15,9 @@
 //! bucket-drain count whose finish publishes nothing or whose admit comes
 //! after the packet is visible to the worker, and an NF-message hand-back
 //! whose worker drains before it takes, whose NF publishes before it
-//! sends, or whose NF answers a request before a burst it holds.
+//! sends, whose NF answers a request before a burst it holds, or whose
+//! worker gives up on an exited replica's answer without looking at its
+//! message ring.
 //! The `None`
 //! variant of every knob is the faithful algorithm and must pass
 //! exhaustively; every other variant must produce a violation. The
@@ -1239,6 +1241,11 @@ pub enum MessageBug {
     /// for room on the message ring: an export's response overtakes the
     /// pin the held burst sent.
     RequestsBeforeHeldBurst,
+    /// The worker resolves an exited replica's outstanding export empty on
+    /// the exit alone, without checking that the replica's message ring
+    /// and its popped responses are empty: an answer pushed between the
+    /// worker's pop and its look at the exit is lost.
+    ResolveOnExitAlone,
 }
 
 /// Packet 1 is owned by NF `a`; packet 2 fans out to `a` and `b`.
@@ -1436,15 +1443,99 @@ pub(crate) fn state_rounds(bug: MessageBug) {
     );
 }
 
-/// Runs [`message_rounds`], then [`state_rounds`], with the given seeded
-/// bug, summing their executions. `MessageBug::None` must pass both
-/// exhaustively; every seeded bug must fail an assertion in one.
-pub fn message_scenario(bug: MessageBug, opts: CheckOpts) -> CheckReport {
-    let report = model::explore(opts, move || message_rounds(bug));
-    if !report.exhaustive_pass() {
-        return report;
+/// One look of the worker at a replica's outstanding export, as
+/// `resolve_state_exchanges` takes it: answered once the response was
+/// popped (`Some(true)`); resolved empty (`Some(false)`) only when the
+/// replica answered all it ever will — it exited, its message ring is
+/// empty, nothing popped is unread — checked in that order, the exit
+/// first; otherwise still outstanding (`None`).
+fn resolve_export(
+    bug: MessageBug,
+    exited: &AtomicU32,
+    messages: &Consumer<u64>,
+    responses: &mut Vec<u64>,
+) -> Option<bool> {
+    if let Some(at) = responses.iter().position(|&entry| entry == EXPORTED) {
+        responses.remove(at);
+        return Some(true);
     }
-    let mut state = model::explore(opts, move || state_rounds(bug));
-    state.executions += report.executions;
-    state
+    // ORDER: Acquire — pairs with the replica's Release store at exit, so a
+    // response it pushed before exiting is visible to the emptiness check.
+    let exited = exited.load(Ordering::Acquire) == 1;
+    let answered_all = if bug == MessageBug::ResolveOnExitAlone {
+        exited
+    } else {
+        exited && messages.is_empty() && responses.is_empty()
+    };
+    answered_all.then_some(false)
+}
+
+/// A replica that answers and then exits while the worker polls, on the
+/// shipping ring: the NF pushes its export response onto its message ring,
+/// then marks itself finished (the Release store a finished sim actor
+/// makes; a joined thread's exit orders the same way); the worker, twice,
+/// pops what the ring holds, then looks at the export. The root finishes
+/// the poll. The export resolves with the response, never empty.
+pub(crate) fn exit_rounds(bug: MessageBug) {
+    let (out, popped) = spsc_ring::<u64>(1);
+    let exited = Arc::new(AtomicU32::new(0));
+    let nf = {
+        let exited = Arc::clone(&exited);
+        model::spawn(move || {
+            out.push(EXPORTED).expect("the ring starts empty");
+            // ORDER: Release — publishes the response push to a worker that
+            // acquires the exit.
+            exited.store(1, Ordering::Release);
+            out
+        })
+    };
+    let worker = {
+        let exited = Arc::clone(&exited);
+        model::spawn(move || {
+            let mut responses = Vec::new();
+            let mut resolved = None;
+            for _ in 0..2 {
+                while let Some(entry) = popped.pop() {
+                    responses.push(entry);
+                }
+                if resolved.is_none() {
+                    resolved = resolve_export(bug, &exited, &popped, &mut responses);
+                }
+            }
+            (popped, responses, resolved)
+        })
+    };
+    let _out = nf.join();
+    let (popped, mut responses, mut resolved) = worker.join();
+    while resolved.is_none() {
+        while let Some(entry) = popped.pop() {
+            responses.push(entry);
+        }
+        resolved = resolve_export(bug, &exited, &popped, &mut responses);
+    }
+    assert_eq!(
+        resolved,
+        Some(true),
+        "the export resolved empty, though its replica answered it"
+    );
+}
+
+/// Runs [`message_rounds`], [`state_rounds`] and [`exit_rounds`] with the
+/// given seeded bug, summing their executions. `MessageBug::None` must
+/// pass all three exhaustively; every seeded bug must fail an assertion in
+/// one.
+pub fn message_scenario(bug: MessageBug, opts: CheckOpts) -> CheckReport {
+    let mut report = model::explore(opts, move || message_rounds(bug));
+    let rest: [fn(MessageBug); 2] = [state_rounds, exit_rounds];
+    for scenario in rest {
+        if !report.exhaustive_pass() {
+            break;
+        }
+        let next = model::explore(opts, move || scenario(bug));
+        report = CheckReport {
+            executions: report.executions + next.executions,
+            ..next
+        };
+    }
+    report
 }

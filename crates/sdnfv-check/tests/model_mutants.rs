@@ -282,3 +282,12 @@ fn serving_requests_before_a_held_burst_is_caught() {
     let report = mutants::message_scenario(MessageBug::RequestsBeforeHeldBurst, opts());
     assert_caught(&report, &[ViolationKind::Panic], "RequestsBeforeHeldBurst");
 }
+
+#[test]
+fn resolving_an_exited_replicas_export_on_the_exit_alone_is_caught() {
+    // The worker pops an empty ring, the replica pushes its answer and
+    // exits, and the worker, seeing the exit, resolves the export empty:
+    // the answer on the ring is lost.
+    let report = mutants::message_scenario(MessageBug::ResolveOnExitAlone, opts());
+    assert_caught(&report, &[ViolationKind::Panic], "ResolveOnExitAlone");
+}

@@ -6,8 +6,10 @@
 //! [`ElasticNfManager`] closes that loop for a running
 //! [`ThreadedHost`]:
 //!
-//! 1. it absorbs the host's [`TelemetrySnapshot`] stream into a
-//!    [`TelemetryHub`] (merged latest-per-shard view);
+//! 1. it reads the operator's view of the host: the [`TelemetryHub`]
+//!    (merged latest-per-shard [`TelemetrySnapshot`]s) inside the host's
+//!    `ObsHub`, which is the one consumer of the host's snapshot and
+//!    lifecycle feeds — the manager drains nothing itself;
 //! 2. [`ElasticNfManager::plan`] turns the view into typed
 //!    [`ControlAction`]s under an [`ElasticPolicy`] — scale a service's
 //!    replica count up when its worst input-ring fill crosses
@@ -39,9 +41,7 @@ use std::collections::HashMap;
 use sdnfv_dataplane::{ThreadedHost, ThreadedHostConfig};
 use sdnfv_flowtable::{ServiceId, SharedFlowTable};
 use sdnfv_nf::NetworkFunction;
-use sdnfv_telemetry::{
-    ControlAction, ShardLifecycleEvent, TelemetryHub, TelemetrySnapshot, TelemetrySource,
-};
+use sdnfv_telemetry::{ControlAction, TelemetryHub, TelemetrySnapshot};
 
 use crate::orchestrator::NfvOrchestrator;
 
@@ -161,13 +161,16 @@ struct PendingShard {
 
 /// The local elastic control loop over one [`ThreadedHost`] (see the
 /// module docs). Call [`ElasticNfManager::drive`] periodically from the
-/// host's management thread.
+/// host's management thread, right after the host's `ObsHub` observed it.
 pub struct ElasticNfManager {
     policy: ElasticPolicy,
     orchestrator: NfvOrchestrator,
     /// Registry names of the services the loop may scale, keyed by id.
     service_names: HashMap<ServiceId, String>,
-    hub: TelemetryHub,
+    /// The view's per-shard lifecycle counts at the last tick
+    /// ([`TelemetryHub::lifecycle_counts`]): a shard whose count moved
+    /// since came or went, and its per-shard state below is dropped.
+    lifecycle_seen: Vec<u64>,
     last_scale_ns: HashMap<(usize, ServiceId), u64>,
     /// Replica counts the manager has already made true (installs handed to
     /// the host) that telemetry may not reflect yet — the floor `plan` uses
@@ -218,7 +221,7 @@ impl ElasticNfManager {
             policy,
             orchestrator,
             service_names: HashMap::new(),
-            hub: TelemetryHub::new(),
+            lifecycle_seen: Vec::new(),
             last_scale_ns: HashMap::new(),
             expected_replicas: HashMap::new(),
             last_credit_ns: HashMap::new(),
@@ -257,24 +260,6 @@ impl ElasticNfManager {
         }
         self.service_names.insert(service, name);
         Ok(())
-    }
-
-    /// The merged telemetry view the loop decides from.
-    pub fn hub(&self) -> &TelemetryHub {
-        &self.hub
-    }
-
-    /// Total flow rules the data plane evicted via idle/hard timeouts, as
-    /// reported by the live shards' telemetry — the control plane's view
-    /// of the rule-lifecycle churn (dead flows whose pins were reclaimed).
-    pub fn rules_evicted(&self) -> u64 {
-        self.hub.total_rules_evicted()
-    }
-
-    /// Total per-flow NF state entries the data plane scrubbed after rule
-    /// evictions, as reported by the live shards' telemetry.
-    pub fn nf_state_scrubbed(&self) -> u64 {
-        self.hub.total_nf_state_scrubbed()
     }
 
     /// The policy in force.
@@ -347,18 +332,11 @@ impl ElasticNfManager {
         Ok(())
     }
 
-    /// Feeds snapshots into the merged view without touching a host (the
-    /// testing / replay entry point; [`ElasticNfManager::drive`] does this
-    /// from the live host).
-    pub fn absorb(&mut self, snapshots: Vec<TelemetrySnapshot>) {
-        self.hub.absorb(snapshots);
-    }
-
-    /// Derives the control actions the current telemetry view calls for,
+    /// Derives the control actions the telemetry view `hub` calls for,
     /// marking cooldowns so one burst of pressure yields one action.
-    pub fn plan(&mut self, now_ns: u64) -> Vec<ControlAction> {
+    pub fn plan(&mut self, hub: &TelemetryHub, now_ns: u64) -> Vec<ControlAction> {
         let mut actions = Vec::new();
-        for snapshot in self.hub.latest_all() {
+        for snapshot in hub.latest_all() {
             let shard = snapshot.shard;
             for service in snapshot.services() {
                 if !self.service_names.contains_key(&service) {
@@ -443,7 +421,7 @@ impl ElasticNfManager {
             }
         }
         if let Some(ratio) = self.policy.rebalance_ratio {
-            if let Some(action) = self.plan_rebalance(ratio, now_ns) {
+            if let Some(action) = self.plan_rebalance(hub, ratio, now_ns) {
                 self.last_rebalance_ns = Some(now_ns);
                 actions.push(action);
             }
@@ -456,20 +434,25 @@ impl ElasticNfManager {
     /// snapshot from *every* shard (a partial weight vector would be
     /// rejected by the host) and observes the same cooldown as the scale
     /// actions so draining backlog is not re-homed every tick.
-    fn plan_rebalance(&mut self, ratio: f64, now_ns: u64) -> Option<ControlAction> {
+    fn plan_rebalance(
+        &mut self,
+        hub: &TelemetryHub,
+        ratio: f64,
+        now_ns: u64,
+    ) -> Option<ControlAction> {
         let cooled = self
             .last_rebalance_ns
             .is_none_or(|last| now_ns.saturating_sub(last) >= self.policy.cooldown_ns);
         if !cooled {
             return None;
         }
-        let num_shards = self.hub.num_shards();
+        let num_shards = hub.num_shards();
         if num_shards < 2 {
             return None;
         }
         let mut backlogs = Vec::with_capacity(num_shards);
         for shard in 0..num_shards {
-            backlogs.push(self.hub.latest(shard)?.backlog());
+            backlogs.push(hub.latest(shard)?.backlog());
         }
         let max = *backlogs.iter().max().expect("non-empty") as f64;
         let min = *backlogs.iter().min().expect("non-empty") as f64;
@@ -497,12 +480,13 @@ impl ElasticNfManager {
         Some(ControlAction::SetSteeringWeights { weights })
     }
 
-    /// Derives the shard-count action the current telemetry view calls
-    /// for, given the host's live shard count and whether a retirement is
+    /// Derives the shard-count action the telemetry view `hub` calls for,
+    /// given the host's live shard count and whether a retirement is
     /// already in progress. Public for replay-style testing;
     /// [`ElasticNfManager::drive`] calls it with live host state.
     pub fn plan_shards(
         &mut self,
+        hub: &TelemetryHub,
         now_ns: u64,
         current_shards: usize,
         retiring: bool,
@@ -517,7 +501,7 @@ impl ElasticNfManager {
         if !cooled {
             return None;
         }
-        let snapshots = self.hub.latest_all();
+        let snapshots = hub.latest_all();
         if snapshots.is_empty() {
             return None;
         }
@@ -613,36 +597,19 @@ impl ElasticNfManager {
         }
     }
 
-    /// One control-loop tick against a live host: absorb fresh telemetry
-    /// and shard lifecycle events, plan (replica, credit, steering *and*
-    /// shard-count decisions), apply. Scale-ups and shard spawns are
-    /// launched through the orchestrator and join the host once their boot
-    /// delay matures (possibly on a later tick); scale-downs, credit
-    /// resizes, rebalances and shard retirements apply immediately.
-    /// Returns the actions emitted this tick.
-    pub fn drive(&mut self, host: &ThreadedHost) -> Vec<ControlAction> {
-        self.drive_via(&mut &*host, host)
-    }
-
-    /// Like [`ElasticNfManager::drive`], but observing the data plane
-    /// through an injectable [`TelemetrySource`] instead of the host's own
-    /// rings. The deterministic-simulation harness passes a fault-injecting
-    /// adapter here (dropping, duplicating or delaying snapshots off a
-    /// seeded plan) while actions still apply to the real `host` — the
-    /// decision code exercised under faults is exactly the shipping code.
-    pub fn drive_via<S: TelemetrySource>(
-        &mut self,
-        source: &mut S,
-        host: &ThreadedHost,
-    ) -> Vec<ControlAction> {
-        // Lifecycle first: a `Spawned` event resets its shard's hub slot,
-        // so processing it *before* absorbing this tick's snapshots keeps
-        // the spawned shard's first snapshot instead of wiping it.
-        self.observe_lifecycle(&source.take_shard_events());
-        self.hub.absorb(source.poll_snapshots());
+    /// One control-loop tick against a live host, planning from `hub` —
+    /// the host's `ObsHub` telemetry view (`obs.telemetry()`), observed
+    /// just before: drop the state of shards that came or went, plan
+    /// (replica, credit, steering *and* shard-count decisions), apply.
+    /// Scale-ups and shard spawns are launched through the orchestrator and
+    /// join the host once their boot delay matures (possibly on a later
+    /// tick); scale-downs, credit resizes, rebalances and shard retirements
+    /// apply immediately. Returns the actions emitted this tick.
+    pub fn drive(&mut self, host: &ThreadedHost, hub: &TelemetryHub) -> Vec<ControlAction> {
+        self.forget_changed_shards(hub);
         let now_ns = host.now_ns();
-        let mut actions = self.plan(now_ns);
-        if let Some(action) = self.plan_shards(now_ns, host.num_shards(), host.is_retiring()) {
+        let mut actions = self.plan(hub, now_ns);
+        if let Some(action) = self.plan_shards(hub, now_ns, host.num_shards(), host.is_retiring()) {
             actions.push(action);
         }
         for action in &actions {
@@ -692,35 +659,38 @@ impl ElasticNfManager {
                 }
             }
         }
-        self.install_matured(host, now_ns);
+        self.install_matured(host, hub, now_ns);
         self.install_matured_shard(host, now_ns);
         actions
     }
 
-    /// Folds shard lifecycle events into the manager's per-shard state: a
-    /// retired shard's telemetry view, cooldowns and pending launches are
-    /// dropped (its replicas died with its pipeline), so a respawned shard
-    /// at the same index starts clean.
-    fn observe_lifecycle(&mut self, events: &[ShardLifecycleEvent]) {
-        if events.is_empty() {
+    /// Drops the per-shard state of every shard whose lifecycle count in
+    /// `hub` moved since the last tick: a retired shard's cooldowns,
+    /// replica floors and pending launches go with its pipeline (its
+    /// replicas died with it), so a respawned shard at the same index
+    /// starts clean.
+    fn forget_changed_shards(&mut self, hub: &TelemetryHub) {
+        let counts = hub.lifecycle_counts();
+        if counts == self.lifecycle_seen.as_slice() {
             return;
         }
-        self.hub.observe_lifecycle(events);
-        for event in events {
-            if let ShardLifecycleEvent::Retired { shard, .. } = event {
-                self.last_scale_ns.retain(|(s, _), _| s != shard);
-                self.expected_replicas.retain(|(s, _), _| s != shard);
-                self.last_credit_ns.remove(shard);
-                self.last_credit_target.remove(shard);
-                self.pending.retain(|launch| launch.shard != *shard);
+        for (shard, &count) in counts.iter().enumerate() {
+            if self.lifecycle_seen.get(shard).copied().unwrap_or(0) == count {
+                continue;
             }
+            self.last_scale_ns.retain(|(s, _), _| *s != shard);
+            self.expected_replicas.retain(|(s, _), _| *s != shard);
+            self.last_credit_ns.remove(&shard);
+            self.last_credit_target.remove(&shard);
+            self.pending.retain(|launch| launch.shard != shard);
         }
+        self.lifecycle_seen = counts.to_vec();
     }
 
     /// Hands every boot-complete pending replica to the host. Replicas
     /// whose control ring is momentarily full are handed back by the host
     /// and stay pending for the next tick.
-    fn install_matured(&mut self, host: &ThreadedHost, now_ns: u64) {
+    fn install_matured(&mut self, host: &ThreadedHost, hub: &TelemetryHub, now_ns: u64) {
         let mut still_pending = Vec::new();
         for launch in self.pending.drain(..) {
             if launch.ready_at_ns > now_ns {
@@ -748,8 +718,7 @@ impl ElasticNfManager {
                     // stale window as "still under-provisioned" and
                     // overshoot max_replicas.
                     self.last_scale_ns.insert((shard, service), now_ns);
-                    let visible = self
-                        .hub
+                    let visible = hub
                         .latest(shard)
                         .map_or(0, |snapshot| snapshot.replicas(service));
                     let floor = self
@@ -850,7 +819,7 @@ mod tests {
     use super::*;
     use sdnfv_nf::nfs::NoOpNf;
     use sdnfv_nf::NfRegistry;
-    use sdnfv_telemetry::{LatencyReport, NfTelemetry};
+    use sdnfv_telemetry::NfTelemetry;
 
     fn svc(id: u32) -> ServiceId {
         ServiceId::new(id)
@@ -909,18 +878,18 @@ mod tests {
             nf_state_handoffs: 0,
             nf_state_import_drops: 0,
             spans_dropped: 0,
-            latency: LatencyReport::default(),
         }
     }
 
     #[test]
     fn full_queue_triggers_one_scale_up_until_cooldown() {
+        let mut hub = TelemetryHub::new();
         let mut m = manager(ElasticPolicy {
             cooldown_ns: 1_000,
             ..ElasticPolicy::default()
         });
-        m.absorb(vec![snapshot(0, 1, &[(1, 90, 100, false)])]);
-        let actions = m.plan(10);
+        hub.absorb(vec![snapshot(0, 1, &[(1, 90, 100, false)])]);
+        let actions = m.plan(&hub, 10);
         assert_eq!(
             actions,
             vec![ControlAction::ScaleUp {
@@ -929,77 +898,112 @@ mod tests {
             }]
         );
         // Same pressure inside the cooldown: no duplicate action.
-        m.absorb(vec![snapshot(0, 2, &[(1, 95, 100, false)])]);
-        assert!(m.plan(500).is_empty());
+        hub.absorb(vec![snapshot(0, 2, &[(1, 95, 100, false)])]);
+        assert!(m.plan(&hub, 500).is_empty());
         // After the cooldown the alarm may fire again.
-        m.absorb(vec![snapshot(0, 3, &[(1, 95, 100, false)])]);
-        assert_eq!(m.plan(2_000).len(), 1);
+        hub.absorb(vec![snapshot(0, 3, &[(1, 95, 100, false)])]);
+        assert_eq!(m.plan(&hub, 2_000).len(), 1);
+    }
+
+    #[test]
+    fn a_shard_that_came_or_went_starts_clean() {
+        use sdnfv_telemetry::ShardLifecycleEvent;
+        let mut hub = TelemetryHub::new();
+        let mut m = manager(ElasticPolicy {
+            cooldown_ns: 1_000,
+            ..ElasticPolicy::default()
+        });
+        hub.absorb(vec![snapshot(1, 1, &[(1, 90, 100, false)])]);
+        assert_eq!(m.plan(&hub, 10).len(), 1, "scale-up, cooldown starts");
+        hub.absorb(vec![snapshot(1, 2, &[(1, 95, 100, false)])]);
+        m.forget_changed_shards(&hub);
+        assert!(m.plan(&hub, 20).is_empty(), "inside the cooldown");
+        // Shard 1 retires and a new pipeline takes its slot: the old
+        // incarnation's cooldown must not hold the new one back.
+        hub.observe_lifecycle(&[
+            ShardLifecycleEvent::Retired {
+                shard: 1,
+                at_ns: 30,
+            },
+            ShardLifecycleEvent::Spawned {
+                shard: 1,
+                at_ns: 40,
+            },
+        ]);
+        hub.absorb(vec![snapshot(1, 1, &[(1, 95, 100, false)])]);
+        m.forget_changed_shards(&hub);
+        assert_eq!(m.plan(&hub, 50).len(), 1, "the slot starts clean");
     }
 
     #[test]
     fn unregistered_services_are_never_scaled() {
+        let mut hub = TelemetryHub::new();
         let mut m = manager(ElasticPolicy::default());
-        m.absorb(vec![snapshot(0, 1, &[(9, 100, 100, false)])]);
-        assert!(m.plan(10).is_empty());
+        hub.absorb(vec![snapshot(0, 1, &[(9, 100, 100, false)])]);
+        assert!(m.plan(&hub, 10).is_empty());
     }
 
     #[test]
     fn quiet_shard_scales_down_but_never_below_minimum() {
+        let mut hub = TelemetryHub::new();
         let mut m = manager(ElasticPolicy {
             cooldown_ns: 0,
             ..ElasticPolicy::default()
         });
         // Two quiet replicas: one is retired.
-        m.absorb(vec![snapshot(
+        hub.absorb(vec![snapshot(
             0,
             1,
             &[(1, 0, 100, false), (1, 1, 100, false)],
         )]);
         assert_eq!(
-            m.plan(10),
+            m.plan(&hub, 10),
             vec![ControlAction::ScaleDown {
                 shard: 0,
                 service: svc(1)
             }]
         );
         // One replica left: the minimum holds.
-        m.absorb(vec![snapshot(0, 2, &[(1, 0, 100, false)])]);
-        assert!(m.plan(20).is_empty());
+        hub.absorb(vec![snapshot(0, 2, &[(1, 0, 100, false)])]);
+        assert!(m.plan(&hub, 20).is_empty());
     }
 
     #[test]
     fn draining_replicas_do_not_count_toward_scaling() {
+        let mut hub = TelemetryHub::new();
         let mut m = manager(ElasticPolicy {
             cooldown_ns: 0,
             ..ElasticPolicy::default()
         });
         // One live replica + one draining: not eligible for another
         // scale-down even though two slots report.
-        m.absorb(vec![snapshot(
+        hub.absorb(vec![snapshot(
             0,
             1,
             &[(1, 0, 100, false), (1, 50, 100, true)],
         )]);
-        assert!(m.plan(10).is_empty());
+        assert!(m.plan(&hub, 10).is_empty());
     }
 
     #[test]
     fn saturated_replica_cap_is_respected() {
+        let mut hub = TelemetryHub::new();
         let mut m = manager(ElasticPolicy {
             max_replicas: 2,
             cooldown_ns: 0,
             ..ElasticPolicy::default()
         });
-        m.absorb(vec![snapshot(
+        hub.absorb(vec![snapshot(
             0,
             1,
             &[(1, 90, 100, false), (1, 95, 100, false)],
         )]);
-        assert!(m.plan(10).is_empty(), "already at max replicas");
+        assert!(m.plan(&hub, 10).is_empty(), "already at max replicas");
     }
 
     #[test]
     fn credit_management_doubles_and_halves_within_bounds() {
+        let mut hub = TelemetryHub::new();
         let mut m = manager(ElasticPolicy {
             manage_credits: true,
             cooldown_ns: 0,
@@ -1010,9 +1014,9 @@ mod tests {
         let mut high = snapshot(0, 1, &[]);
         high.credits_in_flight = 250;
         high.credit_capacity = 256;
-        m.absorb(vec![high]);
+        hub.absorb(vec![high]);
         assert_eq!(
-            m.plan(10),
+            m.plan(&hub, 10),
             vec![ControlAction::ResizeCredits {
                 shard: 0,
                 credits: 512
@@ -1021,9 +1025,9 @@ mod tests {
         let mut low = snapshot(0, 2, &[]);
         low.credits_in_flight = 0;
         low.credit_capacity = 512;
-        m.absorb(vec![low]);
+        hub.absorb(vec![low]);
         assert_eq!(
-            m.plan(20),
+            m.plan(&hub, 20),
             vec![ControlAction::ResizeCredits {
                 shard: 0,
                 credits: 256
@@ -1033,6 +1037,7 @@ mod tests {
 
     #[test]
     fn clamped_credit_grow_is_not_re_emitted() {
+        let mut hub = TelemetryHub::new();
         let mut m = manager(ElasticPolicy {
             manage_credits: true,
             cooldown_ns: 0,
@@ -1043,9 +1048,9 @@ mod tests {
         let mut high = snapshot(0, 1, &[]);
         high.credits_in_flight = 250;
         high.credit_capacity = 256;
-        m.absorb(vec![high.clone()]);
+        hub.absorb(vec![high.clone()]);
         assert_eq!(
-            m.plan(10),
+            m.plan(&hub, 10),
             vec![ControlAction::ResizeCredits {
                 shard: 0,
                 credits: 512
@@ -1054,15 +1059,18 @@ mod tests {
         // The runtime clamped the grow: capacity is still 256. The plan
         // must not keep re-emitting an ineffective grow forever.
         high.seq = 2;
-        m.absorb(vec![high]);
-        assert!(m.plan(20).is_empty(), "clamped grow is not re-emitted");
+        hub.absorb(vec![high]);
+        assert!(
+            m.plan(&hub, 20).is_empty(),
+            "clamped grow is not re-emitted"
+        );
         // A shrink is still allowed once the pressure is gone.
         let mut low = snapshot(0, 3, &[]);
         low.credits_in_flight = 0;
         low.credit_capacity = 256;
-        m.absorb(vec![low]);
+        hub.absorb(vec![low]);
         assert_eq!(
-            m.plan(30),
+            m.plan(&hub, 30),
             vec![ControlAction::ResizeCredits {
                 shard: 0,
                 credits: 128
@@ -1072,6 +1080,7 @@ mod tests {
 
     #[test]
     fn rebalance_needs_every_shard_and_observes_cooldown() {
+        let mut hub = TelemetryHub::new();
         let mut m = manager(ElasticPolicy {
             rebalance_ratio: Some(4.0),
             cooldown_ns: 1_000,
@@ -1081,11 +1090,14 @@ mod tests {
         // would be rejected by a 3-shard host, so nothing is emitted.
         let mut busy = snapshot(0, 1, &[]);
         busy.ingress_depth = 900;
-        m.absorb(vec![busy.clone(), snapshot(2, 1, &[])]);
-        assert!(m.plan(10).is_empty(), "incomplete shard view: no rebalance");
+        hub.absorb(vec![busy.clone(), snapshot(2, 1, &[])]);
+        assert!(
+            m.plan(&hub, 10).is_empty(),
+            "incomplete shard view: no rebalance"
+        );
         // All shards report: one rebalance fires, then the cooldown holds.
-        m.absorb(vec![snapshot(1, 1, &[])]);
-        let actions = m.plan(20);
+        hub.absorb(vec![snapshot(1, 1, &[])]);
+        let actions = m.plan(&hub, 20);
         assert!(
             matches!(
                 actions.as_slice(),
@@ -1094,13 +1106,17 @@ mod tests {
             "expected a 3-shard rebalance, got {actions:?}"
         );
         busy.seq = 2;
-        m.absorb(vec![busy]);
-        assert!(m.plan(500).is_empty(), "cooldown suppresses re-emission");
-        assert_eq!(m.plan(2_000).len(), 1, "cooldown expires");
+        hub.absorb(vec![busy]);
+        assert!(
+            m.plan(&hub, 500).is_empty(),
+            "cooldown suppresses re-emission"
+        );
+        assert_eq!(m.plan(&hub, 2_000).len(), 1, "cooldown expires");
     }
 
     #[test]
     fn imbalance_triggers_rebalance_weights() {
+        let mut hub = TelemetryHub::new();
         let mut m = manager(ElasticPolicy {
             rebalance_ratio: Some(4.0),
             ..ElasticPolicy::default()
@@ -1108,8 +1124,8 @@ mod tests {
         let mut busy = snapshot(0, 1, &[(1, 0, 100, false)]);
         busy.ingress_depth = 900;
         let idle = snapshot(1, 1, &[(1, 0, 100, false)]);
-        m.absorb(vec![busy, idle]);
-        let actions = m.plan(10);
+        hub.absorb(vec![busy, idle]);
+        let actions = m.plan(&hub, 10);
         let Some(ControlAction::SetSteeringWeights { weights }) = actions.last() else {
             panic!("expected a rebalance, got {actions:?}");
         };
@@ -1122,6 +1138,7 @@ mod tests {
 
     #[test]
     fn rebalance_resets_to_uniform_when_balance_returns() {
+        let mut hub = TelemetryHub::new();
         let mut m = manager(ElasticPolicy {
             rebalance_ratio: Some(4.0),
             cooldown_ns: 0,
@@ -1129,24 +1146,24 @@ mod tests {
         });
         let mut busy = snapshot(0, 1, &[]);
         busy.ingress_depth = 900;
-        m.absorb(vec![busy, snapshot(1, 1, &[])]);
+        hub.absorb(vec![busy, snapshot(1, 1, &[])]);
         assert!(
             matches!(
-                m.plan(10).as_slice(),
+                m.plan(&hub, 10).as_slice(),
                 [ControlAction::SetSteeringWeights { .. }]
             ),
             "imbalance skews the table"
         );
         // Balance returns: exactly one uniform reset, then silence.
-        m.absorb(vec![snapshot(0, 2, &[]), snapshot(1, 2, &[])]);
+        hub.absorb(vec![snapshot(0, 2, &[]), snapshot(1, 2, &[])]);
         assert_eq!(
-            m.plan(20),
+            m.plan(&hub, 20),
             vec![ControlAction::SetSteeringWeights {
                 weights: vec![1, 1]
             }]
         );
-        m.absorb(vec![snapshot(0, 3, &[]), snapshot(1, 3, &[])]);
-        assert!(m.plan(30).is_empty(), "reset is emitted once");
+        hub.absorb(vec![snapshot(0, 3, &[]), snapshot(1, 3, &[])]);
+        assert!(m.plan(&hub, 30).is_empty(), "reset is emitted once");
     }
 
     fn shard_manager(policy: ShardPolicy) -> ElasticNfManager {
@@ -1185,6 +1202,7 @@ mod tests {
 
     #[test]
     fn aggregate_fill_plans_spawn_until_cooldown_and_cap() {
+        let mut hub = TelemetryHub::new();
         let mut m = shard_manager(ShardPolicy {
             scale_out_fill: 0.5,
             max_shards: 2,
@@ -1193,19 +1211,23 @@ mod tests {
         });
         let mut busy = snapshot(0, 1, &[]);
         busy.ingress_depth = 900; // ingress fill ≈ 0.88
-        m.absorb(vec![busy.clone()]);
-        assert_eq!(m.plan_shards(10, 1, false), Some(ControlAction::SpawnShard));
+        hub.absorb(vec![busy.clone()]);
+        assert_eq!(
+            m.plan_shards(&hub, 10, 1, false),
+            Some(ControlAction::SpawnShard)
+        );
         // Cooldown holds; after it expires the cap holds.
-        assert_eq!(m.plan_shards(500, 1, false), None, "cooldown");
-        assert_eq!(m.plan_shards(5_000, 2, false), None, "at max_shards");
+        assert_eq!(m.plan_shards(&hub, 500, 1, false), None, "cooldown");
+        assert_eq!(m.plan_shards(&hub, 5_000, 2, false), None, "at max_shards");
         // A pending retirement also suppresses planning.
         busy.seq = 2;
-        m.absorb(vec![busy]);
-        assert_eq!(m.plan_shards(10_000, 1, true), None, "retiring");
+        hub.absorb(vec![busy]);
+        assert_eq!(m.plan_shards(&hub, 10_000, 1, true), None, "retiring");
     }
 
     #[test]
     fn latency_slo_triggers_spawn_and_quiet_plans_retire() {
+        let mut hub = TelemetryHub::new();
         let mut m = shard_manager(ShardPolicy {
             scale_out_fill: 0.99, // fill alone never triggers
             scale_in_fill: 0.05,
@@ -1218,21 +1240,24 @@ mod tests {
         // 100 µs/packet × 20 packets = 2 ms ≥ the 1 ms SLO.
         let mut slow = snapshot(0, 1, &[(1, 20, 100, false)]);
         slow.nfs[0].service_time_ewma_ns = 100_000;
-        m.absorb(vec![slow]);
-        assert_eq!(m.plan_shards(10, 1, false), Some(ControlAction::SpawnShard));
+        hub.absorb(vec![slow]);
+        assert_eq!(
+            m.plan_shards(&hub, 10, 1, false),
+            Some(ControlAction::SpawnShard)
+        );
         // Quiet everywhere (and latency far under half the SLO): the
         // highest shard is retired.
-        m.absorb(vec![
+        hub.absorb(vec![
             snapshot(0, 2, &[(1, 0, 100, false)]),
             snapshot(1, 1, &[]),
         ]);
         assert_eq!(
-            m.plan_shards(20, 2, false),
+            m.plan_shards(&hub, 20, 2, false),
             Some(ControlAction::RetireShard { shard: 1 })
         );
         // But never below min_shards.
-        m.absorb(vec![snapshot(0, 3, &[(1, 0, 100, false)])]);
-        assert_eq!(m.plan_shards(30, 1, false), None);
+        hub.absorb(vec![snapshot(0, 3, &[(1, 0, 100, false)])]);
+        assert_eq!(m.plan_shards(&hub, 30, 1, false), None);
     }
 
     #[test]

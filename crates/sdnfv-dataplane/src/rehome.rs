@@ -354,12 +354,6 @@ pub struct RetiringShard {
     pub stop_sent: bool,
 }
 
-/// How many pen-age samples [`RehomeState`] retains for percentile
-/// reporting before older samples are dropped (the gauges in
-/// [`TelemetrySnapshot`](sdnfv_telemetry::TelemetrySnapshot) are live and
-/// unaffected by this cap).
-pub const PEN_AGE_SAMPLE_CAP: usize = 4096;
-
 /// Re-home events retained between [`RehomeState::take_events`] drains;
 /// excess events are counted in `rehome_events_dropped` instead of growing
 /// the buffer without bound.
@@ -409,11 +403,6 @@ pub struct RehomeState {
     pub report: RehomeReport,
     /// Monotonic id generator for export requests.
     pub next_export_id: u64,
-    /// Ages (nanoseconds spent parked) of packets released from pens, newest
-    /// last, capped at [`PEN_AGE_SAMPLE_CAP`] samples.
-    pen_ages_ns: Vec<u64>,
-    /// Samples dropped because the cap was reached.
-    pub pen_age_samples_dropped: u64,
     /// Re-home steps awaiting a [`RehomeState::take_events`] drain, newest
     /// last, capped at [`REHOME_EVENT_CAP`].
     events: Vec<RehomeEvent>,
@@ -539,20 +528,6 @@ impl RehomeState {
     pub fn allocate_export_id(&mut self) -> u64 {
         self.next_export_id += 1;
         self.next_export_id
-    }
-
-    /// Records how long a packet sat in a pen before release.
-    pub fn record_pen_age(&mut self, age_ns: u64) {
-        if self.pen_ages_ns.len() < PEN_AGE_SAMPLE_CAP {
-            self.pen_ages_ns.push(age_ns);
-        } else {
-            self.pen_age_samples_dropped += 1;
-        }
-    }
-
-    /// Drains the recorded pen-age samples (nanoseconds).
-    pub fn take_pen_ages_ns(&mut self) -> Vec<u64> {
-        std::mem::take(&mut self.pen_ages_ns)
     }
 
     /// Total packets currently parked in pens destined for `shard`, and the
@@ -770,18 +745,6 @@ mod tests {
         let a = state.allocate_export_id();
         let b = state.allocate_export_id();
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn pen_age_samples_are_capped() {
-        let mut state = RehomeState::default();
-        for age in 0..(PEN_AGE_SAMPLE_CAP as u64 + 10) {
-            state.record_pen_age(age);
-        }
-        assert_eq!(state.take_pen_ages_ns().len(), PEN_AGE_SAMPLE_CAP);
-        assert_eq!(state.pen_age_samples_dropped, 10);
-        // Taking drains.
-        assert!(state.take_pen_ages_ns().is_empty());
     }
 
     #[test]

@@ -171,15 +171,15 @@ use sdnfv_proto::packet::Port;
 use sdnfv_proto::Packet;
 use sdnfv_ring::{spsc_ring, Consumer, CreditGate, Producer, PushError};
 use sdnfv_telemetry::{
-    HostClock, LatencyHistogram, LatencyReport, NfTelemetry, ShardLifecycleEvent, SpanVerdict,
-    TelemetrySnapshot, TelemetrySource, TraceSpan, TraceStage,
+    HostClock, LatencyReport, NfTelemetry, ShardLifecycleEvent, SpanVerdict, TelemetrySnapshot,
+    TraceSpan, TraceStage,
 };
 
 use crate::cache::{cached_lookup_hashed, LookupCache, LOOKUP_CACHE_ENTRIES};
 use crate::conflict::{validate_steering, verdict_from_word};
 use crate::messages::{apply_nf_message, NfManagerMessage, PinTimeouts};
 use crate::rehome::{BucketTracker, RehomeEvent, RehomeReport, RehomeState, RetiringShard};
-use crate::stats::{HostStats, ShardStats};
+use crate::stats::{HostStats, ShardLatency, ShardStats};
 
 mod nf_engine;
 mod rehome_driver;
@@ -552,41 +552,6 @@ struct ListRun {
     position: u16,
 }
 
-/// Per-shard latency recorders: lock-free log-linear histograms, each with
-/// the one thread that records into it — the shard's worker (end-to-end,
-/// ingress wait, egress wait) or the host (re-home pen dwell) — except the
-/// service-time one, which the shard's NF threads share
-/// ([`LatencyHistogram::record_shared`]). Snapshots ride each
-/// [`TelemetrySnapshot`] as a [`LatencyReport`]; the host can also read
-/// them live via [`ThreadedHost::latency_report`].
-#[derive(Debug, Default)]
-pub(crate) struct ShardLatency {
-    /// Ingress admission stamp → egress-ring push.
-    end_to_end: LatencyHistogram,
-    /// Ingress admission stamp → shard worker pop (includes pen dwell for
-    /// re-homed packets).
-    ingress_wait: LatencyHistogram,
-    /// Per-packet NF burst service time (burst wall time / burst length),
-    /// recorded once per burst by every NF thread of the shard.
-    nf_service: LatencyHistogram,
-    /// Egress staging → egress-ring push.
-    egress_wait: LatencyHistogram,
-    /// Time parked in a re-home pen (host-side, destination shard).
-    pen_dwell: LatencyHistogram,
-}
-
-impl ShardLatency {
-    fn report(&self) -> LatencyReport {
-        LatencyReport {
-            end_to_end: self.end_to_end.snapshot(),
-            ingress_wait: self.ingress_wait.snapshot(),
-            nf_service: self.nf_service.snapshot(),
-            egress_wait: self.egress_wait.snapshot(),
-            pen_dwell: self.pen_dwell.snapshot(),
-        }
-    }
-}
-
 /// The host-side ports of one shard.
 struct ShardPorts {
     ingress: Producer<IngressFrame>,
@@ -597,8 +562,9 @@ struct ShardPorts {
     /// NF-state exports flowing back from the worker (replies to
     /// [`ShardCommand::ExportBucketState`]).
     exports: Consumer<BucketStateExport>,
-    /// The shard's counters (shared with its threads), kept at hand so the
-    /// injection paths bump them without taking the stats registry lock.
+    /// The shard's counters and latency histograms (shared with its
+    /// threads), kept at hand so the injection paths bump them without
+    /// taking the stats registry lock.
     stats: ShardStats,
     /// Per-shard stop flag: set when the shard is retired so its worker
     /// (and, transitively, its NF threads) wind down without touching the
@@ -607,9 +573,6 @@ struct ShardPorts {
     /// Trace spans emitted by the shard's worker (lossy; drained by
     /// [`ThreadedHost::poll_traces`]).
     traces: Consumer<TraceSpan>,
-    /// The shard's latency histograms (shared with its threads; the host
-    /// records pen dwell here and merges reports on demand).
-    latency: Arc<ShardLatency>,
     /// The messages the shard's NFs sent, as its worker applied them
     /// (drained by [`ThreadedHost::take_nf_messages`]).
     outbox: Consumer<NfManagerMessage>,
@@ -1154,9 +1117,10 @@ impl ThreadedHost {
 
     /// Drains every shard's telemetry ring, returning the published
     /// [`TelemetrySnapshot`]s in shard order (oldest first within a shard).
-    /// Feed them to a
-    /// [`TelemetryHub`](sdnfv_telemetry::TelemetryHub) to keep a merged
-    /// latest-per-shard view.
+    /// The drain is destructive: a host's one consumer (`sdnfv-obs`'s
+    /// `ObsHub`) folds them into the
+    /// [`TelemetryHub`](sdnfv_telemetry::TelemetryHub) every reader of the
+    /// host's telemetry shares.
     pub fn poll_telemetry(&self) -> Vec<TelemetrySnapshot> {
         self.advance_rehoming();
         let mut out = Vec::new();
@@ -1181,14 +1145,6 @@ impl ThreadedHost {
             }
         }
         out
-    }
-
-    /// Drains the ages (nanoseconds parked) of packets released from
-    /// re-home pens since the last call — the percentile feed of the
-    /// `shard_rehome` bench artifact. Samples are capped at
-    /// [`crate::rehome::PEN_AGE_SAMPLE_CAP`] between drains.
-    pub fn take_rehome_pen_ages_ns(&self) -> Vec<u64> {
-        self.rehome.borrow_mut().take_pen_ages_ns()
     }
 
     /// Sets the flow-trace sampling rate: one in `every` flows (by stable
@@ -1218,15 +1174,12 @@ impl ThreadedHost {
         out
     }
 
-    /// Merged latency histograms across every shard (live and retired):
-    /// end-to-end plus the per-stage breakdown. Snapshotting is lock-free
-    /// and sound while the workers keep recording.
+    /// Merged latency histograms across every shard slot, live and
+    /// retired: end-to-end plus the per-stage breakdown (see
+    /// [`HostStats::latency_report`]). Snapshotting is lock-free and sound
+    /// while the workers keep recording.
     pub fn latency_report(&self) -> LatencyReport {
-        let mut merged = LatencyReport::default();
-        for ports in self.shards.borrow().iter() {
-            merged.merge(&ports.latency.report());
-        }
-        merged
+        self.stats.latency_report()
     }
 
     /// Drains the bucket re-home steps ([`RehomeEvent`]) journaled since
@@ -1239,8 +1192,9 @@ impl ThreadedHost {
     }
 
     /// Drains the shard lifecycle transitions ([`ShardLifecycleEvent`])
-    /// that completed since the last call — the feed telemetry consumers
-    /// use to grow or prune their per-shard state.
+    /// that completed since the last call — the feed the telemetry view
+    /// uses to grow or prune its per-shard state (destructive, like
+    /// [`ThreadedHost::poll_telemetry`]).
     pub fn take_shard_events(&self) -> Vec<ShardLifecycleEvent> {
         self.advance_rehoming();
         std::mem::take(&mut *self.events.borrow_mut())
@@ -1544,20 +1498,6 @@ impl Drop for ThreadedHost {
     }
 }
 
-/// The host's own telemetry feed — the pristine [`TelemetrySource`] the
-/// elastic control loop observes in production. The deterministic
-/// simulation harness wraps this same host in a fault-injecting source
-/// instead; the control loop cannot tell the difference.
-impl TelemetrySource for &ThreadedHost {
-    fn take_shard_events(&mut self) -> Vec<ShardLifecycleEvent> {
-        ThreadedHost::take_shard_events(self)
-    }
-
-    fn poll_snapshots(&mut self) -> Vec<TelemetrySnapshot> {
-        self.poll_telemetry()
-    }
-}
-
 /// Builds and starts one shard's full pipeline: its rings, credit gate and
 /// worker thread (which spawns the shard's NF threads). Shared by
 /// `start_sharded` and mid-run [`ThreadedHost::spawn_shard`].
@@ -1577,7 +1517,7 @@ fn launch_pipeline(
 ) -> (ShardPorts, TaskHandle) {
     let gate = Arc::new(CreditGate::new(config.shard_credits));
     let stop = Arc::new(AtomicBool::new(false));
-    let latency = Arc::new(ShardLatency::default());
+    let latency = Arc::clone(stats.latency());
 
     let (ingress_tx, ingress_rx) = spsc_ring::<IngressFrame>(config.ingress_capacity);
     let (egress_tx, egress_rx) = spsc_ring::<HostOutput>(config.egress_capacity);
@@ -1644,7 +1584,7 @@ fn launch_pipeline(
         applied_commands: 0,
         draining: 0,
         retired_slots: 0,
-        latency: Arc::clone(&latency),
+        latency,
         outbox: outbox_tx,
         traces: traces_tx,
         trace_sampling: Arc::clone(trace_sampling),
@@ -1669,7 +1609,6 @@ fn launch_pipeline(
             stats,
             stop,
             traces: traces_rx,
-            latency,
             outbox: outbox_rx,
             retired: Cell::new(false),
             replicas: RefCell::new(replicas),
@@ -2718,7 +2657,6 @@ impl ShardEngine {
             nf_state_handoffs: self.stats.nf_state_handoffs(),
             nf_state_import_drops: self.stats.nf_state_import_drops(),
             spans_dropped: self.stats.spans_dropped(),
-            latency: self.latency.report(),
         };
         let _ = self.telemetry.push(snapshot);
     }
@@ -4553,10 +4491,10 @@ mod tests {
     }
 
     #[test]
-    fn every_snapshot_carries_one_latency_record_per_counted_packet() {
-        // The worker records and publishes on one thread: whatever batching
-        // its recorders do, a snapshot's histogram totals must already hold
-        // every packet its counters count, and so must the live report
+    fn the_latency_report_holds_one_record_per_counted_packet() {
+        // The worker records and counts on one thread: whatever batching
+        // its recorders do, the live report read between steps must
+        // already hold every packet the counters count, and so must it
         // once the host is quiet.
         let (graph, ids) = catalog::chain(&[("a", true), ("b", true)]);
         let table = SharedFlowTable::new();
@@ -4575,7 +4513,6 @@ mod tests {
                 ..ThreadedHostConfig::default()
             },
         );
-        let mut snapshots = 0;
         let mut egressed = 0;
         for round in 0..60u16 {
             // Bursts of 1 to 40 packets, some waiting across several clock
@@ -4591,13 +4528,10 @@ mod tests {
             }
             sim.advance_clock_ns(2_000);
             egressed += host.poll_egress_burst(64).len();
-            for snapshot in host.poll_telemetry() {
-                snapshots += 1;
-                let latency = &snapshot.latency;
-                assert_eq!(latency.ingress_wait.count(), snapshot.received);
-                assert_eq!(latency.end_to_end.count(), snapshot.transmitted);
-                assert_eq!(latency.egress_wait.count(), snapshot.transmitted);
-            }
+            let (latency, counted) = (host.latency_report(), host.stats().snapshot());
+            assert_eq!(latency.ingress_wait.count(), counted.received);
+            assert_eq!(latency.end_to_end.count(), counted.transmitted);
+            assert_eq!(latency.egress_wait.count(), counted.transmitted);
         }
         while sim.step_all() > 0 {
             sim.advance_clock_ns(2_000);
@@ -4605,7 +4539,6 @@ mod tests {
         }
         let received: u64 = (0..60u64).map(|round| round % 40 + 1).sum();
         assert_eq!(egressed as u64, received);
-        assert!(snapshots > 10, "{snapshots} snapshots published");
         let stats = host.stats().snapshot();
         assert_eq!((stats.received, stats.transmitted), (received, received));
         let report = host.latency_report();
@@ -5794,6 +5727,53 @@ mod tests {
             assert!(host.inject(packet(i)).is_admitted());
         }
         assert_eq!(collect_outputs(&host, 100).len(), 100);
+        host.shutdown();
+    }
+
+    #[test]
+    fn a_retired_shards_latency_samples_survive() {
+        // Retiring the tail shard pops its ports, and a later spawn reuses
+        // the slot: the histograms sit with the shard's counters, so the
+        // merged report keeps every sample the counters count.
+        let host = ThreadedHost::start_sharded(
+            forward_table(),
+            |_shard| vec![],
+            ThreadedHostConfig::default(),
+        );
+        let shard = host
+            .spawn_shard(vec![])
+            .map_err(|_| "spawn refused")
+            .expect("a one-shard host can grow");
+        assert_eq!(shard, 1);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while host.pending_rehomes() > 0 && Instant::now() < deadline {
+            let _ = host.poll_egress();
+            std::thread::yield_now();
+        }
+        for i in 0..200 {
+            assert!(host.inject(packet(i)).is_admitted());
+        }
+        assert_eq!(collect_outputs(&host, 200).len(), 200);
+        assert!(
+            host.stats().shard_snapshot(1).transmitted > 0,
+            "shard 1 served traffic"
+        );
+        assert!(host.retire_shard());
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while host.is_retiring() && Instant::now() < deadline {
+            let _ = host.poll_egress();
+            std::thread::yield_now();
+        }
+        assert_eq!(host.num_shards(), 1);
+        let transmitted = host.stats().snapshot().transmitted;
+        assert_eq!(transmitted, 200);
+        let report = host.latency_report();
+        assert_eq!(report.end_to_end.count(), transmitted);
+        assert_eq!(report.egress_wait.count(), transmitted);
+        assert_eq!(
+            report.ingress_wait.count(),
+            host.stats().snapshot().received
+        );
         host.shutdown();
     }
 

@@ -504,7 +504,6 @@ impl ThreadedHost {
     /// unparks and its [`RehomeStep::Completed`] is journaled.
     fn release_pens(&self, state: &mut RehomeState, now_ns: u64) -> Vec<HandedBack> {
         let RehomeState { moves, report, .. } = state;
-        let mut released_ages: Vec<u64> = Vec::new();
         let mut completed: Vec<RehomeEvent> = Vec::new();
         let mut handed_back: Vec<HandedBack> = Vec::new();
         moves.retain_mut(|mv| {
@@ -535,12 +534,9 @@ impl ThreadedHost {
                             key: Some(key),
                             hash: key.stable_hash(),
                         }) {
-                            Ok(()) => {
-                                released_ages.push(age_ns);
-                                // Pen dwell lands in the destination shard's
-                                // histograms: that is where the packet resumes.
-                                ports.latency.pen_dwell.record(age_ns);
-                            }
+                            // Pen dwell lands in the destination shard's
+                            // histograms: that is where the packet resumes.
+                            Ok(()) => ports.stats.latency().pen_dwell.record(age_ns),
                             Err(PushError(frame)) => {
                                 self.tracker.unadmit(mv.bucket);
                                 ports.gate.release(1);
@@ -553,11 +549,14 @@ impl ThreadedHost {
                     report.buckets_rehomed += 1;
                 }
                 MoveTarget::Host => {
-                    let ages = mv
-                        .pen
-                        .iter()
-                        .map(|(p, _)| now_ns.saturating_sub(p.timestamp_ns));
-                    released_ages.extend(ages);
+                    // A handed-out pen resumes on another host; its dwell
+                    // here lands in the source shard's histograms.
+                    if let Some(ports) = self.shards.borrow().get(mv.from) {
+                        for (packet, _) in &mv.pen {
+                            let age_ns = now_ns.saturating_sub(packet.timestamp_ns);
+                            ports.stats.latency().pen_dwell.record(age_ns);
+                        }
+                    }
                     handed_back.push((mv.bucket, std::mem::take(&mut mv.pen)));
                     report.buckets_handed_off += 1;
                 }
@@ -572,9 +571,6 @@ impl ThreadedHost {
             });
             false
         });
-        for age_ns in released_ages {
-            state.record_pen_age(age_ns);
-        }
         for event in completed {
             state.record_event(event);
         }

@@ -1,12 +1,15 @@
-//! Counters describing the activity of one NF host.
+//! Counters and latency histograms describing the activity of one NF
+//! host.
 //!
-//! The sharded threaded runtime keeps one set of counters **per shard** so
-//! the hot path never bounces a shared cache line between shards:
-//! [`HostStats`] is a bundle of [`ShardStats`], each shard's threads hold a
-//! clone of their own [`ShardStats`], and [`HostStats::snapshot`] merges all
-//! shards into one [`HostStatsSnapshot`].
+//! The sharded threaded runtime keeps one set of counters and histograms
+//! **per shard** so the hot path never bounces a shared cache line between
+//! shards: [`HostStats`] is a bundle of [`ShardStats`], each shard's
+//! threads hold a clone of their own [`ShardStats`], and
+//! [`HostStats::snapshot`] / [`HostStats::latency_report`] merge all shards
+//! into one [`HostStatsSnapshot`] / [`LatencyReport`].
 
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
+use sdnfv_telemetry::{LatencyHistogram, LatencyReport};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -101,6 +104,40 @@ struct Counters {
     spans_dropped: AtomicU64,
 }
 
+/// Per-shard latency recorders: lock-free log-linear histograms, each with
+/// the one thread that records into it — the shard's worker (end-to-end,
+/// ingress wait, egress wait) or the host (re-home pen dwell) — except the
+/// service-time one, which the shard's NF threads share
+/// ([`LatencyHistogram::record_shared`]).
+#[derive(Debug, Default)]
+pub(crate) struct ShardLatency {
+    /// Ingress admission stamp → egress-ring push.
+    pub(crate) end_to_end: LatencyHistogram,
+    /// Ingress admission stamp → shard worker pop (includes pen dwell for
+    /// re-homed packets).
+    pub(crate) ingress_wait: LatencyHistogram,
+    /// Per-packet NF burst service time (burst wall time / burst length),
+    /// recorded once per burst by every NF thread of the shard.
+    pub(crate) nf_service: LatencyHistogram,
+    /// Egress staging → egress-ring push.
+    pub(crate) egress_wait: LatencyHistogram,
+    /// Time parked in a re-home pen (host-side): a packet released to the
+    /// shard, or one handed out of the host from a bucket the shard owned.
+    pub(crate) pen_dwell: LatencyHistogram,
+}
+
+impl ShardLatency {
+    fn report(&self) -> LatencyReport {
+        LatencyReport {
+            end_to_end: self.end_to_end.snapshot(),
+            ingress_wait: self.ingress_wait.snapshot(),
+            nf_service: self.nf_service.snapshot(),
+            egress_wait: self.egress_wait.snapshot(),
+            pen_dwell: self.pen_dwell.snapshot(),
+        }
+    }
+}
+
 macro_rules! counter {
     ($inc:ident, $get:ident, $field:ident, $doc:literal) => {
         #[doc = concat!("Increments the number of ", $doc, ".")]
@@ -115,10 +152,14 @@ macro_rules! counter {
     };
 }
 
-/// Thread-safe counters shared by all threads of one shard.
+/// Thread-safe counters and latency histograms shared by all threads of
+/// one shard.
 #[derive(Debug, Clone, Default)]
 pub struct ShardStats {
     inner: Arc<Counters>,
+    /// A separate allocation, so the histograms the worker and the NF
+    /// threads record into do not share cache lines with the counters.
+    latency: Arc<ShardLatency>,
 }
 
 impl ShardStats {
@@ -219,6 +260,17 @@ impl ShardStats {
         "trace spans lost to a full trace ring"
     );
 
+    /// The shard's latency recorders.
+    pub(crate) fn latency(&self) -> &Arc<ShardLatency> {
+        &self.latency
+    }
+
+    /// Snapshots this shard's latency histograms (lock-free, sound while
+    /// the shard keeps recording).
+    pub fn latency_report(&self) -> LatencyReport {
+        self.latency.report()
+    }
+
     /// Takes a consistent-enough snapshot of this shard's counters.
     pub fn snapshot(&self) -> HostStatsSnapshot {
         HostStatsSnapshot {
@@ -246,12 +298,16 @@ impl ShardStats {
 /// view. Cloning shares the underlying counters.
 ///
 /// The shard list is **growable** ([`HostStats::ensure_shard`]) so hosts
-/// can spawn shards mid-run; a retired shard's counters are kept (and
-/// reused if the shard index is respawned), so the merged snapshot never
-/// loses history when the data plane scales down.
+/// can spawn shards mid-run; a retired shard's counters and histograms are
+/// kept (and reused if the shard index is respawned), so the merged
+/// snapshot and latency report never lose history when the data plane
+/// scales down.
 #[derive(Debug, Clone)]
 pub struct HostStats {
     shards: Arc<RwLock<Vec<ShardStats>>>,
+    /// Latency samples of earlier incarnations of reused shard slots
+    /// (locked after `shards`, never before).
+    earlier_latency: Arc<Mutex<LatencyReport>>,
 }
 
 impl Default for HostStats {
@@ -271,6 +327,7 @@ impl HostStats {
         let shards: Vec<ShardStats> = (0..num_shards.max(1)).map(|_| ShardStats::new()).collect();
         HostStats {
             shards: Arc::new(RwLock::new(shards)),
+            earlier_latency: Arc::default(),
         }
     }
 
@@ -290,13 +347,20 @@ impl HostStats {
         self.shards.read()[shard].clone()
     }
 
-    /// The counters of `shard`, growing the shard list if needed. A shard
-    /// index that was retired and respawned reuses its previous counters —
-    /// per-slot history accumulates rather than resetting.
+    /// The counters of a new pipeline at `shard`, growing the shard list
+    /// if needed. A shard index that was retired and respawned reuses its
+    /// previous counters — per-slot history accumulates rather than
+    /// resetting — but gets fresh latency recorders, so the new worker is
+    /// their one writer; the earlier incarnation's samples stay in
+    /// [`HostStats::latency_report`].
     pub fn ensure_shard(&self, shard: usize) -> ShardStats {
         let mut shards = self.shards.write();
-        while shards.len() <= shard {
-            shards.push(ShardStats::new());
+        if shards.len() <= shard {
+            shards.resize_with(shard + 1, ShardStats::new);
+        } else {
+            let slot = &mut shards[shard];
+            self.earlier_latency.lock().merge(&slot.latency_report());
+            slot.latency = Arc::default();
         }
         shards[shard].clone()
     }
@@ -307,6 +371,18 @@ impl HostStats {
         let mut merged = HostStatsSnapshot::default();
         for shard in self.shards.read().iter() {
             merged.merge(&shard.snapshot());
+        }
+        merged
+    }
+
+    /// Latency histograms merged over every shard slot, live and retired:
+    /// end-to-end plus the per-stage breakdown. Merging is exact, so the
+    /// report's percentiles are those of the union of every shard's samples.
+    pub fn latency_report(&self) -> LatencyReport {
+        let shards = self.shards.read();
+        let mut merged = self.earlier_latency.lock().clone();
+        for shard in shards.iter() {
+            merged.merge(&shard.latency_report());
         }
         merged
     }
@@ -414,6 +490,29 @@ mod tests {
         again.add_received(1);
         assert_eq!(stats.shard_snapshot(2).received, 5);
         assert_eq!(stats.num_shards(), 3);
+    }
+
+    #[test]
+    fn latency_report_merges_every_shard_slot() {
+        let stats = HostStats::with_shards(2);
+        stats.shard(0).latency().end_to_end.record(100);
+        stats.ensure_shard(3).latency().end_to_end.record(200);
+        stats.shard(1).latency().pen_dwell.record(50);
+        let report = stats.latency_report();
+        assert_eq!(report.end_to_end.count(), 2);
+        assert_eq!(report.end_to_end.max, 200);
+        assert_eq!(report.pen_dwell.count(), 1);
+        assert_eq!(stats.shard(3).latency_report().end_to_end.count(), 1);
+        // A respawn into slot 3 records on fresh histograms (a new thread
+        // may be their one recorder); the report keeps the old samples.
+        let respawned = stats.ensure_shard(3);
+        assert!(respawned.latency_report().end_to_end.is_empty());
+        std::thread::spawn(move || respawned.latency().end_to_end.record(300))
+            .join()
+            .expect("the new incarnation records");
+        let report = stats.latency_report();
+        assert_eq!(report.end_to_end.count(), 3);
+        assert_eq!(report.end_to_end.max, 300);
     }
 
     #[test]

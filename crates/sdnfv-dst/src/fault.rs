@@ -6,17 +6,16 @@
 //! against scale-in). The plan only sets *rates*; every individual firing
 //! is a fresh draw from the schedule RNG, recorded in the trace.
 //!
-//! [`FaultySource`] is the telemetry-path fault: it wraps the live host's
-//! [`TelemetrySource`] feed and drops, duplicates, or delays snapshots.
-//! Per the source contract, drops and duplicates are always safe
-//! (cumulative counters) but per-shard order must be preserved — delay is
-//! therefore implemented by holding back a *suffix* of each batch, which
-//! keeps the global (hence per-shard) order intact.
+//! [`fault_snapshots`] is the telemetry-path fault: it sits between the
+//! host's snapshot drain and the `ObsHub` the elastic manager plans from,
+//! and drops, duplicates, or delays snapshots. Drops and duplicates are
+//! always safe (counters are cumulative) but per-shard order must be
+//! preserved — delay is therefore implemented by holding back a *suffix*
+//! of each batch, which keeps the global (hence per-shard) order intact.
 
 use std::collections::BTreeSet;
 
-use sdnfv_dataplane::ThreadedHost;
-use sdnfv_telemetry::{ShardLifecycleEvent, TelemetrySnapshot, TelemetrySource};
+use sdnfv_telemetry::TelemetrySnapshot;
 
 use crate::rng::SplitMix64;
 use crate::trace::Trace;
@@ -151,88 +150,58 @@ impl FaultPlan {
     }
 }
 
-/// A fault-injecting [`TelemetrySource`] over the live host, built fresh
-/// for each control-loop tick (it borrows the harness's RNG, held-back
-/// buffer, coverage set and trace for that tick).
-pub struct FaultySource<'a> {
-    /// The host whose rings are actually drained.
-    pub host: &'a ThreadedHost,
-    /// The telemetry-fault RNG stream.
-    pub rng: &'a mut SplitMix64,
-    /// The plan's firing rates.
-    pub plan: &'a FaultPlan,
-    /// Snapshots held back by an earlier delay, delivered first.
-    pub held: &'a mut Vec<TelemetrySnapshot>,
-    /// Coverage: which fault kinds have fired this run.
-    pub fired: &'a mut BTreeSet<FaultKind>,
-    /// The run trace.
-    pub trace: &'a mut Trace,
-    /// Current schedule tick (for trace lines).
-    pub tick: u64,
-    /// Whether faults are active (the quiescence phase turns them off and
-    /// flushes `held`).
-    pub active: bool,
-}
-
-impl TelemetrySource for FaultySource<'_> {
-    fn take_shard_events(&mut self) -> Vec<ShardLifecycleEvent> {
-        // Lifecycle events are delivered pristine: unlike snapshots they
-        // are not cumulative, so dropping one would desynchronize the
-        // manager's shard view forever — that is a harness bug, not an
-        // interesting fault.
-        self.host.take_shard_events()
+/// Applies the plan's telemetry faults to `fresh`, a batch just drained
+/// from the host: snapshots held back by an earlier delay go first, then
+/// each fresh one may be dropped or duplicated, then a suffix of the
+/// result may be held back (into `held`) for the next batch. Every firing
+/// is a draw from `rng`, recorded in `fired` and the trace.
+pub fn fault_snapshots(
+    fresh: Vec<TelemetrySnapshot>,
+    rng: &mut SplitMix64,
+    plan: &FaultPlan,
+    held: &mut Vec<TelemetrySnapshot>,
+    fired: &mut BTreeSet<FaultKind>,
+    trace: &mut Trace,
+    tick: u64,
+) -> Vec<TelemetrySnapshot> {
+    let mut out: Vec<TelemetrySnapshot> = std::mem::take(held);
+    for snapshot in fresh {
+        if rng.chance(plan.telemetry_drop) {
+            fired.insert(FaultKind::TelemetryDrop);
+            trace_event!(
+                trace,
+                "tick {}: fault telemetry-drop shard={} seq={}",
+                tick,
+                snapshot.shard,
+                snapshot.seq
+            );
+            continue;
+        }
+        if rng.chance(plan.telemetry_dup) {
+            fired.insert(FaultKind::TelemetryDup);
+            trace_event!(
+                trace,
+                "tick {}: fault telemetry-dup shard={} seq={}",
+                tick,
+                snapshot.shard,
+                snapshot.seq
+            );
+            out.push(snapshot.clone());
+        }
+        out.push(snapshot);
     }
-
-    fn poll_snapshots(&mut self) -> Vec<TelemetrySnapshot> {
-        let mut host = self.host;
-        let fresh = host.poll_snapshots();
-        let mut out: Vec<TelemetrySnapshot> = std::mem::take(self.held);
-        if !self.active {
-            out.extend(fresh);
-            return out;
+    if !out.is_empty() && rng.chance(plan.telemetry_delay) {
+        let keep = rng.gen_range(out.len() as u64) as usize;
+        if keep < out.len() {
+            fired.insert(FaultKind::TelemetryDelay);
+            trace_event!(
+                trace,
+                "tick {}: fault telemetry-delay held={}",
+                tick,
+                out.len() - keep
+            );
+            *held = out.split_off(keep);
         }
-        for snapshot in fresh {
-            if self.rng.chance(self.plan.telemetry_drop) {
-                self.fired.insert(FaultKind::TelemetryDrop);
-                trace_event!(
-                    self.trace,
-                    "tick {}: fault telemetry-drop shard={} seq={}",
-                    self.tick,
-                    snapshot.shard,
-                    snapshot.seq
-                );
-                continue;
-            }
-            let dup = self.rng.chance(self.plan.telemetry_dup);
-            if dup {
-                self.fired.insert(FaultKind::TelemetryDup);
-                trace_event!(
-                    self.trace,
-                    "tick {}: fault telemetry-dup shard={} seq={}",
-                    self.tick,
-                    snapshot.shard,
-                    snapshot.seq
-                );
-                out.push(snapshot.clone());
-            }
-            out.push(snapshot);
-        }
-        // Delay: hold back a suffix. Holding a *suffix* (rather than
-        // arbitrary elements) preserves per-shard snapshot order, which
-        // the TelemetrySource contract requires.
-        if !out.is_empty() && self.rng.chance(self.plan.telemetry_delay) {
-            let keep = self.rng.gen_range(out.len() as u64) as usize;
-            if keep < out.len() {
-                self.fired.insert(FaultKind::TelemetryDelay);
-                trace_event!(
-                    self.trace,
-                    "tick {}: fault telemetry-delay held={}",
-                    self.tick,
-                    out.len() - keep
-                );
-                *self.held = out.split_off(keep);
-            }
-        }
-        out
     }
+    out
 }

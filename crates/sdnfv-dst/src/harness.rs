@@ -9,11 +9,13 @@
 //!    amount, maybe injects control-plane operations (shard spawns and
 //!    retirements, replica adds/removals, credit resizes, steering
 //!    rebalances) and faults (actor stalls; telemetry drop/dup/delay via
-//!    [`FaultySource`]; bursts of short-lived exact rules churning the
+//!    [`fault_snapshots`]; bursts of short-lived exact rules churning the
 //!    tuple-space tables; evict-storm clock jumps that outrun rule
 //!    timeouts), injects a random batch of packets from a fixed
 //!    flow pool, steps the host's actors in a random order, drains a
-//!    random amount of egress, and sometimes ticks the elastic manager.
+//!    random amount of egress and the trace and re-home feeds into the
+//!    run's `ObsHub`, and sometimes ticks the elastic manager, which plans
+//!    from that `ObsHub`'s telemetry view.
 //! 2. **Quiescence** — faults stop; the run steps everything until the
 //!    host reaches an idle fixpoint with no pending re-homes, no retiring
 //!    shard and fully restored credit gates (bounded; failure to settle is
@@ -39,14 +41,14 @@ use sdnfv_control::{ElasticNfManager, ElasticPolicy, NfvOrchestrator, ShardPolic
 use sdnfv_dataplane::{InjectResult, SimActorKind, ThreadedHost, ThreadedHostConfig};
 use sdnfv_flowtable::{Action, FlowMatch, FlowRule, RulePort, ServiceId, SharedFlowTable};
 use sdnfv_nf::{NetworkFunction, NfContext, NfFlowState, NfMessage, NfRegistry, Verdict};
-use sdnfv_obs::FlightRecorder;
+use sdnfv_obs::ObsHub;
 use sdnfv_proto::flow::FlowKey;
 use sdnfv_proto::packet::{Packet, PacketBuilder};
-use sdnfv_telemetry::TraceSpan;
 
-use crate::fault::{FaultKind, FaultPlan, FaultySource};
+use crate::fault::{fault_snapshots, FaultKind, FaultPlan};
 use crate::oracle::{
-    check_conservation, check_flow_census, check_one_holder, check_spans, check_zeros, RunReport,
+    check_conservation, check_flow_census, check_latency, check_one_holder, check_spans,
+    check_zeros, RunReport,
 };
 use crate::rng::SplitMix64;
 use crate::trace::Trace;
@@ -337,8 +339,8 @@ pub fn run_seed(config: &DstConfig) -> RunReport {
     // tracing, switched on before the first packet.
     host.set_trace_sampling(TRACE_SAMPLE_EVERY);
 
-    // The elastic manager drives the same host through the TelemetrySource
-    // seam; virtual-time cooldowns are short so decisions happen within
+    // The elastic manager drives the same host, planning from the run's
+    // ObsHub; virtual-time cooldowns are short so decisions happen within
     // the schedule's horizon.
     let mut registry = NfRegistry::new();
     {
@@ -386,14 +388,12 @@ pub fn run_seed(config: &DstConfig) -> RunReport {
     let mut peak_shards = host.num_shards();
     let mut churn_keys: BTreeSet<FlowKey> = BTreeSet::new();
     let mut churn_seq: u16 = 0;
-    // Observability state: every span the run emits, the count of admitted
-    // packets whose flow hash falls in the sample, and the control-plane
-    // flight recorder (the elastic manager owns the lifecycle event stream
-    // through its telemetry source, so the journal records actions and
-    // re-home steps — the streams nobody else consumes).
-    let mut spans: Vec<TraceSpan> = Vec::new();
+    // Observability: the host's one consumer of its feeds (spans, re-home
+    // steps, lifecycle events, snapshots — the last two only at manager
+    // ticks, through the telemetry fault), and the count of admitted
+    // packets whose flow hash falls in the sample.
+    let mut obs = ObsHub::new();
     let mut sampled_admitted = 0u64;
-    let mut recorder = FlightRecorder::new();
 
     // ---------------------------------------------------------- active phase
     for tick in 0..config.ticks {
@@ -581,31 +581,29 @@ pub fn run_seed(config: &DstConfig) -> RunReport {
 
         // Drain the observability streams: trace spans off the per-shard
         // rings (keeping them from ever overflowing) and re-home events
-        // into the flight recorder.
-        spans.extend(host.poll_traces());
-        for event in host.take_rehome_events() {
-            recorder.record_rehome(&event);
-        }
+        // into the journal.
+        obs.absorb_spans(host.poll_traces());
+        obs.absorb_rehomes(&host.take_rehome_events());
 
-        // Sometimes tick the elastic control loop, observing through the
-        // fault-injecting telemetry source.
+        // Sometimes tick the elastic control loop: lifecycle events (never
+        // faulted — they are not cumulative, so losing one would
+        // desynchronize the shard view for good) and faulted snapshots
+        // into the ObsHub, then the manager plans from its view.
         if schedule_rng.chance(40) {
-            let mut source = FaultySource {
-                host: &host,
-                rng: &mut telemetry_rng,
-                plan: &plan,
-                held: &mut held,
-                fired: &mut fired,
-                trace: &mut trace,
+            obs.absorb_lifecycle(&host.take_shard_events());
+            obs.absorb_snapshots(fault_snapshots(
+                host.poll_telemetry(),
+                &mut telemetry_rng,
+                &plan,
+                &mut held,
+                &mut fired,
+                &mut trace,
                 tick,
-                active: true,
-            };
-            let actions = manager.drive_via(&mut source, &host);
+            ));
+            let actions = manager.drive(&host, obs.telemetry());
             if !actions.is_empty() {
                 trace_event!(trace, "tick {tick}: manager actions {actions:?}");
-                for action in &actions {
-                    recorder.record_action(sim.now_ns(), action);
-                }
+                obs.record_actions(sim.now_ns(), &actions);
             }
         }
         peak_shards = peak_shards.max(host.num_shards());
@@ -620,10 +618,8 @@ pub fn run_seed(config: &DstConfig) -> RunReport {
         let work = sim.step_all();
         let polled = host.poll_egress_burst(64);
         egressed += polled.len() as u64;
-        spans.extend(host.poll_traces());
-        for event in host.take_rehome_events() {
-            recorder.record_rehome(&event);
-        }
+        obs.absorb_spans(host.poll_traces());
+        obs.absorb_rehomes(&host.take_rehome_events());
         let credits_ok =
             (0..host.num_shards()).all(|s| host.available_credits(s) == host.credit_budget(s));
         let idle = work == 0
@@ -902,10 +898,15 @@ pub fn run_seed(config: &DstConfig) -> RunReport {
     // replayable trace: span and journal digests are order-sensitive, so
     // byte-identical replays prove the *observability* of the run is as
     // deterministic as the run itself.
-    spans.extend(host.poll_traces());
-    for event in host.take_rehome_events() {
-        recorder.record_rehome(&event);
+    obs.absorb_spans(host.poll_traces());
+    obs.absorb_rehomes(&host.take_rehome_events());
+    if obs.spans_shed() > 0 {
+        violations.push(format!(
+            "obs: {} spans shed by the hub's buffer",
+            obs.spans_shed()
+        ));
     }
+    let spans = obs.take_spans();
     let stats = host.stats().snapshot();
     check_spans(
         &spans,
@@ -921,6 +922,7 @@ pub fn run_seed(config: &DstConfig) -> RunReport {
         hash
     };
     let latency = host.latency_report();
+    check_latency(&latency, &stats, &mut violations);
     let latency_digest = latency
         .stages()
         .iter()
@@ -937,8 +939,8 @@ pub fn run_seed(config: &DstConfig) -> RunReport {
         span_digest,
         latency.end_to_end.count(),
         latency_digest,
-        recorder.len(),
-        recorder.digest()
+        obs.recorder().len(),
+        obs.recorder().digest()
     );
 
     // ------------------------------------------------------ shutdown census

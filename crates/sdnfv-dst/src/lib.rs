@@ -11,8 +11,8 @@
 //! * [`rng`] — the seeded SplitMix64 all randomness comes from.
 //! * [`fault`] — the seeded fault plan (actor stalls, telemetry
 //!   drop/dup/delay, racing control ops, mid-drain credit resizes) and
-//!   the fault-injecting [`TelemetrySource`](sdnfv_telemetry::TelemetrySource)
-//!   adapter the control loop observes through.
+//!   the telemetry fault applied between the host's snapshot drain and
+//!   the `ObsHub` the control loop plans from.
 //! * [`harness`] — the schedule runner: active phase → quiescence →
 //!   probes → shutdown census.
 //! * [`oracle`] — the invariants: packet conservation, zero NF-state
@@ -33,7 +33,7 @@ pub mod oracle;
 pub mod rng;
 pub mod trace;
 
-pub use fault::{FaultKind, FaultPlan, FaultySource};
+pub use fault::{fault_snapshots, FaultKind, FaultPlan};
 pub use harness::{run_seed, run_seed_checked, DstConfig};
 pub use oracle::RunReport;
 pub use rng::SplitMix64;

@@ -43,7 +43,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use sdnfv_dataplane::HostStatsSnapshot;
 use sdnfv_proto::flow::FlowKey;
-use sdnfv_telemetry::{TraceSpan, TraceStage};
+use sdnfv_telemetry::{LatencyReport, TraceSpan, TraceStage};
 
 use crate::fault::FaultKind;
 use crate::trace::Trace;
@@ -192,6 +192,32 @@ pub fn check_zeros(stats: &HostStatsSnapshot, violations: &mut Vec<String>) {
             "nf-state: {} flow-state payloads lost at import or drain-exit",
             stats.nf_state_import_drops
         ));
+    }
+}
+
+/// Latency conservation: every transmitted packet has one end-to-end and
+/// one egress-wait sample, and every received one an ingress-wait sample,
+/// whichever shard carried it — a shard retired during the run included.
+pub fn check_latency(
+    latency: &LatencyReport,
+    stats: &HostStatsSnapshot,
+    violations: &mut Vec<String>,
+) {
+    let stages = [
+        ("end-to-end", latency.end_to_end.count(), stats.transmitted),
+        (
+            "egress-wait",
+            latency.egress_wait.count(),
+            stats.transmitted,
+        ),
+        ("ingress-wait", latency.ingress_wait.count(), stats.received),
+    ];
+    for (stage, samples, packets) in stages {
+        if samples != packets {
+            violations.push(format!(
+                "latency: {samples} {stage} samples for {packets} counted packets"
+            ));
+        }
     }
 }
 

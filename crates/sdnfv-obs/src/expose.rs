@@ -241,10 +241,10 @@ mod tests {
             nf_state_handoffs: 4,
             nf_state_import_drops: 1,
             spans_dropped: 3,
-            latency,
         };
         let mut obs = ObsHub::new();
         obs.absorb_snapshots(vec![snapshot]);
+        obs.latency = latency;
         obs
     }
 

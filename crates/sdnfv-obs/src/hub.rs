@@ -1,13 +1,16 @@
-//! [`ObsHub`]: the one-stop observability consumer for a running
-//! [`ThreadedHost`] — merged telemetry, collected trace spans, and the
-//! control-plane flight recorder, drained together in one call.
+//! [`ObsHub`]: the one observability consumer of a running
+//! [`ThreadedHost`] — merged telemetry, latency histograms, collected
+//! trace spans, and the control-plane flight recorder, drained together in
+//! one call.
 
 use std::collections::HashMap;
 
 use sdnfv_dataplane::runtime::ThreadedHost;
+use sdnfv_dataplane::RehomeEvent;
 use sdnfv_proto::flow::FlowKey;
 use sdnfv_telemetry::{
-    ControlAction, LatencyReport, TelemetryHub, TelemetrySnapshot, TraceSpan, TraceStage,
+    ControlAction, LatencyReport, ShardLifecycleEvent, TelemetryHub, TelemetrySnapshot, TraceSpan,
+    TraceStage,
 };
 
 use crate::flight::FlightRecorder;
@@ -31,20 +34,29 @@ struct EvictionWatermark {
 
 /// Aggregates everything the data plane exports about itself:
 ///
-/// * **telemetry** — per-shard [`TelemetrySnapshot`](sdnfv_telemetry::TelemetrySnapshot)s
-///   merged by an inner [`TelemetryHub`] (queue gauges, rates, cumulative
-///   counters, latency histograms);
+/// * **telemetry** — per-shard [`TelemetrySnapshot`]s merged by an inner
+///   [`TelemetryHub`] (queue gauges, rates, cumulative counters) — the
+///   view the elastic manager plans from, too
+///   ([`ObsHub::telemetry`]);
+/// * **latency** — the host's per-stage histograms, merged over every
+///   shard slot ([`ThreadedHost::latency_report`], read at each observe);
 /// * **traces** — sampled per-packet [`TraceSpan`]s, buffered for a
 ///   consumer with per-stage counts;
 /// * **flight recorder** — a sequenced journal of control actions, shard
 ///   lifecycle, bucket re-homes and eviction sweeps.
 ///
-/// One [`ObsHub::observe`] call drains all of the host's feeds in a fixed
-/// order, so under a virtual clock two identical runs observe identically.
+/// The host's lifecycle, re-home, telemetry and trace feeds are
+/// destructive drains, so a host has one `ObsHub` and nothing else drains
+/// them. One [`ObsHub::observe`] call drains all four in a fixed order, so
+/// under a virtual clock two identical runs observe identically; a caller
+/// that filters a feed on the way (a fault-injecting harness) drains the
+/// host itself and hands each batch to its `absorb_*` method.
 #[derive(Debug)]
 pub struct ObsHub {
     hub: TelemetryHub,
     recorder: FlightRecorder,
+    /// The host's merged latency report as of the last observe.
+    pub(crate) latency: LatencyReport,
     spans: Vec<TraceSpan>,
     spans_shed: u64,
     spans_collected: u64,
@@ -66,6 +78,7 @@ impl ObsHub {
         ObsHub {
             hub: TelemetryHub::new(),
             recorder: FlightRecorder::new(),
+            latency: LatencyReport::default(),
             spans: Vec::new(),
             spans_shed: 0,
             spans_collected: 0,
@@ -76,29 +89,41 @@ impl ObsHub {
         }
     }
 
-    /// Drains every observability feed of `host` once, in a fixed order:
-    /// shard lifecycle events (journaled, then applied to the telemetry
-    /// view), bucket re-home steps (journaled), telemetry snapshots
-    /// (merged; eviction-sweep deltas journaled), and trace spans
-    /// (buffered). Call it from the same loop that drives the host.
+    /// Drains every observability feed of `host` once, in a fixed order —
+    /// shard lifecycle events, bucket re-home steps, telemetry snapshots,
+    /// trace spans — and reads its latency report. Call it from the loop
+    /// that drives the host, before the elastic manager's
+    /// [`drive`](../../sdnfv_control/elastic/struct.ElasticNfManager.html#method.drive),
+    /// which plans from [`ObsHub::telemetry`].
     pub fn observe(&mut self, host: &ThreadedHost) {
-        let lifecycle = host.take_shard_events();
-        for event in &lifecycle {
-            self.recorder.record_lifecycle(event);
-        }
-        self.hub.observe_lifecycle(&lifecycle);
-        for event in host.take_rehome_events() {
-            self.recorder.record_rehome(&event);
-        }
+        self.absorb_lifecycle(&host.take_shard_events());
+        self.absorb_rehomes(&host.take_rehome_events());
         self.absorb_snapshots(host.poll_telemetry());
         self.absorb_spans(host.poll_traces());
+        self.latency = host.latency_report();
+    }
+
+    /// Journals shard lifecycle events, then applies them to the telemetry
+    /// view (a retired shard's slot is pruned, a spawned one reopened).
+    /// Apply a batch before the snapshots drained after it: a `Spawned`
+    /// event resets its slot.
+    pub fn absorb_lifecycle(&mut self, events: &[ShardLifecycleEvent]) {
+        for event in events {
+            self.recorder.record_lifecycle(event);
+        }
+        self.hub.observe_lifecycle(events);
+    }
+
+    /// Journals bucket re-home steps.
+    pub fn absorb_rehomes(&mut self, events: &[RehomeEvent]) {
+        for event in events {
+            self.recorder.record_rehome(event);
+        }
     }
 
     /// Merges a batch of telemetry snapshots into the view, journaling an
     /// eviction-sweep record for every shard whose cumulative eviction
-    /// counters advanced since the last batch. Usable directly when the
-    /// snapshots come from somewhere other than a live host (a replayed
-    /// trace, a faulty-source adapter).
+    /// counters advanced since the last batch.
     pub fn absorb_snapshots(&mut self, snapshots: Vec<TelemetrySnapshot>) {
         for snapshot in &snapshots {
             let shard = snapshot.shard;
@@ -212,9 +237,10 @@ impl ObsHub {
         &mut self.recorder
     }
 
-    /// Merged latency distributions across every live shard.
-    pub fn latency(&self) -> LatencyReport {
-        self.hub.merged_latency()
+    /// The host's latency distributions, merged across every shard slot
+    /// (live and retired), as of the last [`ObsHub::observe`].
+    pub fn latency(&self) -> &LatencyReport {
+        &self.latency
     }
 
     /// Takes the buffered trace spans, oldest first.
@@ -271,7 +297,6 @@ mod tests {
             nf_state_handoffs: 0,
             nf_state_import_drops: 0,
             spans_dropped: 0,
-            latency: LatencyReport::default(),
         }
     }
 

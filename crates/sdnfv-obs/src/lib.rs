@@ -3,10 +3,12 @@
 //! Three feeds, one consumer:
 //!
 //! * **Latency histograms** — every shard worker records ingress wait, NF
-//!   service time, egress wait, pen dwell and end-to-end latency into
-//!   lock-free [`LatencyHistogram`](sdnfv_telemetry::LatencyHistogram)s,
-//!   published through the telemetry rings; merging per-shard snapshots is
-//!   exact, so whole-host p50/p99/p999 are true percentiles of the union.
+//!   service time, egress wait and end-to-end latency (and the host, pen
+//!   dwell) into lock-free
+//!   [`LatencyHistogram`](sdnfv_telemetry::LatencyHistogram)s kept with
+//!   the shard's counters; merging per-shard histograms is exact, so
+//!   whole-host p50/p99/p999 are true percentiles of the union, retired
+//!   shards included.
 //! * **Sampled flow tracing** — one in N flows (controller-settable via
 //!   [`ControlAction::SetTraceSampling`](sdnfv_telemetry::ControlAction),
 //!   plus per-flow pins via the `Trace` rule action) emits a compact
@@ -16,9 +18,11 @@
 //!   cause-linked journal of control actions, shard lifecycle, bucket
 //!   re-homes and eviction sweeps, replayable in order.
 //!
-//! [`ObsHub`] drains all three from a running
-//! [`ThreadedHost`](sdnfv_dataplane::ThreadedHost) in one call;
-//! [`prometheus_text`] and [`json_report`] render the merged view.
+//! [`ObsHub`] drains all three, plus the per-shard telemetry snapshots,
+//! from a running [`ThreadedHost`](sdnfv_dataplane::ThreadedHost) in one
+//! call — it is the host's one consumer of those feeds, and the elastic
+//! manager plans from its telemetry view; [`prometheus_text`] and
+//! [`json_report`] render the merged view.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

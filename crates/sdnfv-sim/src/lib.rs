@@ -35,3 +35,38 @@ pub mod series;
 pub mod video;
 
 pub use series::TimeSeries;
+
+#[cfg(test)]
+mod tests {
+    use crate::video::SplitMix64;
+
+    #[test]
+    fn deterministic_from_seed() {
+        let mut a = SplitMix64::new(7);
+        let mut b = SplitMix64::new(7);
+        for _ in 0..10 {
+            assert_eq!(a.f64_in(0.0, 1000.0), b.f64_in(0.0, 1000.0));
+        }
+        // The figure-11 lifetimes are drawn from this exact stream: a
+        // change to the generator's arithmetic moves the figure.
+        let mut rng = SplitMix64::new(42);
+        let draws: Vec<u64> = (0..3).map(|_| rng.f64_in(0.0001, 1.0).to_bits()).collect();
+        assert_eq!(
+            draws,
+            [
+                0x3fe7_bb1c_7767_400a,
+                0x3fc4_7ab2_51b7_c576,
+                0x3fd1_d5c8_6961_e769
+            ]
+        );
+    }
+
+    #[test]
+    fn f64_range_respected() {
+        let mut rng = SplitMix64::new(42);
+        for _ in 0..1000 {
+            let v = rng.f64_in(0.0001, 1.0);
+            assert!((0.0001..1.0).contains(&v));
+        }
+    }
+}

@@ -14,9 +14,6 @@
 //!   old rules until they terminate, so the output rate only converges to
 //!   the target as flows naturally churn (≈40 s time constant).
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
 use sdnfv_dataplane::{NfManager, PacketOutcome};
 use sdnfv_flowtable::{Action, FlowMatch, FlowRule, RulePort, ServiceId};
 use sdnfv_nf::nfs::{PolicyEngineNf, PolicyHandle, TranscoderNf, VideoDetectorNf};
@@ -25,6 +22,34 @@ use sdnfv_proto::http::response_with_content_type;
 use sdnfv_proto::packet::{Packet, PacketBuilder};
 
 use crate::series::TimeSeries;
+
+/// SplitMix64: the seeded source of the scenario's flow lifetimes.
+#[derive(Debug, Clone)]
+pub(crate) struct SplitMix64 {
+    state: u64,
+}
+
+impl SplitMix64 {
+    /// A generator whose stream is fixed by `seed`.
+    pub(crate) fn new(seed: u64) -> Self {
+        SplitMix64 { state: seed }
+    }
+
+    fn next_u64(&mut self) -> u64 {
+        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A uniform draw from `[low, high)`: the 53 high bits of one draw
+    /// make a unit value in `[0, 1)`, scaled onto the range.
+    pub(crate) fn f64_in(&mut self, low: f64, high: f64) -> f64 {
+        let unit = (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
+        low + (high - low) * unit
+    }
+}
 
 /// Configuration of the Figure 11 scenario.
 #[derive(Debug, Clone)]
@@ -147,11 +172,11 @@ impl VideoExperiment {
     pub fn run(&self) -> VideoResult {
         let policy = PolicyHandle::new();
         let mut manager = self.build_manager(&policy);
-        let mut rng = StdRng::seed_from_u64(self.seed);
+        let mut rng = SplitMix64::new(self.seed);
         let mut next_port: u16 = 10_000;
-        let lifetime = |rng: &mut StdRng| -> f64 {
+        let lifetime = |rng: &mut SplitMix64| -> f64 {
             // Exponential lifetimes with the configured mean.
-            let u: f64 = rng.gen_range(0.0001..1.0);
+            let u = rng.f64_in(0.0001, 1.0);
             -self.mean_lifetime_secs * u.ln()
         };
         let mut flows: Vec<SimFlow> = (0..self.concurrent_flows)

@@ -1,7 +1,7 @@
 //! The consumer side of the telemetry bus: merging per-shard snapshot
 //! streams into one current view.
 
-use crate::snapshot::{LatencyReport, ShardLifecycleEvent, TelemetrySnapshot};
+use crate::snapshot::{ShardLifecycleEvent, TelemetrySnapshot};
 
 /// Inter-snapshot rates for one shard, reconstructed from the cumulative
 /// counters of two consecutive snapshots.
@@ -35,6 +35,10 @@ pub struct TelemetryHub {
     /// are rejected here. Never truncated: the flag must outlive the
     /// trailing-slot truncation below.
     retired: Vec<bool>,
+    /// Lifecycle events applied per shard slot (never truncated either):
+    /// a consumer that keeps per-shard state of its own compares these
+    /// counts between reads and resets a slot whose count moved.
+    lifecycle_counts: Vec<u64>,
     absorbed: u64,
     rejected_retired: u64,
 }
@@ -195,17 +199,11 @@ impl TelemetryHub {
         self.rejected_retired
     }
 
-    /// Whole-host latency distributions: the per-stage histograms of
-    /// every currently reporting shard, merged. Because per-shard
-    /// histograms are cumulative and merging is exact, the merged report's
-    /// p50/p90/p99/p999 are the percentiles of the union of every live
-    /// shard's samples.
-    pub fn merged_latency(&self) -> LatencyReport {
-        let mut merged = LatencyReport::default();
-        for snapshot in self.latest_all() {
-            merged.merge(&snapshot.latency);
-        }
-        merged
+    /// How many lifecycle events the hub has applied to each shard slot,
+    /// indexed by shard. A slot whose count changed between two reads came
+    /// up or went away in between, so state kept for it is stale.
+    pub fn lifecycle_counts(&self) -> &[u64] {
+        &self.lifecycle_counts
     }
 
     /// Applies shard lifecycle events: a retired shard's snapshots are
@@ -214,6 +212,11 @@ impl TelemetryHub {
     /// is (re-)opened and fills on its first snapshot.
     pub fn observe_lifecycle(&mut self, events: &[ShardLifecycleEvent]) {
         for event in events {
+            let shard = event.shard();
+            if shard >= self.lifecycle_counts.len() {
+                self.lifecycle_counts.resize(shard + 1, 0);
+            }
+            self.lifecycle_counts[shard] += 1;
             match event {
                 ShardLifecycleEvent::Spawned { shard, .. } => {
                     if *shard >= self.latest.len() {
@@ -281,7 +284,6 @@ mod tests {
             nf_state_handoffs: 0,
             nf_state_import_drops: 0,
             spans_dropped: 0,
-            latency: LatencyReport::default(),
         }
     }
 
@@ -422,31 +424,28 @@ mod tests {
     }
 
     #[test]
-    fn merged_latency_is_union_of_live_shards() {
-        use crate::hist::LatencyHistogram;
+    fn lifecycle_counts_move_with_every_applied_event() {
         let mut hub = TelemetryHub::new();
-        let per_shard = |values: &[u64]| {
-            let hist = LatencyHistogram::new();
-            for &v in values {
-                hist.record(v);
-            }
-            hist.snapshot()
-        };
-        let mut a = snapshot(0, 1, 100, 0);
-        a.latency.end_to_end = per_shard(&[100, 200, 300]);
-        let mut b = snapshot(1, 1, 100, 0);
-        b.latency.end_to_end = per_shard(&[400, 500]);
-        hub.absorb(vec![a, b]);
-        let merged = hub.merged_latency();
-        assert_eq!(merged.end_to_end.count(), 5);
-        assert_eq!(merged.end_to_end.max, 500);
-        assert_eq!(merged.end_to_end, per_shard(&[100, 200, 300, 400, 500]));
-        // Retiring shard 1 removes its samples from the merged view.
-        hub.observe_lifecycle(&[ShardLifecycleEvent::Retired {
-            shard: 1,
-            at_ns: 200,
+        assert!(hub.lifecycle_counts().is_empty());
+        hub.observe_lifecycle(&[ShardLifecycleEvent::Spawned {
+            shard: 2,
+            at_ns: 100,
         }]);
-        assert_eq!(hub.merged_latency().end_to_end.count(), 3);
+        assert_eq!(hub.lifecycle_counts(), &[0, 0, 1]);
+        // A retirement truncates the snapshot slots, never the counts: the
+        // slot's count keeps telling a reader that it changed.
+        hub.observe_lifecycle(&[
+            ShardLifecycleEvent::Retired {
+                shard: 2,
+                at_ns: 200,
+            },
+            ShardLifecycleEvent::Spawned {
+                shard: 2,
+                at_ns: 300,
+            },
+        ]);
+        assert_eq!(hub.num_shards(), 3);
+        assert_eq!(hub.lifecycle_counts(), &[0, 0, 3]);
         assert_eq!(hub.total_spans_dropped(), 0);
         assert_eq!(hub.total_nf_state_handoffs(), 0);
         assert_eq!(hub.total_nf_state_import_drops(), 0);

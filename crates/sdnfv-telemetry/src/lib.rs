@@ -37,7 +37,6 @@ pub mod ewma;
 pub mod hist;
 pub mod hub;
 pub mod snapshot;
-pub mod source;
 pub mod trace;
 
 pub use action::ControlAction;
@@ -46,5 +45,4 @@ pub use ewma::Ewma;
 pub use hist::{HistogramSnapshot, LatencyHistogram};
 pub use hub::{ShardRates, TelemetryHub};
 pub use snapshot::{LatencyReport, NfTelemetry, ShardLifecycleEvent, TelemetrySnapshot};
-pub use source::TelemetrySource;
 pub use trace::{SpanVerdict, TraceSpan, TraceStage};

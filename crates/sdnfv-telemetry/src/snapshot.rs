@@ -3,10 +3,11 @@
 use crate::hist::HistogramSnapshot;
 use sdnfv_flowtable::ServiceId;
 
-/// Per-stage latency distributions for one shard, frozen at snapshot
-/// time. Every histogram is cumulative since the shard came up (like the
-/// counters), so a lost snapshot loses freshness, never samples; merging
-/// the per-shard reports in the hub yields exact whole-host distributions.
+/// Per-stage latency distributions, frozen when read. Every histogram is
+/// cumulative since its shard slot came up (like the counters), and
+/// merging is exact, so the host's merged report
+/// (`ThreadedHost::latency_report`) holds the union of every shard's
+/// samples.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LatencyReport {
     /// Ingress admission → egress-ring push, per transmitted packet.
@@ -155,8 +156,6 @@ pub struct TelemetrySnapshot {
     /// Cumulative trace spans discarded because the shard's trace ring was
     /// full (lossy-by-design tracing makes its losses explicit).
     pub spans_dropped: u64,
-    /// Per-stage latency distributions (cumulative, mergeable).
-    pub latency: LatencyReport,
 }
 
 /// A shard joining or leaving the data plane — published by the host when
@@ -298,7 +297,6 @@ mod tests {
             nf_state_handoffs: 0,
             nf_state_import_drops: 0,
             spans_dropped: 0,
-            latency: LatencyReport::default(),
         }
     }
 

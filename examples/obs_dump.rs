@@ -113,6 +113,13 @@ fn main() {
 
     println!("=== traffic ===");
     println!("injected {injected}, egressed {received}\n");
+    // The histograms outlive the retired shard: every egressed packet,
+    // whichever shard carried it, has its end-to-end sample.
+    assert_eq!(
+        obs.latency().end_to_end.count(),
+        received,
+        "one end-to-end latency sample per egressed packet"
+    );
 
     println!("=== latency percentiles (ns) ===");
     for (stage, hist) in obs.latency().stages() {

@@ -9,6 +9,7 @@ use sdnfv::flowtable::{Action, FlowMatch, FlowRule, RulePort, ServiceId, SharedF
 use sdnfv::graph::{catalog, CompileOptions};
 use sdnfv::nf::nfs::ComputeNf;
 use sdnfv::nf::{NetworkFunction, NfRegistry};
+use sdnfv::obs::ObsHub;
 use sdnfv::proto::packet::{Packet, PacketBuilder};
 use sdnfv::telemetry::ControlAction;
 use std::time::{Duration, Instant};
@@ -77,6 +78,7 @@ fn flood_scales_up_then_quiet_scales_down() {
     )
     .expect("worker is registered");
 
+    let mut obs = ObsHub::new();
     let mut manager = ElasticNfManager::new(
         orchestrator,
         ElasticPolicy {
@@ -109,8 +111,9 @@ fn flood_scales_up_then_quiet_scales_down() {
         let outcome = host.inject_burst(burst);
         admitted += outcome.admitted as u64;
         drained += host.poll_egress_burst(64).len() as u64;
-        manager.drive(&host);
-        if let Some(snapshot) = manager.hub().latest(0) {
+        obs.observe(&host);
+        manager.drive(&host, obs.telemetry());
+        if let Some(snapshot) = obs.telemetry().latest(0) {
             peak_fill = peak_fill.max(snapshot.worst_fill(worker).unwrap_or(0.0));
             if snapshot.replicas(worker) == 2 {
                 break true;
@@ -141,8 +144,9 @@ fn flood_scales_up_then_quiet_scales_down() {
     // retires the extra replica.
     let deadline = Instant::now() + Duration::from_secs(30);
     let calmed = loop {
-        manager.drive(&host);
-        if let Some(snapshot) = manager.hub().latest(0) {
+        obs.observe(&host);
+        manager.drive(&host, obs.telemetry());
+        if let Some(snapshot) = obs.telemetry().latest(0) {
             if snapshot.replicas(worker) == 1 && snapshot.nfs.len() == 1 {
                 break true;
             }
@@ -188,6 +192,7 @@ fn scale_up_never_overshoots_max_replicas() {
         },
     )
     .expect("worker is registered");
+    let mut obs = ObsHub::new();
     let mut manager = ElasticNfManager::new(
         orchestrator,
         ElasticPolicy {
@@ -215,8 +220,9 @@ fn scale_up_never_overshoots_max_replicas() {
             .collect();
         admitted += host.inject_burst(burst).admitted as u64;
         drained += host.poll_egress_burst(64).len() as u64;
-        manager.drive(&host);
-        if let Some(snapshot) = manager.hub().latest(0) {
+        obs.observe(&host);
+        manager.drive(&host, obs.telemetry());
+        if let Some(snapshot) = obs.telemetry().latest(0) {
             max_seen = max_seen.max(snapshot.replicas(worker));
         }
     }
@@ -528,5 +534,63 @@ fn steering_weights_rebalance_traffic() {
     // Zero-sum and mismatched weight vectors are rejected.
     assert!(!host.set_steering_weights(&[0, 0, 0, 0]));
     assert!(!host.set_steering_weights(&[1, 1]));
+    host.shutdown();
+}
+
+/// One host, two readers of its telemetry: the `ObsHub` drains the host's
+/// feeds and the elastic manager plans from the hub's view. Each stepped
+/// tick observes, then drives. The manager must still see shard 0's
+/// snapshots (two quiet replicas: it scales one down), and the hub's
+/// journal must still hold the spawn the host published.
+#[test]
+fn the_manager_and_the_obs_hub_share_one_drain() {
+    let (table, worker) = worker_table();
+    let replica = || Box::new(ComputeNf::new(WORKER_ROUNDS)) as Box<dyn NetworkFunction>;
+    let (host, sim) = ThreadedHost::start_sim_sharded(
+        table,
+        |_shard| vec![(worker, replica()), (worker, replica())],
+        ThreadedHostConfig {
+            telemetry_interval_ns: 100_000,
+            ..ThreadedHostConfig::default()
+        },
+    );
+    let mut obs = ObsHub::new();
+    let mut manager = ElasticNfManager::new(
+        NfvOrchestrator::new(worker_registry(), 0),
+        ElasticPolicy {
+            cooldown_ns: 0,
+            ..ElasticPolicy::default()
+        },
+    );
+    manager
+        .register_service(worker, "worker")
+        .expect("worker is in the registry");
+    assert!(host.spawn_shard(vec![(worker, replica())]).is_ok());
+
+    let mut scaled_down_shard_0 = false;
+    for _ in 0..50 {
+        sim.advance_clock_ns(200_000);
+        // The worker looks at the export clock every 32nd step.
+        for _ in 0..33 {
+            sim.step_all();
+        }
+        obs.observe(&host);
+        let actions = manager.drive(&host, obs.telemetry());
+        scaled_down_shard_0 |= actions.contains(&ControlAction::ScaleDown {
+            shard: 0,
+            service: worker,
+        });
+    }
+    assert!(
+        scaled_down_shard_0,
+        "the manager never planned from shard 0's snapshots"
+    );
+    assert!(manager.scale_downs() >= 1);
+    let journal = obs.recorder().replay();
+    assert!(
+        journal.iter().any(|line| line.ends_with("shard 1 spawned")),
+        "no `shard 1 spawned` among the journal's {} records",
+        journal.len()
+    );
     host.shutdown();
 }

@@ -18,6 +18,7 @@ use sdnfv::flowtable::{Action, FlowMatch, FlowRule, RulePort, ServiceId, SharedF
 use sdnfv::graph::{catalog, CompileOptions};
 use sdnfv::nf::nfs::{ComputeNf, IdsNf, NoOpNf};
 use sdnfv::nf::{NetworkFunction, NfContext, NfFlowState, NfMessage, NfRegistry, Verdict};
+use sdnfv::obs::ObsHub;
 use sdnfv::proto::flow::FlowKey;
 use sdnfv::proto::packet::{Packet, PacketBuilder};
 use sdnfv::telemetry::ShardLifecycleEvent;
@@ -1077,8 +1078,11 @@ fn parked_bucket_pen_is_visible_in_telemetry_and_sampled_on_release() {
     }
     assert_eq!(out, 15);
     assert_eq!(host.pending_rehomes(), 0);
-    let ages = host.take_rehome_pen_ages_ns();
-    assert_eq!(ages.len(), 5, "one age sample per released penned packet");
+    assert_eq!(
+        host.latency_report().pen_dwell.count(),
+        5,
+        "one pen-dwell sample per released penned packet"
+    );
     host.shutdown();
 }
 
@@ -1106,6 +1110,7 @@ fn elastic_manager_scales_shard_count_out_and_in() {
     )
     .expect("worker is registered");
 
+    let mut obs = ObsHub::new();
     let mut manager = ElasticNfManager::new(orchestrator, ElasticPolicy::default());
     manager
         .enable_shard_scaling(
@@ -1136,7 +1141,8 @@ fn elastic_manager_scales_shard_count_out_and_in() {
         let outcome = host.inject_burst(burst);
         admitted += outcome.admitted as u64;
         drained += host.poll_egress_burst(64).len() as u64;
-        manager.drive(&host);
+        obs.observe(&host);
+        manager.drive(&host, obs.telemetry());
         if host.num_shards() == 2 {
             break true;
         }
@@ -1159,7 +1165,8 @@ fn elastic_manager_scales_shard_count_out_and_in() {
     // Phase 3 — quiet: the manager retires the extra shard.
     let deadline = Instant::now() + Duration::from_secs(30);
     let calmed = loop {
-        manager.drive(&host);
+        obs.observe(&host);
+        manager.drive(&host, obs.telemetry());
         let _ = host.poll_egress_burst(16);
         if host.num_shards() == 1 && !host.is_retiring() {
             break true;
